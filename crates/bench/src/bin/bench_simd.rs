@@ -19,6 +19,11 @@
 //!   tile into a contiguous panel once per batch — contiguous loads
 //!   escape the gather-traffic bound (gated ≥1.5× at 10% density,
 //!   ≥1.1× at 5%);
+//! * `simd_gemm_dense_*` — the dense analog-plane GEMM
+//!   (`matmul_bt_bias`) on the `96×256` direct-current input layer of
+//!   the `search_mlp` benchmark network at batch 32: packed 8-row panels
+//!   against four batch rows at a time vs the scalar single-accumulator
+//!   row dots (density 1.0, under the `simd_gemm_*` ≥1.5× floor);
 //! * `simd_gemm_planed_*` — the blocked-dequantization GEMM paths for
 //!   the int8/f16 planes vs the per-element lane decode (gated ≥1.0×
 //!   — the fused decode-and-transpose pack must never lose to lane
@@ -33,8 +38,9 @@
 
 use axsnn::core::plan::WeightPlane;
 use axsnn::tensor::batched::{
-    sparse_conv2d_sorted, sparse_matmul_bias, sparse_matmul_bias_planed,
-    sparse_matmul_bias_planed_scalar, sparse_matmul_bias_scalar, SpikeMatrix,
+    matmul_bt_bias, matmul_bt_bias_scalar, sparse_conv2d_sorted, sparse_matmul_bias,
+    sparse_matmul_bias_planed, sparse_matmul_bias_planed_scalar, sparse_matmul_bias_scalar,
+    SpikeMatrix,
 };
 use axsnn::tensor::conv::Conv2dSpec;
 use axsnn::tensor::plane::QuantizedPlane;
@@ -174,6 +180,38 @@ fn gemm_records(records: &mut Vec<Record>, out: usize, input: usize, density: f3
     });
 }
 
+/// Batch-32 dense GEMM on an analog `[B, input]` block: dispatched
+/// panel kernel vs the scalar row dots.
+fn gemm_dense_records(records: &mut Vec<Record>, out: usize, input: usize) {
+    let mut rng = StdRng::seed_from_u64(14);
+    let weight = init::uniform(&mut rng, &[out, input], 0.1);
+    let bias = init::uniform(&mut rng, &[out], 0.1);
+    let x = Tensor::from_vec(
+        (0..BATCH * input).map(|i| hash_unit(i, 149)).collect(),
+        &[BATCH, input],
+    )
+    .unwrap();
+    let fast = matmul_bt_bias(&x, &weight, &bias).unwrap();
+    let scalar = matmul_bt_bias_scalar(&x, &weight, &bias).unwrap();
+    for (a, b) in fast.as_slice().iter().zip(scalar.as_slice()) {
+        assert_eq!(a.to_bits(), b.to_bits(), "dense GEMM diverged");
+    }
+    let (scalar_ns, simd_ns) = time_pair(
+        || {
+            black_box(matmul_bt_bias_scalar(black_box(&x), &weight, &bias).unwrap());
+        },
+        || {
+            black_box(matmul_bt_bias(black_box(&x), &weight, &bias).unwrap());
+        },
+    );
+    records.push(Record {
+        name: format!("simd_gemm_dense_{out}x{input}_B{BATCH}"),
+        density: 1.0,
+        scalar_ns,
+        simd_ns,
+    });
+}
+
 /// Blocked-dequantization GEMM for the reduced-precision planes vs the
 /// per-element lane decode (informational — the plane-vs-f32 floors
 /// live in `bench_quant`, this isolates the dequantization strategy).
@@ -276,6 +314,7 @@ fn main() {
         matvec_records(&mut records, 512, 1024, density);
         gemm_records(&mut records, 512, 1024, density);
     }
+    gemm_dense_records(&mut records, 96, 256);
     gemm_planed_records(&mut records, 0.10);
     conv1_records(&mut records, 0.10);
 

@@ -424,10 +424,41 @@ impl BatchTape {
     }
 }
 
+/// The last dense `X·Wᵀ + b` product one linear layer ran inside a
+/// single forward pass: the batch rows that took the dense fallback,
+/// their stacked inputs and the `[rows, out]` currents. Lives only for
+/// one fused pass ([`SpikingNetwork::forward_batch`] or
+/// [`SpikingNetwork::forward_batch_recorded`]), so the layer's weights
+/// cannot change underneath it.
+#[derive(Default)]
+struct DenseCurrentCache {
+    pos: Vec<usize>,
+    x: Vec<f32>,
+    y: Vec<f32>,
+}
+
+impl DenseCurrentCache {
+    /// `true` when `pos`/`x` are the cached rows with the same bits —
+    /// `to_bits` equality, so `-0.0` and `0.0` differ and a NaN matches
+    /// only its own payload.
+    fn holds(&self, pos: &[usize], x: &[f32]) -> bool {
+        let same_bits = |(a, b): (&f32, &f32)| a.to_bits() == b.to_bits();
+        self.pos == pos && self.x.len() == x.len() && self.x.iter().zip(x).all(same_bits)
+    }
+}
+
 /// Computes the `[B, out]` current block of a (spiking or readout)
 /// linear layer: sparse-admitted rows fuse into one spike-plane GEMM,
 /// the rest batch through the dense `X·Wᵀ + b` fallback. Each row is
 /// bit-identical to its per-sample counterpart.
+///
+/// `cache` holds the layer's previous dense product in this pass. When
+/// the step's dense rows sit at the same positions with bitwise-equal
+/// inputs — every step after the first for a direct-current input
+/// layer, whose analog frame repeats — the cached currents are reused
+/// instead of recomputed: the GEMM is deterministic, so the result is
+/// the same bits. Gate decisions, fallback counters and tape rows are
+/// produced exactly as without the cache.
 ///
 /// With `record` set the admitted rows run the exact-order GEMM
 /// ([`sparse_matmul_bias_exact`]) so the taped currents equal the dense
@@ -445,6 +476,7 @@ fn linear_current_block(
     policy: &KernelPolicy,
     plane: &BatchPlane,
     record: bool,
+    cache: &mut DenseCurrentCache,
 ) -> Result<(Vec<f32>, Vec<BatchTapeRow>)> {
     let wdims = weight.shape().dims();
     if wdims.len() != 2 {
@@ -489,17 +521,19 @@ fn linear_current_block(
             block[r * out_n..(r + 1) * out_n].copy_from_slice(&yv[s * out_n..(s + 1) * out_n]);
         }
     }
-    let mut dense_x: Option<Tensor> = None;
     if !dense_pos.is_empty() {
-        let x = Tensor::from_vec(std::mem::take(&mut dense_data), &[dense_pos.len(), in_n])
-            .map_err(CoreError::from)?;
-        let y = matmul_bt_bias(&x, weight, bias).map_err(CoreError::from)?;
-        let yv = y.as_slice();
-        for (d, &r) in dense_pos.iter().enumerate() {
-            block[r * out_n..(r + 1) * out_n].copy_from_slice(&yv[d * out_n..(d + 1) * out_n]);
+        if !cache.holds(&dense_pos, &dense_data) {
+            let x =
+                Tensor::from_vec(dense_data, &[dense_pos.len(), in_n]).map_err(CoreError::from)?;
+            let y = matmul_bt_bias(&x, weight, bias).map_err(CoreError::from)?;
+            *cache = DenseCurrentCache {
+                pos: dense_pos.clone(),
+                x: x.into_vec(),
+                y: y.into_vec(),
+            };
         }
-        if record {
-            dense_x = Some(x);
+        for (d, &r) in dense_pos.iter().enumerate() {
+            block[r * out_n..(r + 1) * out_n].copy_from_slice(&cache.y[d * out_n..(d + 1) * out_n]);
         }
     }
     let mut rows = Vec::new();
@@ -508,11 +542,10 @@ fn linear_current_block(
         for (events, r) in sparse_rows.into_iter().zip(sparse_pos) {
             slots[r] = Some(BatchTapeRow::Events(events));
         }
-        if let Some(x) = &dense_x {
-            let xv = x.as_slice();
-            for (d, r) in dense_pos.into_iter().enumerate() {
-                slots[r] = Some(BatchTapeRow::Dense(xv[d * in_n..(d + 1) * in_n].to_vec()));
-            }
+        for (d, r) in dense_pos.into_iter().enumerate() {
+            slots[r] = Some(BatchTapeRow::Dense(
+                cache.x[d * in_n..(d + 1) * in_n].to_vec(),
+            ));
         }
         rows = slots
             .into_iter()
@@ -990,6 +1023,8 @@ impl SpikingNetwork {
         let spiking_layers = self.layers().iter().filter(|l| l.is_spiking()).count();
         let mut spikes_per_layer = vec![0.0f32; spiking_layers];
         let mut states: Vec<Option<BatchedLifState>> = vec![None; depth];
+        let mut dense_caches: Vec<DenseCurrentCache> =
+            (0..depth).map(|_| DenseCurrentCache::default()).collect();
         let mut logits: Option<Vec<f32>> = None;
         let mut classes = 0usize;
         let mut tape_steps: Vec<Vec<BatchTapeStep>> =
@@ -1053,6 +1088,7 @@ impl SpikingNetwork {
                             &l.policy,
                             &plane,
                             record,
+                            &mut dense_caches[li],
                         )?;
                         let n = current.len() / b;
                         let state = match &mut states[li] {
@@ -1082,6 +1118,7 @@ impl SpikingNetwork {
                             &l.policy,
                             &plane,
                             record,
+                            &mut dense_caches[li],
                         )?;
                         if record {
                             step_tape.push(BatchTapeStep::Output { rows });

@@ -5,6 +5,11 @@
 //! `forward` logits exactly — not approximately. The fused engine is
 //! the per-sample engine re-scheduled, and these tests are the contract
 //! that keeps it that way.
+//!
+//! Analog trains whose frames change between steps (by a single ulp,
+//! at different steps per row, or on every step) pin the fused
+//! engine's reuse of a layer's dense currents: it may skip the GEMM
+//! only when the step's dense input repeats bit for bit.
 
 use axsnn_core::encoding::Encoder;
 use axsnn_core::fused::FrameTrain;
@@ -111,6 +116,49 @@ fn assert_bitwise_equivalent(net: &SpikingNetwork, trains: &[FrameTrain]) {
     assert_eq!(out.spikes_per_layer, stat_sums, "spike stats diverged");
 }
 
+/// [`assert_bitwise_equivalent`] for both fused entry points: the
+/// inference `forward_batch` against per-sample `forward`, and the
+/// recorded `forward_batch_recorded` against the per-sample recorded
+/// forward.
+fn assert_bitwise_equivalent_recorded(net: &SpikingNetwork, trains: &[FrameTrain]) {
+    assert_bitwise_equivalent(net, trains);
+    let mut fused_net = net.clone();
+    let (out, tape) = fused_net.forward_batch_recorded(trains).unwrap();
+    assert_eq!(tape.batch(), trains.len());
+    let classes = out.logits.shape().dims()[1];
+    let mut reference = net.clone();
+    let mut rng = StdRng::seed_from_u64(0);
+    for (r, train) in trains.iter().enumerate() {
+        let frames = train.to_frames().unwrap();
+        let per_sample = reference.forward(&frames, true, &mut rng).unwrap();
+        let fused = &out.logits.as_slice()[r * classes..(r + 1) * classes];
+        for (i, (a, b)) in fused.iter().zip(per_sample.logits.as_slice()).enumerate() {
+            assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
+                "row {r} class {i}: recorded logits diverged ({a} vs {b})"
+            );
+        }
+    }
+}
+
+/// An analog image of `len` values in `[0, 1)`.
+fn analog_image(rng: &mut StdRng, len: usize) -> Vec<f32> {
+    (0..len).map(|_| rng.gen::<f32>()).collect()
+}
+
+/// The frame train holding `frames[t]` at step `t`.
+fn analog_train(frames: Vec<Vec<f32>>) -> FrameTrain {
+    let frames: Vec<Tensor> = frames
+        .into_iter()
+        .map(|f| {
+            let len = f.len();
+            Tensor::from_vec(f, &[len]).unwrap()
+        })
+        .collect();
+    FrameTrain::from_frames(&frames).unwrap()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -167,15 +215,18 @@ proptest! {
 
     /// Analog (direct-current) inputs — every row takes the batched
     /// dense fallback — still match the per-sample dense path bitwise.
+    /// Input widths cross the 8-column pack block and hidden widths
+    /// the 8-row panel tile of the dense GEMM.
     #[test]
     fn analog_forward_batch_bitwise_equals_per_sample(
         batch in 1usize..17,
-        inputs in 1usize..16,
+        inputs in 1usize..40,
+        hidden in 1usize..20,
         t in 1usize..5,
         seed in 0u64..500,
     ) {
         let c = cfg(0.5, t);
-        let net = mlp(seed, inputs, 10, 3, c);
+        let net = mlp(seed, inputs, hidden, 3, c);
         let mut rng = StdRng::seed_from_u64(seed ^ 0xfeed);
         let trains: Vec<FrameTrain> = (0..batch)
             .map(|_| {
@@ -186,6 +237,52 @@ proptest! {
             })
             .collect();
         assert_bitwise_equivalent(&net, &trains);
+    }
+
+    /// Analog trains whose frames change between steps, under both
+    /// fused entry points. Each batch mixes four kinds of row: a
+    /// constant direct-current train; a train whose frame changes one
+    /// element by one ulp at one step; a train switching to a new image
+    /// at a row-dependent step; and a train with a fresh image every
+    /// step. The dense-current reuse must recompute on every change,
+    /// however small.
+    #[test]
+    fn changing_analog_trains_bitwise_equal_per_sample(
+        batch in 1usize..20,
+        inputs in 1usize..40,
+        hidden in 1usize..20,
+        t in 2usize..6,
+        seed in 0u64..500,
+    ) {
+        let c = cfg(0.5, t);
+        let net = mlp(seed, inputs, hidden, 3, c);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xc4a1);
+        let trains: Vec<FrameTrain> = (0..batch)
+            .map(|r| {
+                let base = analog_image(&mut rng, inputs);
+                let step = 1 + r % (t - 1);
+                let frames: Vec<Vec<f32>> = match r % 4 {
+                    0 => vec![base; t],
+                    1 => {
+                        let i = rng.gen_range(0..inputs);
+                        let mut bumped = base.clone();
+                        bumped[i] = f32::from_bits(bumped[i].to_bits() + 1);
+                        (0..t)
+                            .map(|s| if s == step { bumped.clone() } else { base.clone() })
+                            .collect()
+                    }
+                    2 => {
+                        let next = analog_image(&mut rng, inputs);
+                        (0..t)
+                            .map(|s| if s < step { base.clone() } else { next.clone() })
+                            .collect()
+                    }
+                    _ => (0..t).map(|_| analog_image(&mut rng, inputs)).collect(),
+                };
+                analog_train(frames)
+            })
+            .collect();
+        assert_bitwise_equivalent_recorded(&net, &trains);
     }
 
     /// Sharded classification is invariant to thread count and fused
@@ -298,5 +395,33 @@ fn avg_pool_degradation_is_observable() {
     assert!(
         sharded_net.total_dense_fallbacks() > 0,
         "worker-clone fallbacks must aggregate into the caller's instance"
+    );
+}
+
+/// A single-ulp change in one input element, at one step, must reach
+/// the logits exactly as the per-sample path computes them. The
+/// network is a lone readout layer, so each step's dense current lands
+/// in the logits without a spiking threshold in between, and the bumped
+/// element is large (one ulp of 2²⁰ is 0.125), so a stale reused
+/// current would show as a bitwise difference.
+#[test]
+fn single_ulp_input_change_reaches_fused_logits() {
+    let c = cfg(0.5, 3);
+    let mut rng = StdRng::seed_from_u64(41);
+    let net = SpikingNetwork::new(vec![Layer::output_linear(&mut rng, 12, 4)], c).unwrap();
+    let mut base: Vec<f32> = (0..12).map(|i| 0.25 + i as f32 * 0.0625).collect();
+    base[5] = 1_048_576.0;
+    let mut bumped = base.clone();
+    bumped[5] = f32::from_bits(bumped[5].to_bits() + 1);
+    let constant = analog_train(vec![base.clone(); 3]);
+    let changed = analog_train(vec![base.clone(), bumped, base]);
+    let trains = vec![constant.clone(), changed.clone(), constant, changed];
+    assert_bitwise_equivalent_recorded(&net, &trains);
+    let out = net.clone().forward_batch(&trains).unwrap();
+    let rows = out.logits.as_slice();
+    assert_ne!(
+        rows[..4].iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+        rows[4..8].iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+        "the one-ulp change must be visible in the logits"
     );
 }

@@ -13,7 +13,8 @@
 //!   → [B, out]`, weight-row-outer so each row is gathered against all
 //!   B index lists while it is hot in cache,
 //! * [`matmul_bt_bias`] — the dense batched fallback (`X · Wᵀ + b`) for
-//!   analog planes, with the same cache-friendly row-dot shape,
+//!   analog planes: sequential row dots, run as packed 8-row panels
+//!   against four batch rows at a time under AVX2 dispatch,
 //! * [`sparse_conv2d_batch`] — scatter conv over B stacked spike
 //!   planes into a `[B, Cout·OH·OW]` block,
 //! * [`sparse_avg_pool2d_batch`] / [`sparse_max_pool2d_batch`] —
@@ -605,20 +606,8 @@ pub fn sparse_matmul_bias_exact(w: &Tensor, x: &SpikeMatrix, bias: &Tensor) -> R
     Tensor::from_vec(out, &[b, m])
 }
 
-/// Dense batched fallback `Y = X · Wᵀ + b` for analog (non-binary)
-/// planes: `x` is `[B, in]`, `w` is `[out, in]`, output `[B, out]`.
-///
-/// Each output element is a sequential row dot with the bias added
-/// *after* the sum — the same order as the per-sample
-/// `matvec(w, x).add(bias)` path, so row `b` is bit-identical to the
-/// per-sample dense result.
-///
-/// # Errors
-///
-/// Returns [`TensorError::RankMismatch`] / [`TensorError::ShapeMismatch`]
-/// when the operands are not conforming matrices or the bias length
-/// differs from the weight row count.
-pub fn matmul_bt_bias(x: &Tensor, w: &Tensor, bias: &Tensor) -> Result<Tensor> {
+/// Checks a dense `X · Wᵀ + b` operand triple, returning `(B, in, out)`.
+fn check_dense(x: &Tensor, w: &Tensor, bias: &Tensor) -> Result<(usize, usize, usize)> {
     let xdims = x.shape().dims();
     if xdims.len() != 2 {
         return Err(TensorError::RankMismatch {
@@ -636,22 +625,86 @@ pub fn matmul_bt_bias(x: &Tensor, w: &Tensor, bias: &Tensor) -> Result<Tensor> {
             op: "matmul_bt_bias",
         });
     }
-    let xv = x.as_slice();
-    let wv = w.as_slice();
-    let bv = bias.as_slice();
-    let mut out = vec![0.0f32; b * m];
-    for r in 0..b {
-        let xrow = &xv[r * k..(r + 1) * k];
-        let orow = &mut out[r * m..(r + 1) * m];
-        for (o, slot) in orow.iter_mut().enumerate() {
-            let wrow = &wv[o * k..(o + 1) * k];
+    Ok((b, k, m))
+}
+
+/// The scalar dense row dots for output columns `o0..m` of the `[B, m]`
+/// block `out` — the single source of truth for dense GEMM semantics:
+/// per element one accumulator from `+0.0`, `acc += w·x` over ascending
+/// columns, the bias added after the sum.
+fn dense_rows_scalar(x: &[f32], w: &[f32], bias: &[f32], k: usize, o0: usize, out: &mut [f32]) {
+    let m = bias.len();
+    if m == 0 {
+        return;
+    }
+    for (r, orow) in out.chunks_exact_mut(m).enumerate() {
+        let xrow = &x[r * k..(r + 1) * k];
+        for (o, slot) in orow.iter_mut().enumerate().skip(o0) {
+            let wrow = &w[o * k..(o + 1) * k];
             let mut acc = 0.0f32;
             for (&xi, &wi) in xrow.iter().zip(wrow) {
                 acc += wi * xi;
             }
-            *slot = acc + bv[o];
+            *slot = acc + bias[o];
         }
     }
+}
+
+/// Dense batched fallback `Y = X · Wᵀ + b` for analog (non-binary)
+/// planes: `x` is `[B, in]`, `w` is `[out, in]`, output `[B, out]`.
+///
+/// Each output element is a sequential row dot with the bias added
+/// *after* the sum — the same order as the per-sample
+/// `matvec(w, x).add(bias)` path, so row `b` is bit-identical to the
+/// per-sample dense result.
+///
+/// Under AVX2 dispatch ([`crate::simd::active`]) each 8-row weight tile
+/// is packed into a column-major panel once per call and streamed
+/// against four batch rows at a time; lanes map to output rows and keep
+/// the scalar order, so the result equals [`matmul_bt_bias_scalar`] bit
+/// for bit (pinned by the `simd_equivalence` suite).
+///
+/// # Errors
+///
+/// Returns [`TensorError::RankMismatch`] / [`TensorError::ShapeMismatch`]
+/// when the operands are not conforming matrices or the bias length
+/// differs from the weight row count.
+pub fn matmul_bt_bias(x: &Tensor, w: &Tensor, bias: &Tensor) -> Result<Tensor> {
+    let (b, k, m) = check_dense(x, w, bias)?;
+    let (xv, wv, bv) = (x.as_slice(), w.as_slice(), bias.as_slice());
+    let mut out = vec![0.0f32; b * m];
+    let mut o = 0usize;
+    if crate::simd::active() && b > 0 && k > 0 {
+        const LANES: usize = crate::simd::ROW_LANES;
+        let mut panel = vec![0.0f32; LANES * k];
+        while o + LANES <= m {
+            crate::simd::pack_rows8(&wv[o * k..(o + LANES) * k], k, &mut panel);
+            let mut init = [0.0f32; LANES];
+            init.copy_from_slice(&bv[o..o + LANES]);
+            crate::simd::matmul_dense_panel8(&panel, k, xv, &init, &mut out[o..], m);
+            o += LANES;
+        }
+    }
+    dense_rows_scalar(xv, wv, bv, k, o, &mut out);
+    Tensor::from_vec(out, &[b, m])
+}
+
+/// The portable scalar reference for [`matmul_bt_bias`]: always the
+/// single-accumulator row-dot loop, never the runtime-dispatched AVX2
+/// panels.
+///
+/// [`matmul_bt_bias`] is bit-identical to this by construction (pinned
+/// by the `simd_equivalence` suite); `bench_simd` measures the
+/// dispatched kernel against it. Production callers want
+/// [`matmul_bt_bias`].
+///
+/// # Errors
+///
+/// As [`matmul_bt_bias`].
+pub fn matmul_bt_bias_scalar(x: &Tensor, w: &Tensor, bias: &Tensor) -> Result<Tensor> {
+    let (b, k, m) = check_dense(x, w, bias)?;
+    let mut out = vec![0.0f32; b * m];
+    dense_rows_scalar(x.as_slice(), w.as_slice(), bias.as_slice(), k, 0, &mut out);
     Tensor::from_vec(out, &[b, m])
 }
 

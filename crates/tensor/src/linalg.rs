@@ -1,9 +1,10 @@
 //! Matrix operations: GEMM, transposed matmul variants and outer products.
 //!
 //! These are the only dense linear-algebra kernels the SNN stack needs:
-//! `matmul` for fully-connected forward passes, the `*_at` / `*_bt`
+//! `matmul` for fully-connected forward passes, the `*_at` / `*_t`
 //! transposed variants for the corresponding backward passes, and `outer`
-//! for rank-1 weight-gradient accumulation.
+//! for rank-1 weight-gradient accumulation. The batched dense-forward
+//! form `X · Wᵀ + b` lives in [`crate::batched::matmul_bt_bias`].
 
 use crate::{Result, Tensor, TensorError};
 
@@ -76,39 +77,6 @@ pub fn matmul_at(a: &Tensor, b: &Tensor) -> Result<Tensor> {
             for (c, &bval) in crow.iter_mut().zip(brow) {
                 *c += aval * bval;
             }
-        }
-    }
-    Tensor::from_vec(out, &[m, n])
-}
-
-/// Computes `C = A · Bᵀ`.
-///
-/// # Errors
-///
-/// Returns [`TensorError::RankMismatch`] or [`TensorError::ShapeMismatch`]
-/// analogous to [`matmul`].
-pub fn matmul_bt(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    let (m, k) = check_rank2(a, "matmul_bt")?;
-    let (n, k2) = check_rank2(b, "matmul_bt")?;
-    if k != k2 {
-        return Err(TensorError::ShapeMismatch {
-            lhs: a.shape().dims().to_vec(),
-            rhs: b.shape().dims().to_vec(),
-            op: "matmul_bt",
-        });
-    }
-    let av = a.as_slice();
-    let bv = b.as_slice();
-    let mut out = vec![0.0f32; m * n];
-    for i in 0..m {
-        let arow = &av[i * k..(i + 1) * k];
-        for j in 0..n {
-            let brow = &bv[j * k..(j + 1) * k];
-            let mut acc = 0.0f32;
-            for (&x, &y) in arow.iter().zip(brow) {
-                acc += x * y;
-            }
-            out[i * n + j] = acc;
         }
     }
     Tensor::from_vec(out, &[m, n])
@@ -488,15 +456,6 @@ mod tests {
         let via_at = matmul_at(&a, &b).unwrap();
         let explicit = matmul(&transpose(&a).unwrap(), &b).unwrap();
         assert_eq!(via_at, explicit);
-    }
-
-    #[test]
-    fn matmul_bt_equals_explicit_transpose() {
-        let a = t(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]);
-        let b = t(vec![1.0, -1.0, 0.5, 2.0], &[2, 2]);
-        let via_bt = matmul_bt(&a, &b).unwrap();
-        let explicit = matmul(&a, &transpose(&b).unwrap()).unwrap();
-        assert_eq!(via_bt, explicit);
     }
 
     #[test]

@@ -1,14 +1,15 @@
-//! Runtime-dispatched x86-64 SIMD backends for the gather-bound kernels.
+//! Runtime-dispatched x86-64 SIMD backends for the gather-bound kernels
+//! and the dense analog-plane GEMM.
 //!
-//! Every sparse kernel in this crate has a **portable scalar
-//! implementation that is the single source of truth for semantics**
-//! ([`crate::sparse::gather_row`]'s 4-accumulator order and its batched
-//! relatives). This module adds AVX2 backends that execute the *same
-//! arithmetic* with 8 outputs per instruction: **lanes map to distinct
-//! output rows**, so each output's accumulation order — four partial
-//! sums over ascending index chunks combined as `(a0 + a1) + (a2 + a3)`
-//! followed by the scalar remainder tail — is unchanged, and SIMD
-//! results are **bit-identical** to the scalar kernels (pinned by the
+//! Every kernel in this crate has a **portable scalar implementation
+//! that is the single source of truth for semantics**
+//! (`crate::sparse::gather_row`'s 4-accumulator order and its batched
+//! relatives; the single-accumulator row dot of
+//! [`crate::batched::matmul_bt_bias_scalar`]). This module adds AVX2
+//! backends that execute the *same arithmetic* with 8 outputs per
+//! instruction: **lanes map to distinct output rows**, so each output's
+//! accumulation order is unchanged, and SIMD results are
+//! **bit-identical** to the scalar kernels (pinned by the
 //! `simd_equivalence` suite in `tests/`).
 //!
 //! Dispatch is decided once per process with
@@ -19,17 +20,29 @@
 //! fallback exercised, and the first knob to reach for when triaging a
 //! suspected kernel miscompile.
 //!
-//! Three primitive shapes cover the hot paths:
+//! Four primitive shapes cover the hot paths:
 //!
-//! * [`matvec_rows8`] — gathers one index list against 8 weight rows at
+//! * `matvec_rows8` — gathers one index list against 8 weight rows at
 //!   once (`vgatherdps` over a row-strided offset vector): the sparse
 //!   matvec tile, also used by the spike-plane GEMM on matvec-shaped
-//!   batches.
-//! * [`pack_rows8`] / [`matmul_panel8`] — the GEMM fast path: an 8-row
+//!   batches. Per lane: four partial sums over ascending index chunks
+//!   combined as `(a0 + a1) + (a2 + a3)`, then the remainder tail.
+//! * `pack_rows8` / `matmul_panel8` — the GEMM fast path: an 8-row
 //!   weight tile is transposed once per batch into an index-major panel
 //!   (`panel[j·8 + l] = row_l[j]`), turning every per-event gather into
 //!   one contiguous 32-byte load shared by 8 output rows.
-//! * [`decode_f16`] / [`decode_int8`] — blocked dequantization for the
+//! * `pack_rows8` / `matmul_dense_panel8` — the dense analog-plane
+//!   GEMM behind [`crate::batched::matmul_bt_bias`]: the same panel,
+//!   streamed against four batch rows at a time (one broadcast input
+//!   per row and column). Per lane the sum is the scalar row dot's: one
+//!   accumulator from `+0.0`, `acc + w·x` over ascending columns with a
+//!   separate multiply and add, bias last. Above this kernel, the fused
+//!   engine in `axsnn-core` reuses a linear layer's dense currents for
+//!   the rest of a pass while the layer's dense input repeats bit for
+//!   bit between steps, so a direct-current input layer runs it once
+//!   per pass. That saving depends on the repeating input; changing
+//!   analog frames run the kernel on every step.
+//! * `decode_f16` / `decode_int8` — blocked dequantization for the
 //!   reduced-precision weight planes: a panel of f16 bits (F16C
 //!   `vcvtph2ps`) or int8 codes (LUT `vgatherdps`) is decoded to f32
 //!   once per tile per batch instead of per `(event, output)` pair.
@@ -236,6 +249,62 @@ pub(crate) fn matmul_panel8(
     // writes `out[0..8]`.
     unsafe {
         matmul_panel8_avx2(panel.as_ptr(), indices, init, out.as_mut_ptr());
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    unreachable!("SIMD dispatch is never active off x86-64");
+}
+
+/// The dense GEMM microkernel over a packed panel: for every row `r` of
+/// the row-major `[B, k]` block `x`, writes
+/// `out[r·stride + l] = (Σ_j panel[j·8 + l] · x[r·k + j]) + bias[l]`.
+///
+/// Per lane this is exactly the scalar
+/// [`crate::batched::matmul_bt_bias_scalar`] loop: one accumulator
+/// starting at `+0.0`, `acc = acc + w·x` over ascending `j` with a
+/// separate multiply and add (never FMA), the bias added after the sum.
+/// Four batch rows stream through each panel line at once (four
+/// independent accumulator chains), with a single-row tail for `B % 4`.
+///
+/// # Panics
+///
+/// Panics when `k == 0`, `panel` is not `8·k` long, `x` is not a whole
+/// number of `k`-element rows, `out` cannot hold the last row's 8
+/// outputs at `stride`, or when called without [`active`].
+#[inline]
+pub(crate) fn matmul_dense_panel8(
+    panel: &[f32],
+    k: usize,
+    x: &[f32],
+    bias: &[f32; 8],
+    out: &mut [f32],
+    stride: usize,
+) {
+    assert!(k > 0 && panel.len() == ROW_LANES * k && x.len().is_multiple_of(k) && active());
+    let rows = x.len() / k;
+    if let Some(last) = rows.checked_sub(1) {
+        let need = last
+            .checked_mul(stride)
+            .and_then(|v| v.checked_add(ROW_LANES));
+        assert!(
+            need.is_some_and(|n| out.len() >= n),
+            "dense panel output too short"
+        );
+    }
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: AVX2 detected; loads read `panel[j·8 .. j·8 + 8]` and
+    // `x[r·k + j]` for `j < k`, `r < rows`, within the asserted slices;
+    // stores write `out[r·stride .. r·stride + 8]`, in bounds by the
+    // length assertion above.
+    unsafe {
+        matmul_dense_panel8_avx2(
+            panel.as_ptr(),
+            k,
+            x.as_ptr(),
+            rows,
+            bias,
+            out.as_mut_ptr(),
+            stride,
+        );
     }
     #[cfg(not(target_arch = "x86_64"))]
     unreachable!("SIMD dispatch is never active off x86-64");
@@ -620,6 +689,62 @@ mod avx2 {
 
     /// # Safety
     ///
+    /// AVX2 required; `panel` must cover `8·k` floats, `x` must cover
+    /// `rows·k` floats, and `out` must cover `(rows − 1)·stride + 8`
+    /// floats when `rows > 0`.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn matmul_dense_panel8_avx2(
+        panel: *const f32,
+        k: usize,
+        x: *const f32,
+        rows: usize,
+        bias: &[f32; 8],
+        out: *mut f32,
+        stride: usize,
+    ) {
+        // `_mm256_mul_ps` then `_mm256_add_ps`, never a fused
+        // multiply-add: the scalar truth loop rounds the product before
+        // the sum, and only the unfused pair reproduces it bit for bit.
+        let bv = _mm256_loadu_ps(bias.as_ptr());
+        let mut r = 0usize;
+        while r + 4 <= rows {
+            let (x0, x1, x2, x3) = (
+                x.add(r * k),
+                x.add((r + 1) * k),
+                x.add((r + 2) * k),
+                x.add((r + 3) * k),
+            );
+            let mut a0 = _mm256_setzero_ps();
+            let mut a1 = _mm256_setzero_ps();
+            let mut a2 = _mm256_setzero_ps();
+            let mut a3 = _mm256_setzero_ps();
+            for j in 0..k {
+                let p = _mm256_loadu_ps(panel.add(j * 8));
+                a0 = _mm256_add_ps(a0, _mm256_mul_ps(p, _mm256_set1_ps(*x0.add(j))));
+                a1 = _mm256_add_ps(a1, _mm256_mul_ps(p, _mm256_set1_ps(*x1.add(j))));
+                a2 = _mm256_add_ps(a2, _mm256_mul_ps(p, _mm256_set1_ps(*x2.add(j))));
+                a3 = _mm256_add_ps(a3, _mm256_mul_ps(p, _mm256_set1_ps(*x3.add(j))));
+            }
+            _mm256_storeu_ps(out.add(r * stride), _mm256_add_ps(a0, bv));
+            _mm256_storeu_ps(out.add((r + 1) * stride), _mm256_add_ps(a1, bv));
+            _mm256_storeu_ps(out.add((r + 2) * stride), _mm256_add_ps(a2, bv));
+            _mm256_storeu_ps(out.add((r + 3) * stride), _mm256_add_ps(a3, bv));
+            r += 4;
+        }
+        while r < rows {
+            let xr = x.add(r * k);
+            let mut a = _mm256_setzero_ps();
+            for j in 0..k {
+                let p = _mm256_loadu_ps(panel.add(j * 8));
+                a = _mm256_add_ps(a, _mm256_mul_ps(p, _mm256_set1_ps(*xr.add(j))));
+            }
+            _mm256_storeu_ps(out.add(r * stride), _mm256_add_ps(a, bv));
+            r += 1;
+        }
+    }
+
+    /// # Safety
+    ///
     /// F16C required; both pointers must cover `len` elements.
     #[target_feature(enable = "avx2,f16c")]
     pub(super) unsafe fn decode_f16_f16c(bits: *const u16, dst: *mut f32, len: usize) {
@@ -666,8 +791,8 @@ mod avx2 {
 
 #[cfg(target_arch = "x86_64")]
 use avx2::{
-    decode_f16_f16c, decode_int8_avx2, matmul_panel8_avx2, matvec_rows16_avx2, matvec_rows8_avx2,
-    pack_rows8_avx2,
+    decode_f16_f16c, decode_int8_avx2, matmul_dense_panel8_avx2, matmul_panel8_avx2,
+    matvec_rows16_avx2, matvec_rows8_avx2, pack_rows8_avx2,
 };
 
 #[cfg(test)]

@@ -6,12 +6,19 @@
 //! count (`m % 8 ≠ 0`, `m % 16 ≠ 0`) the dispatched result must equal
 //! the scalar twin's output to the bit.
 //!
+//! The dense analog-plane GEMM (`matmul_bt_bias`, packed 8-row panels
+//! against four batch rows at a time) is held to the same standard
+//! against `matmul_bt_bias_scalar`'s single-accumulator row dots, over
+//! operands that include ±0.0, subnormals, exact 1.0 and magnitudes
+//! wide enough to overflow; NaN outputs compare by NaN-ness only.
+//!
 //! Run with `AXSNN_NO_SIMD=1` both sides take the scalar path and the
 //! suite degenerates to reflexivity — CI runs it both ways.
 
 use axsnn_tensor::batched::{
-    sparse_conv2d_sorted, sparse_matmul_bias, sparse_matmul_bias_planed,
-    sparse_matmul_bias_planed_scalar, sparse_matmul_bias_scalar, SpikeMatrix,
+    matmul_bt_bias, matmul_bt_bias_scalar, sparse_conv2d_sorted, sparse_matmul_bias,
+    sparse_matmul_bias_planed, sparse_matmul_bias_planed_scalar, sparse_matmul_bias_scalar,
+    SpikeMatrix,
 };
 use axsnn_tensor::conv::Conv2dSpec;
 use axsnn_tensor::plane::{QuantizedPlane, WeightPlane};
@@ -63,6 +70,51 @@ fn density_strategy() -> impl Strategy<Value = f32> {
 /// run.
 fn rows_strategy() -> impl Strategy<Value = usize> {
     (0u8..7).prop_map(|k| [1, 3, 8, 13, 16, 21, 37][k as usize])
+}
+
+/// Analog operands for the dense GEMM: ordinary uniform values in
+/// `[-1, 1)` mixed with the cases a reordered or fused reduction would
+/// betray — `+0.0`, `-0.0`, subnormals, exact `±1.0` and powers of two
+/// from 2⁻¹⁰⁰ to 2¹⁰⁰, whose products can overflow to ±∞ and sum to NaN.
+fn analog_values(len: usize, salt: u64) -> Vec<f32> {
+    (0..len)
+        .map(|i| {
+            let mut h = (i as u64)
+                .wrapping_add(salt.wrapping_mul(0x2545_f491_4f6c_dd1d))
+                .wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            h ^= h >> 31;
+            h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            h ^= h >> 29;
+            let sign = if h & (1 << 12) == 0 { 1.0f32 } else { -1.0 };
+            match (h >> 16) % 32 {
+                0 => 0.0,
+                1 => -0.0,
+                2 | 3 => sign * f32::from_bits(((h >> 24) as u32 & 0x007f_ffff).max(1)),
+                4 | 5 => sign,
+                6 => sign * 2f32.powi(((h >> 24) % 201) as i32 - 100),
+                _ => (h >> 40) as f32 / (1u64 << 23) as f32 - 1.0,
+            }
+        })
+        .collect()
+}
+
+/// Bit equality, except that two NaNs match whatever their payloads.
+fn assert_bits_eq_nan(a: &Tensor, b: &Tensor, what: &str) {
+    assert_eq!(a.shape(), b.shape(), "{what}: shape diverged");
+    for (i, (x, y)) in a.as_slice().iter().zip(b.as_slice()).enumerate() {
+        if x.is_nan() || y.is_nan() {
+            assert!(
+                x.is_nan() && y.is_nan(),
+                "{what}: element {i} NaN-ness diverged ({x} vs {y})"
+            );
+        } else {
+            assert_eq!(
+                x.to_bits(),
+                y.to_bits(),
+                "{what}: element {i} diverged ({x} vs {y})"
+            );
+        }
+    }
 }
 
 fn assert_bits_eq(a: &Tensor, b: &Tensor, what: &str) {
@@ -161,6 +213,24 @@ proptest! {
                 assert_bits_eq(&fast, &scalar, "f32-plane matmul");
             }
         }
+    }
+
+    /// Dispatched dense GEMM (packed panels, 4-row groups, single-row
+    /// tail, scalar columns for `m % 8`) is bit-identical to the scalar
+    /// row dots for batches 1–39 and input widths 1–299.
+    #[test]
+    fn dense_matmul_bit_identity(
+        m in (0u8..9).prop_map(|k| [1usize, 3, 7, 8, 9, 13, 16, 21, 37][k as usize]),
+        k in 1usize..300,
+        batch in 1usize..40,
+        salt in 0u64..1024,
+    ) {
+        let x = Tensor::from_vec(analog_values(batch * k, salt), &[batch, k]).unwrap();
+        let weight = Tensor::from_vec(analog_values(m * k, salt ^ 0xd1), &[m, k]).unwrap();
+        let bias = Tensor::from_vec(analog_values(m, salt ^ 0xb1), &[m]).unwrap();
+        let fast = matmul_bt_bias(&x, &weight, &bias).unwrap();
+        let scalar = matmul_bt_bias_scalar(&x, &weight, &bias).unwrap();
+        assert_bits_eq_nan(&fast, &scalar, "dense matmul");
     }
 
     /// B=1 event-sorted conv is bit-identical to the per-event scatter
