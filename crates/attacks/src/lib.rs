@@ -16,13 +16,13 @@
 //!   [`neuromorphic::FrameAttack`], which fires every boundary pixel.
 //!
 //! Victims are abstracted behind [`neuromorphic::EventModel`]:
-//! [`neuromorphic::SnnEventModel`] simulates through the offline
-//! frame-accumulation pipeline, while
-//! [`neuromorphic::StreamingSnnEventModel`] (PR 9) replays the same
-//! events through the streaming path — bit-identical logits, so attack
-//! efficacy is provably unchanged when frames are never materialized
-//! (pinned by this crate's unit tests and the `stream_equivalence`
-//! suite).
+//! [`neuromorphic::SnnEventModel`] bins the whole sample into per-step
+//! spike rows and runs one fused-engine pass at batch size 1 (no dense
+//! frame is built), while [`neuromorphic::StreamingSnnEventModel`]
+//! replays the same events through the per-sample streaming path. Both
+//! equal the offline frame-accumulation pipeline bit for bit, so attack
+//! efficacy does not depend on which victim answers the queries (pinned
+//! by this crate's unit tests and the `stream_equivalence` suite).
 //!
 //! # Provenance
 //!

@@ -17,7 +17,7 @@ use crate::{AttackError, Result};
 use axsnn_core::network::SpikingNetwork;
 use axsnn_neuromorphic::aqf::AqfConfig;
 use axsnn_neuromorphic::event::{DvsEvent, EventStream, Polarity};
-use axsnn_neuromorphic::frames::{accumulate_frames, Accumulation};
+use axsnn_neuromorphic::frames::{binary_frame_train, Accumulation};
 use axsnn_neuromorphic::stream::{classify_event_stream, StreamConfig, WindowSchedule};
 use axsnn_tensor::Tensor;
 use rand::Rng;
@@ -42,8 +42,24 @@ pub trait EventModel {
     }
 }
 
-/// [`EventModel`] adapter around a [`SpikingNetwork`]: accumulates the
-/// stream into binary spike frames and runs the simulator.
+/// [`EventModel`] adapter around a [`SpikingNetwork`]: one query is
+/// one fused-engine pass at batch size 1.
+///
+/// The stream is binned straight into per-step binary spike rows
+/// ([`binary_frame_train`], the offline bin formula) and run through
+/// [`SpikingNetwork::forward_batch`]; no dense frame is built or
+/// re-scanned. The logits equal the per-sample
+/// `accumulate_frames` + [`SpikingNetwork::forward`] pipeline bit for
+/// bit (the fused engine's `batched_equivalence` suite covers B = 1,
+/// the `stream_equivalence` suite event-binned rows), and every layer's
+/// dense-fallback counter advances exactly as that pass would advance
+/// it. This is the query path of every Sparse-attack surrogate and of
+/// the offline victim in `axsnn-defense`'s event-attack evaluation.
+///
+/// Queries are inference-only: a network with active train-mode
+/// dropout is rejected with the fused engine's
+/// [`axsnn_core::CoreError::Config`] (wrapped in
+/// [`AttackError::Model`]); switch it to inference mode first.
 #[derive(Debug)]
 pub struct SnnEventModel<'a> {
     net: &'a mut SpikingNetwork,
@@ -58,24 +74,24 @@ impl<'a> SnnEventModel<'a> {
 
 impl EventModel for SnnEventModel<'_> {
     fn logits(&mut self, stream: &EventStream) -> Result<Tensor> {
-        let frames = accumulate_frames(stream, self.net.config().time_steps, Accumulation::Binary)?;
-        let mut rng = rand::rngs::mock::StepRng::new(0, 1);
-        let out = self.net.forward(&frames, false, &mut rng)?;
-        Ok(out.logits)
+        let train = binary_frame_train(stream, self.net.config().time_steps)?;
+        let logits = self.net.forward_batch(std::slice::from_ref(&train))?.logits;
+        let classes = logits.len();
+        Ok(Tensor::from_vec(logits.into_vec(), &[classes])?)
     }
 }
 
-/// [`EventModel`] adapter that never materializes frames: events are
-/// replayed through the streaming path
+/// [`EventModel`] adapter that never collects the whole sample: events
+/// are replayed through the per-sample streaming path
 /// ([`axsnn_neuromorphic::stream::StreamSession`]) with a uniform
 /// window schedule over the network's configured time steps.
 ///
 /// Because the streamed path is bit-identical to the offline one for
 /// the same schedule (the `stream_equivalence` suite), Sparse/Frame
 /// attack efficacy is *unchanged* against a streaming victim — pinned
-/// by this crate's property tests. The adapter exists so defenses can
-/// be evaluated end-to-end against the latency-bound deployment shape,
-/// including in-stream AQF filtering.
+/// by this crate's unit tests against [`SnnEventModel`]. The adapter
+/// exists so defenses can be evaluated end-to-end against the
+/// latency-bound deployment shape, including in-stream AQF filtering.
 #[derive(Debug)]
 pub struct StreamingSnnEventModel<'a> {
     net: &'a mut SpikingNetwork,
@@ -544,6 +560,45 @@ mod tests {
             .logits(&stream)
             .unwrap();
         assert_eq!(offline.as_slice(), streamed.as_slice());
+    }
+
+    #[test]
+    fn snn_event_model_returns_class_logits() {
+        let stream = clean_stream();
+        let mut net = small_net();
+        let logits = SnnEventModel::new(&mut net).logits(&stream).unwrap();
+        assert_eq!(logits.shape().dims(), &[3]);
+    }
+
+    #[test]
+    fn snn_event_model_rejects_train_mode_dropout() {
+        use axsnn_core::layer::Layer;
+        use axsnn_core::network::SnnConfig;
+        use axsnn_core::CoreError;
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let cfg = SnnConfig {
+            threshold: 0.5,
+            time_steps: 4,
+            leak: 0.9,
+        };
+        let mut net = SpikingNetwork::new(
+            vec![
+                Layer::spiking_linear(&mut rng, 2 * 16 * 16, 12, &cfg),
+                Layer::dropout(0.5),
+                Layer::output_linear(&mut rng, 12, 3),
+            ],
+            cfg,
+        )
+        .unwrap();
+        let stream = clean_stream();
+        assert!(SnnEventModel::new(&mut net).logits(&stream).is_ok());
+        net.set_train_mode(true);
+        let err = SnnEventModel::new(&mut net).logits(&stream).unwrap_err();
+        assert!(
+            matches!(err, AttackError::Model(CoreError::Config { .. })),
+            "expected the fused engine's config error, got {err:?}"
+        );
     }
 
     #[test]

@@ -3,11 +3,14 @@
 //! (the batched companion of `bench_sparse`).
 //!
 //! Times (a) the raw spike-plane GEMM against a loop of per-sample
-//! sparse matvecs on the paper's MNIST-scale linear layer, and (b) full
+//! sparse matvecs on the paper's MNIST-scale linear layer, (b) full
 //! `T`-step network inference for a batch of 32 pre-encoded samples:
 //! `forward_batch` (one fused pass, single thread) against the
 //! per-sample `classify_frames` loop it replaces (same thread, same
-//! pre-encoded inputs — the measured win is batching, not threading).
+//! pre-encoded inputs — the measured win is batching, not threading),
+//! and (c) one event-stream query at B = 1 (`event_query_*`,
+//! informational, not gated): spike rows binned straight from the
+//! events + `forward_batch` against `accumulate_frames` + `forward`.
 //!
 //! Usage: `cargo run --release -p axsnn-bench --bin bench_batch [out.json]`
 //! (default output `BENCH_batch.json`). `AXSNN_BENCH_ITERS` scales the
@@ -16,13 +19,16 @@
 use axsnn::core::fused::FrameTrain;
 use axsnn::core::layer::Layer;
 use axsnn::core::network::{SnnConfig, SpikingNetwork};
+use axsnn::neuromorphic::event::{DvsEvent, EventStream, Polarity};
+use axsnn::neuromorphic::frames::{accumulate_frames, binary_frame_train, Accumulation};
 use axsnn::tensor::batched::{sparse_matmul_bias, SpikeMatrix};
 use axsnn::tensor::conv::Conv2dSpec;
 use axsnn::tensor::sparse::{sparse_matvec_bias, SpikeVector};
 use axsnn::tensor::{init, Tensor};
 use axsnn_bench::json::{bench_row, write_bench_json, BenchRow};
+use rand::rngs::mock::StepRng;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -30,6 +36,7 @@ const BATCH: usize = 32;
 
 struct Record {
     name: String,
+    batch: usize,
     density: f32,
     sequential_ns: f64,
     fused_ns: f64,
@@ -99,6 +106,7 @@ fn kernel_records(records: &mut Vec<Record>) {
         });
         records.push(Record {
             name: format!("linear_1568_to_256_B{BATCH}"),
+            batch: BATCH,
             density,
             sequential_ns,
             fused_ns,
@@ -202,7 +210,90 @@ fn network_record(
 
     records.push(Record {
         name: name.into(),
+        batch: BATCH,
         density,
+        sequential_ns,
+        fused_ns,
+    });
+}
+
+/// One `SnnEventModel` query in the shape of the `dvs_attack`
+/// surrogate: a 1000-event 32×32 stream through a 2048→96→11 net at
+/// T = 24, batch size 1. The sequential side is the per-sample
+/// pipeline (`accumulate_frames` + `forward`); the fused side bins
+/// spike rows straight from the events (`binary_frame_train`) and runs
+/// `forward_batch` on that one row. Times are per query.
+fn event_query_record(records: &mut Vec<Record>) {
+    const SIDE: usize = 32;
+    const EVENTS: usize = 1000;
+    const QUERIES: u32 = 25;
+    let cfg = SnnConfig {
+        threshold: 0.75,
+        time_steps: 24,
+        leak: 0.9,
+    };
+    let t = cfg.time_steps;
+    let mut rng = StdRng::seed_from_u64(4);
+    let mut net = SpikingNetwork::new(
+        vec![
+            Layer::spiking_linear(&mut rng, 2 * SIDE * SIDE, 96, &cfg),
+            Layer::output_linear(&mut rng, 96, 11),
+        ],
+        cfg,
+    )
+    .expect("static topology");
+    let events = (0..EVENTS)
+        .map(|i| {
+            let polarity = if rng.gen_bool(0.5) {
+                Polarity::On
+            } else {
+                Polarity::Off
+            };
+            DvsEvent::new(
+                rng.gen_range(0..SIDE as u16),
+                rng.gen_range(0..SIDE as u16),
+                polarity,
+                i as f32 / EVENTS as f32,
+            )
+        })
+        .collect();
+    let stream = EventStream::from_events(SIDE, SIDE, events).expect("in-range events");
+
+    let frames = || accumulate_frames(&stream, t, Accumulation::Binary).unwrap();
+    let sequential = |net: &mut SpikingNetwork| {
+        net.forward(&frames(), false, &mut StepRng::new(0, 1))
+            .unwrap()
+            .logits
+    };
+    let fused = |net: &mut SpikingNetwork| {
+        let train = binary_frame_train(&stream, t).unwrap();
+        net.forward_batch(std::slice::from_ref(&train))
+            .unwrap()
+            .logits
+    };
+    let bits = |v: &Tensor| v.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(
+        bits(&sequential(&mut net)),
+        bits(&fused(&mut net)),
+        "event-query logits diverged"
+    );
+
+    let active: f32 = frames().iter().map(Tensor::sum).sum();
+    let per_query = |ns: f64| ns / f64::from(QUERIES);
+    let sequential_ns = per_query(time_ns(|| {
+        for _ in 0..QUERIES {
+            black_box(sequential(&mut net));
+        }
+    }));
+    let fused_ns = per_query(time_ns(|| {
+        for _ in 0..QUERIES {
+            black_box(fused(&mut net));
+        }
+    }));
+    records.push(Record {
+        name: format!("event_query_dvs_mlp_T{t}_B1"),
+        batch: 1,
+        density: active / (t * 2 * SIDE * SIDE) as f32,
         sequential_ns,
         fused_ns,
     });
@@ -235,6 +326,7 @@ fn main() {
         0.10,
         16,
     );
+    event_query_record(&mut records);
 
     println!(
         "{:<30} {:>8} {:>16} {:>14} {:>9}",
@@ -253,7 +345,7 @@ fn main() {
             );
             bench_row(&r.name)
                 .num("density", r.density as f64, 2)
-                .num("batch", BATCH as f64, 0)
+                .num("batch", r.batch as f64, 0)
                 .num("sequential_ns", r.sequential_ns, 0)
                 .num("fused_ns", r.fused_ns, 0)
                 .num("speedup", r.speedup(), 3)

@@ -40,7 +40,15 @@
 //!
 //! Train-mode dropout draws per-sample masks the fused engine cannot
 //! reproduce, so both batch entry points reject networks with active
-//! dropout and callers fall back to the per-sample path.
+//! dropout; the callers that accept such networks (`train_snn`, the
+//! [`crate::batch`] classifiers) fall back to the per-sample path.
+//!
+//! # Event-stream queries
+//!
+//! B = 1 is a first-class batch size. A DVS sample binned straight into
+//! per-step spike rows ([`FrameTrain::from_spike_rows`]) runs one fused
+//! pass with no dense frame built or re-scanned; the `axsnn-attacks`
+//! `SnnEventModel` answers every event-attack query this way.
 
 use crate::batch::{fan_out_with, sample_seed};
 use crate::encoding::Encoder;
@@ -162,6 +170,42 @@ impl FrameTrain {
         Ok(FrameTrain {
             dims,
             frames: encoded,
+        })
+    }
+
+    /// Packs per-step spike rows that were built directly in event form
+    /// (e.g. binned from a DVS event stream), with no dense frame in
+    /// between. Each row must be exactly what [`SpikeVector::from_dense`]
+    /// yields on the binary frame it stands for: its length is the
+    /// `dims` volume and its indices are row-major offsets in strictly
+    /// ascending order. The sparse kernels' accumulation order and the
+    /// density gate's event count both rely on that form.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::Config`] naming the first step whose row
+    /// length differs from the `dims` volume or whose indices are not
+    /// strictly ascending (unsorted or duplicated).
+    pub fn from_spike_rows(dims: &[usize], rows: Vec<SpikeVector>) -> Result<Self> {
+        let volume: usize = dims.iter().product();
+        for (t, row) in rows.iter().enumerate() {
+            if row.len() != volume {
+                return Err(CoreError::Config {
+                    message: format!(
+                        "spike row at step {t} has length {}, but dims {dims:?} hold {volume}",
+                        row.len()
+                    ),
+                });
+            }
+            if row.indices().windows(2).any(|w| w[0] >= w[1]) {
+                return Err(CoreError::Config {
+                    message: format!("spike row at step {t} is not strictly ascending"),
+                });
+            }
+        }
+        Ok(FrameTrain {
+            dims: dims.to_vec(),
+            frames: rows.into_iter().map(EncodedFrame::Spikes).collect(),
         })
     }
 
@@ -1488,6 +1532,44 @@ mod tests {
     fn from_frames_rejects_mixed_shapes() {
         let frames = vec![Tensor::zeros(&[4]), Tensor::zeros(&[5])];
         assert!(FrameTrain::from_frames(&frames).is_err());
+    }
+
+    #[test]
+    fn from_spike_rows_matches_from_frames() {
+        let frames = vec![
+            Tensor::from_vec(vec![0.0, 1.0, 0.0, 1.0, 1.0, 0.0], &[2, 3]).unwrap(),
+            Tensor::zeros(&[2, 3]),
+        ];
+        let rows = vec![
+            SpikeVector::new(vec![1, 3, 4], 6).unwrap(),
+            SpikeVector::new(vec![], 6).unwrap(),
+        ];
+        let train = FrameTrain::from_spike_rows(&[2, 3], rows).unwrap();
+        assert_eq!(train.dims(), &[2, 3]);
+        assert_eq!(train.spike_frame_fraction(), 1.0);
+        assert_eq!(train.to_frames().unwrap(), frames);
+    }
+
+    /// Rows off `SpikeVector::from_dense`'s form are rejected with a
+    /// config error that names the offending step.
+    #[test]
+    fn from_spike_rows_rejects_malformed_rows() {
+        let ok = || SpikeVector::new(vec![0, 2], 6).unwrap();
+        let cases = [
+            ("unsorted", SpikeVector::new(vec![3, 1], 6).unwrap()),
+            ("duplicated", SpikeVector::new(vec![1, 1, 4], 6).unwrap()),
+            ("short", SpikeVector::new(vec![1], 5).unwrap()),
+            ("long", SpikeVector::new(vec![1], 7).unwrap()),
+        ];
+        for (what, bad) in cases {
+            let err = FrameTrain::from_spike_rows(&[2, 3], vec![ok(), bad]).unwrap_err();
+            match err {
+                CoreError::Config { message } => {
+                    assert!(message.contains("step 1"), "{what}: {message}")
+                }
+                other => panic!("{what}: expected a config error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -4,11 +4,14 @@
 //! into `T` time windows; each window becomes a `[2, H, W]` tensor (one
 //! channel per polarity). Binary accumulation (any event → 1.0) is the
 //! default, matching spike semantics; count accumulation is available for
-//! rate analysis.
+//! rate analysis. [`binary_frame_train`] bins the same way straight into
+//! event-form spike rows for the fused engine, with no dense frame.
 
 use crate::event::EventStream;
 use crate::{NeuroError, Result};
-use axsnn_tensor::Tensor;
+use axsnn_core::fused::FrameTrain;
+use axsnn_tensor::sparse::SpikeVector;
+use axsnn_tensor::{Shape, Tensor};
 use serde::{Deserialize, Serialize};
 
 /// How multiple events in the same (bin, pixel, polarity) cell combine.
@@ -59,8 +62,7 @@ pub fn accumulate_frames(
     let (w, h) = (stream.width(), stream.height());
     let mut frames = vec![Tensor::zeros(&[2, h, w]); time_steps];
     for e in stream {
-        // t ∈ [0,1) ⇒ bin ∈ [0, time_steps).
-        let bin = ((e.t * time_steps as f32) as usize).min(time_steps - 1);
+        let bin = uniform_bin(e.t, time_steps);
         let c = e.polarity.channel();
         let idx = [c, e.y as usize, e.x as usize];
         let frame = &mut frames[bin];
@@ -76,6 +78,86 @@ pub fn accumulate_frames(
             })?;
     }
     Ok(frames)
+}
+
+/// The uniform bin of timestamp `t` among `time_steps > 0` windows —
+/// the one formula shared by [`accumulate_frames`],
+/// [`binary_frame_train`] and the streaming `Uniform` schedule. It is a
+/// float product, never an interval comparison, so all three agree on
+/// every boundary.
+pub(crate) fn uniform_bin(t: f32, time_steps: usize) -> usize {
+    // t ∈ [0,1) ⇒ bin ∈ [0, time_steps).
+    ((t * time_steps as f32) as usize).min(time_steps - 1)
+}
+
+/// Bins an event stream into `time_steps` binary spike rows, one
+/// per step, packed as a fused-engine [`FrameTrain`] over
+/// `[2, height, width]`.
+///
+/// The rows are exactly what [`accumulate_frames`] with
+/// [`Accumulation::Binary`] yields once packed
+/// ([`FrameTrain::from_frames`]): events bin with the same formula, and
+/// each row holds the row-major offsets `channel·H·W + y·W + x` of its
+/// active cells, ascending and without duplicates. No dense frame is
+/// built, so a query costs time in the number of events rather than in
+/// `time_steps × 2·H·W`.
+///
+/// # Errors
+///
+/// Returns [`NeuroError::InvalidParameter`] when `time_steps` is zero or
+/// a frame has more cells than a spike index can address, and the same
+/// [`NeuroError::EventOutOfRange`] as [`accumulate_frames`] for an event
+/// outside the sensor.
+///
+/// # Example
+///
+/// ```
+/// use axsnn_neuromorphic::event::{DvsEvent, EventStream, Polarity};
+/// use axsnn_neuromorphic::frames::{accumulate_frames, binary_frame_train, Accumulation};
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let s = EventStream::from_events(4, 4, vec![
+///     DvsEvent::new(1, 2, Polarity::On, 0.1),
+///     DvsEvent::new(3, 0, Polarity::Off, 0.9),
+/// ])?;
+/// let train = binary_frame_train(&s, 2)?;
+/// assert_eq!(train.dims(), &[2, 4, 4]);
+/// assert_eq!(train.to_frames()?, accumulate_frames(&s, 2, Accumulation::Binary)?);
+/// # Ok(())
+/// # }
+/// ```
+pub fn binary_frame_train(stream: &EventStream, time_steps: usize) -> Result<FrameTrain> {
+    if time_steps == 0 {
+        return Err(NeuroError::InvalidParameter {
+            message: "time_steps must be > 0".into(),
+        });
+    }
+    let shape = Shape::new(&[2, stream.height(), stream.width()]);
+    let volume = shape.volume();
+    if u32::try_from(volume).is_err() {
+        return Err(NeuroError::InvalidParameter {
+            message: format!("a {shape} frame exceeds the spike index range"),
+        });
+    }
+    let mut rows = vec![Vec::new(); time_steps];
+    for e in stream {
+        let idx = [e.polarity.channel(), e.y as usize, e.x as usize];
+        let flat = shape
+            .flat_index(&idx)
+            .map_err(|te| NeuroError::EventOutOfRange {
+                message: te.to_string(),
+            })?;
+        rows[uniform_bin(e.t, time_steps)].push(flat as u32);
+    }
+    let rows = rows
+        .into_iter()
+        .map(|mut row| {
+            row.sort_unstable();
+            row.dedup();
+            SpikeVector::new(row, volume).map_err(axsnn_core::CoreError::from)
+        })
+        .collect::<std::result::Result<Vec<_>, _>>()?;
+    Ok(FrameTrain::from_spike_rows(shape.dims(), rows)?)
 }
 
 /// Collapses an event stream into a single rate image `[2, H, W]` with
@@ -118,7 +200,20 @@ mod tests {
 
     #[test]
     fn zero_time_steps_rejected() {
-        assert!(accumulate_frames(&stream(), 0, Accumulation::Binary).is_err());
+        let err = accumulate_frames(&stream(), 0, Accumulation::Binary).unwrap_err();
+        assert!(matches!(err, NeuroError::InvalidParameter { .. }));
+        assert_eq!(binary_frame_train(&stream(), 0).unwrap_err(), err);
+    }
+
+    #[test]
+    fn binary_frame_train_rejects_sensor_beyond_spike_index_range() {
+        // 2·70000·70000 cells do not fit a u32 spike index; wrapping
+        // them would alias distinct pixels.
+        let s = EventStream::new(70_000, 70_000).unwrap();
+        assert!(matches!(
+            binary_frame_train(&s, 4),
+            Err(NeuroError::InvalidParameter { .. })
+        ));
     }
 
     #[test]

@@ -7,6 +7,8 @@
 //!   event-camera data model,
 //! * [`frames`] — accumulation of event streams into per-time-step spike
 //!   frames (`[2, H, W]`, one channel per polarity) that feed the SNN,
+//!   or straight into the fused engine's spike rows
+//!   ([`frames::binary_frame_train`]),
 //! * [`aqf`] — the paper's Algorithm 2, the *approximate
 //!   quantization-aware filter*: timestamps are quantized with step `q_t`
 //!   and spatio-temporally uncorrelated events (adversarial noise) are

@@ -57,7 +57,7 @@
 
 use crate::aqf::{AqfConfig, AqfReport};
 use crate::event::{DvsEvent, EventStream};
-use crate::frames::Accumulation;
+use crate::frames::{uniform_bin, Accumulation};
 use crate::{NeuroError, Result};
 use axsnn_core::network::{FrameStepper, SpikeStats, SpikingNetwork};
 use axsnn_tensor::Tensor;
@@ -265,10 +265,10 @@ impl StreamAccumulator {
         let mut stamped = false;
         match self.schedule {
             WindowSchedule::Uniform { time_steps } => {
-                // The offline bin formula, verbatim — never an interval
+                // The offline bin formula itself — never an interval
                 // comparison, so float boundary behaviour matches
                 // accumulate_frames exactly.
-                let bin = ((e.t * time_steps as f32) as usize).min(time_steps - 1);
+                let bin = uniform_bin(e.t, time_steps);
                 while self.next_window < bin {
                     emitted.push(self.pop_front_window());
                 }

@@ -6,14 +6,16 @@
 //! every event density, under every plan override, and with int8/f16
 //! weight planes installed — plus the causal AQF's relationship to the
 //! offline two-pass filter (superset always; exact when no pixel
-//! crosses the hot cut).
+//! crosses the hot cut). The fused engine at B = 1 on spike rows binned
+//! straight from the events (the attack-query path) is pinned to the
+//! same offline logits and dense-fallback counts.
 
 use axsnn_core::layer::Layer;
 use axsnn_core::network::{SnnConfig, SpikingNetwork};
 use axsnn_core::plan::{PlanOverride, WeightPlane};
 use axsnn_neuromorphic::aqf::{approximate_quantized_filter, AqfConfig};
 use axsnn_neuromorphic::event::{DvsEvent, EventStream, Polarity};
-use axsnn_neuromorphic::frames::{accumulate_frames, Accumulation};
+use axsnn_neuromorphic::frames::{accumulate_frames, binary_frame_train, Accumulation};
 use axsnn_neuromorphic::stream::{
     classify_event_stream, StreamAccumulator, StreamConfig, StreamSession, StreamingAqf,
     WindowSchedule,
@@ -90,6 +92,25 @@ fn synth_stream(seed: u64, n: usize) -> EventStream {
     EventStream::from_events(W, H, events).expect("valid synthetic events")
 }
 
+/// Seeded uniform noise over the whole sensor, `n` events, time-sorted:
+/// unlike the clustered stream, enough distinct cells fire per bin for
+/// the input layer's density gate to decline.
+fn noise_stream(seed: u64, n: usize) -> EventStream {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let events = (0..n)
+        .map(|i| {
+            let p = if rng.gen_bool(0.5) {
+                Polarity::On
+            } else {
+                Polarity::Off
+            };
+            let (x, y) = (rng.gen_range(0..W) as u16, rng.gen_range(0..H) as u16);
+            DvsEvent::new(x, y, p, i as f32 / n as f32)
+        })
+        .collect();
+    EventStream::from_events(W, H, events).expect("valid noise events")
+}
+
 fn offline_logits(net: &mut SpikingNetwork, stream: &EventStream) -> (Vec<f32>, f32, f64) {
     let frames = accumulate_frames(stream, T, Accumulation::Binary).unwrap();
     let mut rng = StepRng::new(0, 1);
@@ -117,46 +138,112 @@ fn streamed_logits(net: &mut SpikingNetwork, stream: &EventStream) -> (Vec<f32>,
     )
 }
 
+/// The fused engine at B = 1 on the stream's event-binned spike rows —
+/// the `SnnEventModel` query path.
+fn fused_event_logits(net: &mut SpikingNetwork, stream: &EventStream) -> Vec<f32> {
+    let train = binary_frame_train(stream, T).unwrap();
+    let out = net.forward_batch(std::slice::from_ref(&train)).unwrap();
+    out.logits.as_slice().to_vec()
+}
+
+/// Runs `pass` and returns its result with how far it advanced each
+/// layer's dense-fallback counter.
+fn with_fallbacks<O>(
+    net: &mut SpikingNetwork,
+    pass: impl FnOnce(&mut SpikingNetwork) -> O,
+) -> (O, Vec<u64>) {
+    let before = net.dense_fallback_counts();
+    let out = pass(net);
+    let after = net.dense_fallback_counts();
+    (out, after.iter().zip(&before).map(|(a, b)| a - b).collect())
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Pins the fused B = 1 event-row pass against the per-sample offline
+/// pass on one network: bitwise logits and identical dense-fallback
+/// advances. Adds the per-layer fallbacks the pass took to `taken`.
+fn assert_fused_event_pass_matches(
+    net: &mut SpikingNetwork,
+    stream: &EventStream,
+    taken: &mut [u64],
+    what: &str,
+) {
+    let ((offline, _, _), offline_fallbacks) = with_fallbacks(net, |n| offline_logits(n, stream));
+    let (fused, fused_fallbacks) = with_fallbacks(net, |n| fused_event_logits(n, stream));
+    assert_eq!(
+        bits(&fused),
+        bits(&offline),
+        "fused logits diverged ({what})"
+    );
+    assert_eq!(
+        fused_fallbacks, offline_fallbacks,
+        "dense-fallback counters advanced differently ({what})"
+    );
+    for (sum, n) in taken.iter_mut().zip(offline_fallbacks) {
+        *sum += n;
+    }
+}
+
 /// Tentpole pin: streamed == offline, bit for bit, across densities
-/// and plan overrides.
+/// and plan overrides — and so is the fused event-row query.
 #[test]
 fn streamed_bit_identical_across_densities_and_overrides() {
     // Densities from near-empty (sparse path) to saturating (dense
-    // fallback): 5 events up to 4 events/pixel.
+    // fallback): 5 events up to 4 events/pixel, plus uniform noise that
+    // declines the input layer's gate.
     let sizes = [5usize, 40, 160, 256];
     let overrides = [
         PlanOverride::Auto,
         PlanOverride::ForceDense,
         PlanOverride::ForceThreshold(1.0),
     ];
-    for (si, &n) in sizes.iter().enumerate() {
-        let stream = synth_stream(100 + si as u64, n);
+    let mut streams: Vec<EventStream> = sizes
+        .iter()
+        .enumerate()
+        .map(|(si, &n)| synth_stream(100 + si as u64, n))
+        .collect();
+    streams.push(noise_stream(104, 400));
+    let mut taken = vec![0u64; network(snn_cfg()).depth()];
+    for stream in &streams {
+        let n = stream.len();
         for ov in overrides {
             let mut net = network(snn_cfg());
             net.apply_plan(ov);
-            let offline = offline_logits(&mut net, &stream);
+            let offline = offline_logits(&mut net, stream);
             net.apply_plan(ov);
-            let streamed = streamed_logits(&mut net, &stream);
+            let streamed = streamed_logits(&mut net, stream);
             assert_eq!(
                 offline, streamed,
                 "diverged at n={n} override={ov:?} (logits/spikes/synops must be bit-identical)"
             );
+            net.apply_plan(ov);
+            assert_fused_event_pass_matches(&mut net, stream, &mut taken, &format!("n={n} {ov:?}"));
         }
     }
+    assert!(taken[0] > 0, "no case declined the input layer's gate");
+    assert!(taken[2] > 0, "no case declined a hidden layer's gate");
 }
 
 /// Tentpole pin: bit-identity holds with reduced-precision weight
 /// planes installed (the quantized storage path).
 #[test]
 fn streamed_bit_identical_with_weight_planes() {
-    let stream = synth_stream(7, 120);
-    for plane in [WeightPlane::F16, WeightPlane::Int8] {
-        let mut net = network(snn_cfg());
-        net.set_weight_plane(plane).unwrap();
-        let offline = offline_logits(&mut net, &stream);
-        let streamed = streamed_logits(&mut net, &stream);
-        assert_eq!(offline, streamed, "diverged with {plane:?} plane");
+    let mut taken = vec![0u64; network(snn_cfg()).depth()];
+    for stream in [synth_stream(7, 120), noise_stream(8, 400)] {
+        for plane in [WeightPlane::F16, WeightPlane::Int8] {
+            let mut net = network(snn_cfg());
+            net.set_weight_plane(plane).unwrap();
+            let offline = offline_logits(&mut net, &stream);
+            let streamed = streamed_logits(&mut net, &stream);
+            assert_eq!(offline, streamed, "diverged with {plane:?} plane");
+            let what = format!("n={} {plane:?}", stream.len());
+            assert_fused_event_pass_matches(&mut net, &stream, &mut taken, &what);
+        }
     }
+    assert!(taken[0] > 0, "no case declined the input layer's gate");
 }
 
 /// The streamed prediction matches `classify_frames` over the same
@@ -281,15 +368,51 @@ fn sorted_events(max: usize) -> impl Strategy<Value = Vec<DvsEvent>> {
     })
 }
 
+/// Events for the binning checks: `event_strategy` plus the timestamp
+/// edges (`t = 0` and the largest `f32` below 1) and exact repeats of
+/// earlier events (repeated pixel, polarity and bin cells), time-sorted.
+fn binning_events(max: usize) -> impl Strategy<Value = Vec<DvsEvent>> {
+    let edged = (event_strategy(), 0u8..8).prop_map(|(mut e, edge)| {
+        match edge {
+            0 => e.t = 0.0,
+            1 => e.t = f32::from_bits(1.0f32.to_bits() - 1),
+            _ => {}
+        }
+        e
+    });
+    (proptest::collection::vec(edged, 0..max), 0usize..16).prop_map(|(mut v, repeats)| {
+        let copies: Vec<DvsEvent> = v.iter().copied().take(repeats).collect();
+        v.extend(copies);
+        v.sort_by(|a, b| a.t.partial_cmp(&b.t).unwrap());
+        v
+    })
+}
+
+/// `binary_frame_train`'s rows materialize to the binary
+/// `accumulate_frames` frames bit for bit.
+fn assert_binary_train_matches(stream: &EventStream, t: usize) {
+    let offline = accumulate_frames(stream, t, Accumulation::Binary).unwrap();
+    let frames = binary_frame_train(stream, t).unwrap().to_frames().unwrap();
+    assert_eq!(frames.len(), offline.len());
+    for (a, b) in frames.iter().zip(&offline) {
+        assert_eq!(a.shape(), b.shape());
+        assert_eq!(bits(a.as_slice()), bits(b.as_slice()));
+    }
+}
+
 proptest! {
     /// The streamed uniform accumulator is bit-identical to
     /// `accumulate_frames` for arbitrary streams, bin counts and modes
-    /// (including empty bins).
+    /// (including empty bins), and so are the event-binned spike rows
+    /// of `binary_frame_train` — on the time-sorted stream, on the same
+    /// events unsorted, and at `T = 1`. An out-of-sensor event makes
+    /// both offline binners fail with the same error.
     #[test]
     fn uniform_accumulator_matches_offline(
-        events in sorted_events(150),
+        events in binning_events(150),
         t in 1usize..24,
         count_mode in proptest::bool::ANY,
+        plant in 0usize..200,
     ) {
         let mode = if count_mode { Accumulation::Count } else { Accumulation::Binary };
         let stream = EventStream::from_events(W, H, events.clone()).unwrap();
@@ -306,6 +429,27 @@ proptest! {
         for (a, b) in streamed.iter().zip(&offline) {
             prop_assert_eq!(a.as_slice(), b.as_slice());
         }
+
+        let mut unsorted = stream.clone();
+        unsorted.events_mut().reverse();
+        let half = unsorted.len() / 2;
+        unsorted.events_mut().rotate_left(half);
+        for s in [&stream, &unsorted] {
+            assert_binary_train_matches(s, t);
+            assert_binary_train_matches(s, 1);
+        }
+
+        let mut planted = unsorted;
+        let at = plant % (planted.len() + 1);
+        let bad = if plant % 2 == 0 {
+            DvsEvent::new(W as u16, 0, Polarity::On, 0.5)
+        } else {
+            DvsEvent::new(0, H as u16 + 3, Polarity::Off, 0.0)
+        };
+        planted.events_mut().insert(at, bad);
+        let offline_err = accumulate_frames(&planted, t, Accumulation::Binary).unwrap_err();
+        prop_assert!(matches!(offline_err, NeuroError::EventOutOfRange { .. }));
+        prop_assert_eq!(binary_frame_train(&planted, t).unwrap_err(), offline_err);
     }
 
     /// The rolling accumulator matches per-window offline accumulation

@@ -91,22 +91,21 @@ impl Shape {
     /// # }
     /// ```
     pub fn flat_index(&self, index: &[usize]) -> Result<usize> {
+        let out_of_bounds = || TensorError::IndexOutOfBounds {
+            index: index.to_vec(),
+            shape: self.dims.clone(),
+        };
         if index.len() != self.dims.len() {
-            return Err(TensorError::IndexOutOfBounds {
-                index: index.to_vec(),
-                shape: self.dims.clone(),
-            });
+            return Err(out_of_bounds());
         }
+        // Horner form of Σ index[axis]·stride[axis]: one pass, no
+        // stride vector (this sits under every `Tensor::at`/`set`).
         let mut flat = 0usize;
-        let strides = self.strides();
-        for (axis, (&i, &d)) in index.iter().zip(&self.dims).enumerate() {
+        for (&i, &d) in index.iter().zip(&self.dims) {
             if i >= d {
-                return Err(TensorError::IndexOutOfBounds {
-                    index: index.to_vec(),
-                    shape: self.dims.clone(),
-                });
+                return Err(out_of_bounds());
             }
-            flat += i * strides[axis];
+            flat = flat * d + i;
         }
         Ok(flat)
     }
@@ -170,7 +169,7 @@ mod tests {
             for j in 0..3 {
                 for k in 0..4 {
                     let f = s.flat_index(&[i, j, k]).unwrap();
-                    assert!(f < 24);
+                    assert_eq!(f, i * 12 + j * 4 + k, "row-major offset");
                     assert!(seen.insert(f), "flat index collision");
                 }
             }
