@@ -12,6 +12,14 @@
 //! sample. Membrane state lives in `[B, n]` blocks
 //! ([`crate::lif::BatchedLifState`]).
 //!
+//! Spikes travel between layers as event rows, never as a dense block:
+//! the batched LIF step emits one ascending [`SpikeVector`] per sample,
+//! the next layer's density gate only counts its events
+//! ([`KernelPolicy::admit_events`]), and an admitted max-pool row pools
+//! events to events ([`axsnn_tensor::sparse::sparse_max_pool2d_events`]).
+//! Only analog planes (direct-current input, avg-pool output, readout
+//! currents) and gate-declined rows are dense.
+//!
 //! # Bit-for-bit equivalence
 //!
 //! The fused path is not "approximately" the per-sample path — it *is*
@@ -20,9 +28,17 @@
 //! density gate of PR 1, applied per row per layer per step), and every
 //! kernel routes through the same shared gather/scatter helpers in the
 //! same order, so `forward_batch` logits equal per-sample
-//! [`SpikingNetwork::forward`] logits bit for bit. The property suite
-//! in `tests/batched_equivalence.rs` pins this across shapes, batch
-//! sizes, densities and thread counts.
+//! [`SpikingNetwork::forward`] logits bit for bit. An inter-layer event
+//! row is exactly what [`SpikeVector::from_dense`] yields on the dense
+//! spike row the per-sample step writes (ascending, unique indices), so
+//! the kernels see the same accumulation order and the gate the same
+//! event count; a declined row materializes from it with values of
+//! exactly `0.0` and `1.0`. The per-layer spike statistics add each
+//! step's event count as an `f32`, which equals the per-sample sum of
+//! `1.0`s while a layer emits fewer than 2²⁴ spikes in one step. The
+//! property suite in `tests/batched_equivalence.rs` pins logits, spike
+//! statistics and dense-fallback counts across shapes, batch sizes,
+//! densities and thread counts.
 //!
 //! # Minibatched training
 //!
@@ -260,7 +276,9 @@ pub struct BatchForwardOutput {
     pub logits: Tensor,
     /// Total spikes per spiking layer, summed over the batch and all
     /// time steps (the batch-level analogue of
-    /// [`crate::network::SpikeStats::spikes_per_layer`]).
+    /// [`crate::network::SpikeStats::spikes_per_layer`]). Each step adds
+    /// its event count, exact while a layer emits fewer than 2²⁴ spikes
+    /// in one step.
     pub spikes_per_layer: Vec<f32>,
     /// Time steps simulated.
     pub time_steps: usize,
@@ -293,10 +311,10 @@ impl BatchForwardOutput {
     }
 }
 
-/// One sample's view of the input activity plane.
+/// One sample's view of an activity plane.
 #[derive(Debug, Clone)]
 enum PlaneRow {
-    /// Binary frame in event form.
+    /// Binary frame in event form: ascending, unique flat indices.
     Events(SpikeVector),
     /// Analog (or gate-rejected) frame in dense form.
     Dense(Tensor),
@@ -304,10 +322,13 @@ enum PlaneRow {
 
 /// Storage of the batch's activity plane between two layers.
 enum PlaneData {
-    /// Per-sample rows (the input plane, fed from [`FrameTrain`]s).
+    /// Per-sample rows: the input plane (fed from [`FrameTrain`]s), every
+    /// spiking layer's output (one event row per sample, straight from
+    /// the LIF step) and an inference max-pool's output.
     Rows(Vec<PlaneRow>),
-    /// One contiguous `[B, n]` block (every inter-layer plane) — no
-    /// per-row tensor materialization between layers.
+    /// One contiguous `[B, n]` block for the analog planes between
+    /// layers (readout currents, avg-pool output) and recorded max-pool
+    /// output — no per-row tensor materialization between layers.
     Stacked(Vec<f32>),
 }
 
@@ -320,6 +341,15 @@ struct BatchPlane {
 }
 
 impl BatchPlane {
+    /// A binary plane of one event row per sample.
+    fn events(dims: Vec<usize>, rows: Vec<SpikeVector>) -> BatchPlane {
+        BatchPlane {
+            dims,
+            batch: rows.len(),
+            data: PlaneData::Rows(rows.into_iter().map(PlaneRow::Events).collect()),
+        }
+    }
+
     fn volume(&self) -> usize {
         self.dims.iter().product()
     }
@@ -718,6 +748,10 @@ fn conv_current_block(
 /// gate semantics: rows admitted by the density gate pool on events,
 /// the rest on the dense kernels.
 ///
+/// On inference steps an admitted max-pool row pools from events to
+/// events ([`sparse::sparse_max_pool2d_events`]), so the next layer's
+/// gate is a count check; a declined row pools densely and stays dense.
+///
 /// Recorded steps match the per-sample recorded path: always the dense
 /// kernels (max pooling needs its argmax tape, which the event kernel
 /// does not produce), no gate and no fallback accounting. Max-pool
@@ -731,18 +765,38 @@ fn pool_plane(
 ) -> Result<(BatchPlane, Vec<Vec<usize>>)> {
     let gate_ok = !record && plane.dims.len() == 3;
     let b = plane.batch;
+    if max && gate_ok {
+        let (c, h, w) = (plane.dims[0], plane.dims[1], plane.dims[2]);
+        let rows = (0..b)
+            .map(|r| match plane.admit(r, policy) {
+                Some(events) => Ok(PlaneRow::Events(sparse::sparse_max_pool2d_events(
+                    &events,
+                    &plane.dims,
+                    window,
+                )?)),
+                None => Ok(PlaneRow::Dense(
+                    conv::max_pool2d(&plane.dense_row(r)?, window)?.output,
+                )),
+            })
+            .collect::<Result<Vec<_>>>()?;
+        let out_dims = vec![c, h / window, w / window];
+        return Ok((
+            BatchPlane {
+                dims: out_dims,
+                batch: b,
+                data: PlaneData::Rows(rows),
+            },
+            Vec::new(),
+        ));
+    }
     let mut out = Vec::new();
     let mut out_dims = Vec::new();
     let mut argmax_rows = Vec::with_capacity(if record && max { b } else { 0 });
     for r in 0..b {
         let pooled = match gate_ok.then(|| plane.admit(r, policy)).flatten() {
-            Some(events) => {
-                if max {
-                    sparse::sparse_max_pool2d(&events, &plane.dims, window)?
-                } else {
-                    sparse::sparse_avg_pool2d(&events, &plane.dims, window)?
-                }
-            }
+            // Gated max pools returned above: an admitted row here is an
+            // avg-pool row.
+            Some(events) => sparse::sparse_avg_pool2d(&events, &plane.dims, window)?,
             None => {
                 let t = plane.dense_row(r)?;
                 if max {
@@ -1109,20 +1163,16 @@ impl SpikingNetwork {
                             Some(s) if s.batch() == b && s.neurons() == n => s,
                             slot => slot.insert(BatchedLifState::new(b, n, l.lif_params)),
                         };
-                        let spikes = if record {
-                            let (spikes, pre) = state.step_recorded(&current);
+                        let (spikes, events) = if record {
+                            let (spikes, events, pre) = state.step_recorded(&current);
                             step_tape.push(BatchTapeStep::SpikingConv { rows, in_dims, pre });
-                            spikes
+                            (spikes, events)
                         } else {
                             state.step(&current)
                         };
-                        spikes_per_layer[spiking_idx] += spikes.iter().sum::<f32>();
+                        spikes_per_layer[spiking_idx] += events as f32;
                         spiking_idx += 1;
-                        plane = BatchPlane {
-                            dims: out_dims,
-                            batch: b,
-                            data: PlaneData::Stacked(spikes),
-                        };
+                        plane = BatchPlane::events(out_dims, spikes);
                     }
                     Layer::SpikingLinear(l) => {
                         let (current, rows) = linear_current_block(
@@ -1139,20 +1189,16 @@ impl SpikingNetwork {
                             Some(s) if s.batch() == b && s.neurons() == n => s,
                             slot => slot.insert(BatchedLifState::new(b, n, l.lif_params)),
                         };
-                        let spikes = if record {
-                            let (spikes, pre) = state.step_recorded(&current);
+                        let (spikes, events) = if record {
+                            let (spikes, events, pre) = state.step_recorded(&current);
                             step_tape.push(BatchTapeStep::SpikingLinear { rows, pre });
-                            spikes
+                            (spikes, events)
                         } else {
                             state.step(&current)
                         };
-                        spikes_per_layer[spiking_idx] += spikes.iter().sum::<f32>();
+                        spikes_per_layer[spiking_idx] += events as f32;
                         spiking_idx += 1;
-                        plane = BatchPlane {
-                            dims: vec![n],
-                            batch: b,
-                            data: PlaneData::Stacked(spikes),
-                        };
+                        plane = BatchPlane::events(vec![n], spikes);
                     }
                     Layer::OutputLinear(l) => {
                         let (block, rows) = linear_current_block(

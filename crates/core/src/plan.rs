@@ -266,10 +266,12 @@ impl KernelPolicy {
     }
 
     /// The density gate on an already-encoded event row (the fused
-    /// engine's input planes): admits exactly when a dense
-    /// materialization of the row would pass [`KernelPolicy::admit`] —
-    /// the row is binary by construction, so only the density cap is
-    /// checked. Declines count a fallback under an armed gate.
+    /// engine's binary input planes, spiking-layer outputs and pooled
+    /// event rows): admits exactly when a dense materialization of the
+    /// row would pass [`KernelPolicy::admit`] — the row is binary by
+    /// construction, so only the density cap `nnz ≤ ⌊threshold·len⌋`
+    /// is checked, which requires its indices to be unique. Declines
+    /// count a fallback under an armed gate.
     pub fn admit_events(&self, events: &SpikeVector) -> bool {
         let threshold = self.threshold();
         if threshold.is_nan() || threshold <= 0.0 {

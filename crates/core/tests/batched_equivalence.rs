@@ -10,6 +10,13 @@
 //! at different steps per row, or on every step) pin the fused
 //! engine's reuse of a layer's dense currents: it may skip the GEMM
 //! only when the step's dense input repeats bit for bit.
+//!
+//! Spiking layers hand the next layer event rows, and an admitted
+//! max-pool row pools events to events. The conv stacks therefore cover
+//! pooled events feeding a conv (the paper's conv → max-pool → conv
+//! order) and a max-pool first on binary and analog input, and every
+//! comparison also pins the dense-fallback counters: the fused pass
+//! must decline exactly the rows the per-sample passes decline.
 
 use axsnn_core::encoding::Encoder;
 use axsnn_core::fused::FrameTrain;
@@ -42,36 +49,46 @@ fn mlp(seed: u64, inputs: usize, hidden: usize, classes: usize, c: SnnConfig) ->
     .unwrap()
 }
 
-/// Conv/pool/linear stack on an 8×8 input; `max_pool` picks the
-/// sparse-eligible (max) or de-binarizing (avg) pooling variant.
-fn conv_net(seed: u64, c: SnnConfig, max_pool: bool) -> SpikingNetwork {
+/// The conv stacks on a `[1, 8, 8]` input.
+#[derive(Debug, Clone, Copy)]
+enum ConvStack {
+    /// conv → max-pool → linear: the pool keeps frames binary.
+    MaxPool,
+    /// conv → avg-pool → linear: the pool de-binarizes frames.
+    AvgPool,
+    /// conv → max-pool → conv → linear, the paper's order: pooled
+    /// events feed a conv.
+    PoolThenConv,
+    /// max-pool → conv → linear: the pool reads the input plane.
+    MaxPoolFirst,
+}
+
+fn conv_net(seed: u64, c: SnnConfig, stack: ConvStack) -> SpikingNetwork {
     let mut rng = StdRng::seed_from_u64(seed);
-    let pool = if max_pool {
-        Layer::max_pool2d(2)
-    } else {
-        Layer::avg_pool2d(2)
+    let conv = |rng: &mut StdRng, in_channels, out_channels| {
+        let spec = Conv2dSpec {
+            in_channels,
+            out_channels,
+            kernel: 3,
+            stride: 1,
+            padding: 1,
+        };
+        Layer::spiking_conv2d(rng, spec, &c)
     };
-    SpikingNetwork::new(
-        vec![
-            Layer::spiking_conv2d(
-                &mut rng,
-                Conv2dSpec {
-                    in_channels: 1,
-                    out_channels: 3,
-                    kernel: 3,
-                    stride: 1,
-                    padding: 1,
-                },
-                &c,
-            ),
-            pool,
-            Layer::flatten(),
-            Layer::spiking_linear(&mut rng, 3 * 4 * 4, 12, &c),
-            Layer::output_linear(&mut rng, 12, 4),
+    let mut layers = match stack {
+        ConvStack::MaxPool => vec![conv(&mut rng, 1, 3), Layer::max_pool2d(2)],
+        ConvStack::AvgPool => vec![conv(&mut rng, 1, 3), Layer::avg_pool2d(2)],
+        ConvStack::PoolThenConv => vec![
+            conv(&mut rng, 1, 3),
+            Layer::max_pool2d(2),
+            conv(&mut rng, 3, 3),
         ],
-        c,
-    )
-    .unwrap()
+        ConvStack::MaxPoolFirst => vec![Layer::max_pool2d(2), conv(&mut rng, 1, 3)],
+    };
+    layers.push(Layer::flatten());
+    layers.push(Layer::spiking_linear(&mut rng, 3 * 4 * 4, 12, &c));
+    layers.push(Layer::output_linear(&mut rng, 12, 4));
+    SpikingNetwork::new(layers, c).unwrap()
 }
 
 /// B binary frame trains of `len`-element frames at roughly `density`.
@@ -92,15 +109,30 @@ fn spike_trains(batch: usize, len: usize, t: usize, density: f32, seed: u64) -> 
         .collect()
 }
 
-/// Asserts fused logits equal per-sample logits bit for bit, and that
-/// batched spike stats equal the per-sample sums.
+/// How far each layer's dense-fallback counter advanced since `before`.
+/// Clones of a network share its counters, so the deltas of one pass
+/// are read off the original between passes.
+fn fallbacks_since(net: &SpikingNetwork, before: &[u64]) -> Vec<u64> {
+    net.dense_fallback_counts()
+        .iter()
+        .zip(before)
+        .map(|(now, then)| now - then)
+        .collect()
+}
+
+/// Asserts fused logits equal per-sample logits bit for bit, that
+/// batched spike stats equal the per-sample sums, and that the fused
+/// pass declines as many rows per layer as the per-sample passes.
 fn assert_bitwise_equivalent(net: &SpikingNetwork, trains: &[FrameTrain]) {
+    let start = net.dense_fallback_counts();
     let mut fused_net = net.clone();
     let out = fused_net.forward_batch(trains).unwrap();
+    let fused_fallbacks = fallbacks_since(net, &start);
     let classes = out.logits.shape().dims()[1];
     let mut reference = net.clone();
     let mut rng = StdRng::seed_from_u64(0);
     let mut stat_sums = vec![0.0f32; out.spikes_per_layer.len()];
+    let mid = net.dense_fallback_counts();
     for (r, train) in trains.iter().enumerate() {
         let frames = train.to_frames().unwrap();
         let per_sample = reference.forward(&frames, false, &mut rng).unwrap();
@@ -114,6 +146,11 @@ fn assert_bitwise_equivalent(net: &SpikingNetwork, trains: &[FrameTrain]) {
         }
     }
     assert_eq!(out.spikes_per_layer, stat_sums, "spike stats diverged");
+    assert_eq!(
+        fused_fallbacks,
+        fallbacks_since(net, &mid),
+        "dense-fallback counts diverged from the per-sample passes"
+    );
 }
 
 /// [`assert_bitwise_equivalent`] for both fused entry points: the
@@ -122,12 +159,15 @@ fn assert_bitwise_equivalent(net: &SpikingNetwork, trains: &[FrameTrain]) {
 /// forward.
 fn assert_bitwise_equivalent_recorded(net: &SpikingNetwork, trains: &[FrameTrain]) {
     assert_bitwise_equivalent(net, trains);
+    let start = net.dense_fallback_counts();
     let mut fused_net = net.clone();
     let (out, tape) = fused_net.forward_batch_recorded(trains).unwrap();
+    let fused_fallbacks = fallbacks_since(net, &start);
     assert_eq!(tape.batch(), trains.len());
     let classes = out.logits.shape().dims()[1];
     let mut reference = net.clone();
     let mut rng = StdRng::seed_from_u64(0);
+    let mid = net.dense_fallback_counts();
     for (r, train) in trains.iter().enumerate() {
         let frames = train.to_frames().unwrap();
         let per_sample = reference.forward(&frames, true, &mut rng).unwrap();
@@ -140,6 +180,27 @@ fn assert_bitwise_equivalent_recorded(net: &SpikingNetwork, trains: &[FrameTrain
             );
         }
     }
+    assert_eq!(
+        fused_fallbacks,
+        fallbacks_since(net, &mid),
+        "recorded dense-fallback counts diverged from the per-sample passes"
+    );
+}
+
+/// B binary `[1, 8, 8]` frame trains at roughly `density`.
+fn image_trains(batch: usize, t: usize, density: f32, seed: u64) -> Vec<FrameTrain> {
+    spike_trains(batch, 64, t, density, seed)
+        .into_iter()
+        .map(|train| {
+            let frames: Vec<Tensor> = train
+                .to_frames()
+                .unwrap()
+                .iter()
+                .map(|f| f.reshape(&[1, 8, 8]).unwrap())
+                .collect();
+            FrameTrain::from_frames(&frames).unwrap()
+        })
+        .collect()
 }
 
 /// An analog image of `len` values in `[0, 1)`.
@@ -181,36 +242,59 @@ proptest! {
         assert_bitwise_equivalent(&net, &trains);
     }
 
-    /// Fused ≡ per-sample through conv/pool stacks — both the
-    /// sparse-eligible max-pool variant and the de-binarizing avg-pool
-    /// variant (which exercises the dense-fallback path mid-network).
+    /// Fused ≡ per-sample through conv/pool stacks: the sparse-eligible
+    /// max-pool variant, the de-binarizing avg-pool variant (which
+    /// exercises the dense-fallback path mid-network), pooled events
+    /// feeding a conv, and a max-pool reading the input plane. Densities
+    /// 0.4 and 1.0 make the pool and conv gates decline some rows.
     #[test]
     fn conv_forward_batch_bitwise_equals_per_sample(
         batch in 1usize..13,
         t in 1usize..5,
         density_k in 0u8..5,
-        max_pool_k in 0u8..2,
+        stack_k in 0u8..4,
         seed in 0u64..500,
     ) {
         let density = [0.0, 0.05, 0.15, 0.4, 1.0][density_k as usize];
         let c = cfg(0.6, t);
-        let max_pool = max_pool_k == 1;
-        let net = conv_net(seed, c, max_pool);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xabc);
+        let stack = [
+            ConvStack::MaxPool,
+            ConvStack::AvgPool,
+            ConvStack::PoolThenConv,
+            ConvStack::MaxPoolFirst,
+        ][stack_k as usize];
+        let net = conv_net(seed, c, stack);
+        let trains = image_trains(batch, t, density, seed ^ 0xabc);
+        assert_bitwise_equivalent(&net, &trains);
+    }
+
+    /// A max-pool reading analog (direct-current) input declines every
+    /// row and pools densely, under both fused entry points.
+    #[test]
+    fn analog_max_pool_first_bitwise_equals_per_sample(
+        batch in 1usize..9,
+        t in 1usize..4,
+        seed in 0u64..500,
+    ) {
+        let net = conv_net(seed, cfg(0.6, t), ConvStack::MaxPoolFirst);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xa9a1);
         let trains: Vec<FrameTrain> = (0..batch)
             .map(|_| {
-                let frames: Vec<Tensor> = (0..t)
-                    .map(|_| {
-                        let data: Vec<f32> = (0..64)
-                            .map(|_| if rng.gen::<f32>() < density { 1.0 } else { 0.0 })
-                            .collect();
-                        Tensor::from_vec(data, &[1, 8, 8]).unwrap()
-                    })
-                    .collect();
-                FrameTrain::from_frames(&frames).unwrap()
+                let image = Tensor::from_vec(analog_image(&mut rng, 64), &[1, 8, 8]).unwrap();
+                let mut erng = StdRng::seed_from_u64(0);
+                FrameTrain::encode(&image, Encoder::DirectCurrent, t, &mut erng).unwrap()
             })
             .collect();
-        assert_bitwise_equivalent(&net, &trains);
+        let start = net.dense_fallback_counts();
+        assert_bitwise_equivalent_recorded(&net, &trains);
+        // Inference steps gate the pool (recorded steps do not): every
+        // row-step declines once on the fused and once on the
+        // per-sample side.
+        prop_assert_eq!(
+            fallbacks_since(&net, &start)[0],
+            2 * (batch * t) as u64,
+            "the pool must decline every analog row on both sides"
+        );
     }
 
     /// Analog (direct-current) inputs — every row takes the batched
@@ -341,8 +425,8 @@ fn classify_batch_matches_per_sample_for_all_encoders() {
 #[test]
 fn avg_pool_degradation_is_observable() {
     let c = cfg(0.6, 4);
-    let mut avg_net = conv_net(1, c, false);
-    let mut max_net = conv_net(1, c, true);
+    let mut avg_net = conv_net(1, c, ConvStack::AvgPool);
+    let mut max_net = conv_net(1, c, ConvStack::MaxPool);
 
     let avg_report = avg_net.sparse_eligible();
     assert!(!avg_report.fully_eligible, "avg pool must flag the stack");
@@ -353,18 +437,7 @@ fn avg_pool_degradation_is_observable() {
 
     // Low-density spike input: the avg-pool net must rack up dense
     // fallbacks downstream of the pool; the max-pool net must not.
-    let trains = spike_trains(8, 64, 4, 0.05, 9)
-        .into_iter()
-        .map(|t| {
-            let frames: Vec<Tensor> = t
-                .to_frames()
-                .unwrap()
-                .iter()
-                .map(|f| f.reshape(&[1, 8, 8]).unwrap())
-                .collect();
-            FrameTrain::from_frames(&frames).unwrap()
-        })
-        .collect::<Vec<_>>();
+    let trains = image_trains(8, 4, 0.05, 9);
     avg_net.forward_batch(&trains).unwrap();
     max_net.forward_batch(&trains).unwrap();
     let avg_counts = avg_net.dense_fallback_counts();
@@ -389,7 +462,7 @@ fn avg_pool_degradation_is_observable() {
     // each worker a *clone* of the network: a fresh avg-pool net
     // classified through classify_trains_sharded must still show its
     // fallbacks on the instance the caller holds.
-    let sharded_net = conv_net(1, c, false);
+    let sharded_net = conv_net(1, c, ConvStack::AvgPool);
     assert_eq!(sharded_net.total_dense_fallbacks(), 0);
     sharded_net.classify_trains_sharded(&trains, 4, 2).unwrap();
     assert!(

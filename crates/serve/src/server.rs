@@ -392,7 +392,9 @@ impl InferenceService {
     /// # Errors
     ///
     /// * [`ServeError::InvalidRequest`] — image shape does not match
-    ///   the served model.
+    ///   the served model, or a pixel is NaN or infinite (the message
+    ///   names the first such flat index and its value). Rejected
+    ///   requests touch no queue counter.
     /// * [`ServeError::Shed`] — shedding level and priority below the
     ///   admission floor.
     /// * [`ServeError::QueueFull`] — bounded-queue backpressure.
@@ -406,6 +408,20 @@ impl InferenceService {
                     req.image.shape().dims(),
                     model.input_dims
                 ),
+            });
+        }
+        // The encoders clamp pixels into [0, 1], which passes NaN
+        // through (it never spikes) and folds ±inf to 1 or 0, so a
+        // non-finite image would be answered as if it were a real one.
+        if let Some((i, v)) = req
+            .image
+            .as_slice()
+            .iter()
+            .enumerate()
+            .find(|(_, v)| !v.is_finite())
+        {
+            return Err(ServeError::InvalidRequest {
+                message: format!("image pixel {i} is {v}, not a finite value"),
             });
         }
         if self.shared.current_level() >= ServiceLevel::Shedding && req.priority < Priority::Normal

@@ -7,7 +7,7 @@
 //! to the direct `classify_batch_fused` / `classify` paths with the
 //! same per-request seed. Plus regressions for every robustness
 //! property: deadline expiry, panic isolation + respawn, hot-swap
-//! rollback, backpressure and priority shedding.
+//! rollback, backpressure, priority shedding and non-finite input.
 
 use axsnn_core::encoding::Encoder;
 use axsnn_core::fused::FrameTrain;
@@ -381,6 +381,48 @@ fn bounded_queue_applies_backpressure() {
         ticket.wait().expect("admitted work is always served");
     }
     assert!(service.metrics().rejected_full >= rejected as u64);
+    service.shutdown();
+}
+
+/// A NaN or infinite pixel is refused at submit with an error naming
+/// its flat index and value, before any queue counter moves; a finite
+/// image of the same shape is still served.
+#[test]
+fn non_finite_pixels_are_rejected_at_submit() {
+    let net = make_net(9);
+    let service = InferenceService::start(net.clone(), probe(), base_config()).expect("start");
+    let before = service.metrics();
+    for (i, bad) in [
+        (0usize, f32::NAN),
+        (3, f32::INFINITY),
+        (7, f32::NEG_INFINITY),
+    ] {
+        let mut data = make_image(i as u64).as_slice().to_vec();
+        data[i] = bad;
+        let image = Tensor::from_vec(data, &[INPUT]).expect("image");
+        match service.submit(Request::new(image, 1)) {
+            Err(ServeError::InvalidRequest { message }) => {
+                assert!(
+                    message.contains(&format!("pixel {i} is {bad}")),
+                    "message must name the index and value: {message}"
+                );
+            }
+            other => panic!("pixel {bad} at {i}: expected InvalidRequest, got {other:?}"),
+        }
+    }
+    assert_eq!(
+        service.metrics(),
+        before,
+        "rejections must touch no counter"
+    );
+    let image = make_image(5);
+    let served = service
+        .submit(Request::new(image.clone(), 5))
+        .expect("a finite image is accepted")
+        .wait()
+        .expect("served");
+    assert_eq!(served.prediction, direct_prediction(&net, &image, 5));
+    assert_eq!(service.metrics().submitted, before.submitted + 1);
     service.shutdown();
 }
 

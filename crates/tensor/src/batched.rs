@@ -15,10 +15,8 @@
 //! * [`matmul_bt_bias`] — the dense batched fallback (`X · Wᵀ + b`) for
 //!   analog planes: sequential row dots, run as packed 8-row panels
 //!   against four batch rows at a time under AVX2 dispatch,
-//! * [`sparse_conv2d_batch`] — scatter conv over B stacked spike
-//!   planes into a `[B, Cout·OH·OW]` block,
-//! * [`sparse_avg_pool2d_batch`] / [`sparse_max_pool2d_batch`] —
-//!   event pooling over stacked planes.
+//! * [`sparse_conv2d_batch_sorted`] — the event-sorted scatter conv
+//!   over B stacked spike planes into a `[B, Cout·OH·OW]` block.
 //!
 //! Every per-row result is **bit-identical** to the corresponding
 //! per-sample kernel in [`crate::sparse`] / [`crate::linalg`]: the
@@ -27,13 +25,13 @@
 //! batch forward in `axsnn-core` promise bit-for-bit equivalence with
 //! per-sample classification.
 //!
-//! The linear-layer kernels ([`sparse_matmul`], [`sparse_matmul_bias`],
-//! [`matmul_bt_bias`]) are the ones the fused engine calls on its hot
-//! path. The conv/pool batch kernels are the standalone all-sparse
-//! batch API — inside the fused engine, batches mix gate-admitted and
-//! dense rows per step, so it drives the shared per-row primitives
+//! The fused engine calls the linear-layer kernels ([`sparse_matmul`],
+//! [`sparse_matmul_bias`], [`matmul_bt_bias`]) and the event-sorted conv
+//! on its hot path. Pools and the row-by-row conv have no batch form:
+//! inside the fused engine, batches mix gate-admitted and dense rows per
+//! step, so it drives the shared per-row primitives
 //! ([`crate::sparse::sparse_conv2d_into`], the event pools) directly
-//! against its own row partition instead.
+//! against its own row partition.
 //!
 //! # Example
 //!
@@ -58,7 +56,7 @@
 
 use crate::conv::Conv2dSpec;
 use crate::plane::{F16Lane, F32Lane, Int8Lane, PlaneView, WeightLane};
-use crate::sparse::{gather_row_lane, sparse_conv2d_into, SpikeVector};
+use crate::sparse::{gather_row_lane, SpikeVector};
 use crate::{Result, Tensor, TensorError};
 
 /// A batch of binary spike frames in CSR form: one concatenated index
@@ -102,24 +100,6 @@ impl SpikeMatrix {
             row_ptr,
             cols,
         })
-    }
-
-    /// Extracts a binary `[B, n]` tensor's events row by row.
-    ///
-    /// Returns `None` when any element is neither `0.0` nor `1.0`.
-    pub fn from_dense(t: &Tensor) -> Option<Self> {
-        let dims = t.shape().dims();
-        if dims.len() != 2 {
-            return None;
-        }
-        let (b, n) = (dims[0], dims[1]);
-        let data = t.as_slice();
-        let mut rows = Vec::with_capacity(b);
-        for r in 0..b {
-            let row = Tensor::from_vec(data[r * n..(r + 1) * n].to_vec(), &[n]).ok()?;
-            rows.push(SpikeVector::from_dense(&row)?);
-        }
-        Self::from_rows(&rows).ok()
     }
 
     /// Number of batch rows.
@@ -708,37 +688,6 @@ pub fn matmul_bt_bias_scalar(x: &Tensor, w: &Tensor, bias: &Tensor) -> Result<Te
     Tensor::from_vec(out, &[b, m])
 }
 
-/// Batched scatter convolution: B stacked `[Cin·H·W]` spike planes into
-/// a `[B, Cout·OH·OW]` block.
-///
-/// Each row scatters through the same unrolled stencil kernel as
-/// [`crate::sparse::sparse_conv2d`], so row `b` matches the per-sample
-/// result bit for bit; the conv weights (kilobytes) stay cache-hot
-/// across the whole batch.
-///
-/// # Errors
-///
-/// As [`crate::sparse::sparse_conv2d`] per row.
-pub fn sparse_conv2d_batch(
-    x: &SpikeMatrix,
-    in_hw: (usize, usize),
-    weight: &Tensor,
-    bias: &Tensor,
-    spec: &Conv2dSpec,
-) -> Result<Tensor> {
-    crate::sparse::check_conv_geometry(x.cols(), in_hw, weight, spec)?;
-    let (h, w) = in_hw;
-    let (oh, ow) = spec.output_hw(h, w);
-    let b = x.rows();
-    let n = spec.out_channels * oh * ow;
-    let mut out = vec![0.0f32; b * n];
-    for (r, slot) in out.chunks_mut(n.max(1)).enumerate().take(b) {
-        let row = SpikeVector::new(x.row(r).to_vec(), x.cols())?;
-        sparse_conv2d_into(&row, in_hw, weight, bias, spec, slot)?;
-    }
-    Tensor::from_vec(out, &[b, n])
-}
-
 /// One event of the tile-sorted conv batch: the owning row's output
 /// base offset plus the event's spatial coordinates. The input channel
 /// is implicit — events are bucketed by channel before the sweep.
@@ -873,8 +822,8 @@ fn stride1_patch_sweep_dyn(
 /// spike planes into a `[B, Cout·OH·OW]` block, processing **all rows'
 /// events per weight-stencil tile** instead of row by row.
 ///
-/// The row-by-row scatter ([`sparse_conv2d_batch`]) re-walks the weight
-/// stencil in event order for every row: each event touches
+/// The row-by-row scatter ([`crate::sparse::sparse_conv2d_into`] per
+/// row) re-walks the weight stencil in event order for every row: each event touches
 /// `Cout × K²` *strided* weight cells, so consecutive accumulates load
 /// from `Cout` different cache lines even though the weights are cache
 /// resident — which is why fused conv batches historically gained only
@@ -915,7 +864,7 @@ fn stride1_patch_sweep_dyn(
 ///
 /// # Errors
 ///
-/// As [`sparse_conv2d_batch`].
+/// As [`crate::sparse::sparse_conv2d`] per row.
 pub fn sparse_conv2d_batch_sorted(
     x: &SpikeMatrix,
     in_hw: (usize, usize),
@@ -1217,93 +1166,11 @@ fn conv_batch_sorted_lane<L: WeightLane>(
     Ok(())
 }
 
-fn check_pool_batch(x: &SpikeMatrix, dims: &[usize], k: usize) -> Result<(usize, usize, usize)> {
-    if dims.len() != 3 {
-        return Err(TensorError::RankMismatch {
-            expected: 3,
-            actual: dims.len(),
-            op: "sparse_pool2d_batch",
-        });
-    }
-    if k == 0 {
-        return Err(TensorError::InvalidArgument {
-            message: "pool window must be non-zero".into(),
-        });
-    }
-    let (c, h, w) = (dims[0], dims[1], dims[2]);
-    if x.cols() != c * h * w {
-        return Err(TensorError::LengthMismatch {
-            expected: c * h * w,
-            actual: x.cols(),
-        });
-    }
-    if h % k != 0 || w % k != 0 {
-        return Err(TensorError::InvalidArgument {
-            message: format!("pool window {k} does not divide input {h}x{w}"),
-        });
-    }
-    Ok((c, h, w))
-}
-
-/// Batched event average pooling: B stacked `[C·H·W]` planes into
-/// `[B, C·OH·OW]`, each active spike adding `1/k²` to its window.
-///
-/// # Errors
-///
-/// As [`crate::sparse::sparse_avg_pool2d`] for the shared `dims`/`k`.
-pub fn sparse_avg_pool2d_batch(x: &SpikeMatrix, dims: &[usize], k: usize) -> Result<Tensor> {
-    let (c, h, w) = check_pool_batch(x, dims, k)?;
-    let (oh, ow) = (h / k, w / k);
-    let inv = 1.0 / (k * k) as f32;
-    let b = x.rows();
-    let n = c * oh * ow;
-    let mut out = vec![0.0f32; b * n];
-    for r in 0..b {
-        let base = r * n;
-        for &flat in x.row(r) {
-            let flat = flat as usize;
-            let ch = flat / (h * w);
-            let rem = flat % (h * w);
-            let (iy, ix) = (rem / w, rem % w);
-            out[base + ch * oh * ow + (iy / k) * ow + ix / k] += inv;
-        }
-    }
-    Tensor::from_vec(out, &[b, n])
-}
-
-/// Batched event max pooling: a window maxes to `1.0` exactly when it
-/// contains at least one spike. Forward value only (no argmax tape), so
-/// the fused engine uses it exclusively on inference steps.
-///
-/// # Errors
-///
-/// As [`crate::sparse::sparse_max_pool2d`] for the shared `dims`/`k`.
-pub fn sparse_max_pool2d_batch(x: &SpikeMatrix, dims: &[usize], k: usize) -> Result<Tensor> {
-    let (c, h, w) = check_pool_batch(x, dims, k)?;
-    let (oh, ow) = (h / k, w / k);
-    let b = x.rows();
-    let n = c * oh * ow;
-    let mut out = vec![0.0f32; b * n];
-    for r in 0..b {
-        let base = r * n;
-        for &flat in x.row(r) {
-            let flat = flat as usize;
-            let ch = flat / (h * w);
-            let rem = flat % (h * w);
-            let (iy, ix) = (rem / w, rem % w);
-            out[base + ch * oh * ow + (iy / k) * ow + ix / k] = 1.0;
-        }
-    }
-    Tensor::from_vec(out, &[b, n])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::linalg;
-    use crate::sparse::{
-        sparse_avg_pool2d, sparse_conv2d, sparse_matvec, sparse_matvec_bias, sparse_max_pool2d,
-    };
+    use crate::sparse::{sparse_conv2d, sparse_matvec, sparse_matvec_bias};
 
     fn binary_rows(b: usize, n: usize, every: usize) -> Vec<SpikeVector> {
         (0..b)
@@ -1362,8 +1229,14 @@ mod tests {
         assert_eq!(m.nnz(), rows.iter().map(SpikeVector::nnz).sum::<usize>());
         let dense = m.to_dense();
         assert_eq!(dense.shape().dims(), &[3, 10]);
-        let back = SpikeMatrix::from_dense(&dense).unwrap();
-        assert_eq!(back, m);
+        for (r, row) in rows.iter().enumerate() {
+            let dense_row =
+                Tensor::from_vec(dense.as_slice()[r * 10..(r + 1) * 10].to_vec(), &[10]);
+            assert_eq!(
+                SpikeVector::from_dense(&dense_row.unwrap()).as_ref(),
+                Some(row)
+            );
+        }
     }
 
     #[test]
@@ -1381,14 +1254,6 @@ mod tests {
         let w = Tensor::zeros(&[3, 0]);
         let y = sparse_matmul(&w, &m).unwrap();
         assert_eq!(y.shape().dims(), &[0, 3]);
-    }
-
-    #[test]
-    fn from_dense_rejects_non_binary() {
-        let t = Tensor::from_vec(vec![0.0, 0.5, 1.0, 0.0], &[2, 2]).unwrap();
-        assert!(SpikeMatrix::from_dense(&t).is_none());
-        let v = Tensor::zeros(&[4]);
-        assert!(SpikeMatrix::from_dense(&v).is_none(), "rank-1 rejected");
     }
 
     #[test]
@@ -1444,33 +1309,6 @@ mod tests {
         assert!(matmul_bt_bias(&x, &Tensor::zeros(&[4, 8]), &bias).is_err());
         assert!(matmul_bt_bias(&x, &w, &Tensor::zeros(&[5])).is_err());
         assert!(matmul_bt_bias(&Tensor::zeros(&[9]), &w, &bias).is_err());
-    }
-
-    #[test]
-    fn conv_batch_rows_bitwise_match_per_sample() {
-        let spec = Conv2dSpec {
-            in_channels: 2,
-            out_channels: 3,
-            kernel: 3,
-            stride: 1,
-            padding: 1,
-        };
-        let (h, w) = (6, 5);
-        let weight = Tensor::from_vec(
-            (0..3 * 2 * 9).map(|i| (i as f32 * 0.13).sin()).collect(),
-            &[3, 2, 3, 3],
-        )
-        .unwrap();
-        let bias = Tensor::from_vec(vec![0.5, -1.0, 0.25], &[3]).unwrap();
-        let rows = binary_rows(4, 2 * h * w, 5);
-        let batch = SpikeMatrix::from_rows(&rows).unwrap();
-        let y = sparse_conv2d_batch(&batch, (h, w), &weight, &bias, &spec).unwrap();
-        let n = 3 * h * w;
-        assert_eq!(y.shape().dims(), &[4, n]);
-        for (r, row) in rows.iter().enumerate() {
-            let per_sample = sparse_conv2d(row, (h, w), &weight, &bias, &spec).unwrap();
-            assert_eq!(&y.as_slice()[r * n..(r + 1) * n], per_sample.as_slice());
-        }
     }
 
     #[test]
@@ -1801,31 +1639,5 @@ mod tests {
             &mut out
         )
         .is_err());
-    }
-
-    #[test]
-    fn pool_batch_rows_bitwise_match_per_sample() {
-        let dims = [2usize, 4, 4];
-        let rows = binary_rows(3, 2 * 4 * 4, 3);
-        let batch = SpikeMatrix::from_rows(&rows).unwrap();
-        let avg = sparse_avg_pool2d_batch(&batch, &dims, 2).unwrap();
-        let max = sparse_max_pool2d_batch(&batch, &dims, 2).unwrap();
-        let n = 2 * 2 * 2;
-        for (r, row) in rows.iter().enumerate() {
-            let pa = sparse_avg_pool2d(row, &dims, 2).unwrap();
-            let pm = sparse_max_pool2d(row, &dims, 2).unwrap();
-            assert_eq!(&avg.as_slice()[r * n..(r + 1) * n], pa.as_slice());
-            assert_eq!(&max.as_slice()[r * n..(r + 1) * n], pm.as_slice());
-        }
-    }
-
-    #[test]
-    fn pool_batch_validation() {
-        let batch = SpikeMatrix::from_rows(&binary_rows(2, 16, 2)).unwrap();
-        assert!(sparse_avg_pool2d_batch(&batch, &[1, 4, 4], 0).is_err());
-        assert!(sparse_avg_pool2d_batch(&batch, &[1, 5, 4], 2).is_err());
-        assert!(sparse_avg_pool2d_batch(&batch, &[4, 4], 2).is_err());
-        assert!(sparse_max_pool2d_batch(&batch, &[1, 4, 5], 2).is_err());
-        assert!(sparse_max_pool2d_batch(&batch, &[2, 4, 4], 2).is_err());
     }
 }

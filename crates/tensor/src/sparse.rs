@@ -15,7 +15,8 @@
 //! * [`sparse_conv2d`] — scatter-based convolution that pushes each
 //!   input event through the kernel stencil,
 //! * [`sparse_avg_pool2d`] / [`sparse_max_pool2d`] — pooling directly on
-//!   events,
+//!   events, and [`sparse_max_pool2d_events`] — max pooling from events
+//!   to events, so a binary plane stays in event form across the pool,
 //! * [`SpikeVector::from_dense_if_sparse`] — the dense↔sparse gate: a
 //!   frame converts only when it is binary and its density is at most a
 //!   threshold, so the caller always takes the cheaper path.
@@ -839,6 +840,75 @@ pub fn sparse_max_pool2d(input: &SpikeVector, dims: &[usize], k: usize) -> Resul
     Tensor::from_vec(out, &[c, oh, ow])
 }
 
+/// Max pooling from events to events: the pooled frame's active cells,
+/// ascending and each once — exactly what [`SpikeVector::from_dense`]
+/// yields on [`sparse_max_pool2d`]'s output, without building it.
+///
+/// Ascending events visit the bands of `k` input rows (one output row
+/// `(channel, oy)` each) in ascending order. Each band collects its cells
+/// in a bitmask of `OW` bits, emitted in ascending `ox` order when the
+/// events leave the band; several spikes in one window merge in the
+/// mask. The cost is `O(nnz·k + W)`, with one division per band entered.
+/// Input that is not in ascending order falls back to pooling densely.
+/// Forward value only, like [`sparse_max_pool2d`].
+///
+/// # Errors
+///
+/// Same conditions as [`sparse_avg_pool2d`].
+pub fn sparse_max_pool2d_events(
+    input: &SpikeVector,
+    dims: &[usize],
+    k: usize,
+) -> Result<SpikeVector> {
+    let (c, h, w) = check_pool(input, dims, k)?;
+    let (oh, ow) = (h / k, w / k);
+    // Output column of each input column.
+    let mut out_col = Vec::with_capacity(w);
+    for ox in 0..ow {
+        for _ in 0..k {
+            out_col.push(ox);
+        }
+    }
+    let mut mask = vec![0u64; ow.div_ceil(64)];
+    let mut indices = Vec::with_capacity(input.nnz());
+    let mut flush = |band: usize, mask: &mut [u64]| {
+        for (word, bits) in mask.iter_mut().enumerate() {
+            let mut m = std::mem::take(bits);
+            while m != 0 {
+                let ox = word * 64 + m.trailing_zeros() as usize;
+                indices.push((band * ow + ox) as u32);
+                m &= m - 1;
+            }
+        }
+    };
+    // Band `band` (output row `(channel, oy)`) covers the `k` input rows
+    // at flat indices `band_start..band_start + k·W`.
+    let band_len = k * w;
+    let (mut band, mut band_start) = (0usize, 0usize);
+    let mut prev = 0usize;
+    for &flat in input.indices() {
+        let flat = flat as usize;
+        if flat < prev {
+            let pooled = sparse_max_pool2d(input, dims, k)?;
+            return Ok(SpikeVector::from_dense(&pooled).expect("max pooling keeps frames binary"));
+        }
+        prev = flat;
+        if flat >= band_start + band_len {
+            flush(band, &mut mask);
+            band = flat / band_len;
+            band_start = band * band_len;
+        }
+        let mut ix = flat - band_start;
+        while ix >= w {
+            ix -= w;
+        }
+        let ox = out_col[ix];
+        mask[ox / 64] |= 1 << (ox % 64);
+    }
+    flush(band, &mut mask);
+    SpikeVector::new(indices, c * oh * ow)
+}
+
 /// Gathers one event's gradient stencil from the output planes into the
 /// weight gradient: `gw[oc·wstride + wbase] += g[oc·ohw + obase]` for
 /// every output channel, unrolled 4-wide — the transpose of
@@ -1508,5 +1578,80 @@ mod tests {
         assert!(sparse_max_pool2d(&events, &[1, 4, 5], 2).is_err());
         let wrong_len = SpikeVector::new(vec![], 8).unwrap();
         assert!(sparse_avg_pool2d(&wrong_len, &[1, 4, 4], 2).is_err());
+    }
+
+    /// The event-output max pool is `from_dense` of the dense-output
+    /// pool, bit for bit: across windows, channel counts, densities
+    /// 0–100%, output rows wider than one 64-bit mask word, and input
+    /// given out of order or with repeats.
+    #[test]
+    fn event_max_pool_matches_sparse_max_pool() {
+        let check = |input: &SpikeVector, dims: &[usize], k: usize, what: &str| {
+            let events = sparse_max_pool2d_events(input, dims, k).unwrap();
+            let dense = sparse_max_pool2d(input, dims, k).unwrap();
+            let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&events.to_dense(dense.shape().dims()).unwrap()),
+                bits(&dense),
+                "{what}"
+            );
+            assert!(
+                events.indices().windows(2).all(|p| p[0] < p[1]),
+                "{what}: indices must be ascending and unique"
+            );
+            assert_eq!(Some(events), SpikeVector::from_dense(&dense), "{what}");
+        };
+        for (c, h, w, k) in [
+            (1usize, 4usize, 4usize, 2usize),
+            (3, 6, 9, 3),
+            (2, 5, 7, 1),
+            (2, 4, 140, 2), // 70 output columns: two mask words
+            (1, 2, 128, 1), // exactly two full mask words
+        ] {
+            let len = c * h * w;
+            for every in [1usize, 2, 3, 5, 11, len + 1] {
+                let what = format!("{c}x{h}x{w} k {k} every {every}");
+                let frame = binary_frame(len, every);
+                let input = SpikeVector::from_dense(&frame).unwrap();
+                check(&input, &[c, h, w], k, &what);
+                // Reversed (descending) and repeated events take the
+                // dense fallback and still pool to the same frame.
+                let mut reversed: Vec<u32> = input.indices().to_vec();
+                reversed.reverse();
+                check(
+                    &SpikeVector::new(reversed, len).unwrap(),
+                    &[c, h, w],
+                    k,
+                    &what,
+                );
+                let repeated: Vec<u32> = input.indices().iter().flat_map(|&i| [i, i]).collect();
+                check(
+                    &SpikeVector::new(repeated, len).unwrap(),
+                    &[c, h, w],
+                    k,
+                    &what,
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn event_max_pool_validation_matches_sparse_max_pool() {
+        let events = SpikeVector::new(vec![3], 16).unwrap();
+        let wrong_len = SpikeVector::new(vec![], 8).unwrap();
+        for (input, dims, k) in [
+            (&events, &[1usize, 4, 4][..], 0usize),
+            (&events, &[1, 5, 4][..], 2),
+            (&events, &[1, 4, 5][..], 2),
+            (&events, &[4, 4][..], 2),
+            (&wrong_len, &[1, 4, 4][..], 2),
+        ] {
+            let expected = sparse_max_pool2d(input, dims, k).unwrap_err();
+            assert_eq!(
+                sparse_max_pool2d_events(input, dims, k).unwrap_err(),
+                expected,
+                "dims {dims:?} k {k}"
+            );
+        }
     }
 }
