@@ -11,7 +11,6 @@ use crate::gradient::{AttackBudget, GradientSource, ImageAttack};
 use crate::Result;
 use axsnn_tensor::{ops, Tensor};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Uniform random l∞ noise at budget ε (attack-strength baseline).
 ///
@@ -24,7 +23,7 @@ use serde::{Deserialize, Serialize};
 /// let noise = NoiseAttack::new(AttackBudget::for_epsilon(0.1));
 /// assert_eq!(noise.name(), "Noise");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NoiseAttack {
     budget: AttackBudget,
 }
@@ -90,7 +89,7 @@ impl ImageAttack for NoiseAttack {
 /// let attack = TargetedPgd::new(AttackBudget::for_epsilon(0.2), 7);
 /// assert_eq!(attack.target(), 7);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TargetedPgd {
     budget: AttackBudget,
     target: usize,

@@ -20,7 +20,6 @@ use axsnn_core::ann::AnnNetwork;
 use axsnn_core::network::SpikingNetwork;
 use axsnn_tensor::{ops, Tensor};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// l∞ attack budget.
 ///
@@ -32,7 +31,7 @@ use serde::{Deserialize, Serialize};
 /// let b = AttackBudget { epsilon: 0.1, step_size: 0.02, steps: 7 };
 /// assert!(b.validate().is_ok());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AttackBudget {
     /// Maximum l∞ perturbation ε.
     pub epsilon: f32,
@@ -177,7 +176,7 @@ fn clip_to_ball(x: &Tensor, clean: &Tensor, epsilon: f32) -> Result<Tensor> {
 }
 
 /// Fast Gradient Sign Method — one signed ε step.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fgsm {
     budget: AttackBudget,
 }
@@ -216,7 +215,7 @@ impl ImageAttack for Fgsm {
 }
 
 /// Basic Iterative Method — iterative FGSM without random start.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Bim {
     budget: AttackBudget,
 }
@@ -260,7 +259,7 @@ impl ImageAttack for Bim {
 
 /// Projected Gradient Descent — BIM with a uniform random start inside
 /// the ε-ball (the paper's strongest static attack).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Pgd {
     budget: AttackBudget,
 }

@@ -21,7 +21,6 @@ use axsnn_neuromorphic::frames::{binary_frame_train, Accumulation};
 use axsnn_neuromorphic::stream::{classify_event_stream, StreamConfig, WindowSchedule};
 use axsnn_tensor::Tensor;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// The adversary's query interface to an event-stream classifier.
 pub trait EventModel {
@@ -122,7 +121,7 @@ impl EventModel for StreamingSnnEventModel<'_> {
 }
 
 /// Configuration of the sparse attack.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SparseAttackConfig {
     /// Maximum injected events as a fraction of the clean stream size.
     pub budget_fraction: f32,
@@ -161,7 +160,7 @@ impl Default for SparseAttackConfig {
 /// let attack = SparseAttack::new(SparseAttackConfig::default());
 /// assert_eq!(attack.name(), "Sparse");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SparseAttack {
     config: SparseAttackConfig,
 }
@@ -298,7 +297,7 @@ impl SparseAttack {
 }
 
 /// Configuration of the frame attack.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FrameAttackConfig {
     /// Number of time slices at which the boundary fires.
     pub time_slices: usize,
@@ -337,7 +336,7 @@ impl Default for FrameAttackConfig {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FrameAttack {
     config: FrameAttackConfig,
 }

@@ -1,7 +1,5 @@
-//! Smoke benchmark: sequential vs parallel minibatch backward, and
-//! dense vs thresholded input-gradient kernels, exported to
-//! `BENCH_backward.json` for the CI perf trajectory (the backward
-//! companion of `bench_sparse` / `bench_batch` / `bench_train`).
+//! Sequential vs parallel minibatch backward, and dense vs thresholded
+//! input-gradient kernels, written to `BENCH_backward.json`.
 //!
 //! Times three things on the paper's MNIST-scale MLP (and a conv stack
 //! for reference):
@@ -17,105 +15,22 @@
 //! * **`eps = 0` no-regression** — the thresholded kernel in exact mode
 //!   must not lose against the dense entry point it shadows.
 //!
-//! Every record carries `hardware_threads`; the consolidated gate
-//! (`bench_gate`, floors documented in `axsnn_bench::gates`) only
-//! enforces the parallel floor when the runner actually has the cores
-//! to show it.
-//!
 //! Usage: `cargo run --release -p axsnn-bench --bin bench_backward
-//! [out.json]` (default output `BENCH_backward.json`).
-//! `AXSNN_BENCH_ITERS` scales the iteration counts (default 10).
+//! [out.json]`.
 
 use axsnn::core::fused::{BackwardOpts, FrameTrain};
 use axsnn::core::layer::Layer;
 use axsnn::core::network::{SnnConfig, SpikingNetwork};
-use axsnn::tensor::conv::Conv2dSpec;
 use axsnn::tensor::{init, linalg, Tensor};
-use axsnn_bench::json::{bench_row, write_bench_json};
+use axsnn_bench::harness::{conv1_net, mlp_1568, record, spike_frame, Bench};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
-use std::time::Instant;
 
 const BATCH: usize = 16;
 const TIME_STEPS: usize = 8;
 const DENSITY: f32 = 0.10;
 const PARALLEL_THREADS: usize = 4;
-
-fn iters() -> u32 {
-    std::env::var("AXSNN_BENCH_ITERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(10)
-}
-
-fn time_ns<F: FnMut()>(mut f: F) -> f64 {
-    let n = iters();
-    f(); // warmup
-    let start = Instant::now();
-    for _ in 0..n {
-        f();
-    }
-    start.elapsed().as_nanos() as f64 / n as f64
-}
-
-fn spike_frame(len: usize, density: f32, dims: &[usize], salt: u64) -> Tensor {
-    let data: Vec<f32> = (0..len)
-        .map(|i| {
-            let mut h = (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ salt;
-            h ^= h >> 29;
-            h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            let unit = (h >> 40) as f32 / (1u64 << 24) as f32;
-            if unit < density {
-                1.0
-            } else {
-                0.0
-            }
-        })
-        .collect();
-    Tensor::from_vec(data, dims).unwrap()
-}
-
-/// The paper's flattened-MNIST-width MLP (same topology as
-/// `bench_train`): the ≈3.9 MB weight set makes the backward
-/// weight-stream the dominant cost the row shards split across cores.
-fn mlp_net(cfg: SnnConfig) -> SpikingNetwork {
-    let mut rng = StdRng::seed_from_u64(2);
-    SpikingNetwork::new(
-        vec![
-            Layer::spiking_linear(&mut rng, 1568, 512, &cfg),
-            Layer::spiking_linear(&mut rng, 512, 256, &cfg),
-            Layer::output_linear(&mut rng, 256, 10),
-        ],
-        cfg,
-    )
-    .expect("static topology")
-}
-
-fn conv_net(cfg: SnnConfig) -> SpikingNetwork {
-    let mut rng = StdRng::seed_from_u64(3);
-    SpikingNetwork::new(
-        vec![
-            Layer::spiking_conv2d(
-                &mut rng,
-                Conv2dSpec {
-                    in_channels: 1,
-                    out_channels: 16,
-                    kernel: 3,
-                    stride: 1,
-                    padding: 1,
-                },
-                &cfg,
-            ),
-            Layer::max_pool2d(2),
-            Layer::flatten(),
-            Layer::spiking_linear(&mut rng, 16 * 14 * 14, 128, &cfg),
-            Layer::output_linear(&mut rng, 128, 10),
-        ],
-        cfg,
-    )
-    .expect("static topology")
-}
 
 fn grads_of(net: &SpikingNetwork) -> Vec<Vec<f32>> {
     net.layers()
@@ -125,15 +40,9 @@ fn grads_of(net: &SpikingNetwork) -> Vec<Vec<f32>> {
         .collect()
 }
 
-struct BackwardCase {
-    name: String,
-    sequential_ns: f64,
-    parallel_ns: f64,
-}
-
 /// Times the recorded backward at 1 vs `PARALLEL_THREADS` threads on
 /// one network, asserting the gradients are bit-identical first.
-fn backward_case(name: &str, net: &SpikingNetwork, dims: &[usize]) -> BackwardCase {
+fn backward_record(bench: &mut Bench, name: &str, net: &SpikingNetwork, dims: &[usize]) {
     let len: usize = dims.iter().product();
     let trains: Vec<FrameTrain> = (0..BATCH)
         .map(|b| {
@@ -170,53 +79,52 @@ fn backward_case(name: &str, net: &SpikingNetwork, dims: &[usize]) -> BackwardCa
     );
 
     let mut seq_net = net.clone();
-    let sequential_ns = time_ns(|| {
-        seq_net.zero_grads();
-        black_box(seq_net.backward_batch_with(&tape, &grad_block, &opts(1))).unwrap();
-    });
     let mut par_net = net.clone();
-    let parallel_ns = time_ns(|| {
-        par_net.zero_grads();
-        black_box(par_net.backward_batch_with(&tape, &grad_block, &opts(PARALLEL_THREADS)))
-            .unwrap();
-    });
-    BackwardCase {
-        name: name.into(),
-        sequential_ns,
-        parallel_ns,
-    }
+    let (sequential_ns, parallel_ns) = bench.time_pair(
+        || {
+            seq_net.zero_grads();
+            black_box(seq_net.backward_batch_with(&tape, &grad_block, &opts(1))).unwrap();
+        },
+        || {
+            par_net.zero_grads();
+            black_box(par_net.backward_batch_with(&tape, &grad_block, &opts(PARALLEL_THREADS)))
+                .unwrap();
+        },
+    );
+    bench.push(
+        record(name)
+            .num("batch", BATCH as f64, 0)
+            .num("time_steps", TIME_STEPS as f64, 0)
+            .num("density", f64::from(DENSITY), 2)
+            .num("threads", PARALLEL_THREADS as f64, 0)
+            .ab("sequential_ns", sequential_ns, "parallel_ns", parallel_ns),
+    );
 }
 
 fn main() {
-    let out_path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_backward.json".to_string());
+    let mut bench = Bench::from_args("BENCH_backward.json", 10);
     let cfg = SnnConfig {
         threshold: 0.8,
         time_steps: TIME_STEPS,
         leak: 0.9,
     };
-    let hardware = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-
-    let cases = [
-        backward_case(
-            &format!("mlp_parallel_backward_B{BATCH}_T{TIME_STEPS}"),
-            &mlp_net(cfg),
-            &[1568],
-        ),
-        backward_case(
-            &format!("conv_parallel_backward_B{BATCH}_T{TIME_STEPS}"),
-            &conv_net(cfg),
-            &[1, 28, 28],
-        ),
-    ];
+    backward_record(
+        &mut bench,
+        &format!("mlp_parallel_backward_B{BATCH}_T{TIME_STEPS}"),
+        &mlp_1568(cfg, 2),
+        &[1568],
+    );
+    backward_record(
+        &mut bench,
+        &format!("conv_parallel_backward_B{BATCH}_T{TIME_STEPS}"),
+        &conv1_net(cfg, 3),
+        &[1, 28, 28],
+    );
 
     // Thresholded input-gradient kernel: exactly 51/512 ≈ 9.96% of the
     // coefficients survive a 1e-4 threshold, the rest sit three decades
     // below it. The emitted active_fraction is the real surviving
-    // share, and it must stay ≤ 0.10 for the gate's floor to apply.
+    // share, and it must stay in the regime the gate's floor covers.
     let mut rng = StdRng::seed_from_u64(5);
     let w = init::kaiming_uniform(&mut rng, &[512, 1568], 1568);
     let active_rows = 51usize;
@@ -243,65 +151,25 @@ fn main() {
         eps0.as_slice(),
         "eps = 0 must equal the dense kernel bitwise"
     );
-    let dense_ns = time_ns(|| {
+    let dense = || {
         black_box(linalg::matvec_t(&w, black_box(&g)).unwrap());
-    });
-    let thresholded_ns = time_ns(|| {
+    };
+    let (dense_ns, thresholded_ns) = bench.time_pair(dense, || {
         black_box(linalg::matvec_t_thresholded(&w, black_box(&g), 1e-4).unwrap());
     });
-    let eps0_ns = time_ns(|| {
+    bench.push(
+        record("matvec_t_thresholded_512x1568")
+            .num("active_fraction", active_fraction, 4)
+            .ab("dense_ns", dense_ns, "thresholded_ns", thresholded_ns),
+    );
+    let (dense_ns, eps0_ns) = bench.time_pair(dense, || {
         black_box(linalg::matvec_t_thresholded(&w, black_box(&g), 0.0).unwrap());
     });
-
-    println!(
-        "{:<36} {:>16} {:>14} {:>9}",
-        "benchmark", "baseline ns", "variant ns", "speedup"
-    );
-    let mut rows = Vec::new();
-    for case in &cases {
-        let speedup = case.sequential_ns / case.parallel_ns.max(1.0);
-        println!(
-            "{:<36} {:>16.0} {:>14.0} {:>8.2}x",
-            case.name, case.sequential_ns, case.parallel_ns, speedup
-        );
-        rows.push(
-            bench_row(&case.name)
-                .num("batch", BATCH as f64, 0)
-                .num("time_steps", TIME_STEPS as f64, 0)
-                .num("density", DENSITY as f64, 2)
-                .num("threads", PARALLEL_THREADS as f64, 0)
-                .num("hardware_threads", hardware as f64, 0)
-                .num("sequential_ns", case.sequential_ns, 0)
-                .num("parallel_ns", case.parallel_ns, 0)
-                .num("speedup", speedup, 3),
-        );
-    }
-    let thr_speedup = dense_ns / thresholded_ns.max(1.0);
-    println!(
-        "{:<36} {:>16.0} {:>14.0} {:>8.2}x",
-        "matvec_t_thresholded_512x1568", dense_ns, thresholded_ns, thr_speedup
-    );
-    rows.push(
-        bench_row("matvec_t_thresholded_512x1568")
-            .num("active_fraction", active_fraction, 4)
-            .num("hardware_threads", hardware as f64, 0)
-            .num("dense_ns", dense_ns, 0)
-            .num("thresholded_ns", thresholded_ns, 0)
-            .num("speedup", thr_speedup, 3),
-    );
-    let eps0_speedup = dense_ns / eps0_ns.max(1.0);
-    println!(
-        "{:<36} {:>16.0} {:>14.0} {:>8.2}x",
-        "matvec_t_eps0_512x1568", dense_ns, eps0_ns, eps0_speedup
-    );
-    rows.push(
-        bench_row("matvec_t_eps0_512x1568")
-            .num("hardware_threads", hardware as f64, 0)
-            .num("dense_ns", dense_ns, 0)
-            .num("thresholded_ns", eps0_ns, 0)
-            .num("speedup", eps0_speedup, 3),
-    );
-
-    write_bench_json(&out_path, &rows).expect("write benchmark JSON");
-    println!("\nwrote {out_path} (floors enforced by bench_gate; {hardware} hardware threads)");
+    bench.push(record("matvec_t_eps0_512x1568").ab(
+        "dense_ns",
+        dense_ns,
+        "thresholded_ns",
+        eps0_ns,
+    ));
+    bench.finish();
 }

@@ -1,6 +1,5 @@
-//! Smoke benchmark: fused batched forward vs the sequential per-sample
-//! path, exported to `BENCH_batch.json` for the CI perf trajectory
-//! (the batched companion of `bench_sparse`).
+//! Fused batched forward vs the sequential per-sample path, written to
+//! `BENCH_batch.json`.
 //!
 //! Times (a) the raw spike-plane GEMM against a loop of per-sample
 //! sparse matvecs on the paper's MNIST-scale linear layer, (b) full
@@ -8,13 +7,12 @@
 //! `forward_batch` (one fused pass, single thread) against the
 //! per-sample `classify_frames` loop it replaces (same thread, same
 //! pre-encoded inputs — the measured win is batching, not threading),
-//! and (c) one event-stream query at B = 1 (`event_query_*`,
-//! informational, not gated): spike rows binned straight from the
-//! events + `forward_batch` against `accumulate_frames` + `forward`.
+//! and (c) one event-stream query at B = 1: spike rows binned straight
+//! from the events + `forward_batch` against `accumulate_frames` +
+//! `forward`.
 //!
-//! Usage: `cargo run --release -p axsnn-bench --bin bench_batch [out.json]`
-//! (default output `BENCH_batch.json`). `AXSNN_BENCH_ITERS` scales the
-//! iteration counts (default 20).
+//! Usage: `cargo run --release -p axsnn-bench --bin bench_batch
+//! [out.json]`.
 
 use axsnn::core::fused::FrameTrain;
 use axsnn::core::layer::Layer;
@@ -22,73 +20,23 @@ use axsnn::core::network::{SnnConfig, SpikingNetwork};
 use axsnn::neuromorphic::event::{DvsEvent, EventStream, Polarity};
 use axsnn::neuromorphic::frames::{accumulate_frames, binary_frame_train, Accumulation};
 use axsnn::tensor::batched::{sparse_matmul_bias, SpikeMatrix};
-use axsnn::tensor::conv::Conv2dSpec;
 use axsnn::tensor::sparse::{sparse_matvec_bias, SpikeVector};
 use axsnn::tensor::{init, Tensor};
-use axsnn_bench::json::{bench_row, write_bench_json, BenchRow};
+use axsnn_bench::harness::{conv2_net, mlp_1568, record, spike_frame, Bench};
 use rand::rngs::mock::StepRng;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
-use std::time::Instant;
 
 const BATCH: usize = 32;
 
-struct Record {
-    name: String,
-    batch: usize,
-    density: f32,
-    sequential_ns: f64,
-    fused_ns: f64,
-}
-
-impl Record {
-    fn speedup(&self) -> f64 {
-        self.sequential_ns / self.fused_ns.max(1.0)
-    }
-}
-
-fn iters() -> u32 {
-    std::env::var("AXSNN_BENCH_ITERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(20)
-}
-
-fn time_ns<F: FnMut()>(mut f: F) -> f64 {
-    let n = iters();
-    f(); // warmup
-    let start = Instant::now();
-    for _ in 0..n {
-        f();
-    }
-    start.elapsed().as_nanos() as f64 / n as f64
-}
-
-fn spike_frame(len: usize, density: f32, dims: &[usize], salt: u64) -> Tensor {
-    let data: Vec<f32> = (0..len)
-        .map(|i| {
-            let mut h = (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ salt;
-            h ^= h >> 29;
-            h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            let unit = (h >> 40) as f32 / (1u64 << 24) as f32;
-            if unit < density {
-                1.0
-            } else {
-                0.0
-            }
-        })
-        .collect();
-    Tensor::from_vec(data, dims).unwrap()
-}
-
 /// Raw kernel: one spike-plane GEMM vs 32 per-sample gathers on the
 /// paper's flattened MNIST linear layer.
-fn kernel_records(records: &mut Vec<Record>) {
+fn kernel_records(bench: &mut Bench) {
     let mut rng = StdRng::seed_from_u64(1);
     let weight = init::uniform(&mut rng, &[256, 1568], 0.1);
     let bias = Tensor::zeros(&[256]);
-    for &density in &[0.05f32, 0.10] {
+    for density in [0.05f32, 0.10] {
         let rows: Vec<SpikeVector> = (0..BATCH)
             .map(|b| {
                 SpikeVector::from_dense(&spike_frame(1568, density, &[1568], b as u64))
@@ -96,93 +44,34 @@ fn kernel_records(records: &mut Vec<Record>) {
             })
             .collect();
         let batch = SpikeMatrix::from_rows(&rows).unwrap();
-        let sequential_ns = time_ns(|| {
-            for events in &rows {
-                black_box(sparse_matvec_bias(&weight, black_box(events), &bias).unwrap());
-            }
-        });
-        let fused_ns = time_ns(|| {
-            black_box(sparse_matmul_bias(&weight, black_box(&batch), &bias).unwrap());
-        });
-        records.push(Record {
-            name: format!("linear_1568_to_256_B{BATCH}"),
-            batch: BATCH,
-            density,
-            sequential_ns,
-            fused_ns,
-        });
+        let (sequential_ns, fused_ns) = bench.time_pair(
+            || {
+                for events in &rows {
+                    black_box(sparse_matvec_bias(&weight, black_box(events), &bias).unwrap());
+                }
+            },
+            || {
+                black_box(sparse_matmul_bias(&weight, black_box(&batch), &bias).unwrap());
+            },
+        );
+        bench.push(
+            record(&format!("linear_1568_to_256_B{BATCH}"))
+                .num("density", f64::from(density), 2)
+                .num("batch", BATCH as f64, 0)
+                .ab("sequential_ns", sequential_ns, "fused_ns", fused_ns),
+        );
     }
-}
-
-/// MLP at the paper's flattened MNIST conv width (16 maps × 14×14):
-/// the weight set (≈3.9 MB) exceeds L2, so the per-sample path streams
-/// it from L3 for every sample while the fused GEMM's row tiles stay
-/// L1-hot across the whole batch.
-fn mlp_net(cfg: SnnConfig) -> SpikingNetwork {
-    let mut rng = StdRng::seed_from_u64(2);
-    SpikingNetwork::new(
-        vec![
-            Layer::spiking_linear(&mut rng, 1568, 512, &cfg),
-            Layer::spiking_linear(&mut rng, 512, 256, &cfg),
-            Layer::output_linear(&mut rng, 256, 10),
-        ],
-        cfg,
-    )
-    .expect("static topology")
-}
-
-fn conv_net(cfg: SnnConfig) -> SpikingNetwork {
-    let mut rng = StdRng::seed_from_u64(3);
-    SpikingNetwork::new(
-        vec![
-            Layer::spiking_conv2d(
-                &mut rng,
-                Conv2dSpec {
-                    in_channels: 1,
-                    out_channels: 16,
-                    kernel: 3,
-                    stride: 1,
-                    padding: 1,
-                },
-                &cfg,
-            ),
-            Layer::max_pool2d(2),
-            Layer::spiking_conv2d(
-                &mut rng,
-                Conv2dSpec {
-                    in_channels: 16,
-                    out_channels: 32,
-                    kernel: 3,
-                    stride: 1,
-                    padding: 1,
-                },
-                &cfg,
-            ),
-            Layer::max_pool2d(2),
-            Layer::flatten(),
-            Layer::spiking_linear(&mut rng, 32 * 7 * 7, 128, &cfg),
-            Layer::output_linear(&mut rng, 128, 10),
-        ],
-        cfg,
-    )
-    .expect("static topology")
 }
 
 /// Full T-step inference for a 32-sample batch: fused `forward_batch`
 /// vs the sequential per-sample `classify_frames` loop it replaces.
-fn network_record(
-    records: &mut Vec<Record>,
-    name: &str,
-    net: &SpikingNetwork,
-    dims: &[usize],
-    density: f32,
-    time_steps: usize,
-) {
+fn network_record(bench: &mut Bench, name: &str, net: &SpikingNetwork, dims: &[usize]) {
+    const DENSITY: f32 = 0.10;
     let len: usize = dims.iter().product();
     let trains: Vec<FrameTrain> = (0..BATCH)
         .map(|b| {
-            let frames: Vec<Tensor> = (0..time_steps)
-                .map(|t| spike_frame(len, density, dims, (b * 131 + t) as u64))
+            let frames: Vec<Tensor> = (0..16)
+                .map(|t| spike_frame(len, DENSITY, dims, (b * 131 + t) as u64))
                 .collect();
             FrameTrain::from_frames(&frames).unwrap()
         })
@@ -191,15 +80,17 @@ fn network_record(
 
     let mut sequential_net = net.clone();
     let mut rng = StdRng::seed_from_u64(7);
-    let sequential_ns = time_ns(|| {
-        for frames in &materialized {
-            black_box(sequential_net.classify_frames(frames, &mut rng).unwrap());
-        }
-    });
     let mut fused_net = net.clone();
-    let fused_ns = time_ns(|| {
-        black_box(fused_net.forward_batch(black_box(&trains)).unwrap());
-    });
+    let (sequential_ns, fused_ns) = bench.time_pair(
+        || {
+            for frames in &materialized {
+                black_box(sequential_net.classify_frames(frames, &mut rng).unwrap());
+            }
+        },
+        || {
+            black_box(fused_net.forward_batch(black_box(&trains)).unwrap());
+        },
+    );
 
     // Sanity: the fused pass must agree with the sequential loop.
     let fused_preds = fused_net.classify_batch_fused(&trains).unwrap();
@@ -207,14 +98,12 @@ fn network_record(
         let expected = sequential_net.classify_frames(frames, &mut rng).unwrap();
         assert_eq!(fused_preds[i], expected, "fused/sequential diverged at {i}");
     }
-
-    records.push(Record {
-        name: name.into(),
-        batch: BATCH,
-        density,
-        sequential_ns,
-        fused_ns,
-    });
+    bench.push(
+        record(name)
+            .num("density", f64::from(DENSITY), 2)
+            .num("batch", BATCH as f64, 0)
+            .ab("sequential_ns", sequential_ns, "fused_ns", fused_ns),
+    );
 }
 
 /// One `SnnEventModel` query in the shape of the `dvs_attack`
@@ -223,7 +112,7 @@ fn network_record(
 /// pipeline (`accumulate_frames` + `forward`); the fused side bins
 /// spike rows straight from the events (`binary_frame_train`) and runs
 /// `forward_batch` on that one row. Times are per query.
-fn event_query_record(records: &mut Vec<Record>) {
+fn event_query_record(bench: &mut Bench) {
     const SIDE: usize = 32;
     const EVENTS: usize = 1000;
     const QUERIES: u32 = 25;
@@ -234,7 +123,7 @@ fn event_query_record(records: &mut Vec<Record>) {
     };
     let t = cfg.time_steps;
     let mut rng = StdRng::seed_from_u64(4);
-    let mut net = SpikingNetwork::new(
+    let net = SpikingNetwork::new(
         vec![
             Layer::spiking_linear(&mut rng, 2 * SIDE * SIDE, 96, &cfg),
             Layer::output_linear(&mut rng, 96, 11),
@@ -271,89 +160,65 @@ fn event_query_record(records: &mut Vec<Record>) {
             .unwrap()
             .logits
     };
+    let (mut sequential_net, mut fused_net) = (net.clone(), net);
     let bits = |v: &Tensor| v.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     assert_eq!(
-        bits(&sequential(&mut net)),
-        bits(&fused(&mut net)),
+        bits(&sequential(&mut sequential_net)),
+        bits(&fused(&mut fused_net)),
         "event-query logits diverged"
     );
 
     let active: f32 = frames().iter().map(Tensor::sum).sum();
+    let (sequential_ns, fused_ns) = bench.time_pair(
+        || {
+            for _ in 0..QUERIES {
+                black_box(sequential(&mut sequential_net));
+            }
+        },
+        || {
+            for _ in 0..QUERIES {
+                black_box(fused(&mut fused_net));
+            }
+        },
+    );
     let per_query = |ns: f64| ns / f64::from(QUERIES);
-    let sequential_ns = per_query(time_ns(|| {
-        for _ in 0..QUERIES {
-            black_box(sequential(&mut net));
-        }
-    }));
-    let fused_ns = per_query(time_ns(|| {
-        for _ in 0..QUERIES {
-            black_box(fused(&mut net));
-        }
-    }));
-    records.push(Record {
-        name: format!("event_query_dvs_mlp_T{t}_B1"),
-        batch: 1,
-        density: active / (t * 2 * SIDE * SIDE) as f32,
-        sequential_ns,
-        fused_ns,
-    });
+    bench.push(
+        record(&format!("event_query_dvs_mlp_T{t}_B1"))
+            .num(
+                "density",
+                f64::from(active / (t * 2 * SIDE * SIDE) as f32),
+                2,
+            )
+            .num("batch", 1.0, 0)
+            .ab(
+                "sequential_ns",
+                per_query(sequential_ns),
+                "fused_ns",
+                per_query(fused_ns),
+            ),
+    );
 }
 
 fn main() {
-    let out_path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_batch.json".to_string());
+    let mut bench = Bench::from_args("BENCH_batch.json", 20);
     let cfg = SnnConfig {
         threshold: 0.8,
         time_steps: 16,
         leak: 0.9,
     };
-    let mut records = Vec::new();
-    kernel_records(&mut records);
+    kernel_records(&mut bench);
     network_record(
-        &mut records,
+        &mut bench,
         "mlp_forward_T16_1568_B32",
-        &mlp_net(cfg),
+        &mlp_1568(cfg, 2),
         &[1568],
-        0.10,
-        16,
     );
     network_record(
-        &mut records,
+        &mut bench,
         "convnet_forward_T16_28x28_B32",
-        &conv_net(cfg),
+        &conv2_net(cfg, 3),
         &[1, 28, 28],
-        0.10,
-        16,
     );
-    event_query_record(&mut records);
-
-    println!(
-        "{:<30} {:>8} {:>16} {:>14} {:>9}",
-        "benchmark", "density", "sequential ns", "fused ns", "speedup"
-    );
-    let rows: Vec<BenchRow> = records
-        .iter()
-        .map(|r| {
-            println!(
-                "{:<30} {:>7.0}% {:>16.0} {:>14.0} {:>8.2}x",
-                r.name,
-                r.density * 100.0,
-                r.sequential_ns,
-                r.fused_ns,
-                r.speedup()
-            );
-            bench_row(&r.name)
-                .num("density", r.density as f64, 2)
-                .num("batch", r.batch as f64, 0)
-                .num("sequential_ns", r.sequential_ns, 0)
-                .num("fused_ns", r.fused_ns, 0)
-                .num("speedup", r.speedup(), 3)
-        })
-        .collect();
-    write_bench_json(&out_path, &rows).expect("write benchmark JSON");
-    // The GEMM ≥2× / MLP-forward ≥3× / conv ≥0.9× floors live in the
-    // consolidated gate (`bench_gate`, documented in
-    // `axsnn_bench::gates`).
-    println!("\nwrote {out_path} (floors enforced by bench_gate)");
+    event_query_record(&mut bench);
+    bench.finish();
 }

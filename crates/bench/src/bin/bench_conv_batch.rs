@@ -1,6 +1,5 @@
-//! Smoke benchmark: event-sorted batched conv vs the row-by-row fused
-//! conv path, exported to `BENCH_conv_batch.json` for the CI perf
-//! trajectory.
+//! Event-sorted batched conv vs the row-by-row fused conv path, written
+//! to `BENCH_conv_batch.json`.
 //!
 //! Times, at batch 32 on the paper's MNIST conv architecture:
 //!
@@ -15,14 +14,10 @@
 //!   vs a row-by-row plan (selected through the serialized-plan
 //!   snapshot path), as the end-to-end no-regression record.
 //!
-//! Every comparison is single-threaded A/B of bit-identical kernels —
-//! the floors in `axsnn_bench::gates` don't need a hardware skip, but
-//! records carry `hardware_threads` like the PR 4 floors for fleet
-//! observability.
+//! Every comparison is a single-threaded A/B of bit-identical kernels.
 //!
 //! Usage: `cargo run --release -p axsnn-bench --bin bench_conv_batch
-//! [out.json]` (default output `BENCH_conv_batch.json`).
-//! `AXSNN_BENCH_ITERS` scales the iteration counts (default 20).
+//! [out.json]`.
 
 use axsnn::core::fused::FrameTrain;
 use axsnn::core::io::{restore_network, snapshot_network};
@@ -33,60 +28,13 @@ use axsnn::tensor::batched::{sparse_conv2d_batch_sorted_into, SpikeMatrix};
 use axsnn::tensor::conv::Conv2dSpec;
 use axsnn::tensor::sparse::{sparse_conv2d_into, SpikeVector};
 use axsnn::tensor::{init, Tensor};
-use axsnn_bench::json::{bench_row, write_bench_json, BenchRow};
+use axsnn_bench::harness::{record, spike_frame, Bench};
+use axsnn_bench::json::BenchRow;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
-use std::time::Instant;
 
 const BATCH: usize = 32;
-
-struct Record {
-    name: String,
-    density: f32,
-    row_by_row_ns: f64,
-    sorted_ns: f64,
-}
-
-impl Record {
-    fn speedup(&self) -> f64 {
-        self.row_by_row_ns / self.sorted_ns.max(1.0)
-    }
-}
-
-fn iters() -> u32 {
-    std::env::var("AXSNN_BENCH_ITERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(20)
-}
-
-fn time_ns<F: FnMut()>(mut f: F) -> f64 {
-    let n = iters();
-    f(); // warmup
-    let start = Instant::now();
-    for _ in 0..n {
-        f();
-    }
-    start.elapsed().as_nanos() as f64 / n as f64
-}
-
-fn spike_frame(len: usize, density: f32, dims: &[usize], salt: u64) -> Tensor {
-    let data: Vec<f32> = (0..len)
-        .map(|i| {
-            let mut h = (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ salt;
-            h ^= h >> 29;
-            h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            let unit = (h >> 40) as f32 / (1u64 << 24) as f32;
-            if unit < density {
-                1.0
-            } else {
-                0.0
-            }
-        })
-        .collect();
-    Tensor::from_vec(data, dims).unwrap()
-}
 
 /// The paper's three MNIST conv layers at 28×28 (the shapes the fused
 /// conv path spends its time in after conversion).
@@ -129,7 +77,7 @@ fn paper_conv_layers() -> Vec<(&'static str, Conv2dSpec, (usize, usize))> {
 }
 
 /// Kernel-level A/B per paper conv layer, plus the stack aggregate.
-fn kernel_records(records: &mut Vec<Record>, density: f32) {
+fn kernel_records(bench: &mut Bench, density: f32) {
     let mut rng = StdRng::seed_from_u64(1);
     let mut stack_row = 0.0f64;
     let mut stack_sorted = 0.0f64;
@@ -158,49 +106,58 @@ fn kernel_records(records: &mut Vec<Record>, density: f32) {
         let mut block_a = vec![0.0f32; BATCH * n];
         let mut block_b = vec![0.0f32; BATCH * n];
 
-        let row_by_row_ns = time_ns(|| {
-            for (r, row) in rows.iter().enumerate() {
-                sparse_conv2d_into(
-                    black_box(row),
+        let (row_by_row_ns, sorted_ns) = bench.time_pair(
+            || {
+                for (r, row) in rows.iter().enumerate() {
+                    sparse_conv2d_into(
+                        black_box(row),
+                        (h, w),
+                        &weight,
+                        &bias,
+                        &spec,
+                        &mut block_a[r * n..(r + 1) * n],
+                    )
+                    .unwrap();
+                }
+                black_box(&block_a);
+            },
+            || {
+                sparse_conv2d_batch_sorted_into(
+                    black_box(&batch),
                     (h, w),
                     &weight,
                     &bias,
                     &spec,
-                    &mut block_a[r * n..(r + 1) * n],
+                    &mut block_b,
                 )
                 .unwrap();
-            }
-            black_box(&block_a);
-        });
-        let sorted_ns = time_ns(|| {
-            sparse_conv2d_batch_sorted_into(
-                black_box(&batch),
-                (h, w),
-                &weight,
-                &bias,
-                &spec,
-                &mut block_b,
-            )
-            .unwrap();
-            black_box(&block_b);
-        });
+                black_box(&block_b);
+            },
+        );
         // Sanity: the two kernels are bit-identical.
         assert_eq!(block_a, block_b, "{name}: kernels diverged");
         stack_row += row_by_row_ns;
         stack_sorted += sorted_ns;
-        records.push(Record {
-            name: format!("conv_batch_sorted_{name}_B{BATCH}"),
+        bench.push(conv_row(
+            &format!("conv_batch_sorted_{name}_B{BATCH}"),
             density,
             row_by_row_ns,
             sorted_ns,
-        });
+        ));
     }
-    records.push(Record {
-        name: format!("conv_batch_sorted_stack_B{BATCH}"),
+    bench.push(conv_row(
+        &format!("conv_batch_sorted_stack_B{BATCH}"),
         density,
-        row_by_row_ns: stack_row,
-        sorted_ns: stack_sorted,
-    });
+        stack_row,
+        stack_sorted,
+    ));
+}
+
+fn conv_row(name: &str, density: f32, row_by_row_ns: f64, sorted_ns: f64) -> BenchRow {
+    record(name)
+        .num("density", f64::from(density), 2)
+        .num("batch", BATCH as f64, 0)
+        .ab("row_by_row_ns", row_by_row_ns, "sorted_ns", sorted_ns)
 }
 
 /// The paper's MNIST conv architecture as a spiking network.
@@ -232,7 +189,7 @@ fn with_conv_kernel(net: &SpikingNetwork, kernel: ConvBatchKernel) -> SpikingNet
 }
 
 /// End-to-end fused forward under the two plans.
-fn network_record(records: &mut Vec<Record>, density: f32, time_steps: usize) {
+fn network_record(bench: &mut Bench, density: f32, time_steps: usize) {
     let cfg = SnnConfig {
         threshold: 0.8,
         time_steps,
@@ -249,63 +206,30 @@ fn network_record(records: &mut Vec<Record>, density: f32, time_steps: usize) {
         .collect();
     let mut sorted_net = with_conv_kernel(&net, ConvBatchKernel::EventSorted);
     let mut row_net = with_conv_kernel(&net, ConvBatchKernel::RowByRow);
-    let row_by_row_ns = time_ns(|| {
-        black_box(row_net.forward_batch(black_box(&trains)).unwrap());
-    });
-    let sorted_ns = time_ns(|| {
-        black_box(sorted_net.forward_batch(black_box(&trains)).unwrap());
-    });
+    let (row_by_row_ns, sorted_ns) = bench.time_pair(
+        || {
+            black_box(row_net.forward_batch(black_box(&trains)).unwrap());
+        },
+        || {
+            black_box(sorted_net.forward_batch(black_box(&trains)).unwrap());
+        },
+    );
     let a = sorted_net.forward_batch(&trains).unwrap();
     let b = row_net.forward_batch(&trains).unwrap();
     assert_eq!(a.logits, b.logits, "plan choice changed results");
-    records.push(Record {
-        name: format!("convnet_plan_forward_T{time_steps}_28x28_B{BATCH}"),
+    bench.push(conv_row(
+        &format!("convnet_plan_forward_T{time_steps}_28x28_B{BATCH}"),
         density,
         row_by_row_ns,
         sorted_ns,
-    });
+    ));
 }
 
 fn main() {
-    let out_path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_conv_batch.json".to_string());
-    let hardware_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut records = Vec::new();
-    for &density in &[0.05f32, 0.10] {
-        kernel_records(&mut records, density);
+    let mut bench = Bench::from_args("BENCH_conv_batch.json", 20);
+    for density in [0.05f32, 0.10] {
+        kernel_records(&mut bench, density);
     }
-    network_record(&mut records, 0.10, 16);
-
-    println!(
-        "{:<38} {:>8} {:>16} {:>14} {:>9}",
-        "benchmark", "density", "row-by-row ns", "sorted ns", "speedup"
-    );
-    let rows: Vec<BenchRow> = records
-        .iter()
-        .map(|r| {
-            println!(
-                "{:<38} {:>7.0}% {:>16.0} {:>14.0} {:>8.2}x",
-                r.name,
-                r.density * 100.0,
-                r.row_by_row_ns,
-                r.sorted_ns,
-                r.speedup()
-            );
-            bench_row(&r.name)
-                .num("density", r.density as f64, 2)
-                .num("batch", BATCH as f64, 0)
-                .num("hardware_threads", hardware_threads as f64, 0)
-                .num("row_by_row_ns", r.row_by_row_ns, 0)
-                .num("sorted_ns", r.sorted_ns, 0)
-                .num("speedup", r.speedup(), 3)
-        })
-        .collect();
-    write_bench_json(&out_path, &rows).expect("write benchmark JSON");
-    // Floors (stack ≥1.5×, per-layer and end-to-end ≥0.9×) live in the
-    // consolidated gate (`bench_gate`, documented in
-    // `axsnn_bench::gates`).
-    println!("\nwrote {out_path} (floors enforced by bench_gate)");
+    network_record(&mut bench, 0.10, 16);
+    bench.finish();
 }

@@ -1,34 +1,21 @@
-//! Consolidated bench-trajectory gate: loads `BENCH_*.json` artifacts,
-//! validates their schema and fails when any gated speedup regressed
-//! below its documented floor (one table for every floor — see
-//! `axsnn_bench::gates`).
+//! Bench-trajectory gate: checks `BENCH_*.json` artifacts against the
+//! floor table in `axsnn_bench::gates`, prints the table and exits 1
+//! when any floor fails.
 //!
 //! Usage: `cargo run --release -p axsnn-bench --bin bench_gate
-//! [files...]` — with no arguments, every default artifact present in
-//! the working directory is checked (and at least one must exist).
+//! [files...]` — with no arguments, every artifact the table names that
+//! is present in the working directory is checked (and at least one must
+//! exist).
 
-use axsnn_bench::gates::{check_bench_file, FLOOR_TABLE};
-
-const DEFAULT_FILES: [&str; 10] = [
-    "BENCH_sparse.json",
-    "BENCH_batch.json",
-    "BENCH_train.json",
-    "BENCH_backward.json",
-    "BENCH_conv_batch.json",
-    "BENCH_sweep.json",
-    "BENCH_serve.json",
-    "BENCH_quant.json",
-    "BENCH_stream.json",
-    "BENCH_simd.json",
-];
+use axsnn_bench::gates::{artifacts, check_bench_file, render_markdown};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let files: Vec<String> = if args.is_empty() {
-        DEFAULT_FILES
-            .iter()
+        artifacts()
+            .into_iter()
+            .map(|kind| format!("BENCH_{kind}.json"))
             .filter(|f| std::path::Path::new(f).exists())
-            .map(|f| f.to_string())
             .collect()
     } else {
         args
@@ -68,24 +55,14 @@ fn main() {
             }
         }
     }
+    println!(
+        "\nfloor table (axsnn_bench::gates::FLOORS):\n{}",
+        render_markdown()
+    );
     if failed {
-        // A regression report should carry the complete trajectory
-        // context, not just the violated rows: print where each
-        // artifact's numbers came from, then every enforced floor so
-        // the reader sees where the failing ratio sits.
-        eprintln!("\nartifact provenance:");
+        eprintln!("artifact provenance:");
         for line in &provenance {
             eprintln!("  {line}");
-        }
-        eprintln!("\nfull floor table (see axsnn_bench::gates):");
-        let width = FLOOR_TABLE
-            .iter()
-            .map(|(artifact, family, _)| artifact.len() + family.len())
-            .max()
-            .unwrap_or(0);
-        for (artifact, family, floor) in FLOOR_TABLE {
-            let lhs = format!("{artifact}  {family}");
-            eprintln!("  {lhs:<w$}  {floor}", w = width + 2);
         }
         std::process::exit(1);
     }

@@ -1,6 +1,5 @@
-//! Smoke benchmark: reduced-precision weight planes (PR 8) vs f32
-//! weight storage, exported to `BENCH_quant.json` for the CI perf
-//! trajectory.
+//! Reduced-precision weight planes vs f32 weight storage, written to
+//! `BENCH_quant.json`.
 //!
 //! Every kernel A/B compares the *same values* in two storage formats:
 //! the f32 baseline runs on the **dequantized image** of the plane (so
@@ -9,21 +8,16 @@
 //! gathered weight instead of 4:
 //!
 //! * `quant_matvec_*` — the gather-bound sparse matvec on a
-//!   `1024×4096` layer at ≤10% spike density, per plane (the headline:
-//!   int8 carries a ≥1.3× floor, f16 — which pays a software
-//!   half-to-float conversion per element — a ≥0.6× no-collapse floor);
-//! * `quant_gemm_*` — the batch-32 spike-plane GEMM (informational);
+//!   `1024×4096` layer at ≤10% spike density, per plane;
+//! * `quant_gemm_*` — the batch-32 spike-plane GEMM;
 //! * `quant_conv_*` — the event-sorted batched conv on the paper's
-//!   8→16 k=5 layer (informational);
+//!   8→16 k=5 layer;
 //! * `quant_accuracy_*` — prediction agreement between an int8/f16
 //!   planed MLP and its f32 twin over 256 deterministic samples through
-//!   the fused batch engine; the disagreement may cost at most **5
-//!   percentage points** (the plane is a precision trade, not a
-//!   lobotomy).
+//!   the fused batch engine.
 //!
 //! Usage: `cargo run --release -p axsnn-bench --bin bench_quant
-//! [out.json]` (default output `BENCH_quant.json`).
-//! `AXSNN_BENCH_ITERS` scales the iteration counts (default 20).
+//! [out.json]`.
 
 use axsnn::core::fused::FrameTrain;
 use axsnn::core::layer::Layer;
@@ -37,89 +31,14 @@ use axsnn::tensor::conv::Conv2dSpec;
 use axsnn::tensor::plane::QuantizedPlane;
 use axsnn::tensor::sparse::{sparse_matvec_bias, sparse_matvec_bias_planed, SpikeVector};
 use axsnn::tensor::{init, Tensor};
-use axsnn_bench::json::{bench_row, write_bench_json, BenchRow};
+use axsnn_bench::harness::{hash_unit, record, spike_frame, Bench};
+use axsnn_bench::json::BenchRow;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
-use std::time::Instant;
 
 const BATCH: usize = 32;
 const PLANES: [WeightPlane; 2] = [WeightPlane::Int8, WeightPlane::F16];
-
-struct KernelRecord {
-    name: String,
-    density: f32,
-    bits: u32,
-    f32_ns: f64,
-    planed_ns: f64,
-}
-
-impl KernelRecord {
-    fn speedup(&self) -> f64 {
-        self.f32_ns / self.planed_ns.max(1.0)
-    }
-}
-
-struct AccuracyRecord {
-    name: String,
-    samples: usize,
-    agreement_pct: f64,
-}
-
-fn iters() -> u32 {
-    std::env::var("AXSNN_BENCH_ITERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(20)
-}
-
-/// Times the f32 and planed sides **interleaved** (alternating
-/// measurement blocks, best-of-5 per side) instead of sequentially.
-/// Back-to-back single measurements on a shared core let one side
-/// absorb all the cache warm-up or a neighbour's noise burst and skew
-/// the ratio; alternating blocks give both sides the same conditions
-/// and the minimum discards interference — the floors gate the ratio,
-/// not the absolute times.
-fn time_pair<FA: FnMut(), FB: FnMut()>(mut f32_side: FA, mut planed_side: FB) -> (f64, f64) {
-    const REPS: usize = 5;
-    let n = iters();
-    f32_side(); // warmup
-    planed_side();
-    let mut best = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..REPS {
-        let start = Instant::now();
-        for _ in 0..n {
-            f32_side();
-        }
-        best.0 = best.0.min(start.elapsed().as_nanos() as f64 / n as f64);
-        let start = Instant::now();
-        for _ in 0..n {
-            planed_side();
-        }
-        best.1 = best.1.min(start.elapsed().as_nanos() as f64 / n as f64);
-    }
-    best
-}
-
-fn hash_unit(i: usize, salt: u64) -> f32 {
-    let mut h = (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ salt;
-    h ^= h >> 29;
-    h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    (h >> 40) as f32 / (1u64 << 24) as f32
-}
-
-fn spike_frame(len: usize, density: f32, dims: &[usize], salt: u64) -> Tensor {
-    let data: Vec<f32> = (0..len)
-        .map(|i| {
-            if hash_unit(i, salt) < density {
-                1.0
-            } else {
-                0.0
-            }
-        })
-        .collect();
-    Tensor::from_vec(data, dims).unwrap()
-}
 
 /// Quantizes `weight` into `plane` and returns the packed buffer plus
 /// its dequantized f32 image — the two storage formats of one value
@@ -132,8 +51,20 @@ fn planed_pair(weight: &Tensor, plane: WeightPlane) -> (QuantizedPlane, Tensor) 
     (quant, deq)
 }
 
+fn kernel_row(
+    name: &str,
+    density: f32,
+    plane: WeightPlane,
+    (f32_ns, planed_ns): (f64, f64),
+) -> BenchRow {
+    record(name)
+        .num("density", f64::from(density), 2)
+        .num("bits_per_weight", f64::from(plane.bits_per_weight()), 0)
+        .ab("f32_ns", f32_ns, "planed_ns", planed_ns)
+}
+
 /// The headline: gather-bound sparse matvec, f32 vs planed storage.
-fn matvec_records(records: &mut Vec<KernelRecord>, density: f32) {
+fn matvec_records(bench: &mut Bench, density: f32) {
     const OUT: usize = 1024;
     const IN: usize = 4096;
     let mut rng = StdRng::seed_from_u64(2);
@@ -142,7 +73,7 @@ fn matvec_records(records: &mut Vec<KernelRecord>, density: f32) {
     let x = SpikeVector::from_dense(&spike_frame(IN, density, &[IN], 7)).expect("binary frame");
     for plane in PLANES {
         let (quant, deq) = planed_pair(&weight, plane);
-        let (f32_ns, planed_ns) = time_pair(
+        let (f32_ns, planed_ns) = bench.time_pair(
             || {
                 black_box(sparse_matvec_bias(black_box(&deq), &x, &bias).unwrap());
             },
@@ -153,18 +84,17 @@ fn matvec_records(records: &mut Vec<KernelRecord>, density: f32) {
         let a = sparse_matvec_bias(&deq, &x, &bias).unwrap();
         let b = sparse_matvec_bias_planed(quant.view(), (OUT, IN), &x, &bias).unwrap();
         assert_eq!(a.as_slice(), b.as_slice(), "{plane} matvec diverged");
-        records.push(KernelRecord {
-            name: format!("quant_matvec_{}_{OUT}x{IN}", plane.name()),
+        bench.push(kernel_row(
+            &format!("quant_matvec_{}_{OUT}x{IN}", plane.name()),
             density,
-            bits: plane.bits_per_weight(),
-            f32_ns,
-            planed_ns,
-        });
+            plane,
+            (f32_ns, planed_ns),
+        ));
     }
 }
 
-/// Batch-32 spike-plane GEMM, f32 vs planed storage (informational).
-fn gemm_records(records: &mut Vec<KernelRecord>, density: f32) {
+/// Batch-32 spike-plane GEMM, f32 vs planed storage.
+fn gemm_records(bench: &mut Bench, density: f32) {
     const OUT: usize = 512;
     const IN: usize = 2048;
     let mut rng = StdRng::seed_from_u64(3);
@@ -179,7 +109,7 @@ fn gemm_records(records: &mut Vec<KernelRecord>, density: f32) {
     let batch = SpikeMatrix::from_rows(&rows).unwrap();
     for plane in PLANES {
         let (quant, deq) = planed_pair(&weight, plane);
-        let (f32_ns, planed_ns) = time_pair(
+        let (f32_ns, planed_ns) = bench.time_pair(
             || {
                 black_box(sparse_matmul_bias(black_box(&deq), &batch, &bias).unwrap());
             },
@@ -192,19 +122,18 @@ fn gemm_records(records: &mut Vec<KernelRecord>, density: f32) {
         let a = sparse_matmul_bias(&deq, &batch, &bias).unwrap();
         let b = sparse_matmul_bias_planed(quant.view(), (OUT, IN), &batch, &bias).unwrap();
         assert_eq!(a.as_slice(), b.as_slice(), "{plane} GEMM diverged");
-        records.push(KernelRecord {
-            name: format!("quant_gemm_{}_{OUT}x{IN}_B{BATCH}", plane.name()),
+        bench.push(kernel_row(
+            &format!("quant_gemm_{}_{OUT}x{IN}_B{BATCH}", plane.name()),
             density,
-            bits: plane.bits_per_weight(),
-            f32_ns,
-            planed_ns,
-        });
+            plane,
+            (f32_ns, planed_ns),
+        ));
     }
 }
 
 /// Event-sorted batched conv on the paper's 8→16 k=5 layer at 14×14,
-/// f32 vs planed storage (informational).
-fn conv_records(records: &mut Vec<KernelRecord>, density: f32) {
+/// f32 vs planed storage.
+fn conv_records(bench: &mut Bench, density: f32) {
     let spec = Conv2dSpec {
         in_channels: 8,
         out_channels: 16,
@@ -239,7 +168,7 @@ fn conv_records(records: &mut Vec<KernelRecord>, density: f32) {
     let mut block_b = vec![0.0f32; BATCH * n];
     for plane in PLANES {
         let (quant, deq) = planed_pair(&weight, plane);
-        let (f32_ns, planed_ns) = time_pair(
+        let (f32_ns, planed_ns) = bench.time_pair(
             || {
                 sparse_conv2d_batch_sorted_into(
                     black_box(&batch),
@@ -266,19 +195,18 @@ fn conv_records(records: &mut Vec<KernelRecord>, density: f32) {
             },
         );
         assert_eq!(block_a, block_b, "{plane} batched conv diverged");
-        records.push(KernelRecord {
-            name: format!("quant_conv_{}_8to16_k5_14x14_B{BATCH}", plane.name()),
+        bench.push(kernel_row(
+            &format!("quant_conv_{}_8to16_k5_14x14_B{BATCH}", plane.name()),
             density,
-            bits: plane.bits_per_weight(),
-            f32_ns,
-            planed_ns,
-        });
+            plane,
+            (f32_ns, planed_ns),
+        ));
     }
 }
 
 /// Prediction agreement: the planed MLP vs its f32 twin over 256
 /// deterministic samples through the fused batch engine.
-fn accuracy_records(records: &mut Vec<AccuracyRecord>) {
+fn accuracy_records(bench: &mut Bench) {
     const INPUT: usize = 64;
     const CLASSES: usize = 10;
     const SAMPLES: usize = 256;
@@ -324,71 +252,28 @@ fn accuracy_records(records: &mut Vec<AccuracyRecord>) {
             .zip(&predictions)
             .filter(|(a, b)| a == b)
             .count();
-        records.push(AccuracyRecord {
-            name: format!("quant_accuracy_{}_mlp{INPUT}x48x{CLASSES}", plane.name()),
-            samples: SAMPLES,
-            agreement_pct: agree as f64 / SAMPLES as f64 * 100.0,
-        });
+        let agreement_pct = agree as f64 / SAMPLES as f64 * 100.0;
+        bench.push(
+            record(&format!(
+                "quant_accuracy_{}_mlp{INPUT}x48x{CLASSES}",
+                plane.name()
+            ))
+            .num("samples", SAMPLES as f64, 0)
+            .num("agreement_pct", agreement_pct, 2)
+            .num("accuracy_delta_points", 100.0 - agreement_pct, 2),
+        );
     }
 }
 
 fn main() {
-    let out_path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_quant.json".to_string());
-    let hardware_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut kernels = Vec::new();
-    for &density in &[0.05f32, 0.10] {
-        matvec_records(&mut kernels, density);
+    // Blocks of twenty calls, the block length BENCH_quant.json was
+    // first measured with.
+    let mut bench = Bench::from_args("BENCH_quant.json", 100);
+    for density in [0.05f32, 0.10] {
+        matvec_records(&mut bench, density);
     }
-    gemm_records(&mut kernels, 0.10);
-    conv_records(&mut kernels, 0.10);
-    let mut accuracy = Vec::new();
-    accuracy_records(&mut accuracy);
-
-    println!(
-        "{:<36} {:>8} {:>5} {:>12} {:>12} {:>9}",
-        "benchmark", "density", "bits", "f32 ns", "planed ns", "speedup"
-    );
-    let mut rows: Vec<BenchRow> = kernels
-        .iter()
-        .map(|r| {
-            println!(
-                "{:<36} {:>7.0}% {:>5} {:>12.0} {:>12.0} {:>8.2}x",
-                r.name,
-                r.density * 100.0,
-                r.bits,
-                r.f32_ns,
-                r.planed_ns,
-                r.speedup()
-            );
-            bench_row(&r.name)
-                .num("density", r.density as f64, 2)
-                .num("bits_per_weight", r.bits as f64, 0)
-                .num("hardware_threads", hardware_threads as f64, 0)
-                .num("f32_ns", r.f32_ns, 0)
-                .num("planed_ns", r.planed_ns, 0)
-                .num("speedup", r.speedup(), 3)
-        })
-        .collect();
-    for r in &accuracy {
-        let delta = 100.0 - r.agreement_pct;
-        println!(
-            "{:<36} {} samples, {:.1}% agreement ({:.1} points delta)",
-            r.name, r.samples, r.agreement_pct, delta
-        );
-        rows.push(
-            bench_row(&r.name)
-                .num("samples", r.samples as f64, 0)
-                .num("agreement_pct", r.agreement_pct, 2)
-                .num("accuracy_delta_points", delta, 2),
-        );
-    }
-    write_bench_json(&out_path, &rows).expect("write benchmark JSON");
-    // Floors (int8 matvec ≥1.3×, f16 matvec ≥0.6×, accuracy delta
-    // ≤5 points) live in the consolidated gate (`bench_gate`,
-    // documented in `axsnn_bench::gates`).
-    println!("\nwrote {out_path} (floors enforced by bench_gate)");
+    gemm_records(&mut bench, 0.10);
+    conv_records(&mut bench, 0.10);
+    accuracy_records(&mut bench);
+    bench.finish();
 }

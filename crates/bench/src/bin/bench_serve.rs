@@ -1,79 +1,42 @@
-//! Smoke benchmark: the micro-batching inference service, exported to
-//! `BENCH_serve.json` for the CI perf trajectory.
+//! The micro-batching inference service, written to
+//! `BENCH_serve.json`.
 //!
-//! Three records, floored by `axsnn_bench::gates`:
+//! Three records:
 //!
-//! * `serve_throughput_c32` — 32 concurrent submitters drive the
-//!   service; wall clock vs the same requests classified sequentially
-//!   one-by-one. The fused-coalesced path must reach **≥ 3×**
-//!   (hardware-aware: skipped when the runner cannot drive the service
-//!   workers). Served predictions are asserted bit-identical to the
-//!   sequential baseline — the bench doubles as an equivalence smoke
-//!   test.
+//! * `serve_throughput_c32` — 32 concurrent submitters drive one
+//!   running service; wall clock vs the same requests classified
+//!   sequentially one-by-one. Served predictions are asserted
+//!   bit-identical to the sequential baseline — the bench doubles as an
+//!   equivalence smoke test.
 //! * `serve_latency_steady` — open-loop Poisson traffic at ~25%
-//!   utilization; the service-side p99 must stay within **64×** one
-//!   direct classify.
+//!   utilization; the service-side p50/p99 against one direct classify.
 //! * `serve_robust_chaos` — warm/burst/cooldown phases where the burst
 //!   injects worker panics (poison pills every 7th request) and
-//!   near-impossible deadlines: goodput must stay **≥ 0.5** of
-//!   attempted submissions, with **zero** hung requests and post-chaos
-//!   predictions still bit-identical to the direct path.
+//!   near-impossible deadlines: goodput, hung requests, and whether the
+//!   post-chaos predictions are still bit-identical to the direct path.
 //!
 //! Usage: `cargo run --release -p axsnn-bench --bin bench_serve
-//! [out.json]` (default output `BENCH_serve.json`).
-//! `AXSNN_BENCH_ITERS` scales the request counts (default 4).
+//! [out.json]`.
 
 use axsnn::core::encoding::Encoder;
-use axsnn::core::layer::Layer;
 use axsnn::core::network::{SnnConfig, SpikingNetwork};
 use axsnn::serve::{
     run_open_loop, InferenceService, Request, ServeConfig, TrafficConfig, TrafficPhase,
 };
 use axsnn::tensor::Tensor;
-use axsnn_bench::json::{bench_row, write_bench_json};
+use axsnn_bench::harness::{mlp_1568, record, Bench};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::time::{Duration, Instant};
+use std::hint::black_box;
+use std::time::Duration;
 
 const INPUT: usize = 1568;
-const HIDDEN: usize = 512;
-const HIDDEN2: usize = 256;
-const CLASSES: usize = 10;
-const TIME_STEPS: usize = 16;
 const CONCURRENCY: usize = 32;
 const WORKERS: usize = 2;
-
-fn iters() -> usize {
-    std::env::var("AXSNN_BENCH_ITERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4)
-}
-
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    xs[xs.len() / 2]
-}
-
-/// Same MNIST-scale MLP shape as `bench_batch`: the ≈3.9 MB weight set
-/// exceeds L2, which is where fused coalescing earns its keep.
-fn make_net() -> SpikingNetwork {
-    let mut rng = StdRng::seed_from_u64(42);
-    let cfg = SnnConfig {
-        threshold: 1.0,
-        time_steps: TIME_STEPS,
-        leak: 0.9,
-    };
-    SpikingNetwork::new(
-        vec![
-            Layer::spiking_linear(&mut rng, INPUT, HIDDEN, &cfg),
-            Layer::spiking_linear(&mut rng, HIDDEN, HIDDEN2, &cfg),
-            Layer::output_linear(&mut rng, HIDDEN2, CLASSES),
-        ],
-        cfg,
-    )
-    .expect("valid net")
-}
+/// Requests per throughput run.
+const REQUESTS: usize = 4 * CONCURRENCY;
+/// Requests per open-loop traffic phase.
+const PHASE: usize = 80;
 
 /// Sparse-regime inputs (~10% mean intensity), matching the paper's
 /// operating point and the other fused-path benches.
@@ -158,49 +121,40 @@ fn silence_poison_backtraces() {
 }
 
 fn main() {
-    let out = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_serve.json".into());
+    let mut bench = Bench::from_args("BENCH_serve.json", 5);
     silence_poison_backtraces();
-    let hardware_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let net = make_net();
+    // The `bench_batch` MLP shape: the ≈3.9 MB weight set exceeds L2,
+    // which is where fused coalescing earns its keep.
+    let cfg = SnnConfig {
+        threshold: 1.0,
+        time_steps: 16,
+        leak: 0.9,
+    };
+    let net = mlp_1568(cfg, 42);
     let images = make_images(CONCURRENCY);
-    let n_requests = CONCURRENCY * iters();
-    let requests: Vec<(Tensor, u64)> = (0..n_requests)
+    let requests: Vec<(Tensor, u64)> = (0..REQUESTS)
         .map(|i| (images[i % images.len()].clone(), 1_000 + i as u64))
         .collect();
 
     // --- Throughput: sequential baseline vs coalesced service. ---
-    let mut sequential_ns = Vec::new();
-    let mut expected = Vec::new();
-    for _ in 0..3 {
-        let start = Instant::now();
-        expected = sequential_predictions(&net, &requests);
-        sequential_ns.push(start.elapsed().as_nanos() as f64);
-    }
-    let mut served_ns = Vec::new();
+    let expected = sequential_predictions(&net, &requests);
+    let service =
+        InferenceService::start(net.clone(), images[0].clone(), service_config()).expect("start");
     let mut bit_identical = true;
-    for _ in 0..3 {
-        let service = InferenceService::start(net.clone(), images[0].clone(), service_config())
-            .expect("start");
-        let start = Instant::now();
-        let served = serve_concurrent(&service, &requests);
-        served_ns.push(start.elapsed().as_nanos() as f64);
-        bit_identical &= served == expected;
-        let tm = service.metrics();
-        eprintln!(
-            "  throughput run: {} batches, mean size {:.1}",
-            tm.batches,
-            tm.mean_batch_size()
-        );
-        service.shutdown();
-    }
-    let sequential = median(sequential_ns);
-    let served = median(served_ns);
-    let speedup = sequential / served.max(1.0);
-    let direct_ns = sequential / n_requests as f64;
+    let (sequential, served) = bench.time_pair(
+        || {
+            black_box(sequential_predictions(&net, &requests));
+        },
+        || bit_identical &= serve_concurrent(&service, &requests) == expected,
+    );
+    let tm = service.metrics();
+    eprintln!(
+        "  throughput runs: {} batches, mean size {:.1}",
+        tm.batches,
+        tm.mean_batch_size()
+    );
+    service.shutdown();
+    let direct_ns = sequential / REQUESTS as f64;
     assert!(
         bit_identical,
         "served predictions must be bit-identical to sequential classify"
@@ -211,7 +165,7 @@ fn main() {
     let service =
         InferenceService::start(net.clone(), images[0].clone(), service_config()).expect("start");
     let steady = TrafficConfig {
-        phases: vec![TrafficPhase::steady("steady", rate_hz, 20 * iters())],
+        phases: vec![TrafficPhase::steady("steady", rate_hz, PHASE)],
         seed: 11,
         harvest_timeout: Duration::from_secs(30),
     };
@@ -229,15 +183,14 @@ fn main() {
         c
     })
     .expect("start");
-    let phase_n = 20 * iters();
     let tight_deadline = Duration::from_nanos((2.0 * direct_ns) as u64);
     let chaos = TrafficConfig {
         phases: vec![
-            TrafficPhase::steady("warm", rate_hz, phase_n),
-            TrafficPhase::burst("chaos_burst", rate_hz * 8.0, phase_n, 0.3)
+            TrafficPhase::steady("warm", rate_hz, PHASE),
+            TrafficPhase::burst("chaos_burst", rate_hz * 8.0, PHASE, 0.3)
                 .with_deadline(tight_deadline)
                 .with_poison_every(7),
-            TrafficPhase::steady("cooldown", rate_hz, phase_n),
+            TrafficPhase::steady("cooldown", rate_hz, PHASE),
         ],
         seed: 13,
         harvest_timeout: Duration::from_secs(30),
@@ -255,23 +208,24 @@ fn main() {
     let chaos_metrics = chaos_service.metrics();
     chaos_service.shutdown();
 
-    let rows = vec![
-        bench_row(&format!("serve_throughput_c{CONCURRENCY}"))
+    bench.push(
+        record(&format!("serve_throughput_c{CONCURRENCY}"))
             .num("concurrency", CONCURRENCY as f64, 0)
-            .num("requests", n_requests as f64, 0)
+            .num("requests", REQUESTS as f64, 0)
             .num("workers", WORKERS as f64, 0)
-            .num("hardware_threads", hardware_threads as f64, 0)
-            .num("sequential_ns", sequential, 0)
-            .num("served_ns", served, 0)
-            .num("speedup", speedup, 3),
-        bench_row("serve_latency_steady")
+            .ab("sequential_ns", sequential, "served_ns", served),
+    );
+    bench.push(
+        record("serve_latency_steady")
             .num("rate_hz", rate_hz, 0)
             .num("requests", steady_report.attempted as f64, 0)
             .num("direct_us", direct_us, 1)
             .num("p50_us", m.p50_latency_us as f64, 0)
             .num("p99_us", m.p99_latency_us as f64, 0)
             .num("p99_over_direct", p99_over_direct, 2),
-        bench_row("serve_robust_chaos")
+    );
+    bench.push(
+        record("serve_robust_chaos")
             .num("attempted", chaos_report.attempted as f64, 0)
             .num("completed", chaos_report.completed as f64, 0)
             .num("expired", chaos_report.expired as f64, 0)
@@ -287,19 +241,6 @@ fn main() {
             )
             .num("goodput_fraction", chaos_report.goodput_fraction(), 3)
             .num("bit_identical", f64::from(u8::from(post_identical)), 0),
-    ];
-    println!(
-        "serve c{CONCURRENCY}: sequential {:.2} ms, served {:.2} ms ({speedup:.2}x); \
-         p50 {} us, p99 {} us ({p99_over_direct:.1}x direct); chaos goodput {:.2} \
-         ({} respawns, {} hung)",
-        sequential / 1e6,
-        served / 1e6,
-        m.p50_latency_us,
-        m.p99_latency_us,
-        chaos_report.goodput_fraction(),
-        chaos_metrics.worker_respawns,
-        chaos_report.hung,
     );
-    write_bench_json(&out, &rows).expect("write bench artifact");
-    println!("wrote {out}");
+    bench.finish();
 }

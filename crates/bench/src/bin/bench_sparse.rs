@@ -1,78 +1,26 @@
-//! Smoke benchmark: dense vs event-driven sparse forward kernels,
-//! exported to `BENCH_sparse.json` for the CI perf trajectory.
+//! Dense vs event-driven sparse forward kernels, written to
+//! `BENCH_sparse.json`.
 //!
 //! Times the paper's MNIST-scale conv and linear layers at several
-//! spike densities plus a full-network inference pass, and writes one
-//! JSON record per measurement with the dense/sparse ns and speedup.
+//! spike densities, plus one full-network inference pass with the
+//! density gate on vs forced dense.
 //!
-//! Usage: `cargo run --release -p axsnn-bench --bin bench_sparse [out.json]`
-//! (default output path `BENCH_sparse.json`). `AXSNN_BENCH_ITERS`
-//! scales the iteration counts (default 30).
+//! Usage: `cargo run --release -p axsnn-bench --bin bench_sparse
+//! [out.json]`.
 
-use axsnn::core::layer::Layer;
-use axsnn::core::network::{SnnConfig, SpikingNetwork};
+use axsnn::core::network::SnnConfig;
 use axsnn::tensor::conv::{conv2d, Conv2dSpec};
 use axsnn::tensor::sparse::{sparse_conv2d, sparse_matvec_bias, SpikeVector};
 use axsnn::tensor::{init, linalg, Tensor};
-use axsnn_bench::json::{bench_row, write_bench_json, BenchRow};
+use axsnn_bench::harness::{conv2_net, record, spike_frame, Bench};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
-use std::time::Instant;
 
-struct Record {
-    name: String,
-    density: f32,
-    dense_ns: f64,
-    sparse_ns: f64,
-}
+const SALT: u64 = 0x1234_5678;
+const DENSITIES: [f32; 4] = [0.01, 0.05, 0.10, 0.20];
 
-impl Record {
-    fn speedup(&self) -> f64 {
-        self.dense_ns / self.sparse_ns.max(1.0)
-    }
-}
-
-fn iters() -> u32 {
-    std::env::var("AXSNN_BENCH_ITERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(30)
-}
-
-fn time_ns<F: FnMut()>(mut f: F) -> f64 {
-    let n = iters();
-    // One warmup round, then the timed rounds.
-    f();
-    let start = Instant::now();
-    for _ in 0..n {
-        f();
-    }
-    start.elapsed().as_nanos() as f64 / n as f64
-}
-
-fn spike_frame(len: usize, density: f32, dims: &[usize]) -> Tensor {
-    salted_spike_frame(len, density, dims, 0x1234_5678)
-}
-
-fn salted_spike_frame(len: usize, density: f32, dims: &[usize], salt: u64) -> Tensor {
-    let data: Vec<f32> = (0..len)
-        .map(|i| {
-            let mut h = (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ salt;
-            h ^= h >> 29;
-            h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            let unit = (h >> 40) as f32 / (1u64 << 24) as f32;
-            if unit < density {
-                1.0
-            } else {
-                0.0
-            }
-        })
-        .collect();
-    Tensor::from_vec(data, dims).unwrap()
-}
-
-fn conv_records(records: &mut Vec<Record>) {
+fn conv_records(bench: &mut Bench) {
     let mut rng = StdRng::seed_from_u64(0);
     let spec = Conv2dSpec {
         in_channels: 16,
@@ -83,148 +31,92 @@ fn conv_records(records: &mut Vec<Record>) {
     };
     let weight = init::uniform(&mut rng, &[32, 16, 3, 3], 0.2);
     let bias = Tensor::zeros(&[32]);
-    for &density in &[0.01f32, 0.05, 0.10, 0.20] {
-        let input = spike_frame(16 * 28 * 28, density, &[16, 28, 28]);
+    for density in DENSITIES {
+        let input = spike_frame(16 * 28 * 28, density, &[16, 28, 28], SALT);
         let events = SpikeVector::from_dense(&input).expect("binary frame");
-        let dense_ns = time_ns(|| {
-            black_box(conv2d(black_box(&input), &weight, &bias, &spec).unwrap());
-        });
-        let sparse_ns = time_ns(|| {
-            black_box(sparse_conv2d(black_box(&events), (28, 28), &weight, &bias, &spec).unwrap());
-        });
-        records.push(Record {
-            name: "conv2d_16x28x28_to_32".into(),
-            density,
-            dense_ns,
-            sparse_ns,
-        });
+        let (dense_ns, sparse_ns) = bench.time_pair(
+            || {
+                black_box(conv2d(black_box(&input), &weight, &bias, &spec).unwrap());
+            },
+            || {
+                black_box(
+                    sparse_conv2d(black_box(&events), (28, 28), &weight, &bias, &spec).unwrap(),
+                );
+            },
+        );
+        bench.push(
+            record("conv2d_16x28x28_to_32")
+                .num("density", f64::from(density), 2)
+                .ab("dense_ns", dense_ns, "sparse_ns", sparse_ns),
+        );
     }
 }
 
-fn linear_records(records: &mut Vec<Record>) {
+fn linear_records(bench: &mut Bench) {
     let mut rng = StdRng::seed_from_u64(1);
     let weight = init::uniform(&mut rng, &[256, 1568], 0.1);
     let bias = Tensor::zeros(&[256]);
-    for &density in &[0.01f32, 0.05, 0.10, 0.20] {
-        let input = spike_frame(1568, density, &[1568]);
+    for density in DENSITIES {
+        let input = spike_frame(1568, density, &[1568], SALT);
         let events = SpikeVector::from_dense(&input).expect("binary frame");
-        let dense_ns = time_ns(|| {
-            black_box(
-                linalg::matvec(&weight, black_box(&input))
-                    .unwrap()
-                    .add(&bias)
-                    .unwrap(),
-            );
-        });
-        let sparse_ns = time_ns(|| {
-            black_box(sparse_matvec_bias(&weight, black_box(&events), &bias).unwrap());
-        });
-        records.push(Record {
-            name: "linear_1568_to_256".into(),
-            density,
-            dense_ns,
-            sparse_ns,
-        });
+        let (dense_ns, sparse_ns) = bench.time_pair(
+            || {
+                black_box(
+                    linalg::matvec(&weight, black_box(&input))
+                        .unwrap()
+                        .add(&bias)
+                        .unwrap(),
+                );
+            },
+            || {
+                black_box(sparse_matvec_bias(&weight, black_box(&events), &bias).unwrap());
+            },
+        );
+        bench.push(
+            record("linear_1568_to_256")
+                .num("density", f64::from(density), 2)
+                .ab("dense_ns", dense_ns, "sparse_ns", sparse_ns),
+        );
     }
 }
 
 /// Full-network inference: the end-to-end path the attack sweeps pay
 /// for, with the sparse gate on (default threshold) vs forced dense.
-fn network_records(records: &mut Vec<Record>) {
+fn network_record(bench: &mut Bench) {
     let cfg = SnnConfig {
         threshold: 0.8,
         time_steps: 16,
         leak: 0.9,
     };
-    let mut rng = StdRng::seed_from_u64(2);
-    let mut sparse_net = SpikingNetwork::new(
-        vec![
-            Layer::spiking_conv2d(
-                &mut rng,
-                Conv2dSpec {
-                    in_channels: 1,
-                    out_channels: 16,
-                    kernel: 3,
-                    stride: 1,
-                    padding: 1,
-                },
-                &cfg,
-            ),
-            Layer::max_pool2d(2),
-            Layer::spiking_conv2d(
-                &mut rng,
-                Conv2dSpec {
-                    in_channels: 16,
-                    out_channels: 32,
-                    kernel: 3,
-                    stride: 1,
-                    padding: 1,
-                },
-                &cfg,
-            ),
-            Layer::max_pool2d(2),
-            Layer::flatten(),
-            Layer::spiking_linear(&mut rng, 32 * 7 * 7, 128, &cfg),
-            Layer::output_linear(&mut rng, 128, 10),
-        ],
-        cfg,
-    )
-    .expect("static topology");
+    let mut sparse_net = conv2_net(cfg, 2);
     let mut dense_net = sparse_net.clone();
     dense_net.set_sparse_threshold(0.0);
 
     let density = 0.10f32;
     let frames: Vec<Tensor> = (0..16)
-        .map(|t| salted_spike_frame(28 * 28, density, &[1, 28, 28], t as u64))
+        .map(|t| spike_frame(28 * 28, density, &[1, 28, 28], t))
         .collect();
-    let mut frng = StdRng::seed_from_u64(3);
-    let dense_ns = time_ns(|| {
-        black_box(dense_net.forward(&frames, false, &mut frng).unwrap());
-    });
-    let sparse_ns = time_ns(|| {
-        black_box(sparse_net.forward(&frames, false, &mut frng).unwrap());
-    });
-    records.push(Record {
-        name: "network_forward_T16_28x28".into(),
-        density,
-        dense_ns,
-        sparse_ns,
-    });
+    let mut dense_rng = StdRng::seed_from_u64(3);
+    let mut sparse_rng = StdRng::seed_from_u64(3);
+    let (dense_ns, sparse_ns) = bench.time_pair(
+        || {
+            black_box(dense_net.forward(&frames, false, &mut dense_rng).unwrap());
+        },
+        || {
+            black_box(sparse_net.forward(&frames, false, &mut sparse_rng).unwrap());
+        },
+    );
+    bench.push(
+        record("network_forward_T16_28x28")
+            .num("density", f64::from(density), 2)
+            .ab("dense_ns", dense_ns, "sparse_ns", sparse_ns),
+    );
 }
 
 fn main() {
-    let out_path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_sparse.json".to_string());
-    let mut records = Vec::new();
-    conv_records(&mut records);
-    linear_records(&mut records);
-    network_records(&mut records);
-
-    println!(
-        "{:<28} {:>8} {:>14} {:>14} {:>9}",
-        "benchmark", "density", "dense ns", "sparse ns", "speedup"
-    );
-    let rows: Vec<BenchRow> = records
-        .iter()
-        .map(|r| {
-            println!(
-                "{:<28} {:>7.0}% {:>14.0} {:>14.0} {:>8.2}x",
-                r.name,
-                r.density * 100.0,
-                r.dense_ns,
-                r.sparse_ns,
-                r.speedup()
-            );
-            bench_row(&r.name)
-                .num("density", r.density as f64, 2)
-                .num("dense_ns", r.dense_ns, 0)
-                .num("sparse_ns", r.sparse_ns, 0)
-                .num("speedup", r.speedup(), 3)
-        })
-        .collect();
-    write_bench_json(&out_path, &rows).expect("write benchmark JSON");
-    // The ≥2×-at-≤10%-density floor lives in the consolidated gate
-    // (`bench_gate`, documented in `axsnn_bench::gates`).
-    println!("\nwrote {out_path} (floors enforced by bench_gate)");
+    let mut bench = Bench::from_args("BENCH_sparse.json", 30);
+    conv_records(&mut bench);
+    linear_records(&mut bench);
+    network_record(&mut bench);
+    bench.finish();
 }

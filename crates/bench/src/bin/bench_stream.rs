@@ -1,6 +1,5 @@
-//! Smoke benchmark: streaming DVS event inference (PR 9) vs the
-//! offline accumulate-then-forward pipeline, exported to
-//! `BENCH_stream.json` for the CI perf trajectory.
+//! Streaming DVS event inference vs the offline accumulate-then-forward
+//! pipeline, written to `BENCH_stream.json`.
 //!
 //! Both sides run the *same* network through the same per-window
 //! `FrameStepper` engine, so the streamed logits are bit-identical to
@@ -10,22 +9,20 @@
 //!
 //! * `stream_classify_*` — full-sample streamed classification
 //!   (`classify_event_stream`) vs offline `accumulate_frames` +
-//!   `forward`, per event count (the no-regression headline: streaming
-//!   adds only per-event accumulator work, ≥0.8× floor);
+//!   `forward`, per event count (streaming adds only per-event
+//!   accumulator work);
 //! * `stream_first_window_*` — time until the *anytime* readout
 //!   (`StreamSession::logits_so_far`) first becomes available vs one
 //!   full offline classify; the streamed path only pays one window of
-//!   network compute plus the events inside it (≥2× floor, expected
+//!   network compute plus the events inside it (expected
 //!   ~`time_steps`×);
 //! * `stream_aqf_*` — streamed classification with the causal
-//!   in-stream AQF vs the offline two-pass filter + classify
-//!   (informational);
+//!   in-stream AQF vs the offline two-pass filter + classify;
 //! * `stream_event_throughput_*` — sustained events/second through a
-//!   live session including window stepping (informational).
+//!   live session including window stepping (single-sided).
 //!
 //! Usage: `cargo run --release -p axsnn-bench --bin bench_stream
-//! [out.json]` (default output `BENCH_stream.json`).
-//! `AXSNN_BENCH_ITERS` scales the iteration counts (default 20).
+//! [out.json]`.
 
 use axsnn::core::layer::Layer;
 use axsnn::core::network::{SnnConfig, SpikingNetwork};
@@ -36,34 +33,17 @@ use axsnn::neuromorphic::stream::{
     classify_event_stream, StreamConfig, StreamSession, WindowSchedule,
 };
 use axsnn::tensor::conv::Conv2dSpec;
-use axsnn_bench::json::{bench_row, write_bench_json, BenchRow};
+use axsnn_bench::harness::{record, Bench};
+use axsnn_bench::json::BenchRow;
 use rand::rngs::mock::StepRng;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
-use std::time::Instant;
 
 const W: usize = 32;
 const H: usize = 32;
 const T: usize = 16;
 const CLASSES: usize = 11;
-
-fn iters() -> u32 {
-    std::env::var("AXSNN_BENCH_ITERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(20)
-}
-
-fn time_ns<F: FnMut()>(mut f: F) -> f64 {
-    let n = iters();
-    f(); // warmup
-    let start = Instant::now();
-    for _ in 0..n {
-        f();
-    }
-    start.elapsed().as_nanos() as f64 / n as f64
-}
 
 /// DVS-gesture-scale stack: conv feature layer, flatten, spiking
 /// hidden layer, linear readout — deep enough that every window pays
@@ -130,61 +110,75 @@ fn stream_cfg(aqf: Option<AqfConfig>) -> StreamConfig {
     }
 }
 
-struct ClassifyRecord {
-    name: String,
+fn stream_row(
+    name: &str,
     events: usize,
     windows: usize,
-    offline_ns: f64,
-    streamed_ns: f64,
+    (offline_ns, streamed_ns): (f64, f64),
+) -> BenchRow {
+    record(name)
+        .num("events", events as f64, 0)
+        .num("windows", windows as f64, 0)
+        .ab("offline_ns", offline_ns, "streamed_ns", streamed_ns)
 }
 
-impl ClassifyRecord {
-    fn speedup(&self) -> f64 {
-        self.offline_ns / self.streamed_ns.max(1.0)
-    }
+/// One full offline classify: accumulate the frames, run the network.
+fn offline_classify(net: &mut SpikingNetwork, stream: &EventStream) {
+    let frames = accumulate_frames(stream, T, Accumulation::Binary).unwrap();
+    black_box(
+        net.forward(&frames, false, &mut StepRng::new(0, 1))
+            .unwrap(),
+    );
 }
 
 /// Full-sample A/B: offline accumulate+forward vs streamed session.
 /// Logits are asserted bit-identical before timing.
-fn classify_records(records: &mut Vec<ClassifyRecord>, net: &mut SpikingNetwork, events: usize) {
+fn classify_record(bench: &mut Bench, net: &SpikingNetwork, events: usize) {
     let stream = synth_stream(events as u64, events);
     let frames = accumulate_frames(&stream, T, Accumulation::Binary).expect("valid stream");
 
-    let offline = net
+    let (mut offline_net, mut streamed_net) = (net.clone(), net.clone());
+    let offline = offline_net
         .forward(&frames, false, &mut StepRng::new(0, 1))
         .expect("offline forward");
-    let streamed = classify_event_stream(net, &stream, stream_cfg(None), &mut StepRng::new(0, 1))
-        .expect("streamed classify");
+    let streamed = classify_event_stream(
+        &mut streamed_net,
+        &stream,
+        stream_cfg(None),
+        &mut StepRng::new(0, 1),
+    )
+    .expect("streamed classify");
     assert_eq!(
         offline.logits.as_slice(),
         streamed.logits.as_slice(),
         "streamed logits diverged from offline at {events} events"
     );
 
-    let offline_ns = time_ns(|| {
-        let frames = accumulate_frames(&stream, T, Accumulation::Binary).unwrap();
-        black_box(
-            net.forward(&frames, false, &mut StepRng::new(0, 1))
+    let pair = bench.time_pair(
+        || offline_classify(&mut offline_net, &stream),
+        || {
+            black_box(
+                classify_event_stream(
+                    &mut streamed_net,
+                    &stream,
+                    stream_cfg(None),
+                    &mut StepRng::new(0, 1),
+                )
                 .unwrap(),
-        );
-    });
-    let streamed_ns = time_ns(|| {
-        black_box(
-            classify_event_stream(net, &stream, stream_cfg(None), &mut StepRng::new(0, 1)).unwrap(),
-        );
-    });
-    records.push(ClassifyRecord {
-        name: format!("stream_classify_uniform_T{T}_{events}ev"),
+            );
+        },
+    );
+    bench.push(stream_row(
+        &format!("stream_classify_uniform_T{T}_{events}ev"),
         events,
-        windows: T,
-        offline_ns,
-        streamed_ns,
-    });
+        T,
+        pair,
+    ));
 }
 
 /// Anytime-latency A/B: time until the first windowed readout exists
 /// vs one full offline classify.
-fn first_window_record(records: &mut Vec<ClassifyRecord>, net: &mut SpikingNetwork, events: usize) {
+fn first_window_record(bench: &mut Bench, net: &SpikingNetwork, events: usize) {
     let stream = synth_stream(7 * events as u64, events);
     let ordered: Vec<DvsEvent> = {
         let mut s = stream.clone();
@@ -192,135 +186,86 @@ fn first_window_record(records: &mut Vec<ClassifyRecord>, net: &mut SpikingNetwo
         s.events().to_vec()
     };
 
-    let offline_ns = time_ns(|| {
-        let frames = accumulate_frames(&stream, T, Accumulation::Binary).unwrap();
-        black_box(
-            net.forward(&frames, false, &mut StepRng::new(0, 1))
-                .unwrap(),
-        );
-    });
-    let first_window_ns = time_ns(|| {
-        let mut rng = StepRng::new(0, 1);
-        let mut session = StreamSession::begin(net, W, H, stream_cfg(None)).unwrap();
-        for e in &ordered {
-            if session.push(*e, &mut rng).unwrap() > 0 {
-                break;
+    let (mut offline_net, mut streamed_net) = (net.clone(), net.clone());
+    let pair = bench.time_pair(
+        || offline_classify(&mut offline_net, &stream),
+        || {
+            let mut rng = StepRng::new(0, 1);
+            let mut session =
+                StreamSession::begin(&mut streamed_net, W, H, stream_cfg(None)).unwrap();
+            for e in &ordered {
+                if session.push(*e, &mut rng).unwrap() > 0 {
+                    break;
+                }
             }
-        }
-        assert!(session.logits_so_far().is_some(), "no window closed");
-        black_box(session.logits_so_far().unwrap().as_slice()[0]);
-    });
-    records.push(ClassifyRecord {
-        name: format!("stream_first_window_T{T}_{events}ev"),
+            assert!(session.logits_so_far().is_some(), "no window closed");
+            black_box(session.logits_so_far().unwrap().as_slice()[0]);
+        },
+    );
+    bench.push(stream_row(
+        &format!("stream_first_window_T{T}_{events}ev"),
         events,
-        windows: 1,
-        offline_ns: offline_ns.max(1.0),
-        streamed_ns: first_window_ns,
-    });
+        1,
+        pair,
+    ));
 }
 
-/// In-stream causal AQF vs the offline two-pass filter + classify
-/// (informational — the causal filter trades a small keep-rate
-/// difference for zero-lookahead operation).
-fn aqf_record(records: &mut Vec<ClassifyRecord>, net: &mut SpikingNetwork, events: usize) {
+/// In-stream causal AQF vs the offline two-pass filter + classify (the
+/// causal filter trades a small keep-rate difference for zero-lookahead
+/// operation).
+fn aqf_record(bench: &mut Bench, net: &SpikingNetwork, events: usize) {
     let stream = synth_stream(13 * events as u64, events);
     let cfg = AqfConfig::default();
-    let offline_ns = time_ns(|| {
-        let (kept, _report) = approximate_quantized_filter(&stream, &cfg).unwrap();
-        let frames = accumulate_frames(&kept, T, Accumulation::Binary).unwrap();
-        black_box(
-            net.forward(&frames, false, &mut StepRng::new(0, 1))
+    let (mut offline_net, mut streamed_net) = (net.clone(), net.clone());
+    let pair = bench.time_pair(
+        || {
+            let (kept, _report) = approximate_quantized_filter(&stream, &cfg).unwrap();
+            offline_classify(&mut offline_net, &kept);
+        },
+        || {
+            black_box(
+                classify_event_stream(
+                    &mut streamed_net,
+                    &stream,
+                    stream_cfg(Some(cfg)),
+                    &mut StepRng::new(0, 1),
+                )
                 .unwrap(),
-        );
-    });
-    let streamed_ns = time_ns(|| {
-        black_box(
-            classify_event_stream(net, &stream, stream_cfg(Some(cfg)), &mut StepRng::new(0, 1))
-                .unwrap(),
-        );
-    });
-    records.push(ClassifyRecord {
-        name: format!("stream_aqf_uniform_T{T}_{events}ev"),
+            );
+        },
+    );
+    bench.push(stream_row(
+        &format!("stream_aqf_uniform_T{T}_{events}ev"),
         events,
-        windows: T,
-        offline_ns,
-        streamed_ns,
-    });
+        T,
+        pair,
+    ));
 }
 
 fn main() {
-    let out_path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_stream.json".to_string());
-    let hardware_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let mut bench = Bench::from_args("BENCH_stream.json", 20);
     let mut net = network();
-
-    let mut records = Vec::new();
-    for &events in &[2_000usize, 10_000, 50_000] {
-        classify_records(&mut records, &mut net, events);
+    for events in [2_000usize, 10_000, 50_000] {
+        classify_record(&mut bench, &net, events);
     }
-    first_window_record(&mut records, &mut net, 10_000);
-    aqf_record(&mut records, &mut net, 10_000);
+    first_window_record(&mut bench, &net, 10_000);
+    aqf_record(&mut bench, &net, 10_000);
 
-    // Sustained event throughput through a live session (informational).
-    let throughput = {
-        let events = 50_000usize;
-        let stream = synth_stream(99, events);
-        let streamed_ns = time_ns(|| {
-            black_box(
-                classify_event_stream(&mut net, &stream, stream_cfg(None), &mut StepRng::new(0, 1))
-                    .unwrap(),
-            );
-        });
-        (events, streamed_ns, events as f64 / (streamed_ns / 1e9))
-    };
-
-    println!(
-        "{:<38} {:>8} {:>8} {:>12} {:>12} {:>9}",
-        "benchmark", "events", "windows", "offline ns", "streamed ns", "speedup"
-    );
-    let mut rows: Vec<BenchRow> = records
-        .iter()
-        .map(|r| {
-            println!(
-                "{:<38} {:>8} {:>8} {:>12.0} {:>12.0} {:>8.2}x",
-                r.name,
-                r.events,
-                r.windows,
-                r.offline_ns,
-                r.streamed_ns,
-                r.speedup()
-            );
-            bench_row(&r.name)
-                .num("events", r.events as f64, 0)
-                .num("windows", r.windows as f64, 0)
-                .num("hardware_threads", hardware_threads as f64, 0)
-                .num("offline_ns", r.offline_ns, 0)
-                .num("streamed_ns", r.streamed_ns, 0)
-                .num("speedup", r.speedup(), 3)
-        })
-        .collect();
-    let (tp_events, tp_ns, tp_rate) = throughput;
-    println!(
-        "{:<38} {:>8} events in {:.2} ms — {:.0} events/s",
-        "stream_event_throughput_50000ev",
-        tp_events,
-        tp_ns / 1e6,
-        tp_rate
-    );
-    rows.push(
-        bench_row("stream_event_throughput_50000ev")
-            .num("events", tp_events as f64, 0)
+    // Sustained event throughput through a live session (single-sided).
+    let events = 50_000usize;
+    let stream = synth_stream(99, events);
+    let streamed_ns = bench.time(|| {
+        black_box(
+            classify_event_stream(&mut net, &stream, stream_cfg(None), &mut StepRng::new(0, 1))
+                .unwrap(),
+        );
+    });
+    bench.push(
+        record(&format!("stream_event_throughput_{events}ev"))
+            .num("events", events as f64, 0)
             .num("windows", T as f64, 0)
-            .num("hardware_threads", hardware_threads as f64, 0)
-            .num("streamed_ns", tp_ns, 0)
-            .num("events_per_sec", tp_rate, 0),
+            .num("streamed_ns", streamed_ns, 0)
+            .num("events_per_sec", events as f64 / (streamed_ns / 1e9), 0),
     );
-    write_bench_json(&out_path, &rows).expect("write benchmark JSON");
-    // Floors (streamed classify ≥0.8× offline, first-window readout
-    // ≥2× one full classify) live in the consolidated gate
-    // (`bench_gate`, documented in `axsnn_bench::gates`).
-    println!("\nwrote {out_path} (floors enforced by bench_gate)");
+    bench.finish();
 }

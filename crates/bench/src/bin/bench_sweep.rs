@@ -1,5 +1,5 @@
-//! Smoke benchmark: the crash-safe sweep engine's checkpoint costs,
-//! exported to `BENCH_sweep.json` for the CI perf trajectory.
+//! The crash-safe sweep engine's checkpoint costs, written to
+//! `BENCH_sweep.json`.
 //!
 //! Times three runs of the same deterministic grid through
 //! [`axsnn::defense::journal::GridSweep`]:
@@ -11,39 +11,29 @@
 //!   pure replay (the cost of restarting after a crash at the finish
 //!   line).
 //!
-//! The `axsnn_bench::gates` floors assert journaling never costs more
-//! than ~10% of a cold run (`speedup = cold/journaled ≥ 0.9`) and that
-//! resuming a completed grid is at least 10× faster than re-running it
-//! (`speedup = cold/resume ≥ 10`). The resumed payloads are also
-//! asserted bit-identical to the cold run's — the bench doubles as an
-//! equivalence smoke test.
+//! `sweep_journal_overhead` records `speedup = cold / journaled` and
+//! `sweep_resume_replay` records `speedup = cold / resume`. The resumed
+//! payloads are also asserted bit-identical to the cold run's — the
+//! bench doubles as an equivalence smoke test.
 //!
 //! Usage: `cargo run --release -p axsnn-bench --bin bench_sweep
-//! [out.json]` (default output `BENCH_sweep.json`).
-//! `AXSNN_BENCH_ITERS` scales the per-cell workload (default 20).
+//! [out.json]`.
 
 use axsnn::core::json::Json;
 use axsnn::defense::journal::{fnv1a, GridFingerprint, GridSweep, SweepOptions};
-use axsnn_bench::json::{bench_row, write_bench_json};
+use axsnn_bench::harness::{record, Bench};
 use std::hint::black_box;
-use std::time::Instant;
 
 const CELLS: usize = 32;
+/// Hash rounds per cell: a few milliseconds of work.
+const ROUNDS: u64 = 400_000;
 
-fn iters() -> u64 {
-    std::env::var("AXSNN_BENCH_ITERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(20)
-}
-
-/// Deterministic per-cell workload: a few milliseconds of hashing whose
-/// result depends only on the cell index, so every run — cold,
-/// journaled, resumed, any thread count — produces the same payloads.
+/// Deterministic per-cell workload whose result depends only on the
+/// cell index, so every run — cold, journaled, resumed, any thread
+/// count — produces the same payloads.
 fn eval_cell(cell: usize) -> Result<Json, axsnn::defense::DefenseError> {
-    let rounds = 20_000 * iters();
     let mut acc = cell as u64;
-    for i in 0..rounds {
+    for i in 0..ROUNDS {
         acc = fnv1a(&(acc ^ i).to_le_bytes());
     }
     black_box(acc);
@@ -53,15 +43,8 @@ fn eval_cell(cell: usize) -> Result<Json, axsnn::defense::DefenseError> {
     )]))
 }
 
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    xs[xs.len() / 2]
-}
-
 fn main() {
-    let out = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_sweep.json".into());
+    let mut bench = Bench::from_args("BENCH_sweep.json", 5);
     let journal_path =
         std::env::temp_dir().join(format!("axsnn_bench_sweep_{}.jsonl", std::process::id()));
     let sweep = GridSweep::new(CELLS, GridFingerprint::of("axsnn.bench_sweep.v1"));
@@ -75,66 +58,55 @@ fn main() {
         threads: 1,
         ..SweepOptions::journaled(&journal_path)
     };
+    let cold = || {
+        sweep
+            .run_parallel(&opts_cold, eval_cell)
+            .expect("cold run")
+            .0
+    };
 
-    let mut cold_ns = Vec::new();
-    let mut journaled_ns = Vec::new();
-    let mut resume_ns = Vec::new();
-    let mut cold_payloads = None;
-    let mut resumed_payloads = None;
-    for _ in 0..3 {
-        let start = Instant::now();
-        let (payloads, _) = sweep.run_parallel(&opts_cold, eval_cell).expect("cold run");
-        cold_ns.push(start.elapsed().as_nanos() as f64);
-        cold_payloads = Some(payloads);
+    let (cold_ns, journaled_ns) = bench.time_pair(
+        || {
+            black_box(cold());
+        },
+        || {
+            // Fresh journal: full execution plus one committed record
+            // per cell.
+            let _ = std::fs::remove_file(&journal_path);
+            let (_, report) = sweep
+                .run_parallel(&opts_journaled, eval_cell)
+                .expect("journaled run");
+            assert_eq!(report.executed, CELLS, "journaled run executes everything");
+        },
+    );
+    bench.push(
+        record(&format!("sweep_journal_overhead_{CELLS}cells"))
+            .num("cells", CELLS as f64, 0)
+            .ab("cold_ns", cold_ns, "journaled_ns", journaled_ns),
+    );
 
-        // Fresh journal: full execution plus one committed record per
-        // cell.
-        let _ = std::fs::remove_file(&journal_path);
-        let start = Instant::now();
-        let (_, report) = sweep
-            .run_parallel(&opts_journaled, eval_cell)
-            .expect("journaled run");
-        journaled_ns.push(start.elapsed().as_nanos() as f64);
-        assert_eq!(report.executed, CELLS, "journaled run executes everything");
-
-        // The journal is now complete: resuming is pure replay.
-        let start = Instant::now();
-        let (payloads, report) = sweep
-            .run_parallel(&opts_journaled, eval_cell)
-            .expect("resumed run");
-        resume_ns.push(start.elapsed().as_nanos() as f64);
-        assert_eq!(report.replayed, CELLS, "resume replays everything");
-        assert_eq!(report.executed, 0, "resume re-executes nothing");
-        resumed_payloads = Some(payloads);
-    }
+    // The journal is now complete: resuming is pure replay.
+    let (mut cold_payloads, mut resumed) = (None, None);
+    let (cold_ns, resume_ns) = bench.time_pair(
+        || cold_payloads = Some(cold()),
+        || {
+            let (payloads, report) = sweep
+                .run_parallel(&opts_journaled, eval_cell)
+                .expect("resumed run");
+            assert_eq!(report.replayed, CELLS, "resume replays everything");
+            assert_eq!(report.executed, 0, "resume re-executes nothing");
+            resumed = Some(payloads);
+        },
+    );
     let _ = std::fs::remove_file(&journal_path);
     assert_eq!(
-        cold_payloads, resumed_payloads,
+        cold_payloads, resumed,
         "resumed payloads must be bit-identical to the cold run"
     );
-
-    let (cold, journaled, resume) = (median(cold_ns), median(journaled_ns), median(resume_ns));
-    let rows = vec![
-        bench_row(&format!("sweep_journal_overhead_{CELLS}cells"))
+    bench.push(
+        record(&format!("sweep_resume_replay_{CELLS}cells"))
             .num("cells", CELLS as f64, 0)
-            .num("cold_ns", cold, 0)
-            .num("journaled_ns", journaled, 0)
-            .num("speedup", cold / journaled.max(1.0), 3),
-        bench_row(&format!("sweep_resume_replay_{CELLS}cells"))
-            .num("cells", CELLS as f64, 0)
-            .num("cold_ns", cold, 0)
-            .num("resume_ns", resume, 0)
-            .num("speedup", cold / resume.max(1.0), 3),
-    ];
-    println!(
-        "sweep {CELLS} cells: cold {:.2} ms, journaled {:.2} ms ({:.3}x), \
-         resume {:.3} ms ({:.1}x)",
-        cold / 1e6,
-        journaled / 1e6,
-        cold / journaled.max(1.0),
-        resume / 1e6,
-        cold / resume.max(1.0)
+            .ab("cold_ns", cold_ns, "resume_ns", resume_ns),
     );
-    write_bench_json(&out, &rows).expect("write bench artifact");
-    println!("wrote {out}");
+    bench.finish();
 }

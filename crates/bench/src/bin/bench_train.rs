@@ -1,7 +1,5 @@
-//! Smoke benchmark: event-form sparse BPTT tape vs the dense tape, and
-//! the minibatched trainer vs the per-sample loop, exported to
-//! `BENCH_train.json` for the CI perf trajectory (the training
-//! companion of `bench_sparse` / `bench_batch`).
+//! Event-form sparse BPTT tape vs the dense tape, and the minibatched
+//! trainer vs the per-sample loop, written to `BENCH_train.json`.
 //!
 //! Times the training step three ways on the paper's MNIST-scale MLP
 //! and a small conv stack — per-sample records time the tape work
@@ -15,131 +13,20 @@
 //! * **minibatched sparse tape** (`forward_batch_recorded` +
 //!   `backward_batch` over B samples, amortizing weight traffic).
 //!
-//! Usage: `cargo run --release -p axsnn-bench --bin bench_train [out.json]`
-//! (default output `BENCH_train.json`). `AXSNN_BENCH_ITERS` scales the
-//! iteration counts (default 10).
+//! Usage: `cargo run --release -p axsnn-bench --bin bench_train
+//! [out.json]`.
 
 use axsnn::core::fused::FrameTrain;
-use axsnn::core::layer::Layer;
 use axsnn::core::network::{SnnConfig, SpikingNetwork};
-use axsnn::tensor::conv::Conv2dSpec;
 use axsnn::tensor::Tensor;
-use axsnn_bench::json::{bench_row, write_bench_json, BenchRow};
+use axsnn_bench::harness::{conv1_net, mlp_1568, record, spike_frame, Bench};
+use axsnn_bench::json::BenchRow;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
-use std::time::Instant;
 
 const BATCH: usize = 16;
 const TIME_STEPS: usize = 8;
-
-struct Record {
-    name: String,
-    density: f32,
-    dense_ns: f64,
-    sparse_ns: f64,
-}
-
-impl Record {
-    fn speedup(&self) -> f64 {
-        self.dense_ns / self.sparse_ns.max(1.0)
-    }
-}
-
-fn iters() -> u32 {
-    std::env::var("AXSNN_BENCH_ITERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(10)
-}
-
-/// Times the dense and sparse sides **interleaved** (alternating
-/// measurement blocks, best-of-5 per side) instead of sequentially.
-/// Back-to-back sequential timings on a single shared core let one
-/// side absorb all the cache warm-up or a neighbour's noise burst and
-/// skew the ratio by 2×; alternating blocks give both sides the same
-/// cache and scheduler conditions, and the minimum discards
-/// interference — the gated floors need the ratio, not the absolute
-/// times.
-fn time_pair<FA: FnMut(), FB: FnMut()>(mut dense: FA, mut sparse: FB) -> (f64, f64) {
-    const REPS: usize = 5;
-    let n = iters();
-    dense(); // warmup
-    sparse();
-    let mut best = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..REPS {
-        let start = Instant::now();
-        for _ in 0..n {
-            dense();
-        }
-        best.0 = best.0.min(start.elapsed().as_nanos() as f64 / n as f64);
-        let start = Instant::now();
-        for _ in 0..n {
-            sparse();
-        }
-        best.1 = best.1.min(start.elapsed().as_nanos() as f64 / n as f64);
-    }
-    best
-}
-
-fn spike_frame(len: usize, density: f32, dims: &[usize], salt: u64) -> Tensor {
-    let data: Vec<f32> = (0..len)
-        .map(|i| {
-            let mut h = (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ salt;
-            h ^= h >> 29;
-            h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            let unit = (h >> 40) as f32 / (1u64 << 24) as f32;
-            if unit < density {
-                1.0
-            } else {
-                0.0
-            }
-        })
-        .collect();
-    Tensor::from_vec(data, dims).unwrap()
-}
-
-/// MLP at the paper's flattened MNIST conv width — the weight set
-/// (≈3.9 MB) dominates both the forward stream and the dense backward's
-/// outer-product accumulation, which is exactly what the event tape
-/// masks down to activity.
-fn mlp_net(cfg: SnnConfig) -> SpikingNetwork {
-    let mut rng = StdRng::seed_from_u64(2);
-    SpikingNetwork::new(
-        vec![
-            Layer::spiking_linear(&mut rng, 1568, 512, &cfg),
-            Layer::spiking_linear(&mut rng, 512, 256, &cfg),
-            Layer::output_linear(&mut rng, 256, 10),
-        ],
-        cfg,
-    )
-    .expect("static topology")
-}
-
-fn conv_net(cfg: SnnConfig) -> SpikingNetwork {
-    let mut rng = StdRng::seed_from_u64(3);
-    SpikingNetwork::new(
-        vec![
-            Layer::spiking_conv2d(
-                &mut rng,
-                Conv2dSpec {
-                    in_channels: 1,
-                    out_channels: 16,
-                    kernel: 3,
-                    stride: 1,
-                    padding: 1,
-                },
-                &cfg,
-            ),
-            Layer::max_pool2d(2),
-            Layer::flatten(),
-            Layer::spiking_linear(&mut rng, 16 * 14 * 14, 128, &cfg),
-            Layer::output_linear(&mut rng, 128, 10),
-        ],
-        cfg,
-    )
-    .expect("static topology")
-}
 
 fn logit_grad(classes: usize) -> Tensor {
     Tensor::from_vec(
@@ -178,13 +65,7 @@ fn grads_close(a: &SpikingNetwork, b: &SpikingNetwork) -> bool {
 }
 
 /// Per-sample sparse tape vs per-sample dense tape on one network.
-fn tape_record(
-    records: &mut Vec<Record>,
-    name: &str,
-    net: &SpikingNetwork,
-    dims: &[usize],
-    density: f32,
-) {
+fn tape_record(bench: &mut Bench, name: &str, net: &SpikingNetwork, dims: &[usize], density: f32) {
     let len: usize = dims.iter().product();
     let frames: Vec<Tensor> = (0..TIME_STEPS)
         .map(|t| spike_frame(len, density, dims, t as u64))
@@ -203,7 +84,7 @@ fn tape_record(
     let mut dense_net = net.clone();
     dense_net.set_sparse_threshold(0.0);
     let mut sparse_net = net.clone();
-    let (dense_ns, sparse_ns) = time_pair(
+    let (dense_ns, sparse_ns) = bench.time_pair(
         || per_sample_step(&mut dense_net, &frames, &grad),
         || per_sample_step(&mut sparse_net, &frames, &grad),
     );
@@ -223,19 +104,20 @@ fn tape_record(
         grads_close(&a, &b),
         "{name}: sparse/dense tape grads diverged"
     );
+    bench.push(tape_row(name, density, dense_ns, sparse_ns));
+}
 
-    records.push(Record {
-        name: name.into(),
-        density,
-        dense_ns,
-        sparse_ns,
-    });
+fn tape_row(name: &str, density: f32, dense_ns: f64, sparse_ns: f64) -> BenchRow {
+    record(name)
+        .num("density", f64::from(density), 2)
+        .num("time_steps", TIME_STEPS as f64, 0)
+        .ab("dense_tape_ns", dense_ns, "sparse_tape_ns", sparse_ns)
 }
 
 /// Minibatched sparse-tape trainer vs the per-sample dense-tape loop it
 /// replaces, over a batch of `BATCH` samples.
 fn minibatch_record(
-    records: &mut Vec<Record>,
+    bench: &mut Bench,
     name: &str,
     net: &SpikingNetwork,
     dims: &[usize],
@@ -272,7 +154,7 @@ fn minibatch_record(
     let mut dense_net = net.clone();
     dense_net.set_sparse_threshold(0.0);
     let mut fused_net = net.clone();
-    let (dense_ns, sparse_ns) = time_pair(
+    let (dense_ns, sparse_ns) = bench.time_pair(
         || {
             dense_net.zero_grads();
             for frames in &materialized {
@@ -292,75 +174,40 @@ fn minibatch_record(
             fused_net.apply_grads(0.01, 0.9).unwrap();
         },
     );
-
-    records.push(Record {
-        name: name.into(),
-        density,
-        dense_ns,
-        sparse_ns,
-    });
+    bench.push(tape_row(name, density, dense_ns, sparse_ns));
 }
 
 fn main() {
-    let out_path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_train.json".to_string());
+    // Blocks of ten calls, the block length BENCH_train.json was
+    // first measured with.
+    let mut bench = Bench::from_args("BENCH_train.json", 50);
     let cfg = SnnConfig {
         threshold: 0.8,
         time_steps: TIME_STEPS,
         leak: 0.9,
     };
-    let mut records = Vec::new();
-    for &density in &[0.05f32, 0.10] {
+    for density in [0.05f32, 0.10] {
         tape_record(
-            &mut records,
+            &mut bench,
             &format!("mlp_tape_step_T{TIME_STEPS}_1568"),
-            &mlp_net(cfg),
+            &mlp_1568(cfg, 2),
             &[1568],
             density,
         );
     }
     tape_record(
-        &mut records,
+        &mut bench,
         &format!("conv_tape_step_T{TIME_STEPS}_28x28"),
-        &conv_net(cfg),
+        &conv1_net(cfg, 3),
         &[1, 28, 28],
         0.10,
     );
     minibatch_record(
-        &mut records,
+        &mut bench,
         &format!("mlp_minibatch_step_T{TIME_STEPS}_B{BATCH}"),
-        &mlp_net(cfg),
+        &mlp_1568(cfg, 2),
         &[1568],
         0.10,
     );
-
-    println!(
-        "{:<32} {:>8} {:>16} {:>14} {:>9}",
-        "benchmark", "density", "dense-tape ns", "sparse ns", "speedup"
-    );
-    let rows: Vec<BenchRow> = records
-        .iter()
-        .map(|r| {
-            println!(
-                "{:<32} {:>7.0}% {:>16.0} {:>14.0} {:>8.2}x",
-                r.name,
-                r.density * 100.0,
-                r.dense_ns,
-                r.sparse_ns,
-                r.speedup()
-            );
-            bench_row(&r.name)
-                .num("density", r.density as f64, 2)
-                .num("time_steps", TIME_STEPS as f64, 0)
-                .num("dense_tape_ns", r.dense_ns, 0)
-                .num("sparse_tape_ns", r.sparse_ns, 0)
-                .num("speedup", r.speedup(), 3)
-        })
-        .collect();
-    write_bench_json(&out_path, &rows).expect("write benchmark JSON");
-    // The sparse-tape ≥2×-at-≤10%-density and conv ≥0.9× floors live in
-    // the consolidated gate (`bench_gate`, documented in
-    // `axsnn_bench::gates`).
-    println!("\nwrote {out_path} (floors enforced by bench_gate)");
+    bench.finish();
 }

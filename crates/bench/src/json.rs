@@ -1,14 +1,8 @@
-//! Bench-artifact JSON layer over the in-tree JSON module.
+//! The bench-artifact record format over the in-tree JSON module.
 //!
-//! The generic JSON value, parser and writer were factored into
-//! [`axsnn::core::json`] (PR 5) so the model snapshots in
-//! `axsnn_core::io` can serialize for real; this module re-exports them
-//! and keeps the bench-specific pieces: [`BenchRow`] /
-//! [`write_bench_json`] produce the flat array-of-objects layout every
-//! `BENCH_*.json` file shares, and the consolidated trajectory gate
-//! (`bench_gate`) reads them back through [`parse`].
-
-use std::fmt::Write as _;
+//! [`BenchRow`] is one record of the flat array-of-objects layout every
+//! `BENCH_*.json` file shares; [`crate::harness`] writes the artifacts
+//! and `bench_gate` reads them back through [`parse`].
 
 pub use axsnn::core::json::{parse, Json};
 
@@ -16,7 +10,7 @@ pub use axsnn::core::json::{parse, Json};
 /// fields, built with [`BenchRow::str`]/[`BenchRow::num`].
 #[derive(Debug, Clone, Default)]
 pub struct BenchRow {
-    fields: Vec<(String, String)>,
+    pub(crate) fields: Vec<(String, String)>,
 }
 
 impl BenchRow {
@@ -41,52 +35,21 @@ impl BenchRow {
             .push((key.into(), format!("{value:.decimals$}")));
         self
     }
-}
 
-/// Starts a bench record with the shared leading fields every bench bin
-/// emits: the record `name`, the detected CPU `isa_features`
-/// (`AXSNN_NO_SIMD`-independent, e.g. `"avx2,fma,f16c"`) and the
-/// `dispatch` the tensor kernels actually selected in this process
-/// (`"avx2"` or `"scalar"`). Floors gate on measured speedups, so the
-/// gate needs to know *what hardware and dispatch produced the number*
-/// — `bench_gate` prints both next to its FLOOR_TABLE and skips
-/// SIMD-vs-scalar floors when the dispatch was already scalar.
-pub fn bench_row(name: &str) -> BenchRow {
-    BenchRow::new()
-        .str("name", name)
-        .str("isa_features", axsnn::tensor::simd::detected_features())
-        .str("dispatch", axsnn::tensor::simd::isa_label())
-}
-
-/// Serializes bench records in the shared `BENCH_*.json` layout (one
-/// object per line inside a flat array) and writes them to `path`.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn write_bench_json(path: &str, rows: &[BenchRow]) -> std::io::Result<()> {
-    let mut out = String::from("[\n");
-    for (i, row) in rows.iter().enumerate() {
-        out.push_str("  {");
-        for (f, (key, value)) in row.fields.iter().enumerate() {
-            if f > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "\"{key}\": {value}");
-        }
-        out.push('}');
-        if i + 1 != rows.len() {
-            out.push(',');
-        }
-        out.push('\n');
+    /// Appends an A/B pair: both sides' mean ns and their `speedup`
+    /// (`a_ns / b_ns`).
+    #[must_use]
+    pub fn ab(self, a: &str, a_ns: f64, b: &str, b_ns: f64) -> BenchRow {
+        self.num(a, a_ns, 0)
+            .num(b, b_ns, 0)
+            .num("speedup", a_ns / b_ns.max(1.0), 3)
     }
-    out.push_str("]\n");
-    std::fs::write(path, out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::write_bench_json;
 
     #[test]
     fn roundtrip_through_parser() {

@@ -1,15 +1,13 @@
 //! Shared harness for the figure/table reproduction binaries.
 //!
 //! Every binary in `src/bin/` regenerates one artifact of the paper's
-//! evaluation (see DESIGN.md §3 and EXPERIMENTS.md). They share the
-//! scenario construction and sweep helpers defined here.
+//! evaluation (the README's "Reproducing the paper" section lists them).
+//! They share the scenario construction and sweep helpers defined here.
 //!
-//! The perf trajectory lives beside the figures: each `bench_*` smoke
-//! binary (PRs 1–9: sparse, batch, train, backward, conv_batch,
-//! sweep, serve, quant, stream) emits one `BENCH_*.json` artifact
-//! through [`json::write_bench_json`], and the `bench_gate` binary
-//! enforces every documented floor from the one table in [`gates`]
-//! (printed in full on any failure).
+//! The perf trajectory lives beside the figures: each `bench_*` binary
+//! times its A/B pairs and emits one `BENCH_*.json` artifact through
+//! [`harness`], and the `bench_gate` binary checks every artifact
+//! against the one floor table in [`gates`].
 //!
 //! Scale knobs (environment variables):
 //!
@@ -23,6 +21,7 @@
 #![warn(missing_docs)]
 
 pub mod gates;
+pub mod harness;
 pub mod json;
 
 use axsnn::core::network::SnnConfig;
@@ -66,8 +65,7 @@ pub fn sample_cap() -> usize {
 /// synthetic-digit models, clean direct-current gradients) is intrinsically
 /// less robust, so the same qualitative regimes (no effect → gradual decay
 /// → collapse) occur at ~10× smaller ε. The factor compresses the axis
-/// while preserving the paper's ordering and crossover shape
-/// (EXPERIMENTS.md documents this calibration).
+/// while preserving the paper's ordering and crossover shape.
 pub fn epsilon_scale() -> f32 {
     std::env::var("AXSNN_EPS_SCALE")
         .ok()

@@ -15,7 +15,6 @@
 
 use crate::network::{SpikeStats, SpikingNetwork};
 use crate::Result;
-use serde::{Deserialize, Serialize};
 
 /// Relative approximation level in `[0, 1]` (`0` = accurate network).
 ///
@@ -28,7 +27,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(level.value(), 0.01);
 /// assert!(ApproximationLevel::new(-0.5).is_none());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct ApproximationLevel(f32);
 
 impl ApproximationLevel {
@@ -62,7 +61,7 @@ impl Default for ApproximationLevel {
 }
 
 /// Report of an approximation pass.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ApproxReport {
     /// Fraction of weights zeroed per parameterized layer.
     pub pruned_fraction_per_layer: Vec<f32>,
@@ -240,7 +239,7 @@ pub fn apply_quantile_approximation(
 }
 
 /// Inputs to the Eq. (1) `a_th` computation for one layer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Eq1Inputs {
     /// Number of connections to the output of the neuron group, `c`.
     pub connections: usize,

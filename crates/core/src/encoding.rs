@@ -13,7 +13,6 @@
 use crate::{CoreError, Result};
 use axsnn_tensor::Tensor;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Spike encoding scheme for static inputs.
 ///
@@ -35,7 +34,7 @@ use serde::{Deserialize, Serialize};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Encoder {
     /// Bernoulli sampling: each pixel spikes with probability equal to its
     /// intensity at every step.

@@ -23,12 +23,10 @@ use crate::plan::{ConvBatchKernel, WeightPlane};
 use crate::{CoreError, Result};
 use axsnn_tensor::conv::Conv2dSpec;
 use axsnn_tensor::Tensor;
-use serde::{Deserialize, Serialize};
 use std::path::Path;
 
 /// Serializable description of one layer.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-#[serde(tag = "kind", rename_all = "snake_case")]
+#[derive(Debug, Clone)]
 pub enum LayerSpec {
     /// Spiking or ANN convolution.
     Conv {
@@ -81,7 +79,7 @@ pub enum LayerSpec {
 }
 
 /// Serializable snapshot of a spiking network.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SnnSnapshot {
     /// Format version for forward compatibility.
     pub version: u32,
@@ -92,7 +90,7 @@ pub struct SnnSnapshot {
 }
 
 /// Serializable snapshot of an ANN.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AnnSnapshot {
     /// Format version for forward compatibility.
     pub version: u32,

@@ -1,8 +1,7 @@
 //! Minimal in-tree JSON value, parser and writer.
 //!
-//! The workspace vendors a no-op `serde` shim (no crates.io access), so
-//! anything that actually needs bytes on disk serializes through this
-//! module instead: [`crate::io`] uses it for real model snapshots
+//! Anything that needs bytes on disk serializes through this module:
+//! [`crate::io`] uses it for real model snapshots
 //! (save a trained network once, restore per grid point) and
 //! `axsnn_bench::json` re-exports it for the `BENCH_*.json` perf
 //! artifacts and their trajectory gate. Only the subset of JSON those

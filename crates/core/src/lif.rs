@@ -12,7 +12,6 @@
 
 use axsnn_tensor::sparse::SpikeVector;
 use axsnn_tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of a population of LIF neurons.
 ///
@@ -24,7 +23,7 @@ use serde::{Deserialize, Serialize};
 /// let p = LifParams { threshold: 1.0, leak: 0.9, surrogate_alpha: 2.0 };
 /// assert!(p.leak <= 1.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LifParams {
     /// Threshold voltage `V_th` above which the neuron fires.
     pub threshold: f32,

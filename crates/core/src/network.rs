@@ -18,7 +18,6 @@ use crate::plan::{ExecPlan, PlanOverride, WeightPlane};
 use crate::{CoreError, Result};
 use axsnn_tensor::Tensor;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 pub use crate::plan::{LayerEligibility, SparseEligibility};
 
@@ -32,7 +31,7 @@ pub use crate::plan::{LayerEligibility, SparseEligibility};
 /// let cfg = SnnConfig { threshold: 0.25, time_steps: 32, leak: 0.9 };
 /// assert_eq!(cfg.lif_params().threshold, 0.25);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SnnConfig {
     /// Threshold voltage `V_th` shared by all spiking layers.
     pub threshold: f32,
@@ -89,7 +88,7 @@ impl SnnConfig {
 }
 
 /// Spiking activity statistics collected during a forward pass.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SpikeStats {
     /// Total spikes emitted per spiking layer over all time steps.
     pub spikes_per_layer: Vec<f32>,

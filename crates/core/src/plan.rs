@@ -46,7 +46,6 @@ use crate::layer::Layer;
 use axsnn_tensor::conv::Conv2dSpec;
 use axsnn_tensor::sparse::SpikeVector;
 use axsnn_tensor::Tensor;
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -539,7 +538,7 @@ impl ExecPlan {
 /// backward half of the execution policy, consumed through
 /// [`crate::train::TrainConfig::backward`] by both trainers and the
 /// defense adversarial trainer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BackwardOpts {
     /// Worker threads for the row-sharded backward; `0` uses all
     /// available cores. Gradients are bit-identical for every value —

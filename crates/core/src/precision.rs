@@ -31,7 +31,6 @@ use crate::network::SpikingNetwork;
 use crate::{CoreError, Result};
 use axsnn_tensor::plane::{QuantizedPlane, WeightPlane};
 use axsnn_tensor::Tensor;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 pub use axsnn_tensor::plane::{f16_round_trip, f16_to_f32, f32_to_f16};
@@ -46,7 +45,7 @@ pub use axsnn_tensor::plane::{f16_round_trip, f16_to_f32, f32_to_f16};
 /// assert_eq!(PrecisionScale::Int8.to_string(), "INT8");
 /// assert_eq!(PrecisionScale::Fp32.bits(), 32);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PrecisionScale {
     /// Native single precision (identity quantization).
     Fp32,

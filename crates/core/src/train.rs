@@ -20,7 +20,6 @@ use crate::{CoreError, Result};
 use axsnn_tensor::{ops, Tensor};
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Hyper-parameters shared by the SNN and ANN trainers.
 ///
@@ -30,7 +29,7 @@ use serde::{Deserialize, Serialize};
 /// let cfg = axsnn_core::train::TrainConfig::default();
 /// assert!(cfg.learning_rate > 0.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainConfig {
     /// Number of passes over the training set.
     pub epochs: usize,
@@ -80,7 +79,7 @@ impl TrainConfig {
 }
 
 /// Per-epoch training metrics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EpochReport {
     /// Epoch index (0-based).
     pub epoch: usize,
@@ -91,7 +90,7 @@ pub struct EpochReport {
 }
 
 /// Full training trace.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TrainReport {
     /// One entry per epoch.
     pub epochs: Vec<EpochReport>,

@@ -14,7 +14,6 @@ use crate::Dataset;
 use axsnn_neuromorphic::event::{DvsEvent, EventStream, Polarity};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Number of gesture classes (matches DVS128 Gesture's 11).
 pub const CLASSES: usize = 11;
@@ -42,7 +41,7 @@ pub const GESTURE_NAMES: [&str; CLASSES] = [
 /// let cfg = axsnn_datasets::dvs::DvsGestureConfig::default();
 /// assert_eq!(cfg.width, 32);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DvsGestureConfig {
     /// Sensor width in pixels.
     pub width: usize,

@@ -11,7 +11,6 @@ use crate::Dataset;
 use axsnn_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Configuration for the synthetic MNIST generator.
 ///
@@ -21,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// let cfg = axsnn_datasets::mnist::MnistConfig::default();
 /// assert_eq!(cfg.size, 28);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MnistConfig {
     /// Image side length (the real dataset uses 28).
     pub size: usize,

@@ -13,7 +13,6 @@ use axsnn_core::train::{EpochReport, TrainConfig, TrainReport};
 use axsnn_tensor::{ops, Tensor};
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Adversarial-training hyper-parameters.
 ///
@@ -23,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// let cfg = axsnn_defense::adv_train::AdvTrainConfig::default();
 /// assert!(cfg.adversarial_fraction > 0.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdvTrainConfig {
     /// Base training hyper-parameters.
     pub train: TrainConfig,

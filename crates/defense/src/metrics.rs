@@ -17,7 +17,6 @@ use axsnn_neuromorphic::aqf::{approximate_quantized_filter, AqfConfig};
 use axsnn_neuromorphic::event::EventStream;
 use axsnn_tensor::Tensor;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Outcome of a robustness evaluation.
 ///
@@ -29,7 +28,7 @@ use serde::{Deserialize, Serialize};
 /// let o = RobustnessOutcome { clean_accuracy: 92.0, adversarial_accuracy: 15.0, robustness: 15.0, samples: 44 };
 /// assert_eq!(o.accuracy_loss(), 77.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RobustnessOutcome {
     /// Accuracy on clean inputs, percent.
     pub clean_accuracy: f32,

@@ -14,7 +14,7 @@
 //! * [`Architecture::FastMlp`] — a small MLP used for the wide
 //!   `(V_th, T)` sweeps so the full grid reproduces in CI time (the
 //!   paper itself notes per-grid-point SNN training is prohibitively
-//!   slow; see DESIGN.md §2.3).
+//!   slow).
 
 use crate::Result;
 use axsnn_core::ann::{AnnLayer, AnnNetwork};
@@ -32,10 +32,9 @@ use axsnn_tensor::conv::Conv2dSpec;
 use axsnn_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Model topology choice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Architecture {
     /// The paper's convolutional stack.
     PaperConv,
@@ -172,7 +171,7 @@ pub fn dvs_mlp_ann<R: Rng>(rng: &mut R, size: usize) -> AnnNetwork {
 }
 
 /// Configuration of the MNIST scenario.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MnistScenarioConfig {
     /// Dataset generation parameters.
     pub mnist: MnistConfig,
@@ -344,7 +343,7 @@ impl MnistScenario {
 }
 
 /// Configuration of the DVS gesture scenario.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DvsScenarioConfig {
     /// Dataset generation parameters.
     pub dvs: DvsGestureConfig,

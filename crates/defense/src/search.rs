@@ -43,10 +43,9 @@ use axsnn_datasets::cache::EncodedCache;
 use axsnn_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Gradient attack selection for the search.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StaticAttackKind {
     /// Projected gradient descent.
     Pgd,
@@ -65,7 +64,7 @@ impl StaticAttackKind {
 }
 
 /// The (V_th, T, precision, a_th-scale) grid Algorithm 1 sweeps.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SearchSpace {
     /// Threshold voltages to test (paper: 0.25..=2.25 step 0.25).
     pub thresholds: Vec<f32>,
@@ -104,7 +103,7 @@ impl SearchSpace {
 }
 
 /// Configuration of the search.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PrecisionSearchConfig {
     /// The grid to sweep.
     pub space: SearchSpace,
@@ -124,7 +123,7 @@ pub struct PrecisionSearchConfig {
 }
 
 /// One evaluated configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SearchRecord {
     /// Threshold voltage.
     pub threshold: f32,
@@ -142,7 +141,7 @@ pub struct SearchRecord {
 }
 
 /// Result of a full search run.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SearchOutcome {
     /// First (or best, when not stopping early) satisfying record.
     pub best: Option<SearchRecord>,

@@ -19,7 +19,6 @@
 
 use crate::event::EventStream;
 use crate::{NeuroError, Result};
-use serde::{Deserialize, Serialize};
 
 /// AQF parameters (Algorithm 2's `qt, s, T1, T2`).
 ///
@@ -35,7 +34,7 @@ use serde::{Deserialize, Serialize};
 /// let cfg = AqfConfig::default();
 /// assert_eq!(cfg.spatial_window, 2);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AqfConfig {
     /// Quantization step `q_t` for timestamps (0.0 disables quantization;
     /// Table II uses 0.015 and 0.01).
@@ -102,7 +101,7 @@ impl AqfConfig {
 }
 
 /// Statistics of one AQF pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AqfReport {
     /// Events in the input stream.
     pub input_events: usize,

@@ -6,11 +6,10 @@
 //! expressed in.
 
 use crate::{NeuroError, Result};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Polarity of a brightness change event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Polarity {
     /// Brightness increase.
     On,
@@ -56,7 +55,7 @@ impl fmt::Display for Polarity {
 /// assert_eq!(e.x, 10);
 /// assert_eq!(e.polarity.channel(), 0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DvsEvent {
     /// Horizontal pixel coordinate.
     pub x: u16,
@@ -95,7 +94,7 @@ impl DvsEvent {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EventStream {
     width: usize,
     height: usize,

@@ -12,10 +12,9 @@ use crate::{NeuroError, Result};
 use axsnn_core::fused::FrameTrain;
 use axsnn_tensor::sparse::SpikeVector;
 use axsnn_tensor::{Shape, Tensor};
-use serde::{Deserialize, Serialize};
 
 /// How multiple events in the same (bin, pixel, polarity) cell combine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Accumulation {
     /// Any event produces a unit spike (the SNN input convention).
     Binary,

@@ -7,7 +7,6 @@
 
 use crate::event::{DvsEvent, EventStream, Polarity};
 use crate::Result;
-use serde::{Deserialize, Serialize};
 
 /// Summary statistics of an event stream.
 ///
@@ -28,7 +27,7 @@ use serde::{Deserialize, Serialize};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StreamStats {
     /// Total number of events.
     pub total_events: usize,

@@ -1,5 +1,4 @@
 use crate::{Result, TensorError};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Row-major shape descriptor for a [`crate::Tensor`].
@@ -16,7 +15,7 @@ use std::fmt;
 /// assert_eq!(s.volume(), 24);
 /// assert_eq!(s.strides(), vec![12, 4, 1]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Shape {
     dims: Vec<usize>,
 }

@@ -1,5 +1,4 @@
 use crate::{Result, Shape, TensorError};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Owned, contiguous, row-major dense `f32` tensor.
@@ -20,7 +19,7 @@ use std::fmt;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tensor {
     data: Vec<f32>,
     shape: Shape,

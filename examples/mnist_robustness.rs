@@ -48,7 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     snn_cfg,
                     ApproximationLevel::new(level).expect("valid level"),
                 )?;
-                let budget = AttackBudget::for_epsilon(eps * 0.1); // ε-axis calibration, see EXPERIMENTS.md
+                let budget = AttackBudget::for_epsilon(eps * 0.1); // ε-axis calibration, see axsnn_bench::epsilon_scale
                                                                    // Fan the per-sample attack + classification out across
                                                                    // all cores (threads = 0); seeded per sample, so the
                                                                    // numbers are identical whatever the core count.
