@@ -54,6 +54,15 @@
 //! are bit-identical for every thread count. `train_snn` consumes
 //! minibatches this way instead of sample-at-a-time.
 //!
+//! The backward computes only what training reads: each shard's sweep
+//! stops at the first parameterized layer, which skips its input
+//! gradient (a conv first layer still gets one from its fused per-row
+//! kernels). A linear layer's weight gradient is not a rank-1 update
+//! per row and step: the sweep logs its gradient blocks, and one pass
+//! per shard adds them in the same per-cell order through a
+//! register-tiled kernel ([`axsnn_tensor::linalg::outer_acc_run`]), so
+//! the accumulator streams once per run of dense rows.
+//!
 //! Train-mode dropout draws per-sample masks the fused engine cannot
 //! reproduce, so both batch entry points reject networks with active
 //! dropout; the callers that accept such networks (`train_snn`, the
@@ -447,6 +456,24 @@ enum BatchTapeStep {
     Identity,
 }
 
+impl BatchTapeStep {
+    /// `true` when this entry is the kind `layer` records.
+    fn matches(&self, layer: &Layer) -> bool {
+        matches!(
+            (layer, self),
+            (Layer::SpikingConv2d(_), BatchTapeStep::SpikingConv { .. })
+                | (Layer::SpikingLinear(_), BatchTapeStep::SpikingLinear { .. })
+                | (Layer::OutputLinear(_), BatchTapeStep::Output { .. })
+                | (Layer::AvgPool2d(_), BatchTapeStep::AvgPool { .. })
+                | (Layer::MaxPool2d(_), BatchTapeStep::MaxPool { .. })
+                | (
+                    Layer::Flatten(_) | Layer::Dropout(_),
+                    BatchTapeStep::Identity
+                )
+        )
+    }
+}
+
 /// The BPTT tape of one recorded batch forward pass
 /// ([`SpikingNetwork::forward_batch_recorded`]): per time step and
 /// layer, the per-row inputs (event form where the density gate
@@ -832,10 +859,11 @@ fn pool_plane(
 /// The shard boundaries are a function of the batch size **only** —
 /// never the thread count — so the per-shard accumulation and the
 /// fixed-order reduction produce bit-identical gradients for every
-/// thread count. More shards expose more parallelism; fewer shards
-/// amortize the weight stream of the input-gradient kernel across more
-/// rows per shard. Eight balances both for the minibatch sizes the
-/// trainers use (8–32).
+/// thread count. More shards expose more parallelism; fewer shards mean
+/// fewer zeroed gradient buffers to fill and reduce, and longer runs of
+/// dense rows per weight-gradient pass, each of which streams a linear
+/// layer's accumulator once. Eight balances both for the minibatch
+/// sizes the trainers use (8–32).
 pub const MAX_BACKWARD_SHARDS: usize = 8;
 
 /// The row range and options one shard worker operates under.
@@ -856,11 +884,19 @@ impl ShardCtx {
     }
 }
 
-/// Runs the full reverse-time sweep for one row-shard, accumulating the
+/// Runs the reverse-time sweep for one row-shard, accumulating the
 /// shard's parameter gradients into a fresh [`GradShard`]. Rows are
 /// mutually independent in the backward recurrence (per-row membrane
 /// carries, per-row tape entries), so a shard's gradients do not depend
 /// on which other shards exist or when they run.
+///
+/// The sweep visits only the layers from the first parameterized one
+/// up: nothing below it has a gradient the caller reads, and the first
+/// layer itself skips its input gradient unless it is a conv layer,
+/// whose fused per-row backward kernels produce it anyway. Each linear
+/// layer logs its per-step `[rows, n_out]` gradient blocks during the
+/// sweep and adds its weight gradient in one pass at the end
+/// ([`linear_weight_grad`]).
 fn backward_rows(
     layers: &[Layer],
     shapes: &[Option<(Vec<usize>, Vec<usize>)>],
@@ -870,33 +906,130 @@ fn backward_rows(
 ) -> Result<GradShard> {
     let mut shard = GradShard::zeros(shapes);
     let classes = tape.classes;
-    let mut carries: Vec<Vec<f32>> = vec![Vec::new(); layers.len()];
+    let first = layers
+        .iter()
+        .position(|l| l.params().is_some())
+        .unwrap_or(layers.len());
+    let mut sweeps: Vec<LayerSweep> = layers.iter().map(|_| LayerSweep::default()).collect();
     let gl = grad_logits.as_slice();
     for t in (0..tape.time_steps).rev() {
         // The logits sum over time, so each row's logit gradient is
         // injected at every step — same as the per-sample backward.
         let mut g_block: Vec<f32> = gl[ctx.lo * classes..ctx.hi * classes].to_vec();
-        for (li, layer) in layers.iter().enumerate().rev() {
-            let step = &tape.steps[t][li];
+        for li in (first..layers.len()).rev() {
             g_block = backward_rows_layer(
-                layer,
-                step,
+                &layers[li],
+                &tape.steps[t][li],
                 g_block,
                 ctx,
-                &mut carries[li],
+                &mut sweeps[li],
                 shard.slot_mut(li),
+                li > first,
             )?;
         }
+    }
+    for (li, sweep) in sweeps.iter().enumerate() {
+        if sweep.blocks.is_empty() {
+            continue;
+        }
+        let taped = (0..tape.time_steps)
+            .rev()
+            .map(|t| match &tape.steps[t][li] {
+                BatchTapeStep::SpikingLinear { rows, .. } | BatchTapeStep::Output { rows } => {
+                    &rows[ctx.lo..ctx.hi]
+                }
+                _ => &[],
+            });
+        let (gw, _) = shard.slot_mut(li).ok_or_else(tape_mismatch)?;
+        linear_weight_grad(gw, &sweep.blocks, taped)?;
     }
     Ok(shard)
 }
 
+/// One layer's state across a shard's reverse-time sweep.
+#[derive(Default)]
+struct LayerSweep {
+    /// The spiking layers' `[rows, n]` membrane-gradient carry into the
+    /// previous step.
+    carry: Vec<f32>,
+    /// The linear layers' `[rows, n_out]` gradient blocks, one per step
+    /// in sweep order (time descending), for [`linear_weight_grad`].
+    blocks: Vec<Vec<f32>>,
+}
+
+fn tape_mismatch() -> CoreError {
+    CoreError::Config {
+        message: "batch tape does not match the network's layer stack".into(),
+    }
+}
+
+/// Adds one linear layer's shard weight gradient after the sweep:
+/// `blocks[k]` is the `[rows, n_out]` gradient block of the `k`-th step
+/// swept (time descending) and `taped[k]` the shard's taped input rows
+/// at that step.
+///
+/// Every accumulator cell sees the `(step, row)` entries in sweep order
+/// (time descending, row ascending) with `acc + g·x` from the shard's
+/// `+0.0` — the per-cell order of one rank-1 update per row and step.
+/// Consecutive dense rows go through one [`linalg::outer_acc_run`] call,
+/// which streams the accumulator once per run instead of once per row;
+/// an event row goes through the event scatter
+/// ([`sparse::sparse_outer_acc`]), which touches only its active
+/// columns and skips `g == 0` rows.
+fn linear_weight_grad<'a>(
+    gw: &mut Tensor,
+    blocks: &'a [Vec<f32>],
+    taped: impl Iterator<Item = &'a [BatchTapeRow]>,
+) -> Result<()> {
+    let n_out = gw.shape().dims()[0];
+    let mut run: Vec<(&[f32], &[f32])> = Vec::new();
+    for (block, rows) in blocks.iter().zip(taped) {
+        if block.len() != rows.len() * n_out {
+            return Err(tape_mismatch());
+        }
+        for (g, row) in block.chunks_exact(n_out.max(1)).zip(rows) {
+            match row {
+                BatchTapeRow::Dense(x) => run.push((g, x)),
+                BatchTapeRow::Events(events) => {
+                    linalg::outer_acc_run(gw, &run)?;
+                    run.clear();
+                    sparse::sparse_outer_acc(gw, g, events)?;
+                }
+            }
+        }
+    }
+    linalg::outer_acc_run(gw, &run)?;
+    Ok(())
+}
+
+/// Adds a `[rows, n]` gradient block into a bias gradient row by row
+/// (ascending row index), the per-cell order of one add per row.
+fn acc_bias_rows(gb: &mut Tensor, g_block: &[f32], rows: usize) -> Result<()> {
+    let n = gb.len();
+    if g_block.len() != rows * n {
+        return Err(tape_mismatch());
+    }
+    let acc = gb.as_mut_slice();
+    for row in g_block.chunks_exact(n.max(1)) {
+        for (a, &g) in acc.iter_mut().zip(row) {
+            *a += g;
+        }
+    }
+    Ok(())
+}
+
 /// One layer's reverse step over a shard's row range: consumes the
-/// `[rows, n_out]` gradient block, accumulates parameter gradients row
-/// by row (ascending global row index, so sparse- and dense-tape
-/// accumulation orders coincide), and returns the `[rows, n_in]`
-/// gradient block. Input gradients of the linear layers run through the
-/// thresholded shard-level `Wᵀ·g` kernel
+/// `[rows, n_out]` gradient block and returns the `[rows, n_in]` input
+/// gradient block — empty for a linear layer when `input_grad` is
+/// unset (the first parameterized layer, whose input gradient no caller
+/// reads).
+///
+/// Conv layers accumulate their parameter gradients row by row
+/// (ascending global row index, so sparse- and dense-tape accumulation
+/// orders coincide) through the fused per-row conv backward kernels.
+/// Linear layers add their bias gradient here and push the step's
+/// gradient block onto `sweep.blocks` for [`linear_weight_grad`]; their input
+/// gradients run through the thresholded shard-level `Wᵀ·g` kernel
 /// ([`axsnn_tensor::linalg::matvec_t_block_thresholded_into`]), which at
 /// `eps == 0.0` is value-identical to the dense transposed GEMM.
 fn backward_rows_layer(
@@ -904,13 +1037,20 @@ fn backward_rows_layer(
     step: &BatchTapeStep,
     g_block: Vec<f32>,
     ctx: &ShardCtx,
-    carry: &mut Vec<f32>,
+    sweep: &mut LayerSweep,
     grads: Option<&mut (Tensor, Tensor)>,
+    input_grad: bool,
 ) -> Result<Vec<f32>> {
-    let mismatch = || CoreError::Config {
-        message: "batch tape entry does not match its layer".into(),
-    };
+    let carry = &mut sweep.carry;
     let rows_n = ctx.rows();
+    let linear_input_grad = |weight: &Tensor, g: &[f32]| -> Result<Vec<f32>> {
+        if !input_grad {
+            return Ok(Vec::new());
+        }
+        let mut gi_block = vec![0.0f32; rows_n * weight.shape().dims()[1]];
+        linalg::matvec_t_block_thresholded_into(weight, g, rows_n, ctx.eps, &mut gi_block)?;
+        Ok(gi_block)
+    };
     match (layer, step) {
         (Layer::SpikingConv2d(l), BatchTapeStep::SpikingConv { rows, in_dims, pre }) => {
             let n = pre.len() / ctx.batch;
@@ -922,7 +1062,7 @@ fn backward_rows_layer(
             let (h, w) = (in_dims[1], in_dims[2]);
             let (oh, ow) = l.spec.output_hw(h, w);
             let in_len: usize = in_dims.iter().product();
-            let (gw, gb) = grads.ok_or_else(mismatch)?;
+            let (gw, gb) = grads.ok_or_else(tape_mismatch)?;
             let mut gi_block = vec![0.0f32; rows_n * in_len];
             for r in 0..rows_n {
                 let gcur = Tensor::from_vec(
@@ -948,59 +1088,24 @@ fn backward_rows_layer(
             }
             Ok(gi_block)
         }
-        (Layer::SpikingLinear(l), BatchTapeStep::SpikingLinear { rows, pre }) => {
+        (Layer::SpikingLinear(l), BatchTapeStep::SpikingLinear { pre, .. }) => {
             let n = pre.len() / ctx.batch;
             let pre_rows = &pre[ctx.lo * n..ctx.hi * n];
             if carry.len() != pre_rows.len() {
                 *carry = vec![0.0; pre_rows.len()];
             }
             let gv = surrogate_carry_grad(&g_block, pre_rows, carry, &l.lif_params);
-            let in_len = l.weight.value.shape().dims()[1];
-            let (gw, gb) = grads.ok_or_else(mismatch)?;
-            for r in 0..rows_n {
-                let gvt = Tensor::from_vec(gv[r * n..(r + 1) * n].to_vec(), &[n])?;
-                match &rows[ctx.lo + r] {
-                    BatchTapeRow::Events(events) => sparse::sparse_outer_acc(gw, &gvt, events)?,
-                    BatchTapeRow::Dense(data) => {
-                        let x = Tensor::from_vec(data.clone(), &[in_len])?;
-                        linalg::outer_acc(gw, &gvt, &x)?
-                    }
-                }
-                acc_grad(gb, &gvt);
-            }
-            let mut gi_block = vec![0.0f32; rows_n * in_len];
-            linalg::matvec_t_block_thresholded_into(
-                l.eff_weight(),
-                &gv,
-                rows_n,
-                ctx.eps,
-                &mut gi_block,
-            )?;
+            let (_, gb) = grads.ok_or_else(tape_mismatch)?;
+            acc_bias_rows(gb, &gv, rows_n)?;
+            let gi_block = linear_input_grad(l.eff_weight(), &gv)?;
+            sweep.blocks.push(gv);
             Ok(gi_block)
         }
-        (Layer::OutputLinear(l), BatchTapeStep::Output { rows }) => {
-            let n = g_block.len() / rows_n;
-            let in_len = l.weight.value.shape().dims()[1];
-            let (gw, gb) = grads.ok_or_else(mismatch)?;
-            for r in 0..rows_n {
-                let g_row = Tensor::from_vec(g_block[r * n..(r + 1) * n].to_vec(), &[n])?;
-                match &rows[ctx.lo + r] {
-                    BatchTapeRow::Events(events) => sparse::sparse_outer_acc(gw, &g_row, events)?,
-                    BatchTapeRow::Dense(data) => {
-                        let x = Tensor::from_vec(data.clone(), &[in_len])?;
-                        linalg::outer_acc(gw, &g_row, &x)?
-                    }
-                }
-                acc_grad(gb, &g_row);
-            }
-            let mut gi_block = vec![0.0f32; rows_n * in_len];
-            linalg::matvec_t_block_thresholded_into(
-                l.eff_weight(),
-                &g_block,
-                rows_n,
-                ctx.eps,
-                &mut gi_block,
-            )?;
+        (Layer::OutputLinear(l), BatchTapeStep::Output { .. }) => {
+            let (_, gb) = grads.ok_or_else(tape_mismatch)?;
+            acc_bias_rows(gb, &g_block, rows_n)?;
+            let gi_block = linear_input_grad(l.eff_weight(), &g_block)?;
+            sweep.blocks.push(g_block);
             Ok(gi_block)
         }
         (Layer::AvgPool2d(l), BatchTapeStep::AvgPool { in_dims }) => {
@@ -1028,7 +1133,7 @@ fn backward_rows_layer(
             Ok(gi_block)
         }
         (Layer::Flatten(_) | Layer::Dropout(_), BatchTapeStep::Identity) => Ok(g_block),
-        _ => Err(mismatch()),
+        _ => Err(tape_mismatch()),
     }
 }
 
@@ -1326,26 +1431,37 @@ impl SpikingNetwork {
     ///
     /// The minibatch partitions into at most [`MAX_BACKWARD_SHARDS`]
     /// fixed row-shards (boundaries depend only on `B`); each shard
-    /// runs the full reverse-time sweep over its rows on one worker
-    /// (fanned out via [`crate::batch::fan_out_with`] under
-    /// `opts.threads`), accumulating into its own
-    /// [`axsnn_tensor::grads::GradShard`]. Shards then reduce in fixed
-    /// ascending order into the network's gradient accumulators, so the
-    /// resulting gradients are **bit-identical for every thread count**
-    /// (pinned by `tests/grad_equivalence.rs`).
+    /// runs the reverse-time sweep over its rows on one worker (fanned
+    /// out via [`crate::batch::fan_out_with`] under `opts.threads`),
+    /// accumulating into its own [`axsnn_tensor::grads::GradShard`].
+    /// Shards then reduce in fixed ascending order into the network's
+    /// gradient accumulators, so the resulting gradients are
+    /// **bit-identical for every thread count** (pinned by
+    /// `tests/grad_equivalence.rs`).
     ///
-    /// Weight gradients of rows taped in event form accumulate through
-    /// the event-masked kernels ([`axsnn_tensor::sparse::sparse_outer_acc`],
-    /// [`axsnn_tensor::sparse::sparse_conv2d_backward`]); dense rows use
-    /// the dense kernels. Input-gradient propagation through the linear
-    /// layers skips `|g| < opts.input_grad_eps` entries (`0.0` = exact).
-    /// Parameter gradients *accumulate* across calls exactly like
+    /// Each shard's sweep visits the layers from the first
+    /// parameterized layer up and stops there. A linear first layer
+    /// computes no input gradient; a conv first layer still does,
+    /// inside its fused per-row backward, and it is dropped. The layers
+    /// below are never run backward, but every layer is still checked
+    /// against its tape entries, so a tape recorded on another stack is
+    /// an error. Frame gradients are therefore never computed;
+    /// white-box attacks keep using the per-sample
+    /// [`SpikingNetwork::backward`].
+    ///
+    /// A linear layer's weight gradient is added once per shard, after
+    /// the sweep: runs of dense tape rows through
+    /// [`axsnn_tensor::linalg::outer_acc_run`], event rows through the
+    /// event scatter [`axsnn_tensor::sparse::sparse_outer_acc`], each
+    /// cell in the order of one rank-1 update per row and step (time
+    /// descending, row ascending). Conv layers accumulate through the
+    /// per-row kernels ([`axsnn_tensor::sparse::sparse_conv2d_backward`]
+    /// for event rows, the dense conv backward otherwise). Input-gradient
+    /// propagation through the linear layers skips
+    /// `|g| < opts.input_grad_eps` entries (`0.0` = exact). Parameter
+    /// gradients *accumulate* across calls exactly like
     /// [`SpikingNetwork::backward`] — call
     /// [`SpikingNetwork::zero_grads`] between minibatches.
-    ///
-    /// Frame gradients are not materialized (training updates do not
-    /// need them); white-box attacks keep using the per-sample
-    /// [`SpikingNetwork::backward`].
     ///
     /// # Errors
     ///
@@ -1370,11 +1486,18 @@ impl SpikingNetwork {
                 ),
             });
         }
+        // Every layer is checked against its tape entries, including the
+        // ones below the first parameterized layer the sweep never visits.
         let depth = self.depth();
-        if tape.steps.len() != tape.time_steps || tape.steps.iter().any(|s| s.len() != depth) {
-            return Err(CoreError::Config {
-                message: "batch tape does not match the network's layer stack".into(),
-            });
+        let foreign = tape.steps.iter().any(|step| {
+            step.len() != depth
+                || step
+                    .iter()
+                    .zip(self.layers())
+                    .any(|(entry, layer)| !entry.matches(layer))
+        });
+        if tape.steps.len() != tape.time_steps || foreign {
+            return Err(tape_mismatch());
         }
         if b == 0 {
             return Ok(());

@@ -949,7 +949,7 @@ impl Layer {
                 let gvt = Tensor::from_vec(gv, &[n])?;
                 match &tape.input {
                     TapeInput::Events(events) => {
-                        sparse::sparse_outer_acc(&mut l.weight.grad, &gvt, events)?
+                        sparse::sparse_outer_acc(&mut l.weight.grad, gvt.as_slice(), events)?
                     }
                     TapeInput::Dense(input) => linalg::outer_acc(&mut l.weight.grad, &gvt, input)?,
                 }
@@ -960,7 +960,7 @@ impl Layer {
                 let input = l.inputs.get(t).ok_or(CoreError::NoRecordedForward)?;
                 match input {
                     TapeInput::Events(events) => {
-                        sparse::sparse_outer_acc(&mut l.weight.grad, grad_out, events)?
+                        sparse::sparse_outer_acc(&mut l.weight.grad, grad_out.as_slice(), events)?
                     }
                     TapeInput::Dense(input) => {
                         linalg::outer_acc(&mut l.weight.grad, grad_out, input)?

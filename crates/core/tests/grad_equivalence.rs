@@ -558,4 +558,202 @@ fn backward_batch_validates_inputs() {
     assert!(other
         .backward_batch(&tape, &Tensor::zeros(&[2, 5]))
         .is_err());
+
+    // Stacks of equal depth that differ only below the first
+    // parameterized layer: the sweep never runs the pool's backward,
+    // but each net must still reject the other's tape.
+    let pooled = |pool: Layer| {
+        let mut rng = StdRng::seed_from_u64(42);
+        SpikingNetwork::new(
+            vec![
+                pool,
+                Layer::flatten(),
+                Layer::spiking_linear(&mut rng, 16, 8, &c),
+                Layer::output_linear(&mut rng, 8, 5),
+            ],
+            c,
+        )
+        .unwrap()
+    };
+    let mut max_net = pooled(Layer::max_pool2d(2));
+    let mut avg_net = pooled(Layer::avg_pool2d(2));
+    let trains: Vec<FrameTrain> = (0..2u64)
+        .map(|s| FrameTrain::from_frames(&binary_frames(s, 3, &[1, 8, 8], 0.2)).unwrap())
+        .collect();
+    let (_, max_tape) = max_net.forward_batch_recorded(&trains).unwrap();
+    let (_, avg_tape) = avg_net.forward_batch_recorded(&trains).unwrap();
+    let g = Tensor::zeros(&[2, 5]);
+    assert!(max_net.backward_batch(&max_tape, &g).is_ok());
+    assert!(avg_net.backward_batch(&avg_tape, &g).is_ok());
+    assert!(
+        avg_net.backward_batch(&max_tape, &g).is_err(),
+        "a max-pool tape must not run on an avg-pool stack"
+    );
+    assert!(
+        max_net.backward_batch(&avg_tape, &g).is_err(),
+        "an avg-pool tape must not run on a max-pool stack"
+    );
 }
+
+/// `Flatten → SpikingLinear → SpikingLinear → OutputLinear` — the
+/// `train_bptt` shape, with layer widths that leave partial column
+/// tiles (72 = 2·32 + 8, 40 = 32 + 8, 24 < 32) in every weight
+/// gradient and `Wᵀ·g` block.
+fn flat_mlp_net(seed: u64, cfg: SnnConfig) -> SpikingNetwork {
+    let mut rng = StdRng::seed_from_u64(seed);
+    SpikingNetwork::new(
+        vec![
+            Layer::flatten(),
+            Layer::spiking_linear(&mut rng, 72, 40, &cfg),
+            Layer::spiking_linear(&mut rng, 40, 24, &cfg),
+            Layer::output_linear(&mut rng, 24, 5),
+        ],
+        cfg,
+    )
+    .unwrap()
+}
+
+/// Analog frames of shape `dims` that change every step: signed
+/// values with exact zeros mixed in, so every first-layer tape row is
+/// dense.
+fn analog_frames(seed: u64, steps: usize, dims: &[usize]) -> Vec<Tensor> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let len: usize = dims.iter().product();
+    (0..steps)
+        .map(|_| {
+            let data: Vec<f32> = (0..len)
+                .map(|_| {
+                    let u = rng.gen::<f32>();
+                    if u < 0.1 {
+                        0.0
+                    } else {
+                        u * 1.5 - 0.4
+                    }
+                })
+                .collect();
+            Tensor::from_vec(data, dims).unwrap()
+        })
+        .collect()
+}
+
+/// FNV-1a over the bits of every weight and bias gradient, in stack
+/// order.
+fn grad_digest(net: &SpikingNetwork) -> u64 {
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    for (w, b) in grads_of(net) {
+        for x in w.iter().chain(&b) {
+            for byte in x.to_bits().to_le_bytes() {
+                digest = (digest ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+    }
+    digest
+}
+
+/// The batched backward's gradients, frozen bit for bit: any change to
+/// the sweep or its kernels that moves one bit of one weight or bias
+/// gradient fails here, at every batch size and thread count. Three
+/// tapes: (a) the `train_bptt` shape on analog frames (every
+/// first-layer row dense), (b) the same net on binary frames whose
+/// per-row density alternates around the 0.25 gate (one shard holds
+/// event and dense rows across steps), (c) `conv_net`. The logit
+/// gradient holds exact zeros so the event scatter's `g == 0` skip
+/// runs.
+#[test]
+fn batched_backward_reproduces_frozen_gradients() {
+    const T: usize = 4;
+    let mut moved = Vec::new();
+    for (case, expected) in FROZEN_GRAD_DIGESTS {
+        let (arch, batch) = case;
+        let c = cfg(T);
+        let (net, trains): (SpikingNetwork, Vec<FrameTrain>) = match arch {
+            "analog" => (
+                flat_mlp_net(91, c),
+                (0..batch as u64)
+                    .map(|s| {
+                        FrameTrain::from_frames(&analog_frames(600 + s, T, &[2, 6, 6])).unwrap()
+                    })
+                    .collect(),
+            ),
+            "mixed" => (
+                flat_mlp_net(92, c),
+                (0..batch as u64)
+                    .map(|s| {
+                        let frames: Vec<Tensor> = (0..T as u64)
+                            .map(|t| {
+                                let density = if (s + t) % 2 == 0 { 0.1 } else { 0.45 };
+                                binary_frames(700 + 31 * s + t, 1, &[2, 6, 6], density)
+                                    .pop()
+                                    .unwrap()
+                            })
+                            .collect();
+                        FrameTrain::from_frames(&frames).unwrap()
+                    })
+                    .collect(),
+            ),
+            _ => (
+                conv_net(93, c),
+                (0..batch as u64)
+                    .map(|s| {
+                        FrameTrain::from_frames(&binary_frames(800 + s, T, &[1, 12, 12], 0.15))
+                            .unwrap()
+                    })
+                    .collect(),
+            ),
+        };
+        let grad_block: Vec<f32> = (0..batch * 5)
+            .map(|i| {
+                let (r, k) = (i / 5, i % 5);
+                if (r + k) % 4 == 0 {
+                    0.0
+                } else {
+                    ((k as f32) * 0.7 - 1.0) * (1.0 + (r % 3) as f32 * 0.25)
+                }
+            })
+            .collect();
+        let grad_block = Tensor::from_vec(grad_block, &[batch, 5]).unwrap();
+        let mut recorder = net.clone();
+        let (_, tape) = recorder.forward_batch_recorded(&trains).unwrap();
+        if arch == "mixed" {
+            let frac = tape.event_row_fraction();
+            assert!(
+                frac > 0.0 && frac < 1.0,
+                "mixed tape must hold event and dense rows, got {frac}"
+            );
+        }
+        for threads in [1usize, 2] {
+            let mut run = net.clone();
+            run.zero_grads();
+            run.backward_batch_with(
+                &tape,
+                &grad_block,
+                &BackwardOpts {
+                    threads,
+                    input_grad_eps: 0.0,
+                },
+            )
+            .unwrap();
+            let digest = grad_digest(&run);
+            if digest != expected {
+                moved.push(format!(
+                    "{arch} B={batch} threads={threads}: {digest:#018x}"
+                ));
+            }
+        }
+    }
+    assert!(moved.is_empty(), "gradients moved: {moved:#?}");
+}
+
+/// Digests of [`batched_backward_reproduces_frozen_gradients`], taken
+/// from the row-by-row backward this suite pins.
+const FROZEN_GRAD_DIGESTS: [((&str, usize), u64); 9] = [
+    (("analog", 3), 0x40da_3245_3d48_c722),
+    (("analog", 16), 0x8909_cfe7_6115_489c),
+    (("analog", 19), 0x9e58_ef90_dbc8_bc50),
+    (("mixed", 3), 0x1a89_2e22_c386_0d6e),
+    (("mixed", 16), 0x5b80_637a_b8a1_2124),
+    (("mixed", 19), 0xae84_e038_d167_89eb),
+    (("conv", 3), 0xd5a2_9978_022a_7d10),
+    (("conv", 16), 0x8d0a_8e07_3ac5_9c08),
+    (("conv", 19), 0xfcc7_9eef_d51a_54ca),
+];

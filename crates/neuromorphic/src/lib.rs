@@ -13,8 +13,6 @@
 //!   quantization-aware filter*: timestamps are quantized with step `q_t`
 //!   and spatio-temporally uncorrelated events (adversarial noise) are
 //!   removed,
-//! * [`stats`] — stream statistics, rate profiles, windowing and
-//!   cropping transforms,
 //! * [`stream`] — streaming event-stream inference: incremental
 //!   membrane updates as events arrive ([`stream::StreamSession`] over
 //!   the core `FrameStepper`), uniform/rolling window accumulation
@@ -52,7 +50,6 @@ mod error;
 pub mod aqf;
 pub mod event;
 pub mod frames;
-pub mod stats;
 pub mod stream;
 
 pub use error::NeuroError;

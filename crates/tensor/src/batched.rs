@@ -9,7 +9,7 @@
 //! spike frames into a CSR [`SpikeMatrix`] and provides kernels that
 //! walk the weights *once per batch*:
 //!
-//! * [`sparse_matmul`] / [`sparse_matmul_bias`] — `[out, in] × B events
+//! * [`sparse_matmul_bias`] — `[out, in] × B events + bias
 //!   → [B, out]`, weight-row-outer so each row is gathered against all
 //!   B index lists while it is hot in cache,
 //! * [`matmul_bt_bias`] — the dense batched fallback (`X · Wᵀ + b`) for
@@ -25,8 +25,8 @@
 //! batch forward in `axsnn-core` promise bit-for-bit equivalence with
 //! per-sample classification.
 //!
-//! The fused engine calls the linear-layer kernels ([`sparse_matmul`],
-//! [`sparse_matmul_bias`], [`matmul_bt_bias`]) and the event-sorted conv
+//! The fused engine calls the linear-layer kernels
+//! ([`sparse_matmul_bias`], [`matmul_bt_bias`]) and the event-sorted conv
 //! on its hot path. Pools and the row-by-row conv have no batch form:
 //! inside the fused engine, batches mix gate-admitted and dense rows per
 //! step, so it drives the shared per-row primitives
@@ -36,7 +36,7 @@
 //! # Example
 //!
 //! ```
-//! use axsnn_tensor::batched::{sparse_matmul, SpikeMatrix};
+//! use axsnn_tensor::batched::{sparse_matmul_bias, SpikeMatrix};
 //! use axsnn_tensor::sparse::SpikeVector;
 //! use axsnn_tensor::Tensor;
 //!
@@ -47,9 +47,10 @@
 //!     SpikeVector::new(vec![1, 2], 3)?,
 //! ];
 //! let batch = SpikeMatrix::from_rows(&rows)?;
-//! let y = sparse_matmul(&w, &batch)?;
+//! let bias = Tensor::from_vec(vec![0.5, -1.0], &[2])?;
+//! let y = sparse_matmul_bias(&w, &batch, &bias)?;
 //! assert_eq!(y.shape().dims(), &[2, 2]);
-//! assert_eq!(y.as_slice(), &[1.0, 4.0, 5.0, 11.0]);
+//! assert_eq!(y.as_slice(), &[1.5, 3.0, 5.5, 10.0]);
 //! # Ok(())
 //! # }
 //! ```
@@ -213,7 +214,7 @@ fn gather_row_x4<L: WeightLane>(rows: [L; 4], indices: &[u32], init: [f32; 4], o
     }
 }
 
-fn sparse_matmul_impl(w: &Tensor, x: &SpikeMatrix, bias: Option<&Tensor>) -> Vec<f32> {
+fn sparse_matmul_impl(w: &Tensor, x: &SpikeMatrix, bias: &Tensor) -> Vec<f32> {
     let dims = w.shape().dims();
     let (m, k) = (dims[0], dims[1]);
     let wv = w.as_slice();
@@ -234,9 +235,7 @@ fn sparse_matmul_impl(w: &Tensor, x: &SpikeMatrix, bias: Option<&Tensor>) -> Vec
         while o + crate::simd::ROW_LANES <= m {
             let rows = &wv[o * k..(o + crate::simd::ROW_LANES) * k];
             let mut init = [0.0f32; crate::simd::ROW_LANES];
-            if let Some(bias) = bias {
-                init.copy_from_slice(&bias.as_slice()[o..o + crate::simd::ROW_LANES]);
-            }
+            init.copy_from_slice(&bias.as_slice()[o..o + crate::simd::ROW_LANES]);
             if pack {
                 crate::simd::pack_rows8(rows, k, &mut panel);
                 for r in 0..b {
@@ -261,7 +260,7 @@ fn sparse_matmul_lane_impl<L: WeightLane>(
     m: usize,
     k: usize,
     x: &SpikeMatrix,
-    bias: Option<&Tensor>,
+    bias: &Tensor,
 ) -> Vec<f32> {
     let mut out = vec![0.0f32; x.rows() * m];
     matmul_lane_tiles(wv, m, k, x, bias, 0, &mut out);
@@ -277,7 +276,7 @@ fn matmul_lane_tiles<L: WeightLane>(
     m: usize,
     k: usize,
     x: &SpikeMatrix,
-    bias: Option<&Tensor>,
+    bias: &Tensor,
     o0: usize,
     out: &mut [f32],
 ) {
@@ -293,13 +292,8 @@ fn matmul_lane_tiles<L: WeightLane>(
             wv.slice((o + 2) * k, (o + 3) * k),
             wv.slice((o + 3) * k, (o + 4) * k),
         ];
-        let init = match bias {
-            Some(bias) => {
-                let bv = bias.as_slice();
-                [bv[o], bv[o + 1], bv[o + 2], bv[o + 3]]
-            }
-            None => [0.0; 4],
-        };
+        let bv = bias.as_slice();
+        let init = [bv[o], bv[o + 1], bv[o + 2], bv[o + 3]];
         for r in 0..b {
             gather_row_x4(rows, x.row(r), init, &mut out[r * m + o..r * m + o + 4]);
         }
@@ -307,7 +301,7 @@ fn matmul_lane_tiles<L: WeightLane>(
     }
     while o < m {
         let row = wv.slice(o * k, (o + 1) * k);
-        let init = bias.map(|bv| bv.as_slice()[o]).unwrap_or(0.0);
+        let init = bias.as_slice()[o];
         for r in 0..b {
             out[r * m + o] = gather_row_lane(row, x.row(r), init);
         }
@@ -315,35 +309,25 @@ fn matmul_lane_tiles<L: WeightLane>(
     }
 }
 
-/// Batched sparse product `Y = S · Wᵀ` for a CSR spike batch `S` of
-/// shape `[B, in]` and weights `[out, in]`, producing `[B, out]`.
+/// Batched sparse product `Y = S · Wᵀ + b` for a CSR spike batch `S`
+/// of shape `[B, in]`, weights `[out, in]` and a per-output bias,
+/// producing `[B, out]` — the fused form the spiking layers use (`acc`
+/// starts at `bias[o]`, exactly like
+/// [`crate::sparse::sparse_matvec_bias`]).
 ///
 /// Weight rows are processed in tiles of 4 that stay cache-hot across
 /// the whole batch while each sample's index list gathers against them
 /// (`gather_row_x4`); weight traffic is `out × in` per *batch*
 /// instead of per sample — the GEMM amortization a per-sample matvec
-/// cannot reach. Row `b` equals `sparse_matvec(w, rows[b])` bit for
-/// bit.
+/// cannot reach. Row `b` equals `sparse_matvec_bias(w, rows[b], bias)`
+/// bit for bit.
 ///
 /// # Errors
 ///
 /// Returns [`TensorError::RankMismatch`] for a non-matrix `w` and
 /// [`TensorError::ShapeMismatch`] when the spike length differs from
-/// the weight column count.
-pub fn sparse_matmul(w: &Tensor, x: &SpikeMatrix) -> Result<Tensor> {
-    let (m, _) = check_weight(w, x.cols(), "sparse_matmul")?;
-    let out = sparse_matmul_impl(w, x, None);
-    Tensor::from_vec(out, &[x.rows(), m])
-}
-
-/// [`sparse_matmul`] plus a per-output bias, matching the fused form
-/// the spiking layers use (`acc` starts at `bias[o]`, exactly like
-/// [`crate::sparse::sparse_matvec_bias`]).
-///
-/// # Errors
-///
-/// As [`sparse_matmul`], plus [`TensorError::ShapeMismatch`] when the
-/// bias length differs from the weight row count.
+/// the weight column count or the bias length from the weight row
+/// count.
 pub fn sparse_matmul_bias(w: &Tensor, x: &SpikeMatrix, bias: &Tensor) -> Result<Tensor> {
     let (m, k) = check_weight(w, x.cols(), "sparse_matmul_bias")?;
     if bias.len() != m {
@@ -353,7 +337,7 @@ pub fn sparse_matmul_bias(w: &Tensor, x: &SpikeMatrix, bias: &Tensor) -> Result<
             op: "sparse_matmul_bias",
         });
     }
-    let out = sparse_matmul_impl(w, x, Some(bias));
+    let out = sparse_matmul_impl(w, x, bias);
     Tensor::from_vec(out, &[x.rows(), m])
 }
 
@@ -377,7 +361,7 @@ pub fn sparse_matmul_bias_scalar(w: &Tensor, x: &SpikeMatrix, bias: &Tensor) -> 
             op: "sparse_matmul_bias",
         });
     }
-    let out = sparse_matmul_lane_impl(F32Lane(w.as_slice()), m, k, x, Some(bias));
+    let out = sparse_matmul_lane_impl(F32Lane(w.as_slice()), m, k, x, bias);
     Tensor::from_vec(out, &[x.rows(), m])
 }
 
@@ -433,9 +417,9 @@ pub fn sparse_matmul_bias_planed_scalar(
     let (m, k) = shape;
     check_planed(weights, shape, x, bias)?;
     let out = match weights {
-        PlaneView::F16(bits) => sparse_matmul_lane_impl(F16Lane(bits), m, k, x, Some(bias)),
+        PlaneView::F16(bits) => sparse_matmul_lane_impl(F16Lane(bits), m, k, x, bias),
         PlaneView::Int8 { codes, levels } => {
-            sparse_matmul_lane_impl(Int8Lane { codes, levels }, m, k, x, Some(bias))
+            sparse_matmul_lane_impl(Int8Lane { codes, levels }, m, k, x, bias)
         }
     };
     Tensor::from_vec(out, &[x.rows(), m])
@@ -512,7 +496,7 @@ fn matmul_planed_dispatch<L: WeightLane>(
                 }
                 o += LANES;
             }
-            matmul_lane_tiles(wv, m, k, x, Some(bias), o, &mut out);
+            matmul_lane_tiles(wv, m, k, x, bias, o, &mut out);
         } else {
             // Scalar blocked path: decode 4-row tiles and run the f32
             // gather tile over the block — identical accumulation order
@@ -535,11 +519,11 @@ fn matmul_planed_dispatch<L: WeightLane>(
                 }
                 o += 4;
             }
-            matmul_lane_tiles(wv, m, k, x, Some(bias), o, &mut out);
+            matmul_lane_tiles(wv, m, k, x, bias, o, &mut out);
         }
         return out;
     }
-    matmul_lane_tiles(wv, m, k, x, Some(bias), 0, &mut out);
+    matmul_lane_tiles(wv, m, k, x, bias, 0, &mut out);
     out
 }
 
@@ -1252,7 +1236,7 @@ mod tests {
         assert!(m.is_empty());
         assert_eq!(m.density(), 0.0);
         let w = Tensor::zeros(&[3, 0]);
-        let y = sparse_matmul(&w, &m).unwrap();
+        let y = sparse_matmul_bias(&w, &m, &Tensor::zeros(&[3])).unwrap();
         assert_eq!(y.shape().dims(), &[0, 3]);
     }
 
@@ -1266,7 +1250,7 @@ mod tests {
         let bias = Tensor::from_vec((0..7).map(|i| i as f32 * 0.2 - 0.5).collect(), &[7]).unwrap();
         let rows = binary_rows(5, 13, 2);
         let batch = SpikeMatrix::from_rows(&rows).unwrap();
-        let y = sparse_matmul(&w, &batch).unwrap();
+        let y = sparse_matmul_bias(&w, &batch, &Tensor::zeros(&[7])).unwrap();
         let yb = sparse_matmul_bias(&w, &batch, &bias).unwrap();
         assert_eq!(y.shape().dims(), &[5, 7]);
         for (r, row) in rows.iter().enumerate() {
@@ -1283,8 +1267,9 @@ mod tests {
     #[test]
     fn matmul_shape_errors() {
         let batch = SpikeMatrix::from_rows(&binary_rows(2, 6, 2)).unwrap();
-        assert!(sparse_matmul(&Tensor::zeros(&[3, 5]), &batch).is_err());
-        assert!(sparse_matmul(&Tensor::zeros(&[6]), &batch).is_err());
+        let b3 = Tensor::zeros(&[3]);
+        assert!(sparse_matmul_bias(&Tensor::zeros(&[3, 5]), &batch, &b3).is_err());
+        assert!(sparse_matmul_bias(&Tensor::zeros(&[6]), &batch, &b3).is_err());
         let w = Tensor::zeros(&[3, 6]);
         assert!(sparse_matmul_bias(&w, &batch, &Tensor::zeros(&[2])).is_err());
     }

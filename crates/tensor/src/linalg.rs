@@ -253,20 +253,25 @@ fn matvec_t_rows(av: &[f32], n: usize, xv: &[f32], eps: f32, out: &mut [f32]) {
 /// block against a `[m, n]` matrix, with `|g| < eps` entries skipped —
 /// the input-gradient kernel of the parallel minibatch backward.
 ///
-/// The matrix streams **once per call** (outer loop over its rows),
-/// amortizing weight traffic across every row of the shard, while each
-/// output cell still accumulates over `p` ascending with a single
-/// accumulator — the same per-cell order as a per-row
-/// [`matvec_t_thresholded`], so results are value-identical to it (and,
-/// at `eps == 0.0`, to the dense `G·A` GEMM that skips exact zeros).
+/// Each output row is computed on its own: its admitted coefficients
+/// (the skip set of [`matvec_t_thresholded`]: exact zeros and
+/// `|g| < eps`, NaN kept) scale their rows of `A` into the output row
+/// in ascending `p` order from `+0.0`, one accumulator per cell — the
+/// same per-cell order as a per-row [`matvec_t_thresholded`], so
+/// results are value-identical to it (and, at `eps == 0.0`, to the
+/// dense `G·A` GEMM that skips exact zeros). Under AVX2 dispatch a
+/// 32-column tile of the output row stays in registers across up to 32
+/// coefficients at a time; the result is bit-identical to the portable
+/// loop, [`matvec_t_block_thresholded_into_scalar`].
 ///
 /// `out` must be `rows × n` and is overwritten.
 ///
 /// # Errors
 ///
 /// Returns [`TensorError::RankMismatch`] for a non-matrix `a` and
-/// [`TensorError::ShapeMismatch`] when `g` is not `rows × m` or `out`
-/// is not `rows × n`.
+/// [`TensorError::InvalidArgument`] naming the operand — `g` when it is
+/// not `rows × m` long, `out` when it is not `rows × n` long — with its
+/// expected and actual length.
 pub fn matvec_t_block_thresholded_into(
     a: &Tensor,
     g: &[f32],
@@ -274,30 +279,92 @@ pub fn matvec_t_block_thresholded_into(
     eps: f32,
     out: &mut [f32],
 ) -> Result<()> {
-    let (m, n) = check_rank2(a, "matvec_t_block")?;
-    if g.len() != rows * m || out.len() != rows * n {
-        return Err(TensorError::ShapeMismatch {
-            lhs: vec![rows, m],
-            rhs: vec![g.len() / m.max(1), m],
-            op: "matvec_t_block",
-        });
-    }
-    out.fill(0.0);
+    matvec_t_block_impl(a, g, rows, eps, out, crate::simd::active())
+}
+
+/// The portable scalar reference for
+/// [`matvec_t_block_thresholded_into`]: the same skip set and per-cell
+/// add order, never the runtime-dispatched AVX2 tiles. Production
+/// callers want [`matvec_t_block_thresholded_into`], which is
+/// bit-identical to this by construction (pinned by the
+/// `simd_equivalence` suite).
+///
+/// # Errors
+///
+/// As [`matvec_t_block_thresholded_into`].
+pub fn matvec_t_block_thresholded_into_scalar(
+    a: &Tensor,
+    g: &[f32],
+    rows: usize,
+    eps: f32,
+    out: &mut [f32],
+) -> Result<()> {
+    matvec_t_block_impl(a, g, rows, eps, out, false)
+}
+
+fn matvec_t_block_impl(
+    a: &Tensor,
+    g: &[f32],
+    rows: usize,
+    eps: f32,
+    out: &mut [f32],
+    simd: bool,
+) -> Result<()> {
+    const OP: &str = "matvec_t_block";
+    let (m, n) = check_rank2(a, OP)?;
+    check_block_len(OP, "g", g.len(), rows, m)?;
+    check_block_len(OP, "out", out.len(), rows, n)?;
     let av = a.as_slice();
-    for p in 0..m {
-        let arow = &av[p * n..(p + 1) * n];
-        for r in 0..rows {
-            let gv = g[r * m + p];
+    let mut terms: Vec<(f32, &[f32])> = Vec::with_capacity(m);
+    for r in 0..rows {
+        terms.clear();
+        for (p, &gv) in g[r * m..(r + 1) * m].iter().enumerate() {
             if gv == 0.0 || gv.abs() < eps {
                 continue;
             }
-            let orow = &mut out[r * n..(r + 1) * n];
-            for (o, &w) in orow.iter_mut().zip(arow) {
-                *o += gv * w;
-            }
+            terms.push((gv, &av[p * n..(p + 1) * n]));
         }
+        let orow = &mut out[r * n..(r + 1) * n];
+        orow.fill(0.0);
+        scaled_row_sum(orow, &terms, simd);
     }
     Ok(())
+}
+
+/// Checks that the flat operand `operand` of `op` holds a
+/// `[rows, cols]` block, naming it with its expected and actual length
+/// otherwise.
+fn check_block_len(op: &str, operand: &str, actual: usize, rows: usize, cols: usize) -> Result<()> {
+    match rows.checked_mul(cols) {
+        Some(expected) if expected == actual => Ok(()),
+        expected => Err(TensorError::InvalidArgument {
+            message: format!(
+                "{op}: {operand} must hold [{rows}, {cols}] = {} values, got {actual}",
+                expected.map_or_else(|| "more than usize::MAX".to_string(), |e| e.to_string())
+            ),
+        }),
+    }
+}
+
+/// The portable loop both register-tiled kernels of this module
+/// reproduce: `out[j] = out[j] + c·row[j]` for every `(c, row)` of
+/// `terms` in order, the product rounded before the add. The AVX2
+/// backend ([`crate::simd`]) keeps each column's add order and is
+/// bit-identical to it.
+fn scaled_row_sum_scalar(out: &mut [f32], terms: &[(f32, &[f32])]) {
+    for &(c, row) in terms {
+        for (o, &x) in out.iter_mut().zip(row) {
+            *o += c * x;
+        }
+    }
+}
+
+fn scaled_row_sum(out: &mut [f32], terms: &[(f32, &[f32])], simd: bool) {
+    if simd {
+        crate::simd::scaled_row_sum(out, terms);
+    } else {
+        scaled_row_sum_scalar(out, terms);
+    }
 }
 
 /// [`matmul`] with `|a[i][k]| < eps` entries skipped in addition to the
@@ -340,15 +407,17 @@ pub fn matmul_thresholded(a: &Tensor, b: &Tensor, eps: f32) -> Result<Tensor> {
 
 /// In-place rank-1 accumulation `acc[i][j] += a[i]·b[j]` — the weight
 /// gradient update of a linear layer, without the two tensor
-/// allocations of `acc.add(&outer(a, b))`.
+/// allocations of `acc.add(&outer(a, b))`: [`outer_acc_run`] with a
+/// one-term run.
 ///
 /// Each accumulator cell receives exactly one add of the identical
 /// product, so results are bit-identical to the allocate-then-add form.
 ///
 /// # Errors
 ///
-/// Returns [`TensorError::RankMismatch`] for non-vector `a`/`b` and
-/// [`TensorError::ShapeMismatch`] when `acc` is not `[a.len, b.len]`.
+/// Returns [`TensorError::RankMismatch`] for non-vector `a`/`b` or a
+/// non-matrix `acc` and [`TensorError::ShapeMismatch`] when `acc` is
+/// not `[a.len, b.len]`.
 pub fn outer_acc(acc: &mut Tensor, a: &Tensor, b: &Tensor) -> Result<()> {
     if a.shape().rank() != 1 || b.shape().rank() != 1 {
         return Err(TensorError::RankMismatch {
@@ -357,22 +426,61 @@ pub fn outer_acc(acc: &mut Tensor, a: &Tensor, b: &Tensor) -> Result<()> {
             op: "outer_acc",
         });
     }
-    let (m, n) = (a.len(), b.len());
-    if acc.shape().dims() != [m, n] {
+    outer_acc_run(acc, &[(a.as_slice(), b.as_slice())])
+}
+
+/// A run of rank-1 updates `acc += g_e ⊗ x_e`, applied in run order:
+/// every cell ends at `(((acc + g_0[i]·x_0[j]) + g_1[i]·x_1[j]) + …)`,
+/// each product rounded before its add — exactly the bits of one
+/// [`outer_acc`] call per term in order.
+///
+/// This is the weight-gradient pass of the batched backward: a shard
+/// logs its per-step gradient rows and taped inputs, then adds them in
+/// one call, so the `[m, n]` accumulator streams once per run instead
+/// of once per term. Under AVX2 dispatch a 32-column tile of one
+/// accumulator row stays in registers across up to 32 terms of the run
+/// at a time; the result is bit-identical to the portable loop,
+/// [`outer_acc_run_scalar`].
+///
+/// # Errors
+///
+/// Returns [`TensorError::RankMismatch`] for a non-matrix `acc` and
+/// [`TensorError::ShapeMismatch`] when a term is not
+/// `(g: [m], x: [n])` for an `[m, n]` accumulator.
+pub fn outer_acc_run(acc: &mut Tensor, terms: &[(&[f32], &[f32])]) -> Result<()> {
+    outer_acc_run_impl(acc, terms, crate::simd::active())
+}
+
+/// The portable scalar reference for [`outer_acc_run`]: the same
+/// per-cell add order, never the runtime-dispatched AVX2 tiles.
+/// Production callers want [`outer_acc_run`], which is bit-identical
+/// to this by construction (pinned by the `simd_equivalence` suite).
+///
+/// # Errors
+///
+/// As [`outer_acc_run`].
+pub fn outer_acc_run_scalar(acc: &mut Tensor, terms: &[(&[f32], &[f32])]) -> Result<()> {
+    outer_acc_run_impl(acc, terms, false)
+}
+
+fn outer_acc_run_impl(acc: &mut Tensor, terms: &[(&[f32], &[f32])], simd: bool) -> Result<()> {
+    let (m, n) = check_rank2(acc, "outer_acc_run")?;
+    if let Some((g, x)) = terms.iter().find(|(g, x)| g.len() != m || x.len() != n) {
         return Err(TensorError::ShapeMismatch {
-            lhs: acc.shape().dims().to_vec(),
-            rhs: vec![m, n],
-            op: "outer_acc",
+            lhs: vec![m, n],
+            rhs: vec![g.len(), x.len()],
+            op: "outer_acc_run",
         });
     }
-    let av = a.as_slice();
-    let bv = b.as_slice();
+    if terms.is_empty() {
+        return Ok(());
+    }
     let accv = acc.as_mut_slice();
-    for (i, &ai) in av.iter().enumerate() {
-        let row = &mut accv[i * n..(i + 1) * n];
-        for (c, &bj) in row.iter_mut().zip(bv) {
-            *c += ai * bj;
-        }
+    let mut row_terms: Vec<(f32, &[f32])> = Vec::with_capacity(terms.len());
+    for i in 0..m {
+        row_terms.clear();
+        row_terms.extend(terms.iter().map(|&(g, x)| (g[i], x)));
+        scaled_row_sum(&mut accv[i * n..(i + 1) * n], &row_terms, simd);
     }
     Ok(())
 }
@@ -574,6 +682,64 @@ mod tests {
         assert!(matvec_t_block_thresholded_into(&a, &[0.0; 3], 1, 0.0, &mut out).is_err());
         assert!(matvec_t_block_thresholded_into(&a, &[0.0; 2], 1, 0.0, &mut [0.0; 2]).is_err());
         assert!(matvec_t_block_thresholded_into(&a, &[0.0; 2], 1, 0.0, &mut out).is_ok());
+    }
+
+    #[test]
+    fn matvec_t_block_names_a_wrong_g() {
+        // Three values are not a whole number of two-wide rows.
+        let a = t(vec![0.0; 6], &[2, 3]);
+        let mut out = vec![0.0f32; 6];
+        let err = matvec_t_block_thresholded_into(&a, &[0.0; 3], 2, 0.0, &mut out)
+            .unwrap_err()
+            .to_string();
+        assert!(
+            err.contains("g must hold [2, 2] = 4 values, got 3"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn matvec_t_block_names_a_wrong_out() {
+        let a = t(vec![0.0; 6], &[2, 3]);
+        let mut out = vec![0.0f32; 5];
+        let err = matvec_t_block_thresholded_into(&a, &[0.0; 4], 2, 0.0, &mut out)
+            .unwrap_err()
+            .to_string();
+        assert!(
+            err.contains("out must hold [2, 3] = 6 values, got 5"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn outer_acc_run_equals_one_outer_acc_per_term() {
+        let g = [[1.5f32, -0.5, 0.0], [0.25, 3.0, -0.0], [-2.0, 0.75, 1.0]];
+        let x = [[0.5f32, -1.0], [2.0, 0.125], [-0.0, 4.0]];
+        let start: Vec<f32> = vec![0.1, -0.2, 0.3, 0.0, -0.0, 0.6];
+        let mut sequential = t(start.clone(), &[3, 2]);
+        for (ge, xe) in g.iter().zip(&x) {
+            outer_acc(
+                &mut sequential,
+                &t(ge.to_vec(), &[3]),
+                &t(xe.to_vec(), &[2]),
+            )
+            .unwrap();
+        }
+        let terms: Vec<(&[f32], &[f32])> =
+            g.iter().zip(&x).map(|(a, b)| (&a[..], &b[..])).collect();
+        let mut run = t(start, &[3, 2]);
+        outer_acc_run(&mut run, &terms).unwrap();
+        let bits = |v: &Tensor| v.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&run), bits(&sequential));
+    }
+
+    #[test]
+    fn outer_acc_run_rejects_bad_shapes() {
+        let mut acc = Tensor::zeros(&[2, 3]);
+        assert!(outer_acc_run(&mut acc, &[(&[0.0; 2], &[0.0; 3])]).is_ok());
+        assert!(outer_acc_run(&mut acc, &[(&[0.0; 3], &[0.0; 3])]).is_err());
+        assert!(outer_acc_run(&mut acc, &[(&[0.0; 2], &[0.0; 2])]).is_err());
+        assert!(outer_acc_run(&mut Tensor::zeros(&[6]), &[]).is_err());
     }
 
     #[test]

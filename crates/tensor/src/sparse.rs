@@ -531,7 +531,8 @@ pub fn sparse_matvec_bias_exact(a: &Tensor, x: &SpikeVector, bias: &Tensor) -> R
 /// Event-masked rank-1 gradient accumulation
 /// `acc[i][j] += g[i]` for every active column `j` — the sparse form of
 /// the linear-layer weight-gradient update `acc += g ⊗ x` for a binary
-/// `x`, touching `rows × nnz` cells instead of `rows × cols`.
+/// `x`, touching `rows × nnz` cells instead of `rows × cols`. Rows with
+/// `g[i] == 0` are skipped.
 ///
 /// The dense update adds `g[i]·x[j]`, which is `g[i]` exactly at active
 /// columns and an exact zero elsewhere, so each accumulator cell ends
@@ -539,21 +540,13 @@ pub fn sparse_matvec_bias_exact(a: &Tensor, x: &SpikeVector, bias: &Tensor) -> R
 ///
 /// # Errors
 ///
-/// Returns [`TensorError::RankMismatch`] for non-matrix `acc` /
-/// non-vector `g` and [`TensorError::ShapeMismatch`] when `acc` is not
-/// `[g.len, x.len]`.
-pub fn sparse_outer_acc(acc: &mut Tensor, g: &Tensor, x: &SpikeVector) -> Result<()> {
+/// Returns [`TensorError::RankMismatch`] for a non-matrix `acc` and
+/// [`TensorError::ShapeMismatch`] when `acc` is not `[g.len, x.len]`.
+pub fn sparse_outer_acc(acc: &mut Tensor, g: &[f32], x: &SpikeVector) -> Result<()> {
     if acc.shape().rank() != 2 {
         return Err(TensorError::RankMismatch {
             expected: 2,
             actual: acc.shape().rank(),
-            op: "sparse_outer_acc",
-        });
-    }
-    if g.shape().rank() != 1 {
-        return Err(TensorError::RankMismatch {
-            expected: 1,
-            actual: g.shape().rank(),
             op: "sparse_outer_acc",
         });
     }
@@ -565,9 +558,8 @@ pub fn sparse_outer_acc(acc: &mut Tensor, g: &Tensor, x: &SpikeVector) -> Result
             op: "sparse_outer_acc",
         });
     }
-    let gv = g.as_slice();
     let accv = acc.as_mut_slice();
-    for (i, &gi) in gv.iter().enumerate() {
+    for (i, &gi) in g.iter().enumerate() {
         if gi == 0.0 {
             continue;
         }
@@ -1440,14 +1432,14 @@ mod tests {
             let mut acc =
                 Tensor::from_vec((0..15).map(|i| i as f32 * 0.1).collect(), &[3, 5]).unwrap();
             let reference = acc.add(&linalg::outer(&g, &x).unwrap()).unwrap();
-            sparse_outer_acc(&mut acc, &g, &s).unwrap();
+            sparse_outer_acc(&mut acc, g.as_slice(), &s).unwrap();
             assert_eq!(acc.as_slice(), reference.as_slice(), "every {every}");
         }
     }
 
     #[test]
     fn sparse_outer_acc_shape_errors() {
-        let g = Tensor::zeros(&[3]);
+        let g = [0.0f32; 3];
         let s = SpikeVector::new(vec![0], 5).unwrap();
         let mut wrong_rows = Tensor::zeros(&[2, 5]);
         assert!(sparse_outer_acc(&mut wrong_rows, &g, &s).is_err());
@@ -1456,7 +1448,9 @@ mod tests {
         let mut vec_acc = Tensor::zeros(&[15]);
         assert!(sparse_outer_acc(&mut vec_acc, &g, &s).is_err());
         let mut ok = Tensor::zeros(&[3, 5]);
-        assert!(sparse_outer_acc(&mut ok, &Tensor::zeros(&[2, 2]), &s).is_err());
+        // Four gradient values for a three-row accumulator.
+        assert!(sparse_outer_acc(&mut ok, &[0.0; 4], &s).is_err());
+        assert!(sparse_outer_acc(&mut ok, &g, &s).is_ok());
     }
 
     #[test]

@@ -12,6 +12,12 @@
 //! operands that include ±0.0, subnormals, exact 1.0 and magnitudes
 //! wide enough to overflow; NaN outputs compare by NaN-ness only.
 //!
+//! The backward kernels that hold a 32-column tile of one output row
+//! in registers (`outer_acc_run`, `matvec_t_block_thresholded_into`)
+//! are pinned the same way against their scalar loops, over tile
+//! remainders, run lengths and coefficients with zeros, `-0.0`,
+//! subnormals and a NaN.
+//!
 //! Run with `AXSNN_NO_SIMD=1` both sides take the scalar path and the
 //! suite degenerates to reflexivity — CI runs it both ways.
 
@@ -21,6 +27,10 @@ use axsnn_tensor::batched::{
     SpikeMatrix,
 };
 use axsnn_tensor::conv::Conv2dSpec;
+use axsnn_tensor::linalg::{
+    matvec_t_block_thresholded_into, matvec_t_block_thresholded_into_scalar, outer_acc_run,
+    outer_acc_run_scalar,
+};
 use axsnn_tensor::plane::{QuantizedPlane, WeightPlane};
 use axsnn_tensor::sparse::{
     sparse_conv2d, sparse_matvec_bias, sparse_matvec_bias_scalar, SpikeVector,
@@ -261,5 +271,97 @@ proptest! {
         let sorted = sparse_conv2d_sorted(&x, (hw, hw), &weight, &bias, &spec).unwrap();
         let scatter = sparse_conv2d(&x, (hw, hw), &weight, &bias, &spec).unwrap();
         assert_bits_eq(&sorted, &scatter, "sorted conv");
+    }
+}
+
+/// Row lengths for the register-tiled backward kernels: below one
+/// 8-lane tile, one 8-lane tile, around one 32-column tile, and the
+/// widths of real layers (`FastMlp`'s 96 and 256 inputs, a 2×28×28
+/// event frame's 1568).
+const TILE_ROW_LENGTHS: [usize; 9] = [1, 7, 8, 31, 32, 33, 96, 256, 1568];
+
+/// Run lengths (terms per output row) for the same kernels: one term,
+/// two, and both sides of the 32-term register pass.
+const RUN_LENGTHS: [usize; 4] = [1, 2, 32, 33];
+
+/// Backward-pass coefficients: analog values with exact zeros, `-0.0`,
+/// subnormals of both signs and sub-`1e-3` magnitudes mixed in, plus a
+/// single NaN at `nan_at` (so one output row turns NaN and the others
+/// stay finite).
+fn coefficients(len: usize, salt: u64, nan_at: Option<usize>) -> Vec<f32> {
+    let mut c = analog_values(len, salt);
+    for (i, v) in c.iter_mut().enumerate() {
+        match (i as u64 + salt) % 7 {
+            0 => *v = 0.0,
+            1 => *v = -0.0,
+            2 => *v = f32::from_bits(0x0000_0301),
+            3 => *v = -f32::from_bits(0x0040_0000),
+            4 => *v *= 1e-4,
+            _ => {}
+        }
+    }
+    if let Some(i) = nan_at.filter(|&i| i < len) {
+        c[i] = f32::NAN;
+    }
+    c
+}
+
+/// The dispatched weight-gradient run (`outer_acc_run`) is
+/// bit-identical to its scalar loop — `acc + g·x` per term in run
+/// order, product rounded first — for every tile remainder and run
+/// length, starting from a non-zero accumulator.
+#[test]
+fn outer_acc_run_bit_identity() {
+    const M: usize = 5;
+    for n in TILE_ROW_LENGTHS {
+        for run in RUN_LENGTHS {
+            let salt = (n * 131 + run) as u64;
+            let coefs: Vec<Vec<f32>> = (0..run)
+                .map(|e| coefficients(M, salt + e as u64, (e == 0).then_some(M - 1)))
+                .collect();
+            let xs: Vec<Vec<f32>> = (0..run)
+                .map(|e| analog_values(n, salt ^ (0x77 + e as u64)))
+                .collect();
+            let terms: Vec<(&[f32], &[f32])> = coefs
+                .iter()
+                .zip(&xs)
+                .map(|(g, x)| (g.as_slice(), x.as_slice()))
+                .collect();
+            let start = Tensor::from_vec(analog_values(M * n, salt ^ 0x3c), &[M, n]).unwrap();
+            let mut fast = start.clone();
+            let mut scalar = start;
+            outer_acc_run(&mut fast, &terms).unwrap();
+            outer_acc_run_scalar(&mut scalar, &terms).unwrap();
+            assert_bits_eq_nan(&fast, &scalar, &format!("outer_acc_run n={n} run={run}"));
+            assert!(fast.as_slice()[(M - 1) * n..].iter().all(|v| v.is_nan()));
+        }
+    }
+}
+
+/// The dispatched `Wᵀ·g` block kernel is bit-identical to its scalar
+/// loop — same skip set (exact zeros, `|g| < eps`, NaN kept), same
+/// ascending add order from `+0.0` — for every output-row length,
+/// coefficient count and threshold.
+#[test]
+fn matvec_t_block_bit_identity() {
+    const ROWS: usize = 3;
+    for n in TILE_ROW_LENGTHS {
+        for m in RUN_LENGTHS {
+            let salt = (n * 17 + m) as u64;
+            let a = Tensor::from_vec(analog_values(m * n, salt ^ 0x5e), &[m, n]).unwrap();
+            let g = coefficients(ROWS * m, salt, Some(ROWS * m - 1));
+            for eps in [0.0f32, 1e-3] {
+                let mut fast = vec![1.0f32; ROWS * n];
+                let mut scalar = vec![2.0f32; ROWS * n];
+                matvec_t_block_thresholded_into(&a, &g, ROWS, eps, &mut fast).unwrap();
+                matvec_t_block_thresholded_into_scalar(&a, &g, ROWS, eps, &mut scalar).unwrap();
+                let what = format!("matvec_t_block n={n} m={m} eps={eps}");
+                assert_bits_eq_nan(
+                    &Tensor::from_vec(fast, &[ROWS, n]).unwrap(),
+                    &Tensor::from_vec(scalar, &[ROWS, n]).unwrap(),
+                    &what,
+                );
+            }
+        }
     }
 }
