@@ -222,56 +222,6 @@ impl SpikingNetwork {
         )
     }
 
-    /// Classifies a batch of pre-encoded frame sequences in parallel
-    /// (the event-camera pipeline, where encoding happens upstream).
-    ///
-    /// Homogeneous batches (every sample the same `T` and frame shape,
-    /// no active dropout) take the fused batched path; heterogeneous
-    /// ones fall back to per-sample classification. Either way the
-    /// predictions are bit-for-bit those of
-    /// [`SpikingNetwork::classify_frames`] per sample.
-    ///
-    /// `seed` drives any per-sample forward randomness (e.g. train-mode
-    /// dropout), mixed with the sample index exactly as in
-    /// [`SpikingNetwork::classify_batch`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first forward error encountered.
-    pub fn classify_frames_batch(
-        &self,
-        batches: &[Vec<Tensor>],
-        seed: u64,
-        threads: usize,
-    ) -> Result<Vec<usize>> {
-        use crate::fused::FrameTrain;
-        let fusable = !self.train_dropout_active()
-            && !batches.is_empty()
-            && !batches[0].is_empty()
-            && batches.iter().all(|frames| {
-                frames.len() == batches[0].len()
-                    && frames
-                        .iter()
-                        .all(|f| f.shape().dims() == batches[0][0].shape().dims())
-            });
-        if fusable {
-            let trains = batches
-                .iter()
-                .map(|frames| FrameTrain::from_frames(frames))
-                .collect::<Result<Vec<_>>>()?;
-            return self.classify_trains_sharded(
-                &trains,
-                threads,
-                crate::fused::DEFAULT_FUSED_BATCH,
-            );
-        }
-        fan_out(self, batches.len(), threads, |net, i, slot: &mut usize| {
-            let mut rng = StdRng::seed_from_u64(sample_seed(seed, i));
-            *slot = net.classify_frames(&batches[i], &mut rng)?;
-            Ok(())
-        })
-    }
-
     /// Evaluates labelled image data in parallel through the fused
     /// batched engine, returning per-sample predictions and aggregate
     /// accuracy.
@@ -467,19 +417,5 @@ mod tests {
             ),
             "{err:?}"
         );
-    }
-
-    #[test]
-    fn frames_batch_matches_sequential() {
-        let net = net(5);
-        let frames: Vec<Vec<Tensor>> = (0..6)
-            .map(|i| vec![Tensor::full(&[8], 0.1 * i as f32); 6])
-            .collect();
-        let parallel = net.classify_frames_batch(&frames, 11, 3).unwrap();
-        let mut reference = net.clone();
-        for (i, f) in frames.iter().enumerate() {
-            let mut rng = StdRng::seed_from_u64(sample_seed(11, i));
-            assert_eq!(parallel[i], reference.classify_frames(f, &mut rng).unwrap());
-        }
     }
 }

@@ -25,13 +25,16 @@
 //! The fused path is not "approximately" the per-sample path — it *is*
 //! the per-sample path, re-scheduled. Every batch row makes the same
 //! dense/sparse gate decision the per-sample forward would make (the
-//! density gate of PR 1, applied per row per layer per step), and every
-//! kernel routes through the same shared gather/scatter helpers in the
-//! same order, so `forward_batch` logits equal per-sample
-//! [`SpikingNetwork::forward`] logits bit for bit. An inter-layer event
-//! row is exactly what [`SpikeVector::from_dense`] yields on the dense
-//! spike row the per-sample step writes (ascending, unique indices), so
-//! the kernels see the same accumulation order and the gate the same
+//! density gate, applied per row per layer per step), and every kernel
+//! routes through the same shared gather/scatter helpers in the same
+//! order, so `forward_batch` logits equal per-sample
+//! [`SpikingNetwork::forward`] logits bit for bit. The gate decides
+//! only speed: each sparse kernel sums in its dense twin's order, so a
+//! row gives the same bits whichever side of the gate it lands on (see
+//! [`crate::plan`]). An inter-layer event row is exactly what
+//! [`SpikeVector::from_dense`] yields on the dense spike row the
+//! per-sample step writes (ascending, unique indices), so the kernels
+//! see the same accumulation order and the gate the same
 //! event count; a declined row materializes from it with values of
 //! exactly `0.0` and `1.0`. The per-layer spike statistics add each
 //! step's event count as an `f32`, which equals the per-sample sum of
@@ -43,11 +46,13 @@
 //! # Minibatched training
 //!
 //! [`SpikingNetwork::forward_batch_recorded`] runs the same fused
-//! engine with an event-form [`BatchTape`]: per layer and time step it
-//! tapes each row's input (events where the density gate admits, dense
-//! otherwise) plus the stacked pre-reset membranes, using the
-//! *exact-order* sparse kernels so every taped current equals what the
-//! dense tape would hold. [`SpikingNetwork::backward_batch`] then
+//! engine, with the same kernels, and an event-form [`BatchTape`]: per
+//! layer and time step it tapes each row's input (events where the
+//! density gate admits, dense otherwise) plus the stacked pre-reset
+//! membranes. Since every sparse kernel sums in its dense twin's order,
+//! each taped current equals what the dense tape would hold. Pools are
+//! the exception: recorded steps pool densely, because the max-pool
+//! tape needs its argmax. [`SpikingNetwork::backward_batch`] then
 //! partitions the minibatch into fixed row-shards, fans the reverse-time
 //! sweeps out across worker threads ([`BackwardOpts::threads`]), and
 //! reduces the per-shard gradient buffers in a fixed order — gradients
@@ -84,7 +89,7 @@ use crate::plan::{ConvBatchKernel, KernelPolicy};
 use crate::{CoreError, Result};
 use axsnn_tensor::batched::{
     matmul_bt_bias, sparse_conv2d_batch_sorted_into, sparse_conv2d_batch_sorted_planed_into,
-    sparse_matmul_bias, sparse_matmul_bias_exact, sparse_matmul_bias_planed, SpikeMatrix,
+    sparse_matmul_bias, sparse_matmul_bias_planed, SpikeMatrix,
 };
 use axsnn_tensor::conv::{self, Conv2dSpec};
 use axsnn_tensor::grads::{self, GradShard};
@@ -561,14 +566,14 @@ impl DenseCurrentCache {
 /// the same bits. Gate decisions, fallback counters and tape rows are
 /// produced exactly as without the cache.
 ///
-/// With `record` set the admitted rows run the exact-order GEMM
-/// ([`sparse_matmul_bias_exact`]) so the taped currents equal the dense
-/// tape's, and the per-row inputs are returned for the tape (empty
-/// otherwise).
+/// The spike-plane GEMM sums each output in the dense GEMM's order, so
+/// the gate's split between the two never changes a current. Recorded
+/// steps run the same kernels; `record` only asks for the per-row
+/// inputs back for the tape (empty otherwise).
 ///
 /// `weight`/`bias` are the layer's *effective* tensors; when `quant`
 /// carries a packed reduced-precision buffer of the same weights, the
-/// inference GEMM streams it directly (bit-identical to gathering the
+/// spike-plane GEMM streams it directly (bit-identical to gathering the
 /// effective tensor).
 fn linear_current_block(
     weight: &Tensor,
@@ -608,15 +613,11 @@ fn linear_current_block(
     }
     if !sparse_rows.is_empty() {
         let batch = SpikeMatrix::from_rows(&sparse_rows).map_err(CoreError::from)?;
-        let y = if record {
-            sparse_matmul_bias_exact(weight, &batch, bias).map_err(CoreError::from)?
-        } else {
-            match quant {
-                Some(q) => sparse_matmul_bias_planed(q.view(), (out_n, in_n), &batch, bias)
-                    .map_err(CoreError::from)?,
-                None => sparse_matmul_bias(weight, &batch, bias).map_err(CoreError::from)?,
-            }
-        };
+        let y = match quant {
+            Some(q) => sparse_matmul_bias_planed(q.view(), (out_n, in_n), &batch, bias),
+            None => sparse_matmul_bias(weight, &batch, bias),
+        }
+        .map_err(CoreError::from)?;
         let yv = y.as_slice();
         for (s, &r) in sparse_pos.iter().enumerate() {
             block[r * out_n..(r + 1) * out_n].copy_from_slice(&yv[s * out_n..(s + 1) * out_n]);
@@ -1170,12 +1171,14 @@ impl SpikingNetwork {
     /// [`SpikingNetwork::backward_batch`] consumes.
     ///
     /// Recorded steps make the same per-row density-gate decision as
-    /// the per-sample recorded forward and run the exact-order sparse
-    /// kernels, so row `b` of the logits — and the gradients the tape
+    /// the per-sample recorded forward and run the inference kernels
+    /// (pools excepted: they pool densely for the max-pool argmax
+    /// tape), so row `b` of the logits — and the gradients the tape
     /// later produces — equal the per-sample recorded pass on
     /// `trains[b]` (see the module docs; the only difference from the
     /// per-sample *minibatch* gradient is the f32 summation order
-    /// across samples).
+    /// across samples). The logits also equal
+    /// [`SpikingNetwork::forward_batch`]'s bit for bit.
     ///
     /// # Errors
     ///

@@ -106,7 +106,7 @@ const FORMAT_VERSION: u32 = 1;
 ///
 /// Currently infallible for well-formed networks; returns `Result` to
 /// keep room for validation.
-pub fn snapshot_snn(net: &SpikingNetwork) -> Result<SnnSnapshot> {
+pub(crate) fn snapshot_snn(net: &SpikingNetwork) -> Result<SnnSnapshot> {
     let mut layers = Vec::with_capacity(net.depth());
     for layer in net.layers() {
         layers.push(match layer {
@@ -148,7 +148,7 @@ pub fn snapshot_snn(net: &SpikingNetwork) -> Result<SnnSnapshot> {
 ///
 /// Returns [`CoreError::Incompatible`] for unsupported versions or
 /// inconsistent layer shapes.
-pub fn restore_snn(snapshot: &SnnSnapshot) -> Result<SpikingNetwork> {
+pub(crate) fn restore_snn(snapshot: &SnnSnapshot) -> Result<SpikingNetwork> {
     if snapshot.version != FORMAT_VERSION {
         return Err(CoreError::Incompatible {
             message: format!("unsupported snapshot version {}", snapshot.version),
@@ -326,7 +326,8 @@ pub struct NetworkSnapshot {
 ///
 /// # Errors
 ///
-/// Propagates [`snapshot_snn`] failures.
+/// Currently infallible for well-formed networks; returns `Result` to
+/// keep room for validation.
 pub fn snapshot_network(net: &SpikingNetwork) -> Result<NetworkSnapshot> {
     let snn = snapshot_snn(net)?;
     let plan = net
@@ -354,9 +355,9 @@ pub fn snapshot_network(net: &SpikingNetwork) -> Result<NetworkSnapshot> {
 ///
 /// # Errors
 ///
-/// Returns [`CoreError::Incompatible`] for unsupported versions or a
-/// plan that does not align with the layer stack, plus any
-/// [`restore_snn`] failure.
+/// Returns [`CoreError::Incompatible`] for unsupported versions,
+/// inconsistent layer shapes or a plan that does not align with the
+/// layer stack.
 pub fn restore_network(snapshot: &NetworkSnapshot) -> Result<SpikingNetwork> {
     if snapshot.version != FORMAT_VERSION {
         return Err(CoreError::Incompatible {

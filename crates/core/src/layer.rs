@@ -16,21 +16,23 @@
 //!
 //! # Event-form BPTT tape
 //!
-//! Recorded steps run the same density gate as inference: a binary
-//! input frame at or below the layer's sparse threshold is stored on
-//! the tape as a [`SpikeVector`] instead of a dense tensor, the forward
-//! current is computed with the *exact-order* sparse kernels
-//! ([`sparse::sparse_matvec_bias_exact`], [`sparse::sparse_conv2d`])
-//! whose per-element accumulation order matches the dense kernels, and
-//! the backward pass accumulates weight gradients event-drively
-//! ([`sparse::sparse_outer_acc`], [`sparse::sparse_conv2d_backward`]).
-//! The result: training cost scales with spike activity like inference
-//! does, while every gradient stays the same `f32` value the dense tape
-//! produces — at any density, including 100% (the dense kernels'
-//! contributions from inactive inputs are exact zeros). Frames that
-//! fail the gate (analog currents, dense or non-binary activity) fall
-//! back to the dense kernels and a dense tape entry, exactly like the
-//! forward path, and count on [`Layer::dense_fallback_count`].
+//! Recorded steps run the same density gate and the same kernels as
+//! inference: a binary input frame at or below the layer's sparse
+//! threshold is stored on the tape as a [`SpikeVector`] instead of a
+//! dense tensor, the forward current comes from the inference gather or
+//! scatter (streaming a reduced-precision plane where one is
+//! installed), and the backward pass accumulates weight gradients
+//! event-drively ([`sparse::sparse_outer_acc`],
+//! [`sparse::sparse_conv2d_backward`]). Every sparse kernel sums in its
+//! dense twin's order, so the taped currents and every gradient are the
+//! same `f32` values the dense tape produces — at any density,
+//! including 100% (the dense kernels' contributions from inactive
+//! inputs are exact zeros). Frames that fail the gate (analog
+//! currents, dense or non-binary activity) fall back to the dense
+//! kernels and a dense tape entry, exactly like the forward path, and
+//! count on [`Layer::dense_fallback_count`]. Only the pools differ:
+//! recorded steps pool densely, because the max-pool tape needs its
+//! argmax.
 //!
 //! The tape stores no spike vectors for the outputs: the emitted spike
 //! pattern is recomputed in the backward pass as
@@ -218,6 +220,36 @@ macro_rules! impl_planed_accessors {
 impl_planed_accessors!(SpikingConv2d);
 impl_planed_accessors!(SpikingLinear);
 impl_planed_accessors!(OutputLinear);
+
+/// A linear layer's spike gather `W·s + b` over its effective
+/// `weight`/`bias`, on inference and recorded steps alike. An installed
+/// plane streams its packed buffer, which is bit-identical to gathering
+/// the dequantized image.
+fn linear_gather(
+    weight: &Tensor,
+    bias: &Tensor,
+    planed: Option<&PlanedParams>,
+    events: &SpikeVector,
+) -> Result<Tensor> {
+    let dims = weight.shape().dims();
+    match planed {
+        Some(p) => {
+            sparse::sparse_matvec_bias_planed(p.quant.view(), (dims[0], dims[1]), events, bias)
+        }
+        None => sparse::sparse_matvec_bias(weight, events, bias),
+    }
+    .map_err(CoreError::from)
+}
+
+/// `input` as a rank-1 tensor: itself when it already is one, a
+/// flattening reshape otherwise.
+fn flatten_input(input: &Tensor) -> Result<Tensor> {
+    if input.shape().rank() == 1 {
+        Ok(input.clone())
+    } else {
+        input.reshape(&[input.len()]).map_err(CoreError::from)
+    }
+}
 
 /// Spiking 2-D convolution layer (`[Cin,H,W] → [Cout,OH,OW]` spikes).
 #[derive(Debug, Clone)]
@@ -744,39 +776,12 @@ impl Layer {
             Layer::SpikingLinear(l) => {
                 let sparse_input = l.policy.admit(input);
                 let (current, flat) = match &sparse_input {
-                    // Recorded steps use the exact-order gather so the
-                    // event tape's currents equal the dense tape's;
-                    // inference keeps the faster 4-wide kernel.
-                    Some(events) if record => (
-                        sparse::sparse_matvec_bias_exact(l.eff_weight(), events, l.eff_bias())?,
+                    Some(events) => (
+                        linear_gather(l.eff_weight(), l.eff_bias(), l.planed(), events)?,
                         None,
                     ),
-                    Some(events) => {
-                        let current = match l.planed.as_deref() {
-                            // Stream the packed plane buffer directly;
-                            // the lane gather is bit-identical to
-                            // gathering the dequantized f32 image.
-                            Some(p) => {
-                                let dims = l.weight.value.shape().dims();
-                                sparse::sparse_matvec_bias_planed(
-                                    p.quant.view(),
-                                    (dims[0], dims[1]),
-                                    events,
-                                    &p.bias,
-                                )?
-                            }
-                            None => {
-                                sparse::sparse_matvec_bias(&l.weight.value, events, &l.bias.value)?
-                            }
-                        };
-                        (current, None)
-                    }
                     None => {
-                        let flat = if input.shape().rank() == 1 {
-                            input.clone()
-                        } else {
-                            input.reshape(&[input.len()])?
-                        };
+                        let flat = flatten_input(input)?;
                         let current = linalg::matvec(l.eff_weight(), &flat)?.add(l.eff_bias())?;
                         (current, Some(flat))
                     }
@@ -797,46 +802,23 @@ impl Layer {
                 let n = out.spikes.len();
                 Tensor::from_vec(out.spikes, &[n]).map_err(CoreError::from)
             }
-            Layer::OutputLinear(l) => {
-                let events = l.policy.admit(input);
-                match events {
-                    Some(events) if !record => match l.planed.as_deref() {
-                        Some(p) => {
-                            let dims = l.weight.value.shape().dims();
-                            sparse::sparse_matvec_bias_planed(
-                                p.quant.view(),
-                                (dims[0], dims[1]),
-                                &events,
-                                &p.bias,
-                            )
-                            .map_err(CoreError::from)
-                        }
-                        None => sparse::sparse_matvec_bias(&l.weight.value, &events, &l.bias.value)
-                            .map_err(CoreError::from),
-                    },
-                    Some(events) => {
-                        let out = sparse::sparse_matvec_bias_exact(
-                            l.eff_weight(),
-                            &events,
-                            l.eff_bias(),
-                        )?;
+            Layer::OutputLinear(l) => match l.policy.admit(input) {
+                Some(events) => {
+                    let out = linear_gather(l.eff_weight(), l.eff_bias(), l.planed(), &events)?;
+                    if record {
                         l.inputs.push(TapeInput::Events(events));
-                        Ok(out)
                     }
-                    None => {
-                        let flat = if input.shape().rank() == 1 {
-                            input.clone()
-                        } else {
-                            input.reshape(&[input.len()])?
-                        };
-                        let out = linalg::matvec(l.eff_weight(), &flat)?.add(l.eff_bias())?;
-                        if record {
-                            l.inputs.push(TapeInput::Dense(flat));
-                        }
-                        Ok(out)
-                    }
+                    Ok(out)
                 }
-            }
+                None => {
+                    let flat = flatten_input(input)?;
+                    let out = linalg::matvec(l.eff_weight(), &flat)?.add(l.eff_bias())?;
+                    if record {
+                        l.inputs.push(TapeInput::Dense(flat));
+                    }
+                    Ok(out)
+                }
+            },
             Layer::AvgPool2d(l) => {
                 l.input_dims = input.shape().dims().to_vec();
                 if !record && l.input_dims.len() == 3 {

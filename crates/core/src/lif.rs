@@ -11,7 +11,6 @@
 //! `1 / (1 + α·|v − V_th|)²`, the de-facto standard surrogate gradient.
 
 use axsnn_tensor::sparse::SpikeVector;
-use axsnn_tensor::Tensor;
 
 /// Parameters of a population of LIF neurons.
 ///
@@ -189,27 +188,6 @@ impl LifState {
             spikes,
             pre_reset_membrane: pre,
         }
-    }
-
-    /// Spike probability per Eq. (1) of the paper: `min(1, V_m / V_th)`.
-    ///
-    /// Negative membrane potentials clamp to probability 0.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use axsnn_core::lif::{LifParams, LifState};
-    ///
-    /// let s = LifState::new(1, LifParams::default());
-    /// assert_eq!(s.spike_probability(0.5), 0.5);
-    /// assert_eq!(s.spike_probability(3.0), 1.0);
-    /// assert_eq!(s.spike_probability(-1.0), 0.0);
-    /// ```
-    pub fn spike_probability(&self, membrane: f32) -> f32 {
-        if self.params.threshold <= 0.0 {
-            return 1.0;
-        }
-        (membrane / self.params.threshold).clamp(0.0, 1.0)
     }
 }
 
@@ -428,26 +406,10 @@ fn fire_lanes<const RECORD: bool>(
         .fold(0, |mask, (k, &s)| mask | u32::from(s) << k)
 }
 
-/// Applies the Heaviside spike function to a whole tensor of membrane
-/// potentials, producing a binary spike tensor.
-///
-/// # Example
-///
-/// ```
-/// use axsnn_core::lif::{spike_tensor, LifParams};
-/// use axsnn_tensor::Tensor;
-///
-/// let v = Tensor::from_vec(vec![0.5, 1.5, -0.2], &[3]).unwrap();
-/// let s = spike_tensor(&v, &LifParams::default());
-/// assert_eq!(s.as_slice(), &[0.0, 1.0, 0.0]);
-/// ```
-pub fn spike_tensor(membrane: &Tensor, params: &LifParams) -> Tensor {
-    membrane.map(|v| params.spike(v))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use axsnn_tensor::Tensor;
 
     #[test]
     fn leak_decays_membrane() {
@@ -516,19 +478,6 @@ mod tests {
         s.step(&[0.5, 0.4, 0.3]);
         s.reset();
         assert!(s.membrane().iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
-    fn spike_probability_clamps() {
-        let s = LifState::new(
-            1,
-            LifParams {
-                threshold: 2.0,
-                ..LifParams::default()
-            },
-        );
-        assert_eq!(s.spike_probability(1.0), 0.5);
-        assert_eq!(s.spike_probability(5.0), 1.0);
     }
 
     #[test]

@@ -33,14 +33,32 @@
 //!   adversarial trainer — lives here too, so *all* execution-policy
 //!   types share one module.
 //!
-//! The auto plan (`PlanOverride::Auto`) reproduces the pre-plan
-//! behaviour bit for bit: every sparse-capable layer gates at
-//! [`DEFAULT_DENSITY_THRESHOLD`], and conv layers whose stencil is
-//! large enough to amortize a reordering pass select the event-sorted
-//! batched scatter ([`axsnn_tensor::batched::sparse_conv2d_batch_sorted`])
-//! for fused batches — which is itself bit-identical per row to the
-//! row-by-row scatter, so the kernel choice never changes results
-//! (pinned by `tests/plan_equivalence.rs`).
+//! The auto plan (`PlanOverride::Auto`) gates every sparse-capable
+//! layer at [`DEFAULT_DENSITY_THRESHOLD`], and conv layers whose
+//! stencil is large enough to amortize a reordering pass select the
+//! event-sorted batched scatter
+//! ([`axsnn_tensor::batched::sparse_conv2d_batch_sorted`]) for fused
+//! batches.
+//!
+//! # Plans choose how, never what
+//!
+//! Every sparse kernel sums in its dense twin's order: a spike gather
+//! adds each output's active columns in ascending index order from
+//! `+0.0` and the bias last, as the dense matvec and GEMM do over every
+//! column; the scatter conv adds events in the dense conv's window
+//! order after the bias; the event avg pool scales the dense pool's
+//! count. On a binary frame the dense kernels' extra terms are exact
+//! zeros, which change no partial sum. So for finite effective weights
+//! no plan ([`PlanOverride::Auto`], [`PlanOverride::ForceDense`],
+//! [`PlanOverride::ForceThreshold`]), no batched-conv kernel and
+//! neither engine (per-sample or fused) changes a bit of any forward
+//! output, on inference and recorded steps alike — the plan decides
+//! only speed. `tests/plan_equivalence.rs` pins this.
+//!
+//! The one exception is a non-finite effective weight. The dense
+//! kernels multiply every weight by its input, and `±inf · 0` is NaN,
+//! so a dense step turns the inactive `inf` terms into NaN outputs
+//! that the event kernels, which never read them, do not produce.
 
 use crate::layer::Layer;
 use axsnn_tensor::conv::Conv2dSpec;
@@ -321,7 +339,9 @@ pub enum PlanOverride {
     /// Per-layer auto choices: the shape-derived defaults every layer
     /// constructor installs.
     Auto,
-    /// Force the dense kernels everywhere (the pre-PR 1 path).
+    /// Force the dense kernels everywhere. Bit-identical to the other
+    /// plans for finite weights (see the module docs), so this is an
+    /// A/B switch for benches and tests, never a result knob.
     ForceDense,
     /// Force every sparse-capable layer's gate to the given threshold
     /// (`1.0` admits every binary frame; non-positive values degenerate

@@ -2,12 +2,13 @@
 //! to compute, never *what*.
 //!
 //! Forced-dense, forced-sparse and auto plans must be bit-for-bit
-//! identical on the recorded forward path (which runs the exact-order
-//! kernels) and produce `grad_equivalence`-level identical gradients on
-//! backward, across batch sizes 1–32 and spike densities 0–100%. The
-//! batched-conv kernel choice (row-by-row vs event-sorted) is likewise
-//! pinned bit-identical through the public snapshot path that selects
-//! it.
+//! identical on every forward path — inference and recorded, per-sample
+//! and fused — and produce `grad_equivalence`-level identical gradients
+//! on backward, across batch sizes 1–32 and spike densities 0–100%.
+//! Every sparse kernel sums in its dense twin's order, so the density
+//! gate decides only speed. The batched-conv kernel choice (row-by-row
+//! vs event-sorted) is likewise pinned bit-identical through the public
+//! snapshot path that selects it.
 
 use axsnn_core::fused::FrameTrain;
 use axsnn_core::io::{restore_network, snapshot_network};
@@ -71,6 +72,37 @@ fn conv_net(seed: u64, cfg: SnnConfig) -> SpikingNetwork {
     .unwrap()
 }
 
+/// A stack whose avg pool has a 5×5 window, the smallest at which
+/// adding `1/k²` per spike rounds away from the dense pool's scaled
+/// count.
+fn avg_pool_net(seed: u64, cfg: SnnConfig) -> SpikingNetwork {
+    let mut rng = StdRng::seed_from_u64(seed);
+    SpikingNetwork::new(
+        vec![
+            Layer::spiking_conv2d(
+                &mut rng,
+                Conv2dSpec {
+                    in_channels: 2,
+                    out_channels: 4,
+                    kernel: 3,
+                    stride: 1,
+                    padding: 1,
+                },
+                &cfg,
+            ),
+            Layer::avg_pool2d(5),
+            Layer::flatten(),
+            Layer::output_linear(&mut rng, 4 * 2 * 2, 3),
+        ],
+        cfg,
+    )
+    .unwrap()
+}
+
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
 fn binary_frames(seed: u64, steps: usize, dims: &[usize], density: f32) -> Vec<Tensor> {
     let mut rng = StdRng::seed_from_u64(seed);
     let len: usize = dims.iter().product();
@@ -103,8 +135,7 @@ fn grads_of(net: &SpikingNetwork) -> Vec<(Vec<f32>, Vec<f32>)> {
 }
 
 /// Recorded per-sample forward logits are bit-identical across plans at
-/// every density (the recorded path runs the exact-order kernels, so
-/// dense vs sparse is pure scheduling).
+/// every density (dense vs sparse is pure scheduling).
 #[test]
 fn recorded_forward_bit_identical_across_plans() {
     let cfg = SnnConfig {
@@ -286,40 +317,53 @@ fn auto_plan_matches_legacy_defaults() {
     );
 }
 
-/// Inference (non-recorded) forward agrees across plans up to the fast
-/// kernels' documented reassociation tolerance, with identical
-/// predictions and spike counts.
+/// Inference logits are bit-identical across plans: `Auto`,
+/// `ForceDense` and `ForceThreshold(1.0)` at every density and batch
+/// size, through the per-sample forward and the fused batch forward, on
+/// the MLP, the conv net and a stack with a 5×5 avg pool.
 #[test]
 fn inference_predictions_identical_across_plans() {
     let cfg = SnnConfig {
         threshold: 0.6,
-        time_steps: 8,
+        time_steps: 4,
         leak: 0.9,
     };
-    for &density in &[0.05f32, 0.15] {
-        let net = conv_net(51, cfg);
-        let frames = binary_frames(9, 8, &[1, 12, 12], density);
-        let mut outputs = Vec::new();
-        for (_, mut variant) in plan_variants(&net) {
-            let mut rng = StdRng::seed_from_u64(0);
-            outputs.push(variant.forward(&frames, false, &mut rng).unwrap());
-        }
-        for out in &outputs[1..] {
-            assert_eq!(out.logits.argmax(), outputs[0].logits.argmax());
-            assert_eq!(
-                out.stats.spikes_per_layer,
-                outputs[0].stats.spikes_per_layer
-            );
-            for (a, b) in out
-                .logits
-                .as_slice()
-                .iter()
-                .zip(outputs[0].logits.as_slice())
-            {
-                assert!(
-                    (a - b).abs() <= 1e-4 * (1.0 + b.abs()),
-                    "density {density}: {a} vs {b}"
-                );
+    let nets: [(&str, SpikingNetwork, &[usize]); 3] = [
+        ("mlp", mlp_net(51, cfg), &[24]),
+        ("conv", conv_net(52, cfg), &[1, 12, 12]),
+        ("avg-pool", avg_pool_net(53, cfg), &[2, 10, 10]),
+    ];
+    for (name, net, dims) in &nets {
+        let mut variants = plan_variants(net);
+        for &density in DENSITIES {
+            for &batch in BATCHES {
+                let samples: Vec<Vec<Tensor>> = (0..batch)
+                    .map(|b| binary_frames(900 + b as u64, cfg.time_steps, dims, density))
+                    .collect();
+                let trains: Vec<FrameTrain> = samples
+                    .iter()
+                    .map(|frames| FrameTrain::from_frames(frames).unwrap())
+                    .collect();
+                let mut reference: Option<(Vec<u32>, Vec<f32>)> = None;
+                for (plan, variant) in &mut variants {
+                    let what = format!("{name} density {density} batch {batch} plan {plan}");
+                    let fused = variant.forward_batch(&trains).unwrap();
+                    let mut per_sample = Vec::new();
+                    for frames in &samples {
+                        let mut rng = StdRng::seed_from_u64(0);
+                        let out = variant.forward(frames, false, &mut rng).unwrap();
+                        per_sample.extend(bits(&out.logits));
+                    }
+                    let logits = bits(&fused.logits);
+                    assert_eq!(per_sample, logits, "{what}: per-sample vs fused logits");
+                    match &reference {
+                        None => reference = Some((logits, fused.spikes_per_layer)),
+                        Some((expected, spikes)) => {
+                            assert_eq!(&logits, expected, "{what}: inference logits diverged");
+                            assert_eq!(&fused.spikes_per_layer, spikes, "{what}: spike counts");
+                        }
+                    }
+                }
             }
         }
     }

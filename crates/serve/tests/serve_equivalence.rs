@@ -14,6 +14,7 @@ use axsnn_core::fused::FrameTrain;
 use axsnn_core::io::{save_network, snapshot_network};
 use axsnn_core::layer::Layer;
 use axsnn_core::network::{SnnConfig, SpikingNetwork};
+use axsnn_core::plan::PlanOverride;
 use axsnn_serve::{
     run_open_loop, DegradeConfig, InferenceService, Priority, Request, ServeConfig, ServeError,
     ServiceLevel, TrafficConfig, TrafficPhase,
@@ -116,6 +117,7 @@ proptest! {
                 shrink_at: 0.0,
                 degrade_at: 0.0,
                 shed_at: 1.0,
+                degraded_plan: PlanOverride::ForceDense,
                 ..DegradeConfig::default()
             };
         }

@@ -57,7 +57,7 @@
 
 use crate::conv::Conv2dSpec;
 use crate::plane::{F16Lane, F32Lane, Int8Lane, PlaneView, WeightLane};
-use crate::sparse::{gather_row_lane, SpikeVector};
+use crate::sparse::{gather_row_lane, gather_row_x4, SpikeVector};
 use crate::{Result, Tensor, TensorError};
 
 /// A batch of binary spike frames in CSR form: one concatenated index
@@ -175,84 +175,79 @@ fn check_weight(w: &Tensor, cols: usize, op: &'static str) -> Result<(usize, usi
     Ok((dims[0], dims[1]))
 }
 
-/// The GEMM microkernel: gathers one sample's index list against a tile
-/// of 4 weight rows at once, writing 4 outputs.
-///
-/// The per-sample gather's cost is dominated by the dependent
-/// index-load → data-load chain; sharing each index load across 4
-/// weight rows quarters the index traffic and gives the out-of-order
-/// core 16 independent accumulator chains. Per output row the
-/// accumulation order is *identical* to
-/// [`crate::sparse::sparse_matvec`]'s gather (4 j-lanes combined as
-/// `(a0 + a1) + (a2 + a3)`, then the remainder tail), so every output
-/// stays bit-identical to the per-sample kernel. Lane-generic: `load`
-/// is a plain slice read for f32 (unchanged codegen) and an
-/// in-register dequantization for the f16/int8 planes.
-#[inline]
-fn gather_row_x4<L: WeightLane>(rows: [L; 4], indices: &[u32], init: [f32; 4], out: &mut [f32]) {
-    let mut acc = [[0.0f32; 4]; 4];
-    for (m, &b) in init.iter().enumerate() {
-        acc[m][0] = b;
-    }
-    let mut chunks = indices.chunks_exact(4);
-    for c in &mut chunks {
-        let j = [c[0] as usize, c[1] as usize, c[2] as usize, c[3] as usize];
-        for (m, row) in rows.iter().enumerate() {
-            acc[m][0] += row.load(j[0]);
-            acc[m][1] += row.load(j[1]);
-            acc[m][2] += row.load(j[2]);
-            acc[m][3] += row.load(j[3]);
-        }
-    }
-    let rem = chunks.remainder();
-    for m in 0..4 {
-        let mut tail = (acc[m][0] + acc[m][1]) + (acc[m][2] + acc[m][3]);
-        for &j in rem {
-            tail += rows[m].load(j as usize);
-        }
-        out[m] = tail;
-    }
-}
-
 fn sparse_matmul_impl(w: &Tensor, x: &SpikeMatrix, bias: &Tensor) -> Vec<f32> {
     let dims = w.shape().dims();
     let (m, k) = (dims[0], dims[1]);
     let wv = w.as_slice();
-    let b = x.rows();
-    let mut out = vec![0.0f32; b * m];
+    let bv = bias.as_slice();
+    let mut out = vec![0.0f32; x.rows() * m];
     let mut o = 0usize;
     if crate::simd::active() && crate::simd::indices_in_bounds(&x.indices, k) {
-        // 8-row AVX2 tiles: each vector lane owns one output row, so the
-        // per-output accumulation order — and the result — is
+        // AVX2 tiles: each vector lane owns one output row, so the
+        // per-output summation order — and the result — is
         // bit-identical to the scalar tiles below. When the batch
-        // gathers at least one tile's worth of elements (nnz ≥ k), the
-        // tile is transposed into a contiguous panel once per batch so
-        // the inner loop trades 8-way gathers for contiguous loads;
-        // matvec-shaped calls (nnz < k) keep the gather kernel, whose
-        // setup is free.
-        let pack = x.nnz() >= k;
-        let mut panel = vec![0.0f32; if pack { crate::simd::ROW_LANES * k } else { 0 }];
-        while o + crate::simd::ROW_LANES <= m {
-            let rows = &wv[o * k..(o + crate::simd::ROW_LANES) * k];
-            let mut init = [0.0f32; crate::simd::ROW_LANES];
-            init.copy_from_slice(&bias.as_slice()[o..o + crate::simd::ROW_LANES]);
-            if pack {
-                crate::simd::pack_rows8(rows, k, &mut panel);
-                for r in 0..b {
-                    let dst = &mut out[r * m + o..r * m + o + crate::simd::ROW_LANES];
-                    crate::simd::matmul_panel8(&panel, k, x.row(r), &init, dst);
+        // gathers at least one tile's worth of elements (nnz ≥ k),
+        // tiles of 32 then 8 rows are transposed into contiguous panels
+        // once per batch so the inner loop trades 8-way gathers for
+        // contiguous loads. Matvec-shaped calls (nnz < k) keep the
+        // 8-row gather kernel, whose setup is free; walking more rows
+        // per index list measured slower there at B = 1 on the
+        // 2048-wide DVS layer, whose rows alias in the L1 sets.
+        if x.nnz() >= k {
+            let mut panels = vec![0.0f32; WIDE_TILE * k];
+            o = panel_tiles::<_, 4>(F32Lane(wv), k, x, bv, &mut panels, &mut out, o);
+            o = panel_tiles::<_, 1>(F32Lane(wv), k, x, bv, &mut panels, &mut out, o);
+        } else {
+            const LANES: usize = crate::simd::ROW_LANES;
+            while o + LANES <= m {
+                let rows = &wv[o * k..(o + LANES) * k];
+                for r in 0..x.rows() {
+                    let dst = &mut out[r * m + o..r * m + o + LANES];
+                    crate::simd::matvec_rows::<1>(rows, k, x.row(r), &bv[o..o + LANES], dst);
                 }
-            } else {
-                for r in 0..b {
-                    let dst = &mut out[r * m + o..r * m + o + crate::simd::ROW_LANES];
-                    crate::simd::matvec_rows8(rows, k, x.row(r), &init, dst);
-                }
+                o += LANES;
             }
-            o += crate::simd::ROW_LANES;
         }
     }
     matmul_lane_tiles(F32Lane(wv), m, k, x, bias, o, &mut out);
     out
+}
+
+/// Output rows in the widest AVX2 tile: four 8-row tiles per walk of an
+/// index list, so four independent accumulator chains are in flight.
+const WIDE_TILE: usize = 4 * crate::simd::ROW_LANES;
+
+/// The AVX2 spike-plane GEMM over output rows `o..`: while `8·N` rows
+/// fit, packs them as `N` index-major 8-row panels (decoding a
+/// reduced-precision lane on the way) and walks every batch row's index
+/// list once against all `N` panels ([`crate::simd::matmul_panels`]).
+/// Returns the first row left over. `bias` holds one entry per output
+/// row and `panels` at least `8·N·k` floats.
+fn panel_tiles<L: WeightLane, const N: usize>(
+    wv: L,
+    k: usize,
+    x: &SpikeMatrix,
+    bias: &[f32],
+    panels: &mut [f32],
+    out: &mut [f32],
+    mut o: usize,
+) -> usize {
+    const LANES: usize = crate::simd::ROW_LANES;
+    let (m, width) = (bias.len(), N * LANES);
+    let panels = &mut panels[..width * k];
+    while o + width <= m {
+        for t in 0..N {
+            let lo = (o + t * LANES) * k;
+            let panel = &mut panels[t * LANES * k..(t + 1) * LANES * k];
+            wv.slice(lo, lo + LANES * k).pack_panel8(k, panel);
+        }
+        for r in 0..x.rows() {
+            let dst = &mut out[r * m + o..r * m + o + width];
+            crate::simd::matmul_panels::<N>(panels, k, x.row(r), &bias[o..o + width], dst);
+        }
+        o += width;
+    }
+    o
 }
 
 fn sparse_matmul_lane_impl<L: WeightLane>(
@@ -293,17 +288,17 @@ fn matmul_lane_tiles<L: WeightLane>(
             wv.slice((o + 3) * k, (o + 4) * k),
         ];
         let bv = bias.as_slice();
-        let init = [bv[o], bv[o + 1], bv[o + 2], bv[o + 3]];
+        let bias4 = [bv[o], bv[o + 1], bv[o + 2], bv[o + 3]];
         for r in 0..b {
-            gather_row_x4(rows, x.row(r), init, &mut out[r * m + o..r * m + o + 4]);
+            gather_row_x4(rows, x.row(r), bias4, &mut out[r * m + o..r * m + o + 4]);
         }
         o += 4;
     }
     while o < m {
         let row = wv.slice(o * k, (o + 1) * k);
-        let init = bias.as_slice()[o];
+        let bo = bias.as_slice()[o];
         for r in 0..b {
-            out[r * m + o] = gather_row_lane(row, x.row(r), init);
+            out[r * m + o] = gather_row_lane(row, x.row(r), bo);
         }
         o += 1;
     }
@@ -311,9 +306,11 @@ fn matmul_lane_tiles<L: WeightLane>(
 
 /// Batched sparse product `Y = S · Wᵀ + b` for a CSR spike batch `S`
 /// of shape `[B, in]`, weights `[out, in]` and a per-output bias,
-/// producing `[B, out]` — the fused form the spiking layers use (`acc`
-/// starts at `bias[o]`, exactly like
-/// [`crate::sparse::sparse_matvec_bias`]).
+/// producing `[B, out]` — the fused form the spiking layers use. Each
+/// output sums its row's active columns in ascending order from `+0.0`
+/// and adds the bias last, exactly like
+/// [`crate::sparse::sparse_matvec_bias`] and, on a binary batch with
+/// finite weights, exactly like the dense [`matmul_bt_bias`].
 ///
 /// Weight rows are processed in tiles of 4 that stay cache-hot across
 /// the whole batch while each sample's index list gathers against them
@@ -371,11 +368,8 @@ pub fn sparse_matmul_bias_scalar(w: &Tensor, x: &SpikeMatrix, bias: &Tensor) -> 
 /// so the result is bit-identical to [`sparse_matmul_bias`] over the
 /// plane's [`crate::plane::QuantizedPlane::dequantize`] tensor, and row
 /// `b` bit-identical to
-/// [`crate::sparse::sparse_matvec_bias_planed`] on that row.
-///
-/// This is the inference (4-wide reassociated) kernel only; recorded
-/// training steps use the exact-order f32 kernels over the dequantized
-/// tensors instead.
+/// [`crate::sparse::sparse_matvec_bias_planed`] on that row. Inference
+/// and recorded training steps both run it on a planed layer.
 ///
 /// # Errors
 ///
@@ -468,7 +462,7 @@ fn check_planed(
 /// Matvec-shaped calls below that keep the in-register lane decode.
 ///
 /// Bit-identity: `decode_into` reproduces `load` bit for bit, and the
-/// f32 tile kernels run the same accumulation order as the lane tiles —
+/// f32 tile kernels run the same summation order as the lane tiles —
 /// so both blocked paths equal the scalar lane path exactly.
 fn matmul_planed_dispatch<L: WeightLane>(
     wv: L,
@@ -481,25 +475,16 @@ fn matmul_planed_dispatch<L: WeightLane>(
     let mut out = vec![0.0f32; b * m];
     if k > 0 && x.nnz() >= k {
         if crate::simd::active() && crate::simd::indices_in_bounds(&x.indices, k) {
-            const LANES: usize = crate::simd::ROW_LANES;
-            let mut panel = vec![0.0f32; LANES * k];
-            let mut o = 0usize;
-            while o + LANES <= m {
-                // Fused decode-and-pack: one pass from the stored
-                // encoding straight to the index-major panel.
-                wv.slice(o * k, (o + LANES) * k).pack_panel8(k, &mut panel);
-                let mut init = [0.0f32; LANES];
-                init.copy_from_slice(&bias.as_slice()[o..o + LANES]);
-                for r in 0..b {
-                    let dst = &mut out[r * m + o..r * m + o + LANES];
-                    crate::simd::matmul_panel8(&panel, k, x.row(r), &init, dst);
-                }
-                o += LANES;
-            }
+            // Fused decode-and-pack: one pass from the stored encoding
+            // straight to the index-major panels.
+            let bv = bias.as_slice();
+            let mut panels = vec![0.0f32; WIDE_TILE * k];
+            let o = panel_tiles::<_, 4>(wv, k, x, bv, &mut panels, &mut out, 0);
+            let o = panel_tiles::<_, 1>(wv, k, x, bv, &mut panels, &mut out, o);
             matmul_lane_tiles(wv, m, k, x, bias, o, &mut out);
         } else {
             // Scalar blocked path: decode 4-row tiles and run the f32
-            // gather tile over the block — identical accumulation order
+            // gather tile over the block — identical summation order
             // to the per-element lane tile, decode hoisted out of the
             // gather.
             let mut block = vec![0.0f32; 4 * k];
@@ -513,9 +498,9 @@ fn matmul_planed_dispatch<L: WeightLane>(
                     F32Lane(&block[2 * k..3 * k]),
                     F32Lane(&block[3 * k..4 * k]),
                 ];
-                let init = [bv[o], bv[o + 1], bv[o + 2], bv[o + 3]];
+                let bias4 = [bv[o], bv[o + 1], bv[o + 2], bv[o + 3]];
                 for r in 0..b {
-                    gather_row_x4(rows, x.row(r), init, &mut out[r * m + o..r * m + o + 4]);
+                    gather_row_x4(rows, x.row(r), bias4, &mut out[r * m + o..r * m + o + 4]);
                 }
                 o += 4;
             }
@@ -525,49 +510,6 @@ fn matmul_planed_dispatch<L: WeightLane>(
     }
     matmul_lane_tiles(wv, m, k, x, bias, 0, &mut out);
     out
-}
-
-/// [`sparse_matmul_bias`] in the *dense accumulation order*: per output
-/// element a single accumulator gathers the row's active columns in
-/// ascending index order and the bias is added after the sum — the
-/// batched form of [`crate::sparse::sparse_matvec_bias_exact`].
-///
-/// Row `b` is the same `f32` value per element as the per-sample dense
-/// `matvec(w, row_b).add(bias)`, which is what lets the recorded
-/// (training) batch forward keep sparse-tape numerics interchangeable
-/// with the dense tape. The weight-row-outer loop keeps the GEMM
-/// amortization: each weight row streams once per batch, gathered
-/// against every row's index list while hot — only the 4-wide
-/// accumulator split of the inference kernel is given up.
-///
-/// # Errors
-///
-/// As [`sparse_matmul_bias`].
-pub fn sparse_matmul_bias_exact(w: &Tensor, x: &SpikeMatrix, bias: &Tensor) -> Result<Tensor> {
-    let (m, k) = check_weight(w, x.cols(), "sparse_matmul_bias_exact")?;
-    if bias.len() != m {
-        return Err(TensorError::ShapeMismatch {
-            lhs: vec![m, k],
-            rhs: bias.shape().dims().to_vec(),
-            op: "sparse_matmul_bias_exact",
-        });
-    }
-    let b = x.rows();
-    let wv = w.as_slice();
-    let bv = bias.as_slice();
-    let mut out = vec![0.0f32; b * m];
-    for o in 0..m {
-        let row = &wv[o * k..(o + 1) * k];
-        let bo = bv[o];
-        for r in 0..b {
-            let mut acc = 0.0f32;
-            for &j in x.row(r) {
-                acc += row[j as usize];
-            }
-            out[r * m + o] = acc + bo;
-        }
-    }
-    Tensor::from_vec(out, &[b, m])
 }
 
 /// Checks a dense `X · Wᵀ + b` operand triple, returning `(B, in, out)`.
@@ -1168,36 +1110,30 @@ mod tests {
     }
 
     #[test]
-    fn sparse_matmul_bias_exact_bitwise_matches_dense_rows() {
+    fn sparse_matmul_bias_bitwise_matches_dense_rows() {
         let w =
             Tensor::from_vec((0..35).map(|i| (i as f32 * 0.29).sin()).collect(), &[5, 7]).unwrap();
         let bias = Tensor::from_vec(vec![0.5, -1.0, 0.25, 2.0, -0.125], &[5]).unwrap();
-        // `every == 1` gives 100%-dense rows: the exact kernel must
-        // still be value-identical to the dense per-row path there.
+        // `every == 1` gives 100%-dense rows: the gather must still be
+        // bit-identical to both dense kernels there.
         for every in [1usize, 2, 3, 7] {
             let rows = binary_rows(3, 7, every);
             let batch = SpikeMatrix::from_rows(&rows).unwrap();
-            let y = sparse_matmul_bias_exact(&w, &batch, &bias).unwrap();
+            let y = sparse_matmul_bias(&w, &batch, &bias).unwrap();
             assert_eq!(y.shape().dims(), &[3, 5]);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let dense = matmul_bt_bias(&batch.to_dense(), &w, &bias).unwrap();
+            assert_eq!(bits(y.as_slice()), bits(dense.as_slice()), "every {every}");
             for (r, row) in rows.iter().enumerate() {
                 let dense_row = row.to_dense(&[7]).unwrap();
                 let reference = linalg::matvec(&w, &dense_row).unwrap().add(&bias).unwrap();
                 assert_eq!(
-                    &y.as_slice()[r * 5..(r + 1) * 5],
-                    reference.as_slice(),
+                    bits(&y.as_slice()[r * 5..(r + 1) * 5]),
+                    bits(reference.as_slice()),
                     "every {every} row {r}"
                 );
             }
         }
-    }
-
-    #[test]
-    fn sparse_matmul_bias_exact_shape_errors() {
-        let w = Tensor::zeros(&[3, 4]);
-        let batch = SpikeMatrix::from_rows(&binary_rows(2, 4, 2)).unwrap();
-        assert!(sparse_matmul_bias_exact(&w, &batch, &Tensor::zeros(&[2])).is_err());
-        let short = SpikeMatrix::from_rows(&binary_rows(2, 3, 2)).unwrap();
-        assert!(sparse_matmul_bias_exact(&w, &short, &Tensor::zeros(&[3])).is_err());
     }
 
     #[test]
@@ -1272,6 +1208,16 @@ mod tests {
         assert!(sparse_matmul_bias(&Tensor::zeros(&[6]), &batch, &b3).is_err());
         let w = Tensor::zeros(&[3, 6]);
         assert!(sparse_matmul_bias(&w, &batch, &Tensor::zeros(&[2])).is_err());
+    }
+
+    #[test]
+    fn sparse_matmul_bias_shape_errors() {
+        let w = Tensor::zeros(&[3, 4]);
+        let batch = SpikeMatrix::from_rows(&binary_rows(2, 4, 2)).unwrap();
+        assert!(sparse_matmul_bias(&w, &batch, &Tensor::zeros(&[2])).is_err());
+        let short = SpikeMatrix::from_rows(&binary_rows(2, 3, 2)).unwrap();
+        assert!(sparse_matmul_bias(&w, &short, &Tensor::zeros(&[3])).is_err());
+        assert!(sparse_matmul_bias(&w, &batch, &Tensor::zeros(&[3])).is_ok());
     }
 
     #[test]

@@ -518,7 +518,10 @@ pub fn matvec(a: &Tensor, x: &Tensor) -> Result<Tensor> {
     let mut out = vec![0.0f32; m];
     for i in 0..m {
         let row = &av[i * k..(i + 1) * k];
-        out[i] = row.iter().zip(xv).map(|(&w, &v)| w * v).sum();
+        // An explicit `+0.0` start: `Iterator::sum` starts f32 sums at
+        // `-0.0`, which would keep an all-`-0.0` row at `-0.0` where the
+        // batched kernels and the spike gathers give `+0.0`.
+        out[i] = row.iter().zip(xv).fold(0.0f32, |acc, (&w, &v)| acc + w * v);
     }
     Tensor::from_vec(out, &[m])
 }
@@ -790,6 +793,39 @@ mod tests {
         let xm = x.reshape(&[3, 1]).unwrap();
         let ym = matmul(&a, &xm).unwrap();
         assert_eq!(y.as_slice(), ym.as_slice());
+    }
+
+    /// An all-negative weight row on an all-zero input with a `-0.0`
+    /// bias: every term is `-0.0`, so a sum started at `-0.0` would end
+    /// there. The per-sample dense path, the batched dense kernel and
+    /// both spike gathers all start at `+0.0` and give `+0.0`.
+    #[test]
+    fn signed_zero_row_is_positive_zero_in_every_kernel() {
+        use crate::batched::{matmul_bt_bias, sparse_matmul_bias, SpikeMatrix};
+        use crate::sparse::{sparse_matvec_bias, SpikeVector};
+        let w = t(vec![-1.0, -2.0, -0.5], &[1, 3]);
+        let x = Tensor::zeros(&[3]);
+        let bias = t(vec![-0.0], &[1]);
+        let events = SpikeVector::from_dense(&x).unwrap();
+        let batch = SpikeMatrix::from_rows(std::slice::from_ref(&events)).unwrap();
+        let outputs = [
+            ("matvec", matvec(&w, &x).unwrap().add(&bias).unwrap()),
+            (
+                "matmul_bt_bias",
+                matmul_bt_bias(&x.reshape(&[1, 3]).unwrap(), &w, &bias).unwrap(),
+            ),
+            (
+                "sparse_matvec_bias",
+                sparse_matvec_bias(&w, &events, &bias).unwrap(),
+            ),
+            (
+                "sparse_matmul_bias",
+                sparse_matmul_bias(&w, &batch, &bias).unwrap(),
+            ),
+        ];
+        for (name, y) in outputs {
+            assert_eq!(y.as_slice()[0].to_bits(), 0.0f32.to_bits(), "{name}");
+        }
     }
 
     #[test]

@@ -51,17 +51,7 @@ pub fn softmax(logits: &Tensor) -> Result<Tensor> {
 /// # Errors
 ///
 /// Returns [`TensorError::InvalidArgument`] when `label >= classes`.
-///
-/// # Example
-///
-/// ```
-/// # fn main() -> axsnn_tensor::Result<()> {
-/// let t = axsnn_tensor::ops::one_hot(2, 4)?;
-/// assert_eq!(t.as_slice(), &[0.0, 0.0, 1.0, 0.0]);
-/// # Ok(())
-/// # }
-/// ```
-pub fn one_hot(label: usize, classes: usize) -> Result<Tensor> {
+pub(crate) fn one_hot(label: usize, classes: usize) -> Result<Tensor> {
     if label >= classes {
         return Err(TensorError::InvalidArgument {
             message: format!("label {label} out of range for {classes} classes"),
@@ -78,7 +68,8 @@ pub fn one_hot(label: usize, classes: usize) -> Result<Tensor> {
 ///
 /// # Errors
 ///
-/// Propagates errors from [`softmax`] / [`one_hot`].
+/// Propagates errors from [`softmax`] and the one-hot encoding of
+/// `label` (out of range for the logit count).
 ///
 /// # Example
 ///
@@ -99,20 +90,6 @@ pub fn cross_entropy_with_grad(logits: &Tensor, label: usize) -> Result<(f32, Te
     let p = probs.as_slice()[label].max(1e-12);
     let loss = -p.ln();
     let grad = probs.sub(&target)?;
-    Ok((loss, grad))
-}
-
-/// Mean squared error between `pred` and `target`, plus the gradient with
-/// respect to `pred` (`2(pred − target)/n`).
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] when shapes differ.
-pub fn mse_with_grad(pred: &Tensor, target: &Tensor) -> Result<(f32, Tensor)> {
-    let diff = pred.sub(target)?;
-    let n = diff.len().max(1) as f32;
-    let loss = diff.as_slice().iter().map(|v| v * v).sum::<f32>() / n;
-    let grad = diff.scale(2.0 / n);
     Ok((loss, grad))
 }
 
@@ -215,14 +192,6 @@ mod tests {
                 "logit grad mismatch at {i}"
             );
         }
-    }
-
-    #[test]
-    fn mse_zero_for_equal() {
-        let a = Tensor::ones(&[4]);
-        let (loss, grad) = mse_with_grad(&a, &a).unwrap();
-        assert_eq!(loss, 0.0);
-        assert_eq!(grad.sum(), 0.0);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //!
 //! Every kernel in this crate has a **portable scalar implementation
 //! that is the single source of truth for semantics**
-//! (`crate::sparse::gather_row`'s 4-accumulator order and its batched
+//! (`crate::sparse::gather_row`'s one-accumulator sum and its batched
 //! relatives; the single-accumulator row dot of
 //! [`crate::batched::matmul_bt_bias_scalar`]; the scaled-row loop of
 //! [`crate::linalg::outer_acc_run_scalar`]). This module adds AVX2
@@ -24,15 +24,20 @@
 //!
 //! Five primitive shapes cover the hot paths:
 //!
-//! * `matvec_rows8` — gathers one index list against 8 weight rows at
-//!   once (`vgatherdps` over a row-strided offset vector): the sparse
-//!   matvec tile, also used by the spike-plane GEMM on matvec-shaped
-//!   batches. Per lane: four partial sums over ascending index chunks
-//!   combined as `(a0 + a1) + (a2 + a3)`, then the remainder tail.
-//! * `pack_rows8` / `matmul_panel8` — the GEMM fast path: an 8-row
+//! * `matvec_rows` — gathers one index list against `N` 8-row weight
+//!   tiles at once (`vgatherdps` over a row-strided offset vector): the
+//!   sparse matvec, and the spike-plane GEMM on matvec-shaped batches.
+//!   Per lane the sum is `gather_row`'s: one accumulator from `+0.0`
+//!   over the ascending indices, bias last. Each tile is one 8-lane
+//!   chain; the instruction-level parallelism comes from the `N`
+//!   independent tiles sharing one walk of the index list, never from
+//!   splitting one output's sum.
+//! * `pack_rows8` / `matmul_panels` — the GEMM fast path: each 8-row
 //!   weight tile is transposed once per batch into an index-major panel
 //!   (`panel[j·8 + l] = row_l[j]`), turning every per-event gather into
-//!   one contiguous 32-byte load shared by 8 output rows.
+//!   one contiguous 32-byte load shared by 8 output rows; `N` panels
+//!   share each batch row's walk of its index list. Per lane the sum is
+//!   again `gather_row`'s.
 //! * `pack_rows8` / `matmul_dense_panel8` — the dense analog-plane
 //!   GEMM behind [`crate::batched::matmul_bt_bias`]: the same panel,
 //!   streamed against four batch rows at a time (one broadcast input
@@ -154,62 +159,39 @@ pub(crate) fn indices_in_bounds(indices: &[u32], k: usize) -> bool {
 /// Number of output rows one vector tile covers.
 pub(crate) const ROW_LANES: usize = 8;
 
-/// Gathers `indices` against 8 consecutive weight rows at once:
-/// `out[l] = init[l] + Σ_j rows[l·k + indices[j]]` with exactly the
-/// scalar [`crate::sparse::gather_row`] accumulation order per lane.
+/// Gathers `indices` against `8·N` consecutive weight rows at once:
+/// `out[l] = (Σ_j rows[l·k + indices[j]]) + bias[l]` with exactly the
+/// scalar [`crate::sparse::gather_row`] summation order per lane: one
+/// accumulator from `+0.0`, ascending indices, bias last.
+///
+/// Each 8-row tile is one accumulator chain; the `N` chains share one
+/// walk of the index list. More tiles per walk put more independent
+/// gathers in flight, which is what the latency-bound matvec shape
+/// needs: a single 8-lane chain waits on every add before the next.
 ///
 /// # Panics
 ///
-/// Panics when `rows` is not `8·k` long, `out` is shorter than 8, or an
-/// index is out of bounds for `k` — or when called without [`active`]
-/// (the dispatchers guarantee it).
+/// Panics when `rows` is not `8·N·k` long, `bias` is not `8·N` long,
+/// `out` is shorter than `8·N`, or an index is out of bounds for `k` —
+/// or when called without [`active`] (the dispatchers guarantee it).
 #[inline]
-pub(crate) fn matvec_rows8(
+pub(crate) fn matvec_rows<const N: usize>(
     rows: &[f32],
     k: usize,
     indices: &[u32],
-    init: &[f32; 8],
+    bias: &[f32],
     out: &mut [f32],
 ) {
-    assert!(rows.len() == ROW_LANES * k && out.len() >= ROW_LANES && active());
+    let lanes = N * ROW_LANES;
+    assert!(rows.len() == lanes * k && bias.len() == lanes && out.len() >= lanes && active());
     assert!(indices_in_bounds(indices, k), "spike index out of bounds");
     #[cfg(target_arch = "x86_64")]
     // SAFETY: AVX2 is detected (`active()` asserted above); every
-    // gather reads `rows[l·k + j]` with `l < 8` and `j < k`, in bounds
-    // of the asserted `8·k` slice; the store writes `out[0..8]`.
+    // gather reads `rows[l·k + j]` with `l < 8·N` and `j < k`, in bounds
+    // of the asserted `8·N·k` slice; the loads read `bias[0..8·N]` and
+    // the stores write `out[0..8·N]`.
     unsafe {
-        matvec_rows8_avx2(rows.as_ptr(), k, indices, init, out.as_mut_ptr());
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    unreachable!("SIMD dispatch is never active off x86-64");
-}
-
-/// Two [`matvec_rows8`] tiles sharing one walk of the index list:
-/// `out[l] = init[l] + Σ_j rows[l·k + indices[j]]` for 16 rows. Each
-/// 8-lane half keeps the exact scalar accumulation order; fusing the
-/// tiles doubles the independent gather chains in flight, which is what
-/// the L2-latency-bound matvec shape needs (the 8-row kernel leaves the
-/// out-of-order core starved for outstanding loads).
-///
-/// # Panics
-///
-/// As [`matvec_rows8`] with `16·k` rows and 16 outputs.
-#[inline]
-pub(crate) fn matvec_rows16(
-    rows: &[f32],
-    k: usize,
-    indices: &[u32],
-    init: &[f32; 16],
-    out: &mut [f32],
-) {
-    assert!(rows.len() == 2 * ROW_LANES * k && out.len() >= 2 * ROW_LANES && active());
-    assert!(indices_in_bounds(indices, k), "spike index out of bounds");
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: AVX2 is detected (`active()` asserted above); every
-    // gather reads `rows[l·k + j]` with `l < 16` and `j < k`, in bounds
-    // of the asserted `16·k` slice; the stores write `out[0..16]`.
-    unsafe {
-        matvec_rows16_avx2(rows.as_ptr(), k, indices, init, out.as_mut_ptr());
+        matvec_rows_avx2::<N>(rows.as_ptr(), k, indices, bias.as_ptr(), out.as_mut_ptr());
     }
     #[cfg(not(target_arch = "x86_64"))]
     unreachable!("SIMD dispatch is never active off x86-64");
@@ -222,7 +204,8 @@ pub(crate) fn matvec_rows16(
 ///
 /// # Panics
 ///
-/// As [`matvec_rows8`] (`panel` takes the place of `out`, `8·k` long).
+/// Panics when `rows` or `panel` is not `8·k` long, or when called
+/// without [`active`].
 #[inline]
 pub(crate) fn pack_rows8(rows: &[f32], k: usize, panel: &mut [f32]) {
     assert!(rows.len() == ROW_LANES * k && panel.len() == ROW_LANES * k && active());
@@ -237,30 +220,37 @@ pub(crate) fn pack_rows8(rows: &[f32], k: usize, panel: &mut [f32]) {
     unreachable!("SIMD dispatch is never active off x86-64");
 }
 
-/// The GEMM microkernel over a packed panel: like [`matvec_rows8`] but
-/// each gathered column is one contiguous load `panel[j·8 .. j·8 + 8]`.
-/// Per lane the accumulation order is again exactly
-/// [`crate::sparse::gather_row`]'s.
+/// The GEMM microkernel over `N` packed panels: like
+/// [`matvec_rows`], but each 8-row tile is an index-major panel
+/// ([`pack_rows8`]), so every gathered column is one contiguous load
+/// `panel_t[j·8 .. j·8 + 8]`. Writes
+/// `out[8·t + l] = (Σ_j panel_t[j·8 + l]) + bias[8·t + l]` with exactly
+/// [`crate::sparse::gather_row`]'s summation order per lane; the `N`
+/// panels lie back to back in `panels`, and each is one accumulator
+/// chain over a shared walk of the index list.
 ///
 /// # Panics
 ///
-/// As [`matvec_rows8`] (`panel` must be `8·k` long).
+/// Panics when `panels` is not `8·N·k` long, `bias` is not `8·N` long,
+/// `out` is shorter than `8·N`, an index is out of bounds for `k`, or
+/// when called without [`active`].
 #[inline]
-pub(crate) fn matmul_panel8(
-    panel: &[f32],
+pub(crate) fn matmul_panels<const N: usize>(
+    panels: &[f32],
     k: usize,
     indices: &[u32],
-    init: &[f32; 8],
+    bias: &[f32],
     out: &mut [f32],
 ) {
-    assert!(panel.len() == ROW_LANES * k && out.len() >= ROW_LANES && active());
+    let lanes = N * ROW_LANES;
+    assert!(panels.len() == lanes * k && bias.len() == lanes && out.len() >= lanes && active());
     assert!(indices_in_bounds(indices, k), "spike index out of bounds");
     #[cfg(target_arch = "x86_64")]
-    // SAFETY: AVX2 detected; every load reads `panel[j·8 .. j·8 + 8]`
-    // with `j < k`, in bounds of the asserted `8·k` panel; the store
-    // writes `out[0..8]`.
+    // SAFETY: AVX2 detected; every load reads `panels[t·8·k + j·8 ..][..8]`
+    // with `t < N` and `j < k`, in bounds of the asserted `8·N·k` slice;
+    // the loads read `bias[0..8·N]` and the stores write `out[0..8·N]`.
     unsafe {
-        matmul_panel8_avx2(panel.as_ptr(), indices, init, out.as_mut_ptr());
+        matmul_panels_avx2::<N>(panels.as_ptr(), k, indices, bias.as_ptr(), out.as_mut_ptr());
     }
     #[cfg(not(target_arch = "x86_64"))]
     unreachable!("SIMD dispatch is never active off x86-64");
@@ -511,81 +501,29 @@ mod avx2 {
 
     /// # Safety
     ///
-    /// AVX2 required; `rows` must cover `8·k` floats, every index must
-    /// be `< k`, and `out` must cover 8 floats.
+    /// AVX2 required; `rows` must cover `8·N·k` floats, every index must
+    /// be `< k`, and `bias` and `out` must cover `8·N` floats.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn matvec_rows8_avx2(
+    pub(super) unsafe fn matvec_rows_avx2<const N: usize>(
         rows: *const f32,
         k: usize,
         indices: &[u32],
-        init: &[f32; 8],
+        bias: *const f32,
         out: *mut f32,
     ) {
         let off = row_offsets(k);
-        let mut a0 = _mm256_loadu_ps(init.as_ptr());
-        let mut a1 = _mm256_setzero_ps();
-        let mut a2 = _mm256_setzero_ps();
-        let mut a3 = _mm256_setzero_ps();
-        let mut chunks = indices.chunks_exact(4);
-        for c in &mut chunks {
-            a0 = _mm256_add_ps(a0, _mm256_i32gather_ps::<4>(rows.add(c[0] as usize), off));
-            a1 = _mm256_add_ps(a1, _mm256_i32gather_ps::<4>(rows.add(c[1] as usize), off));
-            a2 = _mm256_add_ps(a2, _mm256_i32gather_ps::<4>(rows.add(c[2] as usize), off));
-            a3 = _mm256_add_ps(a3, _mm256_i32gather_ps::<4>(rows.add(c[3] as usize), off));
+        let tiles: [*const f32; N] = std::array::from_fn(|t| rows.add(t * 8 * k));
+        let mut acc = [_mm256_setzero_ps(); N];
+        for &j in indices {
+            let j = j as usize;
+            for (a, tile) in acc.iter_mut().zip(tiles) {
+                *a = _mm256_add_ps(*a, _mm256_i32gather_ps::<4>(tile.add(j), off));
+            }
         }
-        // Combine in the scalar kernel's fixed (a0 + a1) + (a2 + a3)
-        // order, then the remainder tail — per lane this is exactly
-        // `gather_row` on that lane's weight row.
-        let mut tail = _mm256_add_ps(_mm256_add_ps(a0, a1), _mm256_add_ps(a2, a3));
-        for &j in chunks.remainder() {
-            tail = _mm256_add_ps(tail, _mm256_i32gather_ps::<4>(rows.add(j as usize), off));
+        for (t, a) in acc.into_iter().enumerate() {
+            let b = _mm256_loadu_ps(bias.add(8 * t));
+            _mm256_storeu_ps(out.add(8 * t), _mm256_add_ps(a, b));
         }
-        _mm256_storeu_ps(out, tail);
-    }
-
-    /// # Safety
-    ///
-    /// AVX2 required; `rows` must cover `16·k` floats, every index must
-    /// be `< k`, and `out` must cover 16 floats.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn matvec_rows16_avx2(
-        rows: *const f32,
-        k: usize,
-        indices: &[u32],
-        init: &[f32; 16],
-        out: *mut f32,
-    ) {
-        let off = row_offsets(k);
-        let lo = rows;
-        let hi = rows.add(8 * k);
-        let mut a0 = _mm256_loadu_ps(init.as_ptr());
-        let mut a1 = _mm256_setzero_ps();
-        let mut a2 = _mm256_setzero_ps();
-        let mut a3 = _mm256_setzero_ps();
-        let mut b0 = _mm256_loadu_ps(init.as_ptr().add(8));
-        let mut b1 = _mm256_setzero_ps();
-        let mut b2 = _mm256_setzero_ps();
-        let mut b3 = _mm256_setzero_ps();
-        let mut chunks = indices.chunks_exact(4);
-        for c in &mut chunks {
-            let (j0, j1, j2, j3) = (c[0] as usize, c[1] as usize, c[2] as usize, c[3] as usize);
-            a0 = _mm256_add_ps(a0, _mm256_i32gather_ps::<4>(lo.add(j0), off));
-            b0 = _mm256_add_ps(b0, _mm256_i32gather_ps::<4>(hi.add(j0), off));
-            a1 = _mm256_add_ps(a1, _mm256_i32gather_ps::<4>(lo.add(j1), off));
-            b1 = _mm256_add_ps(b1, _mm256_i32gather_ps::<4>(hi.add(j1), off));
-            a2 = _mm256_add_ps(a2, _mm256_i32gather_ps::<4>(lo.add(j2), off));
-            b2 = _mm256_add_ps(b2, _mm256_i32gather_ps::<4>(hi.add(j2), off));
-            a3 = _mm256_add_ps(a3, _mm256_i32gather_ps::<4>(lo.add(j3), off));
-            b3 = _mm256_add_ps(b3, _mm256_i32gather_ps::<4>(hi.add(j3), off));
-        }
-        let mut ta = _mm256_add_ps(_mm256_add_ps(a0, a1), _mm256_add_ps(a2, a3));
-        let mut tb = _mm256_add_ps(_mm256_add_ps(b0, b1), _mm256_add_ps(b2, b3));
-        for &j in chunks.remainder() {
-            ta = _mm256_add_ps(ta, _mm256_i32gather_ps::<4>(lo.add(j as usize), off));
-            tb = _mm256_add_ps(tb, _mm256_i32gather_ps::<4>(hi.add(j as usize), off));
-        }
-        _mm256_storeu_ps(out, ta);
-        _mm256_storeu_ps(out.add(8), tb);
     }
 
     /// In-register 8×8 f32 transpose: output vector `c` holds element
@@ -721,31 +659,28 @@ mod avx2 {
 
     /// # Safety
     ///
-    /// AVX2 required; `panel` must cover `8·k` floats with every index
-    /// `< k`, and `out` must cover 8 floats.
+    /// AVX2 required; `panels` must cover `8·N·k` floats with every
+    /// index `< k`, and `bias` and `out` must cover `8·N` floats.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn matmul_panel8_avx2(
-        panel: *const f32,
+    pub(super) unsafe fn matmul_panels_avx2<const N: usize>(
+        panels: *const f32,
+        k: usize,
         indices: &[u32],
-        init: &[f32; 8],
+        bias: *const f32,
         out: *mut f32,
     ) {
-        let mut a0 = _mm256_loadu_ps(init.as_ptr());
-        let mut a1 = _mm256_setzero_ps();
-        let mut a2 = _mm256_setzero_ps();
-        let mut a3 = _mm256_setzero_ps();
-        let mut chunks = indices.chunks_exact(4);
-        for c in &mut chunks {
-            a0 = _mm256_add_ps(a0, _mm256_loadu_ps(panel.add(c[0] as usize * 8)));
-            a1 = _mm256_add_ps(a1, _mm256_loadu_ps(panel.add(c[1] as usize * 8)));
-            a2 = _mm256_add_ps(a2, _mm256_loadu_ps(panel.add(c[2] as usize * 8)));
-            a3 = _mm256_add_ps(a3, _mm256_loadu_ps(panel.add(c[3] as usize * 8)));
+        let tiles: [*const f32; N] = std::array::from_fn(|t| panels.add(t * 8 * k));
+        let mut acc = [_mm256_setzero_ps(); N];
+        for &j in indices {
+            let j = j as usize * 8;
+            for (a, tile) in acc.iter_mut().zip(tiles) {
+                *a = _mm256_add_ps(*a, _mm256_loadu_ps(tile.add(j)));
+            }
         }
-        let mut tail = _mm256_add_ps(_mm256_add_ps(a0, a1), _mm256_add_ps(a2, a3));
-        for &j in chunks.remainder() {
-            tail = _mm256_add_ps(tail, _mm256_loadu_ps(panel.add(j as usize * 8)));
+        for (t, a) in acc.into_iter().enumerate() {
+            let b = _mm256_loadu_ps(bias.add(8 * t));
+            _mm256_storeu_ps(out.add(8 * t), _mm256_add_ps(a, b));
         }
-        _mm256_storeu_ps(out, tail);
     }
 
     /// # Safety
@@ -901,8 +836,8 @@ mod avx2 {
 
 #[cfg(target_arch = "x86_64")]
 use avx2::{
-    decode_f16_f16c, decode_int8_avx2, matmul_dense_panel8_avx2, matmul_panel8_avx2,
-    matvec_rows16_avx2, matvec_rows8_avx2, pack_rows8_avx2, scaled_row_sum_avx2,
+    decode_f16_f16c, decode_int8_avx2, matmul_dense_panel8_avx2, matmul_panels_avx2,
+    matvec_rows_avx2, pack_rows8_avx2, scaled_row_sum_avx2,
 };
 
 #[cfg(test)]
@@ -997,34 +932,37 @@ mod tests {
         if !active() {
             return;
         }
-        let (m, k) = (16usize, 19usize);
+        let (m, k) = (32usize, 19usize);
         let rows: Vec<f32> = (0..m * k).map(|i| ((i as f32) * 0.37).cos()).collect();
-        let indices: Vec<u32> = [0u32, 2, 3, 5, 7, 11, 13, 17, 18]
-            .iter()
-            .copied()
-            .filter(|&j| (j as usize) < k)
-            .collect();
-        let mut init = [0.0f32; 16];
-        for (l, slot) in init.iter_mut().enumerate() {
-            *slot = l as f32 * 0.75 - 3.0;
+        let bias: Vec<f32> = (0..m).map(|l| l as f32 * 0.75 - 3.0).collect();
+        let mut panels = vec![0.0f32; m * k];
+        for (t, panel) in panels.chunks_exact_mut(8 * k).enumerate() {
+            pack_rows8(&rows[t * 8 * k..(t + 1) * 8 * k], k, panel);
+            for j in 0..k {
+                for l in 0..8 {
+                    let row = t * 8 + l;
+                    assert_eq!(panel[j * 8 + l].to_bits(), rows[row * k + j].to_bits());
+                }
+            }
         }
-        let mut out16 = [0.0f32; 16];
-        matvec_rows16(&rows, k, &indices, &init, &mut out16);
-        let init8: [f32; 8] = init[..8].try_into().unwrap();
-        let mut out = [0.0f32; 8];
-        matvec_rows8(&rows[..8 * k], k, &indices, &init8, &mut out);
-        let mut panel = vec![0.0f32; 8 * k];
-        pack_rows8(&rows[..8 * k], k, &mut panel);
-        let mut out_p = [0.0f32; 8];
-        matmul_panel8(&panel, k, &indices, &init8, &mut out_p);
-        for l in 0..16 {
-            let scalar = crate::sparse::gather_row(&rows[l * k..(l + 1) * k], &indices, init[l]);
-            assert_eq!(out16[l].to_bits(), scalar.to_bits(), "x16 lane {l}");
-            if l < 8 {
-                assert_eq!(out[l].to_bits(), scalar.to_bits(), "lane {l}");
-                assert_eq!(out_p[l].to_bits(), scalar.to_bits(), "packed lane {l}");
-                for j in 0..k {
-                    assert_eq!(panel[j * 8 + l].to_bits(), rows[l * k + j].to_bits());
+        let lists: [&[u32]; 3] = [&[0, 2, 3, 5, 7, 11, 13, 17, 18], &[1, 4, 18], &[]];
+        for (r, list) in lists.iter().enumerate() {
+            let mut x8 = [0.0f32; 8];
+            matvec_rows::<1>(&rows[..8 * k], k, list, &bias[..8], &mut x8);
+            let mut x32 = [0.0f32; 32];
+            matvec_rows::<4>(&rows, k, list, &bias, &mut x32);
+            let mut p8 = [0.0f32; 8];
+            matmul_panels::<1>(&panels[..8 * k], k, list, &bias[..8], &mut p8);
+            let mut p32 = [0.0f32; 32];
+            matmul_panels::<4>(&panels, k, list, &bias, &mut p32);
+            for l in 0..32 {
+                let row = &rows[l * k..(l + 1) * k];
+                let scalar = crate::sparse::gather_row(row, list, bias[l]).to_bits();
+                assert_eq!(x32[l].to_bits(), scalar, "x32 list {r} lane {l}");
+                assert_eq!(p32[l].to_bits(), scalar, "panels x4 list {r} lane {l}");
+                if l < 8 {
+                    assert_eq!(x8[l].to_bits(), scalar, "x8 list {r} lane {l}");
+                    assert_eq!(p8[l].to_bits(), scalar, "panel list {r} lane {l}");
                 }
             }
         }

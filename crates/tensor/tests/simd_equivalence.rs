@@ -1,10 +1,12 @@
-//! Property tests pinning the runtime-dispatched kernel layer (PR 10)
-//! to the portable scalar truth path **bit-for-bit** — not within a
-//! tolerance. The SIMD lanes map to distinct output rows and replicate
-//! the scalar 4-accumulator reduction shape exactly, so for every
-//! density (0–100%), batch size (1–32), weight plane and remainder lane
-//! count (`m % 8 ≠ 0`, `m % 16 ≠ 0`) the dispatched result must equal
-//! the scalar twin's output to the bit.
+//! Property tests pinning the runtime-dispatched kernel layer to the
+//! portable scalar truth path **bit-for-bit** — not within a tolerance.
+//! The SIMD lanes map to distinct output rows and each runs the scalar
+//! gather's one-accumulator sum (ascending indices from `+0.0`, bias
+//! last), so for every density (0–100%), batch size (1–32), weight
+//! plane and remainder lane count (`m % 8 ≠ 0`, `m % 16 ≠ 0`) the
+//! dispatched result must equal the scalar twin's output to the bit.
+//! An all-negative weight row on an empty frame pins the signed-zero
+//! edge: every gather and the dense kernel give `+0.0`.
 //!
 //! The dense analog-plane GEMM (`matmul_bt_bias`, packed 8-row panels
 //! against four batch rows at a time) is held to the same standard
@@ -271,6 +273,61 @@ proptest! {
         let sorted = sparse_conv2d_sorted(&x, (hw, hw), &weight, &bias, &spec).unwrap();
         let scatter = sparse_conv2d(&x, (hw, hw), &weight, &bias, &spec).unwrap();
         assert_bits_eq(&sorted, &scatter, "sorted conv");
+    }
+}
+
+/// An all-negative weight row on an empty frame, with a `-0.0` bias:
+/// each gather sums nothing from `+0.0`, so every dispatched kernel,
+/// its scalar twin and the dense kernel give `+0.0`. Covers the 16-,
+/// 8-, 4- and 1-row tiles, the packed panel (a full row beside the
+/// empty one lifts the batch's `nnz` to `k`) and both reduced-precision
+/// planes.
+#[test]
+fn negative_row_on_empty_frame_is_positive_zero() {
+    let k = 9;
+    let empty = SpikeVector::new(Vec::new(), k).unwrap();
+    let full = SpikeVector::new((0..k as u32).collect(), k).unwrap();
+    for m in [1usize, 3, 8, 13, 16, 21, 37] {
+        let weight = Tensor::from_vec(
+            (0..m * k).map(|i| -0.25 - (i % 7) as f32 * 0.5).collect(),
+            &[m, k],
+        )
+        .unwrap();
+        let bias = Tensor::full(&[m], -0.0);
+        let is_pos_zero = |t: &Tensor, rows: std::ops::Range<usize>, what: &str| {
+            for (i, v) in t.as_slice()[rows.start * m..rows.end * m]
+                .iter()
+                .enumerate()
+            {
+                assert_eq!(v.to_bits(), 0, "{what} m={m}: element {i} is {v}");
+            }
+        };
+        let fast = sparse_matvec_bias(&weight, &empty, &bias).unwrap();
+        let scalar = sparse_matvec_bias_scalar(&weight, &empty, &bias).unwrap();
+        assert_bits_eq(&fast, &scalar, "empty matvec");
+        is_pos_zero(&fast, 0..1, "empty matvec");
+        for (rows, empty_at) in [
+            (vec![empty.clone()], 0),
+            (vec![full.clone(), empty.clone()], 1),
+        ] {
+            let x = SpikeMatrix::from_rows(&rows).unwrap();
+            let fast = sparse_matmul_bias(&weight, &x, &bias).unwrap();
+            let scalar = sparse_matmul_bias_scalar(&weight, &x, &bias).unwrap();
+            let dense = matmul_bt_bias(&x.to_dense(), &weight, &bias).unwrap();
+            assert_bits_eq(&fast, &scalar, "empty-row matmul");
+            assert_bits_eq(&fast, &dense, "empty-row matmul vs dense");
+            is_pos_zero(&fast, empty_at..empty_at + 1, "empty-row matmul");
+            for plane in [WeightPlane::F16, WeightPlane::Int8] {
+                let quant = QuantizedPlane::quantize(weight.as_slice(), plane)
+                    .unwrap()
+                    .unwrap();
+                let fast = sparse_matmul_bias_planed(quant.view(), (m, k), &x, &bias).unwrap();
+                let scalar =
+                    sparse_matmul_bias_planed_scalar(quant.view(), (m, k), &x, &bias).unwrap();
+                assert_bits_eq(&fast, &scalar, "empty-row planed matmul");
+                is_pos_zero(&fast, empty_at..empty_at + 1, "empty-row planed matmul");
+            }
+        }
     }
 }
 
