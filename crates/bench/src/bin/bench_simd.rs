@@ -26,16 +26,21 @@
 //!   plane-vs-f32 A/B lives in `bench_quant`);
 //! * `simd_conv1_*` — the B=1 event-sorted conv vs the per-event
 //!   scatter on the paper's 8→16 k=5 layer (the win is contiguous
-//!   weight streaming, not vector width).
+//!   weight streaming, not vector width);
+//! * `simd_lif_fire_*` — the batched LIF step (`lif_fire`) on a
+//!   `FastMlp`-sized 32×96 hidden layer firing ~14% of its neurons per
+//!   step: eight neurons per multiply/add/compare and a movemask naming
+//!   the fired ones, vs the scalar twin's neuron-at-a-time loop. Both
+//!   write the spikes as one CSR row per batch row.
 //!
 //! Usage: `cargo run --release -p axsnn-bench --bin bench_simd
 //! [out.json]`.
 
 use axsnn::core::plan::WeightPlane;
 use axsnn::tensor::batched::{
-    matmul_bt_bias, matmul_bt_bias_scalar, sparse_conv2d_sorted, sparse_matmul_bias,
-    sparse_matmul_bias_planed, sparse_matmul_bias_planed_scalar, sparse_matmul_bias_scalar,
-    SpikeMatrix,
+    lif_fire, lif_fire_scalar, matmul_bt_bias, matmul_bt_bias_scalar, sparse_conv2d_sorted,
+    sparse_matmul_bias, sparse_matmul_bias_planed, sparse_matmul_bias_planed_scalar,
+    sparse_matmul_bias_scalar, SpikeMatrix,
 };
 use axsnn::tensor::conv::Conv2dSpec;
 use axsnn::tensor::plane::QuantizedPlane;
@@ -236,6 +241,85 @@ fn conv1_records(bench: &mut Bench, density: f32) {
     ));
 }
 
+/// The batched LIF step on a `[B, n]` layer: dispatched kernel vs the
+/// scalar twin. Each neuron integrates a constant current with leak 0.9
+/// against `V_th = 1` from a spread of starting potentials, so every
+/// call fires a steady share of the layer (a current of `0.2` fires
+/// every seventh step); the record's `density` is the measured share.
+fn lif_fire_records(bench: &mut Bench, n: usize) {
+    const THRESHOLD: f32 = 1.0;
+    const LEAK: f32 = 0.9;
+    let len = BATCH * n;
+    let current: Vec<f32> = (0..len).map(|i| 0.17 + 0.06 * hash_unit(i, 151)).collect();
+    let start: Vec<f32> = (0..len).map(|i| hash_unit(i, 157)).collect();
+    let (mut fast, mut scalar) = (start.clone(), start);
+    let (mut pre_fast, mut pre_scalar) = (vec![0.0f32; len], vec![0.0f32; len]);
+    let mut fired = 0usize;
+    const CHECKED: usize = 70;
+    for _ in 0..CHECKED {
+        let a = lif_fire(
+            &mut fast,
+            &current,
+            Some(&mut pre_fast),
+            (BATCH, n),
+            THRESHOLD,
+            LEAK,
+        );
+        let b = lif_fire_scalar(
+            &mut scalar,
+            &current,
+            Some(&mut pre_scalar),
+            (BATCH, n),
+            THRESHOLD,
+            LEAK,
+        );
+        let (a, b) = (a.unwrap(), b.unwrap());
+        assert_eq!(a, b, "LIF spike rows diverged");
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&fast), bits(&scalar), "LIF membranes diverged");
+        assert_eq!(
+            bits(&pre_fast),
+            bits(&pre_scalar),
+            "LIF pre-reset values diverged"
+        );
+        fired += a.nnz();
+    }
+    let density = fired as f32 / (CHECKED * len) as f32;
+    let pair = bench.time_pair(
+        || {
+            black_box(
+                lif_fire_scalar(
+                    &mut scalar,
+                    black_box(&current),
+                    None,
+                    (BATCH, n),
+                    THRESHOLD,
+                    LEAK,
+                )
+                .unwrap(),
+            );
+        },
+        || {
+            black_box(
+                lif_fire(
+                    &mut fast,
+                    black_box(&current),
+                    None,
+                    (BATCH, n),
+                    THRESHOLD,
+                    LEAK,
+                )
+                .unwrap(),
+            );
+        },
+    );
+    bench.push(simd_row(
+        &format!("simd_lif_fire_B{BATCH}x{n}"),
+        density,
+        pair,
+    ));
+}
+
 fn main() {
     // Blocks of twenty calls, the block length BENCH_simd.json was
     // first measured with.
@@ -248,5 +332,6 @@ fn main() {
     gemm_dense_records(&mut bench, 96, 256);
     gemm_planed_records(&mut bench, 0.10);
     conv1_records(&mut bench, 0.10);
+    lif_fire_records(&mut bench, 96);
     bench.finish();
 }

@@ -12,13 +12,24 @@
 //! sample. Membrane state lives in `[B, n]` blocks
 //! ([`crate::lif::BatchedLifState`]).
 //!
-//! Spikes travel between layers as event rows, never as a dense block:
-//! the batched LIF step emits one ascending [`SpikeVector`] per sample,
-//! the next layer's density gate only counts its events
-//! ([`KernelPolicy::admit_events`]), and an admitted max-pool row pools
-//! events to events ([`axsnn_tensor::sparse::sparse_max_pool2d_events`]).
+//! Spikes travel between layers as one CSR [`SpikeMatrix`] per layer
+//! per step, never as a dense block: the batched LIF step writes the
+//! matrix directly ([`axsnn_tensor::batched::lif_fire`]), the input
+//! plane packs the trains' spike frames into one, and an admitted
+//! max-pool row pools events to events
+//! ([`axsnn_tensor::sparse::sparse_max_pool2d_events`]) into the next.
+//! The next layer's density gate only reads each row's count
+//! ([`KernelPolicy::admit_count`]); when it admits every row, the
+//! matrix goes into the spike-plane GEMM or the sorted conv uncopied.
 //! Only analog planes (direct-current input, avg-pool output, readout
-//! currents) and gate-declined rows are dense.
+//! currents) and gate-declined rows are dense, and the input plane
+//! borrows its analog rows from the trains instead of copying them.
+//!
+//! A direct-current train repeats its frame on every step. Each
+//! [`FrameTrain`] records at construction which analog frames repeat
+//! their predecessor bit for bit; at a step where every train of the
+//! batch repeats, the first linear layer reuses the previous step's
+//! currents, which are the bits the dense GEMM would recompute.
 //!
 //! # Bit-for-bit equivalence
 //!
@@ -31,7 +42,7 @@
 //! [`SpikingNetwork::forward`] logits bit for bit. The gate decides
 //! only speed: each sparse kernel sums in its dense twin's order, so a
 //! row gives the same bits whichever side of the gate it lands on (see
-//! [`crate::plan`]). An inter-layer event row is exactly what
+//! [`crate::plan`]). An inter-layer CSR row is exactly what
 //! [`SpikeVector::from_dense`] yields on the dense spike row the
 //! per-sample step writes (ascending, unique indices), so the kernels
 //! see the same accumulation order and the gate the same
@@ -98,6 +109,7 @@ use axsnn_tensor::sparse::{self, SpikeVector};
 use axsnn_tensor::{linalg, Tensor, TensorError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::borrow::Cow;
 
 pub use crate::plan::BackwardOpts;
 
@@ -149,6 +161,9 @@ pub enum EncodedFrame {
 pub struct FrameTrain {
     dims: Vec<usize>,
     frames: Vec<EncodedFrame>,
+    /// `repeats[t]`: frame `t` is analog and `to_bits`-equal to frame
+    /// `t − 1` (never set at `t = 0` or on a spike frame).
+    repeats: Vec<bool>,
 }
 
 impl FrameTrain {
@@ -182,7 +197,8 @@ impl FrameTrain {
             .map(|f| f.shape().dims().to_vec())
             .unwrap_or_default();
         let mut encoded = Vec::with_capacity(frames.len());
-        for f in frames {
+        let mut repeats = Vec::with_capacity(frames.len());
+        for (t, f) in frames.iter().enumerate() {
             if f.shape().dims() != dims.as_slice() {
                 return Err(CoreError::Config {
                     message: format!(
@@ -192,14 +208,28 @@ impl FrameTrain {
                     ),
                 });
             }
-            encoded.push(match SpikeVector::from_dense(f) {
+            let frame = match SpikeVector::from_dense(f) {
                 Some(events) => EncodedFrame::Spikes(events),
                 None => EncodedFrame::Analog(f.clone()),
-            });
+            };
+            let same_bits = |prev: &Tensor| {
+                let bits = |v: &f32| v.to_bits();
+                prev.as_slice()
+                    .iter()
+                    .map(bits)
+                    .eq(f.as_slice().iter().map(bits))
+            };
+            repeats.push(
+                matches!(frame, EncodedFrame::Analog(_))
+                    && t > 0
+                    && matches!(&encoded[t - 1], EncodedFrame::Analog(prev) if same_bits(prev)),
+            );
+            encoded.push(frame);
         }
         Ok(FrameTrain {
             dims,
             frames: encoded,
+            repeats,
         })
     }
 
@@ -235,6 +265,7 @@ impl FrameTrain {
         }
         Ok(FrameTrain {
             dims: dims.to_vec(),
+            repeats: vec![false; rows.len()],
             frames: rows.into_iter().map(EncodedFrame::Spikes).collect(),
         })
     }
@@ -254,17 +285,13 @@ impl FrameTrain {
         &self.frames
     }
 
-    /// Fraction of frames stored in event (spike) form.
-    pub fn spike_frame_fraction(&self) -> f32 {
-        if self.frames.is_empty() {
-            return 0.0;
-        }
-        let spikes = self
-            .frames
-            .iter()
-            .filter(|f| matches!(f, EncodedFrame::Spikes(_)))
-            .count();
-        spikes as f32 / self.frames.len() as f32
+    /// `true` when frame `t` is analog and bit for bit (`to_bits`, so
+    /// `-0.0` differs from `0.0`) the frame before it, as a
+    /// direct-current train's frames are. Recorded once at construction,
+    /// so the fused engine can reuse the first linear layer's currents at
+    /// such a step without comparing the inputs again.
+    pub(crate) fn repeats(&self, t: usize) -> bool {
+        self.repeats.get(t).copied().unwrap_or(false)
     }
 
     /// Materializes the dense frame sequence (for per-sample paths).
@@ -325,100 +352,180 @@ impl BatchForwardOutput {
     }
 }
 
-/// One sample's view of an activity plane.
-#[derive(Debug, Clone)]
-enum PlaneRow {
-    /// Binary frame in event form: ascending, unique flat indices.
-    Events(SpikeVector),
-    /// Analog (or gate-rejected) frame in dense form.
-    Dense(Tensor),
+/// The batch's activity plane between two layers: B rows sharing one
+/// logical shape.
+struct BatchPlane<'a> {
+    dims: Vec<usize>,
+    batch: usize,
+    data: PlaneData<'a>,
 }
 
-/// Storage of the batch's activity plane between two layers.
-enum PlaneData {
-    /// Per-sample rows: the input plane (fed from [`FrameTrain`]s), every
-    /// spiking layer's output (one event row per sample, straight from
-    /// the LIF step) and an inference max-pool's output.
-    Rows(Vec<PlaneRow>),
+/// Storage of a [`BatchPlane`].
+enum PlaneData<'a> {
+    /// Binary rows as one CSR matrix with a row per sample: the input
+    /// plane, every spiking layer's output (straight from the LIF step)
+    /// and an inference max-pool's output. `dense` is empty while every
+    /// row is binary; otherwise it has a slot per row, and a row with a
+    /// slot is dense instead (its CSR row is empty): an analog input
+    /// frame borrowed from its train, or a max-pool row the gate
+    /// declined.
+    Events {
+        matrix: SpikeMatrix,
+        dense: Vec<Option<Cow<'a, [f32]>>>,
+    },
     /// One contiguous `[B, n]` block for the analog planes between
     /// layers (readout currents, avg-pool output) and recorded max-pool
-    /// output — no per-row tensor materialization between layers.
+    /// output.
     Stacked(Vec<f32>),
 }
 
-/// The batch's activity plane between two layers: B rows sharing one
-/// logical shape.
-struct BatchPlane {
-    dims: Vec<usize>,
-    batch: usize,
-    data: PlaneData,
+/// A borrowed view of one row of a [`BatchPlane`].
+enum RowRef<'p> {
+    /// A binary row: ascending, unique flat indices.
+    Events(&'p [u32]),
+    /// An analog (or gate-declined) row's values.
+    Dense(&'p [f32]),
 }
 
-impl BatchPlane {
-    /// A binary plane of one event row per sample.
-    fn events(dims: Vec<usize>, rows: Vec<SpikeVector>) -> BatchPlane {
+impl<'a> BatchPlane<'a> {
+    /// A binary plane of one CSR row per sample.
+    fn events(dims: Vec<usize>, matrix: SpikeMatrix) -> BatchPlane<'a> {
         BatchPlane {
             dims,
-            batch: rows.len(),
-            data: PlaneData::Rows(rows.into_iter().map(PlaneRow::Events).collect()),
+            batch: matrix.rows(),
+            data: PlaneData::Events {
+                matrix,
+                dense: Vec::new(),
+            },
         }
+    }
+
+    /// The input plane at step `t`: the trains' spike frames packed into
+    /// one CSR matrix, their analog frames borrowed, never copied.
+    fn input(trains: &'a [FrameTrain], t: usize) -> Result<BatchPlane<'a>> {
+        let dims = trains
+            .first()
+            .map(|tr| tr.dims().to_vec())
+            .unwrap_or_default();
+        let mut matrix = SpikeMatrix::new(dims.iter().product());
+        let mut dense = Vec::new();
+        for (r, train) in trains.iter().enumerate() {
+            match &train.frames()[t] {
+                EncodedFrame::Spikes(events) => matrix.push_row(events.indices())?,
+                EncodedFrame::Analog(values) => {
+                    if dense.is_empty() {
+                        dense.resize(trains.len(), None);
+                    }
+                    dense[r] = Some(Cow::Borrowed(values.as_slice()));
+                    matrix.push_row(&[])?;
+                }
+            }
+        }
+        Ok(BatchPlane {
+            dims,
+            batch: trains.len(),
+            data: PlaneData::Events { matrix, dense },
+        })
     }
 
     fn volume(&self) -> usize {
         self.dims.iter().product()
     }
 
-    /// Runs the plan's density gate ([`KernelPolicy::admit`] and
-    /// friends) on row `r`, returning the row's events exactly when the
-    /// per-sample gate would: the frame is binary and its density is at
-    /// most the policy's threshold. Declines count on the policy's
-    /// fallback counter, matching the per-sample unit (one per batch
-    /// row).
-    fn admit(&self, r: usize, policy: &KernelPolicy) -> Option<SpikeVector> {
-        let len = self.volume();
+    fn row(&self, r: usize) -> RowRef<'_> {
         match &self.data {
-            PlaneData::Rows(rows) => match &rows[r] {
-                PlaneRow::Events(events) => policy.admit_events(events).then(|| events.clone()),
-                PlaneRow::Dense(t) => policy.admit(t),
+            PlaneData::Events { matrix, dense } => match dense.get(r).and_then(Option::as_deref) {
+                Some(values) => RowRef::Dense(values),
+                None => RowRef::Events(matrix.row(r)),
             },
-            PlaneData::Stacked(block) => policy.admit_slice(&block[r * len..(r + 1) * len]),
+            PlaneData::Stacked(block) => {
+                let len = self.volume();
+                RowRef::Dense(&block[r * len..(r + 1) * len])
+            }
+        }
+    }
+
+    /// The plane's CSR matrix when every row is in event form.
+    fn all_events(&self) -> Option<&SpikeMatrix> {
+        match &self.data {
+            PlaneData::Events { matrix, dense } if dense.iter().all(Option::is_none) => {
+                Some(matrix)
+            }
+            _ => None,
+        }
+    }
+
+    /// Runs the plan's density gate on row `r`, returning the row's
+    /// events exactly when the per-sample gate would admit the frame: it
+    /// is binary and its density is at most the policy's threshold. An
+    /// event row is gated on its count ([`KernelPolicy::admit_count`]),
+    /// a dense row on its values ([`KernelPolicy::admit_slice`]).
+    /// Declines count on the policy's fallback counter, matching the
+    /// per-sample unit (one per batch row).
+    fn admit(&self, r: usize, policy: &KernelPolicy) -> Option<Cow<'_, [u32]>> {
+        match self.row(r) {
+            RowRef::Events(indices) => policy
+                .admit_count(indices.len(), self.volume())
+                .then_some(Cow::Borrowed(indices)),
+            RowRef::Dense(values) => policy
+                .admit_slice(values)
+                .map(|events| Cow::Owned(events.indices().to_vec())),
         }
     }
 
     /// Appends row `r`'s dense values to `out` (for packing the dense
     /// GEMM fallback block).
     fn extend_dense(&self, r: usize, out: &mut Vec<f32>) {
-        let len = self.volume();
-        match &self.data {
-            PlaneData::Rows(rows) => match &rows[r] {
-                PlaneRow::Events(events) => {
-                    let base = out.len();
-                    out.resize(base + len, 0.0);
-                    for &j in events.indices() {
-                        out[base + j as usize] = 1.0;
-                    }
+        match self.row(r) {
+            RowRef::Events(indices) => {
+                let base = out.len();
+                out.resize(base + self.volume(), 0.0);
+                for &j in indices {
+                    out[base + j as usize] = 1.0;
                 }
-                PlaneRow::Dense(t) => out.extend_from_slice(t.as_slice()),
-            },
-            PlaneData::Stacked(block) => out.extend_from_slice(&block[r * len..(r + 1) * len]),
+            }
+            RowRef::Dense(values) => out.extend_from_slice(values),
         }
     }
 
     /// Materializes row `r` as the dense tensor the per-sample path
     /// would have seen (for the dense conv/pool kernels).
     fn dense_row(&self, r: usize) -> Result<Tensor> {
-        let len = self.volume();
-        match &self.data {
-            PlaneData::Rows(rows) => match &rows[r] {
-                PlaneRow::Events(events) => events.to_dense(&self.dims).map_err(CoreError::from),
-                PlaneRow::Dense(t) => Ok(t.clone()),
-            },
-            PlaneData::Stacked(block) => {
-                Tensor::from_vec(block[r * len..(r + 1) * len].to_vec(), &self.dims)
-                    .map_err(CoreError::from)
+        let mut values = Vec::with_capacity(self.volume());
+        self.extend_dense(r, &mut values);
+        Tensor::from_vec(values, &self.dims).map_err(CoreError::from)
+    }
+
+    /// The gate-admitted rows as one CSR matrix, in row order: the
+    /// plane's own matrix, uncopied, when the gate admitted every row;
+    /// otherwise a copy of the admitted rows, with an empty row standing
+    /// in for each declined one when `keep_declined`.
+    fn admitted_matrix(
+        &self,
+        admitted: &[Option<Cow<'_, [u32]>>],
+        keep_declined: bool,
+    ) -> Result<Cow<'_, SpikeMatrix>> {
+        if let Some(matrix) = self.all_events() {
+            if admitted.iter().all(Option::is_some) {
+                return Ok(Cow::Borrowed(matrix));
             }
         }
+        let mut matrix = SpikeMatrix::new(self.volume());
+        for row in admitted {
+            match row {
+                Some(indices) => matrix.push_row(indices)?,
+                None if keep_declined => matrix.push_row(&[])?,
+                None => {}
+            }
+        }
+        Ok(Cow::Owned(matrix))
     }
+}
+
+/// A gate-admitted row's events as the per-row kernels and the tape take
+/// them.
+fn owned_events(indices: Cow<'_, [u32]>, len: usize) -> Result<SpikeVector> {
+    SpikeVector::new(indices.into_owned(), len).map_err(CoreError::from)
 }
 
 /// One sample-row of a recorded batch plane, as taped for BPTT: event
@@ -530,41 +637,15 @@ impl BatchTape {
     }
 }
 
-/// The last dense `X·Wᵀ + b` product one linear layer ran inside a
-/// single forward pass: the batch rows that took the dense fallback,
-/// their stacked inputs and the `[rows, out]` currents. Lives only for
-/// one fused pass ([`SpikingNetwork::forward_batch`] or
-/// [`SpikingNetwork::forward_batch_recorded`]), so the layer's weights
-/// cannot change underneath it.
-#[derive(Default)]
-struct DenseCurrentCache {
-    pos: Vec<usize>,
-    x: Vec<f32>,
-    y: Vec<f32>,
-}
-
-impl DenseCurrentCache {
-    /// `true` when `pos`/`x` are the cached rows with the same bits —
-    /// `to_bits` equality, so `-0.0` and `0.0` differ and a NaN matches
-    /// only its own payload.
-    fn holds(&self, pos: &[usize], x: &[f32]) -> bool {
-        let same_bits = |(a, b): (&f32, &f32)| a.to_bits() == b.to_bits();
-        self.pos == pos && self.x.len() == x.len() && self.x.iter().zip(x).all(same_bits)
-    }
-}
-
 /// Computes the `[B, out]` current block of a (spiking or readout)
-/// linear layer: sparse-admitted rows fuse into one spike-plane GEMM,
-/// the rest batch through the dense `X·Wᵀ + b` fallback. Each row is
+/// linear layer: gate-admitted rows fuse into one spike-plane GEMM, the
+/// rest batch through the dense `X·Wᵀ + b` fallback. Each row is
 /// bit-identical to its per-sample counterpart.
 ///
-/// `cache` holds the layer's previous dense product in this pass. When
-/// the step's dense rows sit at the same positions with bitwise-equal
-/// inputs — every step after the first for a direct-current input
-/// layer, whose analog frame repeats — the cached currents are reused
-/// instead of recomputed: the GEMM is deterministic, so the result is
-/// the same bits. Gate decisions, fallback counters and tape rows are
-/// produced exactly as without the cache.
+/// When the gate admits every row of a binary plane (a spiking layer's
+/// output at the usual firing rates), the plane's CSR matrix goes into
+/// the GEMM as it is; otherwise the admitted rows are copied into one
+/// sub-matrix and the declined rows materialize densely.
 ///
 /// The spike-plane GEMM sums each output in the dense GEMM's order, so
 /// the gate's split between the two never changes a current. Recorded
@@ -575,15 +656,35 @@ impl DenseCurrentCache {
 /// carries a packed reduced-precision buffer of the same weights, the
 /// spike-plane GEMM streams it directly (bit-identical to gathering the
 /// effective tensor).
+///
+/// `repeated` is the layer's previous block at a step where every train
+/// repeats its analog input frame bit for bit ([`FrameTrain`] flags
+/// this at construction). It is returned as the step's currents: the
+/// dense GEMM would recompute exactly those bits from the same rows.
+/// The gate declines every non-binary row, so the declines are counted
+/// as it would count them (one per row, under an armed gate), and a
+/// recorded step tapes the borrowed input rows.
 fn linear_current_block(
     weight: &Tensor,
     bias: &Tensor,
     quant: Option<&QuantizedPlane>,
     policy: &KernelPolicy,
-    plane: &BatchPlane,
+    plane: &BatchPlane<'_>,
     record: bool,
-    cache: &mut DenseCurrentCache,
+    repeated: Option<Vec<f32>>,
 ) -> Result<(Vec<f32>, Vec<BatchTapeRow>)> {
+    if let Some(block) = repeated {
+        policy.decline_analog(plane.batch);
+        let mut rows = Vec::new();
+        if record {
+            for r in 0..plane.batch {
+                let mut values = Vec::with_capacity(plane.volume());
+                plane.extend_dense(r, &mut values);
+                rows.push(BatchTapeRow::Dense(values));
+            }
+        }
+        return Ok((block, rows));
+    }
     let wdims = weight.shape().dims();
     if wdims.len() != 2 {
         return Err(CoreError::from(TensorError::RankMismatch {
@@ -593,76 +694,75 @@ fn linear_current_block(
         }));
     }
     let (out_n, in_n) = (wdims[0], wdims[1]);
-    let b = plane.batch;
-    let mut block = vec![0.0f32; b * out_n];
-    let mut sparse_rows: Vec<SpikeVector> = Vec::new();
-    let mut sparse_pos: Vec<usize> = Vec::new();
-    let mut dense_data: Vec<f32> = Vec::new();
-    let mut dense_pos: Vec<usize> = Vec::new();
-    for r in 0..b {
-        match plane.admit(r, policy) {
-            Some(events) => {
-                sparse_pos.push(r);
-                sparse_rows.push(events);
-            }
-            None => {
-                dense_pos.push(r);
-                plane.extend_dense(r, &mut dense_data);
-            }
-        }
-    }
-    if !sparse_rows.is_empty() {
-        let batch = SpikeMatrix::from_rows(&sparse_rows).map_err(CoreError::from)?;
+    let admitted: Vec<Option<Cow<'_, [u32]>>> =
+        (0..plane.batch).map(|r| plane.admit(r, policy)).collect();
+    let sparse_n = admitted.iter().filter(|row| row.is_some()).count();
+    let sparse_y = if sparse_n > 0 {
+        let x = plane.admitted_matrix(&admitted, false)?;
         let y = match quant {
-            Some(q) => sparse_matmul_bias_planed(q.view(), (out_n, in_n), &batch, bias),
-            None => sparse_matmul_bias(weight, &batch, bias),
+            Some(q) => sparse_matmul_bias_planed(q.view(), (out_n, in_n), &x, bias),
+            None => sparse_matmul_bias(weight, &x, bias),
+        }?;
+        y.into_vec()
+    } else {
+        Vec::new()
+    };
+    let mut dense_x = Vec::new();
+    let dense_n = plane.batch - sparse_n;
+    let dense_y = if dense_n > 0 {
+        dense_x.reserve(dense_n * in_n);
+        for (r, row) in admitted.iter().enumerate() {
+            if row.is_none() {
+                plane.extend_dense(r, &mut dense_x);
+            }
         }
-        .map_err(CoreError::from)?;
-        let yv = y.as_slice();
-        for (s, &r) in sparse_pos.iter().enumerate() {
-            block[r * out_n..(r + 1) * out_n].copy_from_slice(&yv[s * out_n..(s + 1) * out_n]);
-        }
-    }
-    if !dense_pos.is_empty() {
-        if !cache.holds(&dense_pos, &dense_data) {
-            let x =
-                Tensor::from_vec(dense_data, &[dense_pos.len(), in_n]).map_err(CoreError::from)?;
-            let y = matmul_bt_bias(&x, weight, bias).map_err(CoreError::from)?;
-            *cache = DenseCurrentCache {
-                pos: dense_pos.clone(),
-                x: x.into_vec(),
-                y: y.into_vec(),
+        let x = Tensor::from_vec(dense_x, &[dense_n, in_n])?;
+        let y = matmul_bt_bias(&x, weight, bias)?;
+        dense_x = x.into_vec();
+        y.into_vec()
+    } else {
+        Vec::new()
+    };
+    let block = if dense_n == 0 {
+        sparse_y
+    } else if sparse_n == 0 {
+        dense_y
+    } else {
+        // Row `k` of each side's output is that side's `k`-th row.
+        let mut block = Vec::with_capacity(plane.batch * out_n);
+        let (mut s, mut d) = (0, 0);
+        for row in &admitted {
+            let (y, k) = match row {
+                Some(_) => (&sparse_y, &mut s),
+                None => (&dense_y, &mut d),
             };
+            block.extend_from_slice(&y[*k * out_n..(*k + 1) * out_n]);
+            *k += 1;
         }
-        for (d, &r) in dense_pos.iter().enumerate() {
-            block[r * out_n..(r + 1) * out_n].copy_from_slice(&cache.y[d * out_n..(d + 1) * out_n]);
-        }
-    }
+        block
+    };
     let mut rows = Vec::new();
     if record {
-        let mut slots: Vec<Option<BatchTapeRow>> = (0..b).map(|_| None).collect();
-        for (events, r) in sparse_rows.into_iter().zip(sparse_pos) {
-            slots[r] = Some(BatchTapeRow::Events(events));
+        let mut d = 0;
+        for row in admitted {
+            rows.push(match row {
+                Some(indices) => BatchTapeRow::Events(owned_events(indices, in_n)?),
+                None => {
+                    d += 1;
+                    BatchTapeRow::Dense(dense_x[(d - 1) * in_n..d * in_n].to_vec())
+                }
+            });
         }
-        for (d, r) in dense_pos.into_iter().enumerate() {
-            slots[r] = Some(BatchTapeRow::Dense(
-                cache.x[d * in_n..(d + 1) * in_n].to_vec(),
-            ));
-        }
-        rows = slots
-            .into_iter()
-            .map(|s| s.expect("every row partitioned"))
-            .collect();
     }
     Ok((block, rows))
 }
 
 /// Computes the `[B, Cout·OH·OW]` current block of a spiking conv
 /// layer. Gate-admitted rows execute under the plan's batched-conv
-/// kernel choice: [`ConvBatchKernel::EventSorted`] packs them into a
-/// CSR batch and runs the tile-sorted scatter
-/// ([`sparse_conv2d_batch_sorted_into`]) straight into the block — one
-/// pass over the conv weights per batch — while
+/// kernel choice: [`ConvBatchKernel::EventSorted`] runs the tile-sorted
+/// scatter ([`sparse_conv2d_batch_sorted_into`]) over one CSR batch
+/// straight into the block — one pass over the conv weights per batch,
+/// and the plane's own matrix when the gate admitted every row — while
 /// [`ConvBatchKernel::RowByRow`] keeps the per-row stencil sweep. Both
 /// are bit-identical per row; declined rows run the dense conv.
 ///
@@ -679,7 +779,7 @@ fn conv_current_block(
     bias: &Tensor,
     quant: Option<&QuantizedPlane>,
     policy: &KernelPolicy,
-    plane: &BatchPlane,
+    plane: &BatchPlane<'_>,
     record: bool,
 ) -> Result<(Vec<f32>, Vec<usize>, Vec<BatchTapeRow>)> {
     if plane.dims.len() != 3 {
@@ -718,22 +818,14 @@ fn conv_current_block(
     let mut block = vec![0.0f32; b * n];
     let mut rows = Vec::with_capacity(if record { b } else { 0 });
     // One gate decision per row, through the plan's policy.
-    let admitted: Vec<Option<SpikeVector>> = (0..b).map(|r| plane.admit(r, policy)).collect();
+    let admitted: Vec<Option<Cow<'_, [u32]>>> = (0..b).map(|r| plane.admit(r, policy)).collect();
     let sorted = policy.conv_batch() == ConvBatchKernel::EventSorted
         && b > 1
         && admitted.iter().any(Option::is_some);
     if sorted {
-        // Pack every row (declined rows as empty event lists — their
-        // slots are overwritten by the dense conv below) and run the
-        // event-sorted scatter straight into the block.
-        let packed: Vec<SpikeVector> = admitted
-            .iter()
-            .map(|row| match row {
-                Some(events) => events.clone(),
-                None => SpikeVector::new(Vec::new(), in_len).expect("empty rows are in bounds"),
-            })
-            .collect();
-        let matrix = SpikeMatrix::from_rows(&packed).map_err(CoreError::from)?;
+        // Every row keeps its slot (a declined row as an empty event
+        // list, overwritten by the dense conv below).
+        let matrix = plane.admitted_matrix(&admitted, true)?;
         match quant {
             Some(q) => sparse_conv2d_batch_sorted_planed_into(
                 &matrix,
@@ -751,7 +843,11 @@ fn conv_current_block(
     for (r, admitted_row) in admitted.into_iter().enumerate() {
         let slot = &mut block[r * n..(r + 1) * n];
         match admitted_row {
-            Some(events) => {
+            Some(indices) => {
+                if sorted && !record {
+                    continue;
+                }
+                let events = owned_events(indices, in_len)?;
                 if !sorted {
                     sparse::sparse_conv2d_into(&events, (h, w), weight, bias, spec, slot)?;
                 }
@@ -764,7 +860,7 @@ fn conv_current_block(
                 let out = conv::conv2d(&t, weight, bias, spec)?;
                 slot.copy_from_slice(out.as_slice());
                 if record {
-                    rows.push(BatchTapeRow::Dense(t.as_slice().to_vec()));
+                    rows.push(BatchTapeRow::Dense(t.into_vec()));
                 }
             }
         }
@@ -777,42 +873,58 @@ fn conv_current_block(
 /// the rest on the dense kernels.
 ///
 /// On inference steps an admitted max-pool row pools from events to
-/// events ([`sparse::sparse_max_pool2d_events`]), so the next layer's
-/// gate is a count check; a declined row pools densely and stays dense.
+/// events ([`sparse::sparse_max_pool2d_events`]) into one CSR output
+/// matrix, so the next layer's gate is a count check; a declined row
+/// pools densely and stays dense.
 ///
 /// Recorded steps match the per-sample recorded path: always the dense
 /// kernels (max pooling needs its argmax tape, which the event kernel
 /// does not produce), no gate and no fallback accounting. Max-pool
 /// argmax rows are returned when `record` is set.
-fn pool_plane(
-    plane: BatchPlane,
+fn pool_plane<'a>(
+    plane: BatchPlane<'a>,
     window: usize,
     policy: &KernelPolicy,
     max: bool,
     record: bool,
-) -> Result<(BatchPlane, Vec<Vec<usize>>)> {
+) -> Result<(BatchPlane<'a>, Vec<Vec<usize>>)> {
     let gate_ok = !record && plane.dims.len() == 3;
     let b = plane.batch;
+    let in_len = plane.volume();
     if max && gate_ok {
         let (c, h, w) = (plane.dims[0], plane.dims[1], plane.dims[2]);
-        let rows = (0..b)
-            .map(|r| match plane.admit(r, policy) {
-                Some(events) => Ok(PlaneRow::Events(sparse::sparse_max_pool2d_events(
-                    &events,
-                    &plane.dims,
-                    window,
-                )?)),
-                None => Ok(PlaneRow::Dense(
-                    conv::max_pool2d(&plane.dense_row(r)?, window)?.output,
-                )),
-            })
-            .collect::<Result<Vec<_>>>()?;
-        let out_dims = vec![c, h / window, w / window];
+        let out_dims = match (h.checked_div(window), w.checked_div(window)) {
+            (Some(oh), Some(ow)) => vec![c, oh, ow],
+            _ => {
+                return Err(CoreError::from(TensorError::InvalidArgument {
+                    message: "pool window must be non-zero".into(),
+                }))
+            }
+        };
+        let mut matrix = SpikeMatrix::new(out_dims.iter().product());
+        let mut dense = Vec::new();
+        for r in 0..b {
+            match plane.admit(r, policy) {
+                Some(indices) => {
+                    let events = owned_events(indices, in_len)?;
+                    let pooled = sparse::sparse_max_pool2d_events(&events, &plane.dims, window)?;
+                    matrix.push_row(pooled.indices())?;
+                }
+                None => {
+                    let pooled = conv::max_pool2d(&plane.dense_row(r)?, window)?.output;
+                    if dense.is_empty() {
+                        dense.resize(b, None);
+                    }
+                    dense[r] = Some(Cow::Owned(pooled.into_vec()));
+                    matrix.push_row(&[])?;
+                }
+            }
+        }
         return Ok((
             BatchPlane {
                 dims: out_dims,
                 batch: b,
-                data: PlaneData::Rows(rows),
+                data: PlaneData::Events { matrix, dense },
             },
             Vec::new(),
         ));
@@ -824,7 +936,9 @@ fn pool_plane(
         let pooled = match gate_ok.then(|| plane.admit(r, policy)).flatten() {
             // Gated max pools returned above: an admitted row here is an
             // avg-pool row.
-            Some(events) => sparse::sparse_avg_pool2d(&events, &plane.dims, window)?,
+            Some(indices) => {
+                sparse::sparse_avg_pool2d(&owned_events(indices, in_len)?, &plane.dims, window)?
+            }
             None => {
                 let t = plane.dense_row(r)?;
                 if max {
@@ -1224,36 +1338,41 @@ impl SpikingNetwork {
             });
         }
         let b = trains.len();
-        let dims0 = first.dims().to_vec();
         let depth = self.depth();
         let spiking_layers = self.layers().iter().filter(|l| l.is_spiking()).count();
         let mut spikes_per_layer = vec![0.0f32; spiking_layers];
         let mut states: Vec<Option<BatchedLifState>> = vec![None; depth];
-        let mut dense_caches: Vec<DenseCurrentCache> =
-            (0..depth).map(|_| DenseCurrentCache::default()).collect();
         let mut logits: Option<Vec<f32>> = None;
         let mut classes = 0usize;
         let mut tape_steps: Vec<Vec<BatchTapeStep>> =
             Vec::with_capacity(if record { time_steps } else { 0 });
+        // The first linear layer the input plane reaches unchanged
+        // (through flatten and inference dropout only). At a step where
+        // every train repeats its analog frame, its currents repeat too:
+        // `held` keeps its previous block for that step.
+        let reuse_at = self
+            .layers()
+            .iter()
+            .position(|l| !matches!(l, Layer::Flatten(_) | Layer::Dropout(_)))
+            .filter(|&li| {
+                matches!(
+                    self.layers()[li],
+                    Layer::SpikingLinear(_) | Layer::OutputLinear(_)
+                )
+            });
+        let repeats = |t: usize| trains.iter().all(|tr| tr.repeats(t));
+        let mut held: Option<Vec<f32>> = None;
 
         for t in 0..time_steps {
-            let mut plane = BatchPlane {
-                dims: dims0.clone(),
-                batch: b,
-                data: PlaneData::Rows(
-                    trains
-                        .iter()
-                        .map(|tr| match &tr.frames()[t] {
-                            EncodedFrame::Spikes(s) => PlaneRow::Events(s.clone()),
-                            EncodedFrame::Analog(a) => PlaneRow::Dense(a.clone()),
-                        })
-                        .collect(),
-                ),
-            };
+            let mut plane = BatchPlane::input(trains, t)?;
+            // Reuse the held block at this step; hold this step's block
+            // for the next.
+            let (reuse, keep) = (repeats(t), repeats(t + 1));
             let mut spiking_idx = 0usize;
             let mut step_tape: Vec<BatchTapeStep> =
                 Vec::with_capacity(if record { depth } else { 0 });
             for (li, layer) in self.layers_mut().iter_mut().enumerate() {
+                let reusable = reuse_at == Some(li);
                 match layer {
                     Layer::SpikingConv2d(l) => {
                         let in_dims = plane.dims.clone();
@@ -1271,14 +1390,14 @@ impl SpikingNetwork {
                             Some(s) if s.batch() == b && s.neurons() == n => s,
                             slot => slot.insert(BatchedLifState::new(b, n, l.lif_params)),
                         };
-                        let (spikes, events) = if record {
-                            let (spikes, events, pre) = state.step_recorded(&current);
+                        let spikes = if record {
+                            let (spikes, pre) = state.step_recorded(&current);
                             step_tape.push(BatchTapeStep::SpikingConv { rows, in_dims, pre });
-                            (spikes, events)
+                            spikes
                         } else {
                             state.step(&current)
                         };
-                        spikes_per_layer[spiking_idx] += events as f32;
+                        spikes_per_layer[spiking_idx] += spikes.nnz() as f32;
                         spiking_idx += 1;
                         plane = BatchPlane::events(out_dims, spikes);
                     }
@@ -1290,22 +1409,25 @@ impl SpikingNetwork {
                             &l.policy,
                             &plane,
                             record,
-                            &mut dense_caches[li],
+                            if reusable && reuse { held.take() } else { None },
                         )?;
                         let n = current.len() / b;
                         let state = match &mut states[li] {
                             Some(s) if s.batch() == b && s.neurons() == n => s,
                             slot => slot.insert(BatchedLifState::new(b, n, l.lif_params)),
                         };
-                        let (spikes, events) = if record {
-                            let (spikes, events, pre) = state.step_recorded(&current);
+                        let spikes = if record {
+                            let (spikes, pre) = state.step_recorded(&current);
                             step_tape.push(BatchTapeStep::SpikingLinear { rows, pre });
-                            (spikes, events)
+                            spikes
                         } else {
                             state.step(&current)
                         };
-                        spikes_per_layer[spiking_idx] += events as f32;
+                        spikes_per_layer[spiking_idx] += spikes.nnz() as f32;
                         spiking_idx += 1;
+                        if reusable && keep {
+                            held = Some(current);
+                        }
                         plane = BatchPlane::events(vec![n], spikes);
                     }
                     Layer::OutputLinear(l) => {
@@ -1316,10 +1438,13 @@ impl SpikingNetwork {
                             &l.policy,
                             &plane,
                             record,
-                            &mut dense_caches[li],
+                            if reusable && reuse { held.take() } else { None },
                         )?;
                         if record {
                             step_tape.push(BatchTapeStep::Output { rows });
+                        }
+                        if reusable && keep {
+                            held = Some(block.clone());
                         }
                         let n = block.len() / b;
                         plane = BatchPlane {
@@ -1346,18 +1471,10 @@ impl SpikingNetwork {
                         plane = pooled;
                     }
                     Layer::Flatten(_) => {
-                        let len = plane.volume();
                         if record {
                             step_tape.push(BatchTapeStep::Identity);
                         }
-                        if let PlaneData::Rows(rows) = &mut plane.data {
-                            for row in rows.iter_mut() {
-                                if let PlaneRow::Dense(t) = row {
-                                    *t = t.reshape(&[len])?;
-                                }
-                            }
-                        }
-                        plane.dims = vec![len];
+                        plane.dims = vec![plane.volume()];
                     }
                     Layer::Dropout(_) => {
                         // Inference dropout is the identity (train-mode
@@ -1381,13 +1498,12 @@ impl SpikingNetwork {
                         *slot += v;
                     }
                 }
-                PlaneData::Rows(_) => {
+                PlaneData::Events { .. } => {
+                    let mut row = Vec::with_capacity(classes);
                     for r in 0..b {
-                        let out = plane.dense_row(r)?;
-                        for (slot, &v) in acc[r * classes..(r + 1) * classes]
-                            .iter_mut()
-                            .zip(out.as_slice())
-                        {
+                        row.clear();
+                        plane.extend_dense(r, &mut row);
+                        for (slot, &v) in acc[r * classes..(r + 1) * classes].iter_mut().zip(&row) {
                             *slot += v;
                         }
                     }
@@ -1685,7 +1801,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let train = FrameTrain::encode(&image, Encoder::Deterministic, 8, &mut rng).unwrap();
         assert_eq!(train.time_steps(), 8);
-        assert_eq!(train.spike_frame_fraction(), 1.0);
+        assert!(train
+            .frames()
+            .iter()
+            .all(|f| matches!(f, EncodedFrame::Spikes(_))));
         let mut rng2 = StdRng::seed_from_u64(1);
         let reference = Encoder::Deterministic.encode(&image, 8, &mut rng2).unwrap();
         assert_eq!(train.to_frames().unwrap(), reference);
@@ -1696,8 +1815,10 @@ mod tests {
         let image = Tensor::full(&[4], 0.3);
         let mut rng = StdRng::seed_from_u64(0);
         let train = FrameTrain::encode(&image, Encoder::DirectCurrent, 4, &mut rng).unwrap();
-        assert_eq!(train.spike_frame_fraction(), 0.0);
-        assert!(matches!(train.frames()[0], EncodedFrame::Analog(_)));
+        assert!(train
+            .frames()
+            .iter()
+            .all(|f| matches!(f, EncodedFrame::Analog(_))));
     }
 
     #[test]
@@ -1718,8 +1839,58 @@ mod tests {
         ];
         let train = FrameTrain::from_spike_rows(&[2, 3], rows).unwrap();
         assert_eq!(train.dims(), &[2, 3]);
-        assert_eq!(train.spike_frame_fraction(), 1.0);
+        assert!(train
+            .frames()
+            .iter()
+            .all(|f| matches!(f, EncodedFrame::Spikes(_))));
         assert_eq!(train.to_frames().unwrap(), frames);
+    }
+
+    /// A frame repeats only when it is analog and bit for bit its
+    /// predecessor: never at `t = 0`, never a spike frame, not across a
+    /// one-ulp change or a zero's sign, and again after a change
+    /// settles.
+    #[test]
+    fn frame_train_flags_repeating_analog_frames() {
+        let analog = |v: [f32; 3]| Tensor::from_vec(v.to_vec(), &[3]).unwrap();
+        let a = analog([0.5, 0.25, 0.0]);
+        let b = analog([0.5, 0.75, 0.0]);
+        let ulp = analog([0.5, f32::from_bits(0.25f32.to_bits() + 1), 0.0]);
+        let neg_zero = analog([0.5, 0.25, -0.0]);
+        let spikes = analog([1.0, 0.0, 1.0]);
+        let frames = vec![
+            a.clone(),
+            a.clone(),
+            b.clone(),
+            b,
+            a.clone(),
+            ulp,
+            a.clone(),
+            neg_zero,
+            spikes.clone(),
+            spikes,
+            a.clone(),
+            a,
+        ];
+        let train = FrameTrain::from_frames(&frames).unwrap();
+        let flags: Vec<bool> = (0..frames.len()).map(|t| train.repeats(t)).collect();
+        assert_eq!(
+            flags,
+            [false, true, false, true, false, false, false, false, false, false, false, true]
+        );
+        assert!(!train.repeats(frames.len()), "past the end");
+
+        let image = Tensor::from_vec(vec![0.3, 0.9, 0.0, 0.6], &[4]).unwrap();
+        let mut rng = StdRng::seed_from_u64(0);
+        let direct = FrameTrain::encode(&image, Encoder::DirectCurrent, 4, &mut rng).unwrap();
+        assert_eq!(
+            (0..4).map(|t| direct.repeats(t)).collect::<Vec<_>>(),
+            [false, true, true, true]
+        );
+        let events =
+            FrameTrain::from_spike_rows(&[4], vec![SpikeVector::new(vec![1], 4).unwrap(); 3])
+                .unwrap();
+        assert!((0..3).all(|t| !events.repeats(t)));
     }
 
     /// Rows off `SpikeVector::from_dense`'s form are rejected with a

@@ -10,7 +10,7 @@
 //! replaced in the backward pass by the *fast-sigmoid surrogate*
 //! `1 / (1 + α·|v − V_th|)²`, the de-facto standard surrogate gradient.
 
-use axsnn_tensor::sparse::SpikeVector;
+use axsnn_tensor::batched::{lif_fire, SpikeMatrix};
 
 /// Parameters of a population of LIF neurons.
 ///
@@ -198,12 +198,16 @@ impl LifState {
 /// fed row `b` of each current block — the update is elementwise, so
 /// the batched step is bit-identical per row to the per-sample step.
 ///
-/// A step hands back its spikes as one event row per batch row: the
-/// ascending indices of the neurons that fired, which is what
-/// [`SpikeVector::from_dense`] yields on the binary spike row
-/// [`LifState::step`] returns. The fused engine passes those rows
-/// straight to the next layer, so no `[B, n]` spike block is written
-/// and scanned back into events.
+/// A step hands back its spikes as one CSR [`SpikeMatrix`] with a row
+/// per batch row: the ascending indices of the neurons that fired,
+/// which is what [`SpikeVector::from_dense`] yields on the binary spike
+/// row [`LifState::step`] returns. The step runs
+/// [`axsnn_tensor::batched::lif_fire`] (eight neurons per compare mask
+/// under AVX2), and the fused engine passes the matrix straight to the
+/// next layer, so no `[B, n]` spike block is written and scanned back
+/// into events.
+///
+/// [`SpikeVector::from_dense`]: axsnn_tensor::sparse::SpikeVector::from_dense
 ///
 /// # Example
 ///
@@ -212,13 +216,13 @@ impl LifState {
 ///
 /// let params = LifParams { threshold: 1.0, leak: 1.0, surrogate_alpha: 2.0 };
 /// let mut s = BatchedLifState::new(2, 3, params);
-/// let (rows, events) = s.step(&[0.6, 1.2, 0.0, 1.0, 0.2, 1.5]);
-/// assert_eq!(rows[0].indices(), &[1]); // row 0: neuron 1 fires
-/// assert_eq!(rows[1].indices(), &[0, 2]); // row 1: v = 1.0 fires at the threshold
-/// assert_eq!(events, 3);
-/// let (rows, _) = s.step(&[0.6, 0.0, 0.0, 0.0, 0.0, 0.0]);
-/// assert_eq!(rows[0].indices(), &[0]); // row 0, neuron 0 integrated to 1.2
-/// assert_eq!(rows[0].len(), 3);
+/// let spikes = s.step(&[0.6, 1.2, 0.0, 1.0, 0.2, 1.5]);
+/// assert_eq!(spikes.row(0), &[1]); // row 0: neuron 1 fires
+/// assert_eq!(spikes.row(1), &[0, 2]); // row 1: v = 1.0 fires at the threshold
+/// assert_eq!(spikes.nnz(), 3);
+/// let spikes = s.step(&[0.6, 0.0, 0.0, 0.0, 0.0, 0.0]);
+/// assert_eq!(spikes.row(0), &[0]); // row 0, neuron 0 integrated to 1.2
+/// assert_eq!(spikes.cols(), 3);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchedLifState {
@@ -265,47 +269,39 @@ impl BatchedLifState {
     }
 
     /// Advances every population one time step with the stacked
-    /// synaptic current block `[B, n]`, returning one event row per
-    /// batch row plus the step's total event count.
+    /// synaptic current block `[B, n]`, returning the spikes as a
+    /// `B`-row CSR matrix of `n` columns.
     ///
     /// Dynamics per element match [`LifState::step`]: `v ← leak·v + I`;
     /// fire and hard-reset at `v ≥ V_th`. Row `b` lists the neurons that
-    /// fired in ascending order, each once, with logical length `n`.
+    /// fired in ascending order, each once.
     ///
     /// # Panics
     ///
     /// Panics when `current.len() != B·n` — a wiring bug in the layer
     /// above, not a user input error.
-    pub fn step(&mut self, current: &[f32]) -> (Vec<SpikeVector>, usize) {
-        self.advance::<false>(current, &mut [])
+    pub fn step(&mut self, current: &[f32]) -> SpikeMatrix {
+        self.fire(current, None)
     }
 
     /// [`BatchedLifState::step`] that additionally returns the
     /// pre-reset membrane block `[B, n]` — what the surrogate gradient
     /// is evaluated at, so the recorded batch forward can tape it.
     ///
-    /// The dynamics and event rows are identical to
+    /// The dynamics and spike rows are identical to
     /// [`BatchedLifState::step`]; a neuron fired exactly where its
     /// pre-reset membrane is `≥ V_th`.
     ///
     /// # Panics
     ///
     /// As [`BatchedLifState::step`].
-    pub fn step_recorded(&mut self, current: &[f32]) -> (Vec<SpikeVector>, usize, Vec<f32>) {
+    pub fn step_recorded(&mut self, current: &[f32]) -> (SpikeMatrix, Vec<f32>) {
         let mut pre = vec![0.0f32; self.membrane.len()];
-        let (rows, events) = self.advance::<true>(current, &mut pre);
-        (rows, events, pre)
+        let spikes = self.fire(current, Some(&mut pre));
+        (spikes, pre)
     }
 
-    /// The shared step: updates each row in blocks of [`FIRE_LANES`]
-    /// neurons, gathers a block's spikes into a bitmask and emits the
-    /// set bits in ascending order, and stores the pre-reset potentials
-    /// into `pre` when `RECORD`.
-    fn advance<const RECORD: bool>(
-        &mut self,
-        current: &[f32],
-        pre: &mut [f32],
-    ) -> (Vec<SpikeVector>, usize) {
+    fn fire(&mut self, current: &[f32], pre: Option<&mut [f32]>) -> SpikeMatrix {
         assert_eq!(
             current.len(),
             self.membrane.len(),
@@ -313,102 +309,25 @@ impl BatchedLifState {
             current.len(),
             self.membrane.len()
         );
-        let n = self.neurons;
-        if n == 0 {
-            let empty = SpikeVector::new(Vec::new(), 0).expect("an empty row is in bounds");
-            return (vec![empty; self.batch], 0);
-        }
         let LifParams {
             threshold, leak, ..
         } = self.params;
-        let mut rows = Vec::with_capacity(self.batch);
-        let mut events = 0usize;
-        for (r, (v_row, i_row)) in self
-            .membrane
-            .chunks_exact_mut(n)
-            .zip(current.chunks_exact(n))
-            .enumerate()
-        {
-            let pre_row: &mut [f32] = if RECORD {
-                &mut pre[r * n..(r + 1) * n]
-            } else {
-                &mut []
-            };
-            let mut fired = Vec::new();
-            let mut push = |base: usize, mut mask: u32| {
-                while mask != 0 {
-                    fired.push((base + mask.trailing_zeros() as usize) as u32);
-                    mask &= mask - 1;
-                }
-            };
-            // Full blocks first (fixed length, so they vectorize), then
-            // the tail of `n % FIRE_LANES` neurons.
-            let full = n - n % FIRE_LANES;
-            let blocks = v_row[..full]
-                .chunks_exact_mut(FIRE_LANES)
-                .zip(i_row[..full].chunks_exact(FIRE_LANES));
-            for (k, (v, i)) in blocks.enumerate() {
-                let base = k * FIRE_LANES;
-                let p = if RECORD {
-                    &mut pre_row[base..base + FIRE_LANES]
-                } else {
-                    &mut []
-                };
-                let v: &mut [f32; FIRE_LANES] = v.try_into().expect("exact block");
-                let i: &[f32; FIRE_LANES] = i.try_into().expect("exact block");
-                push(base, fire_lanes::<RECORD>(v, i, p, threshold, leak));
-            }
-            let p = if RECORD {
-                &mut pre_row[full..]
-            } else {
-                &mut []
-            };
-            push(
-                full,
-                fire_lanes::<RECORD>(&mut v_row[full..], &i_row[full..], p, threshold, leak),
-            );
-            events += fired.len();
-            rows.push(SpikeVector::new(fired, n).expect("indices are below n"));
-        }
-        (rows, events)
+        lif_fire(
+            &mut self.membrane,
+            current,
+            pre,
+            (self.batch, self.neurons),
+            threshold,
+            leak,
+        )
+        .expect("the membrane block is B*n long and n indexes as u32")
     }
-}
-
-/// Neurons one [`fire_lanes`] block updates: the width of its spike
-/// bitmask.
-const FIRE_LANES: usize = 16;
-
-/// One LIF update over a block of at most [`FIRE_LANES`] neurons:
-/// `v ← leak·v + I`, fire and hard-reset at `v ≥ V_th`. Returns the
-/// block's spikes as a bitmask (bit `k` = neuron `k`) and, when
-/// `RECORD`, writes the pre-reset potentials into `pre`. Branch-free in
-/// the neuron loop, so full blocks vectorize.
-#[inline(always)]
-fn fire_lanes<const RECORD: bool>(
-    v: &mut [f32],
-    i: &[f32],
-    pre: &mut [f32],
-    threshold: f32,
-    leak: f32,
-) -> u32 {
-    let mut spikes = [false; FIRE_LANES];
-    for (k, (v, &i)) in v.iter_mut().zip(i).enumerate() {
-        let u = leak * *v + i;
-        if RECORD {
-            pre[k] = u;
-        }
-        spikes[k] = u >= threshold;
-        *v = if spikes[k] { 0.0 } else { u };
-    }
-    spikes
-        .iter()
-        .enumerate()
-        .fold(0, |mask, (k, &s)| mask | u32::from(s) << k)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use axsnn_tensor::sparse::SpikeVector;
     use axsnn_tensor::Tensor;
 
     #[test]
@@ -487,11 +406,11 @@ mod tests {
         s.step(&[1.0]);
     }
 
-    /// The batched step's event rows are exactly `SpikeVector::from_dense`
-    /// of the per-sample spike rows, and the membranes (pre- and
-    /// post-reset) stay bitwise equal — across widths that are not
-    /// multiples of 8 and currents landing exactly on the threshold,
-    /// NaN, ±inf and −0.0.
+    /// Each CSR row of the batched step is exactly
+    /// `SpikeVector::from_dense` of the per-sample spike row, and the
+    /// membranes (pre- and post-reset) stay bitwise equal — across
+    /// widths that are not multiples of 8 and currents landing exactly
+    /// on the threshold, NaN, ±inf and −0.0.
     #[test]
     fn batched_rows_bitwise_match_per_sample_state() {
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -516,18 +435,22 @@ mod tests {
                             _ => ((i + t) as f32 * 0.61).sin(),
                         })
                         .collect();
-                    let (rows, events) = batched.step(&current);
-                    let (rec_rows, rec_events, pre) = recorded.step_recorded(&current);
-                    assert_eq!(rows, rec_rows);
-                    assert_eq!(events, rec_events);
-                    assert_eq!(rows.len(), b);
+                    let spikes = batched.step(&current);
+                    let (rec_spikes, pre) = recorded.step_recorded(&current);
+                    assert_eq!(spikes, rec_spikes);
+                    assert_eq!(spikes.rows(), b);
+                    assert_eq!(spikes.cols(), n);
                     let mut expected_events = 0;
                     for (r, single) in singles.iter_mut().enumerate() {
                         let out = single.step(&current[r * n..(r + 1) * n]);
                         let dense = Tensor::from_vec(out.spikes, &[n]).unwrap();
                         let expected = SpikeVector::from_dense(&dense).unwrap();
                         expected_events += expected.nnz();
-                        assert_eq!(rows[r], expected, "vth {threshold} {b}x{n} t {t} row {r}");
+                        assert_eq!(
+                            spikes.row(r),
+                            expected.indices(),
+                            "vth {threshold} {b}x{n} t {t} row {r}"
+                        );
                         assert_eq!(
                             bits(&pre[r * n..(r + 1) * n]),
                             bits(&out.pre_reset_membrane)
@@ -539,7 +462,7 @@ mod tests {
                         );
                         assert_eq!(bits(&recorded.membrane()[range]), bits(single.membrane()));
                     }
-                    assert_eq!(events, expected_events);
+                    assert_eq!(spikes.nnz(), expected_events);
                 }
                 batched.reset();
                 assert!(batched.membrane().iter().all(|&v| v == 0.0));
@@ -548,9 +471,10 @@ mod tests {
             }
         }
         // Zero-width populations still yield one (empty) row per batch row.
-        let (rows, events) = BatchedLifState::new(2, 0, LifParams::default()).step(&[]);
-        assert_eq!(rows, vec![SpikeVector::new(vec![], 0).unwrap(); 2]);
-        assert_eq!(events, 0);
+        let spikes = BatchedLifState::new(2, 0, LifParams::default()).step(&[]);
+        assert_eq!(spikes.rows(), 2);
+        assert_eq!(spikes.cols(), 0);
+        assert_eq!(spikes.nnz(), 0);
     }
 
     #[test]

@@ -82,8 +82,8 @@ pub use axsnn_tensor::sparse::DEFAULT_DENSITY_THRESHOLD;
 pub(crate) struct FallbackCounter(Arc<AtomicU64>);
 
 impl FallbackCounter {
-    pub(crate) fn bump(&self) {
-        self.0.fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn add(&self, n: u64) {
+        self.0.fetch_add(n, Ordering::Relaxed);
     }
 
     pub(crate) fn get(&self) -> u64 {
@@ -163,7 +163,7 @@ impl ConvBatchKernel {
 /// type — the layer structs ([`crate::layer`]) and the fused batch
 /// engine ([`crate::fused`]) hold a policy and call
 /// [`KernelPolicy::admit`] / [`KernelPolicy::admit_slice`] /
-/// [`KernelPolicy::admit_events`] instead of interpreting thresholds
+/// [`KernelPolicy::admit_count`] instead of interpreting thresholds
 /// locally. Clones share the fallback counter (worker clones aggregate
 /// into the caller's instance) but own their threshold, so A/B clones
 /// can force different plans without affecting each other.
@@ -259,6 +259,13 @@ impl KernelPolicy {
         self.fallbacks.get()
     }
 
+    /// `true` when the density gate is engaged: a sparse choice with a
+    /// positive threshold. Only an armed gate counts fallbacks.
+    fn armed(&self) -> bool {
+        let threshold = self.threshold();
+        !threshold.is_nan() && threshold > 0.0
+    }
+
     /// The density gate on a dense frame: returns the frame's events
     /// exactly when the choice is sparse, the frame is binary, and its
     /// density is at most the threshold. A declined frame under an
@@ -271,35 +278,44 @@ impl KernelPolicy {
     /// batch engine uses to gate rows of a stacked `[B, n]` block
     /// without materializing per-row tensors.
     pub fn admit_slice(&self, data: &[f32]) -> Option<SpikeVector> {
-        let threshold = self.threshold();
-        if threshold.is_nan() || threshold <= 0.0 {
+        if !self.armed() {
             return None;
         }
-        let events = SpikeVector::from_slice_if_sparse(data, threshold);
+        let events = SpikeVector::from_slice_if_sparse(data, self.threshold());
         if events.is_none() {
-            self.fallbacks.bump();
+            self.fallbacks.add(1);
         }
         events
     }
 
-    /// The density gate on an already-encoded event row (the fused
-    /// engine's binary input planes, spiking-layer outputs and pooled
-    /// event rows): admits exactly when a dense materialization of the
-    /// row would pass [`KernelPolicy::admit`] — the row is binary by
-    /// construction, so only the density cap `nnz ≤ ⌊threshold·len⌋`
-    /// is checked, which requires its indices to be unique. Declines
-    /// count a fallback under an armed gate.
-    pub fn admit_events(&self, events: &SpikeVector) -> bool {
-        let threshold = self.threshold();
-        if threshold.is_nan() || threshold <= 0.0 {
+    /// The density gate on a binary row already in event form (the
+    /// fused engine's CSR planes: input spike frames, spiking-layer
+    /// output, event max-pool output), given its event count `nnz` and
+    /// logical length `len`: admits exactly when a dense
+    /// materialization of the row would pass [`KernelPolicy::admit`].
+    /// The row is binary by construction, so only the density cap
+    /// `nnz ≤ ⌊threshold·len⌋` is checked, which requires the row's
+    /// indices to be unique. Declines count a fallback under an armed
+    /// gate.
+    pub fn admit_count(&self, nnz: usize, len: usize) -> bool {
+        if !self.armed() {
             return false;
         }
-        let cap = (threshold as f64 * events.len() as f64).floor() as usize;
-        if events.nnz() <= cap {
+        let cap = (self.threshold() as f64 * len as f64).floor() as usize;
+        if nnz <= cap {
             true
         } else {
-            self.fallbacks.bump();
+            self.fallbacks.add(1);
             false
+        }
+    }
+
+    /// Counts `rows` declines of rows the gate is known to decline
+    /// without looking at them: non-binary frames, which no threshold
+    /// admits. Counts only under an armed gate, like the gate itself.
+    pub(crate) fn decline_analog(&self, rows: usize) {
+        if self.armed() {
+            self.fallbacks.add(rows as u64);
         }
     }
 }
@@ -667,11 +683,22 @@ mod tests {
         let policy = KernelPolicy::for_linear();
         let frame = Tensor::from_vec(vec![1.0, 0.0, 0.0, 0.0, 0.0], &[5]).unwrap();
         let events = SpikeVector::from_dense(&frame).unwrap();
-        assert_eq!(policy.admit_events(&events), policy.admit(&frame).is_some());
+        let admit_count = |e: &SpikeVector| policy.admit_count(e.nnz(), e.len());
+        assert_eq!(admit_count(&events), policy.admit(&frame).is_some());
         let dense_frame = Tensor::ones(&[5]);
         let dense_events = SpikeVector::from_dense(&dense_frame).unwrap();
-        assert!(!policy.admit_events(&dense_events));
+        assert!(!admit_count(&dense_events));
         assert!(policy.admit(&dense_frame).is_none());
+        assert_eq!(policy.fallback_count(), 2, "both declines counted");
+        // Repeated analog rows count as the gate would decline them:
+        // under an armed gate only.
+        policy.decline_analog(3);
+        assert_eq!(policy.fallback_count(), 5);
+        let mut dense_policy = policy.clone();
+        dense_policy.set_threshold(0.0);
+        assert!(!dense_policy.admit_count(0, 5));
+        dense_policy.decline_analog(3);
+        assert_eq!(policy.fallback_count(), 5);
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //! that keeps it that way.
 //!
 //! Analog trains whose frames change between steps (by a single ulp,
-//! at different steps per row, or on every step) pin the fused
-//! engine's reuse of a layer's dense currents: it may skip the GEMM
-//! only when the step's dense input repeats bit for bit.
+//! in the sign of a zero, at different steps per row, or on every
+//! step) pin the fused engine's reuse of the first linear layer's
+//! currents: it may skip the GEMM only at a step where every train of
+//! the batch repeats its analog frame bit for bit.
 //!
 //! Spiking layers hand the next layer event rows, and an admitted
 //! max-pool row pools events to events. The conv stacks therefore cover
@@ -497,4 +498,105 @@ fn single_ulp_input_change_reaches_fused_logits() {
         rows[4..8].iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
         "the one-ulp change must be visible in the logits"
     );
+}
+
+/// Direct-current trains mixed with analog trains whose frames change:
+/// one switching to another image and back (A, A, B, A, …), one whose
+/// frame differs from its predecessor by one ulp, and one whose frame
+/// differs only in the sign of a zero. The fused engine reuses the
+/// first linear layer's currents only at a step where every train of
+/// the batch repeats its previous frame bit for bit, so each batch mix
+/// below puts repeating and changing steps side by side. Under `Auto`,
+/// `ForceDense` and `ForceThreshold`, for a first linear layer, one
+/// behind a flatten and a lone readout, logits, spike statistics and
+/// dense-fallback counts must equal the per-sample path.
+#[test]
+fn repeating_direct_current_batches_bitwise_equal_per_sample() {
+    use axsnn_core::plan::PlanOverride;
+    const INPUTS: usize = 12;
+    const T: usize = 6;
+    let c = cfg(0.5, T);
+    let mut rng = StdRng::seed_from_u64(0xdc);
+    let a = analog_image(&mut rng, INPUTS);
+    let b = analog_image(&mut rng, INPUTS);
+    let mut a_ulp = a.clone();
+    a_ulp[3] = f32::from_bits(a_ulp[3].to_bits() + 1);
+    let mut zero = a.clone();
+    zero[7] = 0.0;
+    let mut neg_zero = zero.clone();
+    neg_zero[7] = -0.0;
+    let constant = analog_train(vec![a.clone(); T]);
+    let switching = analog_train(vec![
+        a.clone(),
+        a.clone(),
+        b.clone(),
+        a.clone(),
+        a.clone(),
+        a.clone(),
+    ]);
+    let ulp = analog_train(vec![
+        a.clone(),
+        a.clone(),
+        a_ulp.clone(),
+        a_ulp,
+        a.clone(),
+        a.clone(),
+    ]);
+    let signed_zero = analog_train(vec![
+        zero.clone(),
+        zero.clone(),
+        neg_zero,
+        zero.clone(),
+        zero.clone(),
+        zero,
+    ]);
+    let batches = [
+        vec![constant.clone(), constant.clone(), constant.clone()],
+        vec![constant.clone(), switching.clone()],
+        vec![ulp.clone(), constant.clone()],
+        vec![constant.clone(), signed_zero.clone()],
+        vec![switching, constant, ulp, signed_zero],
+    ];
+    let mut rng = StdRng::seed_from_u64(0x5eed);
+    let flattened = SpikingNetwork::new(
+        vec![
+            Layer::flatten(),
+            Layer::spiking_linear(&mut rng, INPUTS, 9, &c),
+            Layer::output_linear(&mut rng, 9, 3),
+        ],
+        c,
+    )
+    .unwrap();
+    let readout = SpikingNetwork::new(vec![Layer::output_linear(&mut rng, INPUTS, 4)], c).unwrap();
+    for (what, net) in [
+        ("mlp", mlp(17, INPUTS, 10, 3, c)),
+        ("flatten first", flattened),
+        ("readout only", readout),
+    ] {
+        for plan in [
+            PlanOverride::Auto,
+            PlanOverride::ForceDense,
+            PlanOverride::ForceThreshold(0.5),
+        ] {
+            let mut net = net.clone();
+            net.apply_plan(plan);
+            for (k, trains) in batches.iter().enumerate() {
+                let start = net.dense_fallback_counts();
+                assert_bitwise_equivalent_recorded(&net, trains);
+                let counted = fallbacks_since(&net, &start);
+                // Armed gates decline every analog input row once per
+                // row-step on each of the four passes.
+                let expected = match plan {
+                    PlanOverride::ForceDense => 0,
+                    _ => (4 * trains.len() * T) as u64,
+                };
+                let first = counted
+                    .iter()
+                    .zip(net.layers())
+                    .find(|(_, l)| !matches!(l, Layer::Flatten(_)))
+                    .map(|(n, _)| *n);
+                assert_eq!(first, Some(expected), "{what} {plan:?} batch {k}");
+            }
+        }
+    }
 }

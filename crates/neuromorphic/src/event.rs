@@ -123,8 +123,9 @@ impl EventStream {
     /// # Errors
     ///
     /// Returns [`NeuroError::InvalidSensor`] for zero dimensions or
-    /// [`NeuroError::EventOutOfRange`] when any event lies outside the
-    /// sensor or has a timestamp outside `[0, 1)`.
+    /// [`NeuroError::EventOutOfRange`], naming the event's index in
+    /// `events` and its `(x, y, polarity, t)`, when an event lies outside
+    /// the sensor or has a timestamp outside `[0, 1)`.
     pub fn from_events(width: usize, height: usize, events: Vec<DvsEvent>) -> Result<Self> {
         let mut stream = EventStream::new(width, height)?;
         for e in events {
@@ -169,21 +170,10 @@ impl EventStream {
     ///
     /// # Errors
     ///
-    /// Returns [`NeuroError::EventOutOfRange`] for invalid events.
+    /// Returns [`NeuroError::EventOutOfRange`] for an invalid event,
+    /// naming the index it would have taken.
     pub fn push(&mut self, e: DvsEvent) -> Result<()> {
-        if (e.x as usize) >= self.width || (e.y as usize) >= self.height {
-            return Err(NeuroError::EventOutOfRange {
-                message: format!(
-                    "({}, {}) outside {}x{} sensor",
-                    e.x, e.y, self.width, self.height
-                ),
-            });
-        }
-        if !(0.0..1.0).contains(&e.t) {
-            return Err(NeuroError::EventOutOfRange {
-                message: format!("timestamp {} outside [0, 1)", e.t),
-            });
-        }
+        check_event(self.width, self.height, self.events.len(), &e)?;
         self.events.push(e);
         Ok(())
     }
@@ -219,6 +209,32 @@ impl EventStream {
     }
 }
 
+/// Checks that event `e`, the `index`-th of its stream, lies on a
+/// `width × height` sensor with a timestamp in `[0, 1)` — what every
+/// stream constructor and the streaming accumulator enforce, and what
+/// frame binning re-checks, since [`EventStream::events_mut`] can
+/// change an event after it was admitted.
+///
+/// # Errors
+///
+/// Returns [`NeuroError::EventOutOfRange`] naming `index` and the
+/// event's `(x, y, polarity, t)`.
+pub(crate) fn check_event(width: usize, height: usize, index: usize, e: &DvsEvent) -> Result<()> {
+    let problem = if (e.x as usize) >= width || (e.y as usize) >= height {
+        format!("lies outside the {width}x{height} sensor")
+    } else if !(0.0..1.0).contains(&e.t) {
+        "has a timestamp outside [0, 1)".to_string()
+    } else {
+        return Ok(());
+    };
+    Err(NeuroError::EventOutOfRange {
+        message: format!(
+            "event {index} (x, y, polarity, t) = ({}, {}, {}, {}) {problem}",
+            e.x, e.y, e.polarity, e.t
+        ),
+    })
+}
+
 impl<'a> IntoIterator for &'a EventStream {
     type Item = &'a DvsEvent;
     type IntoIter = std::slice::Iter<'a, DvsEvent>;
@@ -252,6 +268,36 @@ mod tests {
         assert!(s.push(DvsEvent::new(0, 0, Polarity::On, 1.0)).is_err());
         assert!(s.push(DvsEvent::new(0, 0, Polarity::On, -0.1)).is_err());
         assert!(s.push(DvsEvent::new(0, 0, Polarity::On, 0.999)).is_ok());
+    }
+
+    /// A rejected event is named by its index in the input list and by
+    /// its `(x, y, polarity, t)`, whichever check it fails.
+    #[test]
+    fn from_events_names_the_rejected_index() {
+        let ok = DvsEvent::new(1, 1, Polarity::On, 0.5);
+        for (bad, problem) in [
+            (
+                DvsEvent::new(8, 2, Polarity::Off, 0.25),
+                "outside the 8x8 sensor",
+            ),
+            (
+                DvsEvent::new(2, 3, Polarity::On, 1.0),
+                "timestamp outside [0, 1)",
+            ),
+            (
+                DvsEvent::new(2, 3, Polarity::On, f32::NAN),
+                "timestamp outside [0, 1)",
+            ),
+        ] {
+            let err = EventStream::from_events(8, 8, vec![ok, ok, bad, ok]).unwrap_err();
+            let NeuroError::EventOutOfRange { message } = err else {
+                panic!("expected an out-of-range error, got {err:?}");
+            };
+            let tuple = format!("({}, {}, {}, {})", bad.x, bad.y, bad.polarity, bad.t);
+            assert!(message.starts_with("event 2 "), "{message}");
+            assert!(message.contains(&tuple), "{message}");
+            assert!(message.contains(problem), "{message}");
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! rate analysis. [`binary_frame_train`] bins the same way straight into
 //! event-form spike rows for the fused engine, with no dense frame.
 
-use crate::event::EventStream;
+use crate::event::{check_event, EventStream};
 use crate::{NeuroError, Result};
 use axsnn_core::fused::FrameTrain;
 use axsnn_tensor::sparse::SpikeVector;
@@ -27,7 +27,12 @@ pub enum Accumulation {
 ///
 /// # Errors
 ///
-/// Returns [`NeuroError::InvalidParameter`] when `time_steps` is zero.
+/// Returns [`NeuroError::InvalidParameter`] when `time_steps` is zero,
+/// and [`NeuroError::EventOutOfRange`] naming the event's index and
+/// `(x, y, polarity, t)` when an event lies outside the sensor or its
+/// timestamp outside `[0, 1)` — possible after
+/// [`EventStream::events_mut`]. Such an event is never clamped into a
+/// bin.
 ///
 /// # Example
 ///
@@ -60,7 +65,8 @@ pub fn accumulate_frames(
     }
     let (w, h) = (stream.width(), stream.height());
     let mut frames = vec![Tensor::zeros(&[2, h, w]); time_steps];
-    for e in stream {
+    for (index, e) in stream.events().iter().enumerate() {
+        check_event(w, h, index, e)?;
         let bin = uniform_bin(e.t, time_steps);
         let c = e.polarity.channel();
         let idx = [c, e.y as usize, e.x as usize];
@@ -83,7 +89,8 @@ pub fn accumulate_frames(
 /// the one formula shared by [`accumulate_frames`],
 /// [`binary_frame_train`] and the streaming `Uniform` schedule. It is a
 /// float product, never an interval comparison, so all three agree on
-/// every boundary.
+/// every boundary. It saturates (NaN and negative `t` to bin 0, `t ≥ 1`
+/// to the last bin), so callers check `t ∈ [0, 1)` first.
 pub(crate) fn uniform_bin(t: f32, time_steps: usize) -> usize {
     // t ∈ [0,1) ⇒ bin ∈ [0, time_steps).
     ((t * time_steps as f32) as usize).min(time_steps - 1)
@@ -106,7 +113,7 @@ pub(crate) fn uniform_bin(t: f32, time_steps: usize) -> usize {
 /// Returns [`NeuroError::InvalidParameter`] when `time_steps` is zero or
 /// a frame has more cells than a spike index can address, and the same
 /// [`NeuroError::EventOutOfRange`] as [`accumulate_frames`] for an event
-/// outside the sensor.
+/// outside the sensor or the `[0, 1)` window.
 ///
 /// # Example
 ///
@@ -139,7 +146,8 @@ pub fn binary_frame_train(stream: &EventStream, time_steps: usize) -> Result<Fra
         });
     }
     let mut rows = vec![Vec::new(); time_steps];
-    for e in stream {
+    for (index, e) in stream.events().iter().enumerate() {
+        check_event(stream.width(), stream.height(), index, e)?;
         let idx = [e.polarity.channel(), e.y as usize, e.x as usize];
         let flat = shape
             .flat_index(&idx)
@@ -213,6 +221,55 @@ mod tests {
             binary_frame_train(&s, 4),
             Err(NeuroError::InvalidParameter { .. })
         ));
+    }
+
+    /// Mutates event 2 of [`stream`] through `events_mut` and returns
+    /// the mutated stream.
+    fn mutated(edit: impl FnOnce(&mut DvsEvent)) -> EventStream {
+        let mut s = stream();
+        edit(&mut s.events_mut()[2]);
+        s
+    }
+
+    /// Asserts `err` is an out-of-range error naming event 2 and its
+    /// `(x, y, polarity, t)`.
+    fn assert_names_event_2(err: NeuroError, s: &EventStream, what: &str) {
+        let e = s.events()[2];
+        let tuple = format!("({}, {}, {}, {})", e.x, e.y, e.polarity, e.t);
+        match err {
+            NeuroError::EventOutOfRange { message } => {
+                assert!(message.starts_with("event 2 "), "{what}: {message}");
+                assert!(message.contains(&tuple), "{what}: {message}");
+            }
+            other => panic!("{what}: expected an out-of-range error, got {other:?}"),
+        }
+    }
+
+    /// A timestamp pushed outside `[0, 1)` after construction is an
+    /// error naming the event, not a silent clamp to the first or last
+    /// bin — in both binning paths.
+    #[test]
+    fn binning_rejects_mutated_timestamps() {
+        for t in [f32::NAN, -0.25, 1.0, 7.5, f32::INFINITY] {
+            let s = mutated(|e| e.t = t);
+            let err = accumulate_frames(&s, 4, Accumulation::Binary).unwrap_err();
+            assert_names_event_2(err, &s, &format!("accumulate t={t}"));
+            let err = binary_frame_train(&s, 4).unwrap_err();
+            assert_names_event_2(err, &s, &format!("binary train t={t}"));
+        }
+    }
+
+    /// An event moved off the sensor after construction is an error
+    /// naming the event in both binning paths.
+    #[test]
+    fn binning_rejects_mutated_coordinates() {
+        for (x, y) in [(4u16, 1u16), (2, 4), (u16::MAX, 0)] {
+            let s = mutated(|e| (e.x, e.y) = (x, y));
+            let err = accumulate_frames(&s, 4, Accumulation::Count).unwrap_err();
+            assert_names_event_2(err, &s, &format!("accumulate ({x}, {y})"));
+            let err = binary_frame_train(&s, 4).unwrap_err();
+            assert_names_event_2(err, &s, &format!("binary train ({x}, {y})"));
+        }
     }
 
     #[test]

@@ -56,7 +56,7 @@
 //! ```
 
 use crate::aqf::{AqfConfig, AqfReport};
-use crate::event::{DvsEvent, EventStream};
+use crate::event::{check_event, DvsEvent, EventStream};
 use crate::frames::{uniform_bin, Accumulation};
 use crate::{NeuroError, Result};
 use axsnn_core::network::{FrameStepper, SpikeStats, SpikingNetwork};
@@ -234,22 +234,11 @@ impl StreamAccumulator {
     /// # Errors
     ///
     /// Returns [`NeuroError::EventOutOfRange`] for events outside the
-    /// sensor or `[0, 1)`, and [`NeuroError::OutOfOrderEvent`] when the
-    /// timestamp decreases.
+    /// sensor or `[0, 1)`, naming the event's position among the events
+    /// accepted so far and its `(x, y, polarity, t)`, and
+    /// [`NeuroError::OutOfOrderEvent`] when the timestamp decreases.
     pub fn push(&mut self, e: DvsEvent) -> Result<Vec<Tensor>> {
-        if (e.x as usize) >= self.width || (e.y as usize) >= self.height {
-            return Err(NeuroError::EventOutOfRange {
-                message: format!(
-                    "({}, {}) outside {}x{} sensor",
-                    e.x, e.y, self.width, self.height
-                ),
-            });
-        }
-        if !(0.0..1.0).contains(&e.t) {
-            return Err(NeuroError::EventOutOfRange {
-                message: format!("timestamp {} outside [0, 1)", e.t),
-            });
-        }
+        check_event(self.width, self.height, self.events_in, &e)?;
         if let Some(prev) = self.last_t {
             if e.t < prev {
                 return Err(NeuroError::OutOfOrderEvent {

@@ -103,6 +103,33 @@ impl SpikeMatrix {
         })
     }
 
+    /// An empty matrix (no rows yet) whose rows will be `cols` long,
+    /// for [`SpikeMatrix::push_row`] to fill.
+    pub fn new(cols: usize) -> SpikeMatrix {
+        SpikeMatrix {
+            indices: Vec::new(),
+            row_ptr: vec![0],
+            cols,
+        }
+    }
+
+    /// Appends one row of active indices, copied as given.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::InvalidArgument`] when an index is out of
+    /// bounds for [`SpikeMatrix::cols`]; the matrix is left unchanged.
+    pub fn push_row(&mut self, indices: &[u32]) -> Result<()> {
+        if let Some(&bad) = indices.iter().find(|&&j| j as usize >= self.cols) {
+            return Err(TensorError::InvalidArgument {
+                message: format!("spike index {bad} out of bounds for length {}", self.cols),
+            });
+        }
+        self.indices.extend_from_slice(indices);
+        self.row_ptr.push(self.indices.len());
+        Ok(())
+    }
+
     /// Number of batch rows.
     pub fn rows(&self) -> usize {
         self.row_ptr.len() - 1
@@ -153,6 +180,165 @@ impl SpikeMatrix {
             }
         }
         Tensor::from_vec(out, &[b, self.cols]).expect("volume matches by construction")
+    }
+}
+
+/// One leaky-integrate-and-fire step over a row-major `[B, n]` membrane
+/// block (`shape = (B, n)`), returning the neurons that fired as one CSR
+/// row per batch row.
+///
+/// Per element: `u = leak·v + I`, computed as a multiply then an add
+/// (never a fused multiply-add); the neuron fires where `u ≥ threshold`
+/// (a NaN never fires), its membrane resets to `+0.0` and otherwise
+/// keeps `u`. When `pre` is given (`B·n` long) it receives every `u`,
+/// the pre-reset membrane the surrogate gradient is evaluated at. Each
+/// row lists its fired neurons in ascending order, each once — what
+/// [`SpikeVector::from_dense`] yields on the binary spike row.
+///
+/// Under AVX2 dispatch eight neurons update per instruction and a
+/// compare mask names the ones that fired; the result is bit-identical
+/// to [`lif_fire_scalar`] (pinned by the `simd_equivalence` suite).
+///
+/// # Errors
+///
+/// Returns [`TensorError::LengthMismatch`] when `membrane`, `current`
+/// or a given `pre` is not `B·n` long, and
+/// [`TensorError::InvalidArgument`] when `n` exceeds the spike index
+/// range.
+///
+/// # Example
+///
+/// ```
+/// use axsnn_tensor::batched::lif_fire;
+///
+/// # fn main() -> axsnn_tensor::Result<()> {
+/// let mut v = vec![0.0f32; 4];
+/// let spikes = lif_fire(&mut v, &[0.5, 1.0, 2.0, 0.0], None, (2, 2), 1.0, 0.9)?;
+/// assert_eq!(spikes.row(0), &[1]); // 1.0 reaches the threshold
+/// assert_eq!(spikes.row(1), &[0]);
+/// assert_eq!(v, vec![0.5, 0.0, 0.0, 0.0]); // fired neurons reset
+/// # Ok(())
+/// # }
+/// ```
+pub fn lif_fire(
+    membrane: &mut [f32],
+    current: &[f32],
+    pre: Option<&mut [f32]>,
+    shape: (usize, usize),
+    threshold: f32,
+    leak: f32,
+) -> Result<SpikeMatrix> {
+    lif_fire_impl(
+        membrane,
+        current,
+        pre,
+        shape,
+        (threshold, leak),
+        crate::simd::active(),
+    )
+}
+
+/// The portable scalar reference for [`lif_fire`]: one neuron at a
+/// time, never the AVX2 backend. [`lif_fire`] is bit-identical to it
+/// (membranes, pre-reset values and spike rows); `bench_simd` measures
+/// the dispatched kernel against it.
+///
+/// # Errors
+///
+/// As [`lif_fire`].
+pub fn lif_fire_scalar(
+    membrane: &mut [f32],
+    current: &[f32],
+    pre: Option<&mut [f32]>,
+    shape: (usize, usize),
+    threshold: f32,
+    leak: f32,
+) -> Result<SpikeMatrix> {
+    lif_fire_impl(membrane, current, pre, shape, (threshold, leak), false)
+}
+
+fn lif_fire_impl(
+    membrane: &mut [f32],
+    current: &[f32],
+    pre: Option<&mut [f32]>,
+    (b, n): (usize, usize),
+    params: (f32, f32),
+    simd: bool,
+) -> Result<SpikeMatrix> {
+    let len = b
+        .checked_mul(n)
+        .ok_or_else(|| TensorError::InvalidArgument {
+            message: format!("a {b}x{n} membrane block overflows"),
+        })?;
+    for actual in [membrane.len(), current.len()]
+        .into_iter()
+        .chain(pre.as_ref().map(|p| p.len()))
+    {
+        if actual != len {
+            return Err(TensorError::LengthMismatch {
+                expected: len,
+                actual,
+            });
+        }
+    }
+    if u32::try_from(n).is_err() {
+        return Err(TensorError::InvalidArgument {
+            message: format!("{n} neurons exceed the spike index range"),
+        });
+    }
+    let mut out = SpikeMatrix::new(n);
+    if n == 0 {
+        out.row_ptr.resize(b + 1, 0);
+        return Ok(out);
+    }
+    // Room for every neuron firing, so no row grows the index array.
+    out.indices.reserve(len);
+    out.row_ptr.reserve(b);
+    match pre {
+        Some(pre) => lif_rows::<true>(membrane, current, pre, n, params, simd, &mut out),
+        None => lif_rows::<false>(membrane, current, &mut [], n, params, simd, &mut out),
+    }
+    Ok(out)
+}
+
+/// Steps every `n`-neuron row (`n > 0`) and appends its fired neurons
+/// to `out`. Under `simd` the AVX2 backend takes each row's whole
+/// 8-neuron blocks and the scalar loop the rest; without it the scalar
+/// loop takes the row.
+fn lif_rows<const RECORD: bool>(
+    membrane: &mut [f32],
+    current: &[f32],
+    pre: &mut [f32],
+    n: usize,
+    (threshold, leak): (f32, f32),
+    simd: bool,
+    out: &mut SpikeMatrix,
+) {
+    let rows = membrane.chunks_exact_mut(n).zip(current.chunks_exact(n));
+    for (r, (v, i)) in rows.enumerate() {
+        let p: &mut [f32] = if RECORD {
+            &mut pre[r * n..(r + 1) * n]
+        } else {
+            &mut []
+        };
+        let start = if simd {
+            crate::simd::lif_fire_row::<RECORD>(v, i, p, threshold, leak, &mut out.indices)
+        } else {
+            0
+        };
+        for j in start..n {
+            let u = leak * v[j] + i[j];
+            if RECORD {
+                p[j] = u;
+            }
+            if u >= threshold {
+                out.indices.push(j as u32);
+                v[j] = 0.0;
+            } else {
+                v[j] = u;
+            }
+        }
+        out.row_ptr.push(out.indices.len());
     }
 }
 
@@ -1157,6 +1343,42 @@ mod tests {
                 Some(row)
             );
         }
+    }
+
+    #[test]
+    fn push_row_appends_and_rejects_out_of_bounds_rows() {
+        let rows = binary_rows(3, 10, 3);
+        let mut m = SpikeMatrix::new(10);
+        assert!(m.is_empty());
+        for row in &rows {
+            m.push_row(row.indices()).unwrap();
+        }
+        m.push_row(&[]).unwrap();
+        let mut expected = rows.clone();
+        expected.push(SpikeVector::new(vec![], 10).unwrap());
+        assert_eq!(m, SpikeMatrix::from_rows(&expected).unwrap());
+        assert!(m.push_row(&[2, 10]).is_err());
+        assert_eq!(m.rows(), 4, "a rejected row leaves the matrix unchanged");
+        assert_eq!(
+            m.nnz(),
+            expected.iter().map(SpikeVector::nnz).sum::<usize>()
+        );
+    }
+
+    #[test]
+    fn lif_fire_validates_block_lengths() {
+        let (mut v, i) = (vec![0.0f32; 6], vec![0.5f32; 6]);
+        assert!(lif_fire(&mut v, &i[..5], None, (2, 3), 1.0, 0.9).is_err());
+        assert!(lif_fire(&mut v, &i, None, (2, 2), 1.0, 0.9).is_err());
+        let mut short = vec![0.0f32; 5];
+        assert!(lif_fire(&mut v, &i, Some(&mut short), (2, 3), 1.0, 0.9).is_err());
+        assert_eq!(
+            v,
+            vec![0.0; 6],
+            "a rejected step leaves the membranes unchanged"
+        );
+        let spikes = lif_fire_scalar(&mut [], &[], None, (4, 0), 1.0, 0.9).unwrap();
+        assert_eq!((spikes.rows(), spikes.cols(), spikes.nnz()), (4, 0, 0));
     }
 
     #[test]

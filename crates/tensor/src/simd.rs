@@ -22,7 +22,7 @@
 //! fallback exercised, and the first knob to reach for when triaging a
 //! suspected kernel miscompile.
 //!
-//! Five primitive shapes cover the hot paths:
+//! Six primitive shapes cover the hot paths:
 //!
 //! * `matvec_rows` — gathers one index list against `N` 8-row weight
 //!   tiles at once (`vgatherdps` over a row-strided offset vector): the
@@ -44,11 +44,12 @@
 //!   per row and column). Per lane the sum is the scalar row dot's: one
 //!   accumulator from `+0.0`, `acc + w·x` over ascending columns with a
 //!   separate multiply and add, bias last. Above this kernel, the fused
-//!   engine in `axsnn-core` reuses a linear layer's dense currents for
-//!   the rest of a pass while the layer's dense input repeats bit for
-//!   bit between steps, so a direct-current input layer runs it once
-//!   per pass. That saving depends on the repeating input; changing
-//!   analog frames run the kernel on every step.
+//!   engine in `axsnn-core` reuses the first linear layer's currents at
+//!   a step where every input train repeats its analog frame bit for
+//!   bit (flagged once when the train is built), so a direct-current
+//!   input layer runs it once per pass. That saving depends on the
+//!   repeating input; changing analog frames run the kernel on every
+//!   step.
 //! * `scaled_row_sum` — the backward's register-tiled row update behind
 //!   [`crate::linalg::outer_acc_run`] (a linear layer's weight gradient
 //!   over a run of taped rows) and
@@ -59,6 +60,15 @@
 //!   stays in four registers across up to 32 scaled rows at a time.
 //!   Each lane still adds the terms in list order, product rounded
 //!   first, so every column keeps the scalar loop's add order.
+//! * `lif_fire_row` — the batched LIF step behind
+//!   [`crate::batched::lif_fire`]: eight membranes per `u = leak·v + I`
+//!   (multiply then add, never FMA), an ordered `u ≥ V_th` compare
+//!   (NaN never fires), a masked reset to `+0.0`, and the compare's
+//!   movemask compacting the fired lanes' indices through a 256-entry
+//!   permutation table into the CSR index array — one unconditional
+//!   vector store per 8 neurons, no branch per spike. Lanes map to
+//!   neurons, each computed as in the scalar loop of
+//!   [`crate::batched::lif_fire_scalar`].
 //! * `decode_f16` / `decode_int8` — blocked dequantization for the
 //!   reduced-precision weight planes: a panel of f16 bits (F16C
 //!   `vcvtph2ps`) or int8 codes (LUT `vgatherdps`) is decoded to f32
@@ -310,6 +320,57 @@ pub(crate) fn matmul_dense_panel8(
     }
     #[cfg(not(target_arch = "x86_64"))]
     unreachable!("SIMD dispatch is never active off x86-64");
+}
+
+/// The leaky-integrate-and-fire step over one membrane row's whole
+/// 8-neuron blocks: per neuron `u = leak·v + I` (a multiply then an
+/// add, never FMA), `pre[j] = u` when `RECORD`, and where `u ≥
+/// threshold` (ordered compare, so a NaN never fires) the membrane
+/// resets to `+0.0` and `j` is appended to `fired` in ascending order;
+/// elsewhere the membrane keeps `u`. Returns the number of neurons
+/// processed (`v.len()` rounded down to a multiple of 8); the caller's
+/// scalar loop ([`crate::batched::lif_fire_scalar`]'s) takes the rest,
+/// so the whole row is bit-identical to that loop.
+///
+/// # Panics
+///
+/// Panics when `i` (or `pre`, when `RECORD`) is shorter than `v`, when
+/// `v.len()` exceeds the spike index range, or when called without
+/// [`active`].
+#[inline]
+pub(crate) fn lif_fire_row<const RECORD: bool>(
+    v: &mut [f32],
+    i: &[f32],
+    pre: &mut [f32],
+    threshold: f32,
+    leak: f32,
+    fired: &mut Vec<u32>,
+) -> usize {
+    assert!(active() && i.len() >= v.len() && (!RECORD || pre.len() >= v.len()));
+    assert!(
+        u32::try_from(v.len()).is_ok(),
+        "row exceeds the spike index range"
+    );
+    let full = v.len() - v.len() % ROW_LANES;
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: AVX2 is detected (`active()` asserted above); every load
+    // and store touches element `j < full ≤ v.len()` of `v`, of `i` and
+    // (when `RECORD`) of `pre`, each at least `v.len()` long (asserted
+    // above).
+    unsafe {
+        lif_fire_row_avx2::<RECORD>(
+            v.as_mut_ptr(),
+            i.as_ptr(),
+            pre.as_mut_ptr(),
+            full,
+            threshold,
+            leak,
+            fired,
+        );
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    unreachable!("SIMD dispatch is never active off x86-64");
+    full
 }
 
 /// Output columns one register tile of [`scaled_row_sum`] holds: four
@@ -741,6 +802,83 @@ mod avx2 {
 
     /// # Safety
     ///
+    /// AVX2 required; `len` is a multiple of 8, `v` and `i` must cover
+    /// `len` floats, and so must `pre` when `RECORD`; `len` fits the
+    /// spike index range. Appends the fired indices to `fired` (its
+    /// spare capacity takes whole-vector stores past the new length).
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn lif_fire_row_avx2<const RECORD: bool>(
+        v: *mut f32,
+        i: *const f32,
+        pre: *mut f32,
+        len: usize,
+        threshold: f32,
+        leak: f32,
+        fired: &mut Vec<u32>,
+    ) {
+        // `_mm256_mul_ps` then `_mm256_add_ps`, never a fused
+        // multiply-add: the scalar loop rounds the product first.
+        let leak = _mm256_set1_ps(leak);
+        let threshold = _mm256_set1_ps(threshold);
+        let lanes = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+        // Each block stores all eight candidate indices at the write
+        // position and advances it by the fired count, so the write
+        // position stays below `start + j + 8 ≤ start + len`: reserving
+        // `len` keeps every store in the allocation.
+        fired.reserve(len);
+        let start = fired.len();
+        let out = fired.as_mut_ptr();
+        let mut at = start;
+        let mut j = 0usize;
+        while j < len {
+            let u = _mm256_add_ps(
+                _mm256_mul_ps(leak, _mm256_loadu_ps(v.add(j))),
+                _mm256_loadu_ps(i.add(j)),
+            );
+            if RECORD {
+                _mm256_storeu_ps(pre.add(j), u);
+            }
+            let fire = _mm256_cmp_ps::<_CMP_GE_OQ>(u, threshold);
+            // All-ones lanes clear `u` to `+0.0`: the hard reset.
+            _mm256_storeu_ps(v.add(j), _mm256_andnot_ps(fire, u));
+            let mask = _mm256_movemask_ps(fire) as usize;
+            let order = _mm256_cvtepu8_epi32(_mm_loadl_epi64(COMPRESS[mask].as_ptr().cast()));
+            let indices = _mm256_add_epi32(_mm256_set1_epi32(j as i32), lanes);
+            _mm256_storeu_si256(
+                out.add(at).cast(),
+                _mm256_permutevar8x32_epi32(indices, order),
+            );
+            at += mask.count_ones() as usize;
+            j += 8;
+        }
+        // Every element below `at` was written by a store above.
+        fired.set_len(at);
+    }
+
+    /// Row `mask` lists the lanes of `mask`'s set bits in ascending
+    /// order, padded with lane 0: permuting eight indices through it
+    /// packs the fired ones to the front, in order.
+    static COMPRESS: [[u8; 8]; 256] = compress_table();
+
+    const fn compress_table() -> [[u8; 8]; 256] {
+        let mut table = [[0u8; 8]; 256];
+        let mut mask = 0;
+        while mask < 256 {
+            let (mut lane, mut k) = (0, 0);
+            while lane < 8 {
+                if mask & (1 << lane) != 0 {
+                    table[mask][k] = lane as u8;
+                    k += 1;
+                }
+                lane += 1;
+            }
+            mask += 1;
+        }
+        table
+    }
+
+    /// # Safety
+    ///
     /// AVX2 required; `out` must cover `n` floats and every row of
     /// `terms` at least `n` floats.
     #[target_feature(enable = "avx2")]
@@ -836,8 +974,8 @@ mod avx2 {
 
 #[cfg(target_arch = "x86_64")]
 use avx2::{
-    decode_f16_f16c, decode_int8_avx2, matmul_dense_panel8_avx2, matmul_panels_avx2,
-    matvec_rows_avx2, pack_rows8_avx2, scaled_row_sum_avx2,
+    decode_f16_f16c, decode_int8_avx2, lif_fire_row_avx2, matmul_dense_panel8_avx2,
+    matmul_panels_avx2, matvec_rows_avx2, pack_rows8_avx2, scaled_row_sum_avx2,
 };
 
 #[cfg(test)]

@@ -20,13 +20,18 @@
 //! remainders, run lengths and coefficients with zeros, `-0.0`,
 //! subnormals and a NaN.
 //!
+//! The batched LIF step (`lif_fire`: multiply, add, compare mask,
+//! reset) is pinned against `lif_fire_scalar` on membranes, pre-reset
+//! values and spike rows, with currents on the threshold, NaN, ±inf,
+//! `-0.0` and subnormals.
+//!
 //! Run with `AXSNN_NO_SIMD=1` both sides take the scalar path and the
 //! suite degenerates to reflexivity — CI runs it both ways.
 
 use axsnn_tensor::batched::{
-    matmul_bt_bias, matmul_bt_bias_scalar, sparse_conv2d_sorted, sparse_matmul_bias,
-    sparse_matmul_bias_planed, sparse_matmul_bias_planed_scalar, sparse_matmul_bias_scalar,
-    SpikeMatrix,
+    lif_fire, lif_fire_scalar, matmul_bt_bias, matmul_bt_bias_scalar, sparse_conv2d_sorted,
+    sparse_matmul_bias, sparse_matmul_bias_planed, sparse_matmul_bias_planed_scalar,
+    sparse_matmul_bias_scalar, SpikeMatrix,
 };
 use axsnn_tensor::conv::Conv2dSpec;
 use axsnn_tensor::linalg::{
@@ -418,6 +423,81 @@ fn matvec_t_block_bit_identity() {
                     &Tensor::from_vec(scalar, &[ROWS, n]).unwrap(),
                     &what,
                 );
+            }
+        }
+    }
+}
+
+/// The dispatched LIF step (`lif_fire`, eight neurons per compare mask
+/// under AVX2) is bit-identical to its scalar twin over several steps:
+/// membranes, pre-reset values, spike indices and row offsets. Row
+/// widths cover the empty row, the scalar tail alone, one 8-lane block
+/// with and without a tail, `FastMlp`'s 96-neuron layer and a long odd
+/// row; currents land exactly on the threshold, on NaN, ±inf, `-0.0`
+/// and subnormals of both signs, so non-finite membranes carry into
+/// later steps. Leak 0 makes `0·inf = NaN` reach the add.
+#[test]
+fn lif_fire_bit_identity() {
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for (threshold, leak) in [(1.0f32, 0.0f32), (1.0, 1.0), (0.25, 0.9), (0.0, 1.0)] {
+        for n in [0usize, 1, 7, 8, 9, 96, 2051] {
+            for b in [1usize, 8, 32] {
+                let len = b * n;
+                let salt = (n * 37 + b) as u64;
+                let mut fast = vec![0.0f32; len];
+                let mut scalar = vec![0.0f32; len];
+                for step in 0..6u64 {
+                    let current: Vec<f32> = analog_values(len, salt ^ step)
+                        .into_iter()
+                        .enumerate()
+                        .map(|(i, v)| match (i as u64 * 7 + step * 3 + salt) % 13 {
+                            0 => threshold,
+                            1 => f32::NAN,
+                            2 => f32::INFINITY,
+                            3 => f32::NEG_INFINITY,
+                            4 => -0.0,
+                            5 => f32::from_bits(0x0000_0301),
+                            6 => -f32::from_bits(0x0040_0000),
+                            _ => v,
+                        })
+                        .collect();
+                    let what = format!("vth {threshold} leak {leak} {b}x{n} step {step}");
+                    let mut pre_fast = vec![1.0f32; len];
+                    let mut pre_scalar = vec![2.0f32; len];
+                    let (a, c) = if step % 2 == 0 {
+                        (
+                            lif_fire(&mut fast, &current, None, (b, n), threshold, leak),
+                            lif_fire_scalar(&mut scalar, &current, None, (b, n), threshold, leak),
+                        )
+                    } else {
+                        (
+                            lif_fire(
+                                &mut fast,
+                                &current,
+                                Some(&mut pre_fast),
+                                (b, n),
+                                threshold,
+                                leak,
+                            ),
+                            lif_fire_scalar(
+                                &mut scalar,
+                                &current,
+                                Some(&mut pre_scalar),
+                                (b, n),
+                                threshold,
+                                leak,
+                            ),
+                        )
+                    };
+                    let (a, c) = (a.unwrap(), c.unwrap());
+                    assert_eq!(a, c, "{what}: spike rows");
+                    assert_eq!(a.rows(), b, "{what}");
+                    assert_eq!(a.cols(), n, "{what}");
+                    assert_eq!(bits(&fast), bits(&scalar), "{what}: membranes");
+                    if step % 2 == 1 {
+                        assert_eq!(bits(&pre_fast), bits(&pre_scalar), "{what}: pre-reset");
+                    }
+                }
             }
         }
     }
