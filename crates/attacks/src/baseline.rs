@@ -40,14 +40,18 @@ impl NoiseAttack {
     }
 
     /// Perturbs an image with uniform noise in `[-ε, ε]`, clipped to
-    /// `[0, 1]`. Model-free: the gradient source is never queried.
+    /// `[0, 1]`. Model-free: the gradient source is never queried, and
+    /// only ε of the budget is checked.
     ///
     /// # Errors
     ///
-    /// Propagates tensor errors (cannot occur for valid images).
+    /// Returns [`crate::AttackError::InvalidBudget`] for an ε outside
+    /// `[0, f32::MAX / 2]` or NaN, and propagates tensor errors (cannot
+    /// occur for valid images).
     pub fn perturb<R: Rng>(&self, image: &Tensor, rng: &mut R) -> Result<Tensor> {
+        self.budget.validate_epsilon()?;
         let eps = self.budget.epsilon;
-        if eps <= 0.0 {
+        if eps == 0.0 {
             return Ok(image.clamp(0.0, 1.0));
         }
         let noise: Vec<f32> = (0..image.len())

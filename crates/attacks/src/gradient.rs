@@ -55,15 +55,21 @@ impl AttackBudget {
     ///
     /// # Errors
     ///
-    /// Returns [`AttackError::InvalidBudget`] for negative ε, non-positive
-    /// step size with positive ε, or zero steps.
+    /// Returns [`AttackError::InvalidBudget`], naming the field and its
+    /// value, for an ε that is negative, not finite or above
+    /// `f32::MAX / 2`, a non-finite step size, a non-positive step size
+    /// with positive ε, or zero steps. The random starts sample
+    /// `[−ε, ε]`, so a range of infinite width would start PGD at
+    /// `−ε + u·∞` (NaN at `u = 0`), and an infinite step turns every
+    /// zero gradient sign into `0·∞` (NaN).
     pub fn validate(&self) -> Result<()> {
-        if self.epsilon < 0.0 || self.epsilon.is_nan() {
+        self.validate_epsilon()?;
+        if !self.step_size.is_finite() {
             return Err(AttackError::InvalidBudget {
-                message: format!("epsilon must be ≥ 0, got {}", self.epsilon),
+                message: format!("step_size must be finite, got {}", self.step_size),
             });
         }
-        if self.epsilon > 0.0 && (self.step_size <= 0.0 || self.step_size.is_nan()) {
+        if self.epsilon > 0.0 && self.step_size <= 0.0 {
             return Err(AttackError::InvalidBudget {
                 message: format!("step_size must be > 0, got {}", self.step_size),
             });
@@ -71,6 +77,23 @@ impl AttackBudget {
         if self.steps == 0 {
             return Err(AttackError::InvalidBudget {
                 message: "steps must be ≥ 1".into(),
+            });
+        }
+        Ok(())
+    }
+
+    /// The ε half of [`AttackBudget::validate`], for attacks that use
+    /// nothing else of the budget.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AttackError::InvalidBudget`], naming its value, for an
+    /// ε outside `[0, f32::MAX / 2]` or NaN: the width `2ε` of the
+    /// sampled range `[−ε, ε]` must be finite.
+    pub(crate) fn validate_epsilon(&self) -> Result<()> {
+        if !(self.epsilon >= 0.0 && (2.0 * self.epsilon).is_finite()) {
+            return Err(AttackError::InvalidBudget {
+                message: format!("epsilon must be in [0, f32::MAX / 2], got {}", self.epsilon),
             });
         }
         Ok(())
@@ -91,6 +114,13 @@ pub trait GradientSource {
 
 /// Gradient source backed by the accurate ANN twin (transfer attack —
 /// the paper's threat model).
+///
+/// Each [`GradientSource::loss_gradient`] call is one
+/// [`AnnNetwork::input_gradient`]: the one-row case of the ANN's batched
+/// pass, whose backward walk forms only the input gradient (no weight
+/// gradients, no transposed weight copies). It is bit-identical to the
+/// per-sample reference [`AnnNetwork::forward_backward`] for finite
+/// weights, so crafted images do not depend on which walk ran.
 #[derive(Debug)]
 pub struct AnnGradientSource<'a> {
     ann: &'a AnnNetwork,
@@ -378,6 +408,42 @@ mod tests {
         .validate()
         .is_err());
         assert!(AttackBudget::for_epsilon(0.5).validate().is_ok());
+        // Non-finite ε or step size, each error naming its field and value.
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            for (budget, field) in [
+                (AttackBudget::for_epsilon(bad), "epsilon"),
+                (
+                    AttackBudget {
+                        epsilon: bad,
+                        step_size: 0.1,
+                        steps: 1,
+                    },
+                    "epsilon",
+                ),
+                (
+                    AttackBudget {
+                        epsilon: 0.1,
+                        step_size: bad,
+                        steps: 1,
+                    },
+                    "step_size",
+                ),
+                (
+                    AttackBudget {
+                        epsilon: 0.0,
+                        step_size: bad,
+                        steps: 1,
+                    },
+                    "step_size",
+                ),
+            ] {
+                let message = budget.validate().unwrap_err().to_string();
+                assert!(
+                    message.contains(field) && message.contains(&bad.to_string()),
+                    "{budget:?}: {message}"
+                );
+            }
+        }
     }
 
     #[test]

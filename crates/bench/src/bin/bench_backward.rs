@@ -1,8 +1,9 @@
-//! Sequential vs parallel minibatch backward, and dense vs thresholded
-//! input-gradient kernels, written to `BENCH_backward.json`.
+//! Sequential vs parallel minibatch backward, dense vs thresholded
+//! input-gradient kernels, and the ANN attack gradient, written to
+//! `BENCH_backward.json`.
 //!
 //! Times three things on the paper's MNIST-scale MLP (and a conv stack
-//! for reference):
+//! for reference), and one on the ANN twin:
 //!
 //! * **parallel backward** — one recorded fused forward produces the
 //!   tape once; the timed region is `backward_batch_with` at 1 thread
@@ -14,15 +15,23 @@
 //!   kernel.
 //! * **`eps = 0` no-regression** — the thresholded kernel in exact mode
 //!   must not lose against the dense entry point it shadows.
+//! * **ANN attack input gradient** — on the `search_mlp` FastMlp shape
+//!   (256 → 96 → 64 → 10), the per-sample reference
+//!   `AnnNetwork::forward_backward`, which forms every weight gradient
+//!   and transposes every weight matrix, against `input_gradient`, the
+//!   one-row batched walk that forms only the input gradient. Both give
+//!   the same bits (asserted first).
 //!
 //! Usage: `cargo run --release -p axsnn-bench --bin bench_backward
 //! [out.json]`.
 
+use axsnn::core::ann::{AnnLayer, AnnNetwork};
 use axsnn::core::fused::{BackwardOpts, FrameTrain};
 use axsnn::core::layer::Layer;
 use axsnn::core::network::{SnnConfig, SpikingNetwork};
 use axsnn::tensor::{init, linalg, Tensor};
-use axsnn_bench::harness::{conv1_net, mlp_1568, record, spike_frame, Bench};
+use axsnn_bench::harness::{conv1_net, hash_unit, mlp_1568, record, spike_frame, Bench};
+use rand::rngs::mock::StepRng;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -171,5 +180,48 @@ fn main() {
         "thresholded_ns",
         eps0_ns,
     ));
+    ann_input_grad_record(&mut bench);
     bench.finish();
+}
+
+/// Times one PGD step's input gradient on the FastMlp shape: the
+/// per-sample reference against `input_gradient`, after asserting they
+/// agree bit for bit.
+fn ann_input_grad_record(bench: &mut Bench) {
+    let mut rng = StdRng::seed_from_u64(7);
+    let ann = AnnNetwork::new(vec![
+        AnnLayer::Flatten,
+        AnnLayer::linear_relu(&mut rng, 256, 96),
+        AnnLayer::linear_relu(&mut rng, 96, 64),
+        AnnLayer::linear_out(&mut rng, 64, 10),
+    ])
+    .unwrap();
+    let x = Tensor::from_vec((0..256).map(|i| hash_unit(i, 11)).collect(), &[1, 16, 16]).unwrap();
+    let label = 3;
+    let reference = || {
+        let (_, _, back) = ann
+            .forward_backward(black_box(&x), label, false, &mut StepRng::new(0, 1))
+            .unwrap();
+        back.input_grad
+    };
+    let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(
+        bits(&reference()),
+        bits(&ann.input_gradient(&x, label).unwrap()),
+        "input_gradient must equal the per-sample reference bitwise"
+    );
+    let (reference_ns, input_grad_ns) = bench.time_pair(
+        || {
+            black_box(reference());
+        },
+        || {
+            black_box(ann.input_gradient(black_box(&x), label).unwrap());
+        },
+    );
+    bench.push(record("ann_input_grad_mlp_256x96x64x10").ab(
+        "reference_ns",
+        reference_ns,
+        "input_grad_ns",
+        input_grad_ns,
+    ));
 }

@@ -7,6 +7,34 @@
 //! *input*, which the PGD/BIM attacks consume — plus activation-range
 //! recording for data-based ANN→SNN threshold balancing
 //! ([`crate::convert`]).
+//!
+//! # One batched pass, two backward walks
+//!
+//! Training and attacks run the same taped batched forward (one GEMM
+//! per linear layer, convolutions and pools per row) and the same
+//! backward walk, which computes only the gradients its caller reads:
+//!
+//! * [`AnnNetwork::forward_backward_batch_with`] (training) forms the
+//!   parameter gradients and stops at the first parameterized layer, so
+//!   a linear first layer computes no input gradient;
+//! * [`AnnNetwork::input_gradient`] (FGSM/BIM/PGD) is the one-row case
+//!   and forms only the input gradient — no weight or bias gradient and
+//!   no transposed weight copy.
+//!
+//! [`AnnNetwork::forward_backward`] is the per-sample reference both are
+//! pinned against (`tests/ann_equivalence.rs`); nothing else calls it.
+//! They agree bit for bit because each batched kernel keeps the
+//! reference's per-element order. A forward GEMM row sums ascending
+//! from `+0.0` and adds the bias last, as `linalg::matvec` plus the bias
+//! does. The input gradient `G·W` goes through
+//! [`linalg::matvec_t_block_thresholded_into`], which at `eps = 0` skips
+//! only exact-zero coefficients: an accumulator that starts at `+0.0`
+//! is never `-0.0`, so a `±0` term cannot change it, and the result
+//! equals the reference's `matvec(transpose(W), g)`.
+//!
+//! The one exception is a non-finite weight. The reference multiplies
+//! it by a zero coefficient (`∞·0 = NaN`), while the walk skips that
+//! term, so only the reference turns NaN there.
 
 use crate::batch::fan_out_with;
 use crate::plan::BackwardOpts;
@@ -267,11 +295,18 @@ impl AnnNetwork {
         Ok(self.forward(input)?.argmax().unwrap_or(0))
     }
 
-    /// Training/attack forward pass that records a tape, then backprop.
+    /// The per-sample reference forward/backward: one sample, a tape,
+    /// then backprop through every layer, forming every parameter
+    /// gradient and the input gradient.
+    ///
+    /// No production path calls it. Training runs
+    /// [`AnnNetwork::forward_backward_batch_with`] and attacks run
+    /// [`AnnNetwork::input_gradient`]; both are pinned against this
+    /// function bit for bit (`tests/ann_equivalence.rs`).
     ///
     /// When `train` is set, dropout is active (inverted dropout with the
-    /// provided RNG); attacks use `train = false` so gradients flow
-    /// through the inference behaviour.
+    /// provided RNG); with `train = false` gradients flow through the
+    /// inference behaviour.
     ///
     /// Returns `(logits, loss, backward)` for cross-entropy against
     /// `label`.
@@ -462,7 +497,16 @@ impl AnnNetwork {
     /// for every thread count — rows compute independently and their
     /// gradients reduce in ascending row order, the sequential loop's
     /// own order), and `opts.input_grad_eps` thresholds the
-    /// input-gradient GEMMs `G·W` of the linear layers (`0.0` = exact).
+    /// input-gradient products `G·W` of the linear layers (`0.0` =
+    /// exact).
+    ///
+    /// The backward walk produces only what training reads, the
+    /// parameter gradients, and stops at the first parameterized layer.
+    /// A linear first layer therefore runs no `G·W` product (as many
+    /// multiply-adds as its weight gradient, and nothing reads it); a
+    /// conv first layer's per-row backward kernel still computes its
+    /// input gradient, which is dropped. Layers below the first
+    /// parameterized one get empty [`AnnLayerGrads`].
     ///
     /// # Errors
     ///
@@ -487,44 +531,97 @@ impl AnnNetwork {
             });
         }
         let b = inputs.len();
-        let row_len = inputs[0].len();
-        let mut dims: Vec<usize> = inputs[0].shape().dims().to_vec();
-        let mut block = Vec::with_capacity(b * row_len);
+        let dims = inputs[0].shape().dims();
+        let mut block = Vec::with_capacity(b * inputs[0].len());
         for x in inputs {
-            if x.shape().dims() != dims.as_slice() {
+            if x.shape().dims() != dims {
                 return Err(CoreError::Config {
                     message: "forward_backward_batch needs homogeneous input shapes".into(),
                 });
             }
             block.extend_from_slice(x.as_slice());
         }
+        let pass = self.forward_taped(block, dims.to_vec(), b, train, rng, opts.threads)?;
 
-        // Forward with a batch tape.
-        enum Tape {
-            Conv {
-                inputs: Vec<Tensor>,
-                preact: Vec<f32>,
-            },
-            Linear {
-                input: Tensor,
-                preact: Vec<f32>,
-            },
-            LinearOut {
-                input: Tensor,
-            },
-            Pool {
-                input_dims: Vec<usize>,
-            },
-            MaxPool {
-                input_dims: Vec<usize>,
-                argmax: Vec<Vec<usize>>,
-            },
-            Identity,
-            Dropout {
-                masks: Vec<f32>,
-            },
+        // Losses + logit gradients per row.
+        let classes = pass.logits.len() / b;
+        let mut losses = Vec::with_capacity(b);
+        let mut predictions = Vec::with_capacity(b);
+        let mut grad = vec![0.0f32; b * classes];
+        for (r, &label) in labels.iter().enumerate() {
+            let row = Tensor::from_vec(
+                pass.logits[r * classes..(r + 1) * classes].to_vec(),
+                &[classes],
+            )?;
+            let (loss, g) = ops::cross_entropy_with_grad(&row, label)?;
+            losses.push(loss);
+            predictions.push(row.argmax().unwrap_or(0));
+            grad[r * classes..(r + 1) * classes].copy_from_slice(g.as_slice());
         }
-        let mut tapes: Vec<Tape> = Vec::with_capacity(self.layers.len());
+
+        let walk = self.backward_walk(&pass.tapes, grad, b, Wants::Params, opts)?;
+        Ok(AnnBatchBackward {
+            logits: Tensor::from_vec(pass.logits, &[b, classes])?,
+            losses,
+            predictions,
+            layer_grads: walk.layer_grads,
+        })
+    }
+
+    /// Gradient of the cross-entropy loss with respect to the input —
+    /// the quantity FGSM/BIM/PGD ascend.
+    ///
+    /// This is the one-row case of the batched pass that
+    /// [`AnnNetwork::forward_backward_batch_with`] runs, with dropout
+    /// inactive, and its backward walk produces only the input
+    /// gradient: no weight or bias gradient is formed and no weight
+    /// matrix is transposed. The forward runs the batched GEMM
+    /// ([`matmul_bt_bias`]), linear layers propagate through
+    /// [`linalg::matvec_t_block_thresholded_into`] at `eps = 0`, and
+    /// conv layers run their per-row backward kernel and discard its
+    /// parameter gradients. For finite weights the result equals
+    /// `forward_backward(input, label, false, ..).input_grad` bit for
+    /// bit, shape included (see the [module docs](self) for the
+    /// non-finite-weight exception).
+    ///
+    /// # Errors
+    ///
+    /// Propagates layer shape errors and an out-of-range `label`.
+    pub fn input_gradient(&self, input: &Tensor, label: usize) -> Result<Tensor> {
+        // Dropout is inactive, so the forward never draws from the RNG.
+        let mut rng = rand::rngs::mock::StepRng::new(0, 1);
+        let pass = self.forward_taped(
+            input.as_slice().to_vec(),
+            input.shape().dims().to_vec(),
+            1,
+            false,
+            &mut rng,
+            1,
+        )?;
+        let classes = pass.logits.len();
+        let logits = Tensor::from_vec(pass.logits, &[classes])?;
+        let (_, grad) = ops::cross_entropy_with_grad(&logits, label)?;
+        let opts = BackwardOpts {
+            threads: 1,
+            input_grad_eps: 0.0,
+        };
+        let walk = self.backward_walk(&pass.tapes, grad.into_vec(), 1, Wants::Input, &opts)?;
+        Ok(Tensor::from_vec(walk.input_grad, &walk.input_dims)?)
+    }
+
+    /// The batched forward with a tape: `block` holds `b` rows of
+    /// per-row shape `dims`. With `train` set, dropout draws per-row
+    /// masks in row order from `rng`; otherwise it is the identity.
+    fn forward_taped<R: Rng>(
+        &self,
+        mut block: Vec<f32>,
+        mut dims: Vec<usize>,
+        b: usize,
+        train: bool,
+        rng: &mut R,
+        threads: usize,
+    ) -> Result<TapedPass> {
+        let mut tapes: Vec<BatchTape> = Vec::with_capacity(self.layers.len());
         for layer in &self.layers {
             let n = block.len() / b;
             match layer {
@@ -535,12 +632,12 @@ impl AnnNetwork {
                     let dims_ref = &dims;
                     let pre_rows: Vec<(Option<Tensor>, Vec<f32>)> = fan_out_with(
                         b,
-                        opts.threads,
+                        threads,
                         || (),
                         |_, r, slot: &mut (Option<Tensor>, Vec<f32>)| -> Result<()> {
                             let x =
                                 Tensor::from_vec(block_ref[r * n..(r + 1) * n].to_vec(), dims_ref)?;
-                            let pre = conv::conv2d(&x, weight, bias, spec)?.as_slice().to_vec();
+                            let pre = conv::conv2d(&x, weight, bias, spec)?.into_vec();
                             *slot = (Some(x), pre);
                             Ok(())
                         },
@@ -558,7 +655,7 @@ impl AnnNetwork {
                         out.extend(pre.iter().map(|&v| v.max(0.0)));
                         rows.push(x.expect("every conv row computed"));
                     }
-                    tapes.push(Tape::Conv {
+                    tapes.push(BatchTape::Conv {
                         inputs: rows,
                         preact,
                     });
@@ -567,23 +664,16 @@ impl AnnNetwork {
                 }
                 AnnLayer::LinearRelu { weight, bias } => {
                     let x = Tensor::from_vec(std::mem::take(&mut block), &[b, n])?;
-                    let pre = matmul_bt_bias(&x, weight, bias).map_err(CoreError::from)?;
-                    let out: Vec<f32> = pre.as_slice().iter().map(|&v| v.max(0.0)).collect();
-                    let out_n = out.len() / b;
-                    tapes.push(Tape::Linear {
-                        input: x,
-                        preact: pre.as_slice().to_vec(),
-                    });
-                    block = out;
-                    dims = vec![out_n];
+                    let preact = matmul_bt_bias(&x, weight, bias)?.into_vec();
+                    block = preact.iter().map(|&v| v.max(0.0)).collect();
+                    dims = vec![preact.len() / b];
+                    tapes.push(BatchTape::Linear { input: x, preact });
                 }
                 AnnLayer::LinearOut { weight, bias } => {
                     let x = Tensor::from_vec(std::mem::take(&mut block), &[b, n])?;
-                    let pre = matmul_bt_bias(&x, weight, bias).map_err(CoreError::from)?;
-                    let out_n = pre.len() / b;
-                    tapes.push(Tape::LinearOut { input: x });
-                    block = pre.as_slice().to_vec();
-                    dims = vec![out_n];
+                    block = matmul_bt_bias(&x, weight, bias)?.into_vec();
+                    dims = vec![block.len() / b];
+                    tapes.push(BatchTape::LinearOut { input: x });
                 }
                 AnnLayer::AvgPool { window } => {
                     let mut out = Vec::new();
@@ -597,7 +687,7 @@ impl AnnNetwork {
                         }
                         out.extend_from_slice(pooled.as_slice());
                     }
-                    tapes.push(Tape::Pool {
+                    tapes.push(BatchTape::Pool {
                         input_dims: std::mem::replace(&mut dims, out_dims),
                     });
                     block = out;
@@ -616,15 +706,16 @@ impl AnnNetwork {
                         out.extend_from_slice(pooled.output.as_slice());
                         argmax.push(pooled.argmax);
                     }
-                    tapes.push(Tape::MaxPool {
+                    tapes.push(BatchTape::MaxPool {
                         input_dims: std::mem::replace(&mut dims, out_dims),
                         argmax,
                     });
                     block = out;
                 }
                 AnnLayer::Flatten => {
-                    tapes.push(Tape::Identity);
-                    dims = vec![n];
+                    tapes.push(BatchTape::Flatten {
+                        input_dims: std::mem::replace(&mut dims, vec![n]),
+                    });
                 }
                 AnnLayer::Dropout { probability } => {
                     let keep = 1.0 - probability;
@@ -644,37 +735,63 @@ impl AnnNetwork {
                     for (v, &m) in block.iter_mut().zip(&masks) {
                         *v *= m;
                     }
-                    tapes.push(Tape::Dropout { masks });
+                    tapes.push(BatchTape::Dropout { masks });
                 }
             }
         }
+        Ok(TapedPass {
+            logits: block,
+            tapes,
+        })
+    }
 
-        // Losses + logit gradients per row.
-        let classes = block.len() / b;
-        let logits = Tensor::from_vec(block.clone(), &[b, classes])?;
-        let mut losses = Vec::with_capacity(b);
-        let mut predictions = Vec::with_capacity(b);
-        let mut grad = vec![0.0f32; b * classes];
-        for (r, &label) in labels.iter().enumerate() {
-            let row = Tensor::from_vec(block[r * classes..(r + 1) * classes].to_vec(), &[classes])?;
-            let (loss, g) = ops::cross_entropy_with_grad(&row, label)?;
-            losses.push(loss);
-            predictions.push(row.argmax().unwrap_or(0));
-            grad[r * classes..(r + 1) * classes].copy_from_slice(g.as_slice());
-        }
-
-        // Backward through the batch tape.
-        let mut layer_grads: Vec<AnnLayerGrads> = Vec::with_capacity(self.layers.len());
-        for (layer, tape) in self.layers.iter().zip(&tapes).rev() {
-            let mut lg = AnnLayerGrads::default();
+    /// The backward walk over a batch tape, from the `[b, classes]`
+    /// logit-gradient block `grad` down. `wants` picks what it
+    /// produces: [`Wants::Params`] forms the parameter gradients and
+    /// stops at the first parameterized layer; [`Wants::Input`] runs to
+    /// layer 0 and forms only the input gradient.
+    fn backward_walk(
+        &self,
+        tapes: &[BatchTape],
+        mut grad: Vec<f32>,
+        b: usize,
+        wants: Wants,
+        opts: &BackwardOpts,
+    ) -> Result<Walk> {
+        let params = wants == Wants::Params;
+        let stop = if params {
+            self.layers
+                .iter()
+                .position(AnnLayer::has_params)
+                .unwrap_or(0)
+        } else {
+            0
+        };
+        let mut layer_grads = vec![AnnLayerGrads::default(); self.layers.len()];
+        // The per-row shape the per-sample walk gives the gradient.
+        let mut dims = vec![grad.len() / b];
+        for li in (stop..self.layers.len()).rev() {
+            // The walk needs this layer's input gradient unless it ends
+            // here.
+            let propagate = !params || li > stop;
+            let lg = &mut layer_grads[li];
             let n = grad.len() / b;
-            grad = match (layer, tape) {
-                (AnnLayer::ConvRelu { spec, weight, .. }, Tape::Conv { inputs, preact }) => {
+            grad = match (&self.layers[li], &tapes[li]) {
+                (AnnLayer::ConvRelu { spec, weight, .. }, BatchTape::Conv { inputs, preact }) => {
                     // Per-row gradients are independent; compute them in
                     // parallel, then reduce in ascending row order — the
                     // sequential loop's own accumulation order, so the
-                    // sums are bit-identical for every thread count.
+                    // sums are bit-identical for every thread count. The
+                    // kernel always computes all three; keep what the
+                    // walk reads.
                     let grad_ref = &grad;
+                    let keep = |t: Tensor, wanted: bool| {
+                        if wanted {
+                            t.into_vec()
+                        } else {
+                            Vec::new()
+                        }
+                    };
                     let row_grads: Vec<(Vec<f32>, Vec<f32>, Vec<f32>)> = fan_out_with(
                         b,
                         opts.threads,
@@ -694,62 +811,49 @@ impl AnnNetwork {
                             let gpre = Tensor::from_vec(gpre, &odims)?;
                             let grads = conv::conv2d_backward(input, weight, &gpre, spec)?;
                             *slot = (
-                                grads.weight.as_slice().to_vec(),
-                                grads.bias.as_slice().to_vec(),
-                                grads.input.as_slice().to_vec(),
+                                keep(grads.weight, params),
+                                keep(grads.bias, params),
+                                keep(grads.input, propagate),
                             );
                             Ok(())
                         },
                     )?;
-                    let mut gw: Option<Tensor> = None;
-                    let mut gb: Option<Tensor> = None;
-                    let in_len = inputs[0].len();
-                    let mut gi = vec![0.0f32; b * in_len];
-                    for (r, (rw, rb, ri)) in row_grads.into_iter().enumerate() {
-                        match &mut gw {
-                            None => gw = Some(Tensor::from_vec(rw, weight.shape().dims())?),
-                            Some(acc) => {
-                                for (a, d) in acc.as_mut_slice().iter_mut().zip(&rw) {
-                                    *a += d;
-                                }
-                            }
+                    let mut rows = row_grads.into_iter();
+                    let (mut gw, mut gb, mut gi) = rows.next().unwrap_or_default();
+                    gi.reserve(gi.len() * (b - 1));
+                    for (rw, rb, ri) in rows {
+                        for (a, d) in gw.iter_mut().zip(&rw) {
+                            *a += d;
                         }
-                        match &mut gb {
-                            None => gb = Some(Tensor::from_vec(rb, &[spec.out_channels])?),
-                            Some(acc) => {
-                                for (a, d) in acc.as_mut_slice().iter_mut().zip(&rb) {
-                                    *a += d;
-                                }
-                            }
+                        for (a, d) in gb.iter_mut().zip(&rb) {
+                            *a += d;
                         }
-                        gi[r * in_len..(r + 1) * in_len].copy_from_slice(&ri);
+                        gi.extend_from_slice(&ri);
                     }
-                    lg.weight = gw;
-                    lg.bias = gb;
+                    if params {
+                        lg.weight = Some(Tensor::from_vec(gw, weight.shape().dims())?);
+                        lg.bias = Some(Tensor::from_vec(gb, &[spec.out_channels])?);
+                    }
+                    dims = inputs[0].shape().dims().to_vec();
                     gi
                 }
-                (AnnLayer::LinearRelu { weight, .. }, Tape::Linear { input, preact }) => {
+                (AnnLayer::LinearRelu { weight, .. }, BatchTape::Linear { input, preact }) => {
                     let gpre: Vec<f32> = grad
                         .iter()
                         .zip(preact)
                         .map(|(&g, &p)| if p > 0.0 { g } else { 0.0 })
                         .collect();
-                    let g_block = Tensor::from_vec(gpre, &[b, n])?;
-                    lg.weight = Some(linalg::matmul_at(&g_block, input)?);
-                    lg.bias = Some(column_sums(&g_block)?);
-                    linalg::matmul_thresholded(&g_block, weight, opts.input_grad_eps)?
-                        .as_slice()
-                        .to_vec()
+                    dims = vec![weight.shape().dims()[1]];
+                    let eps = propagate.then_some(opts.input_grad_eps);
+                    linear_backward(weight, input, gpre, b, params.then_some(lg), eps)?
                 }
-                (AnnLayer::LinearOut { weight, .. }, Tape::LinearOut { input }) => {
-                    let g_block = Tensor::from_vec(std::mem::take(&mut grad), &[b, n])?;
-                    lg.weight = Some(linalg::matmul_at(&g_block, input)?);
-                    lg.bias = Some(column_sums(&g_block)?);
-                    linalg::matmul_thresholded(&g_block, weight, opts.input_grad_eps)?
-                        .as_slice()
-                        .to_vec()
+                (AnnLayer::LinearOut { weight, .. }, BatchTape::LinearOut { input }) => {
+                    dims = vec![weight.shape().dims()[1]];
+                    let g = std::mem::take(&mut grad);
+                    let eps = propagate.then_some(opts.input_grad_eps);
+                    linear_backward(weight, input, g, b, params.then_some(lg), eps)?
                 }
-                (AnnLayer::AvgPool { window }, Tape::Pool { input_dims }) => {
+                (AnnLayer::AvgPool { window }, BatchTape::Pool { input_dims }) => {
                     let in_len: usize = input_dims.iter().product();
                     let odims = [
                         input_dims[0],
@@ -762,9 +866,10 @@ impl AnnNetwork {
                         let back = conv::avg_pool2d_backward(&g_row, input_dims, *window)?;
                         gi[r * in_len..(r + 1) * in_len].copy_from_slice(back.as_slice());
                     }
+                    dims.clone_from(input_dims);
                     gi
                 }
-                (AnnLayer::MaxPool { window }, Tape::MaxPool { input_dims, argmax }) => {
+                (AnnLayer::MaxPool { window }, BatchTape::MaxPool { input_dims, argmax }) => {
                     let in_len: usize = input_dims.iter().product();
                     let odims = [
                         input_dims[0],
@@ -777,10 +882,14 @@ impl AnnNetwork {
                         let back = conv::max_pool2d_backward(&g_row, &argmax[r], input_dims)?;
                         gi[r * in_len..(r + 1) * in_len].copy_from_slice(back.as_slice());
                     }
+                    dims.clone_from(input_dims);
                     gi
                 }
-                (AnnLayer::Flatten, Tape::Identity) => grad,
-                (AnnLayer::Dropout { .. }, Tape::Dropout { masks }) => {
+                (AnnLayer::Flatten, BatchTape::Flatten { input_dims }) => {
+                    dims.clone_from(input_dims);
+                    grad
+                }
+                (AnnLayer::Dropout { .. }, BatchTape::Dropout { masks }) => {
                     grad.iter().zip(masks).map(|(&g, &m)| g * m).collect()
                 }
                 _ => {
@@ -789,30 +898,12 @@ impl AnnNetwork {
                     })
                 }
             };
-            layer_grads.push(lg);
         }
-        layer_grads.reverse();
-
-        Ok(AnnBatchBackward {
-            logits,
-            losses,
-            predictions,
+        Ok(Walk {
             layer_grads,
+            input_grad: grad,
+            input_dims: dims,
         })
-    }
-
-    /// Gradient of the cross-entropy loss with respect to the input —
-    /// the quantity PGD/BIM ascend.
-    ///
-    /// # Errors
-    ///
-    /// Propagates forward/backward errors.
-    pub fn input_gradient(&self, input: &Tensor, label: usize) -> Result<Tensor> {
-        // Dropout inactive ⇒ RNG is unused; a trivial seeded RNG keeps the
-        // signature simple.
-        let mut rng = rand::rngs::mock::StepRng::new(0, 1);
-        let (_, _, back) = self.forward_backward(input, label, false, &mut rng)?;
-        Ok(back.input_grad)
     }
 
     /// Applies SGD updates from accumulated gradients.
@@ -912,6 +1003,95 @@ impl AnnNetwork {
             })
             .sum()
     }
+}
+
+/// Which gradients a backward walk produces: each public entry point
+/// asks for what its caller reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Wants {
+    /// The parameter gradients (training): the walk stops at the first
+    /// parameterized layer.
+    Params,
+    /// The input gradient (attacks): the walk runs to layer 0 and forms
+    /// no parameter gradient.
+    Input,
+}
+
+/// Per-layer tape of the batched forward, `B` rows per entry.
+#[derive(Debug)]
+enum BatchTape {
+    Conv {
+        inputs: Vec<Tensor>,
+        preact: Vec<f32>,
+    },
+    Linear {
+        input: Tensor,
+        preact: Vec<f32>,
+    },
+    LinearOut {
+        input: Tensor,
+    },
+    Pool {
+        input_dims: Vec<usize>,
+    },
+    MaxPool {
+        input_dims: Vec<usize>,
+        argmax: Vec<Vec<usize>>,
+    },
+    Flatten {
+        input_dims: Vec<usize>,
+    },
+    Dropout {
+        masks: Vec<f32>,
+    },
+}
+
+/// A taped batched forward: the `[B, classes]` logits block and the
+/// per-layer tape.
+#[derive(Debug)]
+struct TapedPass {
+    logits: Vec<f32>,
+    tapes: Vec<BatchTape>,
+}
+
+/// What a backward walk produced.
+#[derive(Debug)]
+struct Walk {
+    /// Per-layer parameter gradients; all empty under [`Wants::Input`].
+    layer_grads: Vec<AnnLayerGrads>,
+    /// The `[B, ..]` input-gradient block; empty under [`Wants::Params`].
+    input_grad: Vec<f32>,
+    /// The per-row shape of `input_grad`, as the per-sample walk shapes
+    /// it.
+    input_dims: Vec<usize>,
+}
+
+/// One linear layer of a backward walk. `g` is the `[b, out]`
+/// pre-activation gradient block and `input` the taped `[b, in]` input.
+/// With `grads`, stores the weight gradient `Gᵀ·X` and the bias
+/// gradient (the rows of `G` summed in ascending order). With `eps`,
+/// returns the `[b, in]` input gradient `G·W`, `|g| < eps` coefficients
+/// skipped ([`linalg::matvec_t_block_thresholded_into`]); without it, an
+/// empty block.
+fn linear_backward(
+    weight: &Tensor,
+    input: &Tensor,
+    g: Vec<f32>,
+    b: usize,
+    grads: Option<&mut AnnLayerGrads>,
+    eps: Option<f32>,
+) -> Result<Vec<f32>> {
+    let g_block = Tensor::from_vec(g, &[b, weight.shape().dims()[0]])?;
+    if let Some(lg) = grads {
+        lg.weight = Some(linalg::matmul_at(&g_block, input)?);
+        lg.bias = Some(column_sums(&g_block)?);
+    }
+    let Some(eps) = eps else {
+        return Ok(Vec::new());
+    };
+    let mut gi = vec![0.0f32; b * weight.shape().dims()[1]];
+    linalg::matvec_t_block_thresholded_into(weight, g_block.as_slice(), b, eps, &mut gi)?;
+    Ok(gi)
 }
 
 /// Sums a `[B, n]` block over its rows — the batched bias gradient.

@@ -42,8 +42,10 @@
 //! (gradients bit-identical across tape form, density and thread
 //! count), `batched_equivalence` / `plan_equivalence` (fused batches
 //! and kernel choices are pure scheduling), `quant_equivalence`
-//! (planed execution ≡ precision emulation), and the neuromorphic
-//! crate's `stream_equivalence` (streamed ≡ offline forward).
+//! (planed execution ≡ precision emulation), `ann_equivalence` (the
+//! ANN twin's batched training and attack-gradient walks ≡ its
+//! per-sample reference), and the neuromorphic crate's
+//! `stream_equivalence` (streamed ≡ offline forward).
 //!
 //! # Example
 //!

@@ -57,8 +57,10 @@ impl Default for AdvTrainConfig {
 ///
 /// # Errors
 ///
-/// Returns a configuration error for empty data or invalid
-/// hyper-parameters and propagates model failures.
+/// Returns [`crate::DefenseError::InvalidData`] for empty data and
+/// [`crate::DefenseError::InvalidSearchSpace`], naming the field and its
+/// value, for an adversarial fraction outside `[0, 1]` or a negative or
+/// non-finite ε; propagates model failures.
 pub fn adversarial_train_ann<R: Rng>(
     net: &mut AnnNetwork,
     data: &[(Tensor, usize)],
@@ -70,9 +72,19 @@ pub fn adversarial_train_ann<R: Rng>(
             message: "training data must be non-empty".into(),
         });
     }
-    if !(0.0..=1.0).contains(&cfg.adversarial_fraction) || cfg.epsilon < 0.0 {
+    if !(0.0..=1.0).contains(&cfg.adversarial_fraction) {
         return Err(crate::DefenseError::InvalidSearchSpace {
-            message: "adversarial_fraction must be in [0,1] and ε ≥ 0".into(),
+            message: format!(
+                "adversarial_fraction must be in [0,1], got {}",
+                cfg.adversarial_fraction
+            ),
+        });
+    }
+    // A NaN ε would silently stop the adversarial examples (the
+    // `ε > 0` gate is false), and an infinite one makes `0·∞` pixels.
+    if !(cfg.epsilon >= 0.0 && cfg.epsilon.is_finite()) {
+        return Err(crate::DefenseError::InvalidSearchSpace {
+            message: format!("epsilon must be finite and ≥ 0, got {}", cfg.epsilon),
         });
     }
     let mut order: Vec<usize> = (0..data.len()).collect();
@@ -171,6 +183,18 @@ mod tests {
         assert!(
             adversarial_train_ann(&mut net, &[], &AdvTrainConfig::default(), &mut rng).is_err()
         );
+        for epsilon in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.1] {
+            let cfg = AdvTrainConfig {
+                epsilon,
+                ..AdvTrainConfig::default()
+            };
+            let err = adversarial_train_ann(&mut net, &data, &cfg, &mut rng).unwrap_err();
+            let message = err.to_string();
+            assert!(
+                message.contains("epsilon") && message.contains(&epsilon.to_string()),
+                "{message}"
+            );
+        }
     }
 
     #[test]

@@ -173,9 +173,14 @@ fn batched_adversarial_training_matches_per_sample_reference() {
             for &i in chunk {
                 let (clean, label) = &data[i];
                 let input = if rng_b.gen::<f32>() < cfg.adversarial_fraction {
-                    let grad = reference.input_gradient(clean, *label).unwrap();
+                    // The per-sample walk's own input gradient, not the
+                    // batched `input_gradient` the trainer runs.
+                    let mut inference = rand::rngs::mock::StepRng::new(0, 1);
+                    let (_, _, back) = reference
+                        .forward_backward(clean, *label, false, &mut inference)
+                        .unwrap();
                     clean
-                        .add(&axsnn_tensor::ops::sign(&grad).scale(cfg.epsilon))
+                        .add(&axsnn_tensor::ops::sign(&back.input_grad).scale(cfg.epsilon))
                         .unwrap()
                         .clamp(0.0, 1.0)
                 } else {

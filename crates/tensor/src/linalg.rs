@@ -24,7 +24,8 @@ fn check_rank2(t: &Tensor, op: &'static str) -> Result<(usize, usize)> {
 ///
 /// Uses an ikj loop order so the inner loop streams contiguously through
 /// both `B` and `C`, which is the standard cache-friendly layout for
-/// row-major GEMM without blocking.
+/// row-major GEMM without blocking. Exact-zero entries of `A` are
+/// skipped.
 ///
 /// # Errors
 ///
@@ -44,7 +45,32 @@ fn check_rank2(t: &Tensor, op: &'static str) -> Result<(usize, usize)> {
 /// # }
 /// ```
 pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    matmul_thresholded(a, b, 0.0)
+    let (m, k) = check_rank2(a, "matmul")?;
+    let (k2, n) = check_rank2(b, "matmul")?;
+    if k != k2 {
+        return Err(TensorError::ShapeMismatch {
+            lhs: a.shape().dims().to_vec(),
+            rhs: b.shape().dims().to_vec(),
+            op: "matmul",
+        });
+    }
+    let av = a.as_slice();
+    let bv = b.as_slice();
+    let mut out = vec![0.0f32; m * n];
+    for i in 0..m {
+        for p in 0..k {
+            let aik = av[i * k + p];
+            if aik == 0.0 {
+                continue;
+            }
+            let brow = &bv[p * n..(p + 1) * n];
+            let crow = &mut out[i * n..(i + 1) * n];
+            for (c, &bval) in crow.iter_mut().zip(brow) {
+                *c += aik * bval;
+            }
+        }
+    }
+    Tensor::from_vec(out, &[m, n])
 }
 
 /// Computes `C = Aᵀ · B`.
@@ -251,7 +277,8 @@ fn matvec_t_rows(av: &[f32], n: usize, xv: &[f32], eps: f32, out: &mut [f32]) {
 
 /// Shard-level transposed product `GI = G·A` for a `[rows, m]` gradient
 /// block against a `[m, n]` matrix, with `|g| < eps` entries skipped —
-/// the input-gradient kernel of the parallel minibatch backward.
+/// the input-gradient kernel of the parallel minibatch backward and of
+/// the ANN twin's backward walk (training and attack gradients alike).
 ///
 /// Each output row is computed on its own: its admitted coefficients
 /// (the skip set of [`matvec_t_thresholded`]: exact zeros and
@@ -365,44 +392,6 @@ fn scaled_row_sum(out: &mut [f32], terms: &[(f32, &[f32])], simd: bool) {
     } else {
         scaled_row_sum_scalar(out, terms);
     }
-}
-
-/// [`matmul`] with `|a[i][k]| < eps` entries skipped in addition to the
-/// exact zeros `matmul` already skips — the thresholded input-gradient
-/// GEMM `GI = G·W` of the batched ANN backward. At `eps == 0.0` the
-/// skip set and per-cell accumulation order equal [`matmul`]'s, so the
-/// result is value-identical to it.
-///
-/// # Errors
-///
-/// As [`matmul`].
-pub fn matmul_thresholded(a: &Tensor, b: &Tensor, eps: f32) -> Result<Tensor> {
-    let (m, k) = check_rank2(a, "matmul")?;
-    let (k2, n) = check_rank2(b, "matmul")?;
-    if k != k2 {
-        return Err(TensorError::ShapeMismatch {
-            lhs: a.shape().dims().to_vec(),
-            rhs: b.shape().dims().to_vec(),
-            op: "matmul",
-        });
-    }
-    let av = a.as_slice();
-    let bv = b.as_slice();
-    let mut out = vec![0.0f32; m * n];
-    for i in 0..m {
-        for p in 0..k {
-            let aik = av[i * k + p];
-            if aik == 0.0 || aik.abs() < eps {
-                continue;
-            }
-            let brow = &bv[p * n..(p + 1) * n];
-            let crow = &mut out[i * n..(i + 1) * n];
-            for (c, &bval) in crow.iter_mut().zip(brow) {
-                *c += aik * bval;
-            }
-        }
-    }
-    Tensor::from_vec(out, &[m, n])
 }
 
 /// In-place rank-1 accumulation `acc[i][j] += a[i]·b[j]` — the weight
@@ -743,19 +732,6 @@ mod tests {
         assert!(outer_acc_run(&mut acc, &[(&[0.0; 3], &[0.0; 3])]).is_err());
         assert!(outer_acc_run(&mut acc, &[(&[0.0; 2], &[0.0; 2])]).is_err());
         assert!(outer_acc_run(&mut Tensor::zeros(&[6]), &[]).is_err());
-    }
-
-    #[test]
-    fn matmul_thresholded_zero_eps_equals_matmul() {
-        let a = t((0..6).map(|i| ((i as f32) - 2.5) * 1e-3).collect(), &[2, 3]);
-        let b = t((0..6).map(|i| i as f32).collect(), &[3, 2]);
-        assert_eq!(
-            matmul_thresholded(&a, &b, 0.0).unwrap(),
-            matmul(&a, &b).unwrap()
-        );
-        // A positive threshold drops the small coefficients.
-        let c = matmul_thresholded(&a, &b, 1.0).unwrap();
-        assert!(c.as_slice().iter().all(|&v| v == 0.0));
     }
 
     #[test]
