@@ -143,7 +143,11 @@ impl GradientSource for AnnGradientSource<'_> {
 /// fast-sigmoid surrogate gradients (white-box variant).
 ///
 /// Uses direct-current encoding so the image gradient is the sum of the
-/// per-frame gradients.
+/// per-frame gradients. Each call is one recorded
+/// [`SpikingNetwork::forward`] (a one-row fused pass) and one
+/// [`SpikingNetwork::backward`], the batched backward swept down to the
+/// input frames; the network's parameter gradients accumulate as a side
+/// effect.
 #[derive(Debug)]
 pub struct SnnGradientSource<'a> {
     net: &'a mut SpikingNetwork,

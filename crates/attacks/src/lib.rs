@@ -19,7 +19,7 @@
 //! [`neuromorphic::SnnEventModel`] bins the whole sample into per-step
 //! spike rows and runs one fused-engine pass at batch size 1 (no dense
 //! frame is built), while [`neuromorphic::StreamingSnnEventModel`]
-//! replays the same events through the per-sample streaming path. Both
+//! replays the same events through the one-row streaming path. Both
 //! equal the offline frame-accumulation pipeline bit for bit, so attack
 //! efficacy does not depend on which victim answers the queries (pinned
 //! by this crate's unit tests and the `stream_equivalence` suite).

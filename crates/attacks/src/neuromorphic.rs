@@ -47,7 +47,7 @@ pub trait EventModel {
 /// The stream is binned straight into per-step binary spike rows
 /// ([`binary_frame_train`], the offline bin formula) and run through
 /// [`SpikingNetwork::forward_batch`]; no dense frame is built or
-/// re-scanned. The logits equal the per-sample
+/// re-scanned. The logits equal the one-row
 /// `accumulate_frames` + [`SpikingNetwork::forward`] pipeline bit for
 /// bit (the fused engine's `batched_equivalence` suite covers B = 1,
 /// the `stream_equivalence` suite event-binned rows), and every layer's
@@ -81,7 +81,7 @@ impl EventModel for SnnEventModel<'_> {
 }
 
 /// [`EventModel`] adapter that never collects the whole sample: events
-/// are replayed through the per-sample streaming path
+/// are replayed through the one-row streaming path
 /// ([`axsnn_neuromorphic::stream::StreamSession`]) with a uniform
 /// window schedule over the network's configured time steps.
 ///

@@ -1,15 +1,16 @@
-//! Fused batched forward vs the sequential per-sample path, written to
+//! Fused batched forward vs one sample at a time, written to
 //! `BENCH_batch.json`.
 //!
-//! Times (a) the raw spike-plane GEMM against a loop of per-sample
+//! Times (a) the raw spike-plane GEMM against a loop of single-row
 //! sparse matvecs on the paper's MNIST-scale linear layer, (b) full
 //! `T`-step network inference for a batch of 32 pre-encoded samples:
-//! `forward_batch` (one fused pass, single thread) against the
-//! per-sample `classify_frames` loop it replaces (same thread, same
-//! pre-encoded inputs — the measured win is batching, not threading),
-//! and (c) one event-stream query at B = 1: spike rows binned straight
-//! from the events + `forward_batch` against `accumulate_frames` +
-//! `forward`.
+//! `forward_batch` (one fused pass, single thread) against a loop of
+//! `classify_frames` calls, each a one-row pass of the same engine
+//! (same thread, same pre-encoded inputs — the measured win is
+//! batching, not threading), and (c) one event-stream query at B = 1:
+//! spike rows binned straight from the events + `forward_batch`
+//! against `accumulate_frames` + `forward`, a one-row pass over dense
+//! frames.
 //!
 //! Usage: `cargo run --release -p axsnn-bench --bin bench_batch
 //! [out.json]`.
@@ -64,7 +65,7 @@ fn kernel_records(bench: &mut Bench) {
 }
 
 /// Full T-step inference for a 32-sample batch: fused `forward_batch`
-/// vs the sequential per-sample `classify_frames` loop it replaces.
+/// vs a sequential loop of one-row `classify_frames` passes.
 fn network_record(bench: &mut Bench, name: &str, net: &SpikingNetwork, dims: &[usize]) {
     const DENSITY: f32 = 0.10;
     let len: usize = dims.iter().product();
@@ -108,7 +109,7 @@ fn network_record(bench: &mut Bench, name: &str, net: &SpikingNetwork, dims: &[u
 
 /// One `SnnEventModel` query in the shape of the `dvs_attack`
 /// surrogate: a 1000-event 32×32 stream through a 2048→96→11 net at
-/// T = 24, batch size 1. The sequential side is the per-sample
+/// T = 24, batch size 1. The sequential side is the dense-frame
 /// pipeline (`accumulate_frames` + `forward`); the fused side bins
 /// spike rows straight from the events (`binary_frame_train`) and runs
 /// `forward_batch` on that one row. Times are per query.

@@ -5,7 +5,8 @@
 //!
 //! * `serve_throughput_c32` — 32 concurrent submitters drive one
 //!   running service; wall clock vs the same requests classified
-//!   sequentially one-by-one. Served predictions are asserted
+//!   sequentially one-by-one, each `classify` a one-row pass of the
+//!   fused engine. Served predictions are asserted
 //!   bit-identical to the sequential baseline — the bench doubles as an
 //!   equivalence smoke test.
 //! * `serve_latency_steady` — open-loop Poisson traffic at ~25%

@@ -2,8 +2,8 @@
 //! `BENCH_sparse.json`.
 //!
 //! Times the paper's MNIST-scale conv and linear layers at several
-//! spike densities, plus one full-network inference pass with the
-//! density gate on vs forced dense.
+//! spike densities, plus one full-network `forward` (a one-row pass of
+//! the fused engine) with the density gate on vs forced dense.
 //!
 //! Usage: `cargo run --release -p axsnn-bench --bin bench_sparse
 //! [out.json]`.

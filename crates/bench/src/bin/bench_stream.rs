@@ -1,11 +1,12 @@
 //! Streaming DVS event inference vs the offline accumulate-then-forward
 //! pipeline, written to `BENCH_stream.json`.
 //!
-//! Both sides run the *same* network through the same per-window
-//! `FrameStepper` engine, so the streamed logits are bit-identical to
-//! the offline logits (asserted here and pinned by the
-//! `stream_equivalence` suite); the records isolate the cost and the
-//! latency benefit of event-at-a-time delivery:
+//! Both sides run the *same* network through the fused engine's
+//! one-row pass (the offline `forward`, the streamed `FrameStepper`),
+//! so the streamed logits are bit-identical to the offline logits
+//! (asserted here and pinned by the `stream_equivalence` suite); the
+//! records isolate the cost and the latency benefit of event-at-a-time
+//! delivery:
 //!
 //! * `stream_classify_*` — full-sample streamed classification
 //!   (`classify_event_stream`) vs offline `accumulate_frames` +

@@ -1,14 +1,14 @@
 //! Event-form sparse BPTT tape vs the dense tape, and the minibatched
-//! trainer vs the per-sample loop, written to `BENCH_train.json`.
+//! trainer vs a loop of one-row passes, written to `BENCH_train.json`.
 //!
 //! Times the training step three ways on the paper's MNIST-scale MLP
-//! and a small conv stack — per-sample records time the tape work
-//! (recorded forward over `T` spike frames + reverse-time BPTT), the
+//! and a small conv stack — the one-row records time the tape work of
+//! `forward` + `backward` (a recorded one-row fused pass over `T` spike
+//! frames + the batched backward swept down to the frames), the
 //! minibatch record times the full step including the SGD apply:
 //!
-//! * per-sample **dense tape** (`set_sparse_threshold(0.0)`), the PR 1
-//!   baseline,
-//! * per-sample **sparse tape** (default density gate: event-form tape
+//! * one-row **dense tape** (`set_sparse_threshold(0.0)`),
+//! * one-row **sparse tape** (default density gate: event-form tape
 //!   plus sparse outer-product gradient accumulation),
 //! * **minibatched sparse tape** (`forward_batch_recorded` +
 //!   `backward_batch` over B samples, amortizing weight traffic).
@@ -38,8 +38,8 @@ fn logit_grad(classes: usize) -> Tensor {
     .unwrap()
 }
 
-/// One per-sample tape pass: recorded forward over the frame train
-/// plus full BPTT. The SGD apply is excluded here — it is a
+/// One one-row tape pass: recorded forward over the frame train plus
+/// full BPTT down to the frames. The SGD apply is excluded here — it is a
 /// density-independent weight-sized pass that real training amortizes
 /// once per minibatch (the minibatch records include it).
 fn per_sample_step(net: &mut SpikingNetwork, frames: &[Tensor], grad: &Tensor) {
@@ -64,7 +64,7 @@ fn grads_close(a: &SpikingNetwork, b: &SpikingNetwork) -> bool {
         })
 }
 
-/// Per-sample sparse tape vs per-sample dense tape on one network.
+/// One-row sparse tape vs one-row dense tape on one network.
 fn tape_record(bench: &mut Bench, name: &str, net: &SpikingNetwork, dims: &[usize], density: f32) {
     let len: usize = dims.iter().product();
     let frames: Vec<Tensor> = (0..TIME_STEPS)
@@ -114,8 +114,8 @@ fn tape_row(name: &str, density: f32, dense_ns: f64, sparse_ns: f64) -> BenchRow
         .ab("dense_tape_ns", dense_ns, "sparse_tape_ns", sparse_ns)
 }
 
-/// Minibatched sparse-tape trainer vs the per-sample dense-tape loop it
-/// replaces, over a batch of `BATCH` samples.
+/// Minibatched sparse-tape trainer vs a loop of one-row dense-tape
+/// passes over the same `BATCH` samples.
 fn minibatch_record(
     bench: &mut Bench,
     name: &str,

@@ -1069,7 +1069,10 @@ struct Walk {
 /// One linear layer of a backward walk. `g` is the `[b, out]`
 /// pre-activation gradient block and `input` the taped `[b, in]` input.
 /// With `grads`, stores the weight gradient `Gᵀ·X` and the bias
-/// gradient (the rows of `G` summed in ascending order). With `eps`,
+/// gradient (the rows of `G` summed in ascending order). `Gᵀ·X` is one
+/// [`linalg::outer_acc_run`] over the rows in ascending order, each cell
+/// summed from `+0.0`; it multiplies every coefficient, zeros included,
+/// so a zero gradient against an infinite input gives a NaN cell. With `eps`,
 /// returns the `[b, in]` input gradient `G·W`, `|g| < eps` coefficients
 /// skipped ([`linalg::matvec_t_block_thresholded_into`]); without it, an
 /// empty block.
@@ -1081,9 +1084,17 @@ fn linear_backward(
     grads: Option<&mut AnnLayerGrads>,
     eps: Option<f32>,
 ) -> Result<Vec<f32>> {
-    let g_block = Tensor::from_vec(g, &[b, weight.shape().dims()[0]])?;
+    let (n_out, n_in) = (weight.shape().dims()[0], weight.shape().dims()[1]);
+    let g_block = Tensor::from_vec(g, &[b, n_out])?;
     if let Some(lg) = grads {
-        lg.weight = Some(linalg::matmul_at(&g_block, input)?);
+        let terms: Vec<(&[f32], &[f32])> = g_block
+            .as_slice()
+            .chunks_exact(n_out.max(1))
+            .zip(input.as_slice().chunks_exact(n_in.max(1)))
+            .collect();
+        let mut gw = Tensor::zeros(&[n_out, n_in]);
+        linalg::outer_acc_run(&mut gw, &terms)?;
+        lg.weight = Some(gw);
         lg.bias = Some(column_sums(&g_block)?);
     }
     let Some(eps) = eps else {

@@ -193,8 +193,9 @@ impl SpikingNetwork {
     /// to per-sample [`SpikingNetwork::classify`] under the same seeds
     /// — the fused engine makes the same per-row gate decisions and
     /// runs the same kernels (see [`crate::fused`]). Networks with
-    /// active train-mode dropout fall back to the per-sample path,
-    /// whose per-sample RNG streams the fused path cannot reproduce.
+    /// active train-mode dropout classify one fused row per sample
+    /// instead, each drawing its masks from the sample's own seeded
+    /// RNG.
     ///
     /// # Errors
     ///

@@ -52,11 +52,16 @@ impl Encoder {
     /// frames of the same shape.
     ///
     /// Intensities are clamped into `[0, 1]` before encoding, so
-    /// adversarially perturbed images remain valid inputs.
+    /// adversarially perturbed images remain valid inputs. A NaN or
+    /// infinite pixel is rejected instead: the clamp would pass NaN
+    /// through (it never spikes) and fold ±∞ to 1 or 0, answering a
+    /// broken image as if it were a real one. The check runs before any
+    /// random draw, so a valid image's encoding does not depend on it.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Config`] when `time_steps == 0`.
+    /// Returns [`CoreError::Config`] when `time_steps == 0`, or naming
+    /// the flat index and value of the first non-finite pixel.
     pub fn encode<R: Rng>(
         &self,
         image: &Tensor,
@@ -66,6 +71,16 @@ impl Encoder {
         if time_steps == 0 {
             return Err(CoreError::Config {
                 message: "time_steps must be > 0".into(),
+            });
+        }
+        if let Some((i, v)) = image
+            .as_slice()
+            .iter()
+            .enumerate()
+            .find(|(_, v)| !v.is_finite())
+        {
+            return Err(CoreError::Config {
+                message: format!("image pixel {i} is {v}, not a finite value"),
             });
         }
         let clamped = image.clamp(0.0, 1.0);
@@ -148,7 +163,7 @@ impl Encoder {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     fn img(v: Vec<f32>, dims: &[usize]) -> Tensor {
         Tensor::from_vec(v, dims).unwrap()
@@ -219,6 +234,36 @@ mod tests {
         let image = img(vec![-0.5, 1.5], &[2]);
         let frames = Encoder::DirectCurrent.encode(&image, 1, &mut rng).unwrap();
         assert_eq!(frames[0].as_slice(), &[0.0, 1.0]);
+    }
+
+    /// Every encoder rejects a NaN or infinite pixel, naming its flat
+    /// index and value, before drawing from the RNG.
+    #[test]
+    fn non_finite_pixels_rejected_by_every_encoder() {
+        use Encoder::*;
+        let bad = [
+            (f32::NAN, "NaN"),
+            (f32::INFINITY, "inf"),
+            (-f32::INFINITY, "-inf"),
+        ];
+        for encoder in [Poisson, Deterministic, DirectCurrent] {
+            for (value, shown) in bad {
+                let image = img(vec![0.5, 0.25, value, 1.0], &[2, 2]);
+                let mut rng = StdRng::seed_from_u64(4);
+                let err = encoder.encode(&image, 3, &mut rng).unwrap_err();
+                let expected = format!("image pixel 2 is {shown}, not a finite value");
+                assert!(
+                    matches!(&err, CoreError::Config { message } if *message == expected),
+                    "{err:?}"
+                );
+                let untouched = StdRng::seed_from_u64(4).next_u64();
+                assert_eq!(
+                    rng.next_u64(),
+                    untouched,
+                    "{encoder:?} drew before rejecting"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,16 +1,17 @@
-//! Fused batched forward: B samples through the layer stack in lockstep.
+//! The fused engine: B samples through the layer stack in lockstep.
 //!
-//! The per-sample simulator in [`crate::network`] is matvec-shaped —
-//! every forward streams the full weight set for one sample. Attack
-//! sweeps and dataset evaluation run hundreds of independent samples
-//! against the same frozen network, so this module packs B encoded
-//! samples ([`FrameTrain`]) and drives all of them through every time
-//! step together: spike planes become a CSR
+//! Every forward and backward of a [`SpikingNetwork`] runs here. The
+//! batch entry points ([`SpikingNetwork::forward_batch`],
+//! [`SpikingNetwork::forward_batch_recorded`]) pack B encoded samples
+//! ([`FrameTrain`]) and drive all of them through every time step
+//! together; [`SpikingNetwork::forward`], `classify` and the
+//! [`crate::network::FrameStepper`] are the one-row case of the same
+//! pass, and one step body serves them all. Spike planes become a CSR
 //! [`axsnn_tensor::batched::SpikeMatrix`] and the linear layers run as
-//! one spike-plane GEMM per step ([`axsnn_tensor::batched::sparse_matmul_bias`]),
-//! which loads each weight row once per *batch* instead of once per
-//! sample. Membrane state lives in `[B, n]` blocks
-//! ([`crate::lif::BatchedLifState`]).
+//! one spike-plane GEMM per step
+//! ([`axsnn_tensor::batched::sparse_matmul_bias`]), which loads each
+//! weight row once per *batch* instead of once per sample. Membrane
+//! state lives in `[B, n]` blocks ([`crate::lif::BatchedLifState`]).
 //!
 //! Spikes travel between layers as one CSR [`SpikeMatrix`] per layer
 //! per step, never as a dense block: the batched LIF step writes the
@@ -21,9 +22,10 @@
 //! The next layer's density gate only reads each row's count
 //! ([`KernelPolicy::admit_count`]); when it admits every row, the
 //! matrix goes into the spike-plane GEMM or the sorted conv uncopied.
-//! Only analog planes (direct-current input, avg-pool output, readout
-//! currents) and gate-declined rows are dense, and the input plane
-//! borrows its analog rows from the trains instead of copying them.
+//! Only analog planes (direct-current input, avg-pool output, dropout
+//! output, readout currents) and gate-declined rows are dense, and the
+//! input plane borrows its analog rows from the trains instead of
+//! copying them.
 //!
 //! A direct-current train repeats its frame on every step. Each
 //! [`FrameTrain`] records at construction which analog frames repeat
@@ -31,58 +33,64 @@
 //! batch repeats, the first linear layer reuses the previous step's
 //! currents, which are the bits the dense GEMM would recompute.
 //!
-//! # Bit-for-bit equivalence
+//! # Batch invariance
 //!
-//! The fused path is not "approximately" the per-sample path — it *is*
-//! the per-sample path, re-scheduled. Every batch row makes the same
-//! dense/sparse gate decision the per-sample forward would make (the
-//! density gate, applied per row per layer per step), and every kernel
-//! routes through the same shared gather/scatter helpers in the same
-//! order, so `forward_batch` logits equal per-sample
-//! [`SpikingNetwork::forward`] logits bit for bit. The gate decides
-//! only speed: each sparse kernel sums in its dense twin's order, so a
-//! row gives the same bits whichever side of the gate it lands on (see
-//! [`crate::plan`]). An inter-layer CSR row is exactly what
-//! [`SpikeVector::from_dense`] yields on the dense spike row the
-//! per-sample step writes (ascending, unique indices), so the kernels
-//! see the same accumulation order and the gate the same
-//! event count; a declined row materializes from it with values of
-//! exactly `0.0` and `1.0`. The per-layer spike statistics add each
-//! step's event count as an `f32`, which equals the per-sample sum of
-//! `1.0`s while a layer emits fewer than 2²⁴ spikes in one step. The
-//! property suite in `tests/batched_equivalence.rs` pins logits, spike
-//! statistics and dense-fallback counts across shapes, batch sizes,
-//! densities and thread counts.
+//! A row's result does not depend on the batch it runs in: row `b` of
+//! `forward_batch` equals the one-row `forward` of sample `b` bit for
+//! bit. Every row makes its own dense/sparse gate decision (the density
+//! gate, applied per row per layer per step), and every kernel forms a
+//! row's outputs in the same order whatever the other rows hold. The
+//! gate decides only speed: each sparse kernel sums in its dense twin's
+//! order, so a row gives the same bits whichever side of the gate it
+//! lands on (see [`crate::plan`]). An inter-layer CSR row is exactly
+//! what [`SpikeVector::from_dense`] yields on the binary spike row
+//! (ascending, unique indices), so the kernels see the same
+//! accumulation order and the gate the same event count; a declined
+//! row materializes from it with values of exactly `0.0` and `1.0`.
+//! The per-layer spike statistics add each step's event count as an
+//! `f32`, exact while a layer emits fewer than 2²⁴ spikes in one step.
+//! The property suite in `tests/batched_equivalence.rs` pins logits,
+//! spike statistics and dense-fallback counts across shapes, batch
+//! sizes, densities and thread counts, and `tests/engine_digests.rs`
+//! freezes the one-row outputs.
 //!
 //! # Minibatched training
 //!
-//! [`SpikingNetwork::forward_batch_recorded`] runs the same fused
-//! engine, with the same kernels, and an event-form [`BatchTape`]: per
-//! layer and time step it tapes each row's input (events where the
-//! density gate admits, dense otherwise) plus the stacked pre-reset
-//! membranes. Since every sparse kernel sums in its dense twin's order,
-//! each taped current equals what the dense tape would hold. Pools are
-//! the exception: recorded steps pool densely, because the max-pool
-//! tape needs its argmax. [`SpikingNetwork::backward_batch`] then
-//! partitions the minibatch into fixed row-shards, fans the reverse-time
-//! sweeps out across worker threads ([`BackwardOpts::threads`]), and
-//! reduces the per-shard gradient buffers in a fixed order — gradients
-//! are bit-identical for every thread count. `train_snn` consumes
-//! minibatches this way instead of sample-at-a-time.
+//! [`SpikingNetwork::forward_batch_recorded`] runs the same pass, with
+//! the same kernels, and an event-form [`BatchTape`]: per layer and time
+//! step it tapes each row's input (events where the density gate
+//! admits, dense otherwise) plus the stacked pre-reset membranes. Since
+//! every sparse kernel sums in its dense twin's order, each taped
+//! current equals what the dense tape would hold. Pools are the
+//! exception: recorded steps pool densely, because the max-pool tape
+//! needs its argmax. [`SpikingNetwork::backward_batch`] then partitions
+//! the minibatch into fixed row-shards, fans the reverse-time sweeps out
+//! across worker threads ([`BackwardOpts::threads`]), and reduces the
+//! per-shard gradient buffers in a fixed order — gradients are
+//! bit-identical for every thread count. `train_snn` consumes
+//! minibatches this way.
 //!
-//! The backward computes only what training reads: each shard's sweep
-//! stops at the first parameterized layer, which skips its input
-//! gradient (a conv first layer still gets one from its fused per-row
-//! kernels). A linear layer's weight gradient is not a rank-1 update
-//! per row and step: the sweep logs its gradient blocks, and one pass
-//! per shard adds them in the same per-cell order through a
+//! The training backward computes only what training reads: each
+//! shard's sweep stops at the first parameterized layer, which skips its
+//! input gradient (a conv first layer still gets one from its fused
+//! per-row kernels). A linear layer's weight gradient is not a rank-1
+//! update per row and step: the sweep logs its gradient blocks, and one
+//! pass per shard adds them in the same per-cell order through a
 //! register-tiled kernel ([`axsnn_tensor::linalg::outer_acc_run`]), so
 //! the accumulator streams once per run of dense rows.
 //!
-//! Train-mode dropout draws per-sample masks the fused engine cannot
-//! reproduce, so both batch entry points reject networks with active
-//! dropout; the callers that accept such networks (`train_snn`, the
-//! [`crate::batch`] classifiers) fall back to the per-sample path.
+//! [`SpikingNetwork::backward`] is the one-row case of the same
+//! backward over the tape its recorded `forward` kept: its sweep runs
+//! down to layer 0 and returns layer 0's input gradient at every step,
+//! the frame gradients the white-box attacks sum into an image
+//! gradient.
+//!
+//! Train-mode dropout draws one mask per dropout layer and row from the
+//! caller's RNG when the pass first reaches the layer, rows in
+//! ascending order, holds it across the time steps and tapes it for the
+//! backward. `forward`, the frame stepper and `train_snn` pass their
+//! RNG; the batch entry points take none, so they reject active
+//! dropout.
 //!
 //! # Event-stream queries
 //!
@@ -94,8 +102,8 @@
 use crate::batch::{fan_out_with, sample_seed};
 use crate::encoding::Encoder;
 use crate::layer::{acc_grad, surrogate_carry_grad, Layer};
-use crate::lif::BatchedLifState;
-use crate::network::SpikingNetwork;
+use crate::lif::{BatchedLifState, LifParams};
+use crate::network::{ForwardOutput, SpikeStats, SpikingNetwork};
 use crate::plan::{ConvBatchKernel, KernelPolicy};
 use crate::{CoreError, Result};
 use axsnn_tensor::batched::{
@@ -110,6 +118,7 @@ use axsnn_tensor::{linalg, Tensor, TensorError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::borrow::Cow;
+use std::sync::Arc;
 
 pub use crate::plan::BackwardOpts;
 
@@ -132,6 +141,17 @@ pub enum EncodedFrame {
     Spikes(SpikeVector),
     /// A non-binary frame (analog current); always takes dense kernels.
     Analog(Tensor),
+}
+
+impl EncodedFrame {
+    /// How every entry point stores a dense frame: a binary frame as
+    /// its events, any other frame as an analog one.
+    fn of(frame: &Tensor) -> EncodedFrame {
+        match SpikeVector::from_dense(frame) {
+            Some(events) => EncodedFrame::Spikes(events),
+            None => EncodedFrame::Analog(frame.clone()),
+        }
+    }
 }
 
 /// A sample's full encoded frame train: `T` frames sharing one shape.
@@ -208,10 +228,7 @@ impl FrameTrain {
                     ),
                 });
             }
-            let frame = match SpikeVector::from_dense(f) {
-                Some(events) => EncodedFrame::Spikes(events),
-                None => EncodedFrame::Analog(f.clone()),
-            };
+            let frame = EncodedFrame::of(f);
             let same_bits = |prev: &Tensor| {
                 let bits = |v: &f32| v.to_bits();
                 prev.as_slice()
@@ -294,7 +311,7 @@ impl FrameTrain {
         self.repeats.get(t).copied().unwrap_or(false)
     }
 
-    /// Materializes the dense frame sequence (for per-sample paths).
+    /// Materializes the dense frame sequence.
     ///
     /// # Errors
     ///
@@ -332,7 +349,7 @@ impl BatchForwardOutput {
     }
 
     /// Predicted class per row — first strict maximum, matching
-    /// [`Tensor::argmax`] on the per-sample logits.
+    /// [`Tensor::argmax`] on the row's logits.
     pub fn predictions(&self) -> Vec<usize> {
         let dims = self.logits.shape().dims();
         let (b, c) = (dims[0], dims[1]);
@@ -400,21 +417,22 @@ impl<'a> BatchPlane<'a> {
         }
     }
 
-    /// The input plane at step `t`: the trains' spike frames packed into
-    /// one CSR matrix, their analog frames borrowed, never copied.
-    fn input(trains: &'a [FrameTrain], t: usize) -> Result<BatchPlane<'a>> {
-        let dims = trains
-            .first()
-            .map(|tr| tr.dims().to_vec())
-            .unwrap_or_default();
+    /// The input plane of one step, one row per frame of logical shape
+    /// `dims`: the spike frames packed into one CSR matrix, the analog
+    /// frames borrowed, never copied.
+    fn input(
+        dims: &[usize],
+        frames: impl ExactSizeIterator<Item = &'a EncodedFrame>,
+    ) -> Result<BatchPlane<'a>> {
+        let batch = frames.len();
         let mut matrix = SpikeMatrix::new(dims.iter().product());
         let mut dense = Vec::new();
-        for (r, train) in trains.iter().enumerate() {
-            match &train.frames()[t] {
+        for (r, frame) in frames.enumerate() {
+            match frame {
                 EncodedFrame::Spikes(events) => matrix.push_row(events.indices())?,
                 EncodedFrame::Analog(values) => {
                     if dense.is_empty() {
-                        dense.resize(trains.len(), None);
+                        dense.resize(batch, None);
                     }
                     dense[r] = Some(Cow::Borrowed(values.as_slice()));
                     matrix.push_row(&[])?;
@@ -422,8 +440,8 @@ impl<'a> BatchPlane<'a> {
             }
         }
         Ok(BatchPlane {
-            dims,
-            batch: trains.len(),
+            dims: dims.to_vec(),
+            batch,
             data: PlaneData::Events { matrix, dense },
         })
     }
@@ -456,12 +474,13 @@ impl<'a> BatchPlane<'a> {
     }
 
     /// Runs the plan's density gate on row `r`, returning the row's
-    /// events exactly when the per-sample gate would admit the frame: it
-    /// is binary and its density is at most the policy's threshold. An
+    /// events exactly when [`KernelPolicy::admit`] would admit the row as
+    /// a dense frame: it is binary and its density is at most the
+    /// policy's threshold. An
     /// event row is gated on its count ([`KernelPolicy::admit_count`]),
     /// a dense row on its values ([`KernelPolicy::admit_slice`]).
-    /// Declines count on the policy's fallback counter, matching the
-    /// per-sample unit (one per batch row).
+    /// Declines count on the policy's fallback counter, one per batch
+    /// row.
     fn admit(&self, r: usize, policy: &KernelPolicy) -> Option<Cow<'_, [u32]>> {
         match self.row(r) {
             RowRef::Events(indices) => policy
@@ -488,12 +507,29 @@ impl<'a> BatchPlane<'a> {
         }
     }
 
-    /// Materializes row `r` as the dense tensor the per-sample path
-    /// would have seen (for the dense conv/pool kernels).
+    /// Materializes row `r` as a dense tensor of the plane's shape (for
+    /// the dense conv/pool kernels).
     fn dense_row(&self, r: usize) -> Result<Tensor> {
         let mut values = Vec::with_capacity(self.volume());
         self.extend_dense(r, &mut values);
         Tensor::from_vec(values, &self.dims).map_err(CoreError::from)
+    }
+
+    /// Every row times its dropout mask (`masks` is `[B, n]`), as one
+    /// dense block of `v·m` values.
+    fn masked(&self, masks: &[f32]) -> BatchPlane<'static> {
+        let mut block = Vec::with_capacity(masks.len());
+        for r in 0..self.batch {
+            self.extend_dense(r, &mut block);
+        }
+        for (v, &m) in block.iter_mut().zip(masks) {
+            *v *= m;
+        }
+        BatchPlane {
+            dims: self.dims.clone(),
+            batch: self.batch,
+            data: PlaneData::Stacked(block),
+        }
     }
 
     /// The gate-admitted rows as one CSR matrix, in row order: the
@@ -564,8 +600,11 @@ enum BatchTapeStep {
         argmax: Vec<Vec<usize>>,
     },
     /// Layers whose backward is the identity on the flat `[B, n]`
-    /// block: flatten (a purely logical reshape) and inference dropout.
+    /// block: flatten (a purely logical reshape) and inactive dropout.
     Identity,
+    /// Train-mode dropout: the pass's `[B, n]` masks, shared by every
+    /// step.
+    Dropout { masks: Arc<[f32]> },
 }
 
 impl BatchTapeStep {
@@ -582,20 +621,25 @@ impl BatchTapeStep {
                     Layer::Flatten(_) | Layer::Dropout(_),
                     BatchTapeStep::Identity
                 )
+                | (Layer::Dropout(_), BatchTapeStep::Dropout { .. })
         )
     }
 }
 
-/// The BPTT tape of one recorded batch forward pass
-/// ([`SpikingNetwork::forward_batch_recorded`]): per time step and
-/// layer, the per-row inputs (event form where the density gate
-/// admitted them) and the stacked pre-reset membranes of the spiking
-/// layers. Consumed by [`SpikingNetwork::backward_batch`].
+/// The BPTT tape of one recorded fused pass
+/// ([`SpikingNetwork::forward_batch_recorded`], or a recorded
+/// [`SpikingNetwork::forward`], which keeps its one-row tape): per time
+/// step and layer, the per-row inputs (event form where the density
+/// gate admitted them), the stacked pre-reset membranes of the spiking
+/// layers and the dropout masks. Consumed by
+/// [`SpikingNetwork::backward_batch`] and [`SpikingNetwork::backward`].
 #[derive(Debug, Clone)]
 pub struct BatchTape {
     batch: usize,
     time_steps: usize,
     classes: usize,
+    /// Logical shape of the input frames.
+    input_dims: Vec<usize>,
     steps: Vec<Vec<BatchTapeStep>>,
 }
 
@@ -640,7 +684,7 @@ impl BatchTape {
 /// Computes the `[B, out]` current block of a (spiking or readout)
 /// linear layer: gate-admitted rows fuse into one spike-plane GEMM, the
 /// rest batch through the dense `X·Wᵀ + b` fallback. Each row is
-/// bit-identical to its per-sample counterpart.
+/// bit-identical to the same row run alone.
 ///
 /// When the gate admits every row of a binary plane (a spiking layer's
 /// output at the usual firing rates), the plane's CSR matrix goes into
@@ -868,18 +912,18 @@ fn conv_current_block(
     Ok((block, vec![spec.out_channels, oh, ow], rows))
 }
 
-/// Pools every row of the plane (max or avg), keeping the per-sample
-/// gate semantics: rows admitted by the density gate pool on events,
-/// the rest on the dense kernels.
+/// Pools every row of the plane (max or avg), one gate decision per
+/// row: rows admitted by the density gate pool on events, the rest on
+/// the dense kernels.
 ///
 /// On inference steps an admitted max-pool row pools from events to
 /// events ([`sparse::sparse_max_pool2d_events`]) into one CSR output
 /// matrix, so the next layer's gate is a count check; a declined row
 /// pools densely and stays dense.
 ///
-/// Recorded steps match the per-sample recorded path: always the dense
-/// kernels (max pooling needs its argmax tape, which the event kernel
-/// does not produce), no gate and no fallback accounting. Max-pool
+/// Recorded steps always pool on the dense kernels (max pooling needs
+/// its argmax tape, which the event kernel does not produce), with no
+/// gate and no fallback accounting. Max-pool
 /// argmax rows are returned when `record` is set.
 fn pool_plane<'a>(
     plane: BatchPlane<'a>,
@@ -999,37 +1043,55 @@ impl ShardCtx {
     }
 }
 
+/// What a backward sweep forms besides the parameter gradients.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Wants {
+    /// Training: the sweep stops at the first parameterized layer, and
+    /// only a conv layer there forms an input gradient.
+    Params,
+    /// [`SpikingNetwork::backward`]: the sweep runs down to layer 0 and
+    /// keeps layer 0's input-gradient block at every step.
+    Frames,
+}
+
 /// Runs the reverse-time sweep for one row-shard, accumulating the
 /// shard's parameter gradients into a fresh [`GradShard`]. Rows are
 /// mutually independent in the backward recurrence (per-row membrane
 /// carries, per-row tape entries), so a shard's gradients do not depend
 /// on which other shards exist or when they run.
 ///
-/// The sweep visits only the layers from the first parameterized one
-/// up: nothing below it has a gradient the caller reads, and the first
-/// layer itself skips its input gradient unless it is a conv layer,
-/// whose fused per-row backward kernels produce it anyway. Each linear
-/// layer logs its per-step `[rows, n_out]` gradient blocks during the
-/// sweep and adds its weight gradient in one pass at the end
-/// ([`linear_weight_grad`]).
+/// For [`Wants::Params`] the sweep visits only the layers from the
+/// first parameterized one up: nothing below it has a gradient the
+/// caller reads, and the first layer itself skips its input gradient
+/// unless it is a conv layer, whose fused per-row backward kernels
+/// produce it anyway. For [`Wants::Frames`] it visits every layer and
+/// also returns layer 0's `[rows, n_in]` input-gradient block per step,
+/// in time order. Each linear layer logs its per-step `[rows, n_out]`
+/// gradient blocks during the sweep and adds its weight gradient in one
+/// pass at the end ([`linear_weight_grad`]).
 fn backward_rows(
     layers: &[Layer],
     shapes: &[Option<(Vec<usize>, Vec<usize>)>],
     tape: &BatchTape,
     grad_logits: &Tensor,
     ctx: &ShardCtx,
-) -> Result<GradShard> {
+    wants: Wants,
+) -> Result<(GradShard, Vec<Vec<f32>>)> {
     let mut shard = GradShard::zeros(shapes);
     let classes = tape.classes;
-    let first = layers
-        .iter()
-        .position(|l| l.params().is_some())
-        .unwrap_or(layers.len());
+    let first = match wants {
+        Wants::Params => layers
+            .iter()
+            .position(|l| l.params().is_some())
+            .unwrap_or(layers.len()),
+        Wants::Frames => 0,
+    };
     let mut sweeps: Vec<LayerSweep> = layers.iter().map(|_| LayerSweep::default()).collect();
+    let mut frames = Vec::new();
     let gl = grad_logits.as_slice();
     for t in (0..tape.time_steps).rev() {
         // The logits sum over time, so each row's logit gradient is
-        // injected at every step — same as the per-sample backward.
+        // injected at every step.
         let mut g_block: Vec<f32> = gl[ctx.lo * classes..ctx.hi * classes].to_vec();
         for li in (first..layers.len()).rev() {
             g_block = backward_rows_layer(
@@ -1039,10 +1101,14 @@ fn backward_rows(
                 ctx,
                 &mut sweeps[li],
                 shard.slot_mut(li),
-                li > first,
+                li > first || wants == Wants::Frames,
             )?;
         }
+        if wants == Wants::Frames {
+            frames.push(g_block);
+        }
     }
+    frames.reverse();
     for (li, sweep) in sweeps.iter().enumerate() {
         if sweep.blocks.is_empty() {
             continue;
@@ -1058,7 +1124,7 @@ fn backward_rows(
         let (gw, _) = shard.slot_mut(li).ok_or_else(tape_mismatch)?;
         linear_weight_grad(gw, &sweep.blocks, taped)?;
     }
-    Ok(shard)
+    Ok((shard, frames))
 }
 
 /// One layer's state across a shard's reverse-time sweep.
@@ -1248,18 +1314,382 @@ fn backward_rows_layer(
             Ok(gi_block)
         }
         (Layer::Flatten(_) | Layer::Dropout(_), BatchTapeStep::Identity) => Ok(g_block),
+        (Layer::Dropout(_), BatchTapeStep::Dropout { masks }) => {
+            let mut g_block = g_block;
+            let n = g_block.len() / rows_n;
+            if masks.len() != ctx.batch * n {
+                return Err(tape_mismatch());
+            }
+            for (g, &m) in g_block.iter_mut().zip(&masks[ctx.lo * n..ctx.hi * n]) {
+                *g *= m;
+            }
+            Ok(g_block)
+        }
         _ => Err(tape_mismatch()),
+    }
+}
+
+/// Draws `len` dropout mask values from `rng` in order: `1/keep` with
+/// probability `keep = 1 − probability`, `0.0` otherwise.
+fn dropout_masks<R: Rng>(rng: &mut R, len: usize, probability: f32) -> Vec<f32> {
+    let keep = 1.0 - probability;
+    (0..len)
+        .map(|_| {
+            if rng.gen::<f32>() < keep {
+                1.0 / keep
+            } else {
+                0.0
+            }
+        })
+        .collect()
+}
+
+/// One fused pass in flight: the state its time steps share. The batch
+/// entry points, `forward` and the frame stepper all advance it through
+/// [`FusedPass::step`], the engine's one step body.
+#[derive(Debug)]
+pub(crate) struct FusedPass {
+    batch: usize,
+    record: bool,
+    /// Logical shape of the input frames (set at the first step).
+    input_dims: Vec<usize>,
+    /// Per layer: a spiking layer's `[B, n]` membranes.
+    states: Vec<Option<BatchedLifState>>,
+    /// Per layer: an active dropout layer's `[B, n]` masks, drawn when
+    /// the pass first reaches the layer and held to its end.
+    masks: Vec<Option<Arc<[f32]>>>,
+    /// The first linear layer the input plane reaches unchanged (through
+    /// flatten and inactive dropout only). At a step where every train
+    /// repeats its analog frame, its currents repeat too.
+    reuse_at: Option<usize>,
+    /// That layer's previous current block, held for such a step.
+    held: Option<Vec<f32>>,
+    /// Per layer: the count of non-zero effective weights, when the pass
+    /// counts synaptic operations.
+    nonzero_weights: Option<Vec<usize>>,
+    /// The `[B, classes]` readout summed over the steps so far.
+    pub(crate) logits: Option<Vec<f32>>,
+    pub(crate) stats: SpikeStats,
+    /// A recorded pass's tape: per step, one entry per layer.
+    tape: Vec<Vec<BatchTapeStep>>,
+}
+
+impl FusedPass {
+    /// A pass of `batch` rows over `layers`. `record` tapes every step
+    /// for the backward; `count_ops` adds synaptic operations to the
+    /// statistics (only the one-row callers report them).
+    pub(crate) fn new(layers: &[Layer], batch: usize, record: bool, count_ops: bool) -> FusedPass {
+        let reuse_at = layers
+            .iter()
+            .position(|l| match l {
+                Layer::Flatten(_) => false,
+                Layer::Dropout(d) => d.active(),
+                _ => true,
+            })
+            .filter(|&li| matches!(layers[li], Layer::SpikingLinear(_) | Layer::OutputLinear(_)));
+        // Energy proxy: only *non-zero* weights cost a synaptic
+        // operation — this is exactly the saving approximation buys
+        // (skipped connections perform no work). Counted over the
+        // *effective* weights so int8 quantization's snapped-to-zero
+        // connections register as savings.
+        let nonzero_weights = count_ops.then(|| {
+            layers
+                .iter()
+                .map(|l| {
+                    l.eff_params()
+                        .map(|(w, _)| w.as_slice().iter().filter(|v| **v != 0.0).count())
+                        .unwrap_or(0)
+                })
+                .collect()
+        });
+        FusedPass {
+            batch,
+            record,
+            input_dims: Vec::new(),
+            states: vec![None; layers.len()],
+            masks: vec![None; layers.len()],
+            reuse_at,
+            held: None,
+            nonzero_weights,
+            logits: None,
+            stats: SpikeStats {
+                spikes_per_layer: vec![0.0; layers.iter().filter(|l| l.is_spiking()).count()],
+                synaptic_ops: 0.0,
+                time_steps: 0,
+            },
+            tape: Vec::new(),
+        }
+    }
+
+    /// Advances every row one time step on `plane`, the step's input.
+    /// `(reuse, keep)` say whether every row's analog input frame repeats
+    /// its predecessor bit for bit at this step and at the next. `rng` draws
+    /// the active dropout layers' masks; callers without one reject such
+    /// networks before the first step.
+    fn step<R: Rng>(
+        &mut self,
+        layers: &mut [Layer],
+        mut plane: BatchPlane<'_>,
+        (reuse, keep): (bool, bool),
+        mut rng: Option<&mut R>,
+    ) -> Result<()> {
+        let (b, record) = (self.batch, self.record);
+        if self.stats.time_steps == 0 {
+            self.input_dims = plane.dims.clone();
+        }
+        let mut spiking_idx = 0usize;
+        let mut step_tape: Vec<BatchTapeStep> =
+            Vec::with_capacity(if record { layers.len() } else { 0 });
+        for (li, layer) in layers.iter_mut().enumerate() {
+            // Only the reusable layer (a linear one) takes or holds a block.
+            let reusable = self.reuse_at == Some(li);
+            let reused = if reusable && reuse {
+                self.held.take()
+            } else {
+                None
+            };
+            if layer.is_spiking() {
+                self.count_synaptic_ops(li, &plane);
+            }
+            match layer {
+                Layer::SpikingConv2d(l) => {
+                    let in_dims = plane.dims.clone();
+                    let (current, out_dims, rows) = conv_current_block(
+                        &l.spec,
+                        l.eff_weight(),
+                        l.eff_bias(),
+                        l.planed().map(|p| &p.quant),
+                        &l.policy,
+                        &plane,
+                        record,
+                    )?;
+                    let (spikes, pre) = self.fire(li, spiking_idx, &current, l.lif_params);
+                    spiking_idx += 1;
+                    if let Some(pre) = pre {
+                        step_tape.push(BatchTapeStep::SpikingConv { rows, in_dims, pre });
+                    }
+                    plane = BatchPlane::events(out_dims, spikes);
+                }
+                Layer::SpikingLinear(l) => {
+                    let (current, rows) = linear_current_block(
+                        l.eff_weight(),
+                        l.eff_bias(),
+                        l.planed().map(|p| &p.quant),
+                        &l.policy,
+                        &plane,
+                        record,
+                        reused,
+                    )?;
+                    let (spikes, pre) = self.fire(li, spiking_idx, &current, l.lif_params);
+                    spiking_idx += 1;
+                    if let Some(pre) = pre {
+                        step_tape.push(BatchTapeStep::SpikingLinear { rows, pre });
+                    }
+                    let n = current.len() / b;
+                    if reusable && keep {
+                        self.held = Some(current);
+                    }
+                    plane = BatchPlane::events(vec![n], spikes);
+                }
+                Layer::OutputLinear(l) => {
+                    let (block, rows) = linear_current_block(
+                        l.eff_weight(),
+                        l.eff_bias(),
+                        l.planed().map(|p| &p.quant),
+                        &l.policy,
+                        &plane,
+                        record,
+                        reused,
+                    )?;
+                    if record {
+                        step_tape.push(BatchTapeStep::Output { rows });
+                    }
+                    if reusable && keep {
+                        self.held = Some(block.clone());
+                    }
+                    let n = block.len() / b;
+                    plane = BatchPlane {
+                        dims: vec![n],
+                        batch: b,
+                        data: PlaneData::Stacked(block),
+                    };
+                }
+                Layer::AvgPool2d(l) => {
+                    let in_dims = plane.dims.clone();
+                    let (pooled, _) = pool_plane(plane, l.window, &l.policy, false, record)?;
+                    if record {
+                        step_tape.push(BatchTapeStep::AvgPool { in_dims });
+                    }
+                    plane = pooled;
+                }
+                Layer::MaxPool2d(l) => {
+                    let in_dims = plane.dims.clone();
+                    let (pooled, argmax) = pool_plane(plane, l.window, &l.policy, true, record)?;
+                    if record {
+                        step_tape.push(BatchTapeStep::MaxPool { in_dims, argmax });
+                    }
+                    plane = pooled;
+                }
+                Layer::Flatten(_) => {
+                    if record {
+                        step_tape.push(BatchTapeStep::Identity);
+                    }
+                    plane.dims = vec![plane.volume()];
+                }
+                Layer::Dropout(d) if d.active() => {
+                    let len = b * plane.volume();
+                    let masks = Arc::clone(self.masks[li].get_or_insert_with(|| {
+                        let rng = rng
+                            .as_deref_mut()
+                            .expect("callers without an RNG reject active dropout");
+                        dropout_masks(rng, len, d.probability).into()
+                    }));
+                    plane = plane.masked(&masks);
+                    if record {
+                        step_tape.push(BatchTapeStep::Dropout { masks });
+                    }
+                }
+                Layer::Dropout(_) => {
+                    if record {
+                        step_tape.push(BatchTapeStep::Identity);
+                    }
+                }
+            }
+        }
+        if record {
+            self.tape.push(step_tape);
+        }
+        // Accumulate the readout plane into the logits, one add per step
+        // in ascending-t elementwise order.
+        let classes = plane.volume();
+        let acc = self.logits.get_or_insert_with(|| vec![0.0f32; b * classes]);
+        match &plane.data {
+            PlaneData::Stacked(block) => {
+                for (slot, &v) in acc.iter_mut().zip(block) {
+                    *slot += v;
+                }
+            }
+            PlaneData::Events { .. } => {
+                let mut row = Vec::with_capacity(classes);
+                for r in 0..b {
+                    row.clear();
+                    plane.extend_dense(r, &mut row);
+                    for (slot, &v) in acc[r * classes..(r + 1) * classes].iter_mut().zip(&row) {
+                        *slot += v;
+                    }
+                }
+            }
+        }
+        self.stats.time_steps += 1;
+        Ok(())
+    }
+
+    /// Steps spiking layer `li` (the `spiking_idx`-th) on the `[B, n]`
+    /// current block and counts its spikes; a recorded pass also gets
+    /// the pre-reset membranes for the tape.
+    fn fire(
+        &mut self,
+        li: usize,
+        spiking_idx: usize,
+        current: &[f32],
+        params: LifParams,
+    ) -> (SpikeMatrix, Option<Vec<f32>>) {
+        let (b, n) = (self.batch, current.len() / self.batch);
+        let state = match &mut self.states[li] {
+            Some(s) if s.batch() == b && s.neurons() == n => s,
+            slot => slot.insert(BatchedLifState::new(b, n, params)),
+        };
+        let (spikes, pre) = if self.record {
+            let (spikes, pre) = state.step_recorded(current);
+            (spikes, Some(pre))
+        } else {
+            (state.step(current), None)
+        };
+        self.stats.spikes_per_layer[spiking_idx] += spikes.nnz() as f32;
+        (spikes, pre)
+    }
+
+    /// Adds spiking layer `li`'s synaptic operations at this step, when
+    /// the pass counts them: each row's input sum times the layer's
+    /// fan-out, its non-zero effective weights over its input length
+    /// (integer division). An event row sums to its count; an analog row
+    /// sums ascending, as [`Tensor::sum`] does.
+    fn count_synaptic_ops(&mut self, li: usize, plane: &BatchPlane<'_>) {
+        let Some(nonzero) = &self.nonzero_weights else {
+            return;
+        };
+        let fan_out = nonzero[li] / plane.volume().max(1);
+        for r in 0..plane.batch {
+            let sum: f32 = match plane.row(r) {
+                RowRef::Events(indices) => indices.len() as f32,
+                RowRef::Dense(values) => values.iter().sum(),
+            };
+            self.stats.synaptic_ops += sum as f64 * fan_out as f64;
+        }
+    }
+
+    /// Steps a one-row pass on `frame`, which enters the plane the way
+    /// [`FrameTrain::from_frames`] stores it. Stepped frames are never
+    /// checked for repeats, so no currents are reused.
+    pub(crate) fn step_frame<R: Rng>(
+        &mut self,
+        layers: &mut [Layer],
+        frame: &Tensor,
+        rng: &mut R,
+    ) -> Result<()> {
+        let encoded = EncodedFrame::of(frame);
+        let plane = BatchPlane::input(frame.shape().dims(), std::iter::once(&encoded))?;
+        self.step(layers, plane, (false, false), Some(rng))
+    }
+
+    /// Ends the pass: the `[B, classes]` logits, the statistics and, for
+    /// a recorded pass, the tape.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::Config`] when no step ran.
+    fn finish(self) -> Result<(Tensor, SpikeStats, Option<BatchTape>)> {
+        let logits = self.logits.ok_or_else(|| CoreError::Config {
+            message: "forward needs at least one input frame".into(),
+        })?;
+        let (batch, classes) = (self.batch, logits.len() / self.batch);
+        let tape = if self.record {
+            Some(BatchTape {
+                batch,
+                time_steps: self.stats.time_steps,
+                classes,
+                input_dims: self.input_dims,
+                steps: self.tape,
+            })
+        } else {
+            None
+        };
+        let logits = Tensor::from_vec(logits, &[batch, classes])?;
+        Ok((logits, self.stats, tape))
+    }
+
+    /// [`FusedPass::finish`] for a one-row pass: its output as
+    /// [`SpikingNetwork::forward`] returns it, logits `[classes]`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::Config`] when no step ran.
+    pub(crate) fn finish_row(self) -> Result<(ForwardOutput, Option<BatchTape>)> {
+        let (logits, stats, tape) = self.finish()?;
+        let classes = logits.len();
+        let logits = Tensor::from_vec(logits.into_vec(), &[classes])?;
+        Ok((ForwardOutput { logits, stats }, tape))
     }
 }
 
 impl SpikingNetwork {
     /// Returns `true` when any dropout layer would actively drop spikes
-    /// — the one stochastic, per-sample-masked piece of the forward
-    /// pass, which the fused batch engine cannot reproduce.
+    /// — the one stochastic piece of the forward pass, whose masks the
+    /// RNG-less batch entry points cannot draw.
     pub fn train_dropout_active(&self) -> bool {
         self.layers()
             .iter()
-            .any(|l| matches!(l, Layer::Dropout(d) if d.train_mode && d.probability > 0.0))
+            .any(|l| matches!(l, Layer::Dropout(d) if d.active()))
     }
 
     /// Runs the fused batched forward pass: every sample of `trains`
@@ -1277,7 +1707,9 @@ impl SpikingNetwork {
     /// mismatched frame trains, or a network with active train-mode
     /// dropout; propagates layer shape errors.
     pub fn forward_batch(&mut self, trains: &[FrameTrain]) -> Result<BatchForwardOutput> {
-        Ok(self.forward_batch_inner(trains, false)?.0)
+        Ok(self
+            .forward_batch_inner(trains, false, None::<&mut StdRng>)?
+            .0)
     }
 
     /// [`SpikingNetwork::forward_batch`] with BPTT recording: returns
@@ -1285,14 +1717,11 @@ impl SpikingNetwork {
     /// [`SpikingNetwork::backward_batch`] consumes.
     ///
     /// Recorded steps make the same per-row density-gate decision as
-    /// the per-sample recorded forward and run the inference kernels
-    /// (pools excepted: they pool densely for the max-pool argmax
-    /// tape), so row `b` of the logits — and the gradients the tape
-    /// later produces — equal the per-sample recorded pass on
-    /// `trains[b]` (see the module docs; the only difference from the
-    /// per-sample *minibatch* gradient is the f32 summation order
-    /// across samples). The logits also equal
-    /// [`SpikingNetwork::forward_batch`]'s bit for bit.
+    /// inference steps and run the same kernels (pools excepted: they
+    /// pool densely for the max-pool argmax tape), so the logits equal
+    /// [`SpikingNetwork::forward_batch`]'s bit for bit, and each row's
+    /// logits and gradients equal the one-row recorded pass on its
+    /// train (see the module docs).
     ///
     /// # Errors
     ///
@@ -1301,15 +1730,50 @@ impl SpikingNetwork {
         &mut self,
         trains: &[FrameTrain],
     ) -> Result<(BatchForwardOutput, BatchTape)> {
-        let (out, tape) = self.forward_batch_inner(trains, true)?;
+        self.forward_batch_recorded_with(trains, None::<&mut StdRng>)
+    }
+
+    /// [`SpikingNetwork::forward_batch_recorded`] that draws active
+    /// dropout layers' masks from `rng` (one mask per layer and row, rows
+    /// in ascending order) instead of rejecting them: the pass
+    /// `train_snn` trains through.
+    pub(crate) fn forward_batch_recorded_with<R: Rng>(
+        &mut self,
+        trains: &[FrameTrain],
+        rng: Option<&mut R>,
+    ) -> Result<(BatchForwardOutput, BatchTape)> {
+        let (out, tape) = self.forward_batch_inner(trains, true, rng)?;
         Ok((out, tape.expect("recorded pass always produces a tape")))
     }
 
-    fn forward_batch_inner(
+    fn forward_batch_inner<R: Rng>(
         &mut self,
         trains: &[FrameTrain],
         record: bool,
+        rng: Option<&mut R>,
     ) -> Result<(BatchForwardOutput, Option<BatchTape>)> {
+        let (logits, stats, tape) = self.run_trains(trains, record, false, rng)?.finish()?;
+        Ok((
+            BatchForwardOutput {
+                logits,
+                spikes_per_layer: stats.spikes_per_layer,
+                time_steps: stats.time_steps,
+            },
+            tape,
+        ))
+    }
+
+    /// Runs `trains` through one fused pass, one [`FusedPass::step`] per
+    /// time step; `count_ops` and `rng` as in [`FusedPass::new`] and
+    /// [`FusedPass::step`]. Without an `rng`, a network with active
+    /// train-mode dropout is rejected before anything runs.
+    pub(crate) fn run_trains<R: Rng>(
+        &mut self,
+        trains: &[FrameTrain],
+        record: bool,
+        count_ops: bool,
+        mut rng: Option<&mut R>,
+    ) -> Result<FusedPass> {
         let first = trains.first().ok_or_else(|| CoreError::Config {
             message: "forward_batch needs at least one sample".into(),
         })?;
@@ -1332,204 +1796,23 @@ impl SpikingNetwork {
                 });
             }
         }
-        if self.train_dropout_active() {
+        if rng.is_none() && self.train_dropout_active() {
             return Err(CoreError::Config {
                 message: "forward_batch is inference-only: disable train-mode dropout".into(),
             });
         }
-        let b = trains.len();
-        let depth = self.depth();
-        let spiking_layers = self.layers().iter().filter(|l| l.is_spiking()).count();
-        let mut spikes_per_layer = vec![0.0f32; spiking_layers];
-        let mut states: Vec<Option<BatchedLifState>> = vec![None; depth];
-        let mut logits: Option<Vec<f32>> = None;
-        let mut classes = 0usize;
-        let mut tape_steps: Vec<Vec<BatchTapeStep>> =
-            Vec::with_capacity(if record { time_steps } else { 0 });
-        // The first linear layer the input plane reaches unchanged
-        // (through flatten and inference dropout only). At a step where
-        // every train repeats its analog frame, its currents repeat too:
-        // `held` keeps its previous block for that step.
-        let reuse_at = self
-            .layers()
-            .iter()
-            .position(|l| !matches!(l, Layer::Flatten(_) | Layer::Dropout(_)))
-            .filter(|&li| {
-                matches!(
-                    self.layers()[li],
-                    Layer::SpikingLinear(_) | Layer::OutputLinear(_)
-                )
-            });
+        let mut pass = FusedPass::new(self.layers(), trains.len(), record, count_ops);
         let repeats = |t: usize| trains.iter().all(|tr| tr.repeats(t));
-        let mut held: Option<Vec<f32>> = None;
-
         for t in 0..time_steps {
-            let mut plane = BatchPlane::input(trains, t)?;
-            // Reuse the held block at this step; hold this step's block
-            // for the next.
-            let (reuse, keep) = (repeats(t), repeats(t + 1));
-            let mut spiking_idx = 0usize;
-            let mut step_tape: Vec<BatchTapeStep> =
-                Vec::with_capacity(if record { depth } else { 0 });
-            for (li, layer) in self.layers_mut().iter_mut().enumerate() {
-                let reusable = reuse_at == Some(li);
-                match layer {
-                    Layer::SpikingConv2d(l) => {
-                        let in_dims = plane.dims.clone();
-                        let (current, out_dims, rows) = conv_current_block(
-                            &l.spec,
-                            l.eff_weight(),
-                            l.eff_bias(),
-                            l.planed().map(|p| &p.quant),
-                            &l.policy,
-                            &plane,
-                            record,
-                        )?;
-                        let n = current.len() / b;
-                        let state = match &mut states[li] {
-                            Some(s) if s.batch() == b && s.neurons() == n => s,
-                            slot => slot.insert(BatchedLifState::new(b, n, l.lif_params)),
-                        };
-                        let spikes = if record {
-                            let (spikes, pre) = state.step_recorded(&current);
-                            step_tape.push(BatchTapeStep::SpikingConv { rows, in_dims, pre });
-                            spikes
-                        } else {
-                            state.step(&current)
-                        };
-                        spikes_per_layer[spiking_idx] += spikes.nnz() as f32;
-                        spiking_idx += 1;
-                        plane = BatchPlane::events(out_dims, spikes);
-                    }
-                    Layer::SpikingLinear(l) => {
-                        let (current, rows) = linear_current_block(
-                            l.eff_weight(),
-                            l.eff_bias(),
-                            l.planed().map(|p| &p.quant),
-                            &l.policy,
-                            &plane,
-                            record,
-                            if reusable && reuse { held.take() } else { None },
-                        )?;
-                        let n = current.len() / b;
-                        let state = match &mut states[li] {
-                            Some(s) if s.batch() == b && s.neurons() == n => s,
-                            slot => slot.insert(BatchedLifState::new(b, n, l.lif_params)),
-                        };
-                        let spikes = if record {
-                            let (spikes, pre) = state.step_recorded(&current);
-                            step_tape.push(BatchTapeStep::SpikingLinear { rows, pre });
-                            spikes
-                        } else {
-                            state.step(&current)
-                        };
-                        spikes_per_layer[spiking_idx] += spikes.nnz() as f32;
-                        spiking_idx += 1;
-                        if reusable && keep {
-                            held = Some(current);
-                        }
-                        plane = BatchPlane::events(vec![n], spikes);
-                    }
-                    Layer::OutputLinear(l) => {
-                        let (block, rows) = linear_current_block(
-                            l.eff_weight(),
-                            l.eff_bias(),
-                            l.planed().map(|p| &p.quant),
-                            &l.policy,
-                            &plane,
-                            record,
-                            if reusable && reuse { held.take() } else { None },
-                        )?;
-                        if record {
-                            step_tape.push(BatchTapeStep::Output { rows });
-                        }
-                        if reusable && keep {
-                            held = Some(block.clone());
-                        }
-                        let n = block.len() / b;
-                        plane = BatchPlane {
-                            dims: vec![n],
-                            batch: b,
-                            data: PlaneData::Stacked(block),
-                        };
-                    }
-                    Layer::AvgPool2d(l) => {
-                        let in_dims = plane.dims.clone();
-                        let (pooled, _) = pool_plane(plane, l.window, &l.policy, false, record)?;
-                        if record {
-                            step_tape.push(BatchTapeStep::AvgPool { in_dims });
-                        }
-                        plane = pooled;
-                    }
-                    Layer::MaxPool2d(l) => {
-                        let in_dims = plane.dims.clone();
-                        let (pooled, argmax) =
-                            pool_plane(plane, l.window, &l.policy, true, record)?;
-                        if record {
-                            step_tape.push(BatchTapeStep::MaxPool { in_dims, argmax });
-                        }
-                        plane = pooled;
-                    }
-                    Layer::Flatten(_) => {
-                        if record {
-                            step_tape.push(BatchTapeStep::Identity);
-                        }
-                        plane.dims = vec![plane.volume()];
-                    }
-                    Layer::Dropout(_) => {
-                        // Inference dropout is the identity (train-mode
-                        // dropout was rejected above).
-                        if record {
-                            step_tape.push(BatchTapeStep::Identity);
-                        }
-                    }
-                }
-            }
-            if record {
-                tape_steps.push(step_tape);
-            }
-            // Accumulate the readout plane into the logits, in the same
-            // ascending-t elementwise order as the per-sample forward.
-            classes = plane.volume();
-            let acc = logits.get_or_insert_with(|| vec![0.0f32; b * classes]);
-            match &plane.data {
-                PlaneData::Stacked(block) => {
-                    for (slot, &v) in acc.iter_mut().zip(block) {
-                        *slot += v;
-                    }
-                }
-                PlaneData::Events { .. } => {
-                    let mut row = Vec::with_capacity(classes);
-                    for r in 0..b {
-                        row.clear();
-                        plane.extend_dense(r, &mut row);
-                        for (slot, &v) in acc[r * classes..(r + 1) * classes].iter_mut().zip(&row) {
-                            *slot += v;
-                        }
-                    }
-                }
-            }
+            let plane = BatchPlane::input(first.dims(), trains.iter().map(|tr| &tr.frames()[t]))?;
+            pass.step(
+                self.layers_mut(),
+                plane,
+                (repeats(t), repeats(t + 1)),
+                rng.as_deref_mut(),
+            )?;
         }
-
-        let logits = Tensor::from_vec(
-            logits.expect("at least one time step was processed"),
-            &[b, classes],
-        )
-        .map_err(CoreError::from)?;
-        let tape = record.then_some(BatchTape {
-            batch: b,
-            time_steps,
-            classes,
-            steps: tape_steps,
-        });
-        Ok((
-            BatchForwardOutput {
-                logits,
-                spikes_per_layer,
-                time_steps,
-            },
-            tape,
-        ))
+        Ok(pass)
     }
 
     /// BPTT backward pass over a recorded batch tape with the default
@@ -1564,9 +1847,9 @@ impl SpikingNetwork {
     /// inside its fused per-row backward, and it is dropped. The layers
     /// below are never run backward, but every layer is still checked
     /// against its tape entries, so a tape recorded on another stack is
-    /// an error. Frame gradients are therefore never computed;
-    /// white-box attacks keep using the per-sample
-    /// [`SpikingNetwork::backward`].
+    /// an error. Frame gradients are therefore never computed here;
+    /// [`SpikingNetwork::backward`] is the entry point that sweeps a
+    /// one-row tape down to the input frames.
     ///
     /// A linear layer's weight gradient is added once per shard, after
     /// the sweep: runs of dense tape rows through
@@ -1593,6 +1876,53 @@ impl SpikingNetwork {
         grad_logits: &Tensor,
         opts: &BackwardOpts,
     ) -> Result<()> {
+        self.backward_sweep(tape, grad_logits, opts, Wants::Params)
+            .map(drop)
+    }
+
+    /// [`SpikingNetwork::backward`] over the one-row tape its recorded
+    /// `forward` kept: the sweep runs to layer 0, and each step's input
+    /// gradient comes back in the input frames' shape.
+    pub(crate) fn backward_frames(
+        &mut self,
+        tape: &BatchTape,
+        grad_logits: &Tensor,
+        time_steps: usize,
+    ) -> Result<Vec<Tensor>> {
+        if time_steps != tape.time_steps {
+            return Err(CoreError::Config {
+                message: format!(
+                    "backward over {time_steps} time steps, but the recorded forward ran {}",
+                    tape.time_steps
+                ),
+            });
+        }
+        if grad_logits.shape().dims() != [tape.classes] {
+            return Err(CoreError::Config {
+                message: format!(
+                    "backward grad_logits shape {:?} != [{}]",
+                    grad_logits.shape().dims(),
+                    tape.classes
+                ),
+            });
+        }
+        let grad = Tensor::from_vec(grad_logits.as_slice().to_vec(), &[1, tape.classes])?;
+        self.backward_sweep(tape, &grad, &BackwardOpts::default(), Wants::Frames)?
+            .into_iter()
+            .map(|block| Tensor::from_vec(block, &tape.input_dims).map_err(CoreError::from))
+            .collect()
+    }
+
+    /// The sharded backward behind both entry points: adds the parameter
+    /// gradients and returns, for [`Wants::Frames`], every step's
+    /// `[B, n_in]` input-gradient block in time order (empty otherwise).
+    fn backward_sweep(
+        &mut self,
+        tape: &BatchTape,
+        grad_logits: &Tensor,
+        opts: &BackwardOpts,
+        wants: Wants,
+    ) -> Result<Vec<Vec<f32>>> {
         opts.validate()?;
         let b = tape.batch;
         if grad_logits.shape().dims() != [b, tape.classes] {
@@ -1619,7 +1949,7 @@ impl SpikingNetwork {
             return Err(tape_mismatch());
         }
         if b == 0 {
-            return Ok(());
+            return Ok(Vec::new());
         }
         // Fixed partition: shard boundaries are a function of B only.
         let shard_rows = b.div_ceil(MAX_BACKWARD_SHARDS).max(1);
@@ -1638,11 +1968,11 @@ impl SpikingNetwork {
             .collect();
         let eps = opts.input_grad_eps;
         let layers = self.layers();
-        let shards: Vec<GradShard> = fan_out_with(
+        let shards: Vec<(GradShard, Vec<Vec<f32>>)> = fan_out_with(
             shard_count,
             opts.threads,
             || (),
-            |_, s, slot: &mut GradShard| -> Result<()> {
+            |_, s, slot: &mut (GradShard, Vec<Vec<f32>>)| -> Result<()> {
                 let lo = s * shard_rows;
                 let ctx = ShardCtx {
                     batch: b,
@@ -1650,14 +1980,16 @@ impl SpikingNetwork {
                     hi: (lo + shard_rows).min(b),
                     eps,
                 };
-                *slot = backward_rows(layers, &shapes, tape, grad_logits, &ctx)?;
+                *slot = backward_rows(layers, &shapes, tape, grad_logits, &ctx, wants)?;
                 Ok(())
             },
         )?;
+        let (grad_shards, frame_shards): (Vec<GradShard>, Vec<Vec<Vec<f32>>>) =
+            shards.into_iter().unzip();
         // Fixed-order reduction (ascending shard index), then one add
         // into the network's accumulators — the same final values no
         // matter which worker computed which shard.
-        let reduced = grads::reduce_in_order(shards)
+        let reduced = grads::reduce_in_order(grad_shards)
             .map_err(CoreError::from)?
             .expect("at least one shard for a non-empty batch");
         for (layer, slot) in self.layers_mut().iter_mut().zip(reduced.slots()) {
@@ -1666,13 +1998,22 @@ impl SpikingNetwork {
                 acc_grad(&mut bias.grad, gb);
             }
         }
-        Ok(())
+        // Each step's block is the shards' row blocks in shard order.
+        let steps = frame_shards.first().map_or(0, Vec::len);
+        Ok((0..steps)
+            .map(|t| {
+                frame_shards
+                    .iter()
+                    .flat_map(|f| f[t].iter().copied())
+                    .collect()
+            })
+            .collect())
     }
 
     /// Classifies a batch of encoded frame trains through one fused
     /// forward pass, returning the predicted class per sample.
     ///
-    /// Predictions are bit-for-bit identical to per-sample
+    /// Predictions are bit-for-bit identical to one-row
     /// [`SpikingNetwork::classify_frames`] on the materialized trains.
     ///
     /// # Errors
@@ -1723,9 +2064,9 @@ impl SpikingNetwork {
     /// Encodes and classifies labelled or unlabelled images through the
     /// fused sharded path with the workspace's per-sample seeding
     /// convention: sample `i` encodes under
-    /// `StdRng::seed_from_u64(sample_seed(seed, i))`, exactly like the
-    /// per-sample batch evaluators, so predictions match them bit for
-    /// bit.
+    /// `StdRng::seed_from_u64(sample_seed(seed, i))`, exactly like
+    /// [`SpikingNetwork::classify`] under that generator, so predictions
+    /// match it bit for bit.
     ///
     /// # Errors
     ///
@@ -1808,6 +2149,18 @@ mod tests {
         let mut rng2 = StdRng::seed_from_u64(1);
         let reference = Encoder::Deterministic.encode(&image, 8, &mut rng2).unwrap();
         assert_eq!(train.to_frames().unwrap(), reference);
+    }
+
+    #[test]
+    fn encode_rejects_non_finite_pixels() {
+        let image = Tensor::from_vec(vec![0.5, f32::INFINITY, 0.25], &[3]).unwrap();
+        let mut rng = StdRng::seed_from_u64(0);
+        match FrameTrain::encode(&image, Encoder::Deterministic, 4, &mut rng) {
+            Err(CoreError::Config { message }) => {
+                assert!(message.contains("pixel 1 is inf"), "{message}")
+            }
+            other => panic!("expected a config error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -1,42 +1,20 @@
-//! Spiking network layers with BPTT support.
+//! Spiking network layers: parameters, LIF settings and kernel policies.
 //!
-//! Each [`Layer`] processes one spike frame per time step
-//! ([`Layer::forward_step`]) and can optionally record a tape for
-//! backpropagation-through-time ([`Layer::backward_step`], driven in
-//! strict reverse time order by [`crate::network::SpikingNetwork`]).
+//! A [`Layer`] holds what a layer *is* — weights, LIF parameters, pool
+//! window, dropout probability, its [`KernelPolicy`] — and no runtime
+//! state. Membranes, dropout masks and the BPTT tape belong to one pass
+//! of the fused engine ([`crate::fused`]), which every forward and
+//! backward entry point of [`crate::network::SpikingNetwork`] runs.
 //!
 //! The spiking layers (conv / linear) own a LIF population; pooling,
 //! flatten and dropout are stateless per step; [`OutputLinear`] is a
 //! non-spiking integrator readout whose per-step outputs the network sums
 //! into logits — the standard readout for surrogate-gradient SNNs.
 //!
-//! The backward recurrence uses the *detached-reset* convention: the
-//! hard reset's dependence on the spike is treated as a constant, and the
-//! membrane carry is `∂v[t+1]/∂v[t] = leak · (1 − s[t])`.
-//!
-//! # Event-form BPTT tape
-//!
-//! Recorded steps run the same density gate and the same kernels as
-//! inference: a binary input frame at or below the layer's sparse
-//! threshold is stored on the tape as a [`SpikeVector`] instead of a
-//! dense tensor, the forward current comes from the inference gather or
-//! scatter (streaming a reduced-precision plane where one is
-//! installed), and the backward pass accumulates weight gradients
-//! event-drively ([`sparse::sparse_outer_acc`],
-//! [`sparse::sparse_conv2d_backward`]). Every sparse kernel sums in its
-//! dense twin's order, so the taped currents and every gradient are the
-//! same `f32` values the dense tape produces — at any density,
-//! including 100% (the dense kernels' contributions from inactive
-//! inputs are exact zeros). Frames that fail the gate (analog
-//! currents, dense or non-binary activity) fall back to the dense
-//! kernels and a dense tape entry, exactly like the forward path, and
-//! count on [`Layer::dense_fallback_count`]. Only the pools differ:
-//! recorded steps pool densely, because the max-pool tape needs its
-//! argmax.
-//!
-//! The tape stores no spike vectors for the outputs: the emitted spike
-//! pattern is recomputed in the backward pass as
-//! `pre_membrane ≥ V_th`, which is exactly the forward firing rule.
+//! The backward recurrence (`surrogate_carry_grad`) uses the
+//! *detached-reset* convention: the hard reset's dependence on the spike
+//! is treated as a constant, and the membrane carry is
+//! `∂v[t+1]/∂v[t] = leak · (1 − s[t])`.
 //!
 //! # Reduced-precision weight planes
 //!
@@ -51,15 +29,13 @@
 //! inference kernels stream the packed buffer directly, dequantizing
 //! in-register while accumulating in `f32`.
 
-use crate::lif::{LifParams, LifState};
+use crate::lif::LifParams;
 use crate::network::SnnConfig;
-use crate::plan::{ConvBatchKernel, KernelPolicy};
+use crate::plan::KernelPolicy;
 use crate::{CoreError, Result};
-use axsnn_tensor::batched::sparse_conv2d_sorted;
-use axsnn_tensor::conv::{self, Conv2dSpec};
+use axsnn_tensor::conv::Conv2dSpec;
 use axsnn_tensor::plane::{QuantizedPlane, WeightPlane};
-use axsnn_tensor::sparse::{self, SpikeVector};
-use axsnn_tensor::{init, linalg, Tensor};
+use axsnn_tensor::{init, Tensor};
 use rand::Rng;
 use std::sync::Arc;
 
@@ -125,26 +101,6 @@ impl Param {
         }
         Ok(())
     }
-}
-
-/// An input frame recorded on the BPTT tape: event form when the
-/// density gate admitted it, dense otherwise.
-#[derive(Debug, Clone)]
-pub(crate) enum TapeInput {
-    /// Binary frame at or below the sparse threshold, as its events.
-    Events(SpikeVector),
-    /// Analog or gate-rejected frame (flattened for linear layers).
-    Dense(Tensor),
-}
-
-/// Per-step tape entry for a spiking synaptic layer.
-///
-/// Spikes are not stored: the backward pass recomputes them from the
-/// pre-reset membrane as `pre ≥ V_th`, the forward firing rule.
-#[derive(Debug, Clone)]
-struct SpikeTape {
-    input: TapeInput,
-    pre_membrane: Vec<f32>,
 }
 
 /// Reduced-precision weight storage for one parameterized layer: the
@@ -221,36 +177,6 @@ impl_planed_accessors!(SpikingConv2d);
 impl_planed_accessors!(SpikingLinear);
 impl_planed_accessors!(OutputLinear);
 
-/// A linear layer's spike gather `W·s + b` over its effective
-/// `weight`/`bias`, on inference and recorded steps alike. An installed
-/// plane streams its packed buffer, which is bit-identical to gathering
-/// the dequantized image.
-fn linear_gather(
-    weight: &Tensor,
-    bias: &Tensor,
-    planed: Option<&PlanedParams>,
-    events: &SpikeVector,
-) -> Result<Tensor> {
-    let dims = weight.shape().dims();
-    match planed {
-        Some(p) => {
-            sparse::sparse_matvec_bias_planed(p.quant.view(), (dims[0], dims[1]), events, bias)
-        }
-        None => sparse::sparse_matvec_bias(weight, events, bias),
-    }
-    .map_err(CoreError::from)
-}
-
-/// `input` as a rank-1 tensor: itself when it already is one, a
-/// flattening reshape otherwise.
-fn flatten_input(input: &Tensor) -> Result<Tensor> {
-    if input.shape().rank() == 1 {
-        Ok(input.clone())
-    } else {
-        input.reshape(&[input.len()]).map_err(CoreError::from)
-    }
-}
-
 /// Spiking 2-D convolution layer (`[Cin,H,W] → [Cout,OH,OW]` spikes).
 #[derive(Debug, Clone)]
 pub struct SpikingConv2d {
@@ -261,11 +187,6 @@ pub struct SpikingConv2d {
     /// Per-filter bias `[Cout]`.
     pub bias: Param,
     pub(crate) lif_params: LifParams,
-    state: Option<LifState>,
-    tape: Vec<SpikeTape>,
-    carry: Vec<f32>,
-    input_hw: Option<(usize, usize)>,
-    last_spikes: Option<f32>,
     pub(crate) policy: KernelPolicy,
     planed: Option<Arc<PlanedParams>>,
 }
@@ -278,10 +199,6 @@ pub struct SpikingLinear {
     /// Bias `[Out]`.
     pub bias: Param,
     pub(crate) lif_params: LifParams,
-    state: LifState,
-    tape: Vec<SpikeTape>,
-    carry: Vec<f32>,
-    last_spikes: Option<f32>,
     pub(crate) policy: KernelPolicy,
     planed: Option<Arc<PlanedParams>>,
 }
@@ -293,7 +210,6 @@ pub struct OutputLinear {
     pub weight: Param,
     /// Bias `[Out]`.
     pub bias: Param,
-    inputs: Vec<TapeInput>,
     pub(crate) policy: KernelPolicy,
     planed: Option<Arc<PlanedParams>>,
 }
@@ -303,7 +219,6 @@ pub struct OutputLinear {
 pub struct AvgPool2d {
     /// Square window / stride.
     pub window: usize,
-    input_dims: Vec<usize>,
     pub(crate) policy: KernelPolicy,
 }
 
@@ -312,25 +227,30 @@ pub struct AvgPool2d {
 pub struct MaxPool2d {
     /// Square window / stride.
     pub window: usize,
-    input_dims: Vec<usize>,
-    argmax_per_step: Vec<Vec<usize>>,
     pub(crate) policy: KernelPolicy,
 }
 
 /// Flatten `[C,H,W] → [C·H·W]`.
 #[derive(Debug, Clone)]
-pub struct Flatten {
-    input_dims: Vec<usize>,
-}
+#[non_exhaustive]
+pub struct Flatten;
 
 /// Spike dropout with a per-sample mask held fixed across time steps.
 #[derive(Debug, Clone)]
+#[non_exhaustive]
 pub struct Dropout {
     /// Drop probability in `[0, 1)`.
     pub probability: f32,
     /// Whether dropout is active (training) or identity (inference).
     pub train_mode: bool,
-    mask: Option<Vec<f32>>,
+}
+
+impl Dropout {
+    /// `true` when the layer actually drops spikes: train mode with a
+    /// positive probability. Inactive dropout is the identity.
+    pub(crate) fn active(&self) -> bool {
+        self.train_mode && self.probability > 0.0
+    }
 }
 
 /// The shared LIF backward recurrence: combines the incoming spike
@@ -422,11 +342,6 @@ impl Layer {
             weight: Param::new(weight),
             bias: Param::new(Tensor::zeros(&[spec.out_channels])),
             lif_params: cfg.lif_params(),
-            state: None,
-            tape: Vec::new(),
-            carry: Vec::new(),
-            input_hw: None,
-            last_spikes: None,
             policy: KernelPolicy::for_conv(&spec),
             planed: None,
         })
@@ -444,10 +359,6 @@ impl Layer {
             weight: Param::new(weight),
             bias: Param::new(Tensor::zeros(&[outputs])),
             lif_params: cfg.lif_params(),
-            state: LifState::new(outputs, cfg.lif_params()),
-            tape: Vec::new(),
-            carry: vec![0.0; outputs],
-            last_spikes: None,
             policy: KernelPolicy::for_linear(),
             planed: None,
         })
@@ -459,7 +370,6 @@ impl Layer {
         Layer::OutputLinear(OutputLinear {
             weight: Param::new(weight),
             bias: Param::new(Tensor::zeros(&[outputs])),
-            inputs: Vec::new(),
             policy: KernelPolicy::for_linear(),
             planed: None,
         })
@@ -499,11 +409,6 @@ impl Layer {
             weight: Param::new(weight),
             bias: Param::new(bias),
             lif_params: cfg.lif_params(),
-            state: None,
-            tape: Vec::new(),
-            carry: Vec::new(),
-            input_hw: None,
-            last_spikes: None,
             policy: KernelPolicy::for_conv(&spec),
             planed: None,
         }))
@@ -521,15 +426,10 @@ impl Layer {
                 message: "linear weight must be [out,in] with matching bias".into(),
             });
         }
-        let outputs = weight.shape().dims()[0];
         Ok(Layer::SpikingLinear(SpikingLinear {
             weight: Param::new(weight),
             bias: Param::new(bias),
             lif_params: cfg.lif_params(),
-            state: LifState::new(outputs, cfg.lif_params()),
-            tape: Vec::new(),
-            carry: vec![0.0; outputs],
-            last_spikes: None,
             policy: KernelPolicy::for_linear(),
             planed: None,
         }))
@@ -549,7 +449,6 @@ impl Layer {
         Ok(Layer::OutputLinear(OutputLinear {
             weight: Param::new(weight),
             bias: Param::new(bias),
-            inputs: Vec::new(),
             policy: KernelPolicy::for_linear(),
             planed: None,
         }))
@@ -559,7 +458,6 @@ impl Layer {
     pub fn avg_pool2d(window: usize) -> Layer {
         Layer::AvgPool2d(AvgPool2d {
             window,
-            input_dims: Vec::new(),
             policy: KernelPolicy::for_pool(),
         })
     }
@@ -568,17 +466,13 @@ impl Layer {
     pub fn max_pool2d(window: usize) -> Layer {
         Layer::MaxPool2d(MaxPool2d {
             window,
-            input_dims: Vec::new(),
-            argmax_per_step: Vec::new(),
             policy: KernelPolicy::for_pool(),
         })
     }
 
     /// Creates a flatten layer.
     pub fn flatten() -> Layer {
-        Layer::Flatten(Flatten {
-            input_dims: Vec::new(),
-        })
+        Layer::Flatten(Flatten)
     }
 
     /// Creates a dropout layer (active only in train mode).
@@ -586,7 +480,6 @@ impl Layer {
         Layer::Dropout(Dropout {
             probability,
             train_mode: false,
-            mask: None,
         })
     }
 
@@ -644,14 +537,8 @@ impl Layer {
     /// Overrides the LIF parameters of a spiking layer (no-op otherwise).
     pub fn set_lif_params(&mut self, params: LifParams) {
         match self {
-            Layer::SpikingConv2d(l) => {
-                l.lif_params = params;
-                l.state = None;
-            }
-            Layer::SpikingLinear(l) => {
-                l.lif_params = params;
-                l.state = LifState::new(l.state.len(), params);
-            }
+            Layer::SpikingConv2d(l) => l.lif_params = params,
+            Layer::SpikingLinear(l) => l.lif_params = params,
             _ => {}
         }
     }
@@ -672,331 +559,11 @@ impl Layer {
         }
     }
 
-    /// Clears membrane state and BPTT tape; draws a fresh dropout mask
-    /// lazily on the next forward step.
-    pub fn reset(&mut self) {
-        match self {
-            Layer::SpikingConv2d(l) => {
-                if let Some(s) = &mut l.state {
-                    s.reset();
-                }
-                l.tape.clear();
-                l.carry.clear();
-                l.last_spikes = None;
-            }
-            Layer::SpikingLinear(l) => {
-                l.state.reset();
-                l.tape.clear();
-                l.carry.fill(0.0);
-                l.last_spikes = None;
-            }
-            Layer::OutputLinear(l) => l.inputs.clear(),
-            Layer::MaxPool2d(l) => l.argmax_per_step.clear(),
-            Layer::Dropout(d) => d.mask = None,
-            _ => {}
-        }
-    }
-
-    /// Processes one time step.
-    ///
-    /// When `record` is set the layer stores the tape needed by
-    /// [`Layer::backward_step`].
-    ///
-    /// # Errors
-    ///
-    /// Returns shape errors when the input does not match the layer
-    /// geometry.
-    pub fn forward_step<R: Rng>(
-        &mut self,
-        input: &Tensor,
-        record: bool,
-        rng: &mut R,
-    ) -> Result<Tensor> {
-        match self {
-            Layer::SpikingConv2d(l) => {
-                let idims = input.shape().dims();
-                // Event-driven fast path: binary sparse frames skip the
-                // dense window sweep. The scatter conv accumulates each
-                // output cell in the dense kernel's order, so recorded
-                // (training) steps take it too and store the event-form
-                // tape — same `f32` currents as the dense tape.
-                let sparse_input = if idims.len() != 3 || idims[0] != l.spec.in_channels {
-                    None
-                } else {
-                    l.policy.admit(input)
-                };
-                let current = match &sparse_input {
-                    // The plan's conv-batch choice applies at B=1 too:
-                    // the event-sorted sweep streams the weight stencil
-                    // with contiguous segment-adds (bit-identical to the
-                    // per-event scatter), which pays off for the paper's
-                    // k=5 stencils even on a single frame.
-                    Some(events) if l.policy.conv_batch() == ConvBatchKernel::EventSorted => {
-                        sparse_conv2d_sorted(
-                            events,
-                            (idims[1], idims[2]),
-                            l.eff_weight(),
-                            l.eff_bias(),
-                            &l.spec,
-                        )?
-                    }
-                    Some(events) => sparse::sparse_conv2d(
-                        events,
-                        (idims[1], idims[2]),
-                        l.eff_weight(),
-                        l.eff_bias(),
-                        &l.spec,
-                    )?,
-                    None => conv::conv2d(input, l.eff_weight(), l.eff_bias(), &l.spec)?,
-                };
-                let dims = current.shape().dims().to_vec();
-                l.input_hw = Some((idims[1], idims[2]));
-                let state = l
-                    .state
-                    .get_or_insert_with(|| LifState::new(current.len(), l.lif_params));
-                if state.len() != current.len() {
-                    *state = LifState::new(current.len(), l.lif_params);
-                }
-                let out = state.step(current.as_slice());
-                l.last_spikes = Some(out.spikes.iter().sum());
-                if record {
-                    if l.carry.len() != current.len() {
-                        l.carry = vec![0.0; current.len()];
-                    }
-                    l.tape.push(SpikeTape {
-                        input: match sparse_input {
-                            Some(events) => TapeInput::Events(events),
-                            None => TapeInput::Dense(input.clone()),
-                        },
-                        pre_membrane: out.pre_reset_membrane,
-                    });
-                }
-                Tensor::from_vec(out.spikes, &dims).map_err(CoreError::from)
-            }
-            Layer::SpikingLinear(l) => {
-                let sparse_input = l.policy.admit(input);
-                let (current, flat) = match &sparse_input {
-                    Some(events) => (
-                        linear_gather(l.eff_weight(), l.eff_bias(), l.planed(), events)?,
-                        None,
-                    ),
-                    None => {
-                        let flat = flatten_input(input)?;
-                        let current = linalg::matvec(l.eff_weight(), &flat)?.add(l.eff_bias())?;
-                        (current, Some(flat))
-                    }
-                };
-                let out = l.state.step(current.as_slice());
-                l.last_spikes = Some(out.spikes.iter().sum());
-                if record {
-                    l.tape.push(SpikeTape {
-                        input: match sparse_input {
-                            Some(events) => TapeInput::Events(events),
-                            None => TapeInput::Dense(
-                                flat.expect("gate-rejected steps materialize the flat input"),
-                            ),
-                        },
-                        pre_membrane: out.pre_reset_membrane,
-                    });
-                }
-                let n = out.spikes.len();
-                Tensor::from_vec(out.spikes, &[n]).map_err(CoreError::from)
-            }
-            Layer::OutputLinear(l) => match l.policy.admit(input) {
-                Some(events) => {
-                    let out = linear_gather(l.eff_weight(), l.eff_bias(), l.planed(), &events)?;
-                    if record {
-                        l.inputs.push(TapeInput::Events(events));
-                    }
-                    Ok(out)
-                }
-                None => {
-                    let flat = flatten_input(input)?;
-                    let out = linalg::matvec(l.eff_weight(), &flat)?.add(l.eff_bias())?;
-                    if record {
-                        l.inputs.push(TapeInput::Dense(flat));
-                    }
-                    Ok(out)
-                }
-            },
-            Layer::AvgPool2d(l) => {
-                l.input_dims = input.shape().dims().to_vec();
-                if !record && l.input_dims.len() == 3 {
-                    if let Some(events) = l.policy.admit(input) {
-                        return sparse::sparse_avg_pool2d(&events, &l.input_dims, l.window)
-                            .map_err(CoreError::from);
-                    }
-                }
-                conv::avg_pool2d(input, l.window).map_err(CoreError::from)
-            }
-            Layer::MaxPool2d(l) => {
-                l.input_dims = input.shape().dims().to_vec();
-                if !record && l.input_dims.len() == 3 {
-                    if let Some(events) = l.policy.admit(input) {
-                        return sparse::sparse_max_pool2d(&events, &l.input_dims, l.window)
-                            .map_err(CoreError::from);
-                    }
-                }
-                let out = conv::max_pool2d(input, l.window)?;
-                if record {
-                    l.argmax_per_step.push(out.argmax);
-                }
-                Ok(out.output)
-            }
-            Layer::Flatten(l) => {
-                l.input_dims = input.shape().dims().to_vec();
-                input.reshape(&[input.len()]).map_err(CoreError::from)
-            }
-            Layer::Dropout(d) => {
-                if !d.train_mode || d.probability <= 0.0 {
-                    return Ok(input.clone());
-                }
-                let keep = 1.0 - d.probability;
-                if d.mask.as_ref().map(|m| m.len()) != Some(input.len()) {
-                    d.mask = Some(
-                        (0..input.len())
-                            .map(|_| {
-                                if rng.gen::<f32>() < keep {
-                                    1.0 / keep
-                                } else {
-                                    0.0
-                                }
-                            })
-                            .collect(),
-                    );
-                }
-                let mask = d.mask.as_ref().expect("mask was just ensured");
-                let data: Vec<f32> = input
-                    .as_slice()
-                    .iter()
-                    .zip(mask)
-                    .map(|(&v, &m)| v * m)
-                    .collect();
-                Tensor::from_vec(data, input.shape().dims()).map_err(CoreError::from)
-            }
-        }
-    }
-
-    /// Backward pass for time step `t` (must be called in strictly
-    /// decreasing `t` after a recorded forward pass).
-    ///
-    /// Returns the gradient with respect to the layer input at step `t`
-    /// and accumulates parameter gradients.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::NoRecordedForward`] when no tape exists for
-    /// step `t`.
-    pub fn backward_step(&mut self, grad_out: &Tensor, t: usize) -> Result<Tensor> {
-        match self {
-            Layer::SpikingConv2d(l) => {
-                let tape = l.tape.get(t).ok_or(CoreError::NoRecordedForward)?;
-                if l.carry.len() != tape.pre_membrane.len() {
-                    l.carry = vec![0.0; tape.pre_membrane.len()];
-                }
-                let gv = surrogate_carry_grad(
-                    grad_out.as_slice(),
-                    &tape.pre_membrane,
-                    &mut l.carry,
-                    &l.lif_params,
-                );
-                let (h, w) = l.input_hw.ok_or(CoreError::NoRecordedForward)?;
-                let (oh, ow) = l.spec.output_hw(h, w);
-                let gcur = Tensor::from_vec(gv, &[l.spec.out_channels, oh, ow])?;
-                let grads = match &tape.input {
-                    TapeInput::Events(events) => sparse::sparse_conv2d_backward(
-                        events,
-                        (h, w),
-                        l.eff_weight(),
-                        &gcur,
-                        &l.spec,
-                    )?,
-                    TapeInput::Dense(input) => {
-                        conv::conv2d_backward(input, l.eff_weight(), &gcur, &l.spec)?
-                    }
-                };
-                acc_grad(&mut l.weight.grad, &grads.weight);
-                acc_grad(&mut l.bias.grad, &grads.bias);
-                Ok(grads.input)
-            }
-            Layer::SpikingLinear(l) => {
-                let tape = l.tape.get(t).ok_or(CoreError::NoRecordedForward)?;
-                let gv = surrogate_carry_grad(
-                    grad_out.as_slice(),
-                    &tape.pre_membrane,
-                    &mut l.carry,
-                    &l.lif_params,
-                );
-                let n = gv.len();
-                let gvt = Tensor::from_vec(gv, &[n])?;
-                match &tape.input {
-                    TapeInput::Events(events) => {
-                        sparse::sparse_outer_acc(&mut l.weight.grad, gvt.as_slice(), events)?
-                    }
-                    TapeInput::Dense(input) => linalg::outer_acc(&mut l.weight.grad, &gvt, input)?,
-                }
-                acc_grad(&mut l.bias.grad, &gvt);
-                linalg::matvec_t(l.eff_weight(), &gvt).map_err(CoreError::from)
-            }
-            Layer::OutputLinear(l) => {
-                let input = l.inputs.get(t).ok_or(CoreError::NoRecordedForward)?;
-                match input {
-                    TapeInput::Events(events) => {
-                        sparse::sparse_outer_acc(&mut l.weight.grad, grad_out.as_slice(), events)?
-                    }
-                    TapeInput::Dense(input) => {
-                        linalg::outer_acc(&mut l.weight.grad, grad_out, input)?
-                    }
-                }
-                acc_grad(&mut l.bias.grad, grad_out);
-                linalg::matvec_t(l.eff_weight(), grad_out).map_err(CoreError::from)
-            }
-            Layer::AvgPool2d(l) => {
-                if l.input_dims.is_empty() {
-                    return Err(CoreError::NoRecordedForward);
-                }
-                conv::avg_pool2d_backward(grad_out, &l.input_dims, l.window)
-                    .map_err(CoreError::from)
-            }
-            Layer::MaxPool2d(l) => {
-                let argmax = l
-                    .argmax_per_step
-                    .get(t)
-                    .ok_or(CoreError::NoRecordedForward)?;
-                conv::max_pool2d_backward(grad_out, argmax, &l.input_dims).map_err(CoreError::from)
-            }
-            Layer::Flatten(l) => {
-                if l.input_dims.is_empty() {
-                    return Err(CoreError::NoRecordedForward);
-                }
-                grad_out.reshape(&l.input_dims).map_err(CoreError::from)
-            }
-            Layer::Dropout(d) => {
-                if !d.train_mode || d.probability <= 0.0 {
-                    return Ok(grad_out.clone());
-                }
-                let mask = d.mask.as_ref().ok_or(CoreError::NoRecordedForward)?;
-                let data: Vec<f32> = grad_out
-                    .as_slice()
-                    .iter()
-                    .zip(mask)
-                    .map(|(&g, &m)| g * m)
-                    .collect();
-                Tensor::from_vec(data, grad_out.shape().dims()).map_err(CoreError::from)
-            }
-        }
-    }
-
-    /// Zeroes parameter gradients and the BPTT membrane-carry state.
+    /// Zeroes the parameter gradients.
     pub fn zero_grads(&mut self) {
         if let Some((w, b)) = self.params_mut() {
             w.zero_grad();
             b.zero_grad();
-        }
-        match self {
-            Layer::SpikingConv2d(l) => l.carry.fill(0.0),
-            Layer::SpikingLinear(l) => l.carry.fill(0.0),
-            _ => {}
         }
     }
 
@@ -1098,19 +665,6 @@ impl Layer {
         planed.as_deref().and_then(|p| p.quant.int8_scale())
     }
 
-    /// Number of spikes emitted at the most recent forward step, if the
-    /// layer spikes. Used for the Eq. (1) spike statistics.
-    ///
-    /// Tracked as a running counter so statistics no longer require
-    /// recording the full BPTT tape during inference.
-    pub fn last_step_spike_count(&self) -> Option<f32> {
-        match self {
-            Layer::SpikingConv2d(l) => l.last_spikes,
-            Layer::SpikingLinear(l) => l.last_spikes,
-            _ => None,
-        }
-    }
-
     /// Sets the spike-density threshold below which this layer's
     /// forward pass takes the event-driven sparse kernels — and, for
     /// recorded steps of conv/linear/readout layers, records the
@@ -1147,22 +701,21 @@ impl Layer {
         }
     }
 
-    /// Cumulative count of *dense-fallback conversions*: forward steps
-    /// (inference **and** recorded training steps, which gate onto the
-    /// event-form tape the same way) where this layer wanted the
-    /// event-driven sparse path (threshold above zero) but the gate
-    /// declined — because the frame was non-binary (e.g. an analog
-    /// direct-current encoding, or de-binarized by an upstream average
-    /// pool) or denser than the threshold. Makes the silent
-    /// sparse→dense degradation observable; in the fused batched path
-    /// each declined batch *row* counts once, matching the per-sample
-    /// unit.
+    /// Cumulative count of *dense-fallback conversions*: rows at a
+    /// forward step (inference **and** recorded training steps, which
+    /// gate onto the event-form tape the same way) where this layer
+    /// wanted the event-driven sparse path (threshold above zero) but
+    /// the gate declined — because the row was non-binary (e.g. an
+    /// analog direct-current encoding, or de-binarized by an upstream
+    /// average pool) or denser than the threshold. Makes the silent
+    /// sparse→dense degradation observable; each declined batch row
+    /// counts once, so a batch counts what its rows would count one at
+    /// a time.
     ///
     /// Returns `None` for layers without a sparse path. The counter is
     /// shared across clones of the layer (the sharded batch evaluators
     /// clone the network per worker, and those workers' fallbacks
-    /// aggregate into the caller's instance) and is never reset by
-    /// [`Layer::reset`].
+    /// aggregate into the caller's instance) and is never reset.
     pub fn dense_fallback_count(&self) -> Option<u64> {
         self.policy().map(KernelPolicy::fallback_count)
     }
@@ -1175,7 +728,12 @@ impl Layer {
 
 #[cfg(test)]
 mod tests {
+    //! Each layer's behaviour, observed through a network's fused pass:
+    //! a layer under test feeds an identity readout, so the logits are
+    //! its output summed over the time steps.
+
     use super::*;
+    use crate::network::SpikingNetwork;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -1187,12 +745,25 @@ mod tests {
         }
     }
 
+    /// `layers` followed by an `[n, n]` identity readout.
+    fn probe(mut layers: Vec<Layer>, n: usize) -> SpikingNetwork {
+        let mut eye = vec![0.0; n * n];
+        for i in 0..n {
+            eye[i * n + i] = 1.0;
+        }
+        let eye = Tensor::from_vec(eye, &[n, n]).unwrap();
+        layers.push(Layer::output_linear_from(eye, Tensor::zeros(&[n])).unwrap());
+        SpikingNetwork::new(layers, cfg()).unwrap()
+    }
+
     #[test]
     fn linear_layer_emits_binary_spikes() {
         let mut rng = StdRng::seed_from_u64(0);
-        let mut l = Layer::spiking_linear(&mut rng, 4, 3, &cfg());
-        let x = Tensor::ones(&[4]);
-        let y = l.forward_step(&x, false, &mut rng).unwrap();
+        let mut net = probe(vec![Layer::spiking_linear(&mut rng, 4, 3, &cfg())], 3);
+        let y = net
+            .forward(&[Tensor::ones(&[4])], false, &mut rng)
+            .unwrap()
+            .logits;
         assert_eq!(y.len(), 3);
         assert!(y.as_slice().iter().all(|&v| v == 0.0 || v == 1.0));
     }
@@ -1207,74 +778,84 @@ mod tests {
             stride: 1,
             padding: 1,
         };
-        let mut l = Layer::spiking_conv2d(&mut rng, spec, &cfg());
-        let x = Tensor::ones(&[1, 8, 8]);
-        let y = l.forward_step(&x, false, &mut rng).unwrap();
-        assert_eq!(y.shape().dims(), &[4, 8, 8]);
+        let conv = Layer::spiking_conv2d(&mut rng, spec, &cfg());
+        let x = [Tensor::ones(&[1, 8, 8])];
+        let mut net = probe(vec![conv.clone(), Layer::flatten()], 4 * 8 * 8);
+        let y = net.forward(&x, false, &mut rng).unwrap().logits;
+        assert_eq!(y.len(), 4 * 8 * 8);
+        let mut short = probe(vec![conv, Layer::flatten()], 4 * 8 * 8 - 1);
+        assert!(short.forward(&x, false, &mut rng).is_err());
     }
 
     #[test]
     fn reset_clears_membrane() {
         let mut rng = StdRng::seed_from_u64(0);
-        let mut l = Layer::spiking_linear(&mut rng, 2, 2, &cfg());
-        let x = Tensor::full(&[2], 0.4);
-        let a = l.forward_step(&x, false, &mut rng).unwrap();
-        l.reset();
-        let b = l.forward_step(&x, false, &mut rng).unwrap();
-        assert_eq!(a, b, "after reset the first step must be reproducible");
+        let mut net = probe(vec![Layer::spiking_linear(&mut rng, 2, 2, &cfg())], 2);
+        let x = vec![Tensor::full(&[2], 0.4); 3];
+        let a = net.forward(&x, false, &mut rng).unwrap().logits;
+        let b = net.forward(&x, false, &mut rng).unwrap().logits;
+        assert_eq!(a, b, "every forward must start from resting membranes");
     }
 
     #[test]
     fn dropout_identity_in_inference() {
         let mut rng = StdRng::seed_from_u64(0);
-        let mut d = Layer::dropout(0.5);
+        let mut net = probe(vec![Layer::dropout(0.5)], 10);
         let x = Tensor::ones(&[10]);
-        let y = d.forward_step(&x, false, &mut rng).unwrap();
+        let y = net
+            .forward(std::slice::from_ref(&x), false, &mut rng)
+            .unwrap()
+            .logits;
         assert_eq!(x, y);
     }
 
     #[test]
     fn dropout_mask_fixed_across_steps() {
         let mut rng = StdRng::seed_from_u64(3);
-        let mut d = Layer::dropout(0.5);
-        d.set_train_mode(true);
-        let x = Tensor::ones(&[64]);
-        let a = d.forward_step(&x, false, &mut rng).unwrap();
-        let b = d.forward_step(&x, false, &mut rng).unwrap();
-        assert_eq!(a, b, "mask must persist within a sample");
-        d.reset();
-        let c = d.forward_step(&x, false, &mut rng).unwrap();
-        assert_ne!(a, c, "mask must be redrawn after reset");
+        let mut net = probe(vec![Layer::dropout(0.5)], 64);
+        net.set_train_mode(true);
+        let x = vec![Tensor::ones(&[64]); 2];
+        // Kept units pass 1/keep = 2 at each of the two steps.
+        let a = net.forward(&x, false, &mut rng).unwrap().logits;
+        assert!(
+            a.as_slice().iter().all(|&v| v == 0.0 || v == 4.0),
+            "mask must persist within a sample: {a:?}"
+        );
+        assert!(a.as_slice().contains(&0.0) && a.as_slice().contains(&4.0));
+        let c = net.forward(&x, false, &mut rng).unwrap().logits;
+        assert_ne!(a, c, "mask must be redrawn for the next sample");
     }
 
     #[test]
     fn flatten_roundtrip_backward() {
         let mut rng = StdRng::seed_from_u64(0);
-        let mut f = Layer::flatten();
-        let x = Tensor::ones(&[2, 3, 4]);
-        let y = f.forward_step(&x, true, &mut rng).unwrap();
+        let mut net = probe(vec![Layer::flatten()], 24);
+        let y = net
+            .forward(&[Tensor::ones(&[2, 3, 4])], true, &mut rng)
+            .unwrap()
+            .logits;
         assert_eq!(y.shape().dims(), &[24]);
-        let g = f.backward_step(&Tensor::ones(&[24]), 0).unwrap();
-        assert_eq!(g.shape().dims(), &[2, 3, 4]);
+        let g = net.backward(&Tensor::ones(&[24]), 1).unwrap();
+        assert_eq!(g[0].shape().dims(), &[2, 3, 4]);
     }
 
     #[test]
     fn backward_without_forward_errors() {
         let mut rng = StdRng::seed_from_u64(0);
-        let mut l = Layer::spiking_linear(&mut rng, 2, 2, &cfg());
-        let e = l.backward_step(&Tensor::ones(&[2]), 0);
+        let mut net = probe(vec![Layer::spiking_linear(&mut rng, 2, 2, &cfg())], 2);
+        let e = net.backward(&Tensor::ones(&[2]), 1);
         assert!(matches!(e, Err(CoreError::NoRecordedForward)));
     }
 
     #[test]
     fn output_linear_accumulates_param_grads() {
         let mut rng = StdRng::seed_from_u64(1);
-        let mut l = Layer::output_linear(&mut rng, 3, 2);
-        let x = Tensor::ones(&[3]);
-        l.forward_step(&x, true, &mut rng).unwrap();
+        let mut net =
+            SpikingNetwork::new(vec![Layer::output_linear(&mut rng, 3, 2)], cfg()).unwrap();
+        net.forward(&[Tensor::ones(&[3])], true, &mut rng).unwrap();
         let g = Tensor::from_vec(vec![1.0, -1.0], &[2]).unwrap();
-        l.backward_step(&g, 0).unwrap();
-        let (w, b) = l.params().unwrap();
+        net.backward(&g, 1).unwrap();
+        let (w, b) = net.layers()[0].params().unwrap();
         assert_eq!(b.grad.as_slice(), &[1.0, -1.0]);
         assert_eq!(w.grad.as_slice(), &[1.0, 1.0, 1.0, -1.0, -1.0, -1.0]);
     }
@@ -1282,8 +863,9 @@ mod tests {
     #[test]
     fn max_pool_layer_forward_and_backward() {
         let mut rng = StdRng::seed_from_u64(0);
-        let mut l = Layer::max_pool2d(2);
-        assert_eq!(l.kind(), "max_pool2d");
+        let pool = Layer::max_pool2d(2);
+        assert_eq!(pool.kind(), "max_pool2d");
+        let mut net = probe(vec![pool, Layer::flatten()], 4);
         let x = Tensor::from_vec(
             vec![
                 1.0, 0.0, 0.0, 2.0, //
@@ -1294,9 +876,9 @@ mod tests {
             &[1, 4, 4],
         )
         .unwrap();
-        let y = l.forward_step(&x, true, &mut rng).unwrap();
+        let y = net.forward(&[x], true, &mut rng).unwrap().logits;
         assert_eq!(y.as_slice(), &[1.0, 2.0, 3.0, 4.0]);
-        let g = l.backward_step(&Tensor::ones(&[1, 2, 2]), 0).unwrap();
+        let g = &net.backward(&Tensor::ones(&[4]), 1).unwrap()[0];
         assert_eq!(g.sum(), 4.0);
         assert_eq!(g.at(&[0, 0, 0]).unwrap(), 1.0); // routed to the winner
     }
@@ -1304,10 +886,10 @@ mod tests {
     #[test]
     fn max_pool_backward_without_record_errors() {
         let mut rng = StdRng::seed_from_u64(0);
-        let mut l = Layer::max_pool2d(2);
-        let x = Tensor::ones(&[1, 4, 4]);
-        l.forward_step(&x, false, &mut rng).unwrap();
-        assert!(l.backward_step(&Tensor::ones(&[1, 2, 2]), 0).is_err());
+        let mut net = probe(vec![Layer::max_pool2d(2), Layer::flatten()], 4);
+        net.forward(&[Tensor::ones(&[1, 4, 4])], false, &mut rng)
+            .unwrap();
+        assert!(net.backward(&Tensor::ones(&[4]), 1).is_err());
     }
 
     #[test]
@@ -1348,11 +930,16 @@ mod tests {
                 w.value = scale.quantize_tensor(&w.value).unwrap();
                 b.value = scale.quantize_tensor(&b.value).unwrap();
             }
-            let a = planed.forward_step(&x, false, &mut rng.clone()).unwrap();
-            let b = emulated.forward_step(&x, false, &mut rng.clone()).unwrap();
+            let frames = vec![x.clone(); 3];
+            let a = probe(vec![planed], 5)
+                .forward(&frames, false, &mut rng.clone())
+                .unwrap();
+            let b = probe(vec![emulated], 5)
+                .forward(&frames, false, &mut rng.clone())
+                .unwrap();
             assert_eq!(
-                a.as_slice(),
-                b.as_slice(),
+                a.logits.as_slice(),
+                b.logits.as_slice(),
                 "{plane} plane must match emulation"
             );
         }
@@ -1361,40 +948,40 @@ mod tests {
     #[test]
     fn apply_grads_refreshes_installed_plane() {
         let mut rng = StdRng::seed_from_u64(11);
-        let mut l = Layer::output_linear(&mut rng, 3, 2);
-        l.set_weight_plane(WeightPlane::Int8).unwrap();
-        let x = Tensor::ones(&[3]);
-        l.forward_step(&x, true, &mut rng).unwrap();
-        l.backward_step(&Tensor::from_vec(vec![1.0, -1.0], &[2]).unwrap(), 0)
+        let mut net =
+            SpikingNetwork::new(vec![Layer::output_linear(&mut rng, 3, 2)], cfg()).unwrap();
+        net.set_weight_plane(WeightPlane::Int8).unwrap();
+        net.forward(&[Tensor::ones(&[3])], true, &mut rng).unwrap();
+        net.backward(&Tensor::from_vec(vec![1.0, -1.0], &[2]).unwrap(), 1)
             .unwrap();
-        let before = match &l {
+        let eff_weight = |net: &SpikingNetwork| match &net.layers()[0] {
             Layer::OutputLinear(o) => o.eff_weight().clone(),
             _ => unreachable!(),
         };
-        l.apply_grads(0.1, 0.0).unwrap();
-        let after = match &l {
-            Layer::OutputLinear(o) => o.eff_weight().clone(),
-            _ => unreachable!(),
-        };
+        let before = eff_weight(&net);
+        net.apply_grads(0.1, 0.0).unwrap();
+        let after = eff_weight(&net);
         assert_ne!(
             before.as_slice(),
             after.as_slice(),
             "plane buffers must be rebuilt from the updated master weights"
         );
-        assert_eq!(l.weight_plane(), Some(WeightPlane::Int8));
+        assert_eq!(net.layers()[0].weight_plane(), Some(WeightPlane::Int8));
     }
 
     #[test]
     fn set_lif_params_changes_firing() {
         let mut rng = StdRng::seed_from_u64(0);
-        let mut l = Layer::spiking_linear(&mut rng, 4, 4, &cfg());
-        l.set_lif_params(LifParams {
+        let mut net = probe(vec![Layer::spiking_linear(&mut rng, 4, 4, &cfg())], 4);
+        net.layers_mut()[0].set_lif_params(LifParams {
             threshold: 1000.0,
             leak: 0.9,
             surrogate_alpha: 2.0,
         });
-        let x = Tensor::ones(&[4]);
-        let y = l.forward_step(&x, false, &mut rng).unwrap();
+        let y = net
+            .forward(&[Tensor::ones(&[4])], false, &mut rng)
+            .unwrap()
+            .logits;
         assert_eq!(y.sum(), 0.0, "huge threshold must silence the layer");
     }
 }

@@ -7,9 +7,9 @@
 //! * [`encoding`] — rate (Poisson / deterministic / direct-current) spike
 //!   encoders for static images,
 //! * [`layer`] — spiking convolution, linear, pooling, dropout and
-//!   integrator readout layers with full BPTT state,
+//!   integrator readout layers (parameters and kernel policies),
 //! * [`network`] — [`network::SpikingNetwork`], a time-stepped simulator
-//!   over a layer stack,
+//!   over a layer stack, run by the fused engine ([`fused`]),
 //! * [`train`] — surrogate-gradient backpropagation-through-time training,
 //! * [`ann`] — the reference (accurate) artificial twin network used both
 //!   by the paper's threat model for attack crafting and for fast
@@ -36,7 +36,7 @@
 //! sharded parallel backward in PR 4, the [`plan`] dispatch seam and
 //! [`io`]/[`json`] serialization in PR 5, weight-plane selection in
 //! PR 8, and [`network::FrameStepper`] — the incremental
-//! frame-at-a-time seam `forward` is now built on, feeding the
+//! frame-at-a-time seam feeding the
 //! streaming DVS pipeline — in PR 9. Each layer of that trajectory is
 //! pinned by an equivalence suite in `tests/`: `grad_equivalence`
 //! (gradients bit-identical across tape form, density and thread
@@ -46,6 +46,10 @@
 //! ANN twin's batched training and attack-gradient walks ≡ its
 //! per-sample reference), and the neuromorphic crate's
 //! `stream_equivalence` (streamed ≡ offline forward).
+//!
+//! The fused engine ([`fused`]) is the only SNN engine: `forward`,
+//! `backward`, the frame stepper and training all run its one step
+//! body, and `engine_digests` freezes what they return.
 //!
 //! # Example
 //!

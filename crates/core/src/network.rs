@@ -1,10 +1,13 @@
-//! The time-stepped spiking network simulator.
+//! The time-stepped spiking network.
 //!
 //! [`SpikingNetwork`] runs a [`crate::layer::Layer`] stack over `T`
 //! time steps, sums the integrator readout into logits, and supports full
 //! BPTT ([`SpikingNetwork::backward`]) including gradients with respect to
 //! the *input frames* — which is what the white-box adversarial attacks
-//! need.
+//! need. Every entry point runs the fused engine of [`crate::fused`]:
+//! `forward`, `classify` and the incremental [`FrameStepper`] are its
+//! one-row pass, and `backward` is its batched backward on that pass's
+//! tape.
 //!
 //! It also collects [`SpikeStats`] (per-layer spike counts and synaptic
 //! operations) used both for the Eq. (1) approximation statistics and for
@@ -12,6 +15,7 @@
 //! neurons, i.e. reducing synaptic operations).
 
 use crate::encoding::Encoder;
+use crate::fused::{BatchTape, FrameTrain, FusedPass};
 use crate::layer::Layer;
 use crate::lif::LifParams;
 use crate::plan::{ExecPlan, PlanOverride, WeightPlane};
@@ -156,6 +160,9 @@ pub struct SpikingNetwork {
     layers: Vec<Layer>,
     config: SnnConfig,
     plan: ExecPlan,
+    /// The one-row tape of the last recorded `forward`, which `backward`
+    /// consumes; cleared by the next `forward` or frame stepper.
+    recorded: Option<BatchTape>,
 }
 
 impl SpikingNetwork {
@@ -182,6 +189,7 @@ impl SpikingNetwork {
             layers,
             config,
             plan,
+            recorded: None,
         })
     }
 
@@ -256,13 +264,6 @@ impl SpikingNetwork {
         Ok(())
     }
 
-    /// Resets all membrane state and tapes (start of a new sample).
-    pub fn reset(&mut self) {
-        for l in &mut self.layers {
-            l.reset();
-        }
-    }
-
     /// Sets every layer's spike-density threshold for the event-driven
     /// sparse forward path (`0.0` forces the dense kernels everywhere —
     /// useful for A/B comparisons and equivalence tests). Equivalent to
@@ -321,71 +322,57 @@ impl SpikingNetwork {
     /// Runs the network over a sequence of input frames (one per time
     /// step), returning accumulated logits and spike statistics.
     ///
-    /// Set `record` to enable a subsequent [`SpikingNetwork::backward`].
+    /// This is the fused engine's one-row pass over
+    /// [`FrameTrain::from_frames`]`(frames)`: binary frames enter as
+    /// events, and a direct-current input's repeated frames reuse the
+    /// first linear layer's currents. Row `b` of
+    /// [`SpikingNetwork::forward_batch`] gives the same bits, and so
+    /// does a [`FrameStepper`] fed the same frames.
     ///
-    /// Internally this drives a [`FrameStepper`] over the frames, so the
-    /// offline full-sample path and incremental (streaming) consumers of
-    /// the stepper execute the exact same per-step operations — streamed
-    /// logits are bit-identical by construction, pinned by the
-    /// `stream_equivalence` suite.
+    /// Set `record` to enable a subsequent [`SpikingNetwork::backward`]:
+    /// the network then keeps the pass's tape until the next forward.
+    /// `rng` draws the masks of active train-mode dropout layers, one per
+    /// layer when the pass first reaches it.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Config`] when `frames` is empty, plus any
-    /// shape errors from the layers.
+    /// Returns [`CoreError::Config`] when `frames` is empty or mixes
+    /// shapes, plus any shape errors from the layers.
     pub fn forward<R: Rng>(
         &mut self,
         frames: &[Tensor],
         record: bool,
         rng: &mut R,
     ) -> Result<ForwardOutput> {
+        self.recorded = None;
         if frames.is_empty() {
             return Err(CoreError::Config {
                 message: "forward needs at least one input frame".into(),
             });
         }
-        let mut stepper = self.frame_stepper(record);
-        for frame in frames {
-            stepper.step(frame, rng)?;
-        }
-        stepper.finish()
+        let train = FrameTrain::from_frames(frames)?;
+        let (out, tape) = self
+            .run_trains(std::slice::from_ref(&train), record, true, Some(rng))?
+            .finish_row()?;
+        self.recorded = tape;
+        Ok(out)
     }
 
     /// Begins an incremental frame-at-a-time forward pass (the streaming
-    /// seam): resets all membrane state and returns a [`FrameStepper`]
-    /// that applies one membrane update per submitted frame.
+    /// seam): a one-row pass of the fused engine that applies one
+    /// membrane update per submitted frame.
     ///
-    /// [`SpikingNetwork::forward`] is implemented on top of this, so a
-    /// stepper fed the same frames in the same order produces
-    /// bit-identical logits and statistics — including every
-    /// [`crate::plan::ExecPlan`] dispatch decision (density gates,
-    /// weight planes, dense fallbacks), which are made per frame.
-    pub fn frame_stepper(&mut self, record: bool) -> FrameStepper<'_> {
-        self.reset();
-        let spiking_layers = self.layers.iter().filter(|l| l.is_spiking()).count();
-        // Energy proxy: only *non-zero* weights cost a synaptic operation —
-        // this is exactly the saving approximation buys (skipped
-        // connections perform no work). Counted over the *effective*
-        // weights so int8 quantization's snapped-to-zero connections
-        // register as savings. Computed once per pass.
-        let nonzero_weights: Vec<usize> = self
-            .layers
-            .iter()
-            .map(|l| {
-                l.eff_params()
-                    .map(|(w, _)| w.as_slice().iter().filter(|v| **v != 0.0).count())
-                    .unwrap_or(0)
-            })
-            .collect();
+    /// A stepper fed the frames of [`SpikingNetwork::forward`] in the
+    /// same order produces bit-identical logits and statistics —
+    /// including every [`crate::plan::ExecPlan`] dispatch decision
+    /// (density gates, weight planes, dense fallbacks), which are made
+    /// per frame. It records no tape, so it ends any recorded pass.
+    pub fn frame_stepper(&mut self) -> FrameStepper<'_> {
+        self.recorded = None;
+        let pass = FusedPass::new(&self.layers, 1, false, true);
         FrameStepper {
-            stats: SpikeStats {
-                spikes_per_layer: vec![0.0; spiking_layers],
-                synaptic_ops: 0.0,
-                time_steps: 0,
-            },
             net: self,
-            record,
-            nonzero_weights,
+            pass,
             logits: None,
         }
     }
@@ -394,33 +381,30 @@ impl SpikingNetwork {
     ///
     /// `grad_logits` is `∂L/∂logits`; because the logits are a sum over
     /// time steps, the same gradient is injected at every step. Returns
-    /// the gradient with respect to each input frame (time-major), which
-    /// the attacks crate aggregates into an image gradient.
+    /// the gradient with respect to each input frame (time order, in the
+    /// frames' shape), which the attacks crate aggregates into an image
+    /// gradient. It is the one-row case of the batched backward
+    /// ([`SpikingNetwork::backward_batch_with`]) on the tape the recorded
+    /// [`SpikingNetwork::forward`] kept, swept down to the input.
     ///
     /// Parameter gradients *accumulate* across calls so minibatches can
     /// sum per-sample gradients; call [`SpikingNetwork::zero_grads`]
-    /// between batches. The membrane-carry state is freshly cleared by
-    /// the preceding [`SpikingNetwork::forward`]. Training code that
-    /// does not need the frame gradients should prefer the minibatched
+    /// between batches. Training code that does not need the frame
+    /// gradients should prefer the minibatched
     /// [`SpikingNetwork::forward_batch_recorded`] /
-    /// [`SpikingNetwork::backward_batch`] pair, which runs the whole
-    /// batch through one reverse-time sweep.
+    /// [`SpikingNetwork::backward_batch`] pair.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::NoRecordedForward`] when `forward` was not
-    /// called with `record = true`.
+    /// Returns [`CoreError::NoRecordedForward`] when the last forward
+    /// was not called with `record = true`, and [`CoreError::Config`]
+    /// when `time_steps` is not the recorded pass's step count or
+    /// `grad_logits` is not `[classes]`.
     pub fn backward(&mut self, grad_logits: &Tensor, time_steps: usize) -> Result<Vec<Tensor>> {
-        let mut frame_grads: Vec<Tensor> = Vec::with_capacity(time_steps);
-        for t in (0..time_steps).rev() {
-            let mut g = grad_logits.clone();
-            for layer in self.layers.iter_mut().rev() {
-                g = layer.backward_step(&g, t)?;
-            }
-            frame_grads.push(g);
-        }
-        frame_grads.reverse();
-        Ok(frame_grads)
+        let tape = self.recorded.take().ok_or(CoreError::NoRecordedForward)?;
+        let frame_grads = self.backward_frames(&tape, grad_logits, time_steps);
+        self.recorded = Some(tape);
+        frame_grads
     }
 
     /// Applies accumulated gradients with SGD + momentum.
@@ -505,11 +489,11 @@ impl SpikingNetwork {
 /// Incremental frame-at-a-time forward pass over a [`SpikingNetwork`]
 /// (obtained from [`SpikingNetwork::frame_stepper`]).
 ///
-/// Each [`FrameStepper::step`] applies exactly one membrane update —
-/// the per-frame body that [`SpikingNetwork::forward`] loops over — so
+/// Each [`FrameStepper::step`] runs one time step of the fused engine's
+/// one-row pass — the step body [`SpikingNetwork::forward`] runs — so
 /// streaming consumers (the `axsnn-neuromorphic` `StreamSession`) and
-/// the offline path share one code path and produce bit-identical
-/// logits and [`SpikeStats`] for the same frame sequence.
+/// the offline path produce bit-identical logits and [`SpikeStats`] for
+/// the same frame sequence.
 ///
 /// The stepper borrows the network mutably for its whole lifetime;
 /// call [`FrameStepper::finish`] to release it and obtain the
@@ -517,46 +501,33 @@ impl SpikingNetwork {
 #[derive(Debug)]
 pub struct FrameStepper<'a> {
     net: &'a mut SpikingNetwork,
-    record: bool,
-    nonzero_weights: Vec<usize>,
-    stats: SpikeStats,
+    pass: FusedPass,
     logits: Option<Tensor>,
 }
 
 impl FrameStepper<'_> {
     /// Applies one membrane update for `frame`, accumulating readout
-    /// logits and spike statistics. Every [`crate::plan::ExecPlan`]
-    /// dispatch decision (density gate, weight plane, dense fallback)
-    /// is made here, per frame, exactly as in the offline path.
+    /// logits and spike statistics. A binary frame enters as events, any
+    /// other as a dense row, exactly as [`FrameTrain::from_frames`]
+    /// stores it; every [`crate::plan::ExecPlan`] dispatch decision
+    /// (density gate, weight plane, dense fallback) is made here, per
+    /// frame, exactly as in the offline path. `rng` draws the masks of
+    /// active train-mode dropout layers at the first step.
     ///
     /// # Errors
     ///
     /// Propagates layer shape errors.
     pub fn step<R: Rng>(&mut self, frame: &Tensor, rng: &mut R) -> Result<()> {
-        let mut x = frame.clone();
-        let mut spiking_idx = 0usize;
-        for (li, layer) in self.net.layers.iter_mut().enumerate() {
-            let fan_out = self.nonzero_weights[li] / x.len().max(1);
-            let in_spikes = x.sum();
-            x = layer.forward_step(&x, self.record, rng)?;
-            if layer.is_spiking() {
-                let emitted = layer.last_step_spike_count().unwrap_or(0.0);
-                self.stats.spikes_per_layer[spiking_idx] += emitted;
-                spiking_idx += 1;
-                self.stats.synaptic_ops += in_spikes as f64 * fan_out as f64;
-            }
+        self.pass.step_frame(&mut self.net.layers, frame, rng)?;
+        if let Some(logits) = &self.pass.logits {
+            self.logits = Some(Tensor::from_vec(logits.clone(), &[logits.len()])?);
         }
-        self.stats.time_steps += 1;
-        self.logits = Some(match self.logits.take() {
-            None => x,
-            Some(acc) => acc.add(&x)?,
-        });
         Ok(())
     }
 
     /// Number of frames stepped so far.
     pub fn steps(&self) -> usize {
-        self.stats.time_steps
+        self.pass.stats.time_steps
     }
 
     /// The logits accumulated so far (readout sum over the frames
@@ -569,7 +540,7 @@ impl FrameStepper<'_> {
 
     /// Spike statistics accumulated so far.
     pub fn stats_so_far(&self) -> &SpikeStats {
-        &self.stats
+        &self.pass.stats
     }
 
     /// Ends the pass, returning accumulated logits and statistics.
@@ -578,15 +549,7 @@ impl FrameStepper<'_> {
     ///
     /// Returns [`CoreError::Config`] when no frame was ever stepped.
     pub fn finish(self) -> Result<ForwardOutput> {
-        match self.logits {
-            Some(logits) => Ok(ForwardOutput {
-                logits,
-                stats: self.stats,
-            }),
-            None => Err(CoreError::Config {
-                message: "forward needs at least one input frame".into(),
-            }),
-        }
+        Ok(self.pass.finish_row()?.0)
     }
 }
 
@@ -721,6 +684,89 @@ mod tests {
         net.forward(&frames, false, &mut rng).unwrap();
         let g = Tensor::zeros(&[3]);
         assert!(net.backward(&g, 16).is_err());
+    }
+
+    /// A recorded 4-step pass of [`small_net`] and a `[3]` logit
+    /// gradient.
+    fn recorded_net() -> (SpikingNetwork, Tensor) {
+        let mut rng = StdRng::seed_from_u64(2);
+        let cfg = SnnConfig {
+            threshold: 0.5,
+            time_steps: 4,
+            leak: 0.9,
+        };
+        let mut net = small_net(&mut rng, cfg);
+        let frames = vec![Tensor::full(&[6], 1.0); 4];
+        net.forward(&frames, true, &mut rng).unwrap();
+        (net, Tensor::from_vec(vec![1.0, 0.0, -1.0], &[3]).unwrap())
+    }
+
+    fn config_message<T: std::fmt::Debug>(r: Result<T>) -> String {
+        match r {
+            Err(CoreError::Config { message }) => message,
+            other => panic!("expected a config error, got {other:?}"),
+        }
+    }
+
+    /// Any `time_steps` other than the recorded pass's is an error that
+    /// names both counts, a smaller one included.
+    #[test]
+    fn backward_rejects_other_time_steps() {
+        let (mut net, g) = recorded_net();
+        for wrong in [0, 3, 5] {
+            let message = config_message(net.backward(&g, wrong));
+            assert!(
+                message.contains(&format!("over {wrong} time steps")),
+                "{message}"
+            );
+            assert!(message.contains("ran 4"), "{message}");
+        }
+        assert_eq!(net.backward(&g, 4).unwrap().len(), 4);
+    }
+
+    /// A `grad_logits` that is not `[classes]` is an error naming its
+    /// shape.
+    #[test]
+    fn backward_rejects_misshaped_grad_logits() {
+        let (mut net, _) = recorded_net();
+        for dims in [vec![4], vec![1, 3], vec![2]] {
+            let message = config_message(net.backward(&Tensor::zeros(&dims), 4));
+            assert!(message.contains(&format!("{dims:?}")), "{message}");
+        }
+    }
+
+    /// Without a recorded forward — none yet, an unrecorded one, or a
+    /// frame stepper since — `backward` is `NoRecordedForward`; a
+    /// recorded one can be swept twice with the same frame gradients.
+    #[test]
+    fn backward_needs_the_last_forward_recorded() {
+        let mut rng = StdRng::seed_from_u64(2);
+        let (mut net, g) = recorded_net();
+        let no_tape = |r: Result<Vec<Tensor>>| matches!(r, Err(CoreError::NoRecordedForward));
+        let first = net.backward(&g, 4).unwrap();
+        assert_eq!(net.backward(&g, 4).unwrap(), first);
+        let frames = vec![Tensor::full(&[6], 1.0); 4];
+        net.forward(&frames, false, &mut rng).unwrap();
+        assert!(no_tape(net.backward(&g, 4)));
+        net.forward(&frames, true, &mut rng).unwrap();
+        net.frame_stepper().finish().unwrap_err();
+        assert!(no_tape(net.backward(&g, 4)));
+        let mut fresh = small_net(&mut rng, SnnConfig::default());
+        assert!(no_tape(fresh.backward(&g, 16)));
+    }
+
+    /// `classify` rejects a non-finite pixel through its encoder instead
+    /// of answering from a clamped image.
+    #[test]
+    fn classify_rejects_non_finite_pixels() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut net = small_net(&mut rng, SnnConfig::default());
+        let mut image = Tensor::full(&[6], 0.5);
+        image.as_mut_slice()[4] = f32::NAN;
+        for encoder in [Encoder::Poisson, Encoder::DirectCurrent] {
+            let message = config_message(net.classify(&image, encoder, &mut rng));
+            assert!(message.contains("pixel 4 is NaN"), "{message}");
+        }
     }
 
     #[test]

@@ -50,10 +50,9 @@
 //! count. On a binary frame the dense kernels' extra terms are exact
 //! zeros, which change no partial sum. So for finite effective weights
 //! no plan ([`PlanOverride::Auto`], [`PlanOverride::ForceDense`],
-//! [`PlanOverride::ForceThreshold`]), no batched-conv kernel and
-//! neither engine (per-sample or fused) changes a bit of any forward
-//! output, on inference and recorded steps alike — the plan decides
-//! only speed. `tests/plan_equivalence.rs` pins this.
+//! [`PlanOverride::ForceThreshold`]), no batched-conv kernel and no
+//! batch size changes a bit of any forward output, on inference and
+//! recorded steps alike — the plan decides only speed. `tests/plan_equivalence.rs` pins this.
 //!
 //! The one exception is a non-finite effective weight. The dense
 //! kernels multiply every weight by its input, and `±inf · 0` is NaN,
@@ -417,7 +416,7 @@ impl ExecPlan {
             let policy = layer.policy();
             let debinarizes = match layer {
                 Layer::AvgPool2d(p) => p.window > 1,
-                Layer::Dropout(d) => d.train_mode && d.probability > 0.0,
+                Layer::Dropout(d) => d.active(),
                 _ => false,
             };
             entries.push(LayerPlan {

@@ -6,10 +6,9 @@
 //! [`crate::fused::FrameTrain`]s and runs one recorded fused forward +
 //! one reverse-time [`SpikingNetwork::backward_batch`] per minibatch
 //! (event-form BPTT tape, sparse gradient kernels where the density
-//! gate admits), and [`train_ann`] runs the batched GEMM
-//! forward/backward of [`AnnNetwork::forward_backward_batch`]. Networks
-//! with active train-mode dropout fall back to the per-sample SNN path,
-//! whose per-sample mask streams the fused engine cannot reproduce.
+//! gate admits, per-row train-mode dropout masks), and [`train_ann`]
+//! runs the batched GEMM forward/backward of
+//! [`AnnNetwork::forward_backward_batch`].
 
 use crate::ann::AnnNetwork;
 use crate::encoding::Encoder;
@@ -112,11 +111,10 @@ impl TrainReport {
 /// ([`SpikingNetwork::forward_batch_recorded`]) and one reverse-time
 /// [`SpikingNetwork::backward_batch`], so the spike-plane GEMM engine
 /// and the event-form BPTT tape carry the activity-proportional cost
-/// model into training. Networks with active train-mode dropout take
-/// the per-sample recorded path instead (the fused engine cannot
-/// reproduce per-sample mask streams); encoder randomness is drawn in
-/// sample order either way, so the two paths see identical frames and
-/// differ only in the f32 summation order of the minibatch gradient.
+/// model into training. `rng` first shuffles each epoch, then encodes
+/// the minibatch's samples in order, then draws the train-mode dropout
+/// masks (one per dropout layer and sample, samples in order) when the
+/// pass first reaches each dropout layer.
 ///
 /// # Errors
 ///
@@ -138,7 +136,6 @@ pub fn train_snn<R: Rng>(
     let mut order: Vec<usize> = (0..data.len()).collect();
     let mut report = TrainReport::default();
     net.set_train_mode(true);
-    let fused = !net.train_dropout_active();
     for epoch in 0..cfg.epochs {
         order.shuffle(rng);
         let mut loss_sum = 0.0f32;
@@ -146,53 +143,37 @@ pub fn train_snn<R: Rng>(
         for chunk in order.chunks(cfg.batch_size) {
             net.zero_grads();
             let scale = 1.0 / chunk.len() as f32;
-            if fused {
-                let mut trains = Vec::with_capacity(chunk.len());
-                for &i in chunk {
-                    trains.push(FrameTrain::encode(
-                        &data[i].0,
-                        cfg.encoder,
-                        time_steps,
-                        rng,
-                    )?);
+            let mut trains = Vec::with_capacity(chunk.len());
+            for &i in chunk {
+                trains.push(FrameTrain::encode(
+                    &data[i].0,
+                    cfg.encoder,
+                    time_steps,
+                    rng,
+                )?);
+            }
+            let (out, tape) = net.forward_batch_recorded_with(&trains, Some(&mut *rng))?;
+            let classes = out.logits.shape().dims()[1];
+            let logits = out.logits.as_slice();
+            let mut grad_block = vec![0.0f32; chunk.len() * classes];
+            for (r, &i) in chunk.iter().enumerate() {
+                let label = data[i].1;
+                let row =
+                    Tensor::from_vec(logits[r * classes..(r + 1) * classes].to_vec(), &[classes])?;
+                let (loss, grad) = ops::cross_entropy_with_grad(&row, label)?;
+                loss_sum += loss;
+                if row.argmax() == Some(label) {
+                    correct += 1;
                 }
-                let (out, tape) = net.forward_batch_recorded(&trains)?;
-                let classes = out.logits.shape().dims()[1];
-                let logits = out.logits.as_slice();
-                let mut grad_block = vec![0.0f32; chunk.len() * classes];
-                for (r, &i) in chunk.iter().enumerate() {
-                    let label = data[i].1;
-                    let row = Tensor::from_vec(
-                        logits[r * classes..(r + 1) * classes].to_vec(),
-                        &[classes],
-                    )?;
-                    let (loss, grad) = ops::cross_entropy_with_grad(&row, label)?;
-                    loss_sum += loss;
-                    if row.argmax() == Some(label) {
-                        correct += 1;
-                    }
-                    for (slot, &g) in grad_block[r * classes..(r + 1) * classes]
-                        .iter_mut()
-                        .zip(grad.scale(scale).as_slice())
-                    {
-                        *slot = g;
-                    }
-                }
-                let grad_block = Tensor::from_vec(grad_block, &[chunk.len(), classes])?;
-                net.backward_batch_with(&tape, &grad_block, &cfg.backward)?;
-            } else {
-                for &i in chunk {
-                    let (image, label) = &data[i];
-                    let frames = cfg.encoder.encode(image, time_steps, rng)?;
-                    let out = net.forward(&frames, true, rng)?;
-                    let (loss, grad) = ops::cross_entropy_with_grad(&out.logits, *label)?;
-                    loss_sum += loss;
-                    if out.logits.argmax() == Some(*label) {
-                        correct += 1;
-                    }
-                    net.backward(&grad.scale(scale), time_steps)?;
+                for (slot, &g) in grad_block[r * classes..(r + 1) * classes]
+                    .iter_mut()
+                    .zip(grad.scale(scale).as_slice())
+                {
+                    *slot = g;
                 }
             }
+            let grad_block = Tensor::from_vec(grad_block, &[chunk.len(), classes])?;
+            net.backward_batch_with(&tape, &grad_block, &cfg.backward)?;
             net.apply_grads(cfg.learning_rate, cfg.momentum)?;
         }
         report.epochs.push(EpochReport {

@@ -1,10 +1,10 @@
-//! Property tests pinning the fused batched forward engine to the
-//! per-sample path **bit for bit**: for random layer shapes, batch
-//! sizes 1–64, spike densities 0–100% (including analog inputs) and
-//! every thread count, `forward_batch` logits must equal per-sample
-//! `forward` logits exactly — not approximately. The fused engine is
-//! the per-sample engine re-scheduled, and these tests are the contract
-//! that keeps it that way.
+//! Property tests pinning the fused engine's batch invariance **bit for
+//! bit**: for random layer shapes, batch sizes 1–64, spike densities
+//! 0–100% (including analog inputs) and every thread count,
+//! `forward_batch` logits must equal the one-row `forward` logits of
+//! each sample exactly — not approximately. A row's result must not
+//! depend on the batch it runs in, and these tests are the contract
+//! that keeps it that way; `engine_digests` freezes the one-row side.
 //!
 //! Analog trains whose frames change between steps (by a single ulp,
 //! in the sign of a zero, at different steps per row, or on every
@@ -17,7 +17,7 @@
 //! pooled events feeding a conv (the paper's conv → max-pool → conv
 //! order) and a max-pool first on binary and analog input, and every
 //! comparison also pins the dense-fallback counters: the fused pass
-//! must decline exactly the rows the per-sample passes decline.
+//! must decline exactly the rows the one-row passes decline.
 
 use axsnn_core::encoding::Encoder;
 use axsnn_core::fused::FrameTrain;
@@ -121,9 +121,9 @@ fn fallbacks_since(net: &SpikingNetwork, before: &[u64]) -> Vec<u64> {
         .collect()
 }
 
-/// Asserts fused logits equal per-sample logits bit for bit, that
-/// batched spike stats equal the per-sample sums, and that the fused
-/// pass declines as many rows per layer as the per-sample passes.
+/// Asserts fused logits equal one-row logits bit for bit, that
+/// batched spike stats equal the one-row sums, and that the fused
+/// pass declines as many rows per layer as the one-row passes.
 fn assert_bitwise_equivalent(net: &SpikingNetwork, trains: &[FrameTrain]) {
     let start = net.dense_fallback_counts();
     let mut fused_net = net.clone();
@@ -140,7 +140,7 @@ fn assert_bitwise_equivalent(net: &SpikingNetwork, trains: &[FrameTrain]) {
         assert_eq!(
             &out.logits.as_slice()[r * classes..(r + 1) * classes],
             per_sample.logits.as_slice(),
-            "row {r} logits diverged from per-sample forward"
+            "row {r} logits diverged from the one-row forward"
         );
         for (s, &v) in stat_sums.iter_mut().zip(&per_sample.stats.spikes_per_layer) {
             *s += v;
@@ -150,13 +150,13 @@ fn assert_bitwise_equivalent(net: &SpikingNetwork, trains: &[FrameTrain]) {
     assert_eq!(
         fused_fallbacks,
         fallbacks_since(net, &mid),
-        "dense-fallback counts diverged from the per-sample passes"
+        "dense-fallback counts diverged from the one-row passes"
     );
 }
 
 /// [`assert_bitwise_equivalent`] for both fused entry points: the
-/// inference `forward_batch` against per-sample `forward`, and the
-/// recorded `forward_batch_recorded` against the per-sample recorded
+/// inference `forward_batch` against one-row `forward`, and the
+/// recorded `forward_batch_recorded` against the one-row recorded
 /// forward.
 fn assert_bitwise_equivalent_recorded(net: &SpikingNetwork, trains: &[FrameTrain]) {
     assert_bitwise_equivalent(net, trains);
@@ -184,7 +184,7 @@ fn assert_bitwise_equivalent_recorded(net: &SpikingNetwork, trains: &[FrameTrain
     assert_eq!(
         fused_fallbacks,
         fallbacks_since(net, &mid),
-        "recorded dense-fallback counts diverged from the per-sample passes"
+        "recorded dense-fallback counts diverged from the one-row passes"
     );
 }
 
@@ -224,7 +224,7 @@ fn analog_train(frames: Vec<Vec<f32>>) -> FrameTrain {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Fused ≡ per-sample through an MLP across random widths, batch
+    /// Fused ≡ one-row through an MLP across random widths, batch
     /// sizes 1–64, time steps and densities 0–100%.
     #[test]
     fn mlp_forward_batch_bitwise_equals_per_sample(
@@ -243,7 +243,7 @@ proptest! {
         assert_bitwise_equivalent(&net, &trains);
     }
 
-    /// Fused ≡ per-sample through conv/pool stacks: the sparse-eligible
+    /// Fused ≡ one-row through conv/pool stacks: the sparse-eligible
     /// max-pool variant, the de-binarizing avg-pool variant (which
     /// exercises the dense-fallback path mid-network), pooled events
     /// feeding a conv, and a max-pool reading the input plane. Densities
@@ -290,7 +290,7 @@ proptest! {
         assert_bitwise_equivalent_recorded(&net, &trains);
         // Inference steps gate the pool (recorded steps do not): every
         // row-step declines once on the fused and once on the
-        // per-sample side.
+        // one-row side.
         prop_assert_eq!(
             fallbacks_since(&net, &start)[0],
             2 * (batch * t) as u64,
@@ -299,7 +299,7 @@ proptest! {
     }
 
     /// Analog (direct-current) inputs — every row takes the batched
-    /// dense fallback — still match the per-sample dense path bitwise.
+    /// dense fallback — still match the one-row dense path bitwise.
     /// Input widths cross the 8-column pack block and hidden widths
     /// the 8-row panel tile of the dense GEMM.
     #[test]
@@ -392,7 +392,7 @@ proptest! {
 }
 
 /// The fused image path (`classify_batch` / `evaluate_batch`) matches
-/// sequential per-sample `classify` under the shared seeding convention
+/// sequential one-row `classify` under the shared seeding convention
 /// for every encoder, including the stochastic Poisson code.
 #[test]
 fn classify_batch_matches_per_sample_for_all_encoders() {
@@ -473,7 +473,7 @@ fn avg_pool_degradation_is_observable() {
 }
 
 /// A single-ulp change in one input element, at one step, must reach
-/// the logits exactly as the per-sample path computes them. The
+/// the logits exactly as the one-row path computes them. The
 /// network is a lone readout layer, so each step's dense current lands
 /// in the logits without a spiking threshold in between, and the bumped
 /// element is large (one ulp of 2²⁰ is 0.125), so a stale reused
@@ -509,7 +509,7 @@ fn single_ulp_input_change_reaches_fused_logits() {
 /// below puts repeating and changing steps side by side. Under `Auto`,
 /// `ForceDense` and `ForceThreshold`, for a first linear layer, one
 /// behind a flatten and a lone readout, logits, spike statistics and
-/// dense-fallback counts must equal the per-sample path.
+/// dense-fallback counts must equal the one-row path.
 #[test]
 fn repeating_direct_current_batches_bitwise_equal_per_sample() {
     use axsnn_core::plan::PlanOverride;

@@ -6,10 +6,10 @@
 //! contributions from inactive inputs are exact zeros, so sparse-tape
 //! gradients must equal dense-tape gradients **value-for-value**
 //! (`f32 ==`) at every density — including 100%, where the sparse path
-//! is forced to engage by a threshold of 1.0. The batched recorded
-//! engine reschedules the per-sample accumulation across samples, so
-//! batched-vs-per-sample gradients are pinned at 1e-5 relative while
-//! batched-sparse-vs-batched-dense stays exact.
+//! is forced to engage by a threshold of 1.0. A minibatch backward
+//! sums its rows' gradients in another order than a loop of one-row
+//! passes, so batched-vs-one-row gradients are pinned at 1e-5 relative
+//! while batched-sparse-vs-batched-dense stays exact.
 
 use axsnn_core::fused::{BackwardOpts, FrameTrain};
 use axsnn_core::layer::Layer;
@@ -121,7 +121,7 @@ fn assert_close(a: &[f32], b: &[f32], tol: f32, what: &str) {
     }
 }
 
-/// Per-sample sparse tape vs per-sample dense tape: **exact** logits,
+/// One-row sparse tape vs one-row dense tape: **exact** logits,
 /// parameter gradients and frame gradients at every density, on both
 /// architectures. A threshold of 1.0 admits every binary frame, so at
 /// density 1.0 the sparse kernels run with all events active — the
@@ -224,7 +224,7 @@ fn dense_fallback_path_exercised_explicitly() {
     assert_eq!(grads_of(&auto_net), grads_of(&dense_net));
 }
 
-/// Batched recorded forward/backward vs the per-sample recorded loop:
+/// Batched recorded forward/backward vs a loop of one-row recorded passes:
 /// logits bit-for-bit per row, minibatch gradients within 1e-5 relative
 /// (the only difference is the f32 summation order across samples),
 /// across batch sizes 1–32 and both architectures.

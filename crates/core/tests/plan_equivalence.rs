@@ -2,8 +2,8 @@
 //! to compute, never *what*.
 //!
 //! Forced-dense, forced-sparse and auto plans must be bit-for-bit
-//! identical on every forward path — inference and recorded, per-sample
-//! and fused — and produce `grad_equivalence`-level identical gradients
+//! identical on every forward path — inference and recorded, one row
+//! and batched — and produce `grad_equivalence`-level identical gradients
 //! on backward, across batch sizes 1–32 and spike densities 0–100%.
 //! Every sparse kernel sums in its dense twin's order, so the density
 //! gate decides only speed. The batched-conv kernel choice (row-by-row
@@ -134,7 +134,7 @@ fn grads_of(net: &SpikingNetwork) -> Vec<(Vec<f32>, Vec<f32>)> {
         .collect()
 }
 
-/// Recorded per-sample forward logits are bit-identical across plans at
+/// Recorded one-row forward logits are bit-identical across plans at
 /// every density (dense vs sparse is pure scheduling).
 #[test]
 fn recorded_forward_bit_identical_across_plans() {
@@ -319,7 +319,7 @@ fn auto_plan_matches_legacy_defaults() {
 
 /// Inference logits are bit-identical across plans: `Auto`,
 /// `ForceDense` and `ForceThreshold(1.0)` at every density and batch
-/// size, through the per-sample forward and the fused batch forward, on
+/// size, through the one-row forward and the fused batch forward, on
 /// the MLP, the conv net and a stack with a 5×5 avg pool.
 #[test]
 fn inference_predictions_identical_across_plans() {

@@ -6,7 +6,7 @@
 //! [`SpikingNetwork::set_weight_plane`] materializes the same values as
 //! real int8/f16 buffers that the plane-aware kernels dequantize in
 //! register. The two routes share one quantizer and one accumulation
-//! order, so everything observable — per-sample recorded forward, fused
+//! order, so everything observable — one-row recorded forward, fused
 //! batch forward, batched backward gradients, and the non-recorded
 //! inference path — is pinned bit-identical here across spike densities
 //! 0–100% and batch sizes 1–32, on both MLP and conv topologies. The

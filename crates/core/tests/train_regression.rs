@@ -161,8 +161,8 @@ fn minibatched_conv_training_loss_decreases() {
     assert!(last < first, "conv loss should fall: {first} → {last}");
 }
 
-/// Networks with active train-mode dropout cannot fuse; the per-sample
-/// fallback must still train.
+/// Networks with active train-mode dropout train through the same
+/// fused minibatch path, with per-row masks; they must still train.
 #[test]
 fn dropout_network_falls_back_to_per_sample_training() {
     let cfg = SnnConfig {
@@ -191,6 +191,6 @@ fn dropout_network_falls_back_to_per_sample_training() {
     let last = report.epochs.last().unwrap().mean_loss;
     assert!(
         last < first,
-        "dropout fallback loss should fall: {first} → {last}"
+        "dropout training loss should fall: {first} → {last}"
     );
 }

@@ -10,15 +10,16 @@
 //! filtering (when enabled) runs in-stream through [`StreamingAqf`]
 //! instead of over a materialized stream.
 //!
-//! Because `SpikingNetwork::forward` is itself implemented on top of
-//! `FrameStepper`, the streamed path executes the exact same per-frame
-//! operations as the offline path — every
-//! [`ExecPlan`](axsnn_core::plan::ExecPlan) dispatch decision (density
-//! gates, weight planes, dense fallbacks) applies per window, and
-//! streamed classification over a full sample is **bit-identical** to
-//! the frame-accumulated path for the same window schedule. The
+//! The `FrameStepper` is a one-row pass of the core's fused engine, the
+//! same pass `SpikingNetwork::forward` runs, so the streamed path
+//! executes the exact same per-frame operations as the offline path —
+//! every [`ExecPlan`](axsnn_core::plan::ExecPlan) dispatch decision
+//! (density gates, weight planes, dense fallbacks) applies per window,
+//! and streamed classification over a full sample is **bit-identical**
+//! to the frame-accumulated path for the same window schedule. The
 //! `stream_equivalence` suite pins this at every density and with
-//! int8/f16 weight planes installed.
+//! int8/f16 weight planes installed, and freezes the outcomes of
+//! `classify_event_stream` under every schedule.
 //!
 //! # Example
 //!
@@ -469,12 +470,13 @@ pub struct StreamOutcome {
 /// closes, logits out.
 ///
 /// The session drives the network through
-/// [`SpikingNetwork::frame_stepper`] — the same incremental engine the
-/// offline `forward` is built on — so the full
+/// [`SpikingNetwork::frame_stepper`] — a one-row pass of the fused
+/// engine the offline `forward` runs — so the full
 /// [`ExecPlan`](axsnn_core::plan::ExecPlan) dispatch seam (density
 /// gates, weight planes, dense fallbacks) applies to every window and
 /// the final logits are bit-identical to the offline path for the same
-/// window schedule.
+/// window schedule. A binary window enters the engine as events, a
+/// count window with any pixel above one as a dense row.
 #[derive(Debug)]
 pub struct StreamSession<'a> {
     stepper: FrameStepper<'a>,
@@ -505,7 +507,7 @@ impl<'a> StreamSession<'a> {
             None => None,
         };
         Ok(StreamSession {
-            stepper: net.frame_stepper(false),
+            stepper: net.frame_stepper(),
             acc,
             aqf,
             events_in: 0,

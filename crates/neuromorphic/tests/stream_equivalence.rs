@@ -162,7 +162,7 @@ fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
-/// Pins the fused B = 1 event-row pass against the per-sample offline
+/// Pins the fused B = 1 event-row pass against the dense-frame offline
 /// pass on one network: bitwise logits and identical dense-fallback
 /// advances. Adds the per-layer fallbacks the pass took to `taken`.
 fn assert_fused_event_pass_matches(
@@ -324,6 +324,98 @@ fn streamed_aqf_bit_identical_without_hot_pixels() {
         "filtered inference must be bit-identical with no hot pixels"
     );
 }
+
+/// FNV-1a over a streamed outcome: logits and every `SpikeStats` field
+/// by `to_bits`, then the window, kept-event and dropped-event counts.
+fn outcome_digest(digest: &mut u64, outcome: &axsnn_neuromorphic::stream::StreamOutcome) {
+    let mut feed = |bytes: &[u8]| {
+        for &byte in bytes {
+            *digest = (*digest ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for v in outcome.logits.as_slice() {
+        feed(&v.to_bits().to_le_bytes());
+    }
+    for v in &outcome.stats.spikes_per_layer {
+        feed(&v.to_bits().to_le_bytes());
+    }
+    feed(&outcome.stats.synaptic_ops.to_bits().to_le_bytes());
+    for n in [
+        outcome.stats.time_steps,
+        outcome.windows,
+        outcome.events_kept,
+        outcome.events_dropped,
+    ] {
+        feed(&(n as u64).to_le_bytes());
+    }
+}
+
+/// `classify_event_stream` outcomes frozen bit for bit: a clustered and
+/// a noise stream, under a uniform, an overlapping rolling and a gapped
+/// rolling schedule, with and without the causal AQF, under binary and
+/// count accumulation. The count frames are analog, so they run the
+/// dense kernels and count fallbacks; the digests were taken from the
+/// per-sample frame stepper.
+#[test]
+fn streamed_outcomes_reproduce_frozen_digests() {
+    let schedules = [
+        ("uniform", WindowSchedule::Uniform { time_steps: T }),
+        (
+            "rolling",
+            WindowSchedule::Rolling {
+                windows: 5,
+                len: 0.3,
+                hop: 0.15,
+            },
+        ),
+        (
+            "gapped",
+            WindowSchedule::Rolling {
+                windows: 4,
+                len: 0.12,
+                hop: 0.25,
+            },
+        ),
+    ];
+    let mut moved = Vec::new();
+    for (mode_name, mode) in [
+        ("binary", Accumulation::Binary),
+        ("count", Accumulation::Count),
+    ] {
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        for stream in [synth_stream(41, 300), noise_stream(42, 400)] {
+            for (_, schedule) in schedules {
+                for aqf in [None, Some(AqfConfig::default())] {
+                    let mut net = network(snn_cfg());
+                    let cfg = StreamConfig {
+                        schedule,
+                        mode,
+                        aqf,
+                    };
+                    let mut rng = StepRng::new(0, 1);
+                    let outcome = classify_event_stream(&mut net, &stream, cfg, &mut rng).unwrap();
+                    outcome_digest(&mut digest, &outcome);
+                    for n in net.dense_fallback_counts() {
+                        digest = (digest ^ n).wrapping_mul(0x0100_0000_01b3);
+                    }
+                }
+            }
+        }
+        let expected = if mode_name == "binary" {
+            FROZEN_STREAM_DIGESTS[0]
+        } else {
+            FROZEN_STREAM_DIGESTS[1]
+        };
+        if digest != expected {
+            moved.push(format!("{mode_name}: {digest:#018x}"));
+        }
+    }
+    assert!(moved.is_empty(), "streamed outcomes moved: {moved:#?}");
+}
+
+/// Digests of [`streamed_outcomes_reproduce_frozen_digests`]: binary,
+/// then count accumulation.
+const FROZEN_STREAM_DIGESTS: [u64; 2] = [0xeff9_ec60_1dd3_97f4, 0x31d4_a7c5_c262_c940];
 
 fn offline_rolling_frames(
     stream: &EventStream,

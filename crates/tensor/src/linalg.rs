@@ -73,41 +73,6 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     Tensor::from_vec(out, &[m, n])
 }
 
-/// Computes `C = Aᵀ · B`.
-///
-/// # Errors
-///
-/// Returns [`TensorError::RankMismatch`] or [`TensorError::ShapeMismatch`]
-/// analogous to [`matmul`].
-pub fn matmul_at(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    let (k, m) = check_rank2(a, "matmul_at")?;
-    let (k2, n) = check_rank2(b, "matmul_at")?;
-    if k != k2 {
-        return Err(TensorError::ShapeMismatch {
-            lhs: a.shape().dims().to_vec(),
-            rhs: b.shape().dims().to_vec(),
-            op: "matmul_at",
-        });
-    }
-    let av = a.as_slice();
-    let bv = b.as_slice();
-    let mut out = vec![0.0f32; m * n];
-    for p in 0..k {
-        let arow = &av[p * m..(p + 1) * m];
-        let brow = &bv[p * n..(p + 1) * n];
-        for (i, &aval) in arow.iter().enumerate() {
-            if aval == 0.0 {
-                continue;
-            }
-            let crow = &mut out[i * n..(i + 1) * n];
-            for (c, &bval) in crow.iter_mut().zip(brow) {
-                *c += aval * bval;
-            }
-        }
-    }
-    Tensor::from_vec(out, &[m, n])
-}
-
 /// Transposes a rank-2 tensor.
 ///
 /// # Errors
@@ -547,15 +512,6 @@ mod tests {
         assert!(matmul(&a, &b).is_err());
         let v = t(vec![0.0; 3], &[3]);
         assert!(matmul(&v, &b).is_err());
-    }
-
-    #[test]
-    fn matmul_at_equals_explicit_transpose() {
-        let a = t(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[3, 2]);
-        let b = t(vec![1.0, -1.0, 2.0, 0.5, 0.0, 3.0], &[3, 2]);
-        let via_at = matmul_at(&a, &b).unwrap();
-        let explicit = matmul(&transpose(&a).unwrap(), &b).unwrap();
-        assert_eq!(via_at, explicit);
     }
 
     #[test]
