@@ -145,9 +145,9 @@ impl GradientSource for AnnGradientSource<'_> {
 /// Uses direct-current encoding so the image gradient is the sum of the
 /// per-frame gradients. Each call is one recorded
 /// [`SpikingNetwork::forward`] (a one-row fused pass) and one
-/// [`SpikingNetwork::backward`], the batched backward swept down to the
-/// input frames; the network's parameter gradients accumulate as a side
-/// effect.
+/// [`SpikingNetwork::frame_gradients`], the batched backward swept down
+/// to the input frames. No parameter gradient is formed, so the
+/// network's gradient accumulators are left as they were.
 #[derive(Debug)]
 pub struct SnnGradientSource<'a> {
     net: &'a mut SpikingNetwork,
@@ -168,7 +168,7 @@ impl GradientSource for SnnGradientSource<'_> {
         let mut rng = rand::rngs::mock::StepRng::new(0, 1);
         let out = self.net.forward(&frames, true, &mut rng)?;
         let (_, grad_logits) = ops::cross_entropy_with_grad(&out.logits, label)?;
-        let frame_grads = self.net.backward(&grad_logits, time_steps)?;
+        let frame_grads = self.net.frame_gradients(&grad_logits, time_steps)?;
         let mut acc = Tensor::zeros(image.shape().dims());
         for g in &frame_grads {
             acc = acc.add(g)?;
@@ -386,6 +386,24 @@ mod tests {
         let sample = Tensor::full(&[4], 0.2);
         assert_eq!(net.classify(&sample).unwrap(), 0);
         (net, sample, 0)
+    }
+
+    /// Every step through the ANN source runs `input_gradient`, which
+    /// rejects a NaN or infinite pixel instead of crafting from it.
+    #[test]
+    fn ann_source_rejects_non_finite_pixels() {
+        let mut rng = StdRng::seed_from_u64(31);
+        let (net, _, _) = trained_ann(&mut rng);
+        let budget = AttackBudget::for_epsilon(0.1);
+        for (value, shown) in [(f32::NAN, "NaN"), (f32::INFINITY, "inf")] {
+            let image = Tensor::from_vec(vec![0.2, value, 0.2, 0.2], &[4]).unwrap();
+            let mut source = AnnGradientSource::new(&net);
+            let err = Fgsm::new(budget)
+                .perturb(&mut source, &image, 0, &mut rng)
+                .unwrap_err();
+            let expected = format!("image pixel 1 is {shown}, not a finite value");
+            assert!(err.to_string().contains(&expected), "{err}");
+        }
     }
 
     #[test]

@@ -138,6 +138,51 @@ fn snn_crafted_sets_reproduce_frozen_digests() {
     assert!(moved.is_empty(), "crafted sets moved: {moved:#?}");
 }
 
+/// Every parameter gradient's bits, layer by layer.
+fn param_grad_bits(net: &SpikingNetwork) -> Vec<u32> {
+    net.layers()
+        .iter()
+        .filter_map(Layer::params)
+        .flat_map(|(w, b)| w.grad.as_slice().iter().chain(b.grad.as_slice()))
+        .map(|v| v.to_bits())
+        .collect()
+}
+
+/// Crafts the image set with `attack` through one shared source.
+fn craft<A: ImageAttack>(attack: &A, source: &mut SnnGradientSource<'_>, seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    for (image, label) in images(seed) {
+        attack.perturb(source, &image, label, &mut rng).unwrap();
+    }
+}
+
+/// An SNN gradient step reads only frame gradients: crafting FGSM, BIM
+/// and PGD sets leaves every parameter gradient's bits as they were.
+#[test]
+fn snn_crafting_leaves_parameter_gradients_untouched() {
+    let budget = AttackBudget {
+        epsilon: 0.1,
+        step_size: 0.02,
+        steps: 6,
+    };
+    for arch in ["mlp", "conv"] {
+        let mut net = if arch == "mlp" { mlp(11) } else { conv(12) };
+        // Start from nonzero accumulators, so "untouched" is not "zeroed".
+        let frames = vec![images(5)[0].0.clone(); cfg().time_steps];
+        net.forward(&frames, true, &mut StdRng::seed_from_u64(5))
+            .unwrap();
+        net.backward(&Tensor::full(&[10], 0.1), cfg().time_steps)
+            .unwrap();
+        let before = param_grad_bits(&net);
+        assert!(before.iter().any(|&b| b != 0), "{arch}");
+        let mut source = SnnGradientSource::new(&mut net);
+        craft(&Fgsm::new(budget), &mut source, 21);
+        craft(&Bim::new(budget), &mut source, 22);
+        craft(&Pgd::new(budget), &mut source, 23);
+        assert_eq!(param_grad_bits(&net), before, "{arch}");
+    }
+}
+
 /// Digests of [`snn_crafted_sets_reproduce_frozen_digests`].
 const FROZEN_CRAFT_DIGESTS: [((&str, &str), u64); 6] = [
     (("mlp", "fgsm"), 0x96e6_3fba_6dbc_305d),

@@ -1,20 +1,14 @@
-//! Sequential vs parallel minibatch backward, dense vs thresholded
-//! input-gradient kernels, and the ANN attack gradient, written to
-//! `BENCH_backward.json`.
+//! Sequential vs parallel minibatch backward and the ANN attack
+//! gradient, written to `BENCH_backward.json`.
 //!
-//! Times three things on the paper's MNIST-scale MLP (and a conv stack
-//! for reference), and one on the ANN twin:
+//! Times one thing on the paper's MNIST-scale MLP (and a conv stack for
+//! reference), and one on the ANN twin:
 //!
 //! * **parallel backward** — one recorded fused forward produces the
 //!   tape once; the timed region is `backward_batch_with` at 1 thread
 //!   vs 4 threads. The row-shard design makes the gradients
 //!   bit-identical either way (asserted here and pinned by
 //!   `grad_equivalence`), so the ratio is pure scheduling win.
-//! * **thresholded `matvec_t`** — the `Wᵀ·g` input-gradient kernel with
-//!   90% of the gradient coefficients below the threshold vs the dense
-//!   kernel.
-//! * **`eps = 0` no-regression** — the thresholded kernel in exact mode
-//!   must not lose against the dense entry point it shadows.
 //! * **ANN attack input gradient** — on the `search_mlp` FastMlp shape
 //!   (256 → 96 → 64 → 10), the per-sample reference
 //!   `AnnNetwork::forward_backward`, which forms every weight gradient
@@ -29,7 +23,7 @@ use axsnn::core::ann::{AnnLayer, AnnNetwork};
 use axsnn::core::fused::{BackwardOpts, FrameTrain};
 use axsnn::core::layer::Layer;
 use axsnn::core::network::{SnnConfig, SpikingNetwork};
-use axsnn::tensor::{init, linalg, Tensor};
+use axsnn::tensor::Tensor;
 use axsnn_bench::harness::{conv1_net, hash_unit, mlp_1568, record, spike_frame, Bench};
 use rand::rngs::mock::StepRng;
 use rand::rngs::StdRng;
@@ -68,10 +62,7 @@ fn backward_record(bench: &mut Bench, name: &str, net: &SpikingNetwork, dims: &[
         .flat_map(|_| (0..classes).map(|i| if i == 0 { 0.9 } else { -0.1 }))
         .collect();
     let grad_block = Tensor::from_vec(grad_block, &[BATCH, classes]).unwrap();
-    let opts = |threads: usize| BackwardOpts {
-        threads,
-        input_grad_eps: 0.0,
-    };
+    let opts = |threads: usize| BackwardOpts { threads };
 
     // Sanity: thread count must not change a single bit.
     let mut a = net.clone();
@@ -130,56 +121,6 @@ fn main() {
         &[1, 28, 28],
     );
 
-    // Thresholded input-gradient kernel: exactly 51/512 ≈ 9.96% of the
-    // coefficients survive a 1e-4 threshold, the rest sit three decades
-    // below it. The emitted active_fraction is the real surviving
-    // share, and it must stay in the regime the gate's floor covers.
-    let mut rng = StdRng::seed_from_u64(5);
-    let w = init::kaiming_uniform(&mut rng, &[512, 1568], 1568);
-    let active_rows = 51usize;
-    let active_fraction = active_rows as f64 / 512.0;
-    assert!(active_fraction <= 0.10, "gated regime requires ≤10% active");
-    let g = Tensor::from_vec(
-        (0..512)
-            .map(|i| {
-                let v = ((i as f32) * 0.37).sin() + 1.1;
-                if i % 10 == 0 && i / 10 < active_rows {
-                    v
-                } else {
-                    v * 1e-7
-                }
-            })
-            .collect(),
-        &[512],
-    )
-    .unwrap();
-    let exact = linalg::matvec_t(&w, &g).unwrap();
-    let eps0 = linalg::matvec_t_thresholded(&w, &g, 0.0).unwrap();
-    assert_eq!(
-        exact.as_slice(),
-        eps0.as_slice(),
-        "eps = 0 must equal the dense kernel bitwise"
-    );
-    let dense = || {
-        black_box(linalg::matvec_t(&w, black_box(&g)).unwrap());
-    };
-    let (dense_ns, thresholded_ns) = bench.time_pair(dense, || {
-        black_box(linalg::matvec_t_thresholded(&w, black_box(&g), 1e-4).unwrap());
-    });
-    bench.push(
-        record("matvec_t_thresholded_512x1568")
-            .num("active_fraction", active_fraction, 4)
-            .ab("dense_ns", dense_ns, "thresholded_ns", thresholded_ns),
-    );
-    let (dense_ns, eps0_ns) = bench.time_pair(dense, || {
-        black_box(linalg::matvec_t_thresholded(&w, black_box(&g), 0.0).unwrap());
-    });
-    bench.push(record("matvec_t_eps0_512x1568").ab(
-        "dense_ns",
-        dense_ns,
-        "thresholded_ns",
-        eps0_ns,
-    ));
     ann_input_grad_record(&mut bench);
     bench.finish();
 }

@@ -1,8 +1,8 @@
 //! Fused batched forward vs one sample at a time, written to
 //! `BENCH_batch.json`.
 //!
-//! Times (a) the raw spike-plane GEMM against a loop of single-row
-//! sparse matvecs on the paper's MNIST-scale linear layer, (b) full
+//! Times (a) the raw spike-plane GEMM against a loop of one-row calls
+//! of the same kernel on the paper's MNIST-scale linear layer, (b) full
 //! `T`-step network inference for a batch of 32 pre-encoded samples:
 //! `forward_batch` (one fused pass, single thread) against a loop of
 //! `classify_frames` calls, each a one-row pass of the same engine
@@ -21,7 +21,7 @@ use axsnn::core::network::{SnnConfig, SpikingNetwork};
 use axsnn::neuromorphic::event::{DvsEvent, EventStream, Polarity};
 use axsnn::neuromorphic::frames::{accumulate_frames, binary_frame_train, Accumulation};
 use axsnn::tensor::batched::{sparse_matmul_bias, SpikeMatrix};
-use axsnn::tensor::sparse::{sparse_matvec_bias, SpikeVector};
+use axsnn::tensor::sparse::SpikeVector;
 use axsnn::tensor::{init, Tensor};
 use axsnn_bench::harness::{conv2_net, mlp_1568, record, spike_frame, Bench};
 use rand::rngs::mock::StepRng;
@@ -31,8 +31,8 @@ use std::hint::black_box;
 
 const BATCH: usize = 32;
 
-/// Raw kernel: one spike-plane GEMM vs 32 per-sample gathers on the
-/// paper's flattened MNIST linear layer.
+/// Raw kernel: one B = 32 spike-plane GEMM vs 32 one-row calls of it on
+/// the paper's flattened MNIST linear layer.
 fn kernel_records(bench: &mut Bench) {
     let mut rng = StdRng::seed_from_u64(1);
     let weight = init::uniform(&mut rng, &[256, 1568], 0.1);
@@ -45,10 +45,14 @@ fn kernel_records(bench: &mut Bench) {
             })
             .collect();
         let batch = SpikeMatrix::from_rows(&rows).unwrap();
+        let singles: Vec<SpikeMatrix> = rows
+            .iter()
+            .map(|events| SpikeMatrix::from_rows(std::slice::from_ref(events)).unwrap())
+            .collect();
         let (sequential_ns, fused_ns) = bench.time_pair(
             || {
-                for events in &rows {
-                    black_box(sparse_matvec_bias(&weight, black_box(events), &bias).unwrap());
+                for one in &singles {
+                    black_box(sparse_matmul_bias(&weight, black_box(one), &bias).unwrap());
                 }
             },
             || {

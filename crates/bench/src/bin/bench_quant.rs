@@ -7,7 +7,7 @@
 //! bit-identical), isolating the effect of streaming 1 or 2 bytes per
 //! gathered weight instead of 4:
 //!
-//! * `quant_matvec_*` — the gather-bound sparse matvec on a
+//! * `quant_matvec_*` — the gather-bound one-row spike-plane GEMM on a
 //!   `1024×4096` layer at ≤10% spike density, per plane;
 //! * `quant_gemm_*` — the batch-32 spike-plane GEMM;
 //! * `quant_conv_*` — the event-sorted batched conv on the paper's
@@ -29,7 +29,7 @@ use axsnn::tensor::batched::{
 };
 use axsnn::tensor::conv::Conv2dSpec;
 use axsnn::tensor::plane::QuantizedPlane;
-use axsnn::tensor::sparse::{sparse_matvec_bias, sparse_matvec_bias_planed, SpikeVector};
+use axsnn::tensor::sparse::SpikeVector;
 use axsnn::tensor::{init, Tensor};
 use axsnn_bench::harness::{hash_unit, record, spike_frame, Bench};
 use axsnn_bench::json::BenchRow;
@@ -63,26 +63,29 @@ fn kernel_row(
         .ab("f32_ns", f32_ns, "planed_ns", planed_ns)
 }
 
-/// The headline: gather-bound sparse matvec, f32 vs planed storage.
+/// The headline: the gather-bound one-row spike-plane GEMM, f32 vs
+/// planed storage.
 fn matvec_records(bench: &mut Bench, density: f32) {
     const OUT: usize = 1024;
     const IN: usize = 4096;
     let mut rng = StdRng::seed_from_u64(2);
     let weight = init::uniform(&mut rng, &[OUT, IN], 0.1);
     let bias = init::uniform(&mut rng, &[OUT], 0.1);
-    let x = SpikeVector::from_dense(&spike_frame(IN, density, &[IN], 7)).expect("binary frame");
+    let events =
+        SpikeVector::from_dense(&spike_frame(IN, density, &[IN], 7)).expect("binary frame");
+    let x = SpikeMatrix::from_rows(&[events]).unwrap();
     for plane in PLANES {
         let (quant, deq) = planed_pair(&weight, plane);
         let (f32_ns, planed_ns) = bench.time_pair(
             || {
-                black_box(sparse_matvec_bias(black_box(&deq), &x, &bias).unwrap());
+                black_box(sparse_matmul_bias(black_box(&deq), &x, &bias).unwrap());
             },
             || {
-                black_box(sparse_matvec_bias_planed(quant.view(), (OUT, IN), &x, &bias).unwrap());
+                black_box(sparse_matmul_bias_planed(quant.view(), (OUT, IN), &x, &bias).unwrap());
             },
         );
-        let a = sparse_matvec_bias(&deq, &x, &bias).unwrap();
-        let b = sparse_matvec_bias_planed(quant.view(), (OUT, IN), &x, &bias).unwrap();
+        let a = sparse_matmul_bias(&deq, &x, &bias).unwrap();
+        let b = sparse_matmul_bias_planed(quant.view(), (OUT, IN), &x, &bias).unwrap();
         assert_eq!(a.as_slice(), b.as_slice(), "{plane} matvec diverged");
         bench.push(kernel_row(
             &format!("quant_matvec_{}_{OUT}x{IN}", plane.name()),

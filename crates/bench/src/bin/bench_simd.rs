@@ -6,16 +6,10 @@
 //! asserts the outputs bit-identical first — the SIMD layer's whole
 //! contract is "same bits, fewer cycles":
 //!
-//! * `simd_matvec_*` — the gather-bound sparse matvec at ≤10% spike
-//!   density. Two shapes: the paper-scale `96×128` layer (L1-resident,
-//!   kernel-bound) and a large `512×1024` layer whose 2 MB weight
-//!   matrix fills L2, where both sides run at the cache-line-traffic
-//!   limit (~1 distinct line per gathered element) and the ratio is
-//!   structurally ~1×;
-//! * `simd_gemm_*` — the batch-32 spike-plane GEMM on the `512×1024`
-//!   layer, where the 8-row tiles additionally transpose each weight
-//!   tile into a contiguous panel once per batch — contiguous loads
-//!   escape the gather-traffic bound;
+//! * `simd_gemm_*` — the batch-32 spike-plane GEMM on a `512×1024`
+//!   layer, where the 8-row tiles transpose each weight tile into a
+//!   contiguous panel once per batch — contiguous loads escape the
+//!   gather-traffic bound;
 //! * `simd_gemm_dense_*` — the dense analog-plane GEMM
 //!   (`matmul_bt_bias`) on the `96×256` direct-current input layer of
 //!   the `search_mlp` benchmark network at batch 32: packed 8-row panels
@@ -24,9 +18,9 @@
 //! * `simd_gemm_planed_*` — the blocked-dequantization GEMM paths for
 //!   the int8/f16 planes vs the per-element lane decode (the
 //!   plane-vs-f32 A/B lives in `bench_quant`);
-//! * `simd_conv1_*` — the B=1 event-sorted conv vs the per-event
-//!   scatter on the paper's 8→16 k=5 layer (the win is contiguous
-//!   weight streaming, not vector width);
+//! * `simd_conv1_*` — the event-sorted conv on a one-row batch vs the
+//!   per-event scatter on the paper's 8→16 k=5 layer (the win is
+//!   contiguous weight streaming, not vector width);
 //! * `simd_lif_fire_*` — the batched LIF step (`lif_fire`) on a
 //!   `FastMlp`-sized 32×96 hidden layer firing ~14% of its neurons per
 //!   step: eight neurons per multiply/add/compare and a movemask naming
@@ -38,15 +32,13 @@
 
 use axsnn::core::plan::WeightPlane;
 use axsnn::tensor::batched::{
-    lif_fire, lif_fire_scalar, matmul_bt_bias, matmul_bt_bias_scalar, sparse_conv2d_sorted,
+    lif_fire, lif_fire_scalar, matmul_bt_bias, matmul_bt_bias_scalar, sparse_conv2d_batch_sorted,
     sparse_matmul_bias, sparse_matmul_bias_planed, sparse_matmul_bias_planed_scalar,
     sparse_matmul_bias_scalar, SpikeMatrix,
 };
 use axsnn::tensor::conv::Conv2dSpec;
 use axsnn::tensor::plane::QuantizedPlane;
-use axsnn::tensor::sparse::{
-    sparse_conv2d, sparse_matvec_bias, sparse_matvec_bias_scalar, SpikeVector,
-};
+use axsnn::tensor::sparse::{sparse_conv2d, SpikeVector};
 use axsnn::tensor::{init, Tensor};
 use axsnn_bench::harness::{hash_unit, record, spike_frame, Bench};
 use axsnn_bench::json::BenchRow;
@@ -67,30 +59,6 @@ fn simd_row(name: &str, density: f32, (scalar_ns, simd_ns): (f64, f64)) -> Bench
         "simd_ns",
         simd_ns,
     )
-}
-
-/// Gather-bound sparse matvec: dispatched kernel vs scalar twin.
-fn matvec_records(bench: &mut Bench, out: usize, input: usize, density: f32) {
-    let mut rng = StdRng::seed_from_u64(10);
-    let weight = init::uniform(&mut rng, &[out, input], 0.1);
-    let bias = init::uniform(&mut rng, &[out], 0.1);
-    let x = events(input, density, 7);
-    let fast = sparse_matvec_bias(&weight, &x, &bias).unwrap();
-    let scalar = sparse_matvec_bias_scalar(&weight, &x, &bias).unwrap();
-    assert_eq!(fast.as_slice(), scalar.as_slice(), "matvec diverged");
-    let pair = bench.time_pair(
-        || {
-            black_box(sparse_matvec_bias_scalar(black_box(&weight), &x, &bias).unwrap());
-        },
-        || {
-            black_box(sparse_matvec_bias(black_box(&weight), &x, &bias).unwrap());
-        },
-    );
-    bench.push(simd_row(
-        &format!("simd_matvec_{out}x{input}_d{:02}", (density * 100.0) as u32),
-        density,
-        pair,
-    ));
 }
 
 /// Batch-32 spike-plane GEMM: dispatched panel kernel vs scalar tiles.
@@ -198,8 +166,8 @@ fn gemm_planed_records(bench: &mut Bench, density: f32) {
     }
 }
 
-/// B=1 event-sorted conv vs the per-event scatter on the paper's 8→16
-/// k=5 layer.
+/// The event-sorted conv on a one-row batch vs the per-event scatter on
+/// the paper's 8→16 k=5 layer.
 fn conv1_records(bench: &mut Bench, density: f32) {
     let spec = Conv2dSpec {
         in_channels: 8,
@@ -223,7 +191,8 @@ fn conv1_records(bench: &mut Bench, density: f32) {
     let bias = init::uniform(&mut rng, &[spec.out_channels], 0.1);
     let len = spec.in_channels * h * w;
     let x = events(len, density, 131);
-    let sorted = sparse_conv2d_sorted(&x, (h, w), &weight, &bias, &spec).unwrap();
+    let one = SpikeMatrix::from_rows(std::slice::from_ref(&x)).unwrap();
+    let sorted = sparse_conv2d_batch_sorted(&one, (h, w), &weight, &bias, &spec).unwrap();
     let scatter = sparse_conv2d(&x, (h, w), &weight, &bias, &spec).unwrap();
     assert_eq!(sorted.as_slice(), scatter.as_slice(), "B=1 conv diverged");
     let pair = bench.time_pair(
@@ -231,7 +200,9 @@ fn conv1_records(bench: &mut Bench, density: f32) {
             black_box(sparse_conv2d(black_box(&x), (h, w), &weight, &bias, &spec).unwrap());
         },
         || {
-            black_box(sparse_conv2d_sorted(black_box(&x), (h, w), &weight, &bias, &spec).unwrap());
+            black_box(
+                sparse_conv2d_batch_sorted(black_box(&one), (h, w), &weight, &bias, &spec).unwrap(),
+            );
         },
     );
     bench.push(simd_row(
@@ -325,8 +296,6 @@ fn main() {
     // first measured with.
     let mut bench = Bench::from_args("BENCH_simd.json", 100);
     for density in [0.05f32, 0.10] {
-        matvec_records(&mut bench, 96, 128, density);
-        matvec_records(&mut bench, 512, 1024, density);
         gemm_records(&mut bench, 512, 1024, density);
     }
     gemm_dense_records(&mut bench, 96, 256);

@@ -3,15 +3,19 @@
 //!
 //! Times the paper's MNIST-scale conv and linear layers at several
 //! spike densities, plus one full-network `forward` (a one-row pass of
-//! the fused engine) with the density gate on vs forced dense.
+//! the fused engine) with the density gate on vs forced dense. The
+//! linear layer runs the kernels the engine's one-row linear step
+//! picks between: the dense GEMM on a one-row block against the spike
+//! gather on a one-row batch.
 //!
 //! Usage: `cargo run --release -p axsnn-bench --bin bench_sparse
 //! [out.json]`.
 
 use axsnn::core::network::SnnConfig;
+use axsnn::tensor::batched::{matmul_bt_bias, sparse_matmul_bias, SpikeMatrix};
 use axsnn::tensor::conv::{conv2d, Conv2dSpec};
-use axsnn::tensor::sparse::{sparse_conv2d, sparse_matvec_bias, SpikeVector};
-use axsnn::tensor::{init, linalg, Tensor};
+use axsnn::tensor::sparse::{sparse_conv2d, SpikeVector};
+use axsnn::tensor::{init, Tensor};
 use axsnn_bench::harness::{conv2_net, record, spike_frame, Bench};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -57,19 +61,15 @@ fn linear_records(bench: &mut Bench) {
     let weight = init::uniform(&mut rng, &[256, 1568], 0.1);
     let bias = Tensor::zeros(&[256]);
     for density in DENSITIES {
-        let input = spike_frame(1568, density, &[1568], SALT);
+        let input = spike_frame(1568, density, &[1, 1568], SALT);
         let events = SpikeVector::from_dense(&input).expect("binary frame");
+        let row = SpikeMatrix::from_rows(&[events]).unwrap();
         let (dense_ns, sparse_ns) = bench.time_pair(
             || {
-                black_box(
-                    linalg::matvec(&weight, black_box(&input))
-                        .unwrap()
-                        .add(&bias)
-                        .unwrap(),
-                );
+                black_box(matmul_bt_bias(black_box(&input), &weight, &bias).unwrap());
             },
             || {
-                black_box(sparse_matvec_bias(&weight, black_box(&events), &bias).unwrap());
+                black_box(sparse_matmul_bias(&weight, black_box(&row), &bias).unwrap());
             },
         );
         bench.push(

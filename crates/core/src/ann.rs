@@ -10,9 +10,16 @@
 //!
 //! # One batched pass, two backward walks
 //!
-//! Training and attacks run the same taped batched forward (one GEMM
-//! per linear layer, convolutions and pools per row) and the same
-//! backward walk, which computes only the gradients its caller reads:
+//! Inference, training and attacks run the same taped batched forward
+//! (one GEMM per linear layer, convolutions and pools per row):
+//!
+//! * [`AnnNetwork::forward`] and [`AnnNetwork::classify`] are its
+//!   one-row case; [`AnnNetwork::activation_maxima`] (threshold
+//!   balancing) and [`crate::train::evaluate_ann`] run it over their
+//!   samples in chunks of [`crate::fused::DEFAULT_FUSED_BATCH`] rows.
+//!
+//! One backward walk follows it and computes only the gradients its
+//! caller reads:
 //!
 //! * [`AnnNetwork::forward_backward_batch_with`] (training) forms the
 //!   parameter gradients and stops at the first parameterized layer, so
@@ -21,28 +28,35 @@
 //!   and forms only the input gradient — no weight or bias gradient and
 //!   no transposed weight copy.
 //!
-//! [`AnnNetwork::forward_backward`] is the per-sample reference both are
-//! pinned against (`tests/ann_equivalence.rs`); nothing else calls it.
-//! They agree bit for bit because each batched kernel keeps the
-//! reference's per-element order. A forward GEMM row sums ascending
+//! Every entry point of the pass rejects a sample whose shape differs
+//! from the first sample's, or which holds a NaN or infinite pixel,
+//! before any dropout draw.
+//!
+//! [`AnnNetwork::forward_backward`] is the per-sample reference the
+//! pass is pinned against (`tests/ann_equivalence.rs`); nothing else
+//! calls it. They agree bit for bit because each batched kernel keeps
+//! the reference's per-element order. A forward GEMM row sums ascending
 //! from `+0.0` and adds the bias last, as `linalg::matvec` plus the bias
 //! does. The input gradient `G·W` goes through
-//! [`linalg::matvec_t_block_thresholded_into`], which at `eps = 0` skips
-//! only exact-zero coefficients: an accumulator that starts at `+0.0`
-//! is never `-0.0`, so a `±0` term cannot change it, and the result
-//! equals the reference's `matvec(transpose(W), g)`.
+//! [`linalg::matvec_t_block_into`], which skips only exact-zero
+//! coefficients: an accumulator that starts at `+0.0` is never `-0.0`,
+//! so a `±0` term cannot change it, and the result equals the
+//! reference's `matvec(transpose(W), g)`.
 //!
 //! The one exception is a non-finite weight. The reference multiplies
 //! it by a zero coefficient (`∞·0 = NaN`), while the walk skips that
 //! term, so only the reference turns NaN there.
 
 use crate::batch::fan_out_with;
+use crate::fused::DEFAULT_FUSED_BATCH;
 use crate::plan::BackwardOpts;
 use crate::{CoreError, Result};
 use axsnn_tensor::batched::matmul_bt_bias;
 use axsnn_tensor::conv::{self, Conv2dSpec};
 use axsnn_tensor::{init, linalg, ops, Tensor};
+use rand::rngs::mock::StepRng;
 use rand::Rng;
+use std::borrow::Borrow;
 
 /// A layer of the reference ANN.
 #[derive(Debug, Clone)]
@@ -255,44 +269,70 @@ impl AnnNetwork {
         &mut self.layers
     }
 
-    /// Inference forward pass (dropout = identity).
+    /// Inference forward pass (dropout = identity): the one-row case of
+    /// the batched pass, returning the `[classes]` logits.
     ///
     /// # Errors
     ///
-    /// Propagates shape errors from the layers.
+    /// Returns [`CoreError::Config`] naming the flat index and value of
+    /// the first NaN or infinite pixel, and propagates shape errors from
+    /// the layers.
     pub fn forward(&self, input: &Tensor) -> Result<Tensor> {
-        let mut x = input.clone();
-        for layer in &self.layers {
-            x = match layer {
-                AnnLayer::ConvRelu { spec, weight, bias } => {
-                    conv::conv2d(&x, weight, bias, spec)?.map(|v| v.max(0.0))
-                }
-                AnnLayer::LinearRelu { weight, bias } => {
-                    let flat = flatten_if_needed(&x)?;
-                    linalg::matvec(weight, &flat)?
-                        .add(bias)?
-                        .map(|v| v.max(0.0))
-                }
-                AnnLayer::LinearOut { weight, bias } => {
-                    let flat = flatten_if_needed(&x)?;
-                    linalg::matvec(weight, &flat)?.add(bias)?
-                }
-                AnnLayer::AvgPool { window } => conv::avg_pool2d(&x, *window)?,
-                AnnLayer::MaxPool { window } => conv::max_pool2d(&x, *window)?.output,
-                AnnLayer::Flatten => x.reshape(&[x.len()])?,
-                AnnLayer::Dropout { .. } => x,
-            };
-        }
-        Ok(x)
+        let logits = self.forward_row(input)?.logits;
+        let classes = logits.len();
+        Ok(Tensor::from_vec(logits, &[classes])?)
     }
 
-    /// Predicted class label for an input.
+    /// Predicted class label for an input: the first strict maximum of
+    /// its logits.
     ///
     /// # Errors
     ///
-    /// Propagates forward errors.
+    /// As [`AnnNetwork::forward`].
     pub fn classify(&self, input: &Tensor) -> Result<usize> {
         Ok(self.forward(input)?.argmax().unwrap_or(0))
+    }
+
+    /// Predicted class labels for samples of one shape, through the
+    /// batched pass in chunks of [`DEFAULT_FUSED_BATCH`] rows: each row's
+    /// label is [`AnnNetwork::classify`]'s.
+    pub(crate) fn classify_rows<T: Borrow<Tensor>>(&self, inputs: &[T]) -> Result<Vec<usize>> {
+        let mut predictions = Vec::with_capacity(inputs.len());
+        self.infer_chunks(inputs, |pass, b| {
+            let classes = pass.logits.len() / b;
+            for r in 0..b {
+                predictions.push(first_max(&pass.logits[r * classes..(r + 1) * classes]));
+            }
+        })?;
+        Ok(predictions)
+    }
+
+    /// The inference pass (dropout = identity) on one checked sample.
+    fn forward_row(&self, input: &Tensor) -> Result<TapedPass> {
+        check_inputs(std::slice::from_ref(input), false)?;
+        let dims = input.shape().dims().to_vec();
+        // Dropout is inactive, so the pass never draws from the RNG.
+        let mut rng = StepRng::new(0, 1);
+        self.forward_taped(input.as_slice().to_vec(), dims, 1, false, &mut rng, 1)
+    }
+
+    /// Runs the inference pass (dropout = identity) over `inputs` in
+    /// chunks of [`DEFAULT_FUSED_BATCH`] rows, in sample order, handing
+    /// `visit` each chunk's taped pass and row count. The samples are
+    /// checked once, up front, and an empty set runs nothing.
+    fn infer_chunks<T: Borrow<Tensor>>(
+        &self,
+        inputs: &[T],
+        mut visit: impl FnMut(&TapedPass, usize),
+    ) -> Result<()> {
+        check_inputs(inputs, true)?;
+        for chunk in inputs.chunks(DEFAULT_FUSED_BATCH) {
+            let (block, dims) = stack(chunk);
+            let pass =
+                self.forward_taped(block, dims, chunk.len(), false, &mut StepRng::new(0, 1), 1)?;
+            visit(&pass, chunk.len());
+        }
+        Ok(())
     }
 
     /// The per-sample reference forward/backward: one sample, a tape,
@@ -479,8 +519,10 @@ impl AnnNetwork {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Config`] for an empty batch or mismatched
-    /// `inputs`/`labels` lengths, and propagates layer shape errors.
+    /// Returns [`CoreError::Config`] for an empty batch, mismatched
+    /// `inputs`/`labels` lengths, a sample whose shape differs from the
+    /// first one's or a NaN or infinite pixel (naming the sample and the
+    /// pixel's flat index and value), and propagates layer shape errors.
     pub fn forward_backward_batch<R: Rng>(
         &self,
         inputs: &[Tensor],
@@ -496,9 +538,7 @@ impl AnnNetwork {
     /// convolution passes out across workers (results are bit-identical
     /// for every thread count — rows compute independently and their
     /// gradients reduce in ascending row order, the sequential loop's
-    /// own order), and `opts.input_grad_eps` thresholds the
-    /// input-gradient products `G·W` of the linear layers (`0.0` =
-    /// exact).
+    /// own order).
     ///
     /// The backward walk produces only what training reads, the
     /// parameter gradients, and stops at the first parameterized layer.
@@ -510,8 +550,7 @@ impl AnnNetwork {
     ///
     /// # Errors
     ///
-    /// As [`AnnNetwork::forward_backward_batch`], plus
-    /// [`CoreError::Config`] for invalid `opts`.
+    /// As [`AnnNetwork::forward_backward_batch`].
     pub fn forward_backward_batch_with<R: Rng>(
         &self,
         inputs: &[Tensor],
@@ -520,7 +559,6 @@ impl AnnNetwork {
         rng: &mut R,
         opts: &BackwardOpts,
     ) -> Result<AnnBatchBackward> {
-        opts.validate()?;
         if inputs.is_empty() || inputs.len() != labels.len() {
             return Err(CoreError::Config {
                 message: format!(
@@ -530,18 +568,10 @@ impl AnnNetwork {
                 ),
             });
         }
+        check_inputs(inputs, true)?;
         let b = inputs.len();
-        let dims = inputs[0].shape().dims();
-        let mut block = Vec::with_capacity(b * inputs[0].len());
-        for x in inputs {
-            if x.shape().dims() != dims {
-                return Err(CoreError::Config {
-                    message: "forward_backward_batch needs homogeneous input shapes".into(),
-                });
-            }
-            block.extend_from_slice(x.as_slice());
-        }
-        let pass = self.forward_taped(block, dims.to_vec(), b, train, rng, opts.threads)?;
+        let (block, dims) = stack(inputs);
+        let pass = self.forward_taped(block, dims, b, train, rng, opts.threads)?;
 
         // Losses + logit gradients per row.
         let classes = pass.logits.len() / b;
@@ -555,7 +585,7 @@ impl AnnNetwork {
             )?;
             let (loss, g) = ops::cross_entropy_with_grad(&row, label)?;
             losses.push(loss);
-            predictions.push(row.argmax().unwrap_or(0));
+            predictions.push(first_max(row.as_slice()));
             grad[r * classes..(r + 1) * classes].copy_from_slice(g.as_slice());
         }
 
@@ -577,41 +607,32 @@ impl AnnNetwork {
     /// gradient: no weight or bias gradient is formed and no weight
     /// matrix is transposed. The forward runs the batched GEMM
     /// ([`matmul_bt_bias`]), linear layers propagate through
-    /// [`linalg::matvec_t_block_thresholded_into`] at `eps = 0`, and
-    /// conv layers run their per-row backward kernel and discard its
-    /// parameter gradients. For finite weights the result equals
+    /// [`linalg::matvec_t_block_into`], and conv layers run their per-row
+    /// backward kernel and discard its parameter gradients. For finite
+    /// weights the result equals
     /// `forward_backward(input, label, false, ..).input_grad` bit for
     /// bit, shape included (see the [module docs](self) for the
     /// non-finite-weight exception).
     ///
     /// # Errors
     ///
-    /// Propagates layer shape errors and an out-of-range `label`.
+    /// Returns [`CoreError::Config`] naming the flat index and value of
+    /// the first NaN or infinite pixel, and propagates layer shape
+    /// errors and an out-of-range `label`.
     pub fn input_gradient(&self, input: &Tensor, label: usize) -> Result<Tensor> {
-        // Dropout is inactive, so the forward never draws from the RNG.
-        let mut rng = rand::rngs::mock::StepRng::new(0, 1);
-        let pass = self.forward_taped(
-            input.as_slice().to_vec(),
-            input.shape().dims().to_vec(),
-            1,
-            false,
-            &mut rng,
-            1,
-        )?;
+        let pass = self.forward_row(input)?;
         let classes = pass.logits.len();
         let logits = Tensor::from_vec(pass.logits, &[classes])?;
         let (_, grad) = ops::cross_entropy_with_grad(&logits, label)?;
-        let opts = BackwardOpts {
-            threads: 1,
-            input_grad_eps: 0.0,
-        };
+        let opts = BackwardOpts { threads: 1 };
         let walk = self.backward_walk(&pass.tapes, grad.into_vec(), 1, Wants::Input, &opts)?;
         Ok(Tensor::from_vec(walk.input_grad, &walk.input_dims)?)
     }
 
-    /// The batched forward with a tape: `block` holds `b` rows of
-    /// per-row shape `dims`. With `train` set, dropout draws per-row
-    /// masks in row order from `rng`; otherwise it is the identity.
+    /// The batched forward with a tape, the one layer loop of every
+    /// entry point but the reference: `block` holds `b` rows of per-row
+    /// shape `dims`. With `train` set, dropout draws per-row masks in
+    /// row order from `rng`; otherwise it is the identity.
     fn forward_taped<R: Rng>(
         &self,
         mut block: Vec<f32>,
@@ -844,14 +865,12 @@ impl AnnNetwork {
                         .map(|(&g, &p)| if p > 0.0 { g } else { 0.0 })
                         .collect();
                     dims = vec![weight.shape().dims()[1]];
-                    let eps = propagate.then_some(opts.input_grad_eps);
-                    linear_backward(weight, input, gpre, b, params.then_some(lg), eps)?
+                    linear_backward(weight, input, gpre, b, params.then_some(lg), propagate)?
                 }
                 (AnnLayer::LinearOut { weight, .. }, BatchTape::LinearOut { input }) => {
                     dims = vec![weight.shape().dims()[1]];
                     let g = std::mem::take(&mut grad);
-                    let eps = propagate.then_some(opts.input_grad_eps);
-                    linear_backward(weight, input, g, b, params.then_some(lg), eps)?
+                    linear_backward(weight, input, g, b, params.then_some(lg), propagate)?
                 }
                 (AnnLayer::AvgPool { window }, BatchTape::Pool { input_dims }) => {
                     let in_len: usize = input_dims.iter().product();
@@ -944,45 +963,41 @@ impl AnnNetwork {
     /// layer over a calibration set — the `λ_l` used by data-based
     /// threshold balancing in [`crate::convert`].
     ///
+    /// The calibration set runs through the inference pass in chunks of
+    /// [`DEFAULT_FUSED_BATCH`] rows. Each parameterized layer's `λ`
+    /// starts at `f32::MIN_POSITIVE` and folds in, sample by sample in
+    /// ascending order, the sample's largest `relu(preact)`; the logit
+    /// layer folds in the magnitude of its largest logit, at least
+    /// `1e-6`.
+    ///
     /// # Errors
     ///
-    /// Propagates forward errors.
+    /// As [`AnnNetwork::forward`], naming the offending sample.
     pub fn activation_maxima(&self, calibration: &[Tensor]) -> Result<Vec<f32>> {
         let mut maxima = vec![f32::MIN_POSITIVE; self.parameterized_layer_count()];
-        for sample in calibration {
-            let mut x = sample.clone();
-            let mut pi = 0usize;
-            for layer in &self.layers {
-                x = match layer {
-                    AnnLayer::ConvRelu { spec, weight, bias } => {
-                        let a = conv::conv2d(&x, weight, bias, spec)?.map(|v| v.max(0.0));
-                        maxima[pi] = maxima[pi].max(a.max());
-                        pi += 1;
-                        a
-                    }
-                    AnnLayer::LinearRelu { weight, bias } => {
-                        let flat = flatten_if_needed(&x)?;
-                        let a = linalg::matvec(weight, &flat)?
-                            .add(bias)?
-                            .map(|v| v.max(0.0));
-                        maxima[pi] = maxima[pi].max(a.max());
-                        pi += 1;
-                        a
-                    }
-                    AnnLayer::LinearOut { weight, bias } => {
-                        let flat = flatten_if_needed(&x)?;
-                        let a = linalg::matvec(weight, &flat)?.add(bias)?;
-                        maxima[pi] = maxima[pi].max(a.max().abs().max(1e-6));
-                        pi += 1;
-                        a
-                    }
-                    AnnLayer::AvgPool { window } => conv::avg_pool2d(&x, *window)?,
-                    AnnLayer::MaxPool { window } => conv::max_pool2d(&x, *window)?.output,
-                    AnnLayer::Flatten => x.reshape(&[x.len()])?,
-                    AnnLayer::Dropout { .. } => x,
-                };
+        self.infer_chunks(calibration, |pass, b| {
+            let parameterized = pass.tapes.iter().filter_map(|tape| match tape {
+                BatchTape::Conv { preact, .. } | BatchTape::Linear { preact, .. } => {
+                    Some((preact, true))
+                }
+                BatchTape::LinearOut { .. } => Some((&pass.logits, false)),
+                _ => None,
+            });
+            for (lambda, (values, relu)) in maxima.iter_mut().zip(parameterized) {
+                let n = values.len() / b;
+                for r in 0..b {
+                    let row = values[r * n..(r + 1) * n].iter();
+                    *lambda = lambda.max(if relu {
+                        row.map(|&v| v.max(0.0)).fold(f32::NEG_INFINITY, f32::max)
+                    } else {
+                        row.copied()
+                            .fold(f32::NEG_INFINITY, f32::max)
+                            .abs()
+                            .max(1e-6)
+                    });
+                }
             }
-        }
+        })?;
         Ok(maxima)
     }
 
@@ -1072,17 +1087,17 @@ struct Walk {
 /// gradient (the rows of `G` summed in ascending order). `Gᵀ·X` is one
 /// [`linalg::outer_acc_run`] over the rows in ascending order, each cell
 /// summed from `+0.0`; it multiplies every coefficient, zeros included,
-/// so a zero gradient against an infinite input gives a NaN cell. With `eps`,
-/// returns the `[b, in]` input gradient `G·W`, `|g| < eps` coefficients
-/// skipped ([`linalg::matvec_t_block_thresholded_into`]); without it, an
-/// empty block.
+/// so a zero gradient against an infinite input gives a NaN cell. With
+/// `input_grad`, returns the `[b, in]` input gradient `G·W`
+/// ([`linalg::matvec_t_block_into`], exact-zero coefficients skipped);
+/// without it, an empty block.
 fn linear_backward(
     weight: &Tensor,
     input: &Tensor,
     g: Vec<f32>,
     b: usize,
     grads: Option<&mut AnnLayerGrads>,
-    eps: Option<f32>,
+    input_grad: bool,
 ) -> Result<Vec<f32>> {
     let (n_out, n_in) = (weight.shape().dims()[0], weight.shape().dims()[1]);
     let g_block = Tensor::from_vec(g, &[b, n_out])?;
@@ -1097,11 +1112,11 @@ fn linear_backward(
         lg.weight = Some(gw);
         lg.bias = Some(column_sums(&g_block)?);
     }
-    let Some(eps) = eps else {
+    if !input_grad {
         return Ok(Vec::new());
-    };
+    }
     let mut gi = vec![0.0f32; b * weight.shape().dims()[1]];
-    linalg::matvec_t_block_thresholded_into(weight, g_block.as_slice(), b, eps, &mut gi)?;
+    linalg::matvec_t_block_into(weight, g_block.as_slice(), b, &mut gi)?;
     Ok(gi)
 }
 
@@ -1119,6 +1134,69 @@ fn column_sums(g: &Tensor) -> Result<Tensor> {
         }
     }
     Tensor::from_vec(out, &[n]).map_err(CoreError::from)
+}
+
+/// Checks that every sample has the first one's shape and only finite
+/// pixels, naming the first offender: by sample index (`rows` set) and
+/// by the pixel's flat index and value, in
+/// [`crate::encoding::Encoder::encode`]'s wording.
+fn check_inputs<T: Borrow<Tensor>>(inputs: &[T], rows: bool) -> Result<()> {
+    let Some(first) = inputs.first() else {
+        return Ok(());
+    };
+    let dims = first.borrow().shape().dims();
+    for (r, x) in inputs.iter().enumerate() {
+        let x = x.borrow();
+        if x.shape().dims() != dims {
+            return Err(CoreError::Config {
+                message: format!(
+                    "input {r} has shape {:?}, but input 0 has {dims:?}",
+                    x.shape().dims()
+                ),
+            });
+        }
+        if let Some((i, v)) = x
+            .as_slice()
+            .iter()
+            .enumerate()
+            .find(|(_, v)| !v.is_finite())
+        {
+            let pixel = if rows {
+                format!("image {r} pixel {i}")
+            } else {
+                format!("image pixel {i}")
+            };
+            return Err(CoreError::Config {
+                message: format!("{pixel} is {v}, not a finite value"),
+            });
+        }
+    }
+    Ok(())
+}
+
+/// Stacks samples of one shape into a row-major block, with their
+/// per-row shape.
+fn stack<T: Borrow<Tensor>>(inputs: &[T]) -> (Vec<f32>, Vec<usize>) {
+    let dims = inputs
+        .first()
+        .map_or_else(Vec::new, |x| x.borrow().shape().dims().to_vec());
+    let mut block = Vec::with_capacity(inputs.iter().map(|x| x.borrow().len()).sum());
+    for x in inputs {
+        block.extend_from_slice(x.borrow().as_slice());
+    }
+    (block, dims)
+}
+
+/// The index of a row's first strict maximum, as [`Tensor::argmax`]
+/// picks it (`0` for an empty row).
+fn first_max(row: &[f32]) -> usize {
+    let mut best = 0usize;
+    for (i, &v) in row.iter().enumerate() {
+        if v > row[best] {
+            best = i;
+        }
+    }
+    best
 }
 
 fn flatten_if_needed(x: &Tensor) -> Result<Tensor> {
@@ -1244,5 +1322,111 @@ mod tests {
         let a = net.forward(&x).unwrap();
         let b = net.forward(&x).unwrap();
         assert_eq!(a, b);
+    }
+
+    /// The NaN, +∞ and −∞ pixels the entry points reject, as the error
+    /// message prints them.
+    const NON_FINITE: [(f32, &str); 3] = [
+        (f32::NAN, "NaN"),
+        (f32::INFINITY, "inf"),
+        (f32::NEG_INFINITY, "-inf"),
+    ];
+
+    /// An `mlp` input with `value` at flat index 2.
+    fn bad_input(value: f32) -> Tensor {
+        Tensor::from_vec(vec![0.5, 0.25, value, 1.0], &[4]).unwrap()
+    }
+
+    fn config_message<T: std::fmt::Debug>(result: Result<T>) -> String {
+        match result {
+            Err(CoreError::Config { message }) => message,
+            other => panic!("expected a config error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn forward_and_classify_reject_non_finite_pixels() {
+        let net = mlp(&mut StdRng::seed_from_u64(6));
+        for (value, shown) in NON_FINITE {
+            let expected = format!("image pixel 2 is {shown}, not a finite value");
+            assert_eq!(config_message(net.forward(&bad_input(value))), expected);
+            assert_eq!(config_message(net.classify(&bad_input(value))), expected);
+        }
+    }
+
+    #[test]
+    fn input_gradient_rejects_non_finite_pixels() {
+        let net = mlp(&mut StdRng::seed_from_u64(7));
+        for (value, shown) in NON_FINITE {
+            let expected = format!("image pixel 2 is {shown}, not a finite value");
+            assert_eq!(
+                config_message(net.input_gradient(&bad_input(value), 1)),
+                expected
+            );
+        }
+    }
+
+    /// The calibration set runs in 32-row chunks; the error names the
+    /// sample by its index in the whole set.
+    #[test]
+    fn activation_maxima_rejects_non_finite_pixels_naming_the_sample() {
+        let net = mlp(&mut StdRng::seed_from_u64(8));
+        for at in [0usize, 2, 35] {
+            for (value, shown) in NON_FINITE {
+                let mut calibration = vec![Tensor::full(&[4], 0.5); 40];
+                calibration[at] = bad_input(value);
+                assert_eq!(
+                    config_message(net.activation_maxima(&calibration)),
+                    format!("image {at} pixel 2 is {shown}, not a finite value")
+                );
+            }
+        }
+    }
+
+    /// A training batch is checked before dropout draws a mask: the
+    /// rejected call leaves the RNG where it was.
+    #[test]
+    fn forward_backward_batch_rejects_non_finite_pixels_before_any_draw() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let net = AnnNetwork::new(vec![
+            AnnLayer::Dropout { probability: 0.5 },
+            AnnLayer::linear_relu(&mut rng, 4, 8),
+            AnnLayer::linear_out(&mut rng, 8, 2),
+        ])
+        .unwrap();
+        for (value, shown) in NON_FINITE {
+            let inputs = [Tensor::full(&[4], 0.5), bad_input(value)];
+            let mut train_rng = StdRng::seed_from_u64(10);
+            let result = net.forward_backward_batch(&inputs, &[0, 1], true, &mut train_rng);
+            assert_eq!(
+                config_message(result),
+                format!("image 1 pixel 2 is {shown}, not a finite value")
+            );
+            assert_eq!(
+                train_rng.gen::<u64>(),
+                StdRng::seed_from_u64(10).gen::<u64>()
+            );
+        }
+    }
+
+    /// Samples of one call must share the first sample's shape, also
+    /// when their volumes agree.
+    #[test]
+    fn batched_entry_points_reject_mismatched_shapes() {
+        let mut rng = StdRng::seed_from_u64(11);
+        let net = AnnNetwork::new(vec![
+            AnnLayer::Flatten,
+            AnnLayer::linear_out(&mut rng, 4, 2),
+        ])
+        .unwrap();
+        let inputs = [
+            Tensor::ones(&[4]),
+            Tensor::ones(&[4]),
+            Tensor::ones(&[2, 2]),
+        ];
+        let expected = "input 2 has shape [2, 2], but input 0 has [4]";
+        assert_eq!(config_message(net.activation_maxima(&inputs)), expected);
+        let result = net.forward_backward_batch(&inputs, &[0, 1, 0], false, &mut rng);
+        assert_eq!(config_message(result), expected);
     }
 }

@@ -218,6 +218,28 @@ mod tests {
         assert!(ann_to_snn(&ann, SnnConfig::default(), &[]).is_err());
     }
 
+    /// Conversion records its λs through the batched pass, which names
+    /// the first calibration sample holding a NaN or infinite pixel.
+    #[test]
+    fn conversion_rejects_non_finite_calibration_pixels() {
+        let mut rng = StdRng::seed_from_u64(0);
+        let ann = AnnNetwork::new(vec![
+            AnnLayer::linear_relu(&mut rng, 2, 4),
+            AnnLayer::linear_out(&mut rng, 4, 2),
+        ])
+        .unwrap();
+        let calibration = [
+            Tensor::full(&[2], 0.5),
+            Tensor::from_vec(vec![0.5, f32::NAN], &[2]).unwrap(),
+        ];
+        match ann_to_snn(&ann, SnnConfig::default(), &calibration) {
+            Err(CoreError::Config { message }) => {
+                assert_eq!(message, "image 1 pixel 1 is NaN, not a finite value")
+            }
+            other => panic!("expected a config error, got {other:?}"),
+        }
+    }
+
     #[test]
     fn conversion_preserves_structure() {
         let mut rng = StdRng::seed_from_u64(0);

@@ -81,9 +81,10 @@
 //!
 //! [`SpikingNetwork::backward`] is the one-row case of the same
 //! backward over the tape its recorded `forward` kept: its sweep runs
-//! down to layer 0 and returns layer 0's input gradient at every step,
-//! the frame gradients the white-box attacks sum into an image
-//! gradient.
+//! down to layer 0 and returns layer 0's input gradient at every step.
+//! [`SpikingNetwork::frame_gradients`] returns the same frame gradients
+//! and forms no parameter gradient; the white-box attacks sum them into
+//! an image gradient.
 //!
 //! Train-mode dropout draws one mask per dropout layer and row from the
 //! caller's RNG when the pass first reaches the layer, rows in
@@ -474,11 +475,11 @@ impl<'a> BatchPlane<'a> {
     }
 
     /// Runs the plan's density gate on row `r`, returning the row's
-    /// events exactly when [`KernelPolicy::admit`] would admit the row as
-    /// a dense frame: it is binary and its density is at most the
-    /// policy's threshold. An
-    /// event row is gated on its count ([`KernelPolicy::admit_count`]),
-    /// a dense row on its values ([`KernelPolicy::admit_slice`]).
+    /// events exactly when [`KernelPolicy::admit_slice`] would admit the
+    /// row as a dense frame: it is binary and its density is at most the
+    /// policy's threshold. An event row is gated on its count
+    /// ([`KernelPolicy::admit_count`]), a dense row on its values
+    /// ([`KernelPolicy::admit_slice`]).
     /// Declines count on the policy's fallback counter, one per batch
     /// row.
     fn admit(&self, r: usize, policy: &KernelPolicy) -> Option<Cow<'_, [u32]>> {
@@ -1025,7 +1026,7 @@ fn pool_plane<'a>(
 /// sizes the trainers use (8–32).
 pub const MAX_BACKWARD_SHARDS: usize = 8;
 
-/// The row range and options one shard worker operates under.
+/// The row range one shard worker operates on.
 struct ShardCtx {
     /// Full minibatch size (tape rows are indexed globally).
     batch: usize,
@@ -1033,8 +1034,6 @@ struct ShardCtx {
     lo: usize,
     /// Last row of this shard (exclusive).
     hi: usize,
-    /// Input-gradient sparsification threshold.
-    eps: f32,
 }
 
 impl ShardCtx {
@@ -1043,32 +1042,41 @@ impl ShardCtx {
     }
 }
 
-/// What a backward sweep forms besides the parameter gradients.
+/// What a backward sweep forms: each entry point asks for what its
+/// caller reads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Wants {
-    /// Training: the sweep stops at the first parameterized layer, and
-    /// only a conv layer there forms an input gradient.
+    /// Training: the parameter gradients only. The sweep stops at the
+    /// first parameterized layer, and only a conv layer there forms an
+    /// input gradient.
     Params,
-    /// [`SpikingNetwork::backward`]: the sweep runs down to layer 0 and
-    /// keeps layer 0's input-gradient block at every step.
+    /// [`SpikingNetwork::backward`]: the parameter gradients, and the
+    /// sweep runs down to layer 0 and keeps layer 0's input-gradient
+    /// block at every step.
     Frames,
+    /// [`SpikingNetwork::frame_gradients`]: the frame gradients of
+    /// [`Wants::Frames`] and nothing else — no gradient buffer, no bias
+    /// or weight-gradient pass and no reduction into the accumulators.
+    FramesOnly,
 }
 
 /// Runs the reverse-time sweep for one row-shard, accumulating the
-/// shard's parameter gradients into a fresh [`GradShard`]. Rows are
-/// mutually independent in the backward recurrence (per-row membrane
-/// carries, per-row tape entries), so a shard's gradients do not depend
-/// on which other shards exist or when they run.
+/// shard's parameter gradients into a fresh [`GradShard`] (none for
+/// [`Wants::FramesOnly`]). Rows are mutually independent in the
+/// backward recurrence (per-row membrane carries, per-row tape
+/// entries), so a shard's gradients do not depend on which other shards
+/// exist or when they run.
 ///
 /// For [`Wants::Params`] the sweep visits only the layers from the
 /// first parameterized one up: nothing below it has a gradient the
 /// caller reads, and the first layer itself skips its input gradient
 /// unless it is a conv layer, whose fused per-row backward kernels
-/// produce it anyway. For [`Wants::Frames`] it visits every layer and
-/// also returns layer 0's `[rows, n_in]` input-gradient block per step,
-/// in time order. Each linear layer logs its per-step `[rows, n_out]`
-/// gradient blocks during the sweep and adds its weight gradient in one
-/// pass at the end ([`linear_weight_grad`]).
+/// produce it anyway. For [`Wants::Frames`] and [`Wants::FramesOnly`]
+/// it visits every layer and also returns layer 0's `[rows, n_in]`
+/// input-gradient block per step, in time order. With parameter
+/// gradients wanted, each linear layer logs its per-step
+/// `[rows, n_out]` gradient blocks during the sweep and adds its weight
+/// gradient in one pass at the end ([`linear_weight_grad`]).
 fn backward_rows(
     layers: &[Layer],
     shapes: &[Option<(Vec<usize>, Vec<usize>)>],
@@ -1076,15 +1084,15 @@ fn backward_rows(
     grad_logits: &Tensor,
     ctx: &ShardCtx,
     wants: Wants,
-) -> Result<(GradShard, Vec<Vec<f32>>)> {
-    let mut shard = GradShard::zeros(shapes);
+) -> Result<(Option<GradShard>, Vec<Vec<f32>>)> {
+    let mut shard = (wants != Wants::FramesOnly).then(|| GradShard::zeros(shapes));
     let classes = tape.classes;
     let first = match wants {
         Wants::Params => layers
             .iter()
             .position(|l| l.params().is_some())
             .unwrap_or(layers.len()),
-        Wants::Frames => 0,
+        Wants::Frames | Wants::FramesOnly => 0,
     };
     let mut sweeps: Vec<LayerSweep> = layers.iter().map(|_| LayerSweep::default()).collect();
     let mut frames = Vec::new();
@@ -1100,15 +1108,18 @@ fn backward_rows(
                 g_block,
                 ctx,
                 &mut sweeps[li],
-                shard.slot_mut(li),
-                li > first || wants == Wants::Frames,
+                shard.as_mut().and_then(|s| s.slot_mut(li)),
+                li > first || wants != Wants::Params,
             )?;
         }
-        if wants == Wants::Frames {
+        if wants != Wants::Params {
             frames.push(g_block);
         }
     }
     frames.reverse();
+    let Some(mut shard) = shard else {
+        return Ok((None, frames));
+    };
     for (li, sweep) in sweeps.iter().enumerate() {
         if sweep.blocks.is_empty() {
             continue;
@@ -1124,7 +1135,7 @@ fn backward_rows(
         let (gw, _) = shard.slot_mut(li).ok_or_else(tape_mismatch)?;
         linear_weight_grad(gw, &sweep.blocks, taped)?;
     }
-    Ok((shard, frames))
+    Ok((Some(shard), frames))
 }
 
 /// One layer's state across a shard's reverse-time sweep.
@@ -1205,21 +1216,24 @@ fn acc_bias_rows(gb: &mut Tensor, g_block: &[f32], rows: usize) -> Result<()> {
 /// unset (the first parameterized layer, whose input gradient no caller
 /// reads).
 ///
-/// Conv layers accumulate their parameter gradients row by row
-/// (ascending global row index, so sparse- and dense-tape accumulation
-/// orders coincide) through the fused per-row conv backward kernels.
-/// Linear layers add their bias gradient here and push the step's
-/// gradient block onto `sweep.blocks` for [`linear_weight_grad`]; their input
-/// gradients run through the thresholded shard-level `Wᵀ·g` kernel
-/// ([`axsnn_tensor::linalg::matvec_t_block_thresholded_into`]), which at
-/// `eps == 0.0` is value-identical to the dense transposed GEMM.
+/// With `grads`, conv layers accumulate their parameter gradients row
+/// by row (ascending global row index, so sparse- and dense-tape
+/// accumulation orders coincide) through the fused per-row conv
+/// backward kernels, and linear layers add their bias gradient here
+/// and push the step's gradient block onto `sweep.blocks` for
+/// [`linear_weight_grad`]. Without it (a frames-only sweep) no
+/// parameter gradient is accumulated; a conv layer's per-row kernel
+/// still forms them and they are dropped. Linear input gradients run
+/// through the shard-level `Wᵀ·g` kernel
+/// ([`axsnn_tensor::linalg::matvec_t_block_into`]), which skips exact
+/// zero coefficients and equals the dense transposed product.
 fn backward_rows_layer(
     layer: &Layer,
     step: &BatchTapeStep,
     g_block: Vec<f32>,
     ctx: &ShardCtx,
     sweep: &mut LayerSweep,
-    grads: Option<&mut (Tensor, Tensor)>,
+    mut grads: Option<&mut (Tensor, Tensor)>,
     input_grad: bool,
 ) -> Result<Vec<f32>> {
     let carry = &mut sweep.carry;
@@ -1229,7 +1243,7 @@ fn backward_rows_layer(
             return Ok(Vec::new());
         }
         let mut gi_block = vec![0.0f32; rows_n * weight.shape().dims()[1]];
-        linalg::matvec_t_block_thresholded_into(weight, g, rows_n, ctx.eps, &mut gi_block)?;
+        linalg::matvec_t_block_into(weight, g, rows_n, &mut gi_block)?;
         Ok(gi_block)
     };
     match (layer, step) {
@@ -1243,7 +1257,6 @@ fn backward_rows_layer(
             let (h, w) = (in_dims[1], in_dims[2]);
             let (oh, ow) = l.spec.output_hw(h, w);
             let in_len: usize = in_dims.iter().product();
-            let (gw, gb) = grads.ok_or_else(tape_mismatch)?;
             let mut gi_block = vec![0.0f32; rows_n * in_len];
             for r in 0..rows_n {
                 let gcur = Tensor::from_vec(
@@ -1263,8 +1276,10 @@ fn backward_rows_layer(
                         conv::conv2d_backward(&input, l.eff_weight(), &gcur, &l.spec)?
                     }
                 };
-                acc_grad(gw, &out.weight);
-                acc_grad(gb, &out.bias);
+                if let Some((gw, gb)) = grads.as_deref_mut() {
+                    acc_grad(gw, &out.weight);
+                    acc_grad(gb, &out.bias);
+                }
                 gi_block[r * in_len..(r + 1) * in_len].copy_from_slice(out.input.as_slice());
             }
             Ok(gi_block)
@@ -1276,17 +1291,19 @@ fn backward_rows_layer(
                 *carry = vec![0.0; pre_rows.len()];
             }
             let gv = surrogate_carry_grad(&g_block, pre_rows, carry, &l.lif_params);
-            let (_, gb) = grads.ok_or_else(tape_mismatch)?;
-            acc_bias_rows(gb, &gv, rows_n)?;
             let gi_block = linear_input_grad(l.eff_weight(), &gv)?;
-            sweep.blocks.push(gv);
+            if let Some((_, gb)) = grads {
+                acc_bias_rows(gb, &gv, rows_n)?;
+                sweep.blocks.push(gv);
+            }
             Ok(gi_block)
         }
         (Layer::OutputLinear(l), BatchTapeStep::Output { .. }) => {
-            let (_, gb) = grads.ok_or_else(tape_mismatch)?;
-            acc_bias_rows(gb, &g_block, rows_n)?;
             let gi_block = linear_input_grad(l.eff_weight(), &g_block)?;
-            sweep.blocks.push(g_block);
+            if let Some((_, gb)) = grads {
+                acc_bias_rows(gb, &g_block, rows_n)?;
+                sweep.blocks.push(g_block);
+            }
             Ok(gi_block)
         }
         (Layer::AvgPool2d(l), BatchTapeStep::AvgPool { in_dims }) => {
@@ -1858,18 +1875,17 @@ impl SpikingNetwork {
     /// cell in the order of one rank-1 update per row and step (time
     /// descending, row ascending). Conv layers accumulate through the
     /// per-row kernels ([`axsnn_tensor::sparse::sparse_conv2d_backward`]
-    /// for event rows, the dense conv backward otherwise). Input-gradient
-    /// propagation through the linear layers skips
-    /// `|g| < opts.input_grad_eps` entries (`0.0` = exact). Parameter
-    /// gradients *accumulate* across calls exactly like
-    /// [`SpikingNetwork::backward`] — call
+    /// for event rows, the dense conv backward otherwise). Input
+    /// gradients through the linear layers are exact: the `Wᵀ·g` kernel
+    /// skips only zero coefficients. Parameter gradients *accumulate*
+    /// across calls exactly like [`SpikingNetwork::backward`] — call
     /// [`SpikingNetwork::zero_grads`] between minibatches.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::Config`] when `grad_logits` does not match
-    /// the tape's `[B, classes]`, the tape does not match the network's
-    /// layer stack, or `opts` is invalid.
+    /// the tape's `[B, classes]` or the tape does not match the
+    /// network's layer stack.
     pub fn backward_batch_with(
         &mut self,
         tape: &BatchTape,
@@ -1880,14 +1896,18 @@ impl SpikingNetwork {
             .map(drop)
     }
 
-    /// [`SpikingNetwork::backward`] over the one-row tape its recorded
-    /// `forward` kept: the sweep runs to layer 0, and each step's input
-    /// gradient comes back in the input frames' shape.
+    /// [`SpikingNetwork::backward`] (`params` set) and
+    /// [`SpikingNetwork::frame_gradients`] over the one-row tape the
+    /// recorded `forward` kept: the sweep runs to layer 0, and each
+    /// step's input gradient comes back in the input frames' shape.
+    /// Parameter gradients are formed and accumulated only with
+    /// `params`.
     pub(crate) fn backward_frames(
         &mut self,
         tape: &BatchTape,
         grad_logits: &Tensor,
         time_steps: usize,
+        params: bool,
     ) -> Result<Vec<Tensor>> {
         if time_steps != tape.time_steps {
             return Err(CoreError::Config {
@@ -1907,15 +1927,21 @@ impl SpikingNetwork {
             });
         }
         let grad = Tensor::from_vec(grad_logits.as_slice().to_vec(), &[1, tape.classes])?;
-        self.backward_sweep(tape, &grad, &BackwardOpts::default(), Wants::Frames)?
+        let wants = if params {
+            Wants::Frames
+        } else {
+            Wants::FramesOnly
+        };
+        self.backward_sweep(tape, &grad, &BackwardOpts::default(), wants)?
             .into_iter()
             .map(|block| Tensor::from_vec(block, &tape.input_dims).map_err(CoreError::from))
             .collect()
     }
 
-    /// The sharded backward behind both entry points: adds the parameter
-    /// gradients and returns, for [`Wants::Frames`], every step's
-    /// `[B, n_in]` input-gradient block in time order (empty otherwise).
+    /// The sharded backward behind every entry point: adds the
+    /// parameter gradients (unless [`Wants::FramesOnly`]) and returns,
+    /// for the frame sweeps, every step's `[B, n_in]` input-gradient
+    /// block in time order (empty for [`Wants::Params`]).
     fn backward_sweep(
         &mut self,
         tape: &BatchTape,
@@ -1923,7 +1949,6 @@ impl SpikingNetwork {
         opts: &BackwardOpts,
         wants: Wants,
     ) -> Result<Vec<Vec<f32>>> {
-        opts.validate()?;
         let b = tape.batch;
         if grad_logits.shape().dims() != [b, tape.classes] {
             return Err(CoreError::Config {
@@ -1966,36 +1991,37 @@ impl SpikingNetwork {
                 })
             })
             .collect();
-        let eps = opts.input_grad_eps;
         let layers = self.layers();
-        let shards: Vec<(GradShard, Vec<Vec<f32>>)> = fan_out_with(
+        let shards: Vec<(Option<GradShard>, Vec<Vec<f32>>)> = fan_out_with(
             shard_count,
             opts.threads,
             || (),
-            |_, s, slot: &mut (GradShard, Vec<Vec<f32>>)| -> Result<()> {
+            |_, s, slot: &mut (Option<GradShard>, Vec<Vec<f32>>)| -> Result<()> {
                 let lo = s * shard_rows;
                 let ctx = ShardCtx {
                     batch: b,
                     lo,
                     hi: (lo + shard_rows).min(b),
-                    eps,
                 };
                 *slot = backward_rows(layers, &shapes, tape, grad_logits, &ctx, wants)?;
                 Ok(())
             },
         )?;
-        let (grad_shards, frame_shards): (Vec<GradShard>, Vec<Vec<Vec<f32>>>) =
+        let (grad_shards, frame_shards): (Vec<Option<GradShard>>, Vec<Vec<Vec<f32>>>) =
             shards.into_iter().unzip();
         // Fixed-order reduction (ascending shard index), then one add
         // into the network's accumulators — the same final values no
         // matter which worker computed which shard.
-        let reduced = grads::reduce_in_order(grad_shards)
-            .map_err(CoreError::from)?
-            .expect("at least one shard for a non-empty batch");
-        for (layer, slot) in self.layers_mut().iter_mut().zip(reduced.slots()) {
-            if let (Some((w, bias)), Some((gw, gb))) = (layer.params_mut(), slot.as_ref()) {
-                acc_grad(&mut w.grad, gw);
-                acc_grad(&mut bias.grad, gb);
+        let grad_shards: Option<Vec<GradShard>> = grad_shards.into_iter().collect();
+        if let Some(grad_shards) = grad_shards {
+            let reduced = grads::reduce_in_order(grad_shards)
+                .map_err(CoreError::from)?
+                .expect("at least one shard for a non-empty batch");
+            for (layer, slot) in self.layers_mut().iter_mut().zip(reduced.slots()) {
+                if let (Some((w, bias)), Some((gw, gb))) = (layer.params_mut(), slot.as_ref()) {
+                    acc_grad(&mut w.grad, gw);
+                    acc_grad(&mut bias.grad, gb);
+                }
             }
         }
         // Each step's block is the shards' row blocks in shard order.

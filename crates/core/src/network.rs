@@ -392,7 +392,8 @@ impl SpikingNetwork {
     /// between batches. Training code that does not need the frame
     /// gradients should prefer the minibatched
     /// [`SpikingNetwork::forward_batch_recorded`] /
-    /// [`SpikingNetwork::backward_batch`] pair.
+    /// [`SpikingNetwork::backward_batch`] pair, and code that needs only
+    /// the frame gradients [`SpikingNetwork::frame_gradients`].
     ///
     /// # Errors
     ///
@@ -401,8 +402,33 @@ impl SpikingNetwork {
     /// when `time_steps` is not the recorded pass's step count or
     /// `grad_logits` is not `[classes]`.
     pub fn backward(&mut self, grad_logits: &Tensor, time_steps: usize) -> Result<Vec<Tensor>> {
+        self.backward_recorded(grad_logits, time_steps, true)
+    }
+
+    /// The frame gradients of [`SpikingNetwork::backward`], bit for bit,
+    /// and nothing else: no parameter gradient is formed and the
+    /// network's gradient accumulators are left untouched. This is what
+    /// a white-box attack step reads.
+    ///
+    /// # Errors
+    ///
+    /// As [`SpikingNetwork::backward`].
+    pub fn frame_gradients(
+        &mut self,
+        grad_logits: &Tensor,
+        time_steps: usize,
+    ) -> Result<Vec<Tensor>> {
+        self.backward_recorded(grad_logits, time_steps, false)
+    }
+
+    fn backward_recorded(
+        &mut self,
+        grad_logits: &Tensor,
+        time_steps: usize,
+        params: bool,
+    ) -> Result<Vec<Tensor>> {
         let tape = self.recorded.take().ok_or(CoreError::NoRecordedForward)?;
-        let frame_grads = self.backward_frames(&tape, grad_logits, time_steps);
+        let frame_grads = self.backward_frames(&tape, grad_logits, time_steps, params);
         self.recorded = Some(tape);
         frame_grads
     }

@@ -10,7 +10,7 @@
 //! threading a decision through five files. Now:
 //!
 //! * [`KernelPolicy`] is the per-layer *executable* policy — the
-//!   density gate ([`KernelPolicy::admit`] and friends), the
+//!   density gate ([`KernelPolicy::admit_slice`] and friends), the
 //!   dense-fallback accounting, and the batched-conv kernel choice all
 //!   live here. The layer structs and the fused engine hold a policy
 //!   and ask it; they no longer interpret thresholds themselves.
@@ -28,10 +28,9 @@
 //!   the density gate picks *which* kernel runs, the plane decides
 //!   whether that kernel streams f32, f16 or int8 weights.
 //! * [`BackwardOpts`] — the backward-pass execution policy (worker
-//!   threads, input-gradient sparsification) consumed by the SNN
-//!   minibatch backward, the batched ANN trainer and the defense
-//!   adversarial trainer — lives here too, so *all* execution-policy
-//!   types share one module.
+//!   threads) consumed by the SNN minibatch backward, the batched ANN
+//!   trainer and the defense adversarial trainer — lives here too, so
+//!   *all* execution-policy types share one module.
 //!
 //! The auto plan (`PlanOverride::Auto`) gates every sparse-capable
 //! layer at [`DEFAULT_DENSITY_THRESHOLD`], and conv layers whose
@@ -62,7 +61,6 @@
 use crate::layer::Layer;
 use axsnn_tensor::conv::Conv2dSpec;
 use axsnn_tensor::sparse::SpikeVector;
-use axsnn_tensor::Tensor;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -161,11 +159,11 @@ impl ConvBatchKernel {
 /// Every density-gate decision in the workspace routes through this
 /// type — the layer structs ([`crate::layer`]) and the fused batch
 /// engine ([`crate::fused`]) hold a policy and call
-/// [`KernelPolicy::admit`] / [`KernelPolicy::admit_slice`] /
-/// [`KernelPolicy::admit_count`] instead of interpreting thresholds
-/// locally. Clones share the fallback counter (worker clones aggregate
-/// into the caller's instance) but own their threshold, so A/B clones
-/// can force different plans without affecting each other.
+/// [`KernelPolicy::admit_slice`] / [`KernelPolicy::admit_count`]
+/// instead of interpreting thresholds locally. Clones share the
+/// fallback counter (worker clones aggregate into the caller's
+/// instance) but own their threshold, so A/B clones can force different
+/// plans without affecting each other.
 #[derive(Debug, Clone)]
 pub struct KernelPolicy {
     choice: KernelChoice,
@@ -265,16 +263,11 @@ impl KernelPolicy {
         !threshold.is_nan() && threshold > 0.0
     }
 
-    /// The density gate on a dense frame: returns the frame's events
-    /// exactly when the choice is sparse, the frame is binary, and its
-    /// density is at most the threshold. A declined frame under an
-    /// armed gate counts one dense-fallback conversion.
-    pub fn admit(&self, frame: &Tensor) -> Option<SpikeVector> {
-        self.admit_slice(frame.as_slice())
-    }
-
-    /// [`KernelPolicy::admit`] on a raw slice — the form the fused
-    /// batch engine uses to gate rows of a stacked `[B, n]` block
+    /// The density gate on a dense row: returns the row's events
+    /// exactly when the choice is sparse, the row is binary, and its
+    /// density is at most the threshold. A declined row under an armed
+    /// gate counts one dense-fallback conversion. It takes a raw slice
+    /// so the fused batch engine gates rows of a stacked `[B, n]` block
     /// without materializing per-row tensors.
     pub fn admit_slice(&self, data: &[f32]) -> Option<SpikeVector> {
         if !self.armed() {
@@ -291,11 +284,11 @@ impl KernelPolicy {
     /// fused engine's CSR planes: input spike frames, spiking-layer
     /// output, event max-pool output), given its event count `nnz` and
     /// logical length `len`: admits exactly when a dense
-    /// materialization of the row would pass [`KernelPolicy::admit`].
-    /// The row is binary by construction, so only the density cap
-    /// `nnz ≤ ⌊threshold·len⌋` is checked, which requires the row's
-    /// indices to be unique. Declines count a fallback under an armed
-    /// gate.
+    /// materialization of the row would pass
+    /// [`KernelPolicy::admit_slice`]. The row is binary by construction,
+    /// so only the density cap `nnz ≤ ⌊threshold·len⌋` is checked, which
+    /// requires the row's indices to be unique. Declines count a
+    /// fallback under an armed gate.
     pub fn admit_count(&self, nnz: usize, len: usize) -> bool {
         if !self.armed() {
             return false;
@@ -572,55 +565,22 @@ impl ExecPlan {
 /// [`crate::ann::AnnNetwork::forward_backward_batch_with`]) — the
 /// backward half of the execution policy, consumed through
 /// [`crate::train::TrainConfig::backward`] by both trainers and the
-/// defense adversarial trainer.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// defense adversarial trainer. Every gradient is exact: the options
+/// choose how the work is scheduled, never what it computes.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BackwardOpts {
-    /// Worker threads for the row-sharded backward; `0` uses all
-    /// available cores. Gradients are bit-identical for every value —
-    /// the shard partition and reduction order never depend on it.
+    /// Worker threads for the row-sharded backward; `0` (the default)
+    /// uses all available cores. Gradients are bit-identical for every
+    /// value — the shard partition and reduction order never depend on
+    /// it.
     pub threads: usize,
-    /// Input-gradient sparsification threshold: `|g|` entries below
-    /// this are skipped in the `Wᵀ·g` propagation products. `0.0`
-    /// (default) keeps the exact dense result; small positive values
-    /// trade a bounded gradient perturbation for skipped weight
-    /// traffic (the tolerance budget is pinned by
-    /// `tests/grad_equivalence.rs`).
-    pub input_grad_eps: f32,
-}
-
-impl Default for BackwardOpts {
-    fn default() -> Self {
-        BackwardOpts {
-            threads: 0,
-            input_grad_eps: 0.0,
-        }
-    }
-}
-
-impl BackwardOpts {
-    /// Validates the options.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::CoreError::Config`] for a negative or
-    /// non-finite `input_grad_eps`.
-    pub fn validate(&self) -> crate::Result<()> {
-        if !self.input_grad_eps.is_finite() || self.input_grad_eps < 0.0 {
-            return Err(crate::CoreError::Config {
-                message: format!(
-                    "input_grad_eps must be finite and ≥ 0, got {}",
-                    self.input_grad_eps
-                ),
-            });
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::network::SnnConfig;
+    use axsnn_tensor::Tensor;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -664,14 +624,14 @@ mod tests {
     fn policy_gate_admits_and_counts_fallbacks() {
         let policy = KernelPolicy::for_linear();
         let sparse = Tensor::from_vec(vec![1.0, 0.0, 0.0, 0.0, 0.0], &[5]).unwrap();
-        assert!(policy.admit(&sparse).is_some());
+        assert!(policy.admit_slice(sparse.as_slice()).is_some());
         assert_eq!(policy.fallback_count(), 0);
         let analog = Tensor::from_vec(vec![0.5, 0.0, 0.0, 0.0, 0.0], &[5]).unwrap();
-        assert!(policy.admit(&analog).is_none());
+        assert!(policy.admit_slice(analog.as_slice()).is_none());
         assert_eq!(policy.fallback_count(), 1, "armed gate counts declines");
         let mut dense_policy = policy.clone();
         dense_policy.set_threshold(0.0);
-        assert!(dense_policy.admit(&sparse).is_none());
+        assert!(dense_policy.admit_slice(sparse.as_slice()).is_none());
         // Disarmed gates never count — but the counter is shared with
         // the clone's origin, so it still reads 1.
         assert_eq!(dense_policy.fallback_count(), 1);
@@ -683,11 +643,14 @@ mod tests {
         let frame = Tensor::from_vec(vec![1.0, 0.0, 0.0, 0.0, 0.0], &[5]).unwrap();
         let events = SpikeVector::from_dense(&frame).unwrap();
         let admit_count = |e: &SpikeVector| policy.admit_count(e.nnz(), e.len());
-        assert_eq!(admit_count(&events), policy.admit(&frame).is_some());
+        assert_eq!(
+            admit_count(&events),
+            policy.admit_slice(frame.as_slice()).is_some()
+        );
         let dense_frame = Tensor::ones(&[5]);
         let dense_events = SpikeVector::from_dense(&dense_frame).unwrap();
         assert!(!admit_count(&dense_events));
-        assert!(policy.admit(&dense_frame).is_none());
+        assert!(policy.admit_slice(dense_frame.as_slice()).is_none());
         assert_eq!(policy.fallback_count(), 2, "both declines counted");
         // Repeated analog rows count as the gate would decline them:
         // under an armed gate only.
@@ -791,28 +754,5 @@ mod tests {
         assert_eq!(report.first_debinarizing, Some(1));
         assert!(report.per_layer[1].debinarizes);
         assert!(!report.per_layer[3].binary_input);
-    }
-
-    #[test]
-    fn backward_opts_validation() {
-        assert!(BackwardOpts::default().validate().is_ok());
-        assert!(BackwardOpts {
-            threads: 4,
-            input_grad_eps: 1e-3
-        }
-        .validate()
-        .is_ok());
-        assert!(BackwardOpts {
-            threads: 0,
-            input_grad_eps: -1.0
-        }
-        .validate()
-        .is_err());
-        assert!(BackwardOpts {
-            threads: 0,
-            input_grad_eps: f32::NAN
-        }
-        .validate()
-        .is_err());
     }
 }

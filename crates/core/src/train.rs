@@ -40,11 +40,10 @@ pub struct TrainConfig {
     pub batch_size: usize,
     /// Spike encoder for the SNN trainer.
     pub encoder: Encoder,
-    /// Backward-pass execution options (worker threads and
-    /// input-gradient sparsification), consumed by the minibatched SNN
-    /// backward and the batched ANN trainer. The defaults (all cores,
-    /// exact gradients) never change results — gradients are
-    /// thread-count invariant by construction.
+    /// Backward-pass execution options (worker threads), consumed by
+    /// the minibatched SNN backward and the batched ANN trainer. They
+    /// never change results — gradients are thread-count invariant by
+    /// construction.
     pub backward: BackwardOpts,
 }
 
@@ -73,7 +72,7 @@ impl TrainConfig {
                 message: format!("learning_rate must be positive, got {}", self.learning_rate),
             });
         }
-        self.backward.validate()
+        Ok(())
     }
 }
 
@@ -266,17 +265,19 @@ pub fn train_ann<R: Rng>(
 
 /// Evaluates ANN classification accuracy (percent) on a dataset.
 ///
+/// The images run through the ANN's batched inference pass in chunks
+/// of [`crate::fused::DEFAULT_FUSED_BATCH`] rows; each prediction is
+/// [`AnnNetwork::classify`]'s.
+///
 /// # Errors
 ///
-/// Propagates forward errors.
+/// Returns [`CoreError::Config`] naming the first image whose shape
+/// differs from the first one's or which holds a NaN or infinite pixel,
+/// and propagates forward errors.
 pub fn evaluate_ann(net: &AnnNetwork, data: &[(Tensor, usize)]) -> Result<f32> {
-    let mut pred = Vec::with_capacity(data.len());
-    let mut truth = Vec::with_capacity(data.len());
-    for (image, label) in data {
-        pred.push(net.classify(image)?);
-        truth.push(*label);
-    }
-    Ok(ops::accuracy_percent(&pred, &truth))
+    let images: Vec<&Tensor> = data.iter().map(|(image, _)| image).collect();
+    let truth: Vec<usize> = data.iter().map(|&(_, label)| label).collect();
+    Ok(ops::accuracy_percent(&net.classify_rows(&images)?, &truth))
 }
 
 #[cfg(test)]
@@ -416,5 +417,38 @@ mod tests {
         let first = report.epochs.first().unwrap().mean_loss;
         let last = report.epochs.last().unwrap().mean_loss;
         assert!(last < first, "loss should fall: {first} → {last}");
+    }
+
+    /// `evaluate_ann` and `train_ann` run the batched pass, which names
+    /// the first image holding a NaN or infinite pixel.
+    #[test]
+    fn ann_entry_points_reject_non_finite_pixels() {
+        let mut rng = StdRng::seed_from_u64(12);
+        let mut data = toy_data(&mut rng, 40);
+        data[33].0.as_mut_slice()[1] = f32::INFINITY;
+        let mut net = AnnNetwork::new(vec![
+            AnnLayer::linear_relu(&mut rng, 4, 8),
+            AnnLayer::linear_out(&mut rng, 8, 2),
+        ])
+        .unwrap();
+        let expected = "image 33 pixel 1 is inf, not a finite value";
+        match evaluate_ann(&net, &data) {
+            Err(CoreError::Config { message }) => assert_eq!(message, expected),
+            other => panic!("expected a config error, got {other:?}"),
+        }
+        let cfg = TrainConfig {
+            epochs: 1,
+            batch_size: 64,
+            ..TrainConfig::default()
+        };
+        match train_ann(&mut net, &data, &cfg, &mut rng) {
+            Err(CoreError::Config { message }) => {
+                assert!(
+                    message.ends_with("pixel 1 is inf, not a finite value"),
+                    "{message}"
+                )
+            }
+            other => panic!("expected a config error, got {other:?}"),
+        }
     }
 }

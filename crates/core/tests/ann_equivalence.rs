@@ -14,7 +14,10 @@
 //!   bit for bit, and the summed parameter gradients equal the
 //!   reference accumulated in row order (`==`);
 //! * `train_ann` weights and per-epoch losses after two epochs match
-//!   frozen digests.
+//!   frozen digests;
+//! * the inference entry points (`forward`, `classify`,
+//!   `activation_maxima`, `ann_to_snn`, `evaluate_ann`) match frozen
+//!   digests, and `forward` is the reference's logits bit for bit.
 //!
 //! The cases cover Flatten-MLPs (one with saturated logits, whose
 //! gradients span many decades), a linear layer fed a rank-1 input, a
@@ -24,8 +27,10 @@
 //! the zero-coefficient skips of the walk run.
 
 use axsnn_core::ann::{AnnLayer, AnnLayerGrads, AnnNetwork};
+use axsnn_core::convert::ann_to_snn;
 use axsnn_core::fused::BackwardOpts;
-use axsnn_core::train::{train_ann, TrainConfig};
+use axsnn_core::network::SnnConfig;
+use axsnn_core::train::{evaluate_ann, train_ann, TrainConfig};
 use axsnn_tensor::conv::Conv2dSpec;
 use axsnn_tensor::Tensor;
 use rand::rngs::StdRng;
@@ -245,10 +250,7 @@ fn batched_trainer_equals_per_sample_reference() {
                         &labels[..b],
                         !has_dropout,
                         &mut train_rng,
-                        &BackwardOpts {
-                            threads,
-                            input_grad_eps: 0.0,
-                        },
+                        &BackwardOpts { threads },
                     )
                     .unwrap();
                 assert_eq!(out.logits.shape().dims(), &[b, CLASSES], "{ctx}");
@@ -339,4 +341,123 @@ fn train_ann_reproduces_frozen_digests() {
 const FROZEN_TRAIN_DIGESTS: [(&str, u64); 2] = [
     ("flat_mlp", 0xace7_5096_8925_a44c),
     ("conv_stack", 0xfc0a_70c0_d108_ef06),
+];
+
+/// FNV-1a, 64-bit.
+struct Digest(u64);
+
+impl Digest {
+    fn new() -> Digest {
+        Digest(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn word(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    fn f32s(&mut self, values: &[f32]) {
+        self.word(values.len() as u64);
+        for v in values {
+            self.bytes(&v.to_bits().to_le_bytes());
+        }
+    }
+
+    fn tensor(&mut self, t: &Tensor) {
+        for &d in t.shape().dims() {
+            self.word(d as u64);
+        }
+        self.f32s(t.as_slice());
+    }
+}
+
+/// The inference entry points on calibration sets of 1, 7 and 33
+/// samples (33 spans more than one 32-row chunk), pixels holding `±0.0`:
+/// every `activation_maxima` λ, every converted weight and bias, then
+/// per sample the `forward` logits and the `classify` label, then the
+/// `evaluate_ann` accuracy, frozen bit for bit. `forward` also equals
+/// the reference's logits bit for bit, shape included.
+#[test]
+fn inference_entry_points_reproduce_frozen_digests() {
+    let cfg = SnnConfig {
+        threshold: 0.75,
+        time_steps: 8,
+        leak: 0.9,
+    };
+    let mut moved = Vec::new();
+    // The flat, saturated, conv-stack and dropout nets.
+    for (name, build, _) in CASES
+        .into_iter()
+        .filter(|&(name, ..)| name != "dead_relu_mlp")
+    {
+        for n in [1usize, 7, 33] {
+            let (net, dims) = build(500 + n as u64);
+            let mut rng = StdRng::seed_from_u64(600 + n as u64);
+            let calibration: Vec<Tensor> = (0..n).map(|_| image(&mut rng, &dims)).collect();
+            let mut digest = Digest::new();
+            digest.f32s(&net.activation_maxima(&calibration).unwrap());
+            let snn = ann_to_snn(&net, cfg, &calibration).unwrap();
+            for layer in snn.layers() {
+                if let Some((w, b)) = layer.params() {
+                    digest.tensor(&w.value);
+                    digest.tensor(&b.value);
+                }
+            }
+            for (i, x) in calibration.iter().enumerate() {
+                let logits = net.forward(x).unwrap();
+                let mut ref_rng = StdRng::seed_from_u64(0);
+                let (want, _, _) = net
+                    .forward_backward(x, i % CLASSES, false, &mut ref_rng)
+                    .unwrap();
+                assert_eq!(
+                    logits.shape().dims(),
+                    want.shape().dims(),
+                    "{name} n={n} sample {i}: logit shape"
+                );
+                assert_eq!(
+                    bits(&logits),
+                    bits(&want),
+                    "{name} n={n} sample {i}: forward against the reference"
+                );
+                digest.tensor(&logits);
+                digest.word(net.classify(x).unwrap() as u64);
+            }
+            let data: Vec<(Tensor, usize)> = calibration
+                .into_iter()
+                .enumerate()
+                .map(|(i, x)| (x, (i * 2) % CLASSES))
+                .collect();
+            digest.f32s(&[evaluate_ann(&net, &data).unwrap()]);
+            let expected = FROZEN_INFERENCE_DIGESTS
+                .iter()
+                .find(|((case, size), _)| *case == name && *size == n)
+                .map(|(_, d)| *d);
+            if expected != Some(digest.0) {
+                moved.push(format!("{name} n={n}: {:#018x}", digest.0));
+            }
+        }
+    }
+    assert!(moved.is_empty(), "inference outputs moved: {moved:#?}");
+}
+
+/// Digests of [`inference_entry_points_reproduce_frozen_digests`],
+/// taken from the per-sample inference walks.
+const FROZEN_INFERENCE_DIGESTS: [((&str, usize), u64); 12] = [
+    (("flat_mlp", 1), 0x56a5_8eab_c639_6f46),
+    (("flat_mlp", 7), 0x0373_0d86_f75d_f663),
+    (("flat_mlp", 33), 0x6d32_5b60_81fc_5c42),
+    (("confident_mlp", 1), 0xfb6b_c8ce_47da_d148),
+    (("confident_mlp", 7), 0x047d_5e0c_623d_49bc),
+    (("confident_mlp", 33), 0xe597_594c_ad38_2ffe),
+    (("conv_stack", 1), 0x8fe3_6651_7129_312c),
+    (("conv_stack", 7), 0x3f34_f2d6_e4f6_36d2),
+    (("conv_stack", 33), 0x7569_df7b_bf2e_b0e0),
+    (("dropout_net", 1), 0x0e00_3ea8_7ca8_eb4e),
+    (("dropout_net", 7), 0x09bc_65a5_e8aa_d3d7),
+    (("dropout_net", 33), 0x7994_567a_37b5_bd33),
 ];

@@ -368,6 +368,70 @@ fn dropout_training_reproduces_frozen_digest() {
     );
 }
 
+/// Every parameter gradient's bits, layer by layer.
+fn param_grad_bits(net: &SpikingNetwork) -> Vec<u32> {
+    net.layers()
+        .iter()
+        .filter_map(Layer::params)
+        .flat_map(|(w, b)| w.grad.as_slice().iter().chain(b.grad.as_slice()))
+        .map(|v| v.to_bits())
+        .collect()
+}
+
+/// `frame_gradients` returns `backward`'s frame gradients bit for bit,
+/// shapes included, and its errors; it leaves every parameter gradient
+/// as it found it.
+#[test]
+fn frame_gradients_equal_backward_frames_and_leave_parameter_gradients() {
+    let error = |r: axsnn_core::Result<Vec<Tensor>>| r.unwrap_err().to_string();
+    for name in [
+        "mlp_binary_45",
+        "linear_first_binary",
+        "conv_stack",
+        "mlp_int8",
+    ] {
+        let (net, frames) = case(name);
+        let mut run = net.clone();
+        run.forward(&frames, true, &mut StdRng::seed_from_u64(1))
+            .unwrap();
+        let want = run.backward(&grad_logits(), T).unwrap();
+        let before = param_grad_bits(&run);
+        assert!(
+            before.iter().any(|&b| b != 0),
+            "{name}: backward formed gradients"
+        );
+        let got = run.frame_gradients(&grad_logits(), T).unwrap();
+        assert_eq!(got.len(), want.len(), "{name}");
+        for (g, w) in got.iter().zip(&want) {
+            assert_eq!(g.shape(), w.shape(), "{name}");
+            let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(g), bits(w), "{name}: frame gradient bits");
+        }
+        assert_eq!(
+            param_grad_bits(&run),
+            before,
+            "{name}: parameter gradients moved"
+        );
+        let wide = Tensor::zeros(&[CLASSES + 1]);
+        assert_eq!(
+            error(run.frame_gradients(&wide, T)),
+            error(run.backward(&wide, T)),
+            "{name}"
+        );
+        assert_eq!(
+            error(run.frame_gradients(&grad_logits(), T + 1)),
+            error(run.backward(&grad_logits(), T + 1)),
+            "{name}"
+        );
+        let mut fresh = net.clone();
+        assert_eq!(
+            error(fresh.frame_gradients(&grad_logits(), T)),
+            error(fresh.backward(&grad_logits(), T)),
+            "{name}"
+        );
+    }
+}
+
 /// Digests of [`engine_outputs_reproduce_frozen_digests`].
 const FROZEN_ENGINE_DIGESTS: [((&str, &str), u64); 20] = [
     (("mlp_direct", "auto"), 0x3562_93bf_03f5_e66c),

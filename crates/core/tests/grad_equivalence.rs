@@ -388,15 +388,8 @@ fn parallel_backward_bit_identical_across_thread_counts() {
             let grads_at = |threads: usize| {
                 let mut run = net.clone();
                 run.zero_grads();
-                run.backward_batch_with(
-                    &tape,
-                    &grad_block,
-                    &BackwardOpts {
-                        threads,
-                        input_grad_eps: 0.0,
-                    },
-                )
-                .unwrap();
+                run.backward_batch_with(&tape, &grad_block, &BackwardOpts { threads })
+                    .unwrap();
                 grads_of(&run)
             };
             let reference = grads_at(1);
@@ -411,11 +404,11 @@ fn parallel_backward_bit_identical_across_thread_counts() {
     }
 }
 
-/// `input_grad_eps = 0` is the exact dense path: the thresholded
-/// input-gradient kernel skips only exact zeros, so the gradients equal
+/// Explicit options are the default path: the input-gradient kernel
+/// skips only exact zeros at every thread count, so the gradients equal
 /// the default [`SpikingNetwork::backward_batch`] value-for-value.
 #[test]
-fn zero_input_grad_eps_equals_dense_path_exactly() {
+fn backward_batch_with_equals_default_path_exactly() {
     for arch in ["mlp", "conv"] {
         let c = cfg(4);
         let (mut net, dims): (SpikingNetwork, Vec<usize>) = match arch {
@@ -437,103 +430,15 @@ fn zero_input_grad_eps_equals_dense_path_exactly() {
         default_net.zero_grads();
         default_net.backward_batch(&tape, &grad_block).unwrap();
 
-        let mut eps_net = net.clone();
-        eps_net.zero_grads();
-        eps_net
-            .backward_batch_with(
-                &tape,
-                &grad_block,
-                &BackwardOpts {
-                    threads: 4,
-                    input_grad_eps: 0.0,
-                },
-            )
+        let mut explicit_net = net.clone();
+        explicit_net.zero_grads();
+        explicit_net
+            .backward_batch_with(&tape, &grad_block, &BackwardOpts { threads: 4 })
             .unwrap();
         assert_eq!(
-            grads_of(&eps_net),
+            grads_of(&explicit_net),
             grads_of(&default_net),
-            "{arch}: eps = 0 must be the exact dense path"
-        );
-    }
-}
-
-/// The documented tolerance budget of input-gradient sparsification: at
-/// `input_grad_eps = 3e-3` on the seeded MLP and conv cases, every
-/// parameter gradient stays within 1e-2 relative of the exact path —
-/// and the threshold genuinely engages (some gradients change), so the
-/// bound is not vacuous. (The threshold only drops `|g| < eps` terms
-/// from the `Wᵀ·g` propagation; weight/bias accumulation always sees
-/// the full gradient.)
-#[test]
-fn small_input_grad_eps_stays_within_tolerance() {
-    const EPS: f32 = 3e-3;
-    const TOL: f32 = 1e-2;
-    for arch in ["mlp", "conv"] {
-        let c = cfg(5);
-        let (mut net, dims): (SpikingNetwork, Vec<usize>) = match arch {
-            "mlp" => (mlp_net(71, c), vec![36]),
-            _ => (conv_net(71, c), vec![1, 12, 12]),
-        };
-        let trains: Vec<FrameTrain> = (0..8u64)
-            .map(|s| FrameTrain::from_frames(&binary_frames(500 + s, 5, &dims, 0.15)).unwrap())
-            .collect();
-        let (_, tape) = net.forward_batch_recorded(&trains).unwrap();
-        let g = logit_grad(5);
-        let mut grad_block = Vec::new();
-        for _ in 0..8 {
-            grad_block.extend(g.as_slice());
-        }
-        let grad_block = Tensor::from_vec(grad_block, &[8, 5]).unwrap();
-
-        let run = |eps: f32| {
-            let mut r = net.clone();
-            r.zero_grads();
-            r.backward_batch_with(
-                &tape,
-                &grad_block,
-                &BackwardOpts {
-                    threads: 2,
-                    input_grad_eps: eps,
-                },
-            )
-            .unwrap();
-            grads_of(&r)
-        };
-        let exact = run(0.0);
-        let approx = run(EPS);
-        let mut engaged = false;
-        for (li, ((wa, ba), (we, be))) in approx.iter().zip(&exact).enumerate() {
-            assert_close(wa, we, TOL, &format!("{arch} eps weight grad layer {li}"));
-            assert_close(ba, be, TOL, &format!("{arch} eps bias grad layer {li}"));
-            engaged |= wa != we || ba != be;
-        }
-        assert!(
-            engaged,
-            "{arch}: eps = {EPS} must actually drop some propagation terms"
-        );
-    }
-}
-
-/// Invalid backward options are rejected up front.
-#[test]
-fn backward_opts_validation() {
-    let c = cfg(2);
-    let mut net = mlp_net(81, c);
-    let trains = vec![FrameTrain::from_frames(&binary_frames(0, 2, &[36], 0.1)).unwrap()];
-    let (_, tape) = net.forward_batch_recorded(&trains).unwrap();
-    let g = Tensor::zeros(&[1, 5]);
-    for bad in [f32::NAN, f32::INFINITY, -1.0] {
-        assert!(
-            net.backward_batch_with(
-                &tape,
-                &g,
-                &BackwardOpts {
-                    threads: 1,
-                    input_grad_eps: bad
-                }
-            )
-            .is_err(),
-            "eps {bad} must be rejected"
+            "{arch}: explicit options must be the default path"
         );
     }
 }
@@ -724,15 +629,8 @@ fn batched_backward_reproduces_frozen_gradients() {
         for threads in [1usize, 2] {
             let mut run = net.clone();
             run.zero_grads();
-            run.backward_batch_with(
-                &tape,
-                &grad_block,
-                &BackwardOpts {
-                    threads,
-                    input_grad_eps: 0.0,
-                },
-            )
-            .unwrap();
+            run.backward_batch_with(&tape, &grad_block, &BackwardOpts { threads })
+                .unwrap();
             let digest = grad_digest(&run);
             if digest != expected {
                 moved.push(format!(

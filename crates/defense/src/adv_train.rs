@@ -170,6 +170,28 @@ mod tests {
         .unwrap()
     }
 
+    /// A NaN or infinite pixel is rejected by the FGSM step and by the
+    /// batched training pass alike, instead of training on it.
+    #[test]
+    fn rejects_non_finite_pixels() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut data = blobs(&mut rng, 8);
+        data[5].0.as_mut_slice()[2] = f32::NAN;
+        for adversarial_fraction in [0.0, 1.0] {
+            let mut net = mlp(&mut rng);
+            let cfg = AdvTrainConfig {
+                adversarial_fraction,
+                ..AdvTrainConfig::default()
+            };
+            let err = adversarial_train_ann(&mut net, &data, &cfg, &mut rng).unwrap_err();
+            let message = err.to_string();
+            assert!(
+                message.contains("pixel 2 is NaN, not a finite value"),
+                "{message}"
+            );
+        }
+    }
+
     #[test]
     fn rejects_bad_config() {
         let mut rng = StdRng::seed_from_u64(0);

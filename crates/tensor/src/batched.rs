@@ -18,12 +18,14 @@
 //! * [`sparse_conv2d_batch_sorted`] — the event-sorted scatter conv
 //!   over B stacked spike planes into a `[B, Cout·OH·OW]` block.
 //!
-//! Every per-row result is **bit-identical** to the corresponding
-//! per-sample kernel in [`crate::sparse`] / [`crate::linalg`]: the
-//! batched kernels route each row through the same shared gather /
-//! scatter helpers in the same order, which is what lets the fused
-//! batch forward in `axsnn-core` promise bit-for-bit equivalence with
-//! per-sample classification.
+//! These are the only forms of the linear gather and the event-sorted
+//! conv: one sample is a one-row batch. Every row's result is
+//! **bit-identical** to a per-sample reference — a gather row to
+//! [`crate::linalg::matvec`] plus the bias on a binary row with finite
+//! weights, a conv row to [`crate::sparse::sparse_conv2d`] on that row's
+//! events — because each row runs the reference's per-output order and
+//! never reads another row. That is what lets the fused batch forward
+//! in `axsnn-core` give the same bits at every batch size.
 //!
 //! The fused engine calls the linear-layer kernels
 //! ([`sparse_matmul_bias`], [`matmul_bt_bias`]) and the event-sorted conv
@@ -492,18 +494,18 @@ fn matmul_lane_tiles<L: WeightLane>(
 
 /// Batched sparse product `Y = S · Wᵀ + b` for a CSR spike batch `S`
 /// of shape `[B, in]`, weights `[out, in]` and a per-output bias,
-/// producing `[B, out]` — the fused form the spiking layers use. Each
-/// output sums its row's active columns in ascending order from `+0.0`
-/// and adds the bias last, exactly like
-/// [`crate::sparse::sparse_matvec_bias`] and, on a binary batch with
-/// finite weights, exactly like the dense [`matmul_bt_bias`].
+/// producing `[B, out]` — the fused form the spiking layers use, and at
+/// `B = 1` the per-sample gather. Each output sums its row's active
+/// columns in ascending order from `+0.0` and adds the bias last, so on
+/// a binary batch with finite weights it equals the dense
+/// [`matmul_bt_bias`] and, row by row, `linalg::matvec` plus the bias.
 ///
 /// Weight rows are processed in tiles of 4 that stay cache-hot across
 /// the whole batch while each sample's index list gathers against them
 /// (`gather_row_x4`); weight traffic is `out × in` per *batch*
-/// instead of per sample — the GEMM amortization a per-sample matvec
-/// cannot reach. Row `b` equals `sparse_matvec_bias(w, rows[b], bias)`
-/// bit for bit.
+/// instead of per sample — the GEMM amortization a loop of one-row
+/// calls cannot reach. Row `b` does not depend on the other rows, so it
+/// equals the one-row call on `rows[b]` bit for bit.
 ///
 /// # Errors
 ///
@@ -552,10 +554,8 @@ pub fn sparse_matmul_bias_scalar(w: &Tensor, x: &SpikeMatrix, bias: &Tensor) -> 
 /// each weight is dequantized in-register and every accumulate stays in
 /// f32, with the same 4-row tiling and gather order as the f32 kernel —
 /// so the result is bit-identical to [`sparse_matmul_bias`] over the
-/// plane's [`crate::plane::QuantizedPlane::dequantize`] tensor, and row
-/// `b` bit-identical to
-/// [`crate::sparse::sparse_matvec_bias_planed`] on that row. Inference
-/// and recorded training steps both run it on a planed layer.
+/// plane's [`crate::plane::QuantizedPlane::dequantize`] tensor.
+/// Inference and recorded training steps both run it on a planed layer.
 ///
 /// # Errors
 ///
@@ -992,44 +992,6 @@ pub fn sparse_conv2d_batch_sorted(
     Tensor::from_vec(out, &[x.rows(), n])
 }
 
-/// Single-row event-sorted convolution: the B=1 form of
-/// [`sparse_conv2d_batch_sorted`], returning `[Cout, OH, OW]` like
-/// [`crate::sparse::sparse_conv2d`].
-///
-/// At B=1 the sort pass degenerates to bucketing one frame's events by
-/// input channel, but the tile sweep's payoff survives: the per-event
-/// scatter walks `Cout × K²` *strided* weight cells per event, while the
-/// sorted sweep builds each channel's kx-reversed `[Cout, K, K]` patch
-/// once and streams every event's clipped window as contiguous
-/// segment-adds. That trades one `O(nnz)` reorder for contiguous loads
-/// and stores on both sides — worthwhile for the paper's k=5 layers,
-/// where each event otherwise touches 25 strided cells per output
-/// channel. The plan layer exposes the choice through the same
-/// `ConvBatchKernel` knob as the batch form, so latency-bound serving
-/// and attack loops pick it per layer.
-///
-/// Bit-identical to [`crate::sparse::sparse_conv2d`] on the same events
-/// (same argument as the batch kernel, specialized to one row).
-///
-/// # Errors
-///
-/// As [`crate::sparse::sparse_conv2d`].
-pub fn sparse_conv2d_sorted(
-    input: &SpikeVector,
-    in_hw: (usize, usize),
-    weight: &Tensor,
-    bias: &Tensor,
-    spec: &Conv2dSpec,
-) -> Result<Tensor> {
-    let x = SpikeMatrix::from_rows(std::slice::from_ref(input))?;
-    crate::sparse::check_conv_geometry(x.cols(), in_hw, weight, spec)?;
-    let (h, w) = in_hw;
-    let (oh, ow) = spec.output_hw(h, w);
-    let mut out = vec![0.0f32; spec.out_channels * oh * ow];
-    conv_batch_sorted_lane(&x, in_hw, F32Lane(weight.as_slice()), bias, spec, &mut out)?;
-    Tensor::from_vec(out, &[spec.out_channels, oh, ow])
-}
-
 /// [`sparse_conv2d_batch_sorted`] writing into a caller-provided
 /// `[B · Cout·OH·OW]` buffer (fully overwritten: bias fill, then the
 /// tile-sorted event sweep) — the form the fused batch engine drives so
@@ -1282,7 +1244,7 @@ fn conv_batch_sorted_lane<L: WeightLane>(
 mod tests {
     use super::*;
     use crate::linalg;
-    use crate::sparse::{sparse_conv2d, sparse_matvec, sparse_matvec_bias};
+    use crate::sparse::sparse_conv2d;
 
     fn binary_rows(b: usize, n: usize, every: usize) -> Vec<SpikeVector> {
         (0..b)
@@ -1412,9 +1374,10 @@ mod tests {
         let yb = sparse_matmul_bias(&w, &batch, &bias).unwrap();
         assert_eq!(y.shape().dims(), &[5, 7]);
         for (r, row) in rows.iter().enumerate() {
-            let per_sample = sparse_matvec(&w, row).unwrap();
+            let dense = row.to_dense(&[13]).unwrap();
+            let per_sample = linalg::matvec(&w, &dense).unwrap();
             assert_eq!(&y.as_slice()[r * 7..(r + 1) * 7], per_sample.as_slice());
-            let per_sample_bias = sparse_matvec_bias(&w, row, &bias).unwrap();
+            let per_sample_bias = per_sample.add(&bias).unwrap();
             assert_eq!(
                 &yb.as_slice()[r * 7..(r + 1) * 7],
                 per_sample_bias.as_slice()
@@ -1545,9 +1508,11 @@ mod tests {
             .unwrap();
             let bias = Tensor::from_vec(vec![0.5, -1.0, 0.25], &[3]).unwrap();
             for row in binary_rows(3, 2 * h * w, every) {
-                let sorted = sparse_conv2d_sorted(&row, (h, w), &weight, &bias, &spec).unwrap();
+                let one = SpikeMatrix::from_rows(std::slice::from_ref(&row)).unwrap();
+                let sorted =
+                    sparse_conv2d_batch_sorted(&one, (h, w), &weight, &bias, &spec).unwrap();
                 let scatter = sparse_conv2d(&row, (h, w), &weight, &bias, &spec).unwrap();
-                assert_eq!(sorted.shape().dims(), scatter.shape().dims());
+                assert_eq!(sorted.shape().dims(), &[1, scatter.len()]);
                 assert_eq!(
                     sorted.as_slice(),
                     scatter.as_slice(),
@@ -1565,8 +1530,10 @@ mod tests {
         };
         let empty = SpikeVector::new(vec![], 16).unwrap();
         let bias = Tensor::from_vec(vec![0.5, -0.25], &[2]).unwrap();
-        let y = sparse_conv2d_sorted(&empty, (4, 4), &Tensor::ones(&[2, 1, 3, 3]), &bias, &spec)
-            .unwrap();
+        let one = SpikeMatrix::from_rows(std::slice::from_ref(&empty)).unwrap();
+        let y =
+            sparse_conv2d_batch_sorted(&one, (4, 4), &Tensor::ones(&[2, 1, 3, 3]), &bias, &spec)
+                .unwrap();
         let reference =
             sparse_conv2d(&empty, (4, 4), &Tensor::ones(&[2, 1, 3, 3]), &bias, &spec).unwrap();
         assert_eq!(y.as_slice(), reference.as_slice());

@@ -2,8 +2,8 @@
 //!
 //! This crate provides the numerical foundation that the rest of the
 //! workspace builds on: an owned, contiguous, row-major [`Tensor`] with
-//! shape metadata, elementwise and reduction operations, matrix
-//! multiplication ([`linalg::matmul`]), 2-D convolution and pooling kernels
+//! shape metadata, elementwise and reduction operations, dense
+//! matrix–vector kernels ([`linalg`]), 2-D convolution and pooling kernels
 //! (forward *and* backward passes, [`conv`]), event-driven sparse spike
 //! kernels whose cost scales with activity instead of layer size
 //! ([`sparse`]), batched spike-plane GEMM kernels that amortize weight

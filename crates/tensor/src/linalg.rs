@@ -1,10 +1,13 @@
-//! Matrix operations: GEMM, transposed matmul variants and outer products.
+//! Dense linear-algebra kernels: matrix–vector products, transposes,
+//! outer products and the backward's register-tiled row updates.
 //!
-//! These are the only dense linear-algebra kernels the SNN stack needs:
-//! `matmul` for fully-connected forward passes, the `*_at` / `*_t`
-//! transposed variants for the corresponding backward passes, and `outer`
-//! for rank-1 weight-gradient accumulation. The batched dense-forward
-//! form `X · Wᵀ + b` lives in [`crate::batched::matmul_bt_bias`].
+//! The backward passes run [`matvec_t_block_into`] (`G·A`, the input
+//! gradient of a block of rows) and [`outer_acc_run`] (a run of rank-1
+//! weight-gradient updates). [`matvec`], [`transpose`], [`outer`] and
+//! [`outer_acc`] are the per-sample references the tests pin those
+//! kernels to, and the per-sample ANN reference walk runs them. The
+//! batched dense forward `X · Wᵀ + b` lives in
+//! [`crate::batched::matmul_bt_bias`].
 
 use crate::{Result, Tensor, TensorError};
 
@@ -18,59 +21,6 @@ fn check_rank2(t: &Tensor, op: &'static str) -> Result<(usize, usize)> {
         });
     }
     Ok((dims[0], dims[1]))
-}
-
-/// Computes `C = A · B` for row-major rank-2 tensors.
-///
-/// Uses an ikj loop order so the inner loop streams contiguously through
-/// both `B` and `C`, which is the standard cache-friendly layout for
-/// row-major GEMM without blocking. Exact-zero entries of `A` are
-/// skipped.
-///
-/// # Errors
-///
-/// Returns [`TensorError::RankMismatch`] if either input is not rank-2 and
-/// [`TensorError::ShapeMismatch`] when the inner dimensions disagree.
-///
-/// # Example
-///
-/// ```
-/// use axsnn_tensor::{linalg, Tensor};
-///
-/// # fn main() -> axsnn_tensor::Result<()> {
-/// let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2])?;
-/// let i = Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0], &[2, 2])?;
-/// assert_eq!(linalg::matmul(&a, &i)?.as_slice(), a.as_slice());
-/// # Ok(())
-/// # }
-/// ```
-pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    let (m, k) = check_rank2(a, "matmul")?;
-    let (k2, n) = check_rank2(b, "matmul")?;
-    if k != k2 {
-        return Err(TensorError::ShapeMismatch {
-            lhs: a.shape().dims().to_vec(),
-            rhs: b.shape().dims().to_vec(),
-            op: "matmul",
-        });
-    }
-    let av = a.as_slice();
-    let bv = b.as_slice();
-    let mut out = vec![0.0f32; m * n];
-    for i in 0..m {
-        for p in 0..k {
-            let aik = av[i * k + p];
-            if aik == 0.0 {
-                continue;
-            }
-            let brow = &bv[p * n..(p + 1) * n];
-            let crow = &mut out[i * n..(i + 1) * n];
-            for (c, &bval) in crow.iter_mut().zip(brow) {
-                *c += aik * bval;
-            }
-        }
-    }
-    Tensor::from_vec(out, &[m, n])
 }
 
 /// Transposes a rank-2 tensor.
@@ -137,124 +87,20 @@ pub fn outer(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     Tensor::from_vec(out, &[m, n])
 }
 
-/// Transposed matrix–vector product `y = Aᵀ·x` without materializing
-/// the transpose: `y[j] = Σ_i a[i][j]·x[i]`.
-///
-/// Per output element the accumulation runs over `i` ascending with a
-/// single accumulator — exactly the order `matvec(&transpose(a), x)`
-/// produces — so results are value-identical to the
-/// transpose-then-matvec path this replaces on the BPTT hot loop (one
-/// `[out,in]` transpose allocation per layer per time step). Rows with
-/// an exactly-zero coefficient contribute only exact zeros and are
-/// skipped; the surviving rows process in blocks of four with the
-/// per-cell accumulator held in a register across the block (same add
-/// sequence, a quarter of the output loads/stores).
-///
-/// # Errors
-///
-/// Returns [`TensorError::RankMismatch`] / [`TensorError::ShapeMismatch`]
-/// when inputs are not a compatible matrix/vector pair.
-///
-/// # Example
-///
-/// ```
-/// use axsnn_tensor::{linalg, Tensor};
-///
-/// # fn main() -> axsnn_tensor::Result<()> {
-/// let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2])?;
-/// let x = Tensor::from_vec(vec![1.0, 1.0], &[2])?;
-/// assert_eq!(linalg::matvec_t(&a, &x)?.as_slice(), &[4.0, 6.0]);
-/// # Ok(())
-/// # }
-/// ```
-pub fn matvec_t(a: &Tensor, x: &Tensor) -> Result<Tensor> {
-    matvec_t_thresholded(a, x, 0.0)
-}
-
-/// [`matvec_t`] with input-gradient sparsification: rows whose
-/// coefficient satisfies `|x[i]| < eps` (or is exactly zero) are
-/// skipped entirely, so the weight traffic scales with the number of
-/// surviving coefficients instead of the full row count.
-///
-/// With `eps == 0.0` only exact zeros are skipped — those contribute
-/// `±0.0` adds that cannot change any accumulator value — so the result
-/// equals [`matvec_t`]'s dense accumulation value-for-value. Surviving
-/// rows accumulate in ascending `i` order with a single accumulator per
-/// output cell, the same order regardless of how many rows the
-/// threshold removed.
-///
-/// # Errors
-///
-/// As [`matvec_t`].
-pub fn matvec_t_thresholded(a: &Tensor, x: &Tensor, eps: f32) -> Result<Tensor> {
-    let (m, n) = check_rank2(a, "matvec_t")?;
-    if x.shape().rank() != 1 || x.len() != m {
-        return Err(TensorError::ShapeMismatch {
-            lhs: a.shape().dims().to_vec(),
-            rhs: x.shape().dims().to_vec(),
-            op: "matvec_t",
-        });
-    }
-    let mut out = vec![0.0f32; n];
-    matvec_t_rows(a.as_slice(), n, x.as_slice(), eps, &mut out);
-    Tensor::from_vec(out, &[n])
-}
-
-/// Slice-level core of [`matvec_t_thresholded`]: accumulates
-/// `out[j] += a[i][j]·x[i]` over the admitted rows of `a` (row length
-/// `n`), four rows per pass. `out` is accumulated into, not overwritten.
-fn matvec_t_rows(av: &[f32], n: usize, xv: &[f32], eps: f32, out: &mut [f32]) {
-    // The skip set matches the sibling thresholded kernels: exact zeros
-    // and sub-threshold magnitudes only — NaN coefficients stay in, so
-    // a diverged gradient still surfaces as NaN instead of being
-    // silently masked.
-    let active: Vec<usize> = (0..xv.len())
-        .filter(|&i| xv[i] != 0.0 && (xv[i].abs() >= eps || xv[i].is_nan()))
-        .collect();
-    let mut quads = active.chunks_exact(4);
-    for q in quads.by_ref() {
-        let (r0, r1, r2, r3) = (
-            &av[q[0] * n..q[0] * n + n],
-            &av[q[1] * n..q[1] * n + n],
-            &av[q[2] * n..q[2] * n + n],
-            &av[q[3] * n..q[3] * n + n],
-        );
-        let (x0, x1, x2, x3) = (xv[q[0]], xv[q[1]], xv[q[2]], xv[q[3]]);
-        for (j, o) in out.iter_mut().enumerate() {
-            // Four sequential adds into one register accumulator: the
-            // identical per-cell add order as four single-row passes.
-            let mut acc = *o;
-            acc += r0[j] * x0;
-            acc += r1[j] * x1;
-            acc += r2[j] * x2;
-            acc += r3[j] * x3;
-            *o = acc;
-        }
-    }
-    for &i in quads.remainder() {
-        let row = &av[i * n..(i + 1) * n];
-        let xi = xv[i];
-        for (o, &w) in out.iter_mut().zip(row) {
-            *o += w * xi;
-        }
-    }
-}
-
 /// Shard-level transposed product `GI = G·A` for a `[rows, m]` gradient
-/// block against a `[m, n]` matrix, with `|g| < eps` entries skipped —
-/// the input-gradient kernel of the parallel minibatch backward and of
-/// the ANN twin's backward walk (training and attack gradients alike).
+/// block against a `[m, n]` matrix — the input-gradient kernel of the
+/// parallel minibatch backward and of the ANN twin's backward walk
+/// (training and attack gradients alike).
 ///
-/// Each output row is computed on its own: its admitted coefficients
-/// (the skip set of [`matvec_t_thresholded`]: exact zeros and
-/// `|g| < eps`, NaN kept) scale their rows of `A` into the output row
-/// in ascending `p` order from `+0.0`, one accumulator per cell — the
-/// same per-cell order as a per-row [`matvec_t_thresholded`], so
-/// results are value-identical to it (and, at `eps == 0.0`, to the
-/// dense `G·A` GEMM that skips exact zeros). Under AVX2 dispatch a
-/// 32-column tile of the output row stays in registers across up to 32
-/// coefficients at a time; the result is bit-identical to the portable
-/// loop, [`matvec_t_block_thresholded_into_scalar`].
+/// Each output row is computed on its own: its nonzero coefficients
+/// (exact zeros are skipped, NaN is kept) scale their rows of `A` into
+/// the output row in ascending `p` order from `+0.0`, one accumulator
+/// per cell. A skipped `±0` coefficient adds only `±0.0` terms, which
+/// cannot change an accumulator that starts at `+0.0`, so each row
+/// equals `matvec(&transpose(a), g_row)` bit for bit when `A` is finite.
+/// Under AVX2 dispatch a 32-column tile of the output row stays in
+/// registers across up to 32 coefficients at a time; the result is
+/// bit-identical to the portable loop, [`matvec_t_block_into_scalar`].
 ///
 /// `out` must be `rows × n` and is overwritten.
 ///
@@ -264,41 +110,46 @@ fn matvec_t_rows(av: &[f32], n: usize, xv: &[f32], eps: f32, out: &mut [f32]) {
 /// [`TensorError::InvalidArgument`] naming the operand — `g` when it is
 /// not `rows × m` long, `out` when it is not `rows × n` long — with its
 /// expected and actual length.
-pub fn matvec_t_block_thresholded_into(
-    a: &Tensor,
-    g: &[f32],
-    rows: usize,
-    eps: f32,
-    out: &mut [f32],
-) -> Result<()> {
-    matvec_t_block_impl(a, g, rows, eps, out, crate::simd::active())
+///
+/// # Example
+///
+/// ```
+/// use axsnn_tensor::{linalg, Tensor};
+///
+/// # fn main() -> axsnn_tensor::Result<()> {
+/// let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2])?;
+/// let mut out = [0.0f32; 2];
+/// linalg::matvec_t_block_into(&a, &[1.0, 1.0], 1, &mut out)?;
+/// assert_eq!(out, [4.0, 6.0]);
+/// # Ok(())
+/// # }
+/// ```
+pub fn matvec_t_block_into(a: &Tensor, g: &[f32], rows: usize, out: &mut [f32]) -> Result<()> {
+    matvec_t_block_impl(a, g, rows, out, crate::simd::active())
 }
 
-/// The portable scalar reference for
-/// [`matvec_t_block_thresholded_into`]: the same skip set and per-cell
-/// add order, never the runtime-dispatched AVX2 tiles. Production
-/// callers want [`matvec_t_block_thresholded_into`], which is
+/// The portable scalar reference for [`matvec_t_block_into`]: the same
+/// skip set and per-cell add order, never the runtime-dispatched AVX2
+/// tiles. Production callers want [`matvec_t_block_into`], which is
 /// bit-identical to this by construction (pinned by the
 /// `simd_equivalence` suite).
 ///
 /// # Errors
 ///
-/// As [`matvec_t_block_thresholded_into`].
-pub fn matvec_t_block_thresholded_into_scalar(
+/// As [`matvec_t_block_into`].
+pub fn matvec_t_block_into_scalar(
     a: &Tensor,
     g: &[f32],
     rows: usize,
-    eps: f32,
     out: &mut [f32],
 ) -> Result<()> {
-    matvec_t_block_impl(a, g, rows, eps, out, false)
+    matvec_t_block_impl(a, g, rows, out, false)
 }
 
 fn matvec_t_block_impl(
     a: &Tensor,
     g: &[f32],
     rows: usize,
-    eps: f32,
     out: &mut [f32],
     simd: bool,
 ) -> Result<()> {
@@ -311,7 +162,7 @@ fn matvec_t_block_impl(
     for r in 0..rows {
         terms.clear();
         for (p, &gv) in g[r * m..(r + 1) * m].iter().enumerate() {
-            if gv == 0.0 || gv.abs() < eps {
+            if gv == 0.0 {
                 continue;
             }
             terms.push((gv, &av[p * n..(p + 1) * n]));
@@ -488,11 +339,18 @@ mod tests {
         Tensor::from_vec(data, dims).unwrap()
     }
 
+    /// `A·B` through the dense batched GEMM: `matmul_bt_bias(A, Bᵀ, 0)`.
+    fn gemm(a: &Tensor, b: &Tensor) -> Result<Tensor> {
+        let bt = transpose(b)?;
+        let bias = Tensor::zeros(&[bt.shape().dims()[0]]);
+        crate::batched::matmul_bt_bias(a, &bt, &bias)
+    }
+
     #[test]
     fn matmul_small() {
         let a = t(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]);
         let b = t(vec![5.0, 6.0, 7.0, 8.0], &[2, 2]);
-        let c = matmul(&a, &b).unwrap();
+        let c = gemm(&a, &b).unwrap();
         assert_eq!(c.as_slice(), &[19.0, 22.0, 43.0, 50.0]);
     }
 
@@ -500,7 +358,7 @@ mod tests {
     fn matmul_rect() {
         let a = t(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]);
         let b = t(vec![1.0, 0.0, 0.0, 1.0, 1.0, 1.0], &[3, 2]);
-        let c = matmul(&a, &b).unwrap();
+        let c = gemm(&a, &b).unwrap();
         assert_eq!(c.shape().dims(), &[2, 2]);
         assert_eq!(c.as_slice(), &[4.0, 5.0, 10.0, 11.0]);
     }
@@ -509,9 +367,9 @@ mod tests {
     fn matmul_rejects_bad_shapes() {
         let a = t(vec![0.0; 6], &[2, 3]);
         let b = t(vec![0.0; 6], &[2, 3]);
-        assert!(matmul(&a, &b).is_err());
+        assert!(gemm(&a, &b).is_err());
         let v = t(vec![0.0; 3], &[3]);
-        assert!(matmul(&v, &b).is_err());
+        assert!(gemm(&v, &b).is_err());
     }
 
     #[test]
@@ -530,6 +388,14 @@ mod tests {
         assert_eq!(o.as_slice(), &[3.0, 4.0, 5.0, 6.0, 8.0, 10.0]);
     }
 
+    /// `Aᵀ·x` for one coefficient row, through the block kernel.
+    fn matvec_t_row(a: &Tensor, x: &Tensor) -> Result<Tensor> {
+        let n = a.shape().dims().get(1).copied().unwrap_or(0);
+        let mut out = vec![0.0f32; n];
+        matvec_t_block_into(a, x.as_slice(), 1, &mut out)?;
+        Tensor::from_vec(out, &[n])
+    }
+
     #[test]
     fn matvec_t_bitwise_matches_transpose_matvec() {
         let a = t(
@@ -537,7 +403,7 @@ mod tests {
             &[3, 5],
         );
         let x = t(vec![0.5, -1.25, 2.0], &[3]);
-        let fast = matvec_t(&a, &x).unwrap();
+        let fast = matvec_t_row(&a, &x).unwrap();
         let reference = matvec(&transpose(&a).unwrap(), &x).unwrap();
         assert_eq!(fast.as_slice(), reference.as_slice());
         assert_eq!(fast.shape().dims(), &[5]);
@@ -545,7 +411,7 @@ mod tests {
 
     #[test]
     fn matvec_t_blocked_matches_naive_reference() {
-        // 11 rows exercises two full quads plus a 3-row remainder.
+        // 11 coefficients, every third an exact zero the kernel skips.
         let a = t(
             (0..11 * 7).map(|i| ((i as f32) * 0.37).cos()).collect(),
             &[11, 7],
@@ -556,7 +422,7 @@ mod tests {
                 .collect(),
             &[11],
         );
-        let fast = matvec_t(&a, &x).unwrap();
+        let fast = matvec_t_row(&a, &x).unwrap();
         let mut naive = vec![0.0f32; 7];
         for (i, &xi) in x.as_slice().iter().enumerate() {
             for (j, o) in naive.iter_mut().enumerate() {
@@ -564,29 +430,6 @@ mod tests {
             }
         }
         assert_eq!(fast.as_slice(), naive.as_slice());
-    }
-
-    #[test]
-    fn matvec_t_thresholded_zero_eps_equals_dense() {
-        let a = t(
-            (0..12 * 5).map(|i| ((i as f32) * 0.91).sin()).collect(),
-            &[12, 5],
-        );
-        let x = t((0..12).map(|i| (i as f32 - 6.0) * 1e-4).collect(), &[12]);
-        assert_eq!(
-            matvec_t_thresholded(&a, &x, 0.0).unwrap().as_slice(),
-            matvec_t(&a, &x).unwrap().as_slice()
-        );
-    }
-
-    #[test]
-    fn matvec_t_thresholded_drops_small_rows() {
-        let a = t(vec![1.0, 1.0, 10.0, 10.0, 1.0, 1.0], &[3, 2]);
-        let x = t(vec![1e-4, 1.0, 1e-4], &[3]);
-        let y = matvec_t_thresholded(&a, &x, 1e-3).unwrap();
-        assert_eq!(y.as_slice(), &[10.0, 10.0], "tiny rows skipped");
-        let dense = matvec_t(&a, &x).unwrap();
-        assert!(dense.as_slice()[0] != 10.0, "dense keeps tiny rows");
     }
 
     #[test]
@@ -608,18 +451,13 @@ mod tests {
                 }
             })
             .collect();
-        for &eps in &[0.0f32, 1e-5] {
-            let mut block = vec![0.0f32; rows * 6];
-            matvec_t_block_thresholded_into(&a, &g, rows, eps, &mut block).unwrap();
-            for r in 0..rows {
-                let x = t(g[r * 9..(r + 1) * 9].to_vec(), &[9]);
-                let per_row = matvec_t_thresholded(&a, &x, eps).unwrap();
-                assert_eq!(
-                    &block[r * 6..(r + 1) * 6],
-                    per_row.as_slice(),
-                    "row {r} eps {eps}"
-                );
-            }
+        let mut block = vec![0.0f32; rows * 6];
+        matvec_t_block_into(&a, &g, rows, &mut block).unwrap();
+        let at = transpose(&a).unwrap();
+        for r in 0..rows {
+            let x = t(g[r * 9..(r + 1) * 9].to_vec(), &[9]);
+            let per_row = matvec(&at, &x).unwrap();
+            assert_eq!(&block[r * 6..(r + 1) * 6], per_row.as_slice(), "row {r}");
         }
     }
 
@@ -627,9 +465,9 @@ mod tests {
     fn matvec_t_block_rejects_bad_shapes() {
         let a = t(vec![0.0; 6], &[2, 3]);
         let mut out = vec![0.0f32; 3];
-        assert!(matvec_t_block_thresholded_into(&a, &[0.0; 3], 1, 0.0, &mut out).is_err());
-        assert!(matvec_t_block_thresholded_into(&a, &[0.0; 2], 1, 0.0, &mut [0.0; 2]).is_err());
-        assert!(matvec_t_block_thresholded_into(&a, &[0.0; 2], 1, 0.0, &mut out).is_ok());
+        assert!(matvec_t_block_into(&a, &[0.0; 3], 1, &mut out).is_err());
+        assert!(matvec_t_block_into(&a, &[0.0; 2], 1, &mut [0.0; 2]).is_err());
+        assert!(matvec_t_block_into(&a, &[0.0; 2], 1, &mut out).is_ok());
     }
 
     #[test]
@@ -637,7 +475,7 @@ mod tests {
         // Three values are not a whole number of two-wide rows.
         let a = t(vec![0.0; 6], &[2, 3]);
         let mut out = vec![0.0f32; 6];
-        let err = matvec_t_block_thresholded_into(&a, &[0.0; 3], 2, 0.0, &mut out)
+        let err = matvec_t_block_into(&a, &[0.0; 3], 2, &mut out)
             .unwrap_err()
             .to_string();
         assert!(
@@ -650,7 +488,7 @@ mod tests {
     fn matvec_t_block_names_a_wrong_out() {
         let a = t(vec![0.0; 6], &[2, 3]);
         let mut out = vec![0.0f32; 5];
-        let err = matvec_t_block_thresholded_into(&a, &[0.0; 4], 2, 0.0, &mut out)
+        let err = matvec_t_block_into(&a, &[0.0; 4], 2, &mut out)
             .unwrap_err()
             .to_string();
         assert!(
@@ -693,8 +531,8 @@ mod tests {
     #[test]
     fn matvec_t_rejects_bad_shapes() {
         let a = t(vec![0.0; 6], &[2, 3]);
-        assert!(matvec_t(&a, &t(vec![0.0; 3], &[3])).is_err());
-        assert!(matvec_t(&t(vec![0.0; 2], &[2]), &t(vec![0.0; 2], &[2])).is_err());
+        assert!(matvec_t_row(&a, &t(vec![0.0; 3], &[3])).is_err());
+        assert!(matvec_t_row(&t(vec![0.0; 2], &[2]), &t(vec![0.0; 2], &[2])).is_err());
     }
 
     #[test]
@@ -723,18 +561,18 @@ mod tests {
         let x = t(vec![1.0, 0.5, -1.0], &[3]);
         let y = matvec(&a, &x).unwrap();
         let xm = x.reshape(&[3, 1]).unwrap();
-        let ym = matmul(&a, &xm).unwrap();
+        let ym = gemm(&a, &xm).unwrap();
         assert_eq!(y.as_slice(), ym.as_slice());
     }
 
     /// An all-negative weight row on an all-zero input with a `-0.0`
     /// bias: every term is `-0.0`, so a sum started at `-0.0` would end
     /// there. The per-sample dense path, the batched dense kernel and
-    /// both spike gathers all start at `+0.0` and give `+0.0`.
+    /// the spike gather all start at `+0.0` and give `+0.0`.
     #[test]
     fn signed_zero_row_is_positive_zero_in_every_kernel() {
         use crate::batched::{matmul_bt_bias, sparse_matmul_bias, SpikeMatrix};
-        use crate::sparse::{sparse_matvec_bias, SpikeVector};
+        use crate::sparse::SpikeVector;
         let w = t(vec![-1.0, -2.0, -0.5], &[1, 3]);
         let x = Tensor::zeros(&[3]);
         let bias = t(vec![-0.0], &[1]);
@@ -745,10 +583,6 @@ mod tests {
             (
                 "matmul_bt_bias",
                 matmul_bt_bias(&x.reshape(&[1, 3]).unwrap(), &w, &bias).unwrap(),
-            ),
-            (
-                "sparse_matvec_bias",
-                sparse_matvec_bias(&w, &events, &bias).unwrap(),
             ),
             (
                 "sparse_matmul_bias",
@@ -764,7 +598,7 @@ mod tests {
     fn identity_is_neutral() {
         let a = t(vec![2.0, -1.0, 0.5, 3.0], &[2, 2]);
         let i = t(vec![1.0, 0.0, 0.0, 1.0], &[2, 2]);
-        assert_eq!(matmul(&a, &i).unwrap(), a);
-        assert_eq!(matmul(&i, &a).unwrap(), a);
+        assert_eq!(gemm(&a, &i).unwrap(), a);
+        assert_eq!(gemm(&i, &a).unwrap(), a);
     }
 }

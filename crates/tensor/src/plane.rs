@@ -1,10 +1,10 @@
 //! Reduced-precision weight storage planes: int8 / f16 weight buffers
 //! with f32 accumulation.
 //!
-//! The gather-bound event kernels ([`crate::sparse::sparse_matvec_bias`],
-//! the spike-plane GEMM, the event-sorted batched conv) stream weights,
-//! not arithmetic: at low spike densities nearly every touched cache
-//! line is a weight line. Storing the weights at reduced precision —
+//! The gather-bound event kernels (the spike-plane GEMM
+//! [`crate::batched::sparse_matmul_bias`], the event-sorted batched
+//! conv) stream weights, not arithmetic: at low spike densities nearly
+//! every touched cache line is a weight line. Storing the weights at reduced precision —
 //! 16-bit IEEE half bits or 8-bit symmetric-quantized codes — halves to
 //! quarters that traffic while every accumulate stays in f32.
 //!
@@ -317,8 +317,8 @@ impl QuantizedPlane {
 }
 
 /// A borrowed reduced-precision weight buffer — the argument type of the
-/// plane-aware kernels ([`crate::sparse::sparse_matvec_bias_planed`] and
-/// friends). Dispatched once at kernel entry; the inner loops are
+/// plane-aware kernels ([`crate::batched::sparse_matmul_bias_planed`]
+/// and friends). Dispatched once at kernel entry; the inner loops are
 /// monomorphized per storage format.
 #[derive(Debug, Clone, Copy)]
 pub enum PlaneView<'a> {

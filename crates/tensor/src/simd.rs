@@ -3,7 +3,7 @@
 //!
 //! Every kernel in this crate has a **portable scalar implementation
 //! that is the single source of truth for semantics**
-//! (`crate::sparse::gather_row`'s one-accumulator sum and its batched
+//! (`crate::sparse::gather_row_lane`'s one-accumulator sum and its batched
 //! relatives; the single-accumulator row dot of
 //! [`crate::batched::matmul_bt_bias_scalar`]; the scaled-row loop of
 //! [`crate::linalg::outer_acc_run_scalar`]). This module adds AVX2
@@ -26,8 +26,8 @@
 //!
 //! * `matvec_rows` — gathers one index list against `N` 8-row weight
 //!   tiles at once (`vgatherdps` over a row-strided offset vector): the
-//!   sparse matvec, and the spike-plane GEMM on matvec-shaped batches.
-//!   Per lane the sum is `gather_row`'s: one accumulator from `+0.0`
+//!   spike-plane GEMM on matvec-shaped batches, one sample included.
+//!   Per lane the sum is `gather_row_lane`'s: one accumulator from `+0.0`
 //!   over the ascending indices, bias last. Each tile is one 8-lane
 //!   chain; the instruction-level parallelism comes from the `N`
 //!   independent tiles sharing one walk of the index list, never from
@@ -37,7 +37,7 @@
 //!   (`panel[j·8 + l] = row_l[j]`), turning every per-event gather into
 //!   one contiguous 32-byte load shared by 8 output rows; `N` panels
 //!   share each batch row's walk of its index list. Per lane the sum is
-//!   again `gather_row`'s.
+//!   again `gather_row_lane`'s.
 //! * `pack_rows8` / `matmul_dense_panel8` — the dense analog-plane
 //!   GEMM behind [`crate::batched::matmul_bt_bias`]: the same panel,
 //!   streamed against four batch rows at a time (one broadcast input
@@ -53,8 +53,8 @@
 //! * `scaled_row_sum` — the backward's register-tiled row update behind
 //!   [`crate::linalg::outer_acc_run`] (a linear layer's weight gradient
 //!   over a run of taped rows) and
-//!   [`crate::linalg::matvec_t_block_thresholded_into`] (`Wᵀ·g` over a
-//!   row's admitted coefficients): `out[j] = out[j] + c·row[j]` over a
+//!   [`crate::linalg::matvec_t_block_into`] (`Wᵀ·g` over a row's
+//!   nonzero coefficients): `out[j] = out[j] + c·row[j]` over a
 //!   list of scaled rows. Here **lanes map to output columns of one
 //!   row**, not to output rows: a 32-column tile of the output row
 //!   stays in four registers across up to 32 scaled rows at a time.
@@ -171,7 +171,7 @@ pub(crate) const ROW_LANES: usize = 8;
 
 /// Gathers `indices` against `8·N` consecutive weight rows at once:
 /// `out[l] = (Σ_j rows[l·k + indices[j]]) + bias[l]` with exactly the
-/// scalar [`crate::sparse::gather_row`] summation order per lane: one
+/// scalar [`crate::sparse::gather_row_lane`] summation order per lane: one
 /// accumulator from `+0.0`, ascending indices, bias last.
 ///
 /// Each 8-row tile is one accumulator chain; the `N` chains share one
@@ -235,7 +235,7 @@ pub(crate) fn pack_rows8(rows: &[f32], k: usize, panel: &mut [f32]) {
 /// ([`pack_rows8`]), so every gathered column is one contiguous load
 /// `panel_t[j·8 .. j·8 + 8]`. Writes
 /// `out[8·t + l] = (Σ_j panel_t[j·8 + l]) + bias[8·t + l]` with exactly
-/// [`crate::sparse::gather_row`]'s summation order per lane; the `N`
+/// [`crate::sparse::gather_row_lane`]'s summation order per lane; the `N`
 /// panels lie back to back in `panels`, and each is one accumulator
 /// chain over a shared walk of the index list.
 ///
@@ -1095,7 +1095,9 @@ mod tests {
             matmul_panels::<4>(&panels, k, list, &bias, &mut p32);
             for l in 0..32 {
                 let row = &rows[l * k..(l + 1) * k];
-                let scalar = crate::sparse::gather_row(row, list, bias[l]).to_bits();
+                let scalar =
+                    crate::sparse::gather_row_lane(crate::plane::F32Lane(row), list, bias[l])
+                        .to_bits();
                 assert_eq!(x32[l].to_bits(), scalar, "x32 list {r} lane {l}");
                 assert_eq!(p32[l].to_bits(), scalar, "panels x4 list {r} lane {l}");
                 if l < 8 {

@@ -10,16 +10,21 @@
 //!
 //! * [`SpikeVector`] — the event representation: flat indices of active
 //!   spikes plus the logical dense length,
-//! * [`sparse_matvec`] / [`sparse_matvec_bias`] — sparse×dense product
-//!   that gathers only the weight columns of active inputs,
-//! * [`sparse_conv2d`] — scatter-based convolution that pushes each
-//!   input event through the kernel stencil,
+//! * [`sparse_conv2d`] / [`sparse_conv2d_into`] — scatter-based
+//!   convolution that pushes each input event through the kernel
+//!   stencil,
 //! * [`sparse_avg_pool2d`] / [`sparse_max_pool2d`] — pooling directly on
 //!   events, and [`sparse_max_pool2d_events`] — max pooling from events
 //!   to events, so a binary plane stays in event form across the pool,
-//! * [`SpikeVector::from_dense_if_sparse`] — the dense↔sparse gate: a
+//! * [`sparse_outer_acc`] / [`sparse_conv2d_backward`] — the weight
+//!   gradients of an event row,
+//! * [`SpikeVector::from_slice_if_sparse`] — the dense↔sparse gate: a
 //!   frame converts only when it is binary and its density is at most a
 //!   threshold, so the caller always takes the cheaper path.
+//!
+//! A linear layer's event gather has one form, the batch kernel
+//! [`crate::batched::sparse_matmul_bias`]; one sample is its one-row
+//! case. Its per-output sum is this module's gather order.
 //!
 //! Every kernel sums in its dense counterpart's order, so on a binary
 //! frame with finite weights the two give the same bits. A gather sums
@@ -32,9 +37,7 @@
 //! conv's window order. The avg pool counts spikes per window and
 //! scales once, as [`crate::conv::avg_pool2d`] does. The property tests
 //! in `tests/sparse_equivalence.rs` pin this bit for bit across shapes,
-//! strides, paddings, windows and densities. The batched counterparts
-//! in [`crate::batched`] route through the same gather/scatter helpers
-//! and are bit-identical per row.
+//! strides, paddings, windows and densities.
 //!
 //! The one exception is a non-finite weight: the dense kernels multiply
 //! it by an inactive input's `0.0`, and `±inf · 0` is NaN, while the
@@ -43,23 +46,27 @@
 //! # Example
 //!
 //! ```
-//! use axsnn_tensor::sparse::{sparse_matvec, SpikeVector};
-//! use axsnn_tensor::{linalg, Tensor};
+//! use axsnn_tensor::conv::{conv2d, Conv2dSpec};
+//! use axsnn_tensor::sparse::{sparse_conv2d, SpikeVector};
+//! use axsnn_tensor::Tensor;
 //!
 //! # fn main() -> axsnn_tensor::Result<()> {
-//! let w = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3])?;
-//! let frame = Tensor::from_vec(vec![0.0, 1.0, 0.0], &[3])?;
+//! let spec = Conv2dSpec { in_channels: 1, out_channels: 2, kernel: 3, stride: 1, padding: 1 };
+//! let weight = Tensor::from_vec((0..18).map(|i| i as f32 * 0.25).collect(), &[2, 1, 3, 3])?;
+//! let bias = Tensor::from_vec(vec![0.5, -1.0], &[2])?;
+//! let mut frame = Tensor::zeros(&[1, 4, 4]);
+//! frame.as_mut_slice()[5] = 1.0;
 //! let spikes = SpikeVector::from_dense(&frame).expect("binary frame");
-//! assert_eq!(spikes.density(), 1.0 / 3.0);
-//! let sparse = sparse_matvec(&w, &spikes)?;
-//! let dense = linalg::matvec(&w, &frame)?;
+//! assert_eq!(spikes.density(), 1.0 / 16.0);
+//! let sparse = sparse_conv2d(&spikes, (4, 4), &weight, &bias, &spec)?;
+//! let dense = conv2d(&frame, &weight, &bias, &spec)?;
 //! assert_eq!(sparse.as_slice(), dense.as_slice());
 //! # Ok(())
 //! # }
 //! ```
 
 use crate::conv::Conv2dSpec;
-use crate::plane::{F16Lane, F32Lane, Int8Lane, PlaneView, WeightLane};
+use crate::plane::WeightLane;
 use crate::{Result, Tensor, TensorError};
 
 /// Default maximum density at which the sparse path is considered
@@ -113,20 +120,15 @@ impl SpikeVector {
     }
 
     /// Extracts a binary frame's events only when its density is at most
-    /// `max_density` — the dense↔sparse gate.
+    /// `max_density` — the dense↔sparse gate, on a raw slice so the
+    /// fused batch engine gates rows of a stacked `[B, n]` block without
+    /// materializing per-row tensors.
     ///
     /// Returns `None` when the frame is non-binary **or** denser than
     /// the threshold, in which case the caller should use the dense
     /// kernels. The scan aborts as soon as too many events are seen, so
     /// rejecting a dense frame costs at most `max_density·len + 1`
     /// index pushes.
-    pub fn from_dense_if_sparse(t: &Tensor, max_density: f32) -> Option<Self> {
-        Self::from_slice_if_sparse(t.as_slice(), max_density)
-    }
-
-    /// [`SpikeVector::from_dense_if_sparse`] on a raw slice — the form
-    /// the fused batch engine uses to gate rows of a stacked `[B, n]`
-    /// block without materializing per-row tensors.
     pub fn from_slice_if_sparse(data: &[f32], max_density: f32) -> Option<Self> {
         if max_density <= 0.0 || max_density.is_nan() {
             return None;
@@ -208,21 +210,15 @@ impl SpikeVector {
 /// accumulator from `+0.0`, ascending index order, bias last.
 ///
 /// This is the summation order of every spike gather in the workspace
-/// (the per-sample and batched kernels, the AVX2 tiles and the
-/// reduced-precision lanes) and of the dense kernels, which add `w·x`
-/// over every column the same way. Starting from `+0.0` keeps the
-/// partial sum off `-0.0`, so skipping an inactive column's `±0.0`
-/// term changes no bit.
-#[inline]
-pub(crate) fn gather_row(row: &[f32], indices: &[u32], bias: f32) -> f32 {
-    gather_row_lane(F32Lane(row), indices, bias)
-}
-
-/// The lane-generic body of [`gather_row`]: `row.load` is a plain slice
-/// read for the f32 lane and an in-register dequantization for the
-/// f16/int8 lanes. The summation order is the same for every lane,
-/// which is what makes a planed gather bit-identical to the f32 gather
-/// over the dequantized weights.
+/// (the scalar tiles, the AVX2 tiles and the reduced-precision lanes)
+/// and of the dense kernels, which add `w·x` over every column the same
+/// way. Starting from `+0.0` keeps the partial sum off `-0.0`, so
+/// skipping an inactive column's `±0.0` term changes no bit.
+///
+/// `row.load` is a plain slice read for the f32 lane and an in-register
+/// dequantization for the f16/int8 lanes. The summation order is the
+/// same for every lane, which is what makes a planed gather
+/// bit-identical to the f32 gather over the dequantized weights.
 #[inline]
 pub(crate) fn gather_row_lane<L: WeightLane>(row: L, indices: &[u32], bias: f32) -> f32 {
     let mut acc = 0.0f32;
@@ -233,13 +229,13 @@ pub(crate) fn gather_row_lane<L: WeightLane>(row: L, indices: &[u32], bias: f32)
 }
 
 /// [`gather_row_lane`] over a tile of 4 weight rows at once, writing 4
-/// outputs: the scalar GEMM and planed-matvec microkernel.
+/// outputs: the scalar spike-plane GEMM microkernel.
 ///
 /// The gather's cost is dominated by the dependent index-load →
 /// data-load chain; sharing each index load across 4 weight rows
 /// quarters the index traffic and gives the out-of-order core 4
 /// independent accumulator chains, one per output. Each output's sum
-/// is [`gather_row`]'s, so every output stays bit-identical to the
+/// is [`gather_row_lane`]'s, so every output stays bit-identical to the
 /// one-row gather.
 #[inline]
 pub(crate) fn gather_row_x4<L: WeightLane>(
@@ -291,217 +287,6 @@ pub(crate) fn scatter_stencil(
         out[oc * ohw + obase] += wv[oc * wstride + wbase];
         oc += 1;
     }
-}
-
-fn check_matrix(a: &Tensor, x: &SpikeVector, op: &'static str) -> Result<(usize, usize)> {
-    let dims = a.shape().dims();
-    if dims.len() != 2 {
-        return Err(TensorError::RankMismatch {
-            expected: 2,
-            actual: dims.len(),
-            op,
-        });
-    }
-    if x.len() != dims[1] {
-        return Err(TensorError::ShapeMismatch {
-            lhs: dims.to_vec(),
-            rhs: vec![x.len()],
-            op,
-        });
-    }
-    Ok((dims[0], dims[1]))
-}
-
-/// Sparse matrix–vector product `y = A·s` where `s` is a binary spike
-/// vector: accumulates only the weight columns of active inputs.
-///
-/// Each output row is a gather over the active indices within that
-/// contiguous weight row, so compute and memory traffic scale with
-/// `rows × nnz` instead of `rows × cols`.
-///
-/// # Errors
-///
-/// Returns [`TensorError::RankMismatch`] for a non-matrix `a` and
-/// [`TensorError::ShapeMismatch`] when the spike length differs from the
-/// column count.
-pub fn sparse_matvec(a: &Tensor, x: &SpikeVector) -> Result<Tensor> {
-    let (m, k) = check_matrix(a, x, "sparse_matvec")?;
-    let mut out = vec![0.0f32; m];
-    matvec_rows_dispatch(a.as_slice(), m, k, x.indices(), None, &mut out);
-    Tensor::from_vec(out, &[m])
-}
-
-/// The f32 matvec body shared by [`sparse_matvec`] and
-/// [`sparse_matvec_bias`]: 32- and 8-row AVX2 tiles when
-/// [`crate::simd`] is active, then the scalar [`gather_row`] for the
-/// remainder rows (and for everything under scalar dispatch). Each
-/// vector lane runs one output row's sum in [`gather_row`]'s order, so
-/// the dispatch choice never changes a bit of the result.
-fn matvec_rows_dispatch(
-    av: &[f32],
-    m: usize,
-    k: usize,
-    indices: &[u32],
-    bv: Option<&[f32]>,
-    out: &mut [f32],
-) {
-    const WIDE: usize = 4 * crate::simd::ROW_LANES;
-    const NARROW: usize = crate::simd::ROW_LANES;
-    let zeros = [0.0f32; WIDE];
-    let bias = |i: usize, n: usize| bv.map_or(&zeros[..n], |bv| &bv[i..i + n]);
-    let mut i = 0usize;
-    if crate::simd::active() && crate::simd::indices_in_bounds(indices, k) {
-        // 32-row tiles first: the matvec shape is latency-bound, so
-        // four independent gather chains per walk of the index list
-        // matter more than tile residency. The 8-row kernel mops up,
-        // the scalar loop takes the rest.
-        while i + WIDE <= m {
-            let (rows, dst) = (&av[i * k..(i + WIDE) * k], &mut out[i..i + WIDE]);
-            crate::simd::matvec_rows::<4>(rows, k, indices, bias(i, WIDE), dst);
-            i += WIDE;
-        }
-        while i + NARROW <= m {
-            let (rows, dst) = (&av[i * k..(i + NARROW) * k], &mut out[i..i + NARROW]);
-            crate::simd::matvec_rows::<1>(rows, k, indices, bias(i, NARROW), dst);
-            i += NARROW;
-        }
-    }
-    while i < m {
-        let row = &av[i * k..(i + 1) * k];
-        out[i] = gather_row(row, indices, bv.map_or(0.0, |bv| bv[i]));
-        i += 1;
-    }
-}
-
-/// [`sparse_matvec`] plus a bias: `y = A·s + b`, matching the fused
-/// form the spiking layers use.
-///
-/// # Errors
-///
-/// As [`sparse_matvec`], plus [`TensorError::ShapeMismatch`] when the
-/// bias length differs from the row count.
-pub fn sparse_matvec_bias(a: &Tensor, x: &SpikeVector, bias: &Tensor) -> Result<Tensor> {
-    let (m, k) = check_matrix(a, x, "sparse_matvec_bias")?;
-    if bias.len() != m {
-        return Err(TensorError::ShapeMismatch {
-            lhs: vec![m, k],
-            rhs: bias.shape().dims().to_vec(),
-            op: "sparse_matvec_bias",
-        });
-    }
-    let mut out = vec![0.0f32; m];
-    matvec_rows_dispatch(
-        a.as_slice(),
-        m,
-        k,
-        x.indices(),
-        Some(bias.as_slice()),
-        &mut out,
-    );
-    Tensor::from_vec(out, &[m])
-}
-
-/// The portable scalar reference for [`sparse_matvec_bias`] — the
-/// single source of truth for the kernel's semantics, never dispatched
-/// to SIMD. The `simd_equivalence` suite pins the dispatching kernel
-/// bit-identical to this one on every shape, density and remainder lane
-/// count; the SIMD bench measures the dispatch against it.
-///
-/// # Errors
-///
-/// As [`sparse_matvec_bias`].
-pub fn sparse_matvec_bias_scalar(a: &Tensor, x: &SpikeVector, bias: &Tensor) -> Result<Tensor> {
-    let (m, k) = check_matrix(a, x, "sparse_matvec_bias")?;
-    if bias.len() != m {
-        return Err(TensorError::ShapeMismatch {
-            lhs: vec![m, k],
-            rhs: bias.shape().dims().to_vec(),
-            op: "sparse_matvec_bias",
-        });
-    }
-    let av = a.as_slice();
-    let bv = bias.as_slice();
-    let mut out = vec![0.0f32; m];
-    for (i, o) in out.iter_mut().enumerate() {
-        let row = &av[i * k..(i + 1) * k];
-        *o = gather_row(row, x.indices(), bv[i]);
-    }
-    Tensor::from_vec(out, &[m])
-}
-
-/// [`sparse_matvec_bias`] streaming a reduced-precision weight plane:
-/// `y = dequant(W)·s + b` with each weight dequantized in-register and
-/// every accumulate in f32.
-///
-/// The summation order is `gather_row`'s, so the result is
-/// bit-identical to [`sparse_matvec_bias`] over the plane's
-/// [`crate::plane::QuantizedPlane::dequantize`] tensor — quantizing the
-/// storage changes which bits are streamed, never the arithmetic.
-///
-/// # Errors
-///
-/// Returns [`TensorError::LengthMismatch`] when the plane does not hold
-/// `rows × cols` weights and [`TensorError::ShapeMismatch`] when the
-/// spike or bias length disagrees with `shape`.
-pub fn sparse_matvec_bias_planed(
-    weights: PlaneView<'_>,
-    shape: (usize, usize),
-    x: &SpikeVector,
-    bias: &Tensor,
-) -> Result<Tensor> {
-    let (m, k) = shape;
-    if weights.len() != m * k {
-        return Err(TensorError::LengthMismatch {
-            expected: m * k,
-            actual: weights.len(),
-        });
-    }
-    if x.len() != k {
-        return Err(TensorError::ShapeMismatch {
-            lhs: vec![m, k],
-            rhs: vec![x.len()],
-            op: "sparse_matvec_bias_planed",
-        });
-    }
-    if bias.len() != m {
-        return Err(TensorError::ShapeMismatch {
-            lhs: vec![m, k],
-            rhs: bias.shape().dims().to_vec(),
-            op: "sparse_matvec_bias_planed",
-        });
-    }
-    let out = match weights {
-        PlaneView::F16(bits) => matvec_bias_lane(F16Lane(bits), m, k, x, bias.as_slice()),
-        PlaneView::Int8 { codes, levels } => {
-            matvec_bias_lane(Int8Lane { codes, levels }, m, k, x, bias.as_slice())
-        }
-    };
-    Tensor::from_vec(out, &[m])
-}
-
-/// The planed matvec body: 4-row tiles ([`gather_row_x4`]) keep four
-/// independent chains in flight, then one row at a time.
-fn matvec_bias_lane<L: WeightLane>(
-    weights: L,
-    m: usize,
-    k: usize,
-    x: &SpikeVector,
-    bv: &[f32],
-) -> Vec<f32> {
-    let mut out = vec![0.0f32; m];
-    let row = |i: usize| weights.slice(i * k, (i + 1) * k);
-    let mut i = 0usize;
-    while i + 4 <= m {
-        let rows = [row(i), row(i + 1), row(i + 2), row(i + 3)];
-        let bias = [bv[i], bv[i + 1], bv[i + 2], bv[i + 3]];
-        gather_row_x4(rows, x.indices(), bias, &mut out[i..i + 4]);
-        i += 4;
-    }
-    while i < m {
-        out[i] = gather_row_lane(row(i), x.indices(), bv[i]);
-        i += 1;
-    }
-    out
 }
 
 /// Event-masked rank-1 gradient accumulation
@@ -1113,11 +898,30 @@ pub(crate) fn sparse_conv2d_naive(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batched::{sparse_matmul_bias, sparse_matmul_bias_planed, SpikeMatrix};
     use crate::conv::{avg_pool2d, conv2d, max_pool2d};
     use crate::linalg;
+    use crate::plane::PlaneView;
 
     fn bits(t: &Tensor) -> Vec<u32> {
         t.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The one-row case of the batch gather, as one `[out]` row.
+    fn gather_one(w: &Tensor, s: &SpikeVector, b: &Tensor) -> Result<Tensor> {
+        let row = SpikeMatrix::from_rows(std::slice::from_ref(s))?;
+        sparse_matmul_bias(w, &row, b)?.reshape(&[b.len()])
+    }
+
+    /// [`gather_one`] streaming a reduced-precision weight plane.
+    fn gather_one_planed(
+        w: PlaneView<'_>,
+        shape: (usize, usize),
+        s: &SpikeVector,
+        b: &Tensor,
+    ) -> Result<Tensor> {
+        let row = SpikeMatrix::from_rows(std::slice::from_ref(s))?;
+        sparse_matmul_bias_planed(w, shape, &row, b)?.reshape(&[b.len()])
     }
 
     fn binary_frame(len: usize, every: usize) -> Tensor {
@@ -1148,11 +952,11 @@ mod tests {
     #[test]
     fn density_gate_rejects_dense_frames() {
         let t = binary_frame(100, 2); // 50% dense
-        assert!(SpikeVector::from_dense_if_sparse(&t, 0.25).is_none());
-        assert!(SpikeVector::from_dense_if_sparse(&t, 0.5).is_some());
-        assert!(SpikeVector::from_dense_if_sparse(&t, 0.0).is_none());
+        assert!(SpikeVector::from_slice_if_sparse(t.as_slice(), 0.25).is_none());
+        assert!(SpikeVector::from_slice_if_sparse(t.as_slice(), 0.5).is_some());
+        assert!(SpikeVector::from_slice_if_sparse(t.as_slice(), 0.0).is_none());
         let sparse = binary_frame(100, 10); // 10% dense
-        let s = SpikeVector::from_dense_if_sparse(&sparse, 0.25).unwrap();
+        let s = SpikeVector::from_slice_if_sparse(sparse.as_slice(), 0.25).unwrap();
         assert_eq!(s.nnz(), 10);
     }
 
@@ -1176,7 +980,7 @@ mod tests {
         let w = Tensor::from_vec((0..20).map(|i| i as f32 * 0.3 - 2.0).collect(), &[4, 5]).unwrap();
         let x = Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0, 0.0], &[5]).unwrap();
         let s = SpikeVector::from_dense(&x).unwrap();
-        let sparse = sparse_matvec(&w, &s).unwrap();
+        let sparse = gather_one(&w, &s, &Tensor::zeros(&[4])).unwrap();
         let dense = linalg::matvec(&w, &x).unwrap();
         assert_eq!(bits(&sparse), bits(&dense));
     }
@@ -1187,7 +991,7 @@ mod tests {
         let b = Tensor::from_vec(vec![0.1, -0.2, 0.3], &[3]).unwrap();
         let x = Tensor::from_vec(vec![0.0, 1.0, 1.0, 0.0], &[4]).unwrap();
         let s = SpikeVector::from_dense(&x).unwrap();
-        let sparse = sparse_matvec_bias(&w, &s, &b).unwrap();
+        let sparse = gather_one(&w, &s, &b).unwrap();
         let dense = linalg::matvec(&w, &x).unwrap().add(&b).unwrap();
         assert_eq!(bits(&sparse), bits(&dense));
     }
@@ -1196,23 +1000,23 @@ mod tests {
     fn matvec_shape_errors() {
         let w = Tensor::zeros(&[3, 4]);
         let s = SpikeVector::new(vec![0], 5).unwrap();
-        assert!(sparse_matvec(&w, &s).is_err());
+        assert!(gather_one(&w, &s, &Tensor::zeros(&[3])).is_err());
         let v = Tensor::zeros(&[4]);
         let s4 = SpikeVector::new(vec![0], 4).unwrap();
-        assert!(sparse_matvec(&v, &s4).is_err());
+        assert!(gather_one(&v, &s4, &Tensor::zeros(&[4])).is_err());
         let bias = Tensor::zeros(&[2]);
         let w34 = Tensor::zeros(&[3, 4]);
-        assert!(sparse_matvec_bias(&w34, &s4, &bias).is_err());
+        assert!(gather_one(&w34, &s4, &bias).is_err());
     }
 
     #[test]
     fn matvec_bias_shape_errors() {
         let w = Tensor::zeros(&[3, 4]);
         let s5 = SpikeVector::new(vec![0], 5).unwrap();
-        assert!(sparse_matvec_bias(&w, &s5, &Tensor::zeros(&[3])).is_err());
+        assert!(gather_one(&w, &s5, &Tensor::zeros(&[3])).is_err());
         let s4 = SpikeVector::new(vec![0], 4).unwrap();
-        assert!(sparse_matvec_bias(&w, &s4, &Tensor::zeros(&[2])).is_err());
-        assert!(sparse_matvec_bias(&w, &s4, &Tensor::zeros(&[3])).is_ok());
+        assert!(gather_one(&w, &s4, &Tensor::zeros(&[2])).is_err());
+        assert!(gather_one(&w, &s4, &Tensor::zeros(&[3])).is_ok());
     }
 
     #[test]
@@ -1345,8 +1149,8 @@ mod tests {
             for every in [1usize, 2, 3, 9] {
                 let x = binary_frame(k, every);
                 let s = SpikeVector::from_dense(&x).unwrap();
-                let planed = sparse_matvec_bias_planed(q.view(), (m, k), &s, &b).unwrap();
-                let reference = sparse_matvec_bias(&dq, &s, &b).unwrap();
+                let planed = gather_one_planed(q.view(), (m, k), &s, &b).unwrap();
+                let reference = gather_one(&dq, &s, &b).unwrap();
                 for (a, r) in planed.as_slice().iter().zip(reference.as_slice()) {
                     assert_eq!(a.to_bits(), r.to_bits(), "{plane} every {every}");
                 }
@@ -1362,14 +1166,14 @@ mod tests {
             .unwrap();
         let b = Tensor::zeros(&[3]);
         let s4 = SpikeVector::new(vec![0], 4).unwrap();
-        assert!(sparse_matvec_bias_planed(q.view(), (3, 4), &s4, &b).is_ok());
+        assert!(gather_one_planed(q.view(), (3, 4), &s4, &b).is_ok());
         // Plane length disagrees with the claimed shape.
-        assert!(sparse_matvec_bias_planed(q.view(), (3, 5), &s4, &b).is_err());
+        assert!(gather_one_planed(q.view(), (3, 5), &s4, &b).is_err());
         // Spike length disagrees with the column count.
         let s5 = SpikeVector::new(vec![0], 5).unwrap();
-        assert!(sparse_matvec_bias_planed(q.view(), (3, 4), &s5, &b).is_err());
+        assert!(gather_one_planed(q.view(), (3, 4), &s5, &b).is_err());
         // Bias length disagrees with the row count.
-        assert!(sparse_matvec_bias_planed(q.view(), (3, 4), &s4, &Tensor::zeros(&[2])).is_err());
+        assert!(gather_one_planed(q.view(), (3, 4), &s4, &Tensor::zeros(&[2])).is_err());
     }
 
     #[test]
@@ -1383,7 +1187,7 @@ mod tests {
         for every in [1usize, 2, 3, 7] {
             let x = binary_frame(7, every);
             let s = SpikeVector::from_dense(&x).unwrap();
-            let sparse = sparse_matvec_bias(&w, &s, &b).unwrap();
+            let sparse = gather_one(&w, &s, &b).unwrap();
             let dense = linalg::matvec(&w, &x).unwrap().add(&b).unwrap();
             assert_eq!(bits(&sparse), bits(&dense), "every {every}");
         }

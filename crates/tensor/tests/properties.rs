@@ -1,11 +1,18 @@
 //! Property-based tests for the tensor substrate.
 
+use axsnn_tensor::batched::matmul_bt_bias;
 use axsnn_tensor::conv::{avg_pool2d, avg_pool2d_backward, conv2d, conv2d_backward, Conv2dSpec};
 use axsnn_tensor::{linalg, ops, Tensor};
 use proptest::prelude::*;
 
 fn tensor_strategy(len: usize) -> impl Strategy<Value = Vec<f32>> {
     proptest::collection::vec(-10.0f32..10.0, len)
+}
+
+/// `A·B` through the dense batched GEMM: `matmul_bt_bias(A, Bᵀ, 0)`.
+fn gemm(a: &Tensor, b: &Tensor) -> Tensor {
+    let bt = linalg::transpose(b).unwrap();
+    matmul_bt_bias(a, &bt, &Tensor::zeros(&[bt.shape().dims()[0]])).unwrap()
 }
 
 proptest! {
@@ -22,11 +29,8 @@ proptest! {
     fn matmul_transpose_identity(a in tensor_strategy(6), b in tensor_strategy(6)) {
         let a = Tensor::from_vec(a, &[2, 3]).unwrap();
         let b = Tensor::from_vec(b, &[3, 2]).unwrap();
-        let left = linalg::transpose(&linalg::matmul(&a, &b).unwrap()).unwrap();
-        let right = linalg::matmul(
-            &linalg::transpose(&b).unwrap(),
-            &linalg::transpose(&a).unwrap(),
-        ).unwrap();
+        let left = linalg::transpose(&gemm(&a, &b)).unwrap();
+        let right = gemm(&linalg::transpose(&b).unwrap(), &linalg::transpose(&a).unwrap());
         for (l, r) in left.as_slice().iter().zip(right.as_slice()) {
             prop_assert!((l - r).abs() <= 1e-3 * (1.0 + l.abs()), "{l} vs {r}");
         }
@@ -42,8 +46,8 @@ proptest! {
         let a = Tensor::from_vec(a, &[2, 2]).unwrap();
         let b = Tensor::from_vec(b, &[2, 2]).unwrap();
         let c = Tensor::from_vec(c, &[2, 2]).unwrap();
-        let lhs = linalg::matmul(&a, &b.add(&c).unwrap()).unwrap();
-        let rhs = linalg::matmul(&a, &b).unwrap().add(&linalg::matmul(&a, &c).unwrap()).unwrap();
+        let lhs = gemm(&a, &b.add(&c).unwrap());
+        let rhs = gemm(&a, &b).add(&gemm(&a, &c)).unwrap();
         for (l, r) in lhs.as_slice().iter().zip(rhs.as_slice()) {
             prop_assert!((l - r).abs() <= 1e-3 * (1.0 + l.abs()));
         }

@@ -15,7 +15,7 @@
 //! wide enough to overflow; NaN outputs compare by NaN-ness only.
 //!
 //! The backward kernels that hold a 32-column tile of one output row
-//! in registers (`outer_acc_run`, `matvec_t_block_thresholded_into`)
+//! in registers (`outer_acc_run`, `matvec_t_block_into`)
 //! are pinned the same way against their scalar loops, over tile
 //! remainders, run lengths and coefficients with zeros, `-0.0`,
 //! subnormals and a NaN.
@@ -29,19 +29,16 @@
 //! suite degenerates to reflexivity — CI runs it both ways.
 
 use axsnn_tensor::batched::{
-    lif_fire, lif_fire_scalar, matmul_bt_bias, matmul_bt_bias_scalar, sparse_conv2d_sorted,
+    lif_fire, lif_fire_scalar, matmul_bt_bias, matmul_bt_bias_scalar, sparse_conv2d_batch_sorted,
     sparse_matmul_bias, sparse_matmul_bias_planed, sparse_matmul_bias_planed_scalar,
     sparse_matmul_bias_scalar, SpikeMatrix,
 };
 use axsnn_tensor::conv::Conv2dSpec;
 use axsnn_tensor::linalg::{
-    matvec_t_block_thresholded_into, matvec_t_block_thresholded_into_scalar, outer_acc_run,
-    outer_acc_run_scalar,
+    matvec_t_block_into, matvec_t_block_into_scalar, outer_acc_run, outer_acc_run_scalar,
 };
 use axsnn_tensor::plane::{QuantizedPlane, WeightPlane};
-use axsnn_tensor::sparse::{
-    sparse_conv2d, sparse_matvec_bias, sparse_matvec_bias_scalar, SpikeVector,
-};
+use axsnn_tensor::sparse::{sparse_conv2d, SpikeVector};
 use axsnn_tensor::{init, Tensor};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -146,8 +143,9 @@ fn assert_bits_eq(a: &Tensor, b: &Tensor, what: &str) {
 }
 
 proptest! {
-    /// Dispatched sparse matvec is bit-identical to the scalar twin
-    /// across densities and remainder lane counts.
+    /// The one-row gather — the engine's per-sample linear step, which
+    /// runs the 8-row gather tiles while `nnz < k` — is bit-identical
+    /// to the scalar twin across densities and remainder lane counts.
     #[test]
     fn matvec_bit_identity(
         m in rows_strategy(),
@@ -158,9 +156,9 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(salt);
         let weight = init::uniform(&mut rng, &[m, k], 0.5);
         let bias = init::uniform(&mut rng, &[m], 0.5);
-        let x = binary_frame(k, density, salt);
-        let fast = sparse_matvec_bias(&weight, &x, &bias).unwrap();
-        let scalar = sparse_matvec_bias_scalar(&weight, &x, &bias).unwrap();
+        let x = SpikeMatrix::from_rows(&[binary_frame(k, density, salt)]).unwrap();
+        let fast = sparse_matmul_bias(&weight, &x, &bias).unwrap();
+        let scalar = sparse_matmul_bias_scalar(&weight, &x, &bias).unwrap();
         assert_bits_eq(&fast, &scalar, "matvec");
     }
 
@@ -250,9 +248,9 @@ proptest! {
         assert_bits_eq_nan(&fast, &scalar, "dense matmul");
     }
 
-    /// B=1 event-sorted conv is bit-identical to the per-event scatter
-    /// across geometries and densities (same per-output accumulation
-    /// order by construction).
+    /// The event-sorted conv on a one-row batch is bit-identical to the
+    /// per-event scatter across geometries and densities (same
+    /// per-output accumulation order by construction).
     #[test]
     fn sorted_conv_bit_identity(
         out_channels in 1usize..10,
@@ -275,7 +273,12 @@ proptest! {
         );
         let bias = init::uniform(&mut rng, &[out_channels], 0.5);
         let x = binary_frame(in_channels * hw * hw, density, salt);
-        let sorted = sparse_conv2d_sorted(&x, (hw, hw), &weight, &bias, &spec).unwrap();
+        let one = SpikeMatrix::from_rows(std::slice::from_ref(&x)).unwrap();
+        let (oh, ow) = spec.output_hw(hw, hw);
+        let sorted = sparse_conv2d_batch_sorted(&one, (hw, hw), &weight, &bias, &spec)
+            .unwrap()
+            .reshape(&[out_channels, oh, ow])
+            .unwrap();
         let scatter = sparse_conv2d(&x, (hw, hw), &weight, &bias, &spec).unwrap();
         assert_bits_eq(&sorted, &scatter, "sorted conv");
     }
@@ -307,10 +310,6 @@ fn negative_row_on_empty_frame_is_positive_zero() {
                 assert_eq!(v.to_bits(), 0, "{what} m={m}: element {i} is {v}");
             }
         };
-        let fast = sparse_matvec_bias(&weight, &empty, &bias).unwrap();
-        let scalar = sparse_matvec_bias_scalar(&weight, &empty, &bias).unwrap();
-        assert_bits_eq(&fast, &scalar, "empty matvec");
-        is_pos_zero(&fast, 0..1, "empty matvec");
         for (rows, empty_at) in [
             (vec![empty.clone()], 0),
             (vec![full.clone(), empty.clone()], 1),
@@ -401,9 +400,9 @@ fn outer_acc_run_bit_identity() {
 }
 
 /// The dispatched `Wᵀ·g` block kernel is bit-identical to its scalar
-/// loop — same skip set (exact zeros, `|g| < eps`, NaN kept), same
-/// ascending add order from `+0.0` — for every output-row length,
-/// coefficient count and threshold.
+/// loop — same skip set (exact zeros, NaN kept), same ascending add
+/// order from `+0.0` — for every output-row length and coefficient
+/// count.
 #[test]
 fn matvec_t_block_bit_identity() {
     const ROWS: usize = 3;
@@ -412,18 +411,16 @@ fn matvec_t_block_bit_identity() {
             let salt = (n * 17 + m) as u64;
             let a = Tensor::from_vec(analog_values(m * n, salt ^ 0x5e), &[m, n]).unwrap();
             let g = coefficients(ROWS * m, salt, Some(ROWS * m - 1));
-            for eps in [0.0f32, 1e-3] {
-                let mut fast = vec![1.0f32; ROWS * n];
-                let mut scalar = vec![2.0f32; ROWS * n];
-                matvec_t_block_thresholded_into(&a, &g, ROWS, eps, &mut fast).unwrap();
-                matvec_t_block_thresholded_into_scalar(&a, &g, ROWS, eps, &mut scalar).unwrap();
-                let what = format!("matvec_t_block n={n} m={m} eps={eps}");
-                assert_bits_eq_nan(
-                    &Tensor::from_vec(fast, &[ROWS, n]).unwrap(),
-                    &Tensor::from_vec(scalar, &[ROWS, n]).unwrap(),
-                    &what,
-                );
-            }
+            let mut fast = vec![1.0f32; ROWS * n];
+            let mut scalar = vec![2.0f32; ROWS * n];
+            matvec_t_block_into(&a, &g, ROWS, &mut fast).unwrap();
+            matvec_t_block_into_scalar(&a, &g, ROWS, &mut scalar).unwrap();
+            let what = format!("matvec_t_block n={n} m={m}");
+            assert_bits_eq_nan(
+                &Tensor::from_vec(fast, &[ROWS, n]).unwrap(),
+                &Tensor::from_vec(scalar, &[ROWS, n]).unwrap(),
+                &what,
+            );
         }
     }
 }

@@ -7,9 +7,7 @@
 
 use axsnn_tensor::batched::{matmul_bt_bias, sparse_matmul_bias, SpikeMatrix};
 use axsnn_tensor::conv::{avg_pool2d, conv2d, max_pool2d, Conv2dSpec};
-use axsnn_tensor::sparse::{
-    sparse_avg_pool2d, sparse_conv2d, sparse_matvec_bias, sparse_max_pool2d, SpikeVector,
-};
+use axsnn_tensor::sparse::{sparse_avg_pool2d, sparse_conv2d, sparse_max_pool2d, SpikeVector};
 use axsnn_tensor::{linalg, Tensor};
 use proptest::prelude::*;
 
@@ -58,8 +56,9 @@ fn density_strategy() -> impl Strategy<Value = f32> {
 }
 
 proptest! {
-    /// Sparse matvec+bias equals dense matvec+bias bit for bit on
-    /// random layer shapes and densities.
+    /// The one-row spike gather (`sparse_matmul_bias` on a one-row
+    /// batch) equals dense matvec+bias bit for bit on random layer
+    /// shapes and densities.
     #[test]
     fn matvec_equivalence(
         rows in 1usize..40,
@@ -71,7 +70,8 @@ proptest! {
         let b = Tensor::from_vec(weights(rows, salt ^ 0xabcd), &[rows]).unwrap();
         let x = binary_frame(cols, density, salt);
         let events = SpikeVector::from_dense(&x).expect("frame is binary");
-        let sparse = sparse_matvec_bias(&w, &events, &b).unwrap();
+        let row = SpikeMatrix::from_rows(std::slice::from_ref(&events)).unwrap();
+        let sparse = sparse_matmul_bias(&w, &row, &b).unwrap();
         let dense = linalg::matvec(&w, &x).unwrap().add(&b).unwrap();
         prop_assert_eq!(bits(&sparse), bits(&dense));
     }
@@ -151,8 +151,8 @@ proptest! {
         prop_assert_eq!(bits(&sparse_max), bits(&dense_max.output));
     }
 
-    /// Every row of the batched spike-plane GEMM is bit-identical to
-    /// the per-sample sparse matvec it fuses, and the whole block to the
+    /// Every row of the batched spike-plane GEMM equals the per-sample
+    /// dense matvec plus bias on that row, and the whole block the
     /// dense batched kernel on the same frames — the invariants the
     /// batched engine's and the plans' bit-for-bit guarantees rest on.
     #[test]
@@ -177,7 +177,8 @@ proptest! {
         let dense = matmul_bt_bias(&matrix.to_dense(), &w, &b).unwrap();
         prop_assert_eq!(bits(&fused), bits(&dense));
         for (r, events) in frames.iter().enumerate() {
-            let per_sample = sparse_matvec_bias(&w, events, &b).unwrap();
+            let x = events.to_dense(&[cols]).unwrap();
+            let per_sample = linalg::matvec(&w, &x).unwrap().add(&b).unwrap();
             prop_assert_eq!(
                 &fused.as_slice()[r * rows..(r + 1) * rows],
                 per_sample.as_slice()
@@ -197,7 +198,7 @@ proptest! {
         let frame = binary_frame(len, density, salt);
         let events = SpikeVector::from_dense(&frame).expect("binary");
         prop_assert_eq!(events.to_dense(&[len]).unwrap(), frame.clone());
-        let gated = SpikeVector::from_dense_if_sparse(&frame, threshold);
+        let gated = SpikeVector::from_slice_if_sparse(frame.as_slice(), threshold);
         let admitted = events.nnz() as f32 <= (threshold as f64 * len as f64).floor() as f32
             && threshold > 0.0;
         prop_assert_eq!(gated.is_some(), admitted);
