@@ -94,8 +94,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ] {
             let mut net = scenario.acc_snn(cfg)?;
             let report = match which {
-                0 => apply_approximation(&mut net, level),
-                1 => apply_quantile_approximation(&mut net, level),
+                0 => apply_approximation(&mut net, level)?,
+                1 => apply_quantile_approximation(&mut net, level)?,
                 _ => apply_eq1_approximation(&mut net, &stats, level.value())?,
             };
             let acc = clean_image_accuracy(&mut net, &test, Encoder::DirectCurrent, &mut rng)?;

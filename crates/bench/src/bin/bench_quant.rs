@@ -1,20 +1,20 @@
 //! Reduced-precision weight planes vs f32 weight storage, written to
 //! `BENCH_quant.json`.
 //!
-//! Every kernel A/B compares the *same values* in two storage formats:
+//! The kernel A/B compares the *same values* in two storage formats:
 //! the f32 baseline runs on the **dequantized image** of the plane (so
 //! both sides do identical arithmetic and the outputs are asserted
-//! bit-identical), isolating the effect of streaming 1 or 2 bytes per
-//! gathered weight instead of 4:
+//! bit-identical), isolating the effect of the storage format:
 //!
-//! * `quant_matvec_*` — the gather-bound one-row spike-plane GEMM on a
-//!   `1024×4096` layer at ≤10% spike density, per plane;
-//! * `quant_gemm_*` — the batch-32 spike-plane GEMM;
 //! * `quant_conv_*` — the event-sorted batched conv on the paper's
-//!   8→16 k=5 layer;
+//!   8→16 k=5 layer, which streams the quantized buffer itself;
 //! * `quant_accuracy_*` — prediction agreement between an int8/f16
 //!   planed MLP and its f32 twin over 256 deterministic samples through
 //!   the fused batch engine.
+//!
+//! Linear layers have no storage A/B: they decode a plane into f32
+//! panels once per weight change and stream those, so their spike GEMM
+//! runs the same kernel on the same bits on every plane.
 //!
 //! Usage: `cargo run --release -p axsnn-bench --bin bench_quant
 //! [out.json]`.
@@ -24,8 +24,7 @@ use axsnn::core::layer::Layer;
 use axsnn::core::network::{SnnConfig, SpikingNetwork};
 use axsnn::core::plan::WeightPlane;
 use axsnn::tensor::batched::{
-    sparse_conv2d_batch_sorted_into, sparse_conv2d_batch_sorted_planed_into, sparse_matmul_bias,
-    sparse_matmul_bias_planed, SpikeMatrix,
+    sparse_conv2d_batch_sorted_into, sparse_conv2d_batch_sorted_planed_into, SpikeMatrix,
 };
 use axsnn::tensor::conv::Conv2dSpec;
 use axsnn::tensor::plane::QuantizedPlane;
@@ -61,77 +60,6 @@ fn kernel_row(
         .num("density", f64::from(density), 2)
         .num("bits_per_weight", f64::from(plane.bits_per_weight()), 0)
         .ab("f32_ns", f32_ns, "planed_ns", planed_ns)
-}
-
-/// The headline: the gather-bound one-row spike-plane GEMM, f32 vs
-/// planed storage.
-fn matvec_records(bench: &mut Bench, density: f32) {
-    const OUT: usize = 1024;
-    const IN: usize = 4096;
-    let mut rng = StdRng::seed_from_u64(2);
-    let weight = init::uniform(&mut rng, &[OUT, IN], 0.1);
-    let bias = init::uniform(&mut rng, &[OUT], 0.1);
-    let events =
-        SpikeVector::from_dense(&spike_frame(IN, density, &[IN], 7)).expect("binary frame");
-    let x = SpikeMatrix::from_rows(&[events]).unwrap();
-    for plane in PLANES {
-        let (quant, deq) = planed_pair(&weight, plane);
-        let (f32_ns, planed_ns) = bench.time_pair(
-            || {
-                black_box(sparse_matmul_bias(black_box(&deq), &x, &bias).unwrap());
-            },
-            || {
-                black_box(sparse_matmul_bias_planed(quant.view(), (OUT, IN), &x, &bias).unwrap());
-            },
-        );
-        let a = sparse_matmul_bias(&deq, &x, &bias).unwrap();
-        let b = sparse_matmul_bias_planed(quant.view(), (OUT, IN), &x, &bias).unwrap();
-        assert_eq!(a.as_slice(), b.as_slice(), "{plane} matvec diverged");
-        bench.push(kernel_row(
-            &format!("quant_matvec_{}_{OUT}x{IN}", plane.name()),
-            density,
-            plane,
-            (f32_ns, planed_ns),
-        ));
-    }
-}
-
-/// Batch-32 spike-plane GEMM, f32 vs planed storage.
-fn gemm_records(bench: &mut Bench, density: f32) {
-    const OUT: usize = 512;
-    const IN: usize = 2048;
-    let mut rng = StdRng::seed_from_u64(3);
-    let weight = init::uniform(&mut rng, &[OUT, IN], 0.1);
-    let bias = init::uniform(&mut rng, &[OUT], 0.1);
-    let rows: Vec<SpikeVector> = (0..BATCH)
-        .map(|b| {
-            SpikeVector::from_dense(&spike_frame(IN, density, &[IN], b as u64 * 977))
-                .expect("binary frame")
-        })
-        .collect();
-    let batch = SpikeMatrix::from_rows(&rows).unwrap();
-    for plane in PLANES {
-        let (quant, deq) = planed_pair(&weight, plane);
-        let (f32_ns, planed_ns) = bench.time_pair(
-            || {
-                black_box(sparse_matmul_bias(black_box(&deq), &batch, &bias).unwrap());
-            },
-            || {
-                black_box(
-                    sparse_matmul_bias_planed(quant.view(), (OUT, IN), &batch, &bias).unwrap(),
-                );
-            },
-        );
-        let a = sparse_matmul_bias(&deq, &batch, &bias).unwrap();
-        let b = sparse_matmul_bias_planed(quant.view(), (OUT, IN), &batch, &bias).unwrap();
-        assert_eq!(a.as_slice(), b.as_slice(), "{plane} GEMM diverged");
-        bench.push(kernel_row(
-            &format!("quant_gemm_{}_{OUT}x{IN}_B{BATCH}", plane.name()),
-            density,
-            plane,
-            (f32_ns, planed_ns),
-        ));
-    }
 }
 
 /// Event-sorted batched conv on the paper's 8→16 k=5 layer at 14×14,
@@ -272,10 +200,6 @@ fn main() {
     // Blocks of twenty calls, the block length BENCH_quant.json was
     // first measured with.
     let mut bench = Bench::from_args("BENCH_quant.json", 100);
-    for density in [0.05f32, 0.10] {
-        matvec_records(&mut bench, density);
-    }
-    gemm_records(&mut bench, 0.10);
     conv_records(&mut bench, 0.10);
     accuracy_records(&mut bench);
     bench.finish();

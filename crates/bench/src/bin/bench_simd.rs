@@ -4,20 +4,25 @@
 //! Every record A/B-times the *dispatched* kernel (what production
 //! callers get) against its public scalar twin on identical inputs and
 //! asserts the outputs bit-identical first — the SIMD layer's whole
-//! contract is "same bits, fewer cycles":
+//! contract is "same bits, fewer cycles". The GEMM records time the
+//! engine's steady state: the weights are packed into panels
+//! ([`PackedWeights`]) once, outside the timed loop, as a layer packs
+//! them once per weight change.
 //!
 //! * `simd_gemm_*` — the batch-32 spike-plane GEMM on a `512×1024`
-//!   layer, where the 8-row tiles transpose each weight tile into a
-//!   contiguous panel once per batch — contiguous loads escape the
-//!   gather-traffic bound;
+//!   layer, streaming packed panels (contiguous, aligned loads escape
+//!   the gather-traffic bound) against the scalar tiles;
+//! * `simd_gemm_one_row_*` — the same kernel on one row at ~1% density
+//!   on the `96×2048` DVS input layer: the shape of every B = 1 event
+//!   query;
 //! * `simd_gemm_dense_*` — the dense analog-plane GEMM
-//!   (`matmul_bt_bias`) on the `96×256` direct-current input layer of
-//!   the `search_mlp` benchmark network at batch 32: packed 8-row panels
+//!   (`matmul_bt_bias_packed`) on the `96×256` direct-current input
+//!   layer of the `search_mlp` benchmark network at batch 32: panels
 //!   against four batch rows at a time vs the scalar single-accumulator
 //!   row dots (density 1.0);
-//! * `simd_gemm_planed_*` — the blocked-dequantization GEMM paths for
-//!   the int8/f16 planes vs the per-element lane decode (the
-//!   plane-vs-f32 A/B lives in `bench_quant`);
+//! * `simd_gemm_planed_*` — the spike GEMM over panels decoded from the
+//!   int8/f16 planes vs the per-element lane decode (the plane-vs-f32
+//!   A/B lives in `bench_quant`);
 //! * `simd_conv1_*` — the event-sorted conv on a one-row batch vs the
 //!   per-event scatter on the paper's 8→16 k=5 layer (the win is
 //!   contiguous weight streaming, not vector width);
@@ -32,9 +37,9 @@
 
 use axsnn::core::plan::WeightPlane;
 use axsnn::tensor::batched::{
-    lif_fire, lif_fire_scalar, matmul_bt_bias, matmul_bt_bias_scalar, sparse_conv2d_batch_sorted,
-    sparse_matmul_bias, sparse_matmul_bias_planed, sparse_matmul_bias_planed_scalar,
-    sparse_matmul_bias_scalar, SpikeMatrix,
+    lif_fire, lif_fire_scalar, matmul_bt_bias_packed, matmul_bt_bias_scalar,
+    sparse_conv2d_batch_sorted, sparse_matmul_bias_packed, sparse_matmul_bias_planed_scalar,
+    sparse_matmul_bias_scalar, PackedWeights, SpikeMatrix,
 };
 use axsnn::tensor::conv::Conv2dSpec;
 use axsnn::tensor::plane::QuantizedPlane;
@@ -61,16 +66,24 @@ fn simd_row(name: &str, density: f32, (scalar_ns, simd_ns): (f64, f64)) -> Bench
     )
 }
 
-/// Batch-32 spike-plane GEMM: dispatched panel kernel vs scalar tiles.
-fn gemm_records(bench: &mut Bench, out: usize, input: usize, density: f32) {
+/// Spike-plane GEMM over `batch` rows at `density`: the packed panel
+/// kernel (panels built before timing) vs the scalar tiles.
+fn gemm_record(
+    bench: &mut Bench,
+    name: &str,
+    (out, input): (usize, usize),
+    batch: usize,
+    density: f32,
+) {
     let mut rng = StdRng::seed_from_u64(11);
     let weight = init::uniform(&mut rng, &[out, input], 0.1);
     let bias = init::uniform(&mut rng, &[out], 0.1);
-    let rows: Vec<SpikeVector> = (0..BATCH)
+    let rows: Vec<SpikeVector> = (0..batch)
         .map(|b| events(input, density, b as u64 * 977))
         .collect();
     let batch = SpikeMatrix::from_rows(&rows).unwrap();
-    let fast = sparse_matmul_bias(&weight, &batch, &bias).unwrap();
+    let packed = PackedWeights::pack(&weight).unwrap();
+    let fast = sparse_matmul_bias_packed(&packed, &batch, &bias).unwrap();
     let scalar = sparse_matmul_bias_scalar(&weight, &batch, &bias).unwrap();
     assert_eq!(fast.as_slice(), scalar.as_slice(), "GEMM diverged");
     let pair = bench.time_pair(
@@ -78,21 +91,24 @@ fn gemm_records(bench: &mut Bench, out: usize, input: usize, density: f32) {
             black_box(sparse_matmul_bias_scalar(black_box(&weight), &batch, &bias).unwrap());
         },
         || {
-            black_box(sparse_matmul_bias(black_box(&weight), &batch, &bias).unwrap());
+            black_box(sparse_matmul_bias_packed(black_box(&packed), &batch, &bias).unwrap());
         },
     );
-    bench.push(simd_row(
-        &format!(
-            "simd_gemm_{out}x{input}_B{BATCH}_d{:02}",
-            (density * 100.0) as u32
-        ),
-        density,
-        pair,
-    ));
+    bench.push(simd_row(name, density, pair));
 }
 
-/// Batch-32 dense GEMM on an analog `[B, input]` block: dispatched
-/// panel kernel vs the scalar row dots.
+/// Batch-32 spike-plane GEMM on a `512×1024` layer.
+fn gemm_records(bench: &mut Bench, density: f32) {
+    let (out, input) = (512, 1024);
+    let name = format!(
+        "simd_gemm_{out}x{input}_B{BATCH}_d{:02}",
+        (density * 100.0) as u32
+    );
+    gemm_record(bench, &name, (out, input), BATCH, density);
+}
+
+/// Batch-32 dense GEMM on an analog `[B, input]` block: the packed
+/// panel kernel (panels built before timing) vs the scalar row dots.
 fn gemm_dense_records(bench: &mut Bench, out: usize, input: usize) {
     let mut rng = StdRng::seed_from_u64(14);
     let weight = init::uniform(&mut rng, &[out, input], 0.1);
@@ -102,7 +118,8 @@ fn gemm_dense_records(bench: &mut Bench, out: usize, input: usize) {
         &[BATCH, input],
     )
     .unwrap();
-    let fast = matmul_bt_bias(&x, &weight, &bias).unwrap();
+    let packed = PackedWeights::pack(&weight).unwrap();
+    let fast = matmul_bt_bias_packed(&x, &packed, &bias).unwrap();
     let scalar = matmul_bt_bias_scalar(&x, &weight, &bias).unwrap();
     for (a, b) in fast.as_slice().iter().zip(scalar.as_slice()) {
         assert_eq!(a.to_bits(), b.to_bits(), "dense GEMM diverged");
@@ -112,7 +129,7 @@ fn gemm_dense_records(bench: &mut Bench, out: usize, input: usize) {
             black_box(matmul_bt_bias_scalar(black_box(&x), &weight, &bias).unwrap());
         },
         || {
-            black_box(matmul_bt_bias(black_box(&x), &weight, &bias).unwrap());
+            black_box(matmul_bt_bias_packed(black_box(&x), &packed, &bias).unwrap());
         },
     );
     bench.push(simd_row(
@@ -122,8 +139,8 @@ fn gemm_dense_records(bench: &mut Bench, out: usize, input: usize) {
     ));
 }
 
-/// Blocked-dequantization GEMM for the reduced-precision planes vs the
-/// per-element lane decode (the plane-vs-f32 A/B lives in
+/// The spike GEMM over panels decoded once from each reduced-precision
+/// plane vs the per-element lane decode (the plane-vs-f32 A/B lives in
 /// `bench_quant`; this isolates the dequantization strategy).
 fn gemm_planed_records(bench: &mut Bench, density: f32) {
     const OUT: usize = 512;
@@ -139,7 +156,8 @@ fn gemm_planed_records(bench: &mut Bench, density: f32) {
         let quant = QuantizedPlane::quantize(weight.as_slice(), plane)
             .expect("finite weights")
             .expect("non-f32 plane");
-        let fast = sparse_matmul_bias_planed(quant.view(), (OUT, IN), &batch, &bias).unwrap();
+        let packed = PackedWeights::pack_plane(quant.view(), (OUT, IN)).unwrap();
+        let fast = sparse_matmul_bias_packed(&packed, &batch, &bias).unwrap();
         let scalar =
             sparse_matmul_bias_planed_scalar(quant.view(), (OUT, IN), &batch, &bias).unwrap();
         for (a, b) in fast.as_slice().iter().zip(scalar.as_slice()) {
@@ -153,9 +171,7 @@ fn gemm_planed_records(bench: &mut Bench, density: f32) {
                 );
             },
             || {
-                black_box(
-                    sparse_matmul_bias_planed(quant.view(), (OUT, IN), &batch, &bias).unwrap(),
-                );
+                black_box(sparse_matmul_bias_packed(black_box(&packed), &batch, &bias).unwrap());
             },
         );
         bench.push(simd_row(
@@ -296,8 +312,15 @@ fn main() {
     // first measured with.
     let mut bench = Bench::from_args("BENCH_simd.json", 100);
     for density in [0.05f32, 0.10] {
-        gemm_records(&mut bench, 512, 1024, density);
+        gemm_records(&mut bench, density);
     }
+    gemm_record(
+        &mut bench,
+        "simd_gemm_one_row_96x2048_d01",
+        (96, 2048),
+        1,
+        0.01,
+    );
     gemm_dense_records(&mut bench, 96, 256);
     gemm_planed_records(&mut bench, 0.10);
     conv1_records(&mut bench, 0.10);

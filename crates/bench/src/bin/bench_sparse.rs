@@ -5,14 +5,17 @@
 //! spike densities, plus one full-network `forward` (a one-row pass of
 //! the fused engine) with the density gate on vs forced dense. The
 //! linear layer runs the kernels the engine's one-row linear step
-//! picks between: the dense GEMM on a one-row block against the spike
-//! gather on a one-row batch.
+//! picks between, over the layer's panels packed once before timing as
+//! the engine packs them once per weight change: the dense GEMM on a
+//! one-row block against the spike GEMM on a one-row batch.
 //!
 //! Usage: `cargo run --release -p axsnn-bench --bin bench_sparse
 //! [out.json]`.
 
 use axsnn::core::network::SnnConfig;
-use axsnn::tensor::batched::{matmul_bt_bias, sparse_matmul_bias, SpikeMatrix};
+use axsnn::tensor::batched::{
+    matmul_bt_bias_packed, sparse_matmul_bias_packed, PackedWeights, SpikeMatrix,
+};
 use axsnn::tensor::conv::{conv2d, Conv2dSpec};
 use axsnn::tensor::sparse::{sparse_conv2d, SpikeVector};
 use axsnn::tensor::{init, Tensor};
@@ -60,16 +63,17 @@ fn linear_records(bench: &mut Bench) {
     let mut rng = StdRng::seed_from_u64(1);
     let weight = init::uniform(&mut rng, &[256, 1568], 0.1);
     let bias = Tensor::zeros(&[256]);
+    let packed = PackedWeights::pack(&weight).unwrap();
     for density in DENSITIES {
         let input = spike_frame(1568, density, &[1, 1568], SALT);
         let events = SpikeVector::from_dense(&input).expect("binary frame");
         let row = SpikeMatrix::from_rows(&[events]).unwrap();
         let (dense_ns, sparse_ns) = bench.time_pair(
             || {
-                black_box(matmul_bt_bias(black_box(&input), &weight, &bias).unwrap());
+                black_box(matmul_bt_bias_packed(black_box(&input), &packed, &bias).unwrap());
             },
             || {
-                black_box(sparse_matmul_bias(&weight, black_box(&row), &bias).unwrap());
+                black_box(sparse_matmul_bias_packed(&packed, black_box(&row), &bias).unwrap());
             },
         );
         bench.push(

@@ -227,19 +227,10 @@ pub const FLOORS: &[Floor] = &[
     row("serve", "serve_robust", CHAOS).max("hung", 0.0),
     row("serve", "serve_robust", CHAOS).min("goodput_fraction", 0.5),
     row("serve", "serve_robust", CHAOS).min("bit_identical", 1.0),
-    // Both sides of a plane A/B compute on the same dequantized values,
-    // so the ratio isolates weight-storage bandwidth. The gather-bound
-    // int8 matvec is the headline; f16 pays a software half-to-float
-    // conversion per gathered element and only must not collapse.
-    row("quant", "quant_matvec_int8", PLANED).when(SPARSE_REGIME).min("speedup", 1.3),
-    row("quant", "quant_matvec_f16", PLANED).when(SPARSE_REGIME).min("speedup", 0.6),
-    // Blocked dequantization builds each f32 weight panel once per row
-    // tile. The F16C decode is one µop per 8 weights, so the f16 GEMM
-    // must beat f32 storage; the int8 LUT-gather decode costs about what
-    // the cache bandwidth saves, so int8 GEMM and both conv planes hold
-    // parity.
-    row("quant", "quant_gemm_f16", PLANED).min("speedup", 1.0),
-    row("quant", "quant_gemm_int8", PLANED).min("speedup", 0.9),
+    // Both sides of the conv plane A/B compute on the same dequantized
+    // values, so the ratio isolates weight-storage bandwidth: the
+    // planed conv must hold parity. (Linear layers decode a plane into
+    // f32 panels once per weight change, so they have no storage A/B.)
     row("quant", "quant_conv_", PLANED).min("speedup", 0.9),
     // A planed MLP may disagree with its f32 twin on at most 5 points.
     row("quant", "quant_accuracy", AGREEMENT).max("accuracy_delta_points", 5.0),
@@ -595,8 +586,8 @@ mod tests {
         conv_batch_floors_enforced: "conv_batch" &[""];
         sweep_floors_enforced: "sweep" &[""];
         serve_floors_enforced: "serve" &[""];
-        quant_floors_enforced: "quant" &["quant_matvec", "quant_accuracy"];
-        quant_promoted_gemm_conv_floors_enforced: "quant" &["quant_gemm", "quant_conv"];
+        quant_floors_enforced: "quant" &["quant_accuracy"];
+        quant_promoted_gemm_conv_floors_enforced: "quant" &["quant_conv"];
         stream_floors_enforced: "stream" &[""];
         simd_floors_enforced: "simd" &[""];
     }

@@ -90,6 +90,17 @@ impl ApproxReport {
 /// 0.1, 1): level 1 removes every connection whose magnitude is below the
 /// maximum, i.e. effectively all of them.
 ///
+/// Each layer's installed reduced-precision weight plane is rebuilt from
+/// its pruned weights ([`crate::layer::Layer::refresh_weight_plane`]),
+/// so a planed network runs the same weights as one pruned before its
+/// plane was installed.
+///
+/// # Errors
+///
+/// Returns the plane refresh's error when a layer with an int8 plane
+/// holds non-finite weights (an earlier failed refresh left them
+/// there); the layers before it are already pruned.
+///
 /// # Example
 ///
 /// ```
@@ -108,12 +119,15 @@ impl ApproxReport {
 ///     ],
 ///     cfg,
 /// )?;
-/// let report = apply_approximation(&mut net, ApproximationLevel::new(0.5).unwrap());
+/// let report = apply_approximation(&mut net, ApproximationLevel::new(0.5).unwrap())?;
 /// assert!(report.pruned_fraction() > 0.0);
 /// # Ok(())
 /// # }
 /// ```
-pub fn apply_approximation(net: &mut SpikingNetwork, level: ApproximationLevel) -> ApproxReport {
+pub fn apply_approximation(
+    net: &mut SpikingNetwork,
+    level: ApproximationLevel,
+) -> Result<ApproxReport> {
     let mut per_layer = Vec::new();
     let mut pruned_total = 0usize;
     let mut weight_total = 0usize;
@@ -124,11 +138,11 @@ pub fn apply_approximation(net: &mut SpikingNetwork, level: ApproximationLevel) 
                 weight_total += w.value.len();
             }
         }
-        return ApproxReport {
+        return Ok(ApproxReport {
             pruned_fraction_per_layer: per_layer,
             pruned_total: 0,
             weight_total,
-        };
+        });
     }
     for layer in net.layers_mut() {
         if let Some((w, _)) = layer.params_mut() {
@@ -149,12 +163,13 @@ pub fn apply_approximation(net: &mut SpikingNetwork, level: ApproximationLevel) 
             pruned_total += pruned;
             weight_total += total;
         }
+        layer.refresh_weight_plane()?;
     }
-    ApproxReport {
+    Ok(ApproxReport {
         pruned_fraction_per_layer: per_layer,
         pruned_total,
         weight_total,
-    }
+    })
 }
 
 /// Fraction of weights a given approximation level removes under
@@ -193,10 +208,14 @@ pub fn quantile_fraction(level: ApproximationLevel) -> f32 {
 /// fraction is independent of the layer's weight distribution, which
 /// makes the level axis comparable across architectures (and matches the
 /// paper's observed accuracy ladder — see [`quantile_fraction`]).
+///
+/// # Errors
+///
+/// As [`apply_approximation`].
 pub fn apply_quantile_approximation(
     net: &mut SpikingNetwork,
     level: ApproximationLevel,
-) -> ApproxReport {
+) -> Result<ApproxReport> {
     let fraction = quantile_fraction(level);
     let mut per_layer = Vec::new();
     let mut pruned_total = 0usize;
@@ -230,12 +249,13 @@ pub fn apply_quantile_approximation(
             per_layer.push(pruned as f32 / total as f32);
             pruned_total += pruned;
         }
+        layer.refresh_weight_plane()?;
     }
-    ApproxReport {
+    Ok(ApproxReport {
         pruned_fraction_per_layer: per_layer,
         pruned_total,
         weight_total,
-    }
+    })
 }
 
 /// Inputs to the Eq. (1) `a_th` computation for one layer.
@@ -294,8 +314,7 @@ pub fn ath_eq1(inputs: &Eq1Inputs) -> f32 {
 ///
 /// # Errors
 ///
-/// Currently infallible but returns `Result` for future statistics
-/// validation; the `Err` variant is never produced.
+/// As [`apply_approximation`].
 pub fn apply_eq1_approximation(
     net: &mut SpikingNetwork,
     stats: &SpikeStats,
@@ -353,6 +372,7 @@ pub fn apply_eq1_approximation(
             pruned_total += pruned;
             weight_total += total;
         }
+        layer.refresh_weight_plane()?;
     }
     Ok(ApproxReport {
         pruned_fraction_per_layer: per_layer,
@@ -394,7 +414,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let mut n = net(&mut rng);
         let before: Vec<f32> = n.layers()[0].params().unwrap().0.value.as_slice().to_vec();
-        let report = apply_approximation(&mut n, ApproximationLevel::ACCURATE);
+        let report = apply_approximation(&mut n, ApproximationLevel::ACCURATE).unwrap();
         assert_eq!(report.pruned_total, 0);
         assert_eq!(
             n.layers()[0].params().unwrap().0.value.as_slice(),
@@ -406,7 +426,7 @@ mod tests {
     fn level_one_prunes_almost_everything() {
         let mut rng = StdRng::seed_from_u64(0);
         let mut n = net(&mut rng);
-        let report = apply_approximation(&mut n, ApproximationLevel::new(1.0).unwrap());
+        let report = apply_approximation(&mut n, ApproximationLevel::new(1.0).unwrap()).unwrap();
         // Only elements equal to max|w| survive.
         assert!(
             report.pruned_fraction() > 0.95,
@@ -424,7 +444,9 @@ mod tests {
                 let mut rng2 = StdRng::seed_from_u64(0);
                 let mut n = net(&mut rng2);
                 let _ = &mut rng;
-                apply_approximation(&mut n, ApproximationLevel::new(l).unwrap()).pruned_fraction()
+                apply_approximation(&mut n, ApproximationLevel::new(l).unwrap())
+                    .unwrap()
+                    .pruned_fraction()
             })
             .collect();
         for pair in fractions.windows(2) {

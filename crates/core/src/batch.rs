@@ -171,12 +171,22 @@ where
 }
 
 /// Runs `work` over `jobs` slots on `threads` workers, each worker
-/// owning a clone of `net` and a contiguous output chunk.
-fn fan_out<T, F>(net: &SpikingNetwork, jobs: usize, threads: usize, work: F) -> Result<Vec<T>>
+/// owning a clone of `net` and a contiguous output chunk. `net` builds
+/// its derived weight state first
+/// ([`SpikingNetwork::pack_weights`]), so the clones share its panels
+/// instead of each packing its own: every fan-out over network clones
+/// in this crate goes through here.
+pub(crate) fn fan_out<T, F>(
+    net: &SpikingNetwork,
+    jobs: usize,
+    threads: usize,
+    work: F,
+) -> Result<Vec<T>>
 where
     T: Send + Default + Clone,
     F: Fn(&mut SpikingNetwork, usize, &mut T) -> Result<()> + Sync,
 {
+    net.pack_weights();
     fan_out_with(jobs, threads, || net.clone(), work)
 }
 

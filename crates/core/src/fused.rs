@@ -9,9 +9,20 @@
 //! pass, and one step body serves them all. Spike planes become a CSR
 //! [`axsnn_tensor::batched::SpikeMatrix`] and the linear layers run as
 //! one spike-plane GEMM per step
-//! ([`axsnn_tensor::batched::sparse_matmul_bias`]), which loads each
-//! weight row once per *batch* instead of once per sample. Membrane
-//! state lives in `[B, n]` blocks ([`crate::lif::BatchedLifState`]).
+//! ([`axsnn_tensor::batched::sparse_matmul_bias_packed`]), which loads
+//! each weight panel once per *batch* instead of once per sample.
+//! Membrane state lives in `[B, n]` blocks
+//! ([`crate::lif::BatchedLifState`]).
+//!
+//! A linear layer's weights stream as panels the layer packs once per
+//! weight change and keeps ([`axsnn_tensor::batched::PackedWeights`];
+//! see [`crate::layer`]): the spike GEMM and the dense fallback read
+//! them at every batch size and density, so a B = 1 event query walks
+//! one contiguous 8-float line per event and 8 output rows, and no pass
+//! packs or decodes weights per call or per step. A planed linear layer
+//! runs the same f32 panels, decoded once from its plane. The sharded
+//! classifiers pack the caller's network before cloning it per worker,
+//! so the workers share its panels.
 //!
 //! Spikes travel between layers as one CSR [`SpikeMatrix`] per layer
 //! per step, never as a dense block: the batched LIF step writes the
@@ -100,7 +111,7 @@
 //! pass with no dense frame built or re-scanned; the `axsnn-attacks`
 //! `SnnEventModel` answers every event-attack query this way.
 
-use crate::batch::{fan_out_with, sample_seed};
+use crate::batch::{fan_out, fan_out_with, sample_seed};
 use crate::encoding::Encoder;
 use crate::layer::{acc_grad, surrogate_carry_grad, Layer};
 use crate::lif::{BatchedLifState, LifParams};
@@ -108,8 +119,9 @@ use crate::network::{ForwardOutput, SpikeStats, SpikingNetwork};
 use crate::plan::{ConvBatchKernel, KernelPolicy};
 use crate::{CoreError, Result};
 use axsnn_tensor::batched::{
-    matmul_bt_bias, sparse_conv2d_batch_sorted_into, sparse_conv2d_batch_sorted_planed_into,
-    sparse_matmul_bias, sparse_matmul_bias_planed, SpikeMatrix,
+    matmul_bt_bias_packed, matmul_bt_bias_scalar, sparse_conv2d_batch_sorted_into,
+    sparse_conv2d_batch_sorted_planed_into, sparse_matmul_bias_packed, sparse_matmul_bias_scalar,
+    PackedWeights, SpikeMatrix,
 };
 use axsnn_tensor::conv::{self, Conv2dSpec};
 use axsnn_tensor::grads::{self, GradShard};
@@ -697,10 +709,12 @@ impl BatchTape {
 /// steps run the same kernels; `record` only asks for the per-row
 /// inputs back for the tape (empty otherwise).
 ///
-/// `weight`/`bias` are the layer's *effective* tensors; when `quant`
-/// carries a packed reduced-precision buffer of the same weights, the
-/// spike-plane GEMM streams it directly (bit-identical to gathering the
-/// effective tensor).
+/// `weight`/`bias` are the layer's *effective* tensors and `packed` the
+/// layer's panels of the same weights (decoded from the plane on a
+/// planed layer), built once per weight change: the spike-plane GEMM
+/// and the dense fallback stream them at every batch size, one row
+/// included. Without panels (scalar dispatch) both run their scalar
+/// twins over `weight`; either way the bits are the same.
 ///
 /// `repeated` is the layer's previous block at a step where every train
 /// repeats its analog input frame bit for bit ([`FrameTrain`] flags
@@ -712,7 +726,7 @@ impl BatchTape {
 fn linear_current_block(
     weight: &Tensor,
     bias: &Tensor,
-    quant: Option<&QuantizedPlane>,
+    packed: Option<&PackedWeights>,
     policy: &KernelPolicy,
     plane: &BatchPlane<'_>,
     record: bool,
@@ -744,9 +758,9 @@ fn linear_current_block(
     let sparse_n = admitted.iter().filter(|row| row.is_some()).count();
     let sparse_y = if sparse_n > 0 {
         let x = plane.admitted_matrix(&admitted, false)?;
-        let y = match quant {
-            Some(q) => sparse_matmul_bias_planed(q.view(), (out_n, in_n), &x, bias),
-            None => sparse_matmul_bias(weight, &x, bias),
+        let y = match packed {
+            Some(p) => sparse_matmul_bias_packed(p, &x, bias),
+            None => sparse_matmul_bias_scalar(weight, &x, bias),
         }?;
         y.into_vec()
     } else {
@@ -762,7 +776,10 @@ fn linear_current_block(
             }
         }
         let x = Tensor::from_vec(dense_x, &[dense_n, in_n])?;
-        let y = matmul_bt_bias(&x, weight, bias)?;
+        let y = match packed {
+            Some(p) => matmul_bt_bias_packed(&x, p, bias),
+            None => matmul_bt_bias_scalar(&x, weight, bias),
+        }?;
         dense_x = x.into_vec();
         y.into_vec()
     } else {
@@ -1408,17 +1425,10 @@ impl FusedPass {
         // operation — this is exactly the saving approximation buys
         // (skipped connections perform no work). Counted over the
         // *effective* weights so int8 quantization's snapped-to-zero
-        // connections register as savings.
-        let nonzero_weights = count_ops.then(|| {
-            layers
-                .iter()
-                .map(|l| {
-                    l.eff_params()
-                        .map(|(w, _)| w.as_slice().iter().filter(|v| **v != 0.0).count())
-                        .unwrap_or(0)
-                })
-                .collect()
-        });
+        // connections register as savings; each layer counts once per
+        // weight change, not once per pass.
+        let nonzero_weights =
+            count_ops.then(|| layers.iter().map(Layer::nonzero_weights).collect());
         FusedPass {
             batch,
             record,
@@ -1491,7 +1501,7 @@ impl FusedPass {
                     let (current, rows) = linear_current_block(
                         l.eff_weight(),
                         l.eff_bias(),
-                        l.planed().map(|p| &p.quant),
+                        l.packed(),
                         &l.policy,
                         &plane,
                         record,
@@ -1512,7 +1522,7 @@ impl FusedPass {
                     let (block, rows) = linear_current_block(
                         l.eff_weight(),
                         l.eff_bias(),
-                        l.planed().map(|p| &p.quant),
+                        l.packed(),
                         &l.policy,
                         &plane,
                         record,
@@ -2018,9 +2028,9 @@ impl SpikingNetwork {
                 .map_err(CoreError::from)?
                 .expect("at least one shard for a non-empty batch");
             for (layer, slot) in self.layers_mut().iter_mut().zip(reduced.slots()) {
-                if let (Some((w, bias)), Some((gw, gb))) = (layer.params_mut(), slot.as_ref()) {
-                    acc_grad(&mut w.grad, gw);
-                    acc_grad(&mut bias.grad, gb);
+                if let (Some((w, bias)), Some((gw, gb))) = (layer.grads_mut(), slot.as_ref()) {
+                    acc_grad(w, gw);
+                    acc_grad(bias, gb);
                 }
             }
         }
@@ -2054,9 +2064,9 @@ impl SpikingNetwork {
 
     /// Classifies encoded frame trains sharded across threads: the
     /// train list splits into fused batches of at most `batch` samples
-    /// and the shards fan out via [`crate::batch::fan_out_with`]
-    /// (`threads == 0` uses all cores). Results are identical for every
-    /// thread count and batch size.
+    /// and the shards fan out over clones of the network, packed once
+    /// first (`threads == 0` uses all cores). Results are identical for
+    /// every thread count and batch size.
     ///
     /// # Errors
     ///
@@ -2073,17 +2083,13 @@ impl SpikingNetwork {
         }
         let batch = batch.max(1);
         let shards = n.div_ceil(batch);
-        let per_shard: Vec<Vec<usize>> = fan_out_with(
-            shards,
-            threads,
-            || self.clone(),
-            |net, s, slot: &mut Vec<usize>| -> Result<()> {
+        let per_shard: Vec<Vec<usize>> =
+            fan_out(self, shards, threads, |net, s, slot: &mut Vec<usize>| {
                 let lo = s * batch;
                 let hi = (lo + batch).min(n);
                 *slot = net.classify_batch_fused(&trains[lo..hi])?;
                 Ok(())
-            },
-        )?;
+            })?;
         Ok(per_shard.concat())
     }
 
@@ -2130,11 +2136,8 @@ impl SpikingNetwork {
         let batch = batch.max(1);
         let shards = n.div_ceil(batch);
         let image_at = &image_at;
-        let per_shard: Vec<Vec<usize>> = fan_out_with(
-            shards,
-            threads,
-            || self.clone(),
-            |net, s, slot: &mut Vec<usize>| -> Result<()> {
+        let per_shard: Vec<Vec<usize>> =
+            fan_out(self, shards, threads, |net, s, slot: &mut Vec<usize>| {
                 let lo = s * batch;
                 let hi = (lo + batch).min(n);
                 let mut trains = Vec::with_capacity(hi - lo);
@@ -2149,8 +2152,7 @@ impl SpikingNetwork {
                 }
                 *slot = net.classify_batch_fused(&trains)?;
                 Ok(())
-            },
-        )?;
+            })?;
         Ok(per_shard.concat())
     }
 }

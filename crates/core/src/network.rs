@@ -307,6 +307,20 @@ impl SpikingNetwork {
         Ok(())
     }
 
+    /// Builds every layer's derived weight state now, from the current
+    /// effective weights: the linear layers' packed panels (under AVX2
+    /// dispatch) and the non-zero weight counts. A pass builds whatever
+    /// is missing itself, so this changes only *when* the work happens:
+    /// clones made afterwards share the panels instead of each packing
+    /// its own. The crate's own parallel entry points do this before
+    /// they clone; code that clones a network per worker itself calls
+    /// it first.
+    pub fn pack_weights(&self) {
+        for l in &self.layers {
+            l.prepare_derived();
+        }
+    }
+
     /// The weight storage plane of the first parameterized layer
     /// ([`WeightPlane::F32`] when none is installed; layers can in
     /// principle differ when set individually through

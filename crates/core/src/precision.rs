@@ -203,9 +203,19 @@ pub fn apply_precision(net: &mut SpikingNetwork, scale: PrecisionScale) -> Resul
 /// row); so is any non-finite or NaN step — `step <= 0.0` alone would
 /// be *false* for NaN and let `(v/NaN).round()·NaN` poison every
 /// weight, and an infinite step would do the same through `v/∞ · ∞`.
-pub fn apply_step_quantization(net: &mut SpikingNetwork, step: f32) -> usize {
+///
+/// Returns the number of parameter tensors touched. Each layer's
+/// installed reduced-precision weight plane is rebuilt from its
+/// quantized weights.
+///
+/// # Errors
+///
+/// Returns the plane refresh's error when a layer with an int8 plane
+/// holds non-finite weights; the layers before it are already
+/// quantized.
+pub fn apply_step_quantization(net: &mut SpikingNetwork, step: f32) -> Result<usize> {
     if !step_is_usable(step) {
-        return 0;
+        return Ok(0);
     }
     let mut touched = 0usize;
     for layer in net.layers_mut() {
@@ -214,8 +224,9 @@ pub fn apply_step_quantization(net: &mut SpikingNetwork, step: f32) -> usize {
             b.value = quantize_step_tensor(&b.value, step);
             touched += 1;
         }
+        layer.refresh_weight_plane()?;
     }
-    touched
+    Ok(touched)
 }
 
 /// A step quantizes only when it is a finite positive number; `!(> 0.0)`
@@ -434,7 +445,7 @@ mod tests {
             .filter_map(|l| l.params())
             .flat_map(|(w, _)| w.value.as_slice().to_vec())
             .collect();
-        assert_eq!(apply_step_quantization(&mut net, f32::NAN), 0);
+        assert_eq!(apply_step_quantization(&mut net, f32::NAN).unwrap(), 0);
         let after: Vec<f32> = net
             .layers()
             .iter()

@@ -134,10 +134,10 @@ proptest! {
         let net = small_net(seed, cfg);
         let before = count_nonzero(&net);
         let mut a = net.clone();
-        apply_approximation(&mut a, ApproximationLevel::new(level).unwrap());
+        apply_approximation(&mut a, ApproximationLevel::new(level).unwrap()).unwrap();
         prop_assert!(count_nonzero(&a) <= before);
         let mut q = net.clone();
-        apply_quantile_approximation(&mut q, ApproximationLevel::new(level).unwrap());
+        apply_quantile_approximation(&mut q, ApproximationLevel::new(level).unwrap()).unwrap();
         prop_assert!(count_nonzero(&q) <= before);
     }
 

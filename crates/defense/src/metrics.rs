@@ -191,6 +191,8 @@ where
             message: "evaluation data must be non-empty".into(),
         });
     }
+    // Workers clone the victim: pack it once, so they share its panels.
+    victim.pack_weights();
     // Per-sample outcome flags: bit 0 = clean correct, bit 1 = adversarial
     // correct.
     let flags: Vec<u8> = fan_out_with(

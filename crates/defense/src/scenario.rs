@@ -321,7 +321,7 @@ impl MnistScenario {
     /// Propagates conversion failures.
     pub fn ax_snn(&self, cfg: SnnConfig, level: ApproximationLevel) -> Result<SpikingNetwork> {
         let mut net = self.acc_snn(cfg)?;
-        apply_quantile_approximation(&mut net, level);
+        apply_quantile_approximation(&mut net, level)?;
         Ok(net)
     }
 
@@ -496,7 +496,7 @@ impl DvsScenario {
     /// Propagates conversion failures.
     pub fn ax_snn(&self, cfg: SnnConfig, level: ApproximationLevel) -> Result<SpikingNetwork> {
         let mut net = self.acc_snn(cfg)?;
-        apply_quantile_approximation(&mut net, level);
+        apply_quantile_approximation(&mut net, level)?;
         Ok(net)
     }
 

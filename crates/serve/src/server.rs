@@ -269,6 +269,9 @@ fn validate_model(
     if time_steps == 0 {
         return reject("zero time steps".into());
     }
+    // Workers clone the installed model: pack it once, so the smoke
+    // clone and every worker share its panels.
+    net.pack_weights();
     // Smoke-classify a clone so the install candidate keeps pristine
     // state. A shape-incompatible or numerically broken model fails
     // here, before it can ever serve traffic.

@@ -9,17 +9,28 @@
 //! spike frames into a CSR [`SpikeMatrix`] and provides kernels that
 //! walk the weights *once per batch*:
 //!
-//! * [`sparse_matmul_bias`] — `[out, in] × B events + bias
-//!   → [B, out]`, weight-row-outer so each row is gathered against all
-//!   B index lists while it is hot in cache,
-//! * [`matmul_bt_bias`] — the dense batched fallback (`X · Wᵀ + b`) for
-//!   analog planes: sequential row dots, run as packed 8-row panels
-//!   against four batch rows at a time under AVX2 dispatch,
+//! * [`PackedWeights`] — a weight matrix transposed once into
+//!   32-byte-aligned 8-row panels (`panel[j·8 + l] = row_l[j]`), from
+//!   f32 weights or straight from a reduced-precision plane. A layer
+//!   packs once per weight change; the packed kernels below stream the
+//!   panels at every batch size and density, one row included,
+//! * [`sparse_matmul_bias_packed`] — `[out, in] × B events + bias
+//!   → [B, out]`, panel-outer so each panel is walked by all B index
+//!   lists while it is hot in cache, every event one aligned load per
+//!   8 output rows,
+//! * [`matmul_bt_bias_packed`] — the dense batched fallback
+//!   (`X · Wᵀ + b`) for analog planes: sequential row dots, each panel
+//!   streamed against four batch rows at a time under AVX2 dispatch,
 //! * [`sparse_conv2d_batch_sorted`] — the event-sorted scatter conv
 //!   over B stacked spike planes into a `[B, Cout·OH·OW]` block.
 //!
-//! These are the only forms of the linear gather and the event-sorted
-//! conv: one sample is a one-row batch. Every row's result is
+//! The `_scalar` kernels ([`sparse_matmul_bias_scalar`],
+//! [`sparse_matmul_bias_planed_scalar`], [`matmul_bt_bias_scalar`]) run
+//! over the unpacked weights: they are the portable references every
+//! packed kernel is pinned to and the engine's kernels under scalar
+//! dispatch. [`matmul_bt_bias`] is the one per-call form, for the ANN
+//! twin's dense layers, which hold no packed weights. One sample is a
+//! one-row batch. Every row's result is
 //! **bit-identical** to a per-sample reference — a gather row to
 //! [`crate::linalg::matvec`] plus the bias on a binary row with finite
 //! weights, a conv row to [`crate::sparse::sparse_conv2d`] on that row's
@@ -27,30 +38,30 @@
 //! never reads another row. That is what lets the fused batch forward
 //! in `axsnn-core` give the same bits at every batch size.
 //!
-//! The fused engine calls the linear-layer kernels
-//! ([`sparse_matmul_bias`], [`matmul_bt_bias`]) and the event-sorted conv
-//! on its hot path. Pools and the row-by-row conv have no batch form:
-//! inside the fused engine, batches mix gate-admitted and dense rows per
-//! step, so it drives the shared per-row primitives
-//! ([`crate::sparse::sparse_conv2d_into`], the event pools) directly
-//! against its own row partition.
+//! The fused engine calls the packed linear-layer kernels and the
+//! event-sorted conv on its hot path. Pools and the row-by-row conv
+//! have no batch form: inside the fused engine, batches mix
+//! gate-admitted and dense rows per step, so it drives the shared
+//! per-row primitives ([`crate::sparse::sparse_conv2d_into`], the event
+//! pools) directly against its own row partition.
 //!
 //! # Example
 //!
 //! ```
-//! use axsnn_tensor::batched::{sparse_matmul_bias, SpikeMatrix};
+//! use axsnn_tensor::batched::{sparse_matmul_bias_packed, PackedWeights, SpikeMatrix};
 //! use axsnn_tensor::sparse::SpikeVector;
 //! use axsnn_tensor::Tensor;
 //!
 //! # fn main() -> axsnn_tensor::Result<()> {
 //! let w = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3])?;
+//! let packed = PackedWeights::pack(&w)?; // once per weight change
 //! let rows = vec![
 //!     SpikeVector::new(vec![0], 3)?,
 //!     SpikeVector::new(vec![1, 2], 3)?,
 //! ];
 //! let batch = SpikeMatrix::from_rows(&rows)?;
 //! let bias = Tensor::from_vec(vec![0.5, -1.0], &[2])?;
-//! let y = sparse_matmul_bias(&w, &batch, &bias)?;
+//! let y = sparse_matmul_bias_packed(&packed, &batch, &bias)?;
 //! assert_eq!(y.shape().dims(), &[2, 2]);
 //! assert_eq!(y.as_slice(), &[1.5, 3.0, 5.5, 10.0]);
 //! # Ok(())
@@ -59,6 +70,7 @@
 
 use crate::conv::Conv2dSpec;
 use crate::plane::{F16Lane, F32Lane, Int8Lane, PlaneView, WeightLane};
+use crate::simd::{PanelLine, ROW_LANES};
 use crate::sparse::{gather_row_lane, gather_row_x4, SpikeVector};
 use crate::{Result, Tensor, TensorError};
 
@@ -345,167 +357,330 @@ fn lif_rows<const RECORD: bool>(
 }
 
 fn check_weight(w: &Tensor, cols: usize, op: &'static str) -> Result<(usize, usize)> {
-    let dims = w.shape().dims();
-    if dims.len() != 2 {
-        return Err(TensorError::RankMismatch {
-            expected: 2,
-            actual: dims.len(),
-            op,
-        });
-    }
-    if cols != dims[1] {
+    let (m, k) = matrix_dims(w, op)?;
+    if cols != k {
         return Err(TensorError::ShapeMismatch {
-            lhs: dims.to_vec(),
+            lhs: vec![m, k],
             rhs: vec![cols],
             op,
         });
     }
-    Ok((dims[0], dims[1]))
+    Ok((m, k))
 }
 
-fn sparse_matmul_impl(w: &Tensor, x: &SpikeMatrix, bias: &Tensor) -> Vec<f32> {
-    let dims = w.shape().dims();
-    let (m, k) = (dims[0], dims[1]);
-    let wv = w.as_slice();
+/// A `[rows, cols]` weight matrix packed once into the panel layout
+/// the spike-plane and dense GEMMs stream: every whole 8-row tile as an
+/// index-major panel of 32-byte-aligned lines (`panel[j·8 + l] =
+/// row_l[j]`), and the rows past the last whole tile kept row-major for
+/// the scalar lane tiles.
+///
+/// Packing is a one-off transpose of the whole matrix, so it belongs
+/// with the weights, not with a call: a layer packs once per weight
+/// change and every later GEMM — any batch size, any density, one row
+/// included — streams the same panels
+/// ([`sparse_matmul_bias_packed`], [`matmul_bt_bias_packed`]). The
+/// panels hold the exact f32 values of the weights (for a
+/// reduced-precision plane, the values its lanes decode), so a packed
+/// GEMM is bit-identical to its scalar twin over the unpacked weights.
+///
+/// # Example
+///
+/// ```
+/// use axsnn_tensor::batched::{
+///     sparse_matmul_bias_packed, sparse_matmul_bias_scalar, PackedWeights, SpikeMatrix,
+/// };
+/// use axsnn_tensor::sparse::SpikeVector;
+/// use axsnn_tensor::Tensor;
+///
+/// # fn main() -> axsnn_tensor::Result<()> {
+/// let w = Tensor::from_vec((0..27).map(|i| i as f32 * 0.5).collect(), &[9, 3])?;
+/// let bias = Tensor::zeros(&[9]);
+/// let packed = PackedWeights::pack(&w)?;
+/// let x = SpikeMatrix::from_rows(&[SpikeVector::new(vec![0, 2], 3)?])?;
+/// let y = sparse_matmul_bias_packed(&packed, &x, &bias)?;
+/// assert_eq!(y, sparse_matmul_bias_scalar(&w, &x, &bias)?);
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Clone)]
+pub struct PackedWeights {
+    rows: usize,
+    cols: usize,
+    /// Tile `t` is lines `t·cols .. (t + 1)·cols`; line `j` holds column
+    /// `j` of rows `8t .. 8t + 8`.
+    panels: Vec<PanelLine>,
+    /// Rows `rows − rows % 8 .. rows`, row-major.
+    tail: Vec<f32>,
+}
+
+impl std::fmt::Debug for PackedWeights {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PackedWeights")
+            .field("rows", &self.rows)
+            .field("cols", &self.cols)
+            .finish_non_exhaustive()
+    }
+}
+
+impl PackedWeights {
+    /// Packs an f32 weight matrix `[rows, cols]`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::RankMismatch`] for a non-matrix `w`.
+    pub fn pack(w: &Tensor) -> Result<PackedWeights> {
+        let (m, k) = matrix_dims(w, "PackedWeights::pack")?;
+        let mut packed = PackedWeights::zeroed(m, k);
+        packed.fill(F32Lane(w.as_slice()));
+        Ok(packed)
+    }
+
+    /// Packs a reduced-precision plane of `shape = (rows, cols)`
+    /// weights, decoding each whole tile straight into its panel (the
+    /// fused decode-and-transpose). Every panel value is bit-identical to
+    /// the plane's [`crate::plane::QuantizedPlane::dequantize`] image, so
+    /// the packed GEMMs give the bits of packing that image.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::LengthMismatch`] when the plane does not
+    /// hold `rows × cols` weights.
+    pub fn pack_plane(weights: PlaneView<'_>, shape: (usize, usize)) -> Result<PackedWeights> {
+        let mut packed = PackedWeights::zeroed(shape.0, shape.1);
+        packed.repack_plane(weights)?;
+        Ok(packed)
+    }
+
+    /// Re-packs new f32 weights of the same shape in place, allocating
+    /// nothing — the once-per-update refresh of a trained layer.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::RankMismatch`] for a non-matrix `w` and
+    /// [`TensorError::ShapeMismatch`] when its shape differs from the
+    /// packed one; the panels are left unchanged.
+    pub fn repack(&mut self, w: &Tensor) -> Result<()> {
+        let dims = matrix_dims(w, "PackedWeights::repack")?;
+        if dims != (self.rows, self.cols) {
+            return Err(TensorError::ShapeMismatch {
+                lhs: vec![self.rows, self.cols],
+                rhs: vec![dims.0, dims.1],
+                op: "PackedWeights::repack",
+            });
+        }
+        self.fill(F32Lane(w.as_slice()));
+        Ok(())
+    }
+
+    /// [`PackedWeights::repack`] from a reduced-precision plane of the
+    /// packed shape.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::LengthMismatch`] when the plane does not
+    /// hold `rows × cols` weights; the panels are left unchanged.
+    pub fn repack_plane(&mut self, weights: PlaneView<'_>) -> Result<()> {
+        let len = self.rows * self.cols;
+        if weights.len() != len {
+            return Err(TensorError::LengthMismatch {
+                expected: len,
+                actual: weights.len(),
+            });
+        }
+        match weights {
+            PlaneView::F16(bits) => self.fill(F16Lane(bits)),
+            PlaneView::Int8 { codes, levels } => self.fill(Int8Lane { codes, levels }),
+        }
+        Ok(())
+    }
+
+    fn zeroed(rows: usize, cols: usize) -> PackedWeights {
+        let whole = rows - rows % ROW_LANES;
+        PackedWeights {
+            rows,
+            cols,
+            panels: vec![PanelLine::default(); whole / ROW_LANES * cols],
+            tail: vec![0.0; (rows - whole) * cols],
+        }
+    }
+
+    /// Writes every panel and the tail rows from `wv`, which holds
+    /// `rows × cols` weights row-major.
+    fn fill<L: WeightLane>(&mut self, wv: L) {
+        let k = self.cols;
+        let whole = self.rows - self.rows % ROW_LANES;
+        if k > 0 {
+            for (t, panel) in self.panels.chunks_exact_mut(k).enumerate() {
+                let lo = t * ROW_LANES * k;
+                wv.slice(lo, lo + ROW_LANES * k).pack_panel8(k, panel);
+            }
+        }
+        for (i, slot) in self.tail.iter_mut().enumerate() {
+            *slot = wv.load(whole * k + i);
+        }
+    }
+
+    /// The `n` panels from tile `t` on.
+    fn tiles(&self, t: usize, n: usize) -> &[PanelLine] {
+        &self.panels[t * self.cols..(t + n) * self.cols]
+    }
+}
+
+/// `(rows, cols)` of a weight matrix.
+fn matrix_dims(w: &Tensor, op: &'static str) -> Result<(usize, usize)> {
+    match *w.shape().dims() {
+        [m, k] => Ok((m, k)),
+        ref dims => Err(TensorError::RankMismatch {
+            expected: 2,
+            actual: dims.len(),
+            op,
+        }),
+    }
+}
+
+/// Batched sparse product `Y = S · Wᵀ + b` over packed weights: the
+/// spike-plane GEMM the fused engine runs at every batch size and
+/// density, one row included. Each output sums its row's active columns
+/// in ascending order from `+0.0` and adds the bias last — the
+/// scalar lane tiles' order — so the result equals
+/// [`sparse_matmul_bias_scalar`] on the unpacked weights bit for bit.
+///
+/// Under AVX2 dispatch four panels then one share each batch row's walk
+/// of its index list ([`crate::simd`]'s `matmul_panels`), every event one
+/// aligned 8-float load per panel; otherwise a scalar loop walks the
+/// same panels. Rows past the last whole tile run the scalar lane
+/// tiles. Row `b` does not depend on the other rows.
+///
+/// # Errors
+///
+/// Returns [`TensorError::ShapeMismatch`] when the spike length differs
+/// from the packed column count or the bias length from the row count.
+pub fn sparse_matmul_bias_packed(
+    w: &PackedWeights,
+    x: &SpikeMatrix,
+    bias: &Tensor,
+) -> Result<Tensor> {
+    const OP: &str = "sparse_matmul_bias_packed";
+    let (m, k) = (w.rows, w.cols);
+    if x.cols() != k {
+        return Err(TensorError::ShapeMismatch {
+            lhs: vec![m, k],
+            rhs: vec![x.cols()],
+            op: OP,
+        });
+    }
+    check_bias(bias, (m, k), OP)?;
     let bv = bias.as_slice();
     let mut out = vec![0.0f32; x.rows() * m];
-    let mut o = 0usize;
-    if crate::simd::active() && crate::simd::indices_in_bounds(&x.indices, k) {
-        // AVX2 tiles: each vector lane owns one output row, so the
-        // per-output summation order — and the result — is
-        // bit-identical to the scalar tiles below. When the batch
-        // gathers at least one tile's worth of elements (nnz ≥ k),
-        // tiles of 32 then 8 rows are transposed into contiguous panels
-        // once per batch so the inner loop trades 8-way gathers for
-        // contiguous loads. Matvec-shaped calls (nnz < k) keep the
-        // 8-row gather kernel, whose setup is free; walking more rows
-        // per index list measured slower there at B = 1 on the
-        // 2048-wide DVS layer, whose rows alias in the L1 sets.
-        if x.nnz() >= k {
-            let mut panels = vec![0.0f32; WIDE_TILE * k];
-            o = panel_tiles::<_, 4>(F32Lane(wv), k, x, bv, &mut panels, &mut out, o);
-            o = panel_tiles::<_, 1>(F32Lane(wv), k, x, bv, &mut panels, &mut out, o);
-        } else {
-            const LANES: usize = crate::simd::ROW_LANES;
-            while o + LANES <= m {
-                let rows = &wv[o * k..(o + LANES) * k];
-                for r in 0..x.rows() {
-                    let dst = &mut out[r * m + o..r * m + o + LANES];
-                    crate::simd::matvec_rows::<1>(rows, k, x.row(r), &bv[o..o + LANES], dst);
+    let tiles = m / ROW_LANES;
+    let mut t = 0;
+    if crate::simd::active() {
+        t = panel_walk::<4>(w, x, bv, &mut out, t);
+        t = panel_walk::<1>(w, x, bv, &mut out, t);
+    }
+    for t in t..tiles {
+        let (panel, o) = (w.tiles(t, 1), t * ROW_LANES);
+        for r in 0..x.rows() {
+            let mut acc = [0.0f32; ROW_LANES];
+            for &j in x.row(r) {
+                for (a, &v) in acc.iter_mut().zip(&panel[j as usize].0) {
+                    *a += v;
                 }
-                o += LANES;
+            }
+            let dst = &mut out[r * m + o..r * m + o + ROW_LANES];
+            for ((d, a), b) in dst.iter_mut().zip(acc).zip(&bv[o..]) {
+                *d = a + b;
             }
         }
     }
-    matmul_lane_tiles(F32Lane(wv), m, k, x, bias, o, &mut out);
-    out
+    lane_tiles(F32Lane(&w.tail), k, x, bv, tiles * ROW_LANES, &mut out);
+    Tensor::from_vec(out, &[x.rows(), m])
 }
 
-/// Output rows in the widest AVX2 tile: four 8-row tiles per walk of an
-/// index list, so four independent accumulator chains are in flight.
-const WIDE_TILE: usize = 4 * crate::simd::ROW_LANES;
-
-/// The AVX2 spike-plane GEMM over output rows `o..`: while `8·N` rows
-/// fit, packs them as `N` index-major 8-row panels (decoding a
-/// reduced-precision lane on the way) and walks every batch row's index
-/// list once against all `N` panels ([`crate::simd::matmul_panels`]).
-/// Returns the first row left over. `bias` holds one entry per output
-/// row and `panels` at least `8·N·k` floats.
-fn panel_tiles<L: WeightLane, const N: usize>(
-    wv: L,
-    k: usize,
+/// The AVX2 panel walk over tiles `t..` in groups of `N` while whole
+/// groups fit; returns the first tile left over.
+fn panel_walk<const N: usize>(
+    w: &PackedWeights,
     x: &SpikeMatrix,
     bias: &[f32],
-    panels: &mut [f32],
     out: &mut [f32],
-    mut o: usize,
+    mut t: usize,
 ) -> usize {
-    const LANES: usize = crate::simd::ROW_LANES;
-    let (m, width) = (bias.len(), N * LANES);
-    let panels = &mut panels[..width * k];
-    while o + width <= m {
-        for t in 0..N {
-            let lo = (o + t * LANES) * k;
-            let panel = &mut panels[t * LANES * k..(t + 1) * LANES * k];
-            wv.slice(lo, lo + LANES * k).pack_panel8(k, panel);
-        }
+    let (m, k, width) = (w.rows, w.cols, N * ROW_LANES);
+    while t + N <= m / ROW_LANES {
+        let (panels, o) = (w.tiles(t, N), t * ROW_LANES);
         for r in 0..x.rows() {
             let dst = &mut out[r * m + o..r * m + o + width];
             crate::simd::matmul_panels::<N>(panels, k, x.row(r), &bias[o..o + width], dst);
         }
-        o += width;
+        t += N;
     }
-    o
+    t
 }
 
-fn sparse_matmul_lane_impl<L: WeightLane>(
+/// The portable scalar tile sweep over output rows `o0..bias.len()` —
+/// the single source of truth for spike GEMM semantics. `wv` holds
+/// those rows row-major, `k` weights each: the whole matrix from row 0
+/// on the scalar paths, the rows past the last whole panel tile after
+/// the packed walk.
+fn lane_tiles<L: WeightLane>(
     wv: L,
-    m: usize,
     k: usize,
     x: &SpikeMatrix,
-    bias: &Tensor,
-) -> Vec<f32> {
-    let mut out = vec![0.0f32; x.rows() * m];
-    matmul_lane_tiles(wv, m, k, x, bias, 0, &mut out);
-    out
-}
-
-/// The portable scalar tile sweep over output rows `o0..m` — the single
-/// source of truth for GEMM semantics. Every dispatcher above finishes
-/// here: either from row 0 (scalar mode) or from the first row the
-/// 8-wide AVX2 tiles left over.
-fn matmul_lane_tiles<L: WeightLane>(
-    wv: L,
-    m: usize,
-    k: usize,
-    x: &SpikeMatrix,
-    bias: &Tensor,
+    bias: &[f32],
     o0: usize,
     out: &mut [f32],
 ) {
-    let b = x.rows();
+    let (b, m) = (x.rows(), bias.len());
+    let row = |o: usize| wv.slice((o - o0) * k, (o - o0 + 1) * k);
     // Weight-row tiles of 4 stay L1-resident while all B index lists
     // gather against them — weight traffic is per *batch*, not per
     // sample, and each index load feeds 4 rows.
     let mut o = o0;
     while o + 4 <= m {
-        let rows = [
-            wv.slice(o * k, (o + 1) * k),
-            wv.slice((o + 1) * k, (o + 2) * k),
-            wv.slice((o + 2) * k, (o + 3) * k),
-            wv.slice((o + 3) * k, (o + 4) * k),
-        ];
-        let bv = bias.as_slice();
-        let bias4 = [bv[o], bv[o + 1], bv[o + 2], bv[o + 3]];
+        let rows = [row(o), row(o + 1), row(o + 2), row(o + 3)];
+        let bias4 = [bias[o], bias[o + 1], bias[o + 2], bias[o + 3]];
         for r in 0..b {
             gather_row_x4(rows, x.row(r), bias4, &mut out[r * m + o..r * m + o + 4]);
         }
         o += 4;
     }
     while o < m {
-        let row = wv.slice(o * k, (o + 1) * k);
-        let bo = bias.as_slice()[o];
+        let wrow = row(o);
         for r in 0..b {
-            out[r * m + o] = gather_row_lane(row, x.row(r), bo);
+            out[r * m + o] = gather_row_lane(wrow, x.row(r), bias[o]);
         }
         o += 1;
     }
 }
 
+fn check_bias(bias: &Tensor, (m, k): (usize, usize), op: &'static str) -> Result<()> {
+    if bias.len() != m {
+        return Err(TensorError::ShapeMismatch {
+            lhs: vec![m, k],
+            rhs: bias.shape().dims().to_vec(),
+            op,
+        });
+    }
+    Ok(())
+}
+
 /// Batched sparse product `Y = S · Wᵀ + b` for a CSR spike batch `S`
 /// of shape `[B, in]`, weights `[out, in]` and a per-output bias,
-/// producing `[B, out]` — the fused form the spiking layers use, and at
-/// `B = 1` the per-sample gather. Each output sums its row's active
-/// columns in ascending order from `+0.0` and adds the bias last, so on
-/// a binary batch with finite weights it equals the dense
-/// [`matmul_bt_bias`] and, row by row, `linalg::matvec` plus the bias.
+/// producing `[B, out]`, over the unpacked weights: the portable scalar
+/// reference of the spike GEMM and the fused engine's kernel under
+/// scalar dispatch. Each output sums its row's active columns in
+/// ascending order from `+0.0` and adds the bias last, so on a binary
+/// batch with finite weights it equals the dense
+/// [`matmul_bt_bias_scalar`] and, row by row, `linalg::matvec` plus the
+/// bias. Weight-row tiles of 4 stay cache-hot while every sample's index
+/// list gathers against them, never panels. Row `b` does not depend on
+/// the other rows, so it equals the one-row call on `rows[b]` bit for
+/// bit.
 ///
-/// Weight rows are processed in tiles of 4 that stay cache-hot across
-/// the whole batch while each sample's index list gathers against them
-/// (`gather_row_x4`); weight traffic is `out × in` per *batch*
-/// instead of per sample — the GEMM amortization a loop of one-row
-/// calls cannot reach. Row `b` does not depend on the other rows, so it
-/// equals the one-row call on `rows[b]` bit for bit.
+/// [`sparse_matmul_bias_packed`] is bit-identical to this by
+/// construction (pinned by the `simd_equivalence` suite); `bench_simd`
+/// measures it against this.
 ///
 /// # Errors
 ///
@@ -513,81 +688,29 @@ fn matmul_lane_tiles<L: WeightLane>(
 /// [`TensorError::ShapeMismatch`] when the spike length differs from
 /// the weight column count or the bias length from the weight row
 /// count.
-pub fn sparse_matmul_bias(w: &Tensor, x: &SpikeMatrix, bias: &Tensor) -> Result<Tensor> {
-    let (m, k) = check_weight(w, x.cols(), "sparse_matmul_bias")?;
-    if bias.len() != m {
-        return Err(TensorError::ShapeMismatch {
-            lhs: vec![m, k],
-            rhs: bias.shape().dims().to_vec(),
-            op: "sparse_matmul_bias",
-        });
-    }
-    let out = sparse_matmul_impl(w, x, bias);
-    Tensor::from_vec(out, &[x.rows(), m])
-}
-
-/// The portable scalar reference for [`sparse_matmul_bias`]: always the
-/// 4-row unrolled tile loop, never the runtime-dispatched AVX2 tiles.
-///
-/// [`sparse_matmul_bias`] is bit-identical to this by construction
-/// (pinned by the `simd_equivalence` suite); `bench_simd` measures the
-/// dispatched kernel against it. Production callers want
-/// [`sparse_matmul_bias`], which picks the fastest equivalent path.
-///
-/// # Errors
-///
-/// As [`sparse_matmul_bias`].
 pub fn sparse_matmul_bias_scalar(w: &Tensor, x: &SpikeMatrix, bias: &Tensor) -> Result<Tensor> {
-    let (m, k) = check_weight(w, x.cols(), "sparse_matmul_bias")?;
-    if bias.len() != m {
-        return Err(TensorError::ShapeMismatch {
-            lhs: vec![m, k],
-            rhs: bias.shape().dims().to_vec(),
-            op: "sparse_matmul_bias",
-        });
-    }
-    let out = sparse_matmul_lane_impl(F32Lane(w.as_slice()), m, k, x, bias);
+    let (m, k) = check_weight(w, x.cols(), "sparse_matmul_bias_scalar")?;
+    check_bias(bias, (m, k), "sparse_matmul_bias_scalar")?;
+    let mut out = vec![0.0f32; x.rows() * m];
+    lane_tiles(F32Lane(w.as_slice()), k, x, bias.as_slice(), 0, &mut out);
     Tensor::from_vec(out, &[x.rows(), m])
 }
 
-/// [`sparse_matmul_bias`] streaming a reduced-precision weight plane:
-/// each weight is dequantized in-register and every accumulate stays in
-/// f32, with the same 4-row tiling and gather order as the f32 kernel —
-/// so the result is bit-identical to [`sparse_matmul_bias`] over the
-/// plane's [`crate::plane::QuantizedPlane::dequantize`] tensor.
-/// Inference and recorded training steps both run it on a planed layer.
+/// [`sparse_matmul_bias_scalar`] over a reduced-precision weight plane
+/// of `shape = (rows, cols)` weights: the per-element in-register lane
+/// decode through the same 4-row tiles, every accumulate in f32, so the
+/// result is bit-identical to [`sparse_matmul_bias_scalar`] over the
+/// plane's [`crate::plane::QuantizedPlane::dequantize`] tensor. The
+/// engine's kernel for a planed linear layer under scalar dispatch; the
+/// panels [`PackedWeights::pack_plane`] decodes give these bits too
+/// (pinned by `simd_equivalence`), and `bench_simd` measures them
+/// against this.
 ///
 /// # Errors
 ///
 /// Returns [`TensorError::LengthMismatch`] when the plane does not hold
 /// `rows × cols` weights and [`TensorError::ShapeMismatch`] when the
 /// spike or bias length disagrees with `shape`.
-pub fn sparse_matmul_bias_planed(
-    weights: PlaneView<'_>,
-    shape: (usize, usize),
-    x: &SpikeMatrix,
-    bias: &Tensor,
-) -> Result<Tensor> {
-    let (m, k) = shape;
-    check_planed(weights, shape, x, bias)?;
-    let out = match weights {
-        PlaneView::F16(bits) => matmul_planed_dispatch(F16Lane(bits), m, k, x, bias),
-        PlaneView::Int8 { codes, levels } => {
-            matmul_planed_dispatch(Int8Lane { codes, levels }, m, k, x, bias)
-        }
-    };
-    Tensor::from_vec(out, &[x.rows(), m])
-}
-
-/// The portable scalar reference for [`sparse_matmul_bias_planed`]:
-/// always the per-element in-register lane decode through the 4-row
-/// tiles — no blocked dequantization, no AVX2. The dispatched kernel is
-/// bit-identical to this by construction (pinned by `simd_equivalence`);
-/// `bench_simd` measures against it.
-///
-/// # Errors
-///
-/// As [`sparse_matmul_bias_planed`].
 pub fn sparse_matmul_bias_planed_scalar(
     weights: PlaneView<'_>,
     shape: (usize, usize),
@@ -596,12 +719,14 @@ pub fn sparse_matmul_bias_planed_scalar(
 ) -> Result<Tensor> {
     let (m, k) = shape;
     check_planed(weights, shape, x, bias)?;
-    let out = match weights {
-        PlaneView::F16(bits) => sparse_matmul_lane_impl(F16Lane(bits), m, k, x, bias),
+    let mut out = vec![0.0f32; x.rows() * m];
+    let bv = bias.as_slice();
+    match weights {
+        PlaneView::F16(bits) => lane_tiles(F16Lane(bits), k, x, bv, 0, &mut out),
         PlaneView::Int8 { codes, levels } => {
-            sparse_matmul_lane_impl(Int8Lane { codes, levels }, m, k, x, bias)
+            lane_tiles(Int8Lane { codes, levels }, k, x, bv, 0, &mut out)
         }
-    };
+    }
     Tensor::from_vec(out, &[x.rows(), m])
 }
 
@@ -622,108 +747,44 @@ fn check_planed(
         return Err(TensorError::ShapeMismatch {
             lhs: vec![m, k],
             rhs: vec![x.cols()],
-            op: "sparse_matmul_bias_planed",
+            op: "sparse_matmul_bias_planed_scalar",
         });
     }
-    if bias.len() != m {
-        return Err(TensorError::ShapeMismatch {
-            lhs: vec![m, k],
-            rhs: bias.shape().dims().to_vec(),
-            op: "sparse_matmul_bias_planed",
-        });
-    }
-    Ok(())
+    check_bias(bias, shape, "sparse_matmul_bias_planed_scalar")
 }
 
-/// Planed GEMM dispatcher: **blocked dequantization** when the batch
-/// re-reads each weight tile often enough to amortize the decode.
-///
-/// The per-element lane path decodes one weight per gathered element —
-/// `O(nnz)` decodes *per tile*, which is why the planed GEMM historically
-/// regressed below the f32 kernel (int8 0.69×, f16 0.19×: the 255-entry
-/// LUT walk / f16 bit-twiddle sat inside the innermost gather). Decoding
-/// the tile into an f32 block once per batch costs `O(tile·k)` and drops
-/// the inner loop to plain f32 gathers, so the block pays for itself
-/// exactly when the batch gathers at least `k` elements (`nnz ≥ k`).
-/// Matvec-shaped calls below that keep the in-register lane decode.
-///
-/// Bit-identity: `decode_into` reproduces `load` bit for bit, and the
-/// f32 tile kernels run the same summation order as the lane tiles —
-/// so both blocked paths equal the scalar lane path exactly.
-fn matmul_planed_dispatch<L: WeightLane>(
-    wv: L,
-    m: usize,
-    k: usize,
-    x: &SpikeMatrix,
+/// Checks a dense `X · Wᵀ + b` operand pair and bias against the weight
+/// shape `(out, in)`, returning `B`.
+fn check_dense_x(
+    x: &Tensor,
+    (m, k): (usize, usize),
     bias: &Tensor,
-) -> Vec<f32> {
-    let b = x.rows();
-    let mut out = vec![0.0f32; b * m];
-    if k > 0 && x.nnz() >= k {
-        if crate::simd::active() && crate::simd::indices_in_bounds(&x.indices, k) {
-            // Fused decode-and-pack: one pass from the stored encoding
-            // straight to the index-major panels.
-            let bv = bias.as_slice();
-            let mut panels = vec![0.0f32; WIDE_TILE * k];
-            let o = panel_tiles::<_, 4>(wv, k, x, bv, &mut panels, &mut out, 0);
-            let o = panel_tiles::<_, 1>(wv, k, x, bv, &mut panels, &mut out, o);
-            matmul_lane_tiles(wv, m, k, x, bias, o, &mut out);
-        } else {
-            // Scalar blocked path: decode 4-row tiles and run the f32
-            // gather tile over the block — identical summation order
-            // to the per-element lane tile, decode hoisted out of the
-            // gather.
-            let mut block = vec![0.0f32; 4 * k];
-            let bv = bias.as_slice();
-            let mut o = 0usize;
-            while o + 4 <= m {
-                wv.slice(o * k, (o + 4) * k).decode_into(&mut block);
-                let rows = [
-                    F32Lane(&block[..k]),
-                    F32Lane(&block[k..2 * k]),
-                    F32Lane(&block[2 * k..3 * k]),
-                    F32Lane(&block[3 * k..4 * k]),
-                ];
-                let bias4 = [bv[o], bv[o + 1], bv[o + 2], bv[o + 3]];
-                for r in 0..b {
-                    gather_row_x4(rows, x.row(r), bias4, &mut out[r * m + o..r * m + o + 4]);
-                }
-                o += 4;
-            }
-            matmul_lane_tiles(wv, m, k, x, bias, o, &mut out);
-        }
-        return out;
-    }
-    matmul_lane_tiles(wv, m, k, x, bias, 0, &mut out);
-    out
-}
-
-/// Checks a dense `X · Wᵀ + b` operand triple, returning `(B, in, out)`.
-fn check_dense(x: &Tensor, w: &Tensor, bias: &Tensor) -> Result<(usize, usize, usize)> {
+    op: &'static str,
+) -> Result<usize> {
     let xdims = x.shape().dims();
     if xdims.len() != 2 {
         return Err(TensorError::RankMismatch {
             expected: 2,
             actual: xdims.len(),
-            op: "matmul_bt_bias",
+            op,
         });
     }
-    let (b, k) = (xdims[0], xdims[1]);
-    let (m, _) = check_weight(w, k, "matmul_bt_bias")?;
-    if bias.len() != m {
+    if xdims[1] != k {
         return Err(TensorError::ShapeMismatch {
             lhs: vec![m, k],
-            rhs: bias.shape().dims().to_vec(),
-            op: "matmul_bt_bias",
+            rhs: vec![xdims[1]],
+            op,
         });
     }
-    Ok((b, k, m))
+    check_bias(bias, (m, k), op)?;
+    Ok(xdims[0])
 }
 
 /// The scalar dense row dots for output columns `o0..m` of the `[B, m]`
 /// block `out` — the single source of truth for dense GEMM semantics:
 /// per element one accumulator from `+0.0`, `acc += w·x` over ascending
-/// columns, the bias added after the sum.
+/// columns, the bias added after the sum. `w` holds rows `o0..m`,
+/// row-major.
 fn dense_rows_scalar(x: &[f32], w: &[f32], bias: &[f32], k: usize, o0: usize, out: &mut [f32]) {
     let m = bias.len();
     if m == 0 {
@@ -732,7 +793,7 @@ fn dense_rows_scalar(x: &[f32], w: &[f32], bias: &[f32], k: usize, o0: usize, ou
     for (r, orow) in out.chunks_exact_mut(m).enumerate() {
         let xrow = &x[r * k..(r + 1) * k];
         for (o, slot) in orow.iter_mut().enumerate().skip(o0) {
-            let wrow = &w[o * k..(o + 1) * k];
+            let wrow = &w[(o - o0) * k..(o - o0 + 1) * k];
             let mut acc = 0.0f32;
             for (&xi, &wi) in xrow.iter().zip(wrow) {
                 acc += wi * xi;
@@ -740,6 +801,70 @@ fn dense_rows_scalar(x: &[f32], w: &[f32], bias: &[f32], k: usize, o0: usize, ou
             *slot = acc + bias[o];
         }
     }
+}
+
+/// One 8-row panel against every row of the `[B, k]` block `x` into
+/// output columns `o..o + 8` of the `[B, m]` block `out` (`m =
+/// bias.len()`), in the scalar row dot's order per lane: the AVX2
+/// four-row microkernel under dispatch, a scalar loop over the panel
+/// lines otherwise.
+fn dense_panel(panel: &[PanelLine], k: usize, x: &[f32], bias: &[f32], o: usize, out: &mut [f32]) {
+    let m = bias.len();
+    let mut init = [0.0f32; ROW_LANES];
+    init.copy_from_slice(&bias[o..o + ROW_LANES]);
+    if crate::simd::active() && k > 0 && !x.is_empty() {
+        crate::simd::matmul_dense_panel8(panel, k, x, &init, &mut out[o..], m);
+        return;
+    }
+    for (r, orow) in out.chunks_exact_mut(m).enumerate() {
+        let mut acc = [0.0f32; ROW_LANES];
+        for (line, &xj) in panel.iter().zip(&x[r * k..(r + 1) * k]) {
+            for (a, &w) in acc.iter_mut().zip(&line.0) {
+                *a += w * xj;
+            }
+        }
+        for ((slot, a), b) in orow[o..o + ROW_LANES].iter_mut().zip(acc).zip(init) {
+            *slot = a + b;
+        }
+    }
+}
+
+/// Dense batched product `Y = X · Wᵀ + b` over packed weights, for
+/// analog (non-binary) planes: `x` is `[B, in]`, output `[B, out]` —
+/// the fused engine's dense fallback on a packed layer.
+///
+/// Each output element is a sequential row dot with the bias added
+/// *after* the sum, the order of [`matmul_bt_bias_scalar`], so the
+/// result equals it bit for bit (pinned by the `simd_equivalence`
+/// suite). Under AVX2 dispatch each panel streams against four batch
+/// rows at a time; rows past the last whole tile run the scalar dots.
+///
+/// # Errors
+///
+/// Returns [`TensorError::RankMismatch`] / [`TensorError::ShapeMismatch`]
+/// when `x` is not a `[B, cols]` matrix or the bias length differs from
+/// the packed row count.
+pub fn matmul_bt_bias_packed(x: &Tensor, w: &PackedWeights, bias: &Tensor) -> Result<Tensor> {
+    let (m, k) = (w.rows, w.cols);
+    let b = check_dense_x(x, (m, k), bias, "matmul_bt_bias_packed")?;
+    let (xv, bv) = (x.as_slice(), bias.as_slice());
+    let mut out = vec![0.0f32; b * m];
+    let tiles = m / ROW_LANES;
+    for t in 0..tiles {
+        dense_panel(w.tiles(t, 1), k, xv, bv, t * ROW_LANES, &mut out);
+    }
+    dense_rows_scalar(xv, &w.tail, bv, k, tiles * ROW_LANES, &mut out);
+    Tensor::from_vec(out, &[b, m])
+}
+
+thread_local! {
+    /// The panel [`matmul_bt_bias`] packs each tile into, kept per
+    /// thread across calls. A fresh 32-byte-aligned buffer per call
+    /// measured ~6% slower on the DVS benchmark's set-up, whose ANN
+    /// training calls this on a 2048-wide layer.
+    static DENSE_PANEL: std::cell::RefCell<Vec<PanelLine>> = const {
+        std::cell::RefCell::new(Vec::new())
+    };
 }
 
 /// Dense batched fallback `Y = X · Wᵀ + b` for analog (non-binary)
@@ -750,11 +875,12 @@ fn dense_rows_scalar(x: &[f32], w: &[f32], bias: &[f32], k: usize, o0: usize, ou
 /// `matvec(w, x).add(bias)` path, so row `b` is bit-identical to the
 /// per-sample dense result.
 ///
-/// Under AVX2 dispatch ([`crate::simd::active`]) each 8-row weight tile
-/// is packed into a column-major panel once per call and streamed
-/// against four batch rows at a time; lanes map to output rows and keep
-/// the scalar order, so the result equals [`matmul_bt_bias_scalar`] bit
-/// for bit (pinned by the `simd_equivalence` suite).
+/// The per-call form for callers without a packed layer (the ANN twin's
+/// layers, tests, benches): under AVX2 dispatch each 8-row weight tile
+/// is packed into one panel, reused across tiles and calls on a thread,
+/// just before it streams, so a one-shot call never materializes the
+/// whole packed matrix; the result equals [`matmul_bt_bias_packed`] and
+/// [`matmul_bt_bias_scalar`] bit for bit.
 ///
 /// # Errors
 ///
@@ -762,39 +888,39 @@ fn dense_rows_scalar(x: &[f32], w: &[f32], bias: &[f32], k: usize, o0: usize, ou
 /// when the operands are not conforming matrices or the bias length
 /// differs from the weight row count.
 pub fn matmul_bt_bias(x: &Tensor, w: &Tensor, bias: &Tensor) -> Result<Tensor> {
-    let (b, k, m) = check_dense(x, w, bias)?;
+    let (m, k) = matrix_dims(w, "matmul_bt_bias")?;
+    let b = check_dense_x(x, (m, k), bias, "matmul_bt_bias")?;
     let (xv, wv, bv) = (x.as_slice(), w.as_slice(), bias.as_slice());
     let mut out = vec![0.0f32; b * m];
     let mut o = 0usize;
     if crate::simd::active() && b > 0 && k > 0 {
-        const LANES: usize = crate::simd::ROW_LANES;
-        let mut panel = vec![0.0f32; LANES * k];
-        while o + LANES <= m {
-            crate::simd::pack_rows8(&wv[o * k..(o + LANES) * k], k, &mut panel);
-            let mut init = [0.0f32; LANES];
-            init.copy_from_slice(&bv[o..o + LANES]);
-            crate::simd::matmul_dense_panel8(&panel, k, xv, &init, &mut out[o..], m);
-            o += LANES;
-        }
+        DENSE_PANEL.with_borrow_mut(|panel| {
+            panel.resize(k, PanelLine::default());
+            let panel = &mut panel[..k];
+            while o + ROW_LANES <= m {
+                crate::simd::pack_rows8(&wv[o * k..(o + ROW_LANES) * k], k, panel);
+                dense_panel(panel, k, xv, bv, o, &mut out);
+                o += ROW_LANES;
+            }
+        });
     }
-    dense_rows_scalar(xv, wv, bv, k, o, &mut out);
+    dense_rows_scalar(xv, &wv[o * k..], bv, k, o, &mut out);
     Tensor::from_vec(out, &[b, m])
 }
 
 /// The portable scalar reference for [`matmul_bt_bias`]: always the
-/// single-accumulator row-dot loop, never the runtime-dispatched AVX2
-/// panels.
+/// single-accumulator row-dot loop, never the panels.
 ///
-/// [`matmul_bt_bias`] is bit-identical to this by construction (pinned
-/// by the `simd_equivalence` suite); `bench_simd` measures the
-/// dispatched kernel against it. Production callers want
-/// [`matmul_bt_bias`].
+/// [`matmul_bt_bias`] and [`matmul_bt_bias_packed`] are bit-identical
+/// to this by construction (pinned by the `simd_equivalence` suite);
+/// `bench_simd` measures the packed kernel against it.
 ///
 /// # Errors
 ///
 /// As [`matmul_bt_bias`].
 pub fn matmul_bt_bias_scalar(x: &Tensor, w: &Tensor, bias: &Tensor) -> Result<Tensor> {
-    let (b, k, m) = check_dense(x, w, bias)?;
+    let (m, k) = matrix_dims(w, "matmul_bt_bias")?;
+    let b = check_dense_x(x, (m, k), bias, "matmul_bt_bias")?;
     let mut out = vec![0.0f32; b * m];
     dense_rows_scalar(x.as_slice(), w.as_slice(), bias.as_slice(), k, 0, &mut out);
     Tensor::from_vec(out, &[b, m])
@@ -1246,6 +1372,16 @@ mod tests {
     use crate::linalg;
     use crate::sparse::sparse_conv2d;
 
+    /// The spike GEMM the engine runs, over panels packed from `w`,
+    /// checked bit for bit against its scalar reference.
+    fn spike_gemm(w: &Tensor, x: &SpikeMatrix, bias: &Tensor) -> Result<Tensor> {
+        let scalar = sparse_matmul_bias_scalar(w, x, bias)?;
+        let packed = sparse_matmul_bias_packed(&PackedWeights::pack(w)?, x, bias)?;
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&packed), bits(&scalar));
+        Ok(packed)
+    }
+
     fn binary_rows(b: usize, n: usize, every: usize) -> Vec<SpikeVector> {
         (0..b)
             .map(|r| {
@@ -1267,7 +1403,7 @@ mod tests {
         for every in [1usize, 2, 3, 7] {
             let rows = binary_rows(3, 7, every);
             let batch = SpikeMatrix::from_rows(&rows).unwrap();
-            let y = sparse_matmul_bias(&w, &batch, &bias).unwrap();
+            let y = spike_gemm(&w, &batch, &bias).unwrap();
             assert_eq!(y.shape().dims(), &[3, 5]);
             let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             let dense = matmul_bt_bias(&batch.to_dense(), &w, &bias).unwrap();
@@ -1356,7 +1492,7 @@ mod tests {
         assert!(m.is_empty());
         assert_eq!(m.density(), 0.0);
         let w = Tensor::zeros(&[3, 0]);
-        let y = sparse_matmul_bias(&w, &m, &Tensor::zeros(&[3])).unwrap();
+        let y = spike_gemm(&w, &m, &Tensor::zeros(&[3])).unwrap();
         assert_eq!(y.shape().dims(), &[0, 3]);
     }
 
@@ -1370,8 +1506,8 @@ mod tests {
         let bias = Tensor::from_vec((0..7).map(|i| i as f32 * 0.2 - 0.5).collect(), &[7]).unwrap();
         let rows = binary_rows(5, 13, 2);
         let batch = SpikeMatrix::from_rows(&rows).unwrap();
-        let y = sparse_matmul_bias(&w, &batch, &Tensor::zeros(&[7])).unwrap();
-        let yb = sparse_matmul_bias(&w, &batch, &bias).unwrap();
+        let y = spike_gemm(&w, &batch, &Tensor::zeros(&[7])).unwrap();
+        let yb = spike_gemm(&w, &batch, &bias).unwrap();
         assert_eq!(y.shape().dims(), &[5, 7]);
         for (r, row) in rows.iter().enumerate() {
             let dense = row.to_dense(&[13]).unwrap();
@@ -1389,20 +1525,20 @@ mod tests {
     fn matmul_shape_errors() {
         let batch = SpikeMatrix::from_rows(&binary_rows(2, 6, 2)).unwrap();
         let b3 = Tensor::zeros(&[3]);
-        assert!(sparse_matmul_bias(&Tensor::zeros(&[3, 5]), &batch, &b3).is_err());
-        assert!(sparse_matmul_bias(&Tensor::zeros(&[6]), &batch, &b3).is_err());
+        assert!(spike_gemm(&Tensor::zeros(&[3, 5]), &batch, &b3).is_err());
+        assert!(spike_gemm(&Tensor::zeros(&[6]), &batch, &b3).is_err());
         let w = Tensor::zeros(&[3, 6]);
-        assert!(sparse_matmul_bias(&w, &batch, &Tensor::zeros(&[2])).is_err());
+        assert!(spike_gemm(&w, &batch, &Tensor::zeros(&[2])).is_err());
     }
 
     #[test]
     fn sparse_matmul_bias_shape_errors() {
         let w = Tensor::zeros(&[3, 4]);
         let batch = SpikeMatrix::from_rows(&binary_rows(2, 4, 2)).unwrap();
-        assert!(sparse_matmul_bias(&w, &batch, &Tensor::zeros(&[2])).is_err());
+        assert!(spike_gemm(&w, &batch, &Tensor::zeros(&[2])).is_err());
         let short = SpikeMatrix::from_rows(&binary_rows(2, 3, 2)).unwrap();
-        assert!(sparse_matmul_bias(&w, &short, &Tensor::zeros(&[3])).is_err());
-        assert!(sparse_matmul_bias(&w, &batch, &Tensor::zeros(&[3])).is_ok());
+        assert!(spike_gemm(&w, &short, &Tensor::zeros(&[3])).is_err());
+        assert!(spike_gemm(&w, &batch, &Tensor::zeros(&[3])).is_ok());
     }
 
     #[test]
@@ -1551,14 +1687,16 @@ mod tests {
         let bias = Tensor::from_vec((0..m).map(|i| i as f32 * 0.1 - 0.3).collect(), &[m]).unwrap();
         for (b, every) in [(1usize, 3usize), (4, 1), (9, 2)] {
             let batch = SpikeMatrix::from_rows(&binary_rows(b, k, every)).unwrap();
-            let fast = sparse_matmul_bias(&w, &batch, &bias).unwrap();
+            let packed = PackedWeights::pack(&w).unwrap();
+            let fast = sparse_matmul_bias_packed(&packed, &batch, &bias).unwrap();
             let scalar = sparse_matmul_bias_scalar(&w, &batch, &bias).unwrap();
             assert_eq!(fast.as_slice(), scalar.as_slice(), "b {b} every {every}");
             for plane in [WeightPlane::F16, WeightPlane::Int8] {
                 let q = QuantizedPlane::quantize(w.as_slice(), plane)
                     .unwrap()
                     .unwrap();
-                let fast = sparse_matmul_bias_planed(q.view(), (m, k), &batch, &bias).unwrap();
+                let packed = PackedWeights::pack_plane(q.view(), (m, k)).unwrap();
+                let fast = sparse_matmul_bias_packed(&packed, &batch, &bias).unwrap();
                 let scalar =
                     sparse_matmul_bias_planed_scalar(q.view(), (m, k), &batch, &bias).unwrap();
                 for (a, r) in fast.as_slice().iter().zip(scalar.as_slice()) {
@@ -1636,11 +1774,14 @@ mod tests {
             for (b, every) in [(1usize, 2usize), (3, 1), (4, 3), (5, 13), (8, 2)] {
                 let rows = binary_rows(b, k, every);
                 let batch = SpikeMatrix::from_rows(&rows).unwrap();
-                let planed = sparse_matmul_bias_planed(q.view(), (m, k), &batch, &bias).unwrap();
-                let reference = sparse_matmul_bias(&dq, &batch, &bias).unwrap();
-                for (a, r) in planed.as_slice().iter().zip(reference.as_slice()) {
-                    assert_eq!(a.to_bits(), r.to_bits(), "{plane} b {b} every {every}");
-                }
+                let bits = |t: Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                let want = bits(spike_gemm(&dq, &batch, &bias).unwrap());
+                let planed =
+                    sparse_matmul_bias_planed_scalar(q.view(), (m, k), &batch, &bias).unwrap();
+                assert_eq!(bits(planed), want, "{plane} b {b} every {every}");
+                let packed = PackedWeights::pack_plane(q.view(), (m, k)).unwrap();
+                let packed = sparse_matmul_bias_packed(&packed, &batch, &bias).unwrap();
+                assert_eq!(bits(packed), want, "packed {plane} b {b} every {every}");
             }
         }
     }
@@ -1652,11 +1793,15 @@ mod tests {
             .unwrap()
             .unwrap();
         let batch = SpikeMatrix::from_rows(&binary_rows(2, 4, 2)).unwrap();
-        assert!(sparse_matmul_bias_planed(q.view(), (3, 4), &batch, &Tensor::zeros(&[3])).is_ok());
-        assert!(sparse_matmul_bias_planed(q.view(), (4, 4), &batch, &Tensor::zeros(&[4])).is_err());
-        assert!(sparse_matmul_bias_planed(q.view(), (3, 4), &batch, &Tensor::zeros(&[2])).is_err());
+        let planed = |shape, x: &SpikeMatrix, bias: usize| {
+            sparse_matmul_bias_planed_scalar(q.view(), shape, x, &Tensor::zeros(&[bias]))
+        };
+        assert!(planed((3, 4), &batch, 3).is_ok());
+        assert!(planed((4, 4), &batch, 4).is_err());
+        assert!(PackedWeights::pack_plane(q.view(), (4, 4)).is_err());
+        assert!(planed((3, 4), &batch, 2).is_err());
         let wide = SpikeMatrix::from_rows(&binary_rows(2, 5, 2)).unwrap();
-        assert!(sparse_matmul_bias_planed(q.view(), (3, 4), &wide, &Tensor::zeros(&[3])).is_err());
+        assert!(planed((3, 4), &wide, 3).is_err());
     }
 
     #[test]

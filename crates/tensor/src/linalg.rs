@@ -571,7 +571,10 @@ mod tests {
     /// the spike gather all start at `+0.0` and give `+0.0`.
     #[test]
     fn signed_zero_row_is_positive_zero_in_every_kernel() {
-        use crate::batched::{matmul_bt_bias, sparse_matmul_bias, SpikeMatrix};
+        use crate::batched::{
+            matmul_bt_bias, sparse_matmul_bias_packed, sparse_matmul_bias_scalar, PackedWeights,
+            SpikeMatrix,
+        };
         use crate::sparse::SpikeVector;
         let w = t(vec![-1.0, -2.0, -0.5], &[1, 3]);
         let x = Tensor::zeros(&[3]);
@@ -585,8 +588,13 @@ mod tests {
                 matmul_bt_bias(&x.reshape(&[1, 3]).unwrap(), &w, &bias).unwrap(),
             ),
             (
-                "sparse_matmul_bias",
-                sparse_matmul_bias(&w, &batch, &bias).unwrap(),
+                "sparse_matmul_bias_scalar",
+                sparse_matmul_bias_scalar(&w, &batch, &bias).unwrap(),
+            ),
+            (
+                "sparse_matmul_bias_packed",
+                sparse_matmul_bias_packed(&PackedWeights::pack(&w).unwrap(), &batch, &bias)
+                    .unwrap(),
             ),
         ];
         for (name, y) in outputs {

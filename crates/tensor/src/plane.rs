@@ -1,12 +1,16 @@
 //! Reduced-precision weight storage planes: int8 / f16 weight buffers
 //! with f32 accumulation.
 //!
-//! The gather-bound event kernels (the spike-plane GEMM
-//! [`crate::batched::sparse_matmul_bias`], the event-sorted batched
-//! conv) stream weights, not arithmetic: at low spike densities nearly
-//! every touched cache line is a weight line. Storing the weights at reduced precision —
-//! 16-bit IEEE half bits or 8-bit symmetric-quantized codes — halves to
-//! quarters that traffic while every accumulate stays in f32.
+//! The event-sorted batched conv streams weights, not arithmetic: at
+//! low spike densities nearly every touched cache line is a weight
+//! line. Storing the weights at reduced precision — 16-bit IEEE half
+//! bits or 8-bit symmetric-quantized codes — halves to quarters that
+//! traffic while every accumulate stays in f32. Linear layers take the
+//! other trade: a plane is decoded once per weight change into the f32
+//! panels of a [`crate::batched::PackedWeights`]
+//! ([`crate::batched::PackedWeights::pack_plane`], one fused
+//! decode-and-transpose pass), and every spike GEMM streams those, so a
+//! linear layer's GEMM costs the same on every plane.
 //!
 //! The contract that makes the planes safe to enable is **dequantization
 //! exactness**: for every element, the value a plane-aware kernel loads
@@ -30,6 +34,7 @@
 //! produces, including the snapped `±max` endpoints that make
 //! quantization idempotent.
 
+use crate::simd::PanelLine;
 use crate::{Result, TensorError};
 
 /// Per-layer weight storage precision.
@@ -317,8 +322,9 @@ impl QuantizedPlane {
 }
 
 /// A borrowed reduced-precision weight buffer — the argument type of the
-/// plane-aware kernels ([`crate::batched::sparse_matmul_bias_planed`]
-/// and friends). Dispatched once at kernel entry; the inner loops are
+/// plane-aware kernels ([`crate::batched::PackedWeights::pack_plane`],
+/// [`crate::batched::sparse_matmul_bias_planed_scalar`] and the planed
+/// conv). Dispatched once at kernel entry; the inner loops are
 /// monomorphized per storage format.
 #[derive(Debug, Clone, Copy)]
 pub enum PlaneView<'a> {
@@ -357,23 +363,14 @@ pub(crate) trait WeightLane: Copy {
     fn load(&self, i: usize) -> f32;
     /// The sub-lane covering `lo..hi`.
     fn slice(&self, lo: usize, hi: usize) -> Self;
-    /// Blocked dequantization: decodes elements `0..dst.len()` into
-    /// `dst`, element `i` bit-identical to `self.load(i)`. The batched
-    /// kernels use this to materialize a weight panel once per tile per
-    /// batch instead of re-decoding per `(event, output)` pair; the
-    /// reduced-precision lanes route through the SIMD decoders when
-    /// [`crate::simd::active`].
-    fn decode_into(&self, dst: &mut [f32]);
     /// Fused panel pack for an 8-row tile (`self.len() == 8·k`): writes
-    /// `panel[j·8 + l]` = element `l·k + j`, each bit-identical to
+    /// `panel[j].0[l]` = element `l·k + j`, each bit-identical to
     /// `self.load(l·k + j)`. One pass from the stored encoding straight
     /// to the index-major panel — decoding to an f32 block and then
     /// transposing would cost an extra write+read round trip over the
-    /// tile per batch. The f32 impl requires [`crate::simd::active`]
-    /// (only the SIMD GEMM branch packs panels); the reduced-precision
-    /// impls degrade to scalar loops on hardware without the needed
-    /// ISA.
-    fn pack_panel8(&self, k: usize, panel: &mut [f32]);
+    /// tile. Every impl runs on any dispatch: the vector packs where the
+    /// ISA allows, scalar loops elsewhere.
+    fn pack_panel8(&self, k: usize, panel: &mut [PanelLine]);
 }
 
 /// Full-precision lane: a plain `&[f32]`.
@@ -392,12 +389,7 @@ impl WeightLane for F32Lane<'_> {
     }
 
     #[inline]
-    fn decode_into(&self, dst: &mut [f32]) {
-        dst.copy_from_slice(&self.0[..dst.len()]);
-    }
-
-    #[inline]
-    fn pack_panel8(&self, k: usize, panel: &mut [f32]) {
+    fn pack_panel8(&self, k: usize, panel: &mut [PanelLine]) {
         crate::simd::pack_rows8(self.0, k, panel);
     }
 }
@@ -418,12 +410,7 @@ impl WeightLane for F16Lane<'_> {
     }
 
     #[inline]
-    fn decode_into(&self, dst: &mut [f32]) {
-        crate::simd::decode_f16(&self.0[..dst.len()], dst);
-    }
-
-    #[inline]
-    fn pack_panel8(&self, k: usize, panel: &mut [f32]) {
+    fn pack_panel8(&self, k: usize, panel: &mut [PanelLine]) {
         crate::simd::pack_panel8_f16(self.0, k, panel);
     }
 }
@@ -450,12 +437,7 @@ impl WeightLane for Int8Lane<'_> {
     }
 
     #[inline]
-    fn decode_into(&self, dst: &mut [f32]) {
-        crate::simd::decode_int8(&self.codes[..dst.len()], self.levels, dst);
-    }
-
-    #[inline]
-    fn pack_panel8(&self, k: usize, panel: &mut [f32]) {
+    fn pack_panel8(&self, k: usize, panel: &mut [PanelLine]) {
         crate::simd::pack_panel8_int8(self.codes, self.levels, k, panel);
     }
 }

@@ -22,24 +22,22 @@
 //! fallback exercised, and the first knob to reach for when triaging a
 //! suspected kernel miscompile.
 //!
-//! Six primitive shapes cover the hot paths:
+//! Five primitive shapes cover the hot paths:
 //!
-//! * `matvec_rows` — gathers one index list against `N` 8-row weight
-//!   tiles at once (`vgatherdps` over a row-strided offset vector): the
-//!   spike-plane GEMM on matvec-shaped batches, one sample included.
-//!   Per lane the sum is `gather_row_lane`'s: one accumulator from `+0.0`
-//!   over the ascending indices, bias last. Each tile is one 8-lane
-//!   chain; the instruction-level parallelism comes from the `N`
-//!   independent tiles sharing one walk of the index list, never from
-//!   splitting one output's sum.
-//! * `pack_rows8` / `matmul_panels` — the GEMM fast path: each 8-row
-//!   weight tile is transposed once per batch into an index-major panel
-//!   (`panel[j·8 + l] = row_l[j]`), turning every per-event gather into
-//!   one contiguous 32-byte load shared by 8 output rows; `N` panels
-//!   share each batch row's walk of its index list. Per lane the sum is
-//!   again `gather_row_lane`'s.
-//! * `pack_rows8` / `matmul_dense_panel8` — the dense analog-plane
-//!   GEMM behind [`crate::batched::matmul_bt_bias`]: the same panel,
+//! * `PanelLine` panels / `matmul_panels` — the spike-plane GEMM
+//!   behind [`crate::batched::sparse_matmul_bias_packed`]: each 8-row
+//!   weight tile lives as an index-major panel (`panel[j·8 + l] =
+//!   row_l[j]`), packed once per weight change into a
+//!   [`crate::batched::PackedWeights`], so every gathered column is one
+//!   contiguous, 32-byte-aligned load shared by 8 output rows; `N`
+//!   panels share each batch row's walk of its index list, one batch
+//!   row included. Per lane the sum is `gather_row_lane`'s: one
+//!   accumulator from `+0.0` over the ascending indices, bias last. Each
+//!   panel is one 8-lane chain; the instruction-level parallelism comes
+//!   from the `N` independent panels sharing one walk of the index
+//!   list, never from splitting one output's sum.
+//! * the same panels / `matmul_dense_panel8` — the dense analog-plane
+//!   GEMM behind [`crate::batched::matmul_bt_bias_packed`]: a panel
 //!   streamed against four batch rows at a time (one broadcast input
 //!   per row and column). Per lane the sum is the scalar row dot's: one
 //!   accumulator from `+0.0`, `acc + w·x` over ascending columns with a
@@ -69,10 +67,12 @@
 //!   vector store per 8 neurons, no branch per spike. Lanes map to
 //!   neurons, each computed as in the scalar loop of
 //!   [`crate::batched::lif_fire_scalar`].
-//! * `decode_f16` / `decode_int8` — blocked dequantization for the
-//!   reduced-precision weight planes: a panel of f16 bits (F16C
-//!   `vcvtph2ps`) or int8 codes (LUT `vgatherdps`) is decoded to f32
-//!   once per tile per batch instead of per `(event, output)` pair.
+//! * `pack_rows8` / `pack_panel8_f16` / `pack_panel8_int8` — the packs
+//!   that build the panels from f32 rows, f16 bits (F16C `vcvtph2ps`)
+//!   or int8 codes (LUT `vgatherdps`) through an in-register 8×8
+//!   transpose. A layer's panels are packed once per weight change;
+//!   only the per-call dense [`crate::batched::matmul_bt_bias`] (the
+//!   ANN twin's layers) packs each tile just before streaming it.
 //!
 //! # Provenance
 //!
@@ -169,98 +169,80 @@ pub(crate) fn indices_in_bounds(indices: &[u32], k: usize) -> bool {
 /// Number of output rows one vector tile covers.
 pub(crate) const ROW_LANES: usize = 8;
 
-/// Gathers `indices` against `8·N` consecutive weight rows at once:
-/// `out[l] = (Σ_j rows[l·k + indices[j]]) + bias[l]` with exactly the
-/// scalar [`crate::sparse::gather_row_lane`] summation order per lane: one
-/// accumulator from `+0.0`, ascending indices, bias last.
-///
-/// Each 8-row tile is one accumulator chain; the `N` chains share one
-/// walk of the index list. More tiles per walk put more independent
-/// gathers in flight, which is what the latency-bound matvec shape
-/// needs: a single 8-lane chain waits on every add before the next.
-///
-/// # Panics
-///
-/// Panics when `rows` is not `8·N·k` long, `bias` is not `8·N` long,
-/// `out` is shorter than `8·N`, or an index is out of bounds for `k` —
-/// or when called without [`active`] (the dispatchers guarantee it).
-#[inline]
-pub(crate) fn matvec_rows<const N: usize>(
-    rows: &[f32],
-    k: usize,
-    indices: &[u32],
-    bias: &[f32],
-    out: &mut [f32],
-) {
-    let lanes = N * ROW_LANES;
-    assert!(rows.len() == lanes * k && bias.len() == lanes && out.len() >= lanes && active());
-    assert!(indices_in_bounds(indices, k), "spike index out of bounds");
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: AVX2 is detected (`active()` asserted above); every
-    // gather reads `rows[l·k + j]` with `l < 8·N` and `j < k`, in bounds
-    // of the asserted `8·N·k` slice; the loads read `bias[0..8·N]` and
-    // the stores write `out[0..8·N]`.
-    unsafe {
-        matvec_rows_avx2::<N>(rows.as_ptr(), k, indices, bias.as_ptr(), out.as_mut_ptr());
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    unreachable!("SIMD dispatch is never active off x86-64");
-}
+/// One line of a packed weight panel: weight column `j` of eight
+/// consecutive output rows, `line.0[l] = row_l[j]`. The 32-byte
+/// alignment keeps every 8-float load of a panel inside one cache line.
+#[derive(Debug, Clone, Copy, Default)]
+#[repr(C, align(32))]
+pub(crate) struct PanelLine(pub(crate) [f32; ROW_LANES]);
 
 /// Transposes an 8-row weight tile into an index-major panel:
-/// `panel[j·8 + l] = rows[l·k + j]` — one contiguous 8-float line per
-/// weight column, built once per batch so the GEMM inner loop replaces
-/// gathers with plain vector loads.
+/// `panel[j].0[l] = rows[l·k + j]` — one aligned 8-float line per
+/// weight column, so the GEMM inner loops replace gathers with plain
+/// vector loads. Contiguous row loads and an in-register transpose
+/// under [`active`], a scalar loop otherwise.
 ///
 /// # Panics
 ///
-/// Panics when `rows` or `panel` is not `8·k` long, or when called
-/// without [`active`].
+/// Panics when `rows` is not `8·k` long or `panel` not `k` lines long.
 #[inline]
-pub(crate) fn pack_rows8(rows: &[f32], k: usize, panel: &mut [f32]) {
-    assert!(rows.len() == ROW_LANES * k && panel.len() == ROW_LANES * k && active());
+pub(crate) fn pack_rows8(rows: &[f32], k: usize, panel: &mut [PanelLine]) {
+    assert!(rows.len() == ROW_LANES * k && panel.len() == k);
     #[cfg(target_arch = "x86_64")]
-    // SAFETY: AVX2 detected; gathers read `rows[l·k + j]` for `j < k`,
-    // stores write `panel[j·8 .. j·8 + 8]` — both within the asserted
-    // `8·k` slices.
-    unsafe {
-        pack_rows8_avx2(rows.as_ptr(), k, panel.as_mut_ptr());
+    if active() {
+        // SAFETY: AVX2 detected; gathers read `rows[l·k + j]` for `j < k`,
+        // stores write the `k` lines of `panel` — both within the
+        // asserted lengths.
+        unsafe {
+            pack_rows8_avx2(rows.as_ptr(), k, panel.as_mut_ptr().cast());
+        }
+        return;
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    unreachable!("SIMD dispatch is never active off x86-64");
+    for (j, line) in panel.iter_mut().enumerate() {
+        for (l, slot) in line.0.iter_mut().enumerate() {
+            *slot = rows[l * k + j];
+        }
+    }
 }
 
-/// The GEMM microkernel over `N` packed panels: like
-/// [`matvec_rows`], but each 8-row tile is an index-major panel
-/// ([`pack_rows8`]), so every gathered column is one contiguous load
-/// `panel_t[j·8 .. j·8 + 8]`. Writes
-/// `out[8·t + l] = (Σ_j panel_t[j·8 + l]) + bias[8·t + l]` with exactly
-/// [`crate::sparse::gather_row_lane`]'s summation order per lane; the `N`
-/// panels lie back to back in `panels`, and each is one accumulator
-/// chain over a shared walk of the index list.
+/// The spike-plane GEMM microkernel over `N` packed panels: every
+/// gathered column is one contiguous load `panel_t[j]`. Writes
+/// `out[8·t + l] = (Σ_j panel_t[j].0[l]) + bias[8·t + l]` with exactly
+/// [`crate::sparse::gather_row_lane`]'s summation order per lane: one
+/// accumulator from `+0.0`, ascending indices, bias last. The `N` panels
+/// lie back to back in `panels`, and each is one accumulator chain over
+/// a shared walk of the index list — more panels per walk put more
+/// independent loads in flight, which the latency-bound one-row shape
+/// needs.
 ///
 /// # Panics
 ///
-/// Panics when `panels` is not `8·N·k` long, `bias` is not `8·N` long,
-/// `out` is shorter than `8·N`, an index is out of bounds for `k`, or
-/// when called without [`active`].
+/// Panics when `panels` is not `N·k` lines long, `bias` is not `8·N`
+/// long, `out` is shorter than `8·N`, an index is out of bounds for
+/// `k`, or when called without [`active`].
 #[inline]
 pub(crate) fn matmul_panels<const N: usize>(
-    panels: &[f32],
+    panels: &[PanelLine],
     k: usize,
     indices: &[u32],
     bias: &[f32],
     out: &mut [f32],
 ) {
     let lanes = N * ROW_LANES;
-    assert!(panels.len() == lanes * k && bias.len() == lanes && out.len() >= lanes && active());
+    assert!(panels.len() == N * k && bias.len() == lanes && out.len() >= lanes && active());
     assert!(indices_in_bounds(indices, k), "spike index out of bounds");
     #[cfg(target_arch = "x86_64")]
-    // SAFETY: AVX2 detected; every load reads `panels[t·8·k + j·8 ..][..8]`
-    // with `t < N` and `j < k`, in bounds of the asserted `8·N·k` slice;
+    // SAFETY: AVX2 detected; every load reads line `t·k + j` of `panels`
+    // with `t < N` and `j < k`, in bounds of the asserted `N·k` lines;
     // the loads read `bias[0..8·N]` and the stores write `out[0..8·N]`.
     unsafe {
-        matmul_panels_avx2::<N>(panels.as_ptr(), k, indices, bias.as_ptr(), out.as_mut_ptr());
+        matmul_panels_avx2::<N>(
+            panels.as_ptr().cast(),
+            k,
+            indices,
+            bias.as_ptr(),
+            out.as_mut_ptr(),
+        );
     }
     #[cfg(not(target_arch = "x86_64"))]
     unreachable!("SIMD dispatch is never active off x86-64");
@@ -268,7 +250,7 @@ pub(crate) fn matmul_panels<const N: usize>(
 
 /// The dense GEMM microkernel over a packed panel: for every row `r` of
 /// the row-major `[B, k]` block `x`, writes
-/// `out[r·stride + l] = (Σ_j panel[j·8 + l] · x[r·k + j]) + bias[l]`.
+/// `out[r·stride + l] = (Σ_j panel[j].0[l] · x[r·k + j]) + bias[l]`.
 ///
 /// Per lane this is exactly the scalar
 /// [`crate::batched::matmul_bt_bias_scalar`] loop: one accumulator
@@ -279,19 +261,19 @@ pub(crate) fn matmul_panels<const N: usize>(
 ///
 /// # Panics
 ///
-/// Panics when `k == 0`, `panel` is not `8·k` long, `x` is not a whole
-/// number of `k`-element rows, `out` cannot hold the last row's 8
+/// Panics when `k == 0`, `panel` is not `k` lines long, `x` is not a
+/// whole number of `k`-element rows, `out` cannot hold the last row's 8
 /// outputs at `stride`, or when called without [`active`].
 #[inline]
 pub(crate) fn matmul_dense_panel8(
-    panel: &[f32],
+    panel: &[PanelLine],
     k: usize,
     x: &[f32],
     bias: &[f32; 8],
     out: &mut [f32],
     stride: usize,
 ) {
-    assert!(k > 0 && panel.len() == ROW_LANES * k && x.len().is_multiple_of(k) && active());
+    assert!(k > 0 && panel.len() == k && x.len().is_multiple_of(k) && active());
     let rows = x.len() / k;
     if let Some(last) = rows.checked_sub(1) {
         let need = last
@@ -303,13 +285,13 @@ pub(crate) fn matmul_dense_panel8(
         );
     }
     #[cfg(target_arch = "x86_64")]
-    // SAFETY: AVX2 detected; loads read `panel[j·8 .. j·8 + 8]` and
+    // SAFETY: AVX2 detected; loads read the `k` lines of `panel` and
     // `x[r·k + j]` for `j < k`, `r < rows`, within the asserted slices;
     // stores write `out[r·stride .. r·stride + 8]`, in bounds by the
     // length assertion above.
     unsafe {
         matmul_dense_panel8_avx2(
-            panel.as_ptr(),
+            panel.as_ptr().cast(),
             k,
             x.as_ptr(),
             rows,
@@ -422,101 +404,46 @@ pub(crate) fn scaled_row_sum(out: &mut [f32], terms: &[(f32, &[f32])]) {
     unreachable!("SIMD dispatch is never active off x86-64");
 }
 
-/// Decodes a panel of IEEE binary16 bits to f32, bit-identical to
-/// [`crate::plane::f16_to_f32`] per element: F16C `vcvtph2ps` eight at
-/// a time when available, the scalar conversion otherwise.
-///
-/// # Panics
-///
-/// Panics when `bits` and `dst` differ in length.
-pub(crate) fn decode_f16(bits: &[u16], dst: &mut [f32]) {
-    assert_eq!(bits.len(), dst.len());
-    #[cfg(target_arch = "x86_64")]
-    if detection().f16c {
-        // SAFETY: F16C is detected; both pointers cover `len` elements
-        // of the asserted equal-length slices and the vector head stops
-        // 8 short of the end.
-        unsafe {
-            decode_f16_f16c(bits.as_ptr(), dst.as_mut_ptr(), bits.len());
-        }
-        return;
-    }
-    for (d, &b) in dst.iter_mut().zip(bits) {
-        *d = crate::plane::f16_to_f32(b);
-    }
-}
-
-/// Decodes a panel of int8 codes through the 255-entry `levels` table,
-/// bit-identical to the scalar `levels[code]` walk per element: AVX2
-/// widens 8 codes and gathers their levels per iteration when
-/// available.
-///
-/// # Panics
-///
-/// Panics when `codes` and `dst` differ in length or `levels` does not
-/// hold exactly 255 entries.
-pub(crate) fn decode_int8(codes: &[u8], levels: &[f32], dst: &mut [f32]) {
-    assert_eq!(codes.len(), dst.len());
-    assert_eq!(levels.len(), 255);
-    #[cfg(target_arch = "x86_64")]
-    if detection().simd {
-        // SAFETY: AVX2 is detected; code loads stay within `codes`, the
-        // level gather is clamped to index ≤ 254 < 255, and stores
-        // cover `dst[0..len]` of the asserted equal-length slices.
-        unsafe {
-            decode_int8_avx2(
-                codes.as_ptr(),
-                levels.as_ptr(),
-                dst.as_mut_ptr(),
-                codes.len(),
-            );
-        }
-        return;
-    }
-    for (d, &c) in dst.iter_mut().zip(codes) {
-        *d = levels[c as usize];
-    }
-}
-
 /// Fused decode-and-pack for an 8-row f16 tile: writes
-/// `panel[j·8 + l] = f16→f32(bits[l·k + j])` — each element
+/// `panel[j].0[l] = f16→f32(bits[l·k + j])` — each element
 /// bit-identical to [`crate::plane::f16_to_f32`] — without an f32 block
 /// intermediate (F16C converts 8 columns per row, an in-register 8×8
 /// transpose orders them index-major). Scalar loop without F16C.
 ///
 /// # Panics
 ///
-/// Panics when `bits` or `panel` is not `8·k` long.
-pub(crate) fn pack_panel8_f16(bits: &[u16], k: usize, panel: &mut [f32]) {
-    assert!(bits.len() == ROW_LANES * k && panel.len() == ROW_LANES * k);
+/// Panics when `bits` is not `8·k` long or `panel` not `k` lines long.
+pub(crate) fn pack_panel8_f16(bits: &[u16], k: usize, panel: &mut [PanelLine]) {
+    assert!(bits.len() == ROW_LANES * k && panel.len() == k);
     #[cfg(target_arch = "x86_64")]
     if detection().f16c {
         // SAFETY: F16C is detected; loads read `bits[l·k + j]` windows
-        // and stores write `panel[j·8 ..]`, both within the asserted
-        // `8·k` slices.
+        // and stores write the `k` lines of `panel`, both within the
+        // asserted lengths.
         unsafe {
-            avx2::pack_panel8_f16_f16c(bits.as_ptr(), k, panel.as_mut_ptr());
+            avx2::pack_panel8_f16_f16c(bits.as_ptr(), k, panel.as_mut_ptr().cast());
         }
         return;
     }
-    for j in 0..k {
-        for l in 0..ROW_LANES {
-            panel[j * ROW_LANES + l] = crate::plane::f16_to_f32(bits[l * k + j]);
+    for (j, line) in panel.iter_mut().enumerate() {
+        for (l, slot) in line.0.iter_mut().enumerate() {
+            *slot = crate::plane::f16_to_f32(bits[l * k + j]);
         }
     }
 }
 
 /// Fused decode-and-pack for an 8-row int8 tile through the 255-entry
-/// `levels` table: `panel[j·8 + l] = levels[codes[l·k + j]]`,
+/// `levels` table: `panel[j].0[l] = levels[codes[l·k + j]]`,
 /// bit-identical to the scalar LUT walk per element (the AVX2 path
-/// clamps corrupt codes to 254 like [`decode_int8`]).
+/// clamps a corrupt code to 254, keeping the gather inside the table,
+/// where the scalar walk would panic).
 ///
 /// # Panics
 ///
-/// Panics when `codes` or `panel` is not `8·k` long or `levels` does
-/// not hold exactly 255 entries.
-pub(crate) fn pack_panel8_int8(codes: &[u8], levels: &[f32], k: usize, panel: &mut [f32]) {
-    assert!(codes.len() == ROW_LANES * k && panel.len() == ROW_LANES * k);
+/// Panics when `codes` is not `8·k` long, `panel` not `k` lines long or
+/// `levels` does not hold exactly 255 entries.
+pub(crate) fn pack_panel8_int8(codes: &[u8], levels: &[f32], k: usize, panel: &mut [PanelLine]) {
+    assert!(codes.len() == ROW_LANES * k && panel.len() == k);
     assert_eq!(levels.len(), 255);
     #[cfg(target_arch = "x86_64")]
     if detection().simd {
@@ -528,15 +455,20 @@ pub(crate) fn pack_panel8_int8(codes: &[u8], levels: &[f32], k: usize, panel: &m
         //
         // SAFETY: AVX2 is detected; code loads stay within the asserted
         // `8·k` slice, level gathers are clamped to index ≤ 254 < 255,
-        // and stores cover `panel[0..8·k]`.
+        // and stores cover the `k` lines of `panel`.
         unsafe {
-            avx2::pack_panel8_int8_avx2(codes.as_ptr(), levels.as_ptr(), k, panel.as_mut_ptr());
+            avx2::pack_panel8_int8_avx2(
+                codes.as_ptr(),
+                levels.as_ptr(),
+                k,
+                panel.as_mut_ptr().cast(),
+            );
         }
         return;
     }
-    for j in 0..k {
-        for l in 0..ROW_LANES {
-            panel[j * ROW_LANES + l] = levels[codes[l * k + j] as usize];
+    for (j, line) in panel.iter_mut().enumerate() {
+        for (l, slot) in line.0.iter_mut().enumerate() {
+            *slot = levels[codes[l * k + j] as usize];
         }
     }
 }
@@ -558,33 +490,6 @@ mod avx2 {
             .is_some_and(|v| v <= i32::MAX as usize));
         let k = k as i32;
         _mm256_setr_epi32(0, k, 2 * k, 3 * k, 4 * k, 5 * k, 6 * k, 7 * k)
-    }
-
-    /// # Safety
-    ///
-    /// AVX2 required; `rows` must cover `8·N·k` floats, every index must
-    /// be `< k`, and `bias` and `out` must cover `8·N` floats.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn matvec_rows_avx2<const N: usize>(
-        rows: *const f32,
-        k: usize,
-        indices: &[u32],
-        bias: *const f32,
-        out: *mut f32,
-    ) {
-        let off = row_offsets(k);
-        let tiles: [*const f32; N] = std::array::from_fn(|t| rows.add(t * 8 * k));
-        let mut acc = [_mm256_setzero_ps(); N];
-        for &j in indices {
-            let j = j as usize;
-            for (a, tile) in acc.iter_mut().zip(tiles) {
-                *a = _mm256_add_ps(*a, _mm256_i32gather_ps::<4>(tile.add(j), off));
-            }
-        }
-        for (t, a) in acc.into_iter().enumerate() {
-            let b = _mm256_loadu_ps(bias.add(8 * t));
-            _mm256_storeu_ps(out.add(8 * t), _mm256_add_ps(a, b));
-        }
     }
 
     /// In-register 8×8 f32 transpose: output vector `c` holds element
@@ -628,7 +533,8 @@ mod avx2 {
 
     /// # Safety
     ///
-    /// AVX2 required; `rows` and `panel` must both cover `8·k` floats.
+    /// AVX2 required; `rows` and `panel` must both cover `8·k` floats,
+    /// and `panel` must be 32-byte aligned.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn pack_rows8_avx2(rows: *const f32, k: usize, panel: *mut f32) {
         let mut j = 0usize;
@@ -681,8 +587,9 @@ mod avx2 {
     }
 
     /// Fused int8 decode-and-pack through the 255-entry `levels` table:
-    /// `panel[j·8 + l] = levels[codes[l·k + j]]`, codes clamped to 254
-    /// like [`decode_int8_avx2`].
+    /// `panel[j·8 + l] = levels[codes[l·k + j]]`. Valid planes only emit
+    /// codes `0..=254`; clamping keeps the gather inside the table even
+    /// for a corrupt buffer.
     ///
     /// # Safety
     ///
@@ -720,8 +627,9 @@ mod avx2 {
 
     /// # Safety
     ///
-    /// AVX2 required; `panels` must cover `8·N·k` floats with every
-    /// index `< k`, and `bias` and `out` must cover `8·N` floats.
+    /// AVX2 required; `panels` must cover `8·N·k` floats, 32-byte
+    /// aligned, with every index `< k`, and `bias` and `out` must cover
+    /// `8·N` floats.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn matmul_panels_avx2<const N: usize>(
         panels: *const f32,
@@ -735,7 +643,7 @@ mod avx2 {
         for &j in indices {
             let j = j as usize * 8;
             for (a, tile) in acc.iter_mut().zip(tiles) {
-                *a = _mm256_add_ps(*a, _mm256_loadu_ps(tile.add(j)));
+                *a = _mm256_add_ps(*a, _mm256_load_ps(tile.add(j)));
             }
         }
         for (t, a) in acc.into_iter().enumerate() {
@@ -746,9 +654,9 @@ mod avx2 {
 
     /// # Safety
     ///
-    /// AVX2 required; `panel` must cover `8·k` floats, `x` must cover
-    /// `rows·k` floats, and `out` must cover `(rows − 1)·stride + 8`
-    /// floats when `rows > 0`.
+    /// AVX2 required; `panel` must cover `8·k` floats, 32-byte aligned,
+    /// `x` must cover `rows·k` floats, and `out` must cover
+    /// `(rows − 1)·stride + 8` floats when `rows > 0`.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn matmul_dense_panel8_avx2(
         panel: *const f32,
@@ -776,7 +684,7 @@ mod avx2 {
             let mut a2 = _mm256_setzero_ps();
             let mut a3 = _mm256_setzero_ps();
             for j in 0..k {
-                let p = _mm256_loadu_ps(panel.add(j * 8));
+                let p = _mm256_load_ps(panel.add(j * 8));
                 a0 = _mm256_add_ps(a0, _mm256_mul_ps(p, _mm256_set1_ps(*x0.add(j))));
                 a1 = _mm256_add_ps(a1, _mm256_mul_ps(p, _mm256_set1_ps(*x1.add(j))));
                 a2 = _mm256_add_ps(a2, _mm256_mul_ps(p, _mm256_set1_ps(*x2.add(j))));
@@ -792,7 +700,7 @@ mod avx2 {
             let xr = x.add(r * k);
             let mut a = _mm256_setzero_ps();
             for j in 0..k {
-                let p = _mm256_loadu_ps(panel.add(j * 8));
+                let p = _mm256_load_ps(panel.add(j * 8));
                 a = _mm256_add_ps(a, _mm256_mul_ps(p, _mm256_set1_ps(*xr.add(j))));
             }
             _mm256_storeu_ps(out.add(r * stride), _mm256_add_ps(a, bv));
@@ -925,57 +833,12 @@ mod avx2 {
             j += 1;
         }
     }
-
-    /// # Safety
-    ///
-    /// F16C required; both pointers must cover `len` elements.
-    #[target_feature(enable = "avx2,f16c")]
-    pub(super) unsafe fn decode_f16_f16c(bits: *const u16, dst: *mut f32, len: usize) {
-        let mut i = 0usize;
-        while i + 8 <= len {
-            let h = _mm_loadu_si128(bits.add(i).cast());
-            _mm256_storeu_ps(dst.add(i), _mm256_cvtph_ps(h));
-            i += 8;
-        }
-        while i < len {
-            *dst.add(i) = crate::plane::f16_to_f32(*bits.add(i));
-            i += 1;
-        }
-    }
-
-    /// # Safety
-    ///
-    /// AVX2 required; `codes` and `dst` must cover `len` elements and
-    /// `levels` 255 entries.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn decode_int8_avx2(
-        codes: *const u8,
-        levels: *const f32,
-        dst: *mut f32,
-        len: usize,
-    ) {
-        // Valid planes only emit codes 0..=254; clamping keeps the
-        // gather in bounds of the 255-entry table even for a corrupt
-        // buffer (the scalar walk would panic on such input instead).
-        let cap = _mm256_set1_epi32(254);
-        let mut i = 0usize;
-        while i + 8 <= len {
-            let bytes = _mm_loadl_epi64(codes.add(i).cast());
-            let idx = _mm256_min_epu32(_mm256_cvtepu8_epi32(bytes), cap);
-            _mm256_storeu_ps(dst.add(i), _mm256_i32gather_ps::<4>(levels, idx));
-            i += 8;
-        }
-        while i < len {
-            *dst.add(i) = *levels.add((*codes.add(i)).min(254) as usize);
-            i += 1;
-        }
-    }
 }
 
 #[cfg(target_arch = "x86_64")]
 use avx2::{
-    decode_f16_f16c, decode_int8_avx2, lif_fire_row_avx2, matmul_dense_panel8_avx2,
-    matmul_panels_avx2, matvec_rows_avx2, pack_rows8_avx2, scaled_row_sum_avx2,
+    lif_fire_row_avx2, matmul_dense_panel8_avx2, matmul_panels_avx2, pack_rows8_avx2,
+    scaled_row_sum_avx2,
 };
 
 #[cfg(test)]
@@ -1005,29 +868,38 @@ mod tests {
 
     #[test]
     fn decoders_match_scalar() {
-        // Decoder bit-identity on this machine's dispatch (the full
-        // cross-product lives in tests/simd_equivalence.rs).
-        let values: Vec<f32> = (0..37).map(|i| ((i as f32) * 0.713).sin() * 3.0).collect();
+        // The fused decode-and-pack of both planes against the scalar
+        // per-element decode, on this machine's dispatch (whole 8-column
+        // blocks and the column tail; the full cross-product lives in
+        // tests/simd_equivalence.rs).
+        let k = 19;
+        let values: Vec<f32> = (0..8 * k)
+            .map(|i| ((i as f32) * 0.713).sin() * 3.0)
+            .collect();
         let bits: Vec<u16> = values
             .iter()
             .map(|&v| crate::plane::f32_to_f16(v))
             .collect();
-        let mut dst = vec![0.0f32; bits.len()];
-        decode_f16(&bits, &mut dst);
-        for (d, &b) in dst.iter().zip(&bits) {
-            assert_eq!(d.to_bits(), crate::plane::f16_to_f32(b).to_bits());
+        let mut panel = vec![PanelLine::default(); k];
+        pack_panel8_f16(&bits, k, &mut panel);
+        for (j, line) in panel.iter().enumerate() {
+            for (l, v) in line.0.iter().enumerate() {
+                let want = crate::plane::f16_to_f32(bits[l * k + j]);
+                assert_eq!(v.to_bits(), want.to_bits());
+            }
         }
 
         let plane =
             crate::plane::QuantizedPlane::quantize(&values, crate::plane::WeightPlane::Int8)
                 .unwrap()
                 .unwrap();
+        let dq = plane.dequantize();
         if let crate::plane::PlaneView::Int8 { codes, levels } = plane.view() {
-            let mut dst = vec![0.0f32; codes.len()];
-            decode_int8(codes, levels, &mut dst);
-            let dq = plane.dequantize();
-            for (d, q) in dst.iter().zip(&dq) {
-                assert_eq!(d.to_bits(), q.to_bits());
+            pack_panel8_int8(codes, levels, k, &mut panel);
+            for (j, line) in panel.iter().enumerate() {
+                for (l, v) in line.0.iter().enumerate() {
+                    assert_eq!(v.to_bits(), dq[l * k + j].to_bits());
+                }
             }
         } else {
             panic!("expected int8 view");
@@ -1064,33 +936,29 @@ mod tests {
         }
     }
 
-    #[cfg(target_arch = "x86_64")]
     #[test]
     fn row_kernels_match_gather_row() {
-        if !active() {
-            return;
-        }
+        // The panel pack on every dispatch, and the panel walk over one
+        // and four panels against the scalar gather per lane.
         let (m, k) = (32usize, 19usize);
         let rows: Vec<f32> = (0..m * k).map(|i| ((i as f32) * 0.37).cos()).collect();
         let bias: Vec<f32> = (0..m).map(|l| l as f32 * 0.75 - 3.0).collect();
-        let mut panels = vec![0.0f32; m * k];
-        for (t, panel) in panels.chunks_exact_mut(8 * k).enumerate() {
+        let mut panels = vec![PanelLine::default(); m / ROW_LANES * k];
+        for (t, panel) in panels.chunks_exact_mut(k).enumerate() {
             pack_rows8(&rows[t * 8 * k..(t + 1) * 8 * k], k, panel);
-            for j in 0..k {
-                for l in 0..8 {
-                    let row = t * 8 + l;
-                    assert_eq!(panel[j * 8 + l].to_bits(), rows[row * k + j].to_bits());
+            for (j, line) in panel.iter().enumerate() {
+                for (l, &v) in line.0.iter().enumerate() {
+                    assert_eq!(v.to_bits(), rows[(t * 8 + l) * k + j].to_bits());
                 }
             }
         }
+        if !active() {
+            return;
+        }
         let lists: [&[u32]; 3] = [&[0, 2, 3, 5, 7, 11, 13, 17, 18], &[1, 4, 18], &[]];
         for (r, list) in lists.iter().enumerate() {
-            let mut x8 = [0.0f32; 8];
-            matvec_rows::<1>(&rows[..8 * k], k, list, &bias[..8], &mut x8);
-            let mut x32 = [0.0f32; 32];
-            matvec_rows::<4>(&rows, k, list, &bias, &mut x32);
             let mut p8 = [0.0f32; 8];
-            matmul_panels::<1>(&panels[..8 * k], k, list, &bias[..8], &mut p8);
+            matmul_panels::<1>(&panels[..k], k, list, &bias[..8], &mut p8);
             let mut p32 = [0.0f32; 32];
             matmul_panels::<4>(&panels, k, list, &bias, &mut p32);
             for l in 0..32 {
@@ -1098,10 +966,8 @@ mod tests {
                 let scalar =
                     crate::sparse::gather_row_lane(crate::plane::F32Lane(row), list, bias[l])
                         .to_bits();
-                assert_eq!(x32[l].to_bits(), scalar, "x32 list {r} lane {l}");
                 assert_eq!(p32[l].to_bits(), scalar, "panels x4 list {r} lane {l}");
                 if l < 8 {
-                    assert_eq!(x8[l].to_bits(), scalar, "x8 list {r} lane {l}");
                     assert_eq!(p8[l].to_bits(), scalar, "panel list {r} lane {l}");
                 }
             }

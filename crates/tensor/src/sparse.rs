@@ -22,9 +22,11 @@
 //!   frame converts only when it is binary and its density is at most a
 //!   threshold, so the caller always takes the cheaper path.
 //!
-//! A linear layer's event gather has one form, the batch kernel
-//! [`crate::batched::sparse_matmul_bias`]; one sample is its one-row
-//! case. Its per-output sum is this module's gather order.
+//! A linear layer's event gather has one form, the batch spike GEMM
+//! over packed weights ([`crate::batched::sparse_matmul_bias_packed`],
+//! pinned to [`crate::batched::sparse_matmul_bias_scalar`]); one sample
+//! is its one-row case. Its per-output sum is this module's gather
+//! order.
 //!
 //! Every kernel sums in its dense counterpart's order, so on a binary
 //! frame with finite weights the two give the same bits. A gather sums
@@ -898,7 +900,10 @@ pub(crate) fn sparse_conv2d_naive(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batched::{sparse_matmul_bias, sparse_matmul_bias_planed, SpikeMatrix};
+    use crate::batched::{
+        sparse_matmul_bias_packed, sparse_matmul_bias_planed_scalar, sparse_matmul_bias_scalar,
+        PackedWeights, SpikeMatrix,
+    };
     use crate::conv::{avg_pool2d, conv2d, max_pool2d};
     use crate::linalg;
     use crate::plane::PlaneView;
@@ -907,13 +912,18 @@ mod tests {
         t.as_slice().iter().map(|v| v.to_bits()).collect()
     }
 
-    /// The one-row case of the batch gather, as one `[out]` row.
+    /// The one-row case of the batch gather, as one `[out]` row: the
+    /// packed kernel, checked bit for bit against the scalar reference.
     fn gather_one(w: &Tensor, s: &SpikeVector, b: &Tensor) -> Result<Tensor> {
         let row = SpikeMatrix::from_rows(std::slice::from_ref(s))?;
-        sparse_matmul_bias(w, &row, b)?.reshape(&[b.len()])
+        let scalar = sparse_matmul_bias_scalar(w, &row, b)?;
+        let packed = sparse_matmul_bias_packed(&PackedWeights::pack(w)?, &row, b)?;
+        assert_eq!(bits(&packed), bits(&scalar));
+        packed.reshape(&[b.len()])
     }
 
-    /// [`gather_one`] streaming a reduced-precision weight plane.
+    /// [`gather_one`] over a reduced-precision weight plane: panels
+    /// decoded from the plane against its lane-decoding reference.
     fn gather_one_planed(
         w: PlaneView<'_>,
         shape: (usize, usize),
@@ -921,7 +931,10 @@ mod tests {
         b: &Tensor,
     ) -> Result<Tensor> {
         let row = SpikeMatrix::from_rows(std::slice::from_ref(s))?;
-        sparse_matmul_bias_planed(w, shape, &row, b)?.reshape(&[b.len()])
+        let scalar = sparse_matmul_bias_planed_scalar(w, shape, &row, b)?;
+        let packed = sparse_matmul_bias_packed(&PackedWeights::pack_plane(w, shape)?, &row, b)?;
+        assert_eq!(bits(&packed), bits(&scalar));
+        packed.reshape(&[b.len()])
     }
 
     fn binary_frame(len: usize, every: usize) -> Tensor {

@@ -25,18 +25,26 @@
 //! values and spike rows, with currents on the threshold, NaN, ±inf,
 //! `-0.0` and subnormals.
 //!
+//! The packed kernels (`sparse_matmul_bias_packed`,
+//! `matmul_bt_bias_packed`) stream panels a layer builds once per weight
+//! change, from f32 weights or straight from an f16 / int8 plane; they
+//! are pinned to the scalar twins on the unpacked (dequantized) weights
+//! for one row and batches up to 40, with `±0.0`, subnormal and
+//! overflowing weights.
+//!
 //! Run with `AXSNN_NO_SIMD=1` both sides take the scalar path and the
 //! suite degenerates to reflexivity — CI runs it both ways.
 
 use axsnn_tensor::batched::{
-    lif_fire, lif_fire_scalar, matmul_bt_bias, matmul_bt_bias_scalar, sparse_conv2d_batch_sorted,
-    sparse_matmul_bias, sparse_matmul_bias_planed, sparse_matmul_bias_planed_scalar,
-    sparse_matmul_bias_scalar, SpikeMatrix,
+    lif_fire, lif_fire_scalar, matmul_bt_bias, matmul_bt_bias_packed, matmul_bt_bias_scalar,
+    sparse_conv2d_batch_sorted, sparse_matmul_bias_packed, sparse_matmul_bias_planed_scalar,
+    sparse_matmul_bias_scalar, PackedWeights, SpikeMatrix,
 };
 use axsnn_tensor::conv::Conv2dSpec;
 use axsnn_tensor::linalg::{
     matvec_t_block_into, matvec_t_block_into_scalar, outer_acc_run, outer_acc_run_scalar,
 };
+use axsnn_tensor::plane::PlaneView;
 use axsnn_tensor::plane::{QuantizedPlane, WeightPlane};
 use axsnn_tensor::sparse::{sparse_conv2d, SpikeVector};
 use axsnn_tensor::{init, Tensor};
@@ -112,6 +120,22 @@ fn analog_values(len: usize, salt: u64) -> Vec<f32> {
         .collect()
 }
 
+/// The spike GEMM the engine runs on an f32 layer: panels packed from
+/// `weight`, then the packed walk.
+fn packed_gemm(weight: &Tensor, x: &SpikeMatrix, bias: &Tensor) -> Tensor {
+    sparse_matmul_bias_packed(&PackedWeights::pack(weight).unwrap(), x, bias).unwrap()
+}
+
+/// [`packed_gemm`] on a planed layer: panels decoded from the plane.
+fn packed_planed_gemm(
+    plane: PlaneView<'_>,
+    shape: (usize, usize),
+    x: &SpikeMatrix,
+    bias: &Tensor,
+) -> Tensor {
+    sparse_matmul_bias_packed(&PackedWeights::pack_plane(plane, shape).unwrap(), x, bias).unwrap()
+}
+
 /// Bit equality, except that two NaNs match whatever their payloads.
 fn assert_bits_eq_nan(a: &Tensor, b: &Tensor, what: &str) {
     assert_eq!(a.shape(), b.shape(), "{what}: shape diverged");
@@ -143,9 +167,8 @@ fn assert_bits_eq(a: &Tensor, b: &Tensor, what: &str) {
 }
 
 proptest! {
-    /// The one-row gather — the engine's per-sample linear step, which
-    /// runs the 8-row gather tiles while `nnz < k` — is bit-identical
-    /// to the scalar twin across densities and remainder lane counts.
+    /// The one-row spike GEMM over packed panels is bit-identical to
+    /// the scalar twin across densities and remainder lane counts.
     #[test]
     fn matvec_bit_identity(
         m in rows_strategy(),
@@ -157,14 +180,13 @@ proptest! {
         let weight = init::uniform(&mut rng, &[m, k], 0.5);
         let bias = init::uniform(&mut rng, &[m], 0.5);
         let x = SpikeMatrix::from_rows(&[binary_frame(k, density, salt)]).unwrap();
-        let fast = sparse_matmul_bias(&weight, &x, &bias).unwrap();
+        let fast = packed_gemm(&weight, &x, &bias);
         let scalar = sparse_matmul_bias_scalar(&weight, &x, &bias).unwrap();
         assert_bits_eq(&fast, &scalar, "matvec");
     }
 
-    /// Dispatched batched GEMM (panel and gather variants — both sides
-    /// of the `nnz >= k` packing threshold) is bit-identical to the
-    /// scalar tile path for batches 1–32.
+    /// The batched spike GEMM over packed panels is bit-identical to
+    /// the scalar tile path for batches 1–32.
     #[test]
     fn matmul_bit_identity(
         m in rows_strategy(),
@@ -180,16 +202,16 @@ proptest! {
             .map(|b| binary_frame(k, density, salt.wrapping_add(b as u64 * 977)))
             .collect();
         let x = SpikeMatrix::from_rows(&rows).unwrap();
-        let fast = sparse_matmul_bias(&weight, &x, &bias).unwrap();
+        let fast = packed_gemm(&weight, &x, &bias);
         let scalar = sparse_matmul_bias_scalar(&weight, &x, &bias).unwrap();
         assert_bits_eq(&fast, &scalar, "matmul");
     }
 
-    /// Planed GEMM with blocked dequantization (and its SIMD panel
-    /// variant) is bit-identical to the per-element lane decode for
-    /// every weight plane. The f32 plane quantizes to a no-op, so it is
-    /// covered through the f32 dispatch pair on the dequantized image —
-    /// all three [`WeightPlane`]s run through one test.
+    /// The spike GEMM over panels decoded from a plane is
+    /// bit-identical to the per-element lane decode for every weight
+    /// plane. The f32 plane quantizes to a no-op, so it is covered
+    /// through panels packed from the f32 weights against the scalar
+    /// twin — all three [`WeightPlane`]s run through one test.
     #[test]
     fn planed_matmul_bit_identity(
         m in rows_strategy(),
@@ -213,8 +235,7 @@ proptest! {
         let x = SpikeMatrix::from_rows(&rows).unwrap();
         match QuantizedPlane::quantize(weight.as_slice(), plane).unwrap() {
             Some(quant) => {
-                let fast =
-                    sparse_matmul_bias_planed(quant.view(), (m, k), &x, &bias).unwrap();
+                let fast = packed_planed_gemm(quant.view(), (m, k), &x, &bias);
                 let scalar =
                     sparse_matmul_bias_planed_scalar(quant.view(), (m, k), &x, &bias)
                         .unwrap();
@@ -222,12 +243,62 @@ proptest! {
             }
             None => {
                 // F32 plane: the planed entry points don't apply; pin
-                // the f32 dispatch pair on the same inputs instead.
-                let fast = sparse_matmul_bias(&weight, &x, &bias).unwrap();
+                // the f32 pair on the same inputs instead.
+                let fast = packed_gemm(&weight, &x, &bias);
                 let scalar = sparse_matmul_bias_scalar(&weight, &x, &bias).unwrap();
                 assert_bits_eq(&fast, &scalar, "f32-plane matmul");
             }
         }
+    }
+
+    /// The packed kernels — the panels a layer builds once per weight
+    /// change and streams at every batch size — are bit-identical to the
+    /// scalar twins on the unpacked weights: the spike GEMM for one row
+    /// and batches up to 40 at every density, the dense GEMM on analog
+    /// rows, over f32 panels and panels decoded from f16 and int8
+    /// planes. Weights and biases mix in `±0.0`, subnormals and powers
+    /// of two wide enough to overflow, and `m` and `k` straddle the
+    /// 8-row panels and 8-column blocks.
+    #[test]
+    fn packed_matmul_bit_identity(
+        m in rows_strategy(),
+        k in 1usize..48,
+        batch in 1usize..41,
+        density in density_strategy(),
+        plane_pick in 0u8..3,
+        salt in 0u64..1024,
+    ) {
+        let plane = WeightPlane::ALL[plane_pick as usize];
+        let weight = Tensor::from_vec(analog_values(m * k, salt ^ 0x77), &[m, k]).unwrap();
+        let bias = Tensor::from_vec(analog_values(m, salt ^ 0x33), &[m]).unwrap();
+        let rows: Vec<SpikeVector> = (0..batch)
+            .map(|b| binary_frame(k, density, salt.wrapping_add(b as u64 * 977)))
+            .collect();
+        let x = SpikeMatrix::from_rows(&rows).unwrap();
+        let one = SpikeMatrix::from_rows(&rows[..1]).unwrap();
+        let analog =
+            Tensor::from_vec(analog_values(batch * k, salt ^ 0x99), &[batch, k]).unwrap();
+        let (packed, image) = match QuantizedPlane::quantize(weight.as_slice(), plane).unwrap() {
+            Some(quant) => {
+                let packed = PackedWeights::pack_plane(quant.view(), (m, k)).unwrap();
+                let lanes =
+                    sparse_matmul_bias_planed_scalar(quant.view(), (m, k), &x, &bias).unwrap();
+                let fast = sparse_matmul_bias_packed(&packed, &x, &bias).unwrap();
+                assert_bits_eq_nan(&fast, &lanes, "packed plane vs lane decode");
+                let image = Tensor::from_vec(quant.dequantize(), &[m, k]).unwrap();
+                (packed, image)
+            }
+            None => (PackedWeights::pack(&weight).unwrap(), weight),
+        };
+        let fast = sparse_matmul_bias_packed(&packed, &x, &bias).unwrap();
+        let scalar = sparse_matmul_bias_scalar(&image, &x, &bias).unwrap();
+        assert_bits_eq_nan(&fast, &scalar, "packed spike GEMM");
+        let fast_one = sparse_matmul_bias_packed(&packed, &one, &bias).unwrap();
+        let scalar_one = sparse_matmul_bias_scalar(&image, &one, &bias).unwrap();
+        assert_bits_eq_nan(&fast_one, &scalar_one, "packed one-row spike GEMM");
+        let fast = matmul_bt_bias_packed(&analog, &packed, &bias).unwrap();
+        let scalar = matmul_bt_bias_scalar(&analog, &image, &bias).unwrap();
+        assert_bits_eq_nan(&fast, &scalar, "packed dense GEMM");
     }
 
     /// Dispatched dense GEMM (packed panels, 4-row groups, single-row
@@ -285,11 +356,10 @@ proptest! {
 }
 
 /// An all-negative weight row on an empty frame, with a `-0.0` bias:
-/// each gather sums nothing from `+0.0`, so every dispatched kernel,
-/// its scalar twin and the dense kernel give `+0.0`. Covers the 16-,
-/// 8-, 4- and 1-row tiles, the packed panel (a full row beside the
-/// empty one lifts the batch's `nnz` to `k`) and both reduced-precision
-/// planes.
+/// each gather sums nothing from `+0.0`, so every packed kernel, its
+/// scalar twin and the dense kernel give `+0.0`. Covers the packed
+/// panels, the 4- and 1-row scalar tiles, an empty row alone and beside
+/// a full one, and both reduced-precision planes.
 #[test]
 fn negative_row_on_empty_frame_is_positive_zero() {
     let k = 9;
@@ -315,7 +385,7 @@ fn negative_row_on_empty_frame_is_positive_zero() {
             (vec![full.clone(), empty.clone()], 1),
         ] {
             let x = SpikeMatrix::from_rows(&rows).unwrap();
-            let fast = sparse_matmul_bias(&weight, &x, &bias).unwrap();
+            let fast = packed_gemm(&weight, &x, &bias);
             let scalar = sparse_matmul_bias_scalar(&weight, &x, &bias).unwrap();
             let dense = matmul_bt_bias(&x.to_dense(), &weight, &bias).unwrap();
             assert_bits_eq(&fast, &scalar, "empty-row matmul");
@@ -325,7 +395,7 @@ fn negative_row_on_empty_frame_is_positive_zero() {
                 let quant = QuantizedPlane::quantize(weight.as_slice(), plane)
                     .unwrap()
                     .unwrap();
-                let fast = sparse_matmul_bias_planed(quant.view(), (m, k), &x, &bias).unwrap();
+                let fast = packed_planed_gemm(quant.view(), (m, k), &x, &bias);
                 let scalar =
                     sparse_matmul_bias_planed_scalar(quant.view(), (m, k), &x, &bias).unwrap();
                 assert_bits_eq(&fast, &scalar, "empty-row planed matmul");
@@ -333,6 +403,37 @@ fn negative_row_on_empty_frame_is_positive_zero() {
             }
         }
     }
+}
+
+/// The engine's B = 1 event query on the DVS input layer (96 rows of
+/// 2048 columns, ~1% of the inputs active): the packed one-row walk
+/// gives the scalar tiles' bits, and re-packing new weights in place
+/// gives the bits of packing them afresh.
+#[test]
+fn packed_one_row_on_the_dvs_input_layer() {
+    let (m, k) = (96usize, 2048usize);
+    let mut rng = StdRng::seed_from_u64(29);
+    let weight = init::uniform(&mut rng, &[m, k], 0.05);
+    let bias = init::uniform(&mut rng, &[m], 0.05);
+    let mut packed = PackedWeights::pack(&weight).unwrap();
+    for salt in 0..8 {
+        let x = SpikeMatrix::from_rows(&[binary_frame(k, 0.01, salt)]).unwrap();
+        let fast = sparse_matmul_bias_packed(&packed, &x, &bias).unwrap();
+        assert_bits_eq(
+            &fast,
+            &sparse_matmul_bias_scalar(&weight, &x, &bias).unwrap(),
+            "one row",
+        );
+    }
+    let moved = weight.scale(-0.5);
+    packed.repack(&moved).unwrap();
+    let x = SpikeMatrix::from_rows(&[binary_frame(k, 0.01, 99)]).unwrap();
+    assert_bits_eq(
+        &sparse_matmul_bias_packed(&packed, &x, &bias).unwrap(),
+        &sparse_matmul_bias_packed(&PackedWeights::pack(&moved).unwrap(), &x, &bias).unwrap(),
+        "repack",
+    );
+    assert!(packed.repack(&Tensor::zeros(&[m, k + 1])).is_err());
 }
 
 /// Row lengths for the register-tiled backward kernels: below one

@@ -5,7 +5,10 @@
 //! kernel sums in its dense twin's order, and the dense kernels'
 //! inactive terms are exact zeros, so no tolerance is needed.
 
-use axsnn_tensor::batched::{matmul_bt_bias, sparse_matmul_bias, SpikeMatrix};
+use axsnn_tensor::batched::{
+    matmul_bt_bias, sparse_matmul_bias_packed, sparse_matmul_bias_scalar, PackedWeights,
+    SpikeMatrix,
+};
 use axsnn_tensor::conv::{avg_pool2d, conv2d, max_pool2d, Conv2dSpec};
 use axsnn_tensor::sparse::{sparse_avg_pool2d, sparse_conv2d, sparse_max_pool2d, SpikeVector};
 use axsnn_tensor::{linalg, Tensor};
@@ -36,6 +39,16 @@ fn bits(t: &Tensor) -> Vec<u32> {
     t.as_slice().iter().map(|v| v.to_bits()).collect()
 }
 
+/// The spike GEMM both ways: over panels packed from `w` (the engine's
+/// kernel) and its scalar twin over `w`.
+fn spike_gemms(w: &Tensor, x: &SpikeMatrix, b: &Tensor) -> [Tensor; 2] {
+    let packed = PackedWeights::pack(w).unwrap();
+    [
+        sparse_matmul_bias_packed(&packed, x, b).unwrap(),
+        sparse_matmul_bias_scalar(w, x, b).unwrap(),
+    ]
+}
+
 fn weights(len: usize, salt: u64) -> Vec<f32> {
     (0..len)
         .map(|i| ((i as f32 + salt as f32) * 0.7311).sin() * 2.0)
@@ -56,9 +69,9 @@ fn density_strategy() -> impl Strategy<Value = f32> {
 }
 
 proptest! {
-    /// The one-row spike gather (`sparse_matmul_bias` on a one-row
-    /// batch) equals dense matvec+bias bit for bit on random layer
-    /// shapes and densities.
+    /// The one-row spike gather (the packed spike GEMM and its scalar
+    /// twin on a one-row batch) equals dense matvec+bias bit for bit on
+    /// random layer shapes and densities.
     #[test]
     fn matvec_equivalence(
         rows in 1usize..40,
@@ -71,9 +84,10 @@ proptest! {
         let x = binary_frame(cols, density, salt);
         let events = SpikeVector::from_dense(&x).expect("frame is binary");
         let row = SpikeMatrix::from_rows(std::slice::from_ref(&events)).unwrap();
-        let sparse = sparse_matmul_bias(&w, &row, &b).unwrap();
         let dense = linalg::matvec(&w, &x).unwrap().add(&b).unwrap();
-        prop_assert_eq!(bits(&sparse), bits(&dense));
+        for sparse in spike_gemms(&w, &row, &b) {
+            prop_assert_eq!(bits(&sparse), bits(&dense));
+        }
     }
 
     /// Scatter conv equals direct dense conv bit for bit across
@@ -172,7 +186,8 @@ proptest! {
             })
             .collect();
         let matrix = SpikeMatrix::from_rows(&frames).unwrap();
-        let fused = sparse_matmul_bias(&w, &matrix, &b).unwrap();
+        let [fused, scalar] = spike_gemms(&w, &matrix, &b);
+        prop_assert_eq!(bits(&fused), bits(&scalar));
         prop_assert_eq!(fused.shape().dims(), &[batch, rows]);
         let dense = matmul_bt_bias(&matrix.to_dense(), &w, &b).unwrap();
         prop_assert_eq!(bits(&fused), bits(&dense));
