@@ -20,9 +20,6 @@
 //!   layer of the `search_mlp` benchmark network at batch 32: panels
 //!   against four batch rows at a time vs the scalar single-accumulator
 //!   row dots (density 1.0);
-//! * `simd_gemm_planed_*` — the spike GEMM over panels decoded from the
-//!   int8/f16 planes vs the per-element lane decode (the plane-vs-f32
-//!   A/B lives in `bench_quant`);
 //! * `simd_conv1_*` — the event-sorted conv on a one-row batch vs the
 //!   per-event scatter on the paper's 8→16 k=5 layer (the win is
 //!   contiguous weight streaming, not vector width);
@@ -35,14 +32,12 @@
 //! Usage: `cargo run --release -p axsnn-bench --bin bench_simd
 //! [out.json]`.
 
-use axsnn::core::plan::WeightPlane;
 use axsnn::tensor::batched::{
     lif_fire, lif_fire_scalar, matmul_bt_bias_packed, matmul_bt_bias_scalar,
-    sparse_conv2d_batch_sorted, sparse_matmul_bias_packed, sparse_matmul_bias_planed_scalar,
-    sparse_matmul_bias_scalar, PackedWeights, SpikeMatrix,
+    sparse_conv2d_batch_sorted, sparse_matmul_bias_packed, sparse_matmul_bias_scalar,
+    PackedWeights, SpikeMatrix,
 };
 use axsnn::tensor::conv::Conv2dSpec;
-use axsnn::tensor::plane::QuantizedPlane;
 use axsnn::tensor::sparse::{sparse_conv2d, SpikeVector};
 use axsnn::tensor::{init, Tensor};
 use axsnn_bench::harness::{hash_unit, record, spike_frame, Bench};
@@ -137,49 +132,6 @@ fn gemm_dense_records(bench: &mut Bench, out: usize, input: usize) {
         1.0,
         pair,
     ));
-}
-
-/// The spike GEMM over panels decoded once from each reduced-precision
-/// plane vs the per-element lane decode (the plane-vs-f32 A/B lives in
-/// `bench_quant`; this isolates the dequantization strategy).
-fn gemm_planed_records(bench: &mut Bench, density: f32) {
-    const OUT: usize = 512;
-    const IN: usize = 1024;
-    let mut rng = StdRng::seed_from_u64(12);
-    let weight = init::uniform(&mut rng, &[OUT, IN], 0.1);
-    let bias = init::uniform(&mut rng, &[OUT], 0.1);
-    let rows: Vec<SpikeVector> = (0..BATCH)
-        .map(|b| events(IN, density, b as u64 * 1493))
-        .collect();
-    let batch = SpikeMatrix::from_rows(&rows).unwrap();
-    for plane in [WeightPlane::Int8, WeightPlane::F16] {
-        let quant = QuantizedPlane::quantize(weight.as_slice(), plane)
-            .expect("finite weights")
-            .expect("non-f32 plane");
-        let packed = PackedWeights::pack_plane(quant.view(), (OUT, IN)).unwrap();
-        let fast = sparse_matmul_bias_packed(&packed, &batch, &bias).unwrap();
-        let scalar =
-            sparse_matmul_bias_planed_scalar(quant.view(), (OUT, IN), &batch, &bias).unwrap();
-        for (a, b) in fast.as_slice().iter().zip(scalar.as_slice()) {
-            assert_eq!(a.to_bits(), b.to_bits(), "{plane} planed GEMM diverged");
-        }
-        let pair = bench.time_pair(
-            || {
-                black_box(
-                    sparse_matmul_bias_planed_scalar(quant.view(), (OUT, IN), &batch, &bias)
-                        .unwrap(),
-                );
-            },
-            || {
-                black_box(sparse_matmul_bias_packed(black_box(&packed), &batch, &bias).unwrap());
-            },
-        );
-        bench.push(simd_row(
-            &format!("simd_gemm_planed_{}_{OUT}x{IN}_B{BATCH}", plane.name()),
-            density,
-            pair,
-        ));
-    }
 }
 
 /// The event-sorted conv on a one-row batch vs the per-event scatter on
@@ -322,7 +274,6 @@ fn main() {
         0.01,
     );
     gemm_dense_records(&mut bench, 96, 256);
-    gemm_planed_records(&mut bench, 0.10);
     conv1_records(&mut bench, 0.10);
     lif_fire_records(&mut bench, 96);
     bench.finish();

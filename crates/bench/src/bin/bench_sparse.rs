@@ -13,6 +13,7 @@
 //! [out.json]`.
 
 use axsnn::core::network::SnnConfig;
+use axsnn::core::plan::PlanOverride;
 use axsnn::tensor::batched::{
     matmul_bt_bias_packed, sparse_matmul_bias_packed, PackedWeights, SpikeMatrix,
 };
@@ -94,7 +95,7 @@ fn network_record(bench: &mut Bench) {
     };
     let mut sparse_net = conv2_net(cfg, 2);
     let mut dense_net = sparse_net.clone();
-    dense_net.set_sparse_threshold(0.0);
+    dense_net.apply_plan(PlanOverride::ForceDense);
 
     let density = 0.10f32;
     let frames: Vec<Tensor> = (0..16)

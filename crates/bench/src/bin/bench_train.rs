@@ -7,7 +7,7 @@
 //! frames + the batched backward swept down to the frames), the
 //! minibatch record times the full step including the SGD apply:
 //!
-//! * one-row **dense tape** (`set_sparse_threshold(0.0)`),
+//! * one-row **dense tape** (`apply_plan(PlanOverride::ForceDense)`),
 //! * one-row **sparse tape** (default density gate: event-form tape
 //!   plus sparse outer-product gradient accumulation),
 //! * **minibatched sparse tape** (`forward_batch_recorded` +
@@ -18,6 +18,7 @@
 
 use axsnn::core::fused::FrameTrain;
 use axsnn::core::network::{SnnConfig, SpikingNetwork};
+use axsnn::core::plan::PlanOverride;
 use axsnn::tensor::Tensor;
 use axsnn_bench::harness::{conv1_net, mlp_1568, record, spike_frame, Bench};
 use axsnn_bench::json::BenchRow;
@@ -82,7 +83,7 @@ fn tape_record(bench: &mut Bench, name: &str, net: &SpikingNetwork, dims: &[usiz
     let grad = logit_grad(classes);
 
     let mut dense_net = net.clone();
-    dense_net.set_sparse_threshold(0.0);
+    dense_net.apply_plan(PlanOverride::ForceDense);
     let mut sparse_net = net.clone();
     let (dense_ns, sparse_ns) = bench.time_pair(
         || per_sample_step(&mut dense_net, &frames, &grad),
@@ -92,7 +93,7 @@ fn tape_record(bench: &mut Bench, name: &str, net: &SpikingNetwork, dims: &[usiz
     // Sanity: the two tapes must produce the same gradients.
     let mut rng = StdRng::seed_from_u64(1);
     let mut a = net.clone();
-    a.set_sparse_threshold(0.0);
+    a.apply_plan(PlanOverride::ForceDense);
     a.zero_grads();
     a.forward(&frames, true, &mut rng).unwrap();
     a.backward(&grad, TIME_STEPS).unwrap();
@@ -152,7 +153,7 @@ fn minibatch_record(
     let grad_block = Tensor::from_vec(grad_block, &[BATCH, classes]).unwrap();
 
     let mut dense_net = net.clone();
-    dense_net.set_sparse_threshold(0.0);
+    dense_net.apply_plan(PlanOverride::ForceDense);
     let mut fused_net = net.clone();
     let (dense_ns, sparse_ns) = bench.time_pair(
         || {

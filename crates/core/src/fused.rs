@@ -19,8 +19,9 @@
 //! see [`crate::layer`]): the spike GEMM and the dense fallback read
 //! them at every batch size and density, so a B = 1 event query walks
 //! one contiguous 8-float line per event and 8 output rows, and no pass
-//! packs or decodes weights per call or per step. A planed linear layer
-//! runs the same f32 panels, decoded once from its plane. The sharded
+//! packs weights per call or per step. A planed layer runs the same
+//! kernels over its plane's dequantized weights (a linear layer packs
+//! its panels from them). The sharded
 //! classifiers pack the caller's network before cloning it per worker,
 //! so the workers share its panels.
 //!
@@ -120,12 +121,10 @@ use crate::plan::{ConvBatchKernel, KernelPolicy};
 use crate::{CoreError, Result};
 use axsnn_tensor::batched::{
     matmul_bt_bias_packed, matmul_bt_bias_scalar, sparse_conv2d_batch_sorted_into,
-    sparse_conv2d_batch_sorted_planed_into, sparse_matmul_bias_packed, sparse_matmul_bias_scalar,
-    PackedWeights, SpikeMatrix,
+    sparse_matmul_bias_packed, sparse_matmul_bias_scalar, PackedWeights, SpikeMatrix,
 };
 use axsnn_tensor::conv::{self, Conv2dSpec};
 use axsnn_tensor::grads::{self, GradShard};
-use axsnn_tensor::plane::QuantizedPlane;
 use axsnn_tensor::sparse::{self, SpikeVector};
 use axsnn_tensor::{linalg, Tensor, TensorError};
 use rand::rngs::StdRng;
@@ -709,9 +708,9 @@ impl BatchTape {
 /// steps run the same kernels; `record` only asks for the per-row
 /// inputs back for the tape (empty otherwise).
 ///
-/// `weight`/`bias` are the layer's *effective* tensors and `packed` the
-/// layer's panels of the same weights (decoded from the plane on a
-/// planed layer), built once per weight change: the spike-plane GEMM
+/// `weight`/`bias` are the layer's *effective* tensors (a planed layer's
+/// dequantized values) and `packed` the layer's panels of the same
+/// weights, built once per weight change: the spike-plane GEMM
 /// and the dense fallback stream them at every batch size, one row
 /// included. Without panels (scalar dispatch) both run their scalar
 /// twins over `weight`; either way the bits are the same.
@@ -728,17 +727,17 @@ fn linear_current_block(
     bias: &Tensor,
     packed: Option<&PackedWeights>,
     policy: &KernelPolicy,
-    plane: &BatchPlane<'_>,
+    input: &BatchPlane<'_>,
     record: bool,
     repeated: Option<Vec<f32>>,
 ) -> Result<(Vec<f32>, Vec<BatchTapeRow>)> {
     if let Some(block) = repeated {
-        policy.decline_analog(plane.batch);
+        policy.decline_analog(input.batch);
         let mut rows = Vec::new();
         if record {
-            for r in 0..plane.batch {
-                let mut values = Vec::with_capacity(plane.volume());
-                plane.extend_dense(r, &mut values);
+            for r in 0..input.batch {
+                let mut values = Vec::with_capacity(input.volume());
+                input.extend_dense(r, &mut values);
                 rows.push(BatchTapeRow::Dense(values));
             }
         }
@@ -754,10 +753,10 @@ fn linear_current_block(
     }
     let (out_n, in_n) = (wdims[0], wdims[1]);
     let admitted: Vec<Option<Cow<'_, [u32]>>> =
-        (0..plane.batch).map(|r| plane.admit(r, policy)).collect();
+        (0..input.batch).map(|r| input.admit(r, policy)).collect();
     let sparse_n = admitted.iter().filter(|row| row.is_some()).count();
     let sparse_y = if sparse_n > 0 {
-        let x = plane.admitted_matrix(&admitted, false)?;
+        let x = input.admitted_matrix(&admitted, false)?;
         let y = match packed {
             Some(p) => sparse_matmul_bias_packed(p, &x, bias),
             None => sparse_matmul_bias_scalar(weight, &x, bias),
@@ -767,12 +766,12 @@ fn linear_current_block(
         Vec::new()
     };
     let mut dense_x = Vec::new();
-    let dense_n = plane.batch - sparse_n;
+    let dense_n = input.batch - sparse_n;
     let dense_y = if dense_n > 0 {
         dense_x.reserve(dense_n * in_n);
         for (r, row) in admitted.iter().enumerate() {
             if row.is_none() {
-                plane.extend_dense(r, &mut dense_x);
+                input.extend_dense(r, &mut dense_x);
             }
         }
         let x = Tensor::from_vec(dense_x, &[dense_n, in_n])?;
@@ -791,7 +790,7 @@ fn linear_current_block(
         dense_y
     } else {
         // Row `k` of each side's output is that side's `k`-th row.
-        let mut block = Vec::with_capacity(plane.batch * out_n);
+        let mut block = Vec::with_capacity(input.batch * out_n);
         let (mut s, mut d) = (0, 0);
         for row in &admitted {
             let (y, k) = match row {
@@ -832,29 +831,27 @@ fn linear_current_block(
 /// order, so the same kernels serve recorded steps; `record` only asks
 /// for the per-row tape inputs back (empty otherwise).
 ///
-/// As in [`linear_current_block`], `weight`/`bias` are the effective
-/// tensors and `quant` lets the event-sorted scatter stream the packed
-/// reduced-precision buffer.
+/// As in [`linear_current_block`], `weight`/`bias` are the layer's
+/// effective tensors.
 fn conv_current_block(
     spec: &Conv2dSpec,
     weight: &Tensor,
     bias: &Tensor,
-    quant: Option<&QuantizedPlane>,
     policy: &KernelPolicy,
-    plane: &BatchPlane<'_>,
+    input: &BatchPlane<'_>,
     record: bool,
 ) -> Result<(Vec<f32>, Vec<usize>, Vec<BatchTapeRow>)> {
-    if plane.dims.len() != 3 {
+    if input.dims.len() != 3 {
         return Err(CoreError::from(TensorError::RankMismatch {
             expected: 3,
-            actual: plane.dims.len(),
+            actual: input.dims.len(),
             op: "forward_batch conv",
         }));
     }
-    let (c, h, w) = (plane.dims[0], plane.dims[1], plane.dims[2]);
+    let (c, h, w) = (input.dims[0], input.dims[1], input.dims[2]);
     if c != spec.in_channels {
         return Err(CoreError::from(TensorError::ShapeMismatch {
-            lhs: plane.dims.clone(),
+            lhs: input.dims.clone(),
             rhs: vec![spec.in_channels],
             op: "forward_batch conv input channels",
         }));
@@ -875,32 +872,20 @@ fn conv_current_block(
     }
     let (oh, ow) = spec.output_hw(h, w);
     let n = spec.out_channels * oh * ow;
-    let b = plane.batch;
-    let in_len = plane.volume();
+    let b = input.batch;
+    let in_len = input.volume();
     let mut block = vec![0.0f32; b * n];
     let mut rows = Vec::with_capacity(if record { b } else { 0 });
     // One gate decision per row, through the plan's policy.
-    let admitted: Vec<Option<Cow<'_, [u32]>>> = (0..b).map(|r| plane.admit(r, policy)).collect();
+    let admitted: Vec<Option<Cow<'_, [u32]>>> = (0..b).map(|r| input.admit(r, policy)).collect();
     let sorted = policy.conv_batch() == ConvBatchKernel::EventSorted
         && b > 1
         && admitted.iter().any(Option::is_some);
     if sorted {
         // Every row keeps its slot (a declined row as an empty event
         // list, overwritten by the dense conv below).
-        let matrix = plane.admitted_matrix(&admitted, true)?;
-        match quant {
-            Some(q) => sparse_conv2d_batch_sorted_planed_into(
-                &matrix,
-                (h, w),
-                q.view(),
-                bias,
-                spec,
-                &mut block,
-            )?,
-            None => {
-                sparse_conv2d_batch_sorted_into(&matrix, (h, w), weight, bias, spec, &mut block)?
-            }
-        }
+        let matrix = input.admitted_matrix(&admitted, true)?;
+        sparse_conv2d_batch_sorted_into(&matrix, (h, w), weight, bias, spec, &mut block)?;
     }
     for (r, admitted_row) in admitted.into_iter().enumerate() {
         let slot = &mut block[r * n..(r + 1) * n];
@@ -918,7 +903,7 @@ fn conv_current_block(
                 }
             }
             None => {
-                let t = plane.dense_row(r)?;
+                let t = input.dense_row(r)?;
                 let out = conv::conv2d(&t, weight, bias, spec)?;
                 slot.copy_from_slice(out.as_slice());
                 if record {
@@ -1485,7 +1470,6 @@ impl FusedPass {
                         &l.spec,
                         l.eff_weight(),
                         l.eff_bias(),
-                        l.planed().map(|p| &p.quant),
                         &l.policy,
                         &plane,
                         record,

@@ -296,7 +296,7 @@ pub struct LayerPlanSpec {
     pub threshold: Option<f32>,
     /// The batched-conv kernel choice, for conv layers.
     pub conv_batch: Option<ConvBatchKernel>,
-    /// The reduced-precision weight-storage plane, for parameterized
+    /// The reduced-precision weight plane, for parameterized
     /// layers (`None` for layers without weights). Absent in snapshots
     /// written before planes existed — those load as `None` and run at
     /// full precision.
@@ -943,6 +943,7 @@ pub fn ann_from_json_str(src: &str) -> Result<AnnSnapshot> {
 mod tests {
     use super::*;
     use crate::encoding::Encoder;
+    use crate::plan::PlanOverride;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -1017,7 +1018,7 @@ mod tests {
     #[test]
     fn network_snapshot_json_roundtrip_is_value_exact() {
         let mut net = sample_snn();
-        net.set_sparse_threshold(0.4);
+        net.apply_plan(PlanOverride::ForceThreshold(0.4));
         let snapshot = snapshot_network(&net).unwrap();
         let text = snapshot.to_json_string();
         let parsed = NetworkSnapshot::from_json_str(&text).unwrap();
@@ -1218,7 +1219,7 @@ mod tests {
             assert_eq!(parsed.plan, snapshot.plan);
             let mut restored = restore_network(&parsed).unwrap();
             assert_eq!(restored.weight_plane(), plane);
-            // The restored plane buffers are value-exact: same
+            // The restored plane values are exact: same
             // dequantized weights, same int8 scale, same classification.
             for (a, b) in net.layers().iter().zip(restored.layers()) {
                 assert_eq!(a.weight_plane(), b.weight_plane());

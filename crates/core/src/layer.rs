@@ -19,16 +19,14 @@
 //! # Reduced-precision weight planes
 //!
 //! Parameterized layers (conv / linear / readout) can install a
-//! reduced-precision *storage plane* ([`Layer::set_weight_plane`]): the
+//! reduced-precision weight plane ([`Layer::set_weight_plane`]): the
 //! master `f32` weights stay in place (the knob is reversible and
-//! optimizer steps keep updating them), while a packed int8/f16 buffer
-//! plus its dequantized `f32` image are materialized once per mutation.
-//! Forward and backward consume the *effective* (dequantized) values —
-//! bit-identical to quantizing the weights in place with
-//! [`crate::precision::apply_precision`]. The event-sorted conv streams
-//! the packed buffer directly, dequantizing in-register while
-//! accumulating in `f32`; linear layers decode it once into panels (see
-//! below), so their GEMM cost is the same on every plane.
+//! optimizer steps keep updating them), while the plane's dequantized
+//! `f32` weights and bias are materialized once per mutation. Forward
+//! and backward consume these *effective* values through the same
+//! kernels as f32 weights — bit-identical to quantizing the weights in
+//! place with [`crate::precision::apply_precision`], and at the same
+//! speed: a plane changes the weight values, not what a kernel streams.
 //!
 //! # Derived weight state
 //!
@@ -121,17 +119,19 @@ impl Param {
     }
 }
 
-/// Reduced-precision weight storage for one parameterized layer: the
-/// packed plane buffer the planed kernels stream, its dequantized `f32`
-/// image (for the kernels without a plane-consuming variant, and for
-/// training), and the plane-quantized bias. The master `f32` weights
-/// stay on the layer's [`Param`]s; this is derived state, rebuilt on
-/// every weight mutation. Clones share it through an `Arc` — the
-/// buffers are immutable, a refresh replaces the whole handle.
+/// An installed reduced-precision weight plane of one parameterized
+/// layer: the plane, its int8 scale, and the plane's dequantized weights
+/// and bias, which every pass reads as the layer's effective values. The
+/// master `f32` weights stay on the layer's [`Param`]s; this is derived
+/// state, rebuilt on every weight mutation. Clones share it through an
+/// `Arc` — the tensors are immutable, a refresh replaces the whole
+/// handle.
 #[derive(Debug, Clone)]
 pub(crate) struct PlanedParams {
-    /// Packed reduced-precision weight buffer.
-    pub(crate) quant: QuantizedPlane,
+    /// The installed plane (never [`WeightPlane::F32`]).
+    plane: WeightPlane,
+    /// The int8 quantization scale (`None` for f16).
+    scale: Option<f32>,
     /// Dequantized weights, same shape as the master weights.
     pub(crate) weight: Tensor,
     /// Plane-quantized bias (biases ride along at the layer's
@@ -139,8 +139,8 @@ pub(crate) struct PlanedParams {
     pub(crate) bias: Tensor,
 }
 
-/// Materializes the plane buffers for one `(weight, bias)` pair.
-/// Returns `None` for [`WeightPlane::F32`] (no plane installed).
+/// Quantizes one `(weight, bias)` pair onto `plane`. Returns `None` for
+/// [`WeightPlane::F32`] (no plane installed).
 fn planed_params(
     weight: &Tensor,
     bias: &Tensor,
@@ -150,15 +150,14 @@ fn planed_params(
         Some(quant) => quant,
         None => return Ok(None),
     };
-    let deq = Tensor::from_vec(quant.dequantize(), weight.shape().dims())?;
     let qbias = QuantizedPlane::quantize(bias.as_slice(), plane)
         .map_err(CoreError::from)?
-        .expect("non-f32 planes always materialize a buffer");
-    let bias = Tensor::from_vec(qbias.dequantize(), bias.shape().dims())?;
+        .expect("non-f32 planes always quantize");
     Ok(Some(Arc::new(PlanedParams {
-        quant,
-        weight: deq,
-        bias,
+        plane,
+        scale: quant.int8_scale(),
+        weight: Tensor::from_vec(quant.dequantize(), weight.shape().dims())?,
+        bias: Tensor::from_vec(qbias.dequantize(), bias.shape().dims())?,
     })))
 }
 
@@ -205,11 +204,6 @@ macro_rules! impl_planed_accessors {
                 }
             }
 
-            /// The installed plane buffers, if any.
-            pub(crate) fn planed(&self) -> Option<&PlanedParams> {
-                self.planed.as_deref()
-            }
-
             /// Count of non-zero effective weights, counted once per
             /// weight change.
             pub(crate) fn nonzero_weights(&self) -> usize {
@@ -239,12 +233,9 @@ macro_rules! impl_packed_panels {
                     return None;
                 }
                 let panels = self.derived.panels.get_or_init(|| {
-                    let dims = weight.shape().dims();
-                    let packed = match self.planed() {
-                        Some(p) => PackedWeights::pack_plane(p.quant.view(), (dims[0], dims[1])),
-                        None => PackedWeights::pack(weight),
-                    };
-                    Arc::new(packed.expect("the effective weights are a matrix the plane holds"))
+                    Arc::new(
+                        PackedWeights::pack(weight).expect("the effective weights are a matrix"),
+                    )
                 });
                 Some(panels)
             }
@@ -748,33 +739,26 @@ impl Layer {
             Layer::OutputLinear(l) => (&l.weight.value, l.planed.as_deref(), &mut l.derived),
             _ => return Ok(()),
         };
+        let weight = planed.map_or(weight, |p| &p.weight);
         // Repacking into the panels the layer already owns, instead of
         // dropping them for the next pass to pack afresh, read BPTT
         // training 2.3% faster (the `train_bptt` benchmark, 10 of 10
         // alternated pairs; 2.7% with glibc's malloc thresholds fixed).
         if let Some(inner) = Arc::get_mut(&mut panels) {
-            // A planed layer decodes its plane straight into the panels:
-            // the bits of packing its dequantized image.
-            let repacked = match planed {
-                Some(p) => inner.repack_plane(p.quant.view()),
-                None => inner.repack(weight),
-            };
-            if repacked.is_ok() {
+            if inner.repack(weight).is_ok() {
                 let _ = derived.panels.set(panels);
             }
         }
         Ok(())
     }
 
-    /// Installs a reduced-precision weight *storage plane* on a
-    /// parameterized layer (conv / linear / readout). The master `f32`
-    /// weights stay in place — the knob is reversible and training
-    /// keeps updating them — while forward and backward consume the
-    /// plane's dequantized values, bit-identical to quantizing the
-    /// weights in place with [`crate::precision::apply_precision`];
-    /// the gather-bound inference kernels stream the packed buffer
-    /// directly. [`WeightPlane::F32`] uninstalls any plane. No-op for
-    /// layers without weights.
+    /// Installs a reduced-precision weight plane on a parameterized
+    /// layer (conv / linear / readout). The master `f32` weights stay in
+    /// place — the knob is reversible and training keeps updating them —
+    /// while forward and backward consume the plane's dequantized
+    /// values, bit-identical to quantizing the weights in place with
+    /// [`crate::precision::apply_precision`]. [`WeightPlane::F32`]
+    /// uninstalls any plane. No-op for layers without weights.
     ///
     /// # Errors
     ///
@@ -785,17 +769,14 @@ impl Layer {
         match self {
             Layer::SpikingConv2d(l) => {
                 l.planed = planed_params(&l.weight.value, &l.bias.value, plane)?;
-                l.policy.set_plane(plane);
                 l.derived.reset();
             }
             Layer::SpikingLinear(l) => {
                 l.planed = planed_params(&l.weight.value, &l.bias.value, plane)?;
-                l.policy.set_plane(plane);
                 l.derived.reset();
             }
             Layer::OutputLinear(l) => {
                 l.planed = planed_params(&l.weight.value, &l.bias.value, plane)?;
-                l.policy.set_plane(plane);
                 l.derived.reset();
             }
             _ => {}
@@ -803,7 +784,7 @@ impl Layer {
         Ok(())
     }
 
-    /// The installed weight storage plane of a parameterized layer
+    /// The installed weight plane of a parameterized layer
     /// ([`WeightPlane::F32`] when none is installed); `None` for
     /// layers without weights.
     pub fn weight_plane(&self) -> Option<WeightPlane> {
@@ -816,19 +797,19 @@ impl Layer {
         Some(
             planed
                 .as_deref()
-                .map(|p| p.quant.plane())
+                .map(|p| p.plane)
                 .unwrap_or(WeightPlane::F32),
         )
     }
 
-    /// Re-materializes the plane buffers from the current master
+    /// Re-materializes the plane's values from the current master
     /// weights when a reduced-precision plane is installed, dropping
     /// the state derived from the old ones (no-op otherwise). Every library
     /// function that rewrites weights — optimizer steps,
     /// [`crate::precision::apply_precision`] and
     /// [`crate::precision::apply_step_quantization`], the
     /// [`crate::approx`] pruning passes — calls this so the derived
-    /// buffers never go stale; code that edits through
+    /// values never go stale; code that edits through
     /// [`Layer::params_mut`] calls it after its edit.
     ///
     /// # Errors
@@ -852,7 +833,7 @@ impl Layer {
             Layer::OutputLinear(l) => &l.planed,
             _ => return None,
         };
-        planed.as_deref().and_then(|p| p.quant.int8_scale())
+        planed.as_deref().and_then(|p| p.scale)
     }
 
     /// Sets the spike-density threshold below which this layer's
@@ -860,7 +841,7 @@ impl Layer {
     /// recorded steps of conv/linear/readout layers, records the
     /// event-form BPTT tape (`0.0` forces the dense path and a dense
     /// tape everywhere; no-op for flatten/dropout layers).
-    pub fn set_sparse_threshold(&mut self, threshold: f32) {
+    pub(crate) fn set_sparse_threshold(&mut self, threshold: f32) {
         if let Some(policy) = self.policy_mut() {
             policy.set_threshold(threshold);
         }
@@ -1110,7 +1091,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         let base = Layer::spiking_linear(&mut rng, 8, 5, &cfg());
         // Two events over eight inputs: density 0.25, at the gate, so
-        // the planed sparse kernel is what actually runs.
+        // the sparse kernel is what actually runs.
         let x = Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0], &[8]).unwrap();
         for plane in [WeightPlane::F16, WeightPlane::Int8] {
             let mut planed = base.clone();
@@ -1156,7 +1137,7 @@ mod tests {
         assert_ne!(
             before.as_slice(),
             after.as_slice(),
-            "plane buffers must be rebuilt from the updated master weights"
+            "plane values must be rebuilt from the updated master weights"
         );
         assert_eq!(net.layers()[0].weight_plane(), Some(WeightPlane::Int8));
     }

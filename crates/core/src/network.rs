@@ -197,7 +197,7 @@ impl SpikingNetwork {
     /// sparse-path eligibility the dispatch layer derived (see
     /// [`crate::plan`]). Re-captured automatically on the mutation
     /// points that can change it ([`SpikingNetwork::apply_plan`],
-    /// [`SpikingNetwork::set_sparse_threshold`],
+    /// [`SpikingNetwork::set_weight_plane`],
     /// [`SpikingNetwork::set_train_mode`]).
     pub fn exec_plan(&self) -> &ExecPlan {
         &self.plan
@@ -210,9 +210,8 @@ impl SpikingNetwork {
     }
 
     /// Re-captures the execution plan after direct layer mutations
-    /// through [`SpikingNetwork::layers_mut`] or
-    /// [`Layer::set_sparse_threshold`] (the structured entry points
-    /// re-capture automatically).
+    /// through [`SpikingNetwork::layers_mut`] (the structured entry
+    /// points re-capture automatically).
     pub fn refresh_plan(&mut self) {
         self.plan = ExecPlan::capture(&self.layers);
     }
@@ -264,16 +263,7 @@ impl SpikingNetwork {
         Ok(())
     }
 
-    /// Sets every layer's spike-density threshold for the event-driven
-    /// sparse forward path (`0.0` forces the dense kernels everywhere —
-    /// useful for A/B comparisons and equivalence tests). Equivalent to
-    /// [`SpikingNetwork::apply_plan`] with
-    /// [`PlanOverride::ForceThreshold`].
-    pub fn set_sparse_threshold(&mut self, threshold: f32) {
-        self.apply_plan(PlanOverride::ForceThreshold(threshold));
-    }
-
-    /// Installs a reduced-precision weight storage plane on every
+    /// Installs a reduced-precision weight plane on every
     /// parameterized layer (see [`Layer::set_weight_plane`]) and
     /// re-captures the execution plan. [`WeightPlane::F32`] uninstalls
     /// all planes. The knob is atomic: int8 finiteness is validated up
@@ -321,7 +311,7 @@ impl SpikingNetwork {
         }
     }
 
-    /// The weight storage plane of the first parameterized layer
+    /// The weight plane of the first parameterized layer
     /// ([`WeightPlane::F32`] when none is installed; layers can in
     /// principle differ when set individually through
     /// [`SpikingNetwork::layers_mut`] — the execution plan reports the
@@ -379,7 +369,7 @@ impl SpikingNetwork {
     /// A stepper fed the frames of [`SpikingNetwork::forward`] in the
     /// same order produces bit-identical logits and statistics —
     /// including every [`crate::plan::ExecPlan`] dispatch decision
-    /// (density gates, weight planes, dense fallbacks), which are made
+    /// (density gates, dense fallbacks), which are made
     /// per frame. It records no tape, so it ends any recorded pass.
     pub fn frame_stepper(&mut self) -> FrameStepper<'_> {
         self.recorded = None;
@@ -550,7 +540,7 @@ impl FrameStepper<'_> {
     /// logits and spike statistics. A binary frame enters as events, any
     /// other as a dense row, exactly as [`FrameTrain::from_frames`]
     /// stores it; every [`crate::plan::ExecPlan`] dispatch decision
-    /// (density gate, weight plane, dense fallback) is made here, per
+    /// (density gate, dense fallback) is made here, per
     /// frame, exactly as in the offline path. `rng` draws the masks of
     /// active train-mode dropout layers at the first step.
     ///

@@ -22,11 +22,12 @@
 //! * [`PlanOverride`] replaces ad-hoc threshold plumbing for the
 //!   A/B paths the tests and benches need (`ForceDense`,
 //!   `ForceThreshold`).
-//! * Each policy also carries the layer's weight storage plane
+//! * [`ExecPlan`] also reports each parameterized layer's weight plane
 //!   ([`WeightPlane`], installed through
-//!   [`crate::layer::Layer::set_weight_plane`]) — an orthogonal knob:
-//!   the density gate picks *which* kernel runs, the plane decides
-//!   whether that kernel streams f32, f16 or int8 weights.
+//!   [`crate::layer::Layer::set_weight_plane`]). The plane is not a
+//!   kernel choice: it sets the weight values the kernels read (an
+//!   f16 or int8 plane's dequantized image), never which kernel runs or
+//!   what it streams.
 //! * [`BackwardOpts`] — the backward-pass execution policy (worker
 //!   threads) consumed by the SNN minibatch backward, the batched ANN
 //!   trainer and the defense adversarial trainer — lives here too, so
@@ -168,7 +169,6 @@ impl ConvBatchKernel {
 pub struct KernelPolicy {
     choice: KernelChoice,
     conv_batch: ConvBatchKernel,
-    plane: WeightPlane,
     fallbacks: FallbackCounter,
 }
 
@@ -177,7 +177,6 @@ impl KernelPolicy {
         KernelPolicy {
             choice,
             conv_batch,
-            plane: WeightPlane::F32,
             fallbacks: FallbackCounter::default(),
         }
     }
@@ -234,20 +233,6 @@ impl KernelPolicy {
 
     pub(crate) fn set_conv_batch(&mut self, kernel: ConvBatchKernel) {
         self.conv_batch = kernel;
-    }
-
-    /// The weight storage plane the layer executes with
-    /// ([`WeightPlane::F32`] unless a reduced-precision plane is
-    /// installed through
-    /// [`crate::layer::Layer::set_weight_plane`]). Orthogonal to the
-    /// kernel choice: the density gate decides *which* kernel runs,
-    /// the plane decides what the kernel's weight stream is made of.
-    pub fn plane(&self) -> WeightPlane {
-        self.plane
-    }
-
-    pub(crate) fn set_plane(&mut self, plane: WeightPlane) {
-        self.plane = plane;
     }
 
     /// Cumulative dense-fallback conversions recorded by this policy
@@ -367,8 +352,8 @@ pub struct LayerPlan {
     pub choice: Option<KernelChoice>,
     /// The batched-conv kernel, for conv layers.
     pub conv_batch: Option<ConvBatchKernel>,
-    /// The weight storage plane, for parameterized layers (`None` for
-    /// layers without weights).
+    /// The weight plane, for parameterized layers (`None` for layers
+    /// without weights).
     pub plane: Option<WeightPlane>,
     /// The layer's eligibility audit entry.
     pub eligibility: LayerEligibility,
@@ -380,8 +365,8 @@ pub struct LayerPlan {
 /// static sparse-path eligibility audit, captured once per network.
 ///
 /// The plan is (re-)captured on the mutation points that can change it
-/// — construction, [`crate::network::SpikingNetwork::apply_plan`] /
-/// `set_sparse_threshold`, and `set_train_mode` (train-mode dropout
+/// — construction, [`crate::network::SpikingNetwork::apply_plan`],
+/// `set_weight_plane` and `set_train_mode` (train-mode dropout
 /// de-binarizes) — and the network's `sparse_eligible()` /
 /// `dense_fallback_counts()` are views over it.
 #[derive(Debug, Clone)]
@@ -705,8 +690,8 @@ mod tests {
         let planed = ExecPlan::capture(&layers);
         assert_eq!(planed.layers()[4].plane, Some(WeightPlane::Int8));
         assert!(planed.summary().contains("int8"));
-        // Plan overrides steer the kernel choice, not the storage
-        // plane — re-applying Auto must leave the plane installed.
+        // Plan overrides steer the kernel choice, not the weight plane —
+        // re-applying Auto must leave the plane installed.
         let auto = ExecPlan::apply(&mut layers, PlanOverride::Auto);
         assert_eq!(auto.layers()[4].plane, Some(WeightPlane::Int8));
 

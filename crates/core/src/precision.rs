@@ -8,14 +8,15 @@
 //! correct round-to-nearest-even `f32 → f16 → f32` round trip; INT8 is
 //! symmetric per-tensor affine quantization.
 //!
-//! [`apply_precision`] is the *emulation* form: weights are quantized
-//! and stored back as f32, so every kernel still streams full-width
-//! weights. The storage-level counterpart is
-//! [`SpikingNetwork::set_weight_plane`], which materializes the same
-//! quantized values as real int8/f16 buffers for the plane-aware
-//! kernels; the two are bit-identical by construction — both route
-//! through [`axsnn_tensor::plane`]'s shared quantization math
-//! ([`PrecisionScale::weight_plane`] maps between the knobs).
+//! [`apply_precision`] quantizes the weights in place: the quantized
+//! values become the f32 master weights. Its reversible counterpart is
+//! [`SpikingNetwork::set_weight_plane`], which keeps the master weights
+//! and has every pass read the same quantized values (the plane's
+//! dequantized image) instead. The two are bit-identical by
+//! construction — both route through [`axsnn_tensor::plane`]'s shared
+//! quantizer ([`PrecisionScale::weight_plane`] maps between the knobs).
+//! Either way the kernels read f32 weights: precision scaling changes
+//! the weight values, not the kernels or their speed.
 //!
 //! # Tie rounding
 //!
@@ -75,9 +76,9 @@ impl PrecisionScale {
     /// Quantizes a tensor to this precision and dequantizes back to f32.
     ///
     /// INT8 routes through [`axsnn_tensor::plane::QuantizedPlane`]'s
-    /// quantizer, so the emulated values are bit-identical to what a
-    /// real int8 weight plane streams — including the `±max` endpoint
-    /// snapping that makes the quantizer exactly idempotent. See the
+    /// quantizer, so the emulated values are bit-identical to an int8
+    /// weight plane's dequantized values — including the `±max`
+    /// endpoint snapping that makes the quantizer exactly idempotent. See the
     /// module docs for the intentional tie-rounding difference between
     /// the INT8 and FP16 paths.
     ///
@@ -147,10 +148,11 @@ impl fmt::Display for PrecisionScale {
 
 /// Quantizes all weights and biases of a spiking network in place.
 ///
-/// Returns the number of parameter tensors touched. This is the
-/// emulation form (quantized values stored back as f32); to also switch
-/// the kernels onto real reduced-precision storage, follow with
-/// [`SpikingNetwork::set_weight_plane`] — the two compose bit-exactly.
+/// Returns the number of parameter tensors touched. The quantized
+/// values are stored back as the f32 master weights; installing the
+/// matching plane afterwards with [`SpikingNetwork::set_weight_plane`]
+/// changes no value (requantizing quantized weights is the identity),
+/// so the two compose bit-exactly.
 ///
 /// # Errors
 ///

@@ -1,7 +1,7 @@
 //! Derived weight state never goes stale.
 //!
 //! Each parameterized layer derives state from its effective weights:
-//! a reduced-precision plane's buffers, a linear layer's packed panels
+//! a reduced-precision plane's dequantized values, a linear layer's panels
 //! and the non-zero count synaptic operations scale by. The engine
 //! builds the panels and the count once per weight change and reuses
 //! them across passes, so every path that changes the weights must

@@ -14,6 +14,7 @@
 use axsnn_core::fused::{BackwardOpts, FrameTrain};
 use axsnn_core::layer::Layer;
 use axsnn_core::network::{SnnConfig, SpikingNetwork};
+use axsnn_core::plan::PlanOverride;
 use axsnn_tensor::conv::Conv2dSpec;
 use axsnn_tensor::Tensor;
 use rand::rngs::StdRng;
@@ -137,8 +138,8 @@ fn per_sample_sparse_tape_grads_equal_dense_tape_exactly() {
                 _ => (conv_net(11, c), vec![1, 12, 12]),
             };
             let mut dense_net = sparse_net.clone();
-            sparse_net.set_sparse_threshold(1.0);
-            dense_net.set_sparse_threshold(0.0);
+            sparse_net.apply_plan(PlanOverride::ForceThreshold(1.0));
+            dense_net.apply_plan(PlanOverride::ForceDense);
 
             let frames = binary_frames(7 + (density * 100.0) as u64, 5, &dims, density);
             let mut rng_a = StdRng::seed_from_u64(1);
@@ -183,7 +184,7 @@ fn dense_fallback_path_exercised_explicitly() {
     let c = cfg(4);
     let mut auto_net = mlp_net(3, c); // default 25% threshold
     let mut dense_net = auto_net.clone();
-    dense_net.set_sparse_threshold(0.0);
+    dense_net.apply_plan(PlanOverride::ForceDense);
 
     // 50% density: denser than the gate allows → every recorded step of
     // the first layer must fall back and count it.
@@ -324,13 +325,13 @@ fn batched_sparse_tape_equals_batched_dense_tape_exactly() {
             let grad_block = Tensor::from_vec(grad_block, &[6, 5]).unwrap();
 
             let mut sparse_net = net0.clone();
-            sparse_net.set_sparse_threshold(1.0);
+            sparse_net.apply_plan(PlanOverride::ForceThreshold(1.0));
             sparse_net.zero_grads();
             let (out_s, tape_s) = sparse_net.forward_batch_recorded(&trains).unwrap();
             sparse_net.backward_batch(&tape_s, &grad_block).unwrap();
 
             let mut dense_net = net0.clone();
-            dense_net.set_sparse_threshold(0.0);
+            dense_net.apply_plan(PlanOverride::ForceDense);
             dense_net.zero_grads();
             let (out_d, tape_d) = dense_net.forward_batch_recorded(&trains).unwrap();
             dense_net.backward_batch(&tape_d, &grad_block).unwrap();

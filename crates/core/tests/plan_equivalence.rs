@@ -306,7 +306,7 @@ fn auto_plan_matches_legacy_defaults() {
         }
     }
     let mut dense = net.clone();
-    dense.set_sparse_threshold(0.0);
+    dense.apply_plan(PlanOverride::ForceDense);
     for entry in dense.exec_plan().layers() {
         assert!(matches!(entry.choice, None | Some(KernelChoice::Dense)));
     }

@@ -1,17 +1,18 @@
-//! Quantized weight-plane equivalence suite: reduced-precision *storage*
-//! must be indistinguishable from reduced-precision *emulation*.
+//! Quantized weight-plane equivalence suite: an installed plane must be
+//! indistinguishable from reduced-precision *emulation*.
 //!
-//! [`apply_precision`] quantizes weights and stores them back as f32
-//! (every kernel still streams full-width weights);
-//! [`SpikingNetwork::set_weight_plane`] materializes the same values as
-//! real int8/f16 buffers that the plane-aware kernels dequantize in
-//! register. The two routes share one quantizer and one accumulation
-//! order, so everything observable — one-row recorded forward, fused
-//! batch forward, batched backward gradients, and the non-recorded
-//! inference path — is pinned bit-identical here across spike densities
-//! 0–100% and batch sizes 1–32, on both MLP and conv topologies. The
-//! suite also pins that a precision-scaled, planed network survives
-//! `save_network`/`load_network` value-exact, plane buffers included.
+//! [`apply_precision`] quantizes the weights and stores them back as the
+//! f32 master weights; [`SpikingNetwork::set_weight_plane`] keeps the
+//! master weights and has every pass read the same quantized values (the
+//! plane's dequantized image) through the same kernels. The two routes
+//! share one quantizer, so everything observable — one-row recorded
+//! forward, fused batch forward, batched backward gradients, and the
+//! non-recorded inference path — is pinned bit-identical here across
+//! spike densities 0–100% and batch sizes 1–32, on both MLP and conv
+//! topologies. The suite also pins that a precision-scaled, planed
+//! network survives `save_network`/`load_network` value-exact, and
+//! freezes a planed MLP's and conv stack's outputs as digests, which
+//! move even when both routes would move together.
 
 use axsnn_core::fused::FrameTrain;
 use axsnn_core::io::{load_network, save_network};
@@ -79,8 +80,9 @@ fn binary_frames(seed: u64, steps: usize, dims: &[usize], density: f32) -> Vec<T
         .collect()
 }
 
-/// The emulated twin (`apply_precision`, f32 storage) and the planed
-/// twin (untouched master weights, quantized storage) of `net`.
+/// The emulated twin (`apply_precision`, quantized master weights) and
+/// the planed twin (untouched master weights, plane installed) of
+/// `net`.
 fn twins(net: &SpikingNetwork, plane: WeightPlane) -> (SpikingNetwork, SpikingNetwork) {
     let mut emulated = net.clone();
     apply_precision(&mut emulated, PrecisionScale::from_plane(plane)).unwrap();
@@ -106,10 +108,10 @@ fn bits(t: &Tensor) -> Vec<u32> {
     t.as_slice().iter().map(|v| v.to_bits()).collect()
 }
 
-/// Per-sample recorded forward logits are bit-identical between real
-/// quantized storage and the f32 emulation, at every density, on both
-/// topologies. This is the tentpole's core contract: the plane changes
-/// *where the bytes live*, never the arithmetic.
+/// Per-sample recorded forward logits are bit-identical between an
+/// installed plane and the f32 emulation, at every density, on both
+/// topologies: the plane changes where the quantized values live, never
+/// the arithmetic.
 #[test]
 fn planed_recorded_forward_matches_apply_precision() {
     let cfg = SnnConfig {
@@ -138,9 +140,9 @@ fn planed_recorded_forward_matches_apply_precision() {
     }
 }
 
-/// Non-recorded inference runs the fast kernels; the planed fast
-/// kernels share their exact accumulation order, so inference logits
-/// are bit-identical too — not merely tolerance-close.
+/// Non-recorded inference runs the same kernels over the same values,
+/// so inference logits are bit-identical too — not merely
+/// tolerance-close.
 #[test]
 fn planed_inference_forward_matches_apply_precision() {
     let cfg = SnnConfig {
@@ -235,7 +237,7 @@ fn planed_batch_forward_and_backward_match() {
 /// A precision-scaled network with a real weight plane installed
 /// survives `save_network`/`load_network` value-exact: master weights
 /// bit for bit, the plane re-materialized, and forward bit-identical —
-/// the plane buffers themselves round-trip through requantization of
+/// the plane's values themselves round-trip through requantization of
 /// the exact weights.
 #[test]
 fn precision_scaled_planed_network_roundtrips_through_disk() {
@@ -331,3 +333,140 @@ fn plane_is_reversible_and_composes_with_emulation() {
         );
     }
 }
+
+/// FNV-1a, 64-bit (the digest `engine_digests` freezes the engine with).
+struct Digest(u64);
+
+impl Digest {
+    fn new() -> Digest {
+        Digest(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn word(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    fn f32s(&mut self, values: &[f32]) {
+        self.word(values.len() as u64);
+        for v in values {
+            self.bytes(&v.to_bits().to_le_bytes());
+        }
+    }
+
+    fn tensor(&mut self, t: &Tensor) {
+        for &d in t.shape().dims() {
+            self.word(d as u64);
+        }
+        self.f32s(t.as_slice());
+    }
+}
+
+/// Everything a planed network computes, hashed: `forward_batch` logits
+/// and spike counts at B = 1 and B = 32 (a conv layer runs the
+/// row-by-row scatter at B = 1 and the event-sorted one at B = 32), the
+/// one-row `forward` of every fourth sample (recorded and not), the
+/// parameter gradients of `forward_batch_recorded` + `backward_batch`
+/// at B = 32, and the B = 32 logits after a `save_network` /
+/// `load_network` round trip. Densities run from 2 to 64%, so the gate
+/// both admits and declines rows.
+fn planed_digest(net: &SpikingNetwork, dims: &[usize], tag: &str) -> u64 {
+    const B: usize = 32;
+    let steps = net.config().time_steps;
+    let frames: Vec<Vec<Tensor>> = (0..B)
+        .map(|b| binary_frames(300 + b as u64, steps, dims, 0.02 * (b + 1) as f32))
+        .collect();
+    let trains: Vec<FrameTrain> = frames
+        .iter()
+        .map(|f| FrameTrain::from_frames(f).unwrap())
+        .collect();
+    let mut digest = Digest::new();
+    for batch in [&trains[..1], &trains[..]] {
+        let out = net.clone().forward_batch(batch).unwrap();
+        digest.tensor(&out.logits);
+        digest.f32s(&out.spikes_per_layer);
+    }
+    for f in frames.iter().step_by(4) {
+        for record in [false, true] {
+            let mut rng = StdRng::seed_from_u64(5);
+            let out = net.clone().forward(f, record, &mut rng).unwrap();
+            digest.tensor(&out.logits);
+            digest.f32s(&out.stats.spikes_per_layer);
+        }
+    }
+    let classes = net
+        .layers()
+        .last()
+        .unwrap()
+        .params()
+        .unwrap()
+        .0
+        .value
+        .shape()
+        .dims()[0];
+    let mut grng = StdRng::seed_from_u64(6);
+    let grad_rows: Vec<f32> = (0..B * classes)
+        .map(|_| grng.gen_range(-1.0..1.0f32))
+        .collect();
+    let grad = Tensor::from_vec(grad_rows, &[B, classes]).unwrap();
+    let mut run = net.clone();
+    let (_, tape) = run.forward_batch_recorded(&trains).unwrap();
+    run.zero_grads();
+    run.backward_batch(&tape, &grad).unwrap();
+    for layer in run.layers() {
+        if let Some((w, b)) = layer.params() {
+            digest.tensor(&w.grad);
+            digest.tensor(&b.grad);
+        }
+    }
+    let path = std::env::temp_dir().join(format!(
+        "axsnn_quant_digest_{tag}_{}.json",
+        std::process::id()
+    ));
+    save_network(net, &path).unwrap();
+    let mut restored = load_network(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    digest.tensor(&restored.forward_batch(&trains).unwrap().logits);
+    digest.0
+}
+
+/// Planed networks' outputs, frozen bit for bit. The other tests here
+/// compare a planed net with its emulated twin, and both would move
+/// together if the shared quantizer path moved; these digests would not.
+#[test]
+fn planed_networks_reproduce_frozen_digests() {
+    let cfg = SnnConfig {
+        threshold: 0.6,
+        time_steps: 5,
+        leak: 0.9,
+    };
+    let mut moved = Vec::new();
+    for (name, expected) in FROZEN_PLANED_DIGESTS {
+        let (topology, plane) = name.split_once('_').unwrap();
+        let plane = WeightPlane::from_name(plane).unwrap();
+        let (mut net, dims): (_, &[usize]) = if topology == "mlp" {
+            (mlp_net(61, cfg), &[24])
+        } else {
+            (conv_net(62, cfg), &[1, 12, 12])
+        };
+        net.set_weight_plane(plane).unwrap();
+        let digest = planed_digest(&net, dims, name);
+        if digest != expected {
+            moved.push(format!("{name}: {digest:#018x}"));
+        }
+    }
+    assert!(moved.is_empty(), "planed outputs moved: {moved:#?}");
+}
+
+/// Digests of [`planed_networks_reproduce_frozen_digests`].
+const FROZEN_PLANED_DIGESTS: [(&str, u64); 4] = [
+    ("mlp_f16", 0x63d2_a92f_0a8c_64e1),
+    ("mlp_int8", 0xfe00_da5a_2e5d_6a0f),
+    ("conv_f16", 0x1dfa_0b85_c9d1_81d0),
+    ("conv_int8", 0xd22a_e25d_7cf7_b7af),
+];

@@ -5,6 +5,7 @@
 
 use axsnn_core::layer::Layer;
 use axsnn_core::network::{SnnConfig, SpikingNetwork};
+use axsnn_core::plan::PlanOverride;
 use axsnn_tensor::conv::Conv2dSpec;
 use axsnn_tensor::Tensor;
 use rand::rngs::StdRng;
@@ -72,7 +73,7 @@ fn inference_logits_match_dense_path() {
         };
         let mut sparse_net = conv_net(7, cfg);
         let mut dense_net = sparse_net.clone();
-        dense_net.set_sparse_threshold(0.0); // force dense kernels
+        dense_net.apply_plan(PlanOverride::ForceDense); // force dense kernels
         assert_eq!(
             sparse_net.layers()[0].sparse_threshold(),
             Some(axsnn_tensor::sparse::DEFAULT_DENSITY_THRESHOLD)
@@ -104,7 +105,7 @@ fn spike_stats_identical_with_and_without_record() {
         leak: 0.9,
     };
     let mut net = conv_net(3, cfg);
-    net.set_sparse_threshold(0.0); // identical kernels both ways
+    net.apply_plan(PlanOverride::ForceDense); // identical kernels both ways
     let frames = sparse_frames(5, 6, 0.3);
     let mut rng = StdRng::seed_from_u64(0);
     let recorded = net.forward(&frames, true, &mut rng).unwrap();
@@ -144,7 +145,7 @@ fn analog_inputs_always_dense() {
     };
     let mut auto_net = conv_net(13, cfg);
     let mut dense_net = auto_net.clone();
-    dense_net.set_sparse_threshold(0.0);
+    dense_net.apply_plan(PlanOverride::ForceDense);
     let mut rng = StdRng::seed_from_u64(4);
     let analog: Vec<f32> = (0..16 * 16).map(|_| rng.gen::<f32>() * 0.05).collect();
     let frames = vec![Tensor::from_vec(analog, &[1, 16, 16]).unwrap(); 6];

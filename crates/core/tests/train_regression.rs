@@ -7,6 +7,7 @@
 use axsnn_core::encoding::Encoder;
 use axsnn_core::layer::Layer;
 use axsnn_core::network::{SnnConfig, SpikingNetwork};
+use axsnn_core::plan::PlanOverride;
 use axsnn_core::train::{evaluate_snn, train_snn, TrainConfig};
 use axsnn_tensor::conv::Conv2dSpec;
 use axsnn_tensor::Tensor;
@@ -73,12 +74,12 @@ fn sparse_tape_training_trajectory_equals_dense_tape_baseline() {
     let net0 = mlp(&mut seed_rng, &cfg);
 
     let mut sparse_net = net0.clone();
-    sparse_net.set_sparse_threshold(1.0); // admit every binary frame
+    sparse_net.apply_plan(PlanOverride::ForceThreshold(1.0)); // admit every binary frame
     let mut rng = StdRng::seed_from_u64(9);
     let sparse_report = train_snn(&mut sparse_net, &data, &tcfg, &mut rng).unwrap();
 
     let mut dense_net = net0;
-    dense_net.set_sparse_threshold(0.0); // force the dense tape
+    dense_net.apply_plan(PlanOverride::ForceDense); // force the dense tape
     let mut rng = StdRng::seed_from_u64(9);
     let dense_report = train_snn(&mut dense_net, &data, &tcfg, &mut rng).unwrap();
 

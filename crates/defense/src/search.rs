@@ -6,10 +6,10 @@
 //! training and ANN→SNN conversion plug in), verifies the quality
 //! constraint `Q` (line 4), crafts adversarial examples on the accurate
 //! model (line 5), precision-scales and approximates the network with the
-//! Eq. (1) `a_th` (lines 8–11) — installing the matching reduced-precision
-//! weight plane ([`axsnn_core::plan::WeightPlane`]) so each candidate
-//! *executes* through the quantized kernels rather than merely emulating
-//! the precision in f32 — and measures the robustness
+//! Eq. (1) `a_th` (lines 8–11) — then installing the matching
+//! reduced-precision weight plane ([`axsnn_core::plan::WeightPlane`]),
+//! which re-quantizes the pruned weights so each candidate runs on
+//! weights of its precision — and measures the robustness
 //! `R(ε) = (1 − adv/|Dts|)·100` (line 21). The first configuration with
 //! `R ≥ Q` is returned (lines 22–24), along with the full evaluation
 //! trace for Table I-style reporting.
@@ -317,10 +317,11 @@ where
         'cell: for &precision in &config.space.precision_scales {
             for &approx_scale in &config.space.approx_scales {
                 // Lines 8–11: precision-scale then approximate, then
-                // install the matching weight-storage plane so the
-                // candidate *executes* through the reduced-precision
-                // kernels (the plane re-quantizes after Eq. (1) pruning,
-                // which can remove the pre-pruning extreme weight).
+                // install the matching weight plane: it re-quantizes the
+                // pruned weights (Eq. (1) pruning can remove the
+                // pre-pruning extreme weight, which moves the int8
+                // grid), so the candidate runs on weights of its
+                // precision.
                 let mut candidate = accurate.clone();
                 apply_precision(&mut candidate, precision).map_err(DefenseError::from)?;
                 let report = apply_eq1_approximation(&mut candidate, &stats, approx_scale)

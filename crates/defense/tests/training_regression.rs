@@ -7,6 +7,7 @@ use axsnn_core::ann::{AnnLayer, AnnNetwork};
 use axsnn_core::encoding::Encoder;
 use axsnn_core::layer::Layer;
 use axsnn_core::network::{SnnConfig, SpikingNetwork};
+use axsnn_core::plan::PlanOverride;
 use axsnn_core::train::{train_ann, train_snn, TrainConfig};
 use axsnn_defense::adv_train::{adversarial_train_ann, AdvTrainConfig};
 use axsnn_defense::metrics::evaluate_image_attack;
@@ -86,12 +87,12 @@ fn sparse_tape_hardened_accuracy_no_worse_than_dense_tape_baseline() {
     };
 
     let mut sparse_net = net0.clone();
-    sparse_net.set_sparse_threshold(1.0);
+    sparse_net.apply_plan(PlanOverride::ForceThreshold(1.0));
     let mut train_rng = StdRng::seed_from_u64(13);
     train_snn(&mut sparse_net, &data, &tcfg, &mut train_rng).unwrap();
 
     let mut dense_net = net0;
-    dense_net.set_sparse_threshold(0.0);
+    dense_net.apply_plan(PlanOverride::ForceDense);
     let mut train_rng = StdRng::seed_from_u64(13);
     train_snn(&mut dense_net, &data, &tcfg, &mut train_rng).unwrap();
 

@@ -228,7 +228,7 @@ fn streamed_bit_identical_across_densities_and_overrides() {
 }
 
 /// Tentpole pin: bit-identity holds with reduced-precision weight
-/// planes installed (the quantized storage path).
+/// planes installed.
 #[test]
 fn streamed_bit_identical_with_weight_planes() {
     let mut taken = vec![0u64; network(snn_cfg()).depth()];

@@ -3,7 +3,7 @@
 
 use crate::error::{Result, ServeError};
 use axsnn_core::encoding::Encoder;
-use axsnn_core::plan::{PlanOverride, WeightPlane};
+use axsnn_core::plan::PlanOverride;
 use std::time::Duration;
 
 /// Request priority class. Under overload the degradation ladder sheds
@@ -30,8 +30,7 @@ pub enum Priority {
 /// 3. [`ServiceLevel::DegradedPlan`] — additionally execute under the
 ///    configured [`PlanOverride`] (bit-identical to every other plan,
 ///    so it changes speed only) and, when configured, a reduced
-///    time-step count and/or a reduced-precision weight plane (genuine
-///    precision-for-latency trades).
+///    time-step count (the ladder's one accuracy-for-latency trade).
 /// 4. [`ServiceLevel::Shedding`] — additionally reject
 ///    [`Priority::Low`] work at admission and drop it at dispatch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -96,15 +95,10 @@ pub struct DegradeConfig {
     pub degraded_plan: PlanOverride,
     /// Optional reduced time-step count at
     /// [`ServiceLevel::DegradedPlan`] — the paper's approximation axis
-    /// as a latency valve. `None` (default) keeps the encode length and
-    /// with it bit-identical predictions.
+    /// as a latency valve: fewer steps cost less and may change
+    /// predictions. `None` (default) keeps the encode length and with it
+    /// bit-identical predictions.
     pub degraded_time_steps: Option<usize>,
-    /// Optional reduced-precision weight plane installed at
-    /// [`ServiceLevel::DegradedPlan`] — drops weight storage to f16 or
-    /// int8 so the gather-bound kernels stream fewer bytes under load.
-    /// Like `degraded_time_steps` this trades precision for latency;
-    /// `None` (default) keeps f32 weights and bit-identical predictions.
-    pub degraded_weight_plane: Option<WeightPlane>,
 }
 
 impl Default for DegradeConfig {
@@ -118,7 +112,6 @@ impl Default for DegradeConfig {
             window_shrink_divisor: 4,
             degraded_plan: PlanOverride::Auto,
             degraded_time_steps: None,
-            degraded_weight_plane: None,
         }
     }
 }
@@ -156,9 +149,6 @@ impl DegradeConfig {
         }
         if self.degraded_time_steps == Some(0) {
             return bad("degraded_time_steps must be >= 1".into());
-        }
-        if self.degraded_weight_plane == Some(WeightPlane::F32) {
-            return bad("degraded_weight_plane f32 is the healthy plane; use None".into());
         }
         Ok(())
     }
@@ -271,12 +261,6 @@ mod tests {
         let mut c = ServeConfig::default();
         c.degrade.degraded_time_steps = Some(0);
         assert!(c.validate().is_err());
-        let mut c = ServeConfig::default();
-        c.degrade.degraded_weight_plane = Some(WeightPlane::F32);
-        assert!(c.validate().is_err());
-        let mut c = ServeConfig::default();
-        c.degrade.degraded_weight_plane = Some(WeightPlane::Int8);
-        assert!(c.validate().is_ok());
     }
 
     #[test]

@@ -23,16 +23,8 @@
 //! for the same per-request seed, for *any* interleaving of concurrent
 //! requests, batch composition or window size — micro-batching is a
 //! scheduling optimization, never a semantic one. The
-//! `serve_equivalence` suite pins this.
-//!
-//! # Provenance
-//!
-//! The service landed in PR 7; PR 8 added the
-//! [`DegradeConfig::degraded_weight_plane`] rung (reduced-precision
-//! weight storage under load, still bit-identical to the direct
-//! planed path). The `serve_equivalence` suite in `tests/` pins
-//! served-vs-direct bit-identity, the zero-hang invariant and the
-//! degradation ladder's semantics.
+//! `serve_equivalence` suite in `tests/` pins this, the zero-hang
+//! invariant and the degradation ladder's semantics.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -670,13 +670,6 @@ impl WorkerModel {
         let want_degraded = level >= ServiceLevel::DegradedPlan;
         if want_degraded && !self.degraded {
             self.net.apply_plan(shared.config.degrade.degraded_plan);
-            if let Some(plane) = shared.config.degrade.degraded_weight_plane {
-                // Installed models are validated finite at swap time, so
-                // the int8 finiteness pre-check cannot fail here; if it
-                // ever does, serving on f32 weights beats crashing a
-                // worker.
-                let _ = self.net.set_weight_plane(plane);
-            }
             self.degraded = true;
         } else if !want_degraded && self.degraded {
             *self = WorkerModel::refresh(shared);

@@ -313,48 +313,6 @@ fn hot_swap_validates_and_rolls_back() {
     service.shutdown();
 }
 
-/// With a degraded weight plane configured, requests dispatched at
-/// [`ServiceLevel::DegradedPlan`] are served by the int8-planed model:
-/// predictions match the direct path with the same plane installed.
-#[test]
-fn degraded_weight_plane_serves_quantized_predictions() {
-    use axsnn_core::plan::WeightPlane;
-    let net = make_net(18);
-    let mut config = base_config();
-    config.workers = 1;
-    // Ladder pinned at DegradedPlan from the first dispatch observation.
-    config.degrade = DegradeConfig {
-        shrink_at: 0.0,
-        degrade_at: 0.0,
-        shed_at: 1.0,
-        degraded_weight_plane: Some(WeightPlane::Int8),
-        ..DegradeConfig::default()
-    };
-    let service = InferenceService::start(net.clone(), probe(), config).expect("start");
-    // Warm-up dispatch: the worker observes occupancy and escalates.
-    service
-        .classify_blocking(make_image(0), 500)
-        .expect("served");
-    assert!(service.level() >= ServiceLevel::DegradedPlan);
-
-    let mut planed = net.clone();
-    planed
-        .set_weight_plane(WeightPlane::Int8)
-        .expect("finite weights");
-    for i in 1..12u64 {
-        let image = make_image(i);
-        let r = service
-            .classify_blocking(image.clone(), 500 + i)
-            .expect("served");
-        assert_eq!(
-            r.prediction,
-            direct_prediction(&planed, &image, 500 + i),
-            "request {i} must be served by the int8-planed model"
-        );
-    }
-    service.shutdown();
-}
-
 #[test]
 fn bounded_queue_applies_backpressure() {
     let net = make_net(6);

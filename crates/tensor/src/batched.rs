@@ -10,10 +10,10 @@
 //! walk the weights *once per batch*:
 //!
 //! * [`PackedWeights`] — a weight matrix transposed once into
-//!   32-byte-aligned 8-row panels (`panel[j·8 + l] = row_l[j]`), from
-//!   f32 weights or straight from a reduced-precision plane. A layer
-//!   packs once per weight change; the packed kernels below stream the
-//!   panels at every batch size and density, one row included,
+//!   32-byte-aligned 8-row panels (`panel[j·8 + l] = row_l[j]`). A layer
+//!   packs its effective weights once per weight change; the packed
+//!   kernels below stream the panels at every batch size and density,
+//!   one row included,
 //! * [`sparse_matmul_bias_packed`] — `[out, in] × B events + bias
 //!   → [B, out]`, panel-outer so each panel is walked by all B index
 //!   lists while it is hot in cache, every event one aligned load per
@@ -25,10 +25,9 @@
 //!   over B stacked spike planes into a `[B, Cout·OH·OW]` block.
 //!
 //! The `_scalar` kernels ([`sparse_matmul_bias_scalar`],
-//! [`sparse_matmul_bias_planed_scalar`], [`matmul_bt_bias_scalar`]) run
-//! over the unpacked weights: they are the portable references every
-//! packed kernel is pinned to and the engine's kernels under scalar
-//! dispatch. [`matmul_bt_bias`] is the one per-call form, for the ANN
+//! [`matmul_bt_bias_scalar`]) run over the unpacked weights: they are
+//! the portable references every packed kernel is pinned to and the
+//! engine's kernels under scalar dispatch. [`matmul_bt_bias`] is the one per-call form, for the ANN
 //! twin's dense layers, which hold no packed weights. One sample is a
 //! one-row batch. Every row's result is
 //! **bit-identical** to a per-sample reference — a gather row to
@@ -69,9 +68,8 @@
 //! ```
 
 use crate::conv::Conv2dSpec;
-use crate::plane::{F16Lane, F32Lane, Int8Lane, PlaneView, WeightLane};
 use crate::simd::{PanelLine, ROW_LANES};
-use crate::sparse::{gather_row_lane, gather_row_x4, SpikeVector};
+use crate::sparse::{gather_row, gather_row_x4, SpikeVector};
 use crate::{Result, Tensor, TensorError};
 
 /// A batch of binary spike frames in CSR form: one concatenated index
@@ -372,16 +370,15 @@ fn check_weight(w: &Tensor, cols: usize, op: &'static str) -> Result<(usize, usi
 /// the spike-plane and dense GEMMs stream: every whole 8-row tile as an
 /// index-major panel of 32-byte-aligned lines (`panel[j·8 + l] =
 /// row_l[j]`), and the rows past the last whole tile kept row-major for
-/// the scalar lane tiles.
+/// the scalar tiles.
 ///
 /// Packing is a one-off transpose of the whole matrix, so it belongs
 /// with the weights, not with a call: a layer packs once per weight
 /// change and every later GEMM — any batch size, any density, one row
 /// included — streams the same panels
 /// ([`sparse_matmul_bias_packed`], [`matmul_bt_bias_packed`]). The
-/// panels hold the exact f32 values of the weights (for a
-/// reduced-precision plane, the values its lanes decode), so a packed
-/// GEMM is bit-identical to its scalar twin over the unpacked weights.
+/// panels hold the exact f32 values of the weights, so a packed GEMM is
+/// bit-identical to its scalar twin over the unpacked weights.
 ///
 /// # Example
 ///
@@ -431,23 +428,7 @@ impl PackedWeights {
     pub fn pack(w: &Tensor) -> Result<PackedWeights> {
         let (m, k) = matrix_dims(w, "PackedWeights::pack")?;
         let mut packed = PackedWeights::zeroed(m, k);
-        packed.fill(F32Lane(w.as_slice()));
-        Ok(packed)
-    }
-
-    /// Packs a reduced-precision plane of `shape = (rows, cols)`
-    /// weights, decoding each whole tile straight into its panel (the
-    /// fused decode-and-transpose). Every panel value is bit-identical to
-    /// the plane's [`crate::plane::QuantizedPlane::dequantize`] image, so
-    /// the packed GEMMs give the bits of packing that image.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::LengthMismatch`] when the plane does not
-    /// hold `rows × cols` weights.
-    pub fn pack_plane(weights: PlaneView<'_>, shape: (usize, usize)) -> Result<PackedWeights> {
-        let mut packed = PackedWeights::zeroed(shape.0, shape.1);
-        packed.repack_plane(weights)?;
+        packed.fill(w.as_slice());
         Ok(packed)
     }
 
@@ -468,29 +449,7 @@ impl PackedWeights {
                 op: "PackedWeights::repack",
             });
         }
-        self.fill(F32Lane(w.as_slice()));
-        Ok(())
-    }
-
-    /// [`PackedWeights::repack`] from a reduced-precision plane of the
-    /// packed shape.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::LengthMismatch`] when the plane does not
-    /// hold `rows × cols` weights; the panels are left unchanged.
-    pub fn repack_plane(&mut self, weights: PlaneView<'_>) -> Result<()> {
-        let len = self.rows * self.cols;
-        if weights.len() != len {
-            return Err(TensorError::LengthMismatch {
-                expected: len,
-                actual: weights.len(),
-            });
-        }
-        match weights {
-            PlaneView::F16(bits) => self.fill(F16Lane(bits)),
-            PlaneView::Int8 { codes, levels } => self.fill(Int8Lane { codes, levels }),
-        }
+        self.fill(w.as_slice());
         Ok(())
     }
 
@@ -504,20 +463,18 @@ impl PackedWeights {
         }
     }
 
-    /// Writes every panel and the tail rows from `wv`, which holds
+    /// Writes every panel and the tail rows from `w`, which holds
     /// `rows × cols` weights row-major.
-    fn fill<L: WeightLane>(&mut self, wv: L) {
+    fn fill(&mut self, w: &[f32]) {
         let k = self.cols;
         let whole = self.rows - self.rows % ROW_LANES;
         if k > 0 {
             for (t, panel) in self.panels.chunks_exact_mut(k).enumerate() {
                 let lo = t * ROW_LANES * k;
-                wv.slice(lo, lo + ROW_LANES * k).pack_panel8(k, panel);
+                crate::simd::pack_rows8(&w[lo..lo + ROW_LANES * k], k, panel);
             }
         }
-        for (i, slot) in self.tail.iter_mut().enumerate() {
-            *slot = wv.load(whole * k + i);
-        }
+        self.tail.copy_from_slice(&w[whole * k..]);
     }
 
     /// The `n` panels from tile `t` on.
@@ -542,7 +499,7 @@ fn matrix_dims(w: &Tensor, op: &'static str) -> Result<(usize, usize)> {
 /// spike-plane GEMM the fused engine runs at every batch size and
 /// density, one row included. Each output sums its row's active columns
 /// in ascending order from `+0.0` and adds the bias last — the
-/// scalar lane tiles' order — so the result equals
+/// scalar tiles' order — so the result equals
 /// [`sparse_matmul_bias_scalar`] on the unpacked weights bit for bit.
 ///
 /// Under AVX2 dispatch four panels then one share each batch row's walk
@@ -593,7 +550,7 @@ pub fn sparse_matmul_bias_packed(
             }
         }
     }
-    lane_tiles(F32Lane(&w.tail), k, x, bv, tiles * ROW_LANES, &mut out);
+    scalar_tiles(&w.tail, k, x, bv, tiles * ROW_LANES, &mut out);
     Tensor::from_vec(out, &[x.rows(), m])
 }
 
@@ -623,16 +580,9 @@ fn panel_walk<const N: usize>(
 /// those rows row-major, `k` weights each: the whole matrix from row 0
 /// on the scalar paths, the rows past the last whole panel tile after
 /// the packed walk.
-fn lane_tiles<L: WeightLane>(
-    wv: L,
-    k: usize,
-    x: &SpikeMatrix,
-    bias: &[f32],
-    o0: usize,
-    out: &mut [f32],
-) {
+fn scalar_tiles(wv: &[f32], k: usize, x: &SpikeMatrix, bias: &[f32], o0: usize, out: &mut [f32]) {
     let (b, m) = (x.rows(), bias.len());
-    let row = |o: usize| wv.slice((o - o0) * k, (o - o0 + 1) * k);
+    let row = |o: usize| &wv[(o - o0) * k..(o - o0 + 1) * k];
     // Weight-row tiles of 4 stay L1-resident while all B index lists
     // gather against them — weight traffic is per *batch*, not per
     // sample, and each index load feeds 4 rows.
@@ -648,7 +598,7 @@ fn lane_tiles<L: WeightLane>(
     while o < m {
         let wrow = row(o);
         for r in 0..b {
-            out[r * m + o] = gather_row_lane(wrow, x.row(r), bias[o]);
+            out[r * m + o] = gather_row(wrow, x.row(r), bias[o]);
         }
         o += 1;
     }
@@ -692,65 +642,8 @@ pub fn sparse_matmul_bias_scalar(w: &Tensor, x: &SpikeMatrix, bias: &Tensor) -> 
     let (m, k) = check_weight(w, x.cols(), "sparse_matmul_bias_scalar")?;
     check_bias(bias, (m, k), "sparse_matmul_bias_scalar")?;
     let mut out = vec![0.0f32; x.rows() * m];
-    lane_tiles(F32Lane(w.as_slice()), k, x, bias.as_slice(), 0, &mut out);
+    scalar_tiles(w.as_slice(), k, x, bias.as_slice(), 0, &mut out);
     Tensor::from_vec(out, &[x.rows(), m])
-}
-
-/// [`sparse_matmul_bias_scalar`] over a reduced-precision weight plane
-/// of `shape = (rows, cols)` weights: the per-element in-register lane
-/// decode through the same 4-row tiles, every accumulate in f32, so the
-/// result is bit-identical to [`sparse_matmul_bias_scalar`] over the
-/// plane's [`crate::plane::QuantizedPlane::dequantize`] tensor. The
-/// engine's kernel for a planed linear layer under scalar dispatch; the
-/// panels [`PackedWeights::pack_plane`] decodes give these bits too
-/// (pinned by `simd_equivalence`), and `bench_simd` measures them
-/// against this.
-///
-/// # Errors
-///
-/// Returns [`TensorError::LengthMismatch`] when the plane does not hold
-/// `rows × cols` weights and [`TensorError::ShapeMismatch`] when the
-/// spike or bias length disagrees with `shape`.
-pub fn sparse_matmul_bias_planed_scalar(
-    weights: PlaneView<'_>,
-    shape: (usize, usize),
-    x: &SpikeMatrix,
-    bias: &Tensor,
-) -> Result<Tensor> {
-    let (m, k) = shape;
-    check_planed(weights, shape, x, bias)?;
-    let mut out = vec![0.0f32; x.rows() * m];
-    let bv = bias.as_slice();
-    match weights {
-        PlaneView::F16(bits) => lane_tiles(F16Lane(bits), k, x, bv, 0, &mut out),
-        PlaneView::Int8 { codes, levels } => {
-            lane_tiles(Int8Lane { codes, levels }, k, x, bv, 0, &mut out)
-        }
-    }
-    Tensor::from_vec(out, &[x.rows(), m])
-}
-
-fn check_planed(
-    weights: PlaneView<'_>,
-    shape: (usize, usize),
-    x: &SpikeMatrix,
-    bias: &Tensor,
-) -> Result<()> {
-    let (m, k) = shape;
-    if weights.len() != m * k {
-        return Err(TensorError::LengthMismatch {
-            expected: m * k,
-            actual: weights.len(),
-        });
-    }
-    if x.cols() != k {
-        return Err(TensorError::ShapeMismatch {
-            lhs: vec![m, k],
-            rhs: vec![x.cols()],
-            op: "sparse_matmul_bias_planed_scalar",
-        });
-    }
-    check_bias(bias, shape, "sparse_matmul_bias_planed_scalar")
 }
 
 /// Checks a dense `X · Wᵀ + b` operand pair and bias against the weight
@@ -1137,48 +1030,6 @@ pub fn sparse_conv2d_batch_sorted_into(
     out: &mut [f32],
 ) -> Result<()> {
     crate::sparse::check_conv_geometry(x.cols(), in_hw, weight, spec)?;
-    conv_batch_sorted_lane(x, in_hw, F32Lane(weight.as_slice()), bias, spec, out)
-}
-
-/// [`sparse_conv2d_batch_sorted_into`] streaming a reduced-precision
-/// weight plane. The only places the sorted sweep reads weights are the
-/// once-per-batch reversed-patch build (stride 1) and the per-stencil
-/// register load (generic stride); both dequantize in-register there,
-/// so every inner sweep loop — and with it the accumulation order — is
-/// exactly the f32 kernel's, making the result bit-identical to
-/// [`sparse_conv2d_batch_sorted_into`] over the plane's
-/// [`crate::plane::QuantizedPlane::dequantize`] tensor.
-///
-/// # Errors
-///
-/// As [`sparse_conv2d_batch_sorted_into`], with
-/// [`TensorError::LengthMismatch`] when the plane does not hold
-/// `Cout·Cin·K·K` weights.
-pub fn sparse_conv2d_batch_sorted_planed_into(
-    x: &SpikeMatrix,
-    in_hw: (usize, usize),
-    weights: PlaneView<'_>,
-    bias: &Tensor,
-    spec: &Conv2dSpec,
-    out: &mut [f32],
-) -> Result<()> {
-    crate::sparse::check_conv_geometry_len(x.cols(), in_hw, weights.len(), spec)?;
-    match weights {
-        PlaneView::F16(bits) => conv_batch_sorted_lane(x, in_hw, F16Lane(bits), bias, spec, out),
-        PlaneView::Int8 { codes, levels } => {
-            conv_batch_sorted_lane(x, in_hw, Int8Lane { codes, levels }, bias, spec, out)
-        }
-    }
-}
-
-fn conv_batch_sorted_lane<L: WeightLane>(
-    x: &SpikeMatrix,
-    in_hw: (usize, usize),
-    wv: L,
-    bias: &Tensor,
-    spec: &Conv2dSpec,
-    out: &mut [f32],
-) -> Result<()> {
     if bias.len() != spec.out_channels {
         return Err(TensorError::ShapeMismatch {
             lhs: bias.shape().dims().to_vec(),
@@ -1199,6 +1050,7 @@ fn conv_batch_sorted_lane<L: WeightLane>(
             actual: out.len(),
         });
     }
+    let wv = weight.as_slice();
     let bv = bias.as_slice();
     for r in 0..b {
         let row = &mut out[r * n..(r + 1) * n];
@@ -1283,7 +1135,7 @@ fn conv_batch_sorted_lane<L: WeightLane>(
                 let dst = oc * kk;
                 for ky in 0..k {
                     for j in 0..k {
-                        wrev[dst + ky * k + j] = wv.load(src + ky * k + (k - 1 - j));
+                        wrev[dst + ky * k + j] = wv[src + ky * k + (k - 1 - j)];
                     }
                 }
             }
@@ -1343,7 +1195,7 @@ fn conv_batch_sorted_lane<L: WeightLane>(
                 }
                 let wbase = ic * k * k + ky * k + kx;
                 for oc in 0..spec.out_channels {
-                    let wgt = wv.load(oc * wstride + wbase);
+                    let wgt = wv[oc * wstride + wbase];
                     let off = oc * ohw;
                     // Distinct targets within one (ic, ky, kx) group
                     // (two events reaching the same cell through the
@@ -1677,7 +1529,6 @@ mod tests {
 
     #[test]
     fn matmul_scalar_twins_bitwise_match_dispatched() {
-        use crate::plane::{QuantizedPlane, WeightPlane};
         let (m, k) = (13, 9); // m % 8 ≠ 0, m % 4 ≠ 0: exercises remainders
         let w = Tensor::from_vec(
             (0..m * k).map(|i| (i as f32 * 0.23).sin()).collect(),
@@ -1691,18 +1542,6 @@ mod tests {
             let fast = sparse_matmul_bias_packed(&packed, &batch, &bias).unwrap();
             let scalar = sparse_matmul_bias_scalar(&w, &batch, &bias).unwrap();
             assert_eq!(fast.as_slice(), scalar.as_slice(), "b {b} every {every}");
-            for plane in [WeightPlane::F16, WeightPlane::Int8] {
-                let q = QuantizedPlane::quantize(w.as_slice(), plane)
-                    .unwrap()
-                    .unwrap();
-                let packed = PackedWeights::pack_plane(q.view(), (m, k)).unwrap();
-                let fast = sparse_matmul_bias_packed(&packed, &batch, &bias).unwrap();
-                let scalar =
-                    sparse_matmul_bias_planed_scalar(q.view(), (m, k), &batch, &bias).unwrap();
-                for (a, r) in fast.as_slice().iter().zip(scalar.as_slice()) {
-                    assert_eq!(a.to_bits(), r.to_bits(), "{plane} b {b} every {every}");
-                }
-            }
         }
     }
 
@@ -1752,157 +1591,5 @@ mod tests {
             sparse_conv2d_batch_sorted(&empty, (4, 4), &Tensor::ones(&[2, 1, 3, 3]), &bias, &spec);
         // 0-row SpikeMatrix has 0 cols, which cannot match 1x4x4.
         assert!(y.is_err());
-    }
-
-    #[test]
-    fn planed_matmul_bitwise_matches_f32_over_dequantized_weights() {
-        use crate::plane::{QuantizedPlane, WeightPlane};
-        let (m, k) = (7, 13);
-        let w = Tensor::from_vec(
-            (0..m * k).map(|i| (i as f32 * 0.31).sin() * 2.0).collect(),
-            &[m, k],
-        )
-        .unwrap();
-        let bias = Tensor::from_vec((0..m).map(|i| i as f32 * 0.2 - 0.5).collect(), &[m]).unwrap();
-        for plane in [WeightPlane::F16, WeightPlane::Int8] {
-            let q = QuantizedPlane::quantize(w.as_slice(), plane)
-                .unwrap()
-                .unwrap();
-            let dq = Tensor::from_vec(q.dequantize(), &[m, k]).unwrap();
-            // Batch sizes around the 4-row tile boundary and densities
-            // including 100%.
-            for (b, every) in [(1usize, 2usize), (3, 1), (4, 3), (5, 13), (8, 2)] {
-                let rows = binary_rows(b, k, every);
-                let batch = SpikeMatrix::from_rows(&rows).unwrap();
-                let bits = |t: Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                let want = bits(spike_gemm(&dq, &batch, &bias).unwrap());
-                let planed =
-                    sparse_matmul_bias_planed_scalar(q.view(), (m, k), &batch, &bias).unwrap();
-                assert_eq!(bits(planed), want, "{plane} b {b} every {every}");
-                let packed = PackedWeights::pack_plane(q.view(), (m, k)).unwrap();
-                let packed = sparse_matmul_bias_packed(&packed, &batch, &bias).unwrap();
-                assert_eq!(bits(packed), want, "packed {plane} b {b} every {every}");
-            }
-        }
-    }
-
-    #[test]
-    fn planed_matmul_shape_errors() {
-        use crate::plane::{QuantizedPlane, WeightPlane};
-        let q = QuantizedPlane::quantize(&[0.5; 12], WeightPlane::F16)
-            .unwrap()
-            .unwrap();
-        let batch = SpikeMatrix::from_rows(&binary_rows(2, 4, 2)).unwrap();
-        let planed = |shape, x: &SpikeMatrix, bias: usize| {
-            sparse_matmul_bias_planed_scalar(q.view(), shape, x, &Tensor::zeros(&[bias]))
-        };
-        assert!(planed((3, 4), &batch, 3).is_ok());
-        assert!(planed((4, 4), &batch, 4).is_err());
-        assert!(PackedWeights::pack_plane(q.view(), (4, 4)).is_err());
-        assert!(planed((3, 4), &batch, 2).is_err());
-        let wide = SpikeMatrix::from_rows(&binary_rows(2, 5, 2)).unwrap();
-        assert!(planed((3, 4), &wide, 3).is_err());
-    }
-
-    #[test]
-    fn planed_sorted_conv_bitwise_matches_f32_over_dequantized_weights() {
-        use crate::plane::{QuantizedPlane, WeightPlane};
-        for &(stride, padding, every) in
-            &[(1usize, 1usize, 3usize), (1, 0, 2), (2, 1, 4), (1, 2, 1)]
-        {
-            let spec = Conv2dSpec {
-                in_channels: 2,
-                out_channels: 3,
-                kernel: 3,
-                stride,
-                padding,
-            };
-            let (h, w) = (6, 5);
-            let weight = Tensor::from_vec(
-                (0..3 * 2 * 9).map(|i| (i as f32 * 0.13).sin()).collect(),
-                &[3, 2, 3, 3],
-            )
-            .unwrap();
-            let bias = Tensor::from_vec(vec![0.5, -1.0, 0.25], &[3]).unwrap();
-            let rows = binary_rows(4, 2 * h * w, every);
-            let batch = SpikeMatrix::from_rows(&rows).unwrap();
-            let (oh, ow) = spec.output_hw(h, w);
-            let n = 3 * oh * ow;
-            for plane in [WeightPlane::F16, WeightPlane::Int8] {
-                let q = QuantizedPlane::quantize(weight.as_slice(), plane)
-                    .unwrap()
-                    .unwrap();
-                let dq = Tensor::from_vec(q.dequantize(), &[3, 2, 3, 3]).unwrap();
-                let mut planed = vec![0.0f32; 4 * n];
-                sparse_conv2d_batch_sorted_planed_into(
-                    &batch,
-                    (h, w),
-                    q.view(),
-                    &bias,
-                    &spec,
-                    &mut planed,
-                )
-                .unwrap();
-                let reference =
-                    sparse_conv2d_batch_sorted(&batch, (h, w), &dq, &bias, &spec).unwrap();
-                for (a, r) in planed.iter().zip(reference.as_slice()) {
-                    assert_eq!(
-                        a.to_bits(),
-                        r.to_bits(),
-                        "{plane} stride {stride} pad {padding} every {every}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn planed_sorted_conv_validation() {
-        use crate::plane::{QuantizedPlane, WeightPlane};
-        let spec = Conv2dSpec {
-            in_channels: 1,
-            out_channels: 2,
-            kernel: 3,
-            stride: 1,
-            padding: 1,
-        };
-        let batch = SpikeMatrix::from_rows(&binary_rows(2, 16, 3)).unwrap();
-        let bias = Tensor::zeros(&[2]);
-        // Plane length disagrees with Cout·Cin·K·K.
-        let short = QuantizedPlane::quantize(&[1.0; 17], WeightPlane::Int8)
-            .unwrap()
-            .unwrap();
-        let mut out = vec![0.0f32; 2 * 2 * 16];
-        assert!(sparse_conv2d_batch_sorted_planed_into(
-            &batch,
-            (4, 4),
-            short.view(),
-            &bias,
-            &spec,
-            &mut out
-        )
-        .is_err());
-        let ok = QuantizedPlane::quantize(&[1.0; 18], WeightPlane::Int8)
-            .unwrap()
-            .unwrap();
-        assert!(sparse_conv2d_batch_sorted_planed_into(
-            &batch,
-            (4, 4),
-            ok.view(),
-            &bias,
-            &spec,
-            &mut out
-        )
-        .is_ok());
-        // Wrong bias length.
-        assert!(sparse_conv2d_batch_sorted_planed_into(
-            &batch,
-            (4, 4),
-            ok.view(),
-            &Tensor::zeros(&[3]),
-            &spec,
-            &mut out
-        )
-        .is_err());
     }
 }

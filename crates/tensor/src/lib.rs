@@ -9,9 +9,8 @@
 //! ([`sparse`]), batched spike-plane GEMM kernels that amortize weight
 //! traffic across B samples ([`batched`]), deterministic per-shard
 //! gradient buffers for thread-count-invariant parallel backward passes
-//! ([`grads`]), weight initializers ([`init`]), reduced-precision
-//! weight storage planes that let the gather-bound kernels stream
-//! int8/f16 weights while accumulating in f32 ([`plane`]), and a
+//! ([`grads`]), weight initializers ([`init`]), the int8/f16 quantizer
+//! behind the reduced-precision weight planes ([`plane`]), and a
 //! runtime-dispatched AVX2 backend for the gather-bound kernels whose
 //! results stay bit-identical to the portable scalar truth path
 //! ([`simd`], `AXSNN_NO_SIMD` forces scalar).

@@ -1,46 +1,37 @@
-//! Reduced-precision weight storage planes: int8 / f16 weight buffers
-//! with f32 accumulation.
+//! Reduced-precision weight planes: the int8 / f16 quantizer that the
+//! precision-scaling axis and the layers' installed planes share.
 //!
-//! The event-sorted batched conv streams weights, not arithmetic: at
-//! low spike densities nearly every touched cache line is a weight
-//! line. Storing the weights at reduced precision — 16-bit IEEE half
-//! bits or 8-bit symmetric-quantized codes — halves to quarters that
-//! traffic while every accumulate stays in f32. Linear layers take the
-//! other trade: a plane is decoded once per weight change into the f32
-//! panels of a [`crate::batched::PackedWeights`]
-//! ([`crate::batched::PackedWeights::pack_plane`], one fused
-//! decode-and-transpose pass), and every spike GEMM streams those, so a
-//! linear layer's GEMM costs the same on every plane.
+//! A plane changes the weight *values*, not the kernels. A layer with
+//! an installed plane keeps the plane's dequantized `f32` image
+//! ([`QuantizedPlane::dequantize`]), and every kernel reads that image
+//! exactly as it reads f32 weights: a planed layer runs the same kernels
+//! at the same speed as an f32 layer holding the same values.
 //!
-//! The contract that makes the planes safe to enable is **dequantization
-//! exactness**: for every element, the value a plane-aware kernel loads
-//! in-register is bit-identical to the f32 tensor produced by
-//! round-tripping the weight through the same precision emulation
-//! (`axsnn-core`'s `PrecisionScale::quantize_tensor`). Combined with the
-//! unchanged accumulation order of the lane-generic kernels, a planed
-//! forward is bit-identical to quantize-then-run-f32.
+//! The contract that makes a plane safe to install is **dequantization
+//! exactness**: element for element, the dequantized image is
+//! bit-identical to round-tripping the weight through the precision
+//! emulation (`axsnn-core`'s `PrecisionScale::quantize_tensor`), which
+//! calls the same quantizer. A planed forward is therefore bit-identical
+//! to quantize-then-run-f32.
 //!
-//! * [`WeightPlane`] — the storage choice (`F32` means "no plane").
-//! * [`QuantizedPlane`] — an owned quantized buffer
-//!   ([`QuantizedPlane::quantize`] / [`QuantizedPlane::dequantize`]).
-//! * [`PlaneView`] — the borrowed view the planed kernels take.
+//! * [`WeightPlane`] — the precision choice (`F32` means "no plane").
+//! * [`QuantizedPlane`] — the quantizer ([`QuantizedPlane::quantize`],
+//!   [`QuantizedPlane::dequantize`], [`QuantizedPlane::int8_scale`]).
 //! * [`f32_to_f16`] / [`f16_to_f32`] / [`f16_round_trip`] — the IEEE
 //!   half conversions (round-to-nearest-even), shared with the
 //!   precision emulation so both sides agree bit for bit.
 //!
 //! Int8 dequantization is a 255-entry `f32` table lookup
-//! (`levels[code]`): branch-free, L1-resident, and exact by
-//! construction — the table holds the very values the emulation
-//! produces, including the snapped `±max` endpoints that make
-//! quantization idempotent.
+//! (`levels[code]`), exact by construction: the table holds the very
+//! values the emulation produces, including the snapped `±max`
+//! endpoints that make quantization idempotent.
 
-use crate::simd::PanelLine;
 use crate::{Result, TensorError};
 
 /// Per-layer weight storage precision.
 ///
-/// `F32` is the identity plane (master weights stream as-is); `F16` and
-/// `Int8` select quantized weight buffers for the plane-aware kernels.
+/// `F32` is the identity plane (the master weights as they are); `F16`
+/// and `Int8` round the weights onto a reduced-precision grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WeightPlane {
     /// Full-precision f32 storage — no quantized buffer.
@@ -167,13 +158,13 @@ pub fn f16_to_f32(bits: u16) -> f32 {
 }
 
 /// Round-trips an `f32` through IEEE binary16: the value the f16 plane
-/// stores and streams for this element.
+/// holds for this element.
 pub fn f16_round_trip(value: f32) -> f32 {
     f16_to_f32(f32_to_f16(value))
 }
 
-/// An owned reduced-precision weight buffer, materialized once per
-/// tensor and streamed by the plane-aware kernels.
+/// A tensor quantized onto a reduced-precision plane: the stored codes
+/// that [`QuantizedPlane::dequantize`] turns into exact `f32` values.
 #[derive(Debug, Clone, PartialEq)]
 pub enum QuantizedPlane {
     /// IEEE binary16 bits, one `u16` per weight.
@@ -270,27 +261,6 @@ impl QuantizedPlane {
         }
     }
 
-    /// The plane this buffer stores.
-    pub fn plane(&self) -> WeightPlane {
-        match self {
-            QuantizedPlane::F16 { .. } => WeightPlane::F16,
-            QuantizedPlane::Int8 { .. } => WeightPlane::Int8,
-        }
-    }
-
-    /// Number of stored weights.
-    pub fn len(&self) -> usize {
-        match self {
-            QuantizedPlane::F16 { bits } => bits.len(),
-            QuantizedPlane::Int8 { codes, .. } => codes.len(),
-        }
-    }
-
-    /// Returns `true` when the buffer holds no weights.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// The per-tensor int8 scale (`None` for an f16 plane).
     pub fn int8_scale(&self) -> Option<f32> {
         match self {
@@ -299,9 +269,8 @@ impl QuantizedPlane {
         }
     }
 
-    /// Materializes the exact f32 values the plane streams — element
-    /// for element the same bits a plane-aware kernel loads, and the
-    /// same bits the precision emulation's quantize-round-trip
+    /// Materializes the exact f32 values the plane holds — element for
+    /// element the bits the precision emulation's quantize-round-trip
     /// produces.
     pub fn dequantize(&self) -> Vec<f32> {
         match self {
@@ -310,135 +279,6 @@ impl QuantizedPlane {
                 codes.iter().map(|&c| levels[c as usize]).collect()
             }
         }
-    }
-
-    /// The borrowed view the planed kernels take.
-    pub fn view(&self) -> PlaneView<'_> {
-        match self {
-            QuantizedPlane::F16 { bits } => PlaneView::F16(bits),
-            QuantizedPlane::Int8 { codes, levels, .. } => PlaneView::Int8 { codes, levels },
-        }
-    }
-}
-
-/// A borrowed reduced-precision weight buffer — the argument type of the
-/// plane-aware kernels ([`crate::batched::PackedWeights::pack_plane`],
-/// [`crate::batched::sparse_matmul_bias_planed_scalar`] and the planed
-/// conv). Dispatched once at kernel entry; the inner loops are
-/// monomorphized per storage format.
-#[derive(Debug, Clone, Copy)]
-pub enum PlaneView<'a> {
-    /// IEEE binary16 bits.
-    F16(&'a [u16]),
-    /// Symmetric int8 codes plus the 255-entry dequantization table.
-    Int8 {
-        /// Biased level codes (`k + 127`).
-        codes: &'a [u8],
-        /// The 255-entry code → f32 table.
-        levels: &'a [f32],
-    },
-}
-
-impl PlaneView<'_> {
-    /// Number of stored weights.
-    pub fn len(&self) -> usize {
-        match self {
-            PlaneView::F16(bits) => bits.len(),
-            PlaneView::Int8 { codes, .. } => codes.len(),
-        }
-    }
-
-    /// Returns `true` when the view holds no weights.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// One weight row's storage format, abstracted for the lane-generic
-/// gather kernels: `load(i)` yields the exact f32 value of element `i`.
-/// The `f32` lane is a transparent slice load, so the monomorphized f32
-/// kernels compile to the same code as before the abstraction.
-pub(crate) trait WeightLane: Copy {
-    /// The f32 value of element `i`.
-    fn load(&self, i: usize) -> f32;
-    /// The sub-lane covering `lo..hi`.
-    fn slice(&self, lo: usize, hi: usize) -> Self;
-    /// Fused panel pack for an 8-row tile (`self.len() == 8·k`): writes
-    /// `panel[j].0[l]` = element `l·k + j`, each bit-identical to
-    /// `self.load(l·k + j)`. One pass from the stored encoding straight
-    /// to the index-major panel — decoding to an f32 block and then
-    /// transposing would cost an extra write+read round trip over the
-    /// tile. Every impl runs on any dispatch: the vector packs where the
-    /// ISA allows, scalar loops elsewhere.
-    fn pack_panel8(&self, k: usize, panel: &mut [PanelLine]);
-}
-
-/// Full-precision lane: a plain `&[f32]`.
-#[derive(Clone, Copy)]
-pub(crate) struct F32Lane<'a>(pub(crate) &'a [f32]);
-
-impl WeightLane for F32Lane<'_> {
-    #[inline(always)]
-    fn load(&self, i: usize) -> f32 {
-        self.0[i]
-    }
-
-    #[inline(always)]
-    fn slice(&self, lo: usize, hi: usize) -> Self {
-        F32Lane(&self.0[lo..hi])
-    }
-
-    #[inline]
-    fn pack_panel8(&self, k: usize, panel: &mut [PanelLine]) {
-        crate::simd::pack_rows8(self.0, k, panel);
-    }
-}
-
-/// Half-precision lane: converts each 16-bit pattern in-register.
-#[derive(Clone, Copy)]
-pub(crate) struct F16Lane<'a>(pub(crate) &'a [u16]);
-
-impl WeightLane for F16Lane<'_> {
-    #[inline(always)]
-    fn load(&self, i: usize) -> f32 {
-        f16_to_f32(self.0[i])
-    }
-
-    #[inline(always)]
-    fn slice(&self, lo: usize, hi: usize) -> Self {
-        F16Lane(&self.0[lo..hi])
-    }
-
-    #[inline]
-    fn pack_panel8(&self, k: usize, panel: &mut [PanelLine]) {
-        crate::simd::pack_panel8_f16(self.0, k, panel);
-    }
-}
-
-/// Int8 lane: a byte load plus one L1-resident table lookup.
-#[derive(Clone, Copy)]
-pub(crate) struct Int8Lane<'a> {
-    pub(crate) codes: &'a [u8],
-    pub(crate) levels: &'a [f32],
-}
-
-impl WeightLane for Int8Lane<'_> {
-    #[inline(always)]
-    fn load(&self, i: usize) -> f32 {
-        self.levels[self.codes[i] as usize]
-    }
-
-    #[inline(always)]
-    fn slice(&self, lo: usize, hi: usize) -> Self {
-        Int8Lane {
-            codes: &self.codes[lo..hi],
-            levels: self.levels,
-        }
-    }
-
-    #[inline]
-    fn pack_panel8(&self, k: usize, panel: &mut [PanelLine]) {
-        crate::simd::pack_panel8_int8(self.codes, self.levels, k, panel);
     }
 }
 
@@ -470,20 +310,11 @@ mod tests {
         let plane = QuantizedPlane::quantize(&values, WeightPlane::F16)
             .unwrap()
             .unwrap();
-        assert_eq!(plane.plane(), WeightPlane::F16);
-        assert_eq!(plane.len(), values.len());
         assert_eq!(plane.int8_scale(), None);
         let dq = plane.dequantize();
+        assert_eq!(dq.len(), values.len());
         for (i, &v) in values.iter().enumerate() {
             assert_eq!(dq[i].to_bits(), f16_round_trip(v).to_bits(), "element {i}");
-        }
-        // The lane loads the same bits the dequantized tensor holds.
-        if let PlaneView::F16(bits) = plane.view() {
-            for (i, dv) in dq.iter().enumerate() {
-                assert_eq!(F16Lane(bits).load(i).to_bits(), dv.to_bits());
-            }
-        } else {
-            panic!("expected an f16 view");
         }
     }
 
@@ -512,24 +343,6 @@ mod tests {
     }
 
     #[test]
-    fn int8_lane_loads_match_dequantized_values() {
-        let values: Vec<f32> = (0..33).map(|i| (i as f32 - 16.0) * 0.3).collect();
-        let plane = QuantizedPlane::quantize(&values, WeightPlane::Int8)
-            .unwrap()
-            .unwrap();
-        let dq = plane.dequantize();
-        if let PlaneView::Int8 { codes, levels } = plane.view() {
-            let lane = Int8Lane { codes, levels };
-            for (i, dv) in dq.iter().enumerate() {
-                assert_eq!(lane.load(i).to_bits(), dv.to_bits());
-            }
-            assert_eq!(lane.slice(4, 8).load(0).to_bits(), dq[4].to_bits());
-        } else {
-            panic!("expected an int8 view");
-        }
-    }
-
-    #[test]
     fn int8_rejects_non_finite() {
         for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
             let err = QuantizedPlane::quantize(&[0.5, bad, 1.0], WeightPlane::Int8).unwrap_err();
@@ -549,7 +362,8 @@ mod tests {
             .unwrap()
             .unwrap();
         assert_eq!(plane.int8_scale(), Some(0.0));
-        assert!(plane.dequantize().iter().all(|&v| v == 0.0));
-        assert!(!plane.is_empty());
+        let dq = plane.dequantize();
+        assert_eq!(dq.len(), 3);
+        assert!(dq.iter().all(|&v| v == 0.0));
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! Every kernel in this crate has a **portable scalar implementation
 //! that is the single source of truth for semantics**
-//! (`crate::sparse::gather_row_lane`'s one-accumulator sum and its batched
+//! (`crate::sparse::gather_row`'s one-accumulator sum and its batched
 //! relatives; the single-accumulator row dot of
 //! [`crate::batched::matmul_bt_bias_scalar`]; the scaled-row loop of
 //! [`crate::linalg::outer_acc_run_scalar`]). This module adds AVX2
@@ -31,7 +31,7 @@
 //!   [`crate::batched::PackedWeights`], so every gathered column is one
 //!   contiguous, 32-byte-aligned load shared by 8 output rows; `N`
 //!   panels share each batch row's walk of its index list, one batch
-//!   row included. Per lane the sum is `gather_row_lane`'s: one
+//!   row included. Per lane the sum is `gather_row`'s: one
 //!   accumulator from `+0.0` over the ascending indices, bias last. Each
 //!   panel is one 8-lane chain; the instruction-level parallelism comes
 //!   from the `N` independent panels sharing one walk of the index
@@ -67,12 +67,12 @@
 //!   vector store per 8 neurons, no branch per spike. Lanes map to
 //!   neurons, each computed as in the scalar loop of
 //!   [`crate::batched::lif_fire_scalar`].
-//! * `pack_rows8` / `pack_panel8_f16` / `pack_panel8_int8` — the packs
-//!   that build the panels from f32 rows, f16 bits (F16C `vcvtph2ps`)
-//!   or int8 codes (LUT `vgatherdps`) through an in-register 8×8
-//!   transpose. A layer's panels are packed once per weight change;
-//!   only the per-call dense [`crate::batched::matmul_bt_bias`] (the
-//!   ANN twin's layers) packs each tile just before streaming it.
+//! * `pack_rows8` — the pack that builds the panels from f32 rows
+//!   through an in-register 8×8 transpose. A layer's panels are packed
+//!   once per weight change (a planed layer's from its dequantized
+//!   weights); only the per-call dense
+//!   [`crate::batched::matmul_bt_bias`] (the ANN twin's layers) packs
+//!   each tile just before streaming it.
 //!
 //! # Provenance
 //!
@@ -87,10 +87,9 @@
 
 use std::sync::OnceLock;
 
-/// One-time feature probe: (simd usable, f16c usable, detected list).
+/// One-time feature probe: (simd usable, detected list).
 struct Detection {
     simd: bool,
-    f16c: bool,
     features: String,
 }
 
@@ -115,7 +114,6 @@ fn detection() -> &'static Detection {
             let avx2 = probes[0].1 && probes[1].1;
             Detection {
                 simd: avx2 && !disabled,
-                f16c: avx2 && probes[2].1 && !disabled,
                 features,
             }
         }
@@ -124,7 +122,6 @@ fn detection() -> &'static Detection {
             let _ = disabled;
             Detection {
                 simd: false,
-                f16c: false,
                 features: String::new(),
             }
         }
@@ -208,7 +205,7 @@ pub(crate) fn pack_rows8(rows: &[f32], k: usize, panel: &mut [PanelLine]) {
 /// The spike-plane GEMM microkernel over `N` packed panels: every
 /// gathered column is one contiguous load `panel_t[j]`. Writes
 /// `out[8·t + l] = (Σ_j panel_t[j].0[l]) + bias[8·t + l]` with exactly
-/// [`crate::sparse::gather_row_lane`]'s summation order per lane: one
+/// [`crate::sparse::gather_row`]'s summation order per lane: one
 /// accumulator from `+0.0`, ascending indices, bias last. The `N` panels
 /// lie back to back in `panels`, and each is one accumulator chain over
 /// a shared walk of the index list — more panels per walk put more
@@ -404,75 +401,6 @@ pub(crate) fn scaled_row_sum(out: &mut [f32], terms: &[(f32, &[f32])]) {
     unreachable!("SIMD dispatch is never active off x86-64");
 }
 
-/// Fused decode-and-pack for an 8-row f16 tile: writes
-/// `panel[j].0[l] = f16→f32(bits[l·k + j])` — each element
-/// bit-identical to [`crate::plane::f16_to_f32`] — without an f32 block
-/// intermediate (F16C converts 8 columns per row, an in-register 8×8
-/// transpose orders them index-major). Scalar loop without F16C.
-///
-/// # Panics
-///
-/// Panics when `bits` is not `8·k` long or `panel` not `k` lines long.
-pub(crate) fn pack_panel8_f16(bits: &[u16], k: usize, panel: &mut [PanelLine]) {
-    assert!(bits.len() == ROW_LANES * k && panel.len() == k);
-    #[cfg(target_arch = "x86_64")]
-    if detection().f16c {
-        // SAFETY: F16C is detected; loads read `bits[l·k + j]` windows
-        // and stores write the `k` lines of `panel`, both within the
-        // asserted lengths.
-        unsafe {
-            avx2::pack_panel8_f16_f16c(bits.as_ptr(), k, panel.as_mut_ptr().cast());
-        }
-        return;
-    }
-    for (j, line) in panel.iter_mut().enumerate() {
-        for (l, slot) in line.0.iter_mut().enumerate() {
-            *slot = crate::plane::f16_to_f32(bits[l * k + j]);
-        }
-    }
-}
-
-/// Fused decode-and-pack for an 8-row int8 tile through the 255-entry
-/// `levels` table: `panel[j].0[l] = levels[codes[l·k + j]]`,
-/// bit-identical to the scalar LUT walk per element (the AVX2 path
-/// clamps a corrupt code to 254, keeping the gather inside the table,
-/// where the scalar walk would panic).
-///
-/// # Panics
-///
-/// Panics when `codes` is not `8·k` long, `panel` not `k` lines long or
-/// `levels` does not hold exactly 255 entries.
-pub(crate) fn pack_panel8_int8(codes: &[u8], levels: &[f32], k: usize, panel: &mut [PanelLine]) {
-    assert!(codes.len() == ROW_LANES * k && panel.len() == k);
-    assert_eq!(levels.len(), 255);
-    #[cfg(target_arch = "x86_64")]
-    if detection().simd {
-        // An arithmetic decode of the quantizer's affine table
-        // (subtract, convert, multiply, endpoint blends) was measured
-        // *slower* here: its shuffle-port µops contend with the 8×8
-        // transpose, while the LUT gather hits a 1 KB L1-resident table
-        // and pipelines cleanly. The gather is the keeper.
-        //
-        // SAFETY: AVX2 is detected; code loads stay within the asserted
-        // `8·k` slice, level gathers are clamped to index ≤ 254 < 255,
-        // and stores cover the `k` lines of `panel`.
-        unsafe {
-            avx2::pack_panel8_int8_avx2(
-                codes.as_ptr(),
-                levels.as_ptr(),
-                k,
-                panel.as_mut_ptr().cast(),
-            );
-        }
-        return;
-    }
-    for (j, line) in panel.iter_mut().enumerate() {
-        for (l, slot) in line.0.iter_mut().enumerate() {
-            *slot = levels[codes[l * k + j] as usize];
-        }
-    }
-}
-
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use std::arch::x86_64::*;
@@ -554,73 +482,6 @@ mod avx2 {
         let off = row_offsets(k);
         while j < k {
             _mm256_storeu_ps(panel.add(j * 8), _mm256_i32gather_ps::<4>(rows.add(j), off));
-            j += 1;
-        }
-    }
-
-    /// Fused f16 decode-and-pack: `panel[j·8 + l] = f16→f32(bits[l·k + j])`
-    /// with no f32 block intermediate.
-    ///
-    /// # Safety
-    ///
-    /// AVX2+F16C required; `bits` and `panel` must cover `8·k` elements.
-    #[target_feature(enable = "avx2,f16c")]
-    pub(super) unsafe fn pack_panel8_f16_f16c(bits: *const u16, k: usize, panel: *mut f32) {
-        let mut j = 0usize;
-        while j + 8 <= k {
-            let mut v = [_mm256_setzero_ps(); 8];
-            for (l, slot) in v.iter_mut().enumerate() {
-                *slot = _mm256_cvtph_ps(_mm_loadu_si128(bits.add(l * k + j).cast()));
-            }
-            let t = transpose8x8(v);
-            for (c, col) in t.iter().enumerate() {
-                _mm256_storeu_ps(panel.add((j + c) * 8), *col);
-            }
-            j += 8;
-        }
-        while j < k {
-            for l in 0..8 {
-                *panel.add(j * 8 + l) = crate::plane::f16_to_f32(*bits.add(l * k + j));
-            }
-            j += 1;
-        }
-    }
-
-    /// Fused int8 decode-and-pack through the 255-entry `levels` table:
-    /// `panel[j·8 + l] = levels[codes[l·k + j]]`. Valid planes only emit
-    /// codes `0..=254`; clamping keeps the gather inside the table even
-    /// for a corrupt buffer.
-    ///
-    /// # Safety
-    ///
-    /// AVX2 required; `codes` and `panel` must cover `8·k` elements and
-    /// `levels` 255 entries.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn pack_panel8_int8_avx2(
-        codes: *const u8,
-        levels: *const f32,
-        k: usize,
-        panel: *mut f32,
-    ) {
-        let cap = _mm256_set1_epi32(254);
-        let mut j = 0usize;
-        while j + 8 <= k {
-            let mut v = [_mm256_setzero_ps(); 8];
-            for (l, slot) in v.iter_mut().enumerate() {
-                let bytes = _mm_loadl_epi64(codes.add(l * k + j).cast());
-                let idx = _mm256_min_epu32(_mm256_cvtepu8_epi32(bytes), cap);
-                *slot = _mm256_i32gather_ps::<4>(levels, idx);
-            }
-            let t = transpose8x8(v);
-            for (c, col) in t.iter().enumerate() {
-                _mm256_storeu_ps(panel.add((j + c) * 8), *col);
-            }
-            j += 8;
-        }
-        while j < k {
-            for l in 0..8 {
-                *panel.add(j * 8 + l) = *levels.add((*codes.add(l * k + j)).min(254) as usize);
-            }
             j += 1;
         }
     }
@@ -867,46 +728,6 @@ mod tests {
     }
 
     #[test]
-    fn decoders_match_scalar() {
-        // The fused decode-and-pack of both planes against the scalar
-        // per-element decode, on this machine's dispatch (whole 8-column
-        // blocks and the column tail; the full cross-product lives in
-        // tests/simd_equivalence.rs).
-        let k = 19;
-        let values: Vec<f32> = (0..8 * k)
-            .map(|i| ((i as f32) * 0.713).sin() * 3.0)
-            .collect();
-        let bits: Vec<u16> = values
-            .iter()
-            .map(|&v| crate::plane::f32_to_f16(v))
-            .collect();
-        let mut panel = vec![PanelLine::default(); k];
-        pack_panel8_f16(&bits, k, &mut panel);
-        for (j, line) in panel.iter().enumerate() {
-            for (l, v) in line.0.iter().enumerate() {
-                let want = crate::plane::f16_to_f32(bits[l * k + j]);
-                assert_eq!(v.to_bits(), want.to_bits());
-            }
-        }
-
-        let plane =
-            crate::plane::QuantizedPlane::quantize(&values, crate::plane::WeightPlane::Int8)
-                .unwrap()
-                .unwrap();
-        let dq = plane.dequantize();
-        if let crate::plane::PlaneView::Int8 { codes, levels } = plane.view() {
-            pack_panel8_int8(codes, levels, k, &mut panel);
-            for (j, line) in panel.iter().enumerate() {
-                for (l, v) in line.0.iter().enumerate() {
-                    assert_eq!(v.to_bits(), dq[l * k + j].to_bits());
-                }
-            }
-        } else {
-            panic!("expected int8 view");
-        }
-    }
-
-    #[test]
     fn scaled_row_sum_matches_scalar_loop() {
         // Every tile path: 32-column tiles, 8-column tiles and the
         // scalar tail (the full cross-product lives in
@@ -963,9 +784,7 @@ mod tests {
             matmul_panels::<4>(&panels, k, list, &bias, &mut p32);
             for l in 0..32 {
                 let row = &rows[l * k..(l + 1) * k];
-                let scalar =
-                    crate::sparse::gather_row_lane(crate::plane::F32Lane(row), list, bias[l])
-                        .to_bits();
+                let scalar = crate::sparse::gather_row(row, list, bias[l]).to_bits();
                 assert_eq!(p32[l].to_bits(), scalar, "panels x4 list {r} lane {l}");
                 if l < 8 {
                     assert_eq!(p8[l].to_bits(), scalar, "panel list {r} lane {l}");

@@ -68,7 +68,6 @@
 //! ```
 
 use crate::conv::Conv2dSpec;
-use crate::plane::WeightLane;
 use crate::{Result, Tensor, TensorError};
 
 /// Default maximum density at which the sparse path is considered
@@ -212,45 +211,35 @@ impl SpikeVector {
 /// accumulator from `+0.0`, ascending index order, bias last.
 ///
 /// This is the summation order of every spike gather in the workspace
-/// (the scalar tiles, the AVX2 tiles and the reduced-precision lanes)
-/// and of the dense kernels, which add `w·x` over every column the same
-/// way. Starting from `+0.0` keeps the partial sum off `-0.0`, so
-/// skipping an inactive column's `±0.0` term changes no bit.
-///
-/// `row.load` is a plain slice read for the f32 lane and an in-register
-/// dequantization for the f16/int8 lanes. The summation order is the
-/// same for every lane, which is what makes a planed gather
-/// bit-identical to the f32 gather over the dequantized weights.
+/// (the scalar tiles and the AVX2 panels) and of the dense kernels,
+/// which add `w·x` over every column the same way. Starting from `+0.0`
+/// keeps the partial sum off `-0.0`, so skipping an inactive column's
+/// `±0.0` term changes no bit.
 #[inline]
-pub(crate) fn gather_row_lane<L: WeightLane>(row: L, indices: &[u32], bias: f32) -> f32 {
+pub(crate) fn gather_row(row: &[f32], indices: &[u32], bias: f32) -> f32 {
     let mut acc = 0.0f32;
     for &j in indices {
-        acc += row.load(j as usize);
+        acc += row[j as usize];
     }
     acc + bias
 }
 
-/// [`gather_row_lane`] over a tile of 4 weight rows at once, writing 4
+/// [`gather_row`] over a tile of 4 weight rows at once, writing 4
 /// outputs: the scalar spike-plane GEMM microkernel.
 ///
 /// The gather's cost is dominated by the dependent index-load →
 /// data-load chain; sharing each index load across 4 weight rows
 /// quarters the index traffic and gives the out-of-order core 4
 /// independent accumulator chains, one per output. Each output's sum
-/// is [`gather_row_lane`]'s, so every output stays bit-identical to the
+/// is [`gather_row`]'s, so every output stays bit-identical to the
 /// one-row gather.
 #[inline]
-pub(crate) fn gather_row_x4<L: WeightLane>(
-    rows: [L; 4],
-    indices: &[u32],
-    bias: [f32; 4],
-    out: &mut [f32],
-) {
+pub(crate) fn gather_row_x4(rows: [&[f32]; 4], indices: &[u32], bias: [f32; 4], out: &mut [f32]) {
     let mut acc = [0.0f32; 4];
     for &j in indices {
         let j = j as usize;
         for (a, row) in acc.iter_mut().zip(&rows) {
-            *a += row.load(j);
+            *a += row[j];
         }
     }
     for ((o, a), b) in out.iter_mut().zip(acc).zip(bias) {
@@ -363,17 +352,6 @@ pub(crate) fn check_conv_geometry(
             op: "sparse_conv2d weight",
         });
     }
-    check_conv_geometry_len(input_len, in_hw, weight.len(), spec)
-}
-
-/// [`check_conv_geometry`] for a flat weight buffer (a quantized plane
-/// carries no shape metadata, only its length).
-pub(crate) fn check_conv_geometry_len(
-    input_len: usize,
-    in_hw: (usize, usize),
-    weight_len: usize,
-    spec: &Conv2dSpec,
-) -> Result<()> {
     if spec.kernel == 0 || spec.stride == 0 {
         return Err(TensorError::InvalidArgument {
             message: "conv2d kernel and stride must be non-zero".into(),
@@ -385,13 +363,6 @@ pub(crate) fn check_conv_geometry_len(
             lhs: vec![input_len],
             rhs: vec![spec.in_channels, h, w],
             op: "sparse_conv2d input",
-        });
-    }
-    let expected_w = spec.out_channels * spec.in_channels * spec.kernel * spec.kernel;
-    if weight_len != expected_w {
-        return Err(TensorError::LengthMismatch {
-            expected: expected_w,
-            actual: weight_len,
         });
     }
     if h + 2 * spec.padding < spec.kernel || w + 2 * spec.padding < spec.kernel {
@@ -901,12 +872,10 @@ pub(crate) fn sparse_conv2d_naive(
 mod tests {
     use super::*;
     use crate::batched::{
-        sparse_matmul_bias_packed, sparse_matmul_bias_planed_scalar, sparse_matmul_bias_scalar,
-        PackedWeights, SpikeMatrix,
+        sparse_matmul_bias_packed, sparse_matmul_bias_scalar, PackedWeights, SpikeMatrix,
     };
     use crate::conv::{avg_pool2d, conv2d, max_pool2d};
     use crate::linalg;
-    use crate::plane::PlaneView;
 
     fn bits(t: &Tensor) -> Vec<u32> {
         t.as_slice().iter().map(|v| v.to_bits()).collect()
@@ -918,21 +887,6 @@ mod tests {
         let row = SpikeMatrix::from_rows(std::slice::from_ref(s))?;
         let scalar = sparse_matmul_bias_scalar(w, &row, b)?;
         let packed = sparse_matmul_bias_packed(&PackedWeights::pack(w)?, &row, b)?;
-        assert_eq!(bits(&packed), bits(&scalar));
-        packed.reshape(&[b.len()])
-    }
-
-    /// [`gather_one`] over a reduced-precision weight plane: panels
-    /// decoded from the plane against its lane-decoding reference.
-    fn gather_one_planed(
-        w: PlaneView<'_>,
-        shape: (usize, usize),
-        s: &SpikeVector,
-        b: &Tensor,
-    ) -> Result<Tensor> {
-        let row = SpikeMatrix::from_rows(std::slice::from_ref(s))?;
-        let scalar = sparse_matmul_bias_planed_scalar(w, shape, &row, b)?;
-        let packed = sparse_matmul_bias_packed(&PackedWeights::pack_plane(w, shape)?, &row, b)?;
         assert_eq!(bits(&packed), bits(&scalar));
         packed.reshape(&[b.len()])
     }
@@ -1142,51 +1096,6 @@ mod tests {
                 "out_channels {out_channels}"
             );
         }
-    }
-
-    #[test]
-    fn planed_matvec_bitwise_matches_f32_over_dequantized_weights() {
-        use crate::plane::{QuantizedPlane, WeightPlane};
-        let (m, k) = (6, 9);
-        let w = Tensor::from_vec(
-            (0..m * k).map(|i| (i as f32 * 0.29).sin() * 1.7).collect(),
-            &[m, k],
-        )
-        .unwrap();
-        let b = Tensor::from_vec((0..m).map(|i| i as f32 * 0.05 - 0.1).collect(), &[m]).unwrap();
-        for plane in [WeightPlane::F16, WeightPlane::Int8] {
-            let q = QuantizedPlane::quantize(w.as_slice(), plane)
-                .unwrap()
-                .unwrap();
-            let dq = Tensor::from_vec(q.dequantize(), &[m, k]).unwrap();
-            for every in [1usize, 2, 3, 9] {
-                let x = binary_frame(k, every);
-                let s = SpikeVector::from_dense(&x).unwrap();
-                let planed = gather_one_planed(q.view(), (m, k), &s, &b).unwrap();
-                let reference = gather_one(&dq, &s, &b).unwrap();
-                for (a, r) in planed.as_slice().iter().zip(reference.as_slice()) {
-                    assert_eq!(a.to_bits(), r.to_bits(), "{plane} every {every}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn planed_matvec_shape_errors() {
-        use crate::plane::{QuantizedPlane, WeightPlane};
-        let q = QuantizedPlane::quantize(&[1.0; 12], WeightPlane::Int8)
-            .unwrap()
-            .unwrap();
-        let b = Tensor::zeros(&[3]);
-        let s4 = SpikeVector::new(vec![0], 4).unwrap();
-        assert!(gather_one_planed(q.view(), (3, 4), &s4, &b).is_ok());
-        // Plane length disagrees with the claimed shape.
-        assert!(gather_one_planed(q.view(), (3, 5), &s4, &b).is_err());
-        // Spike length disagrees with the column count.
-        let s5 = SpikeVector::new(vec![0], 5).unwrap();
-        assert!(gather_one_planed(q.view(), (3, 4), &s5, &b).is_err());
-        // Bias length disagrees with the row count.
-        assert!(gather_one_planed(q.view(), (3, 4), &s4, &Tensor::zeros(&[2])).is_err());
     }
 
     #[test]

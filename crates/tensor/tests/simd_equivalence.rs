@@ -27,9 +27,9 @@
 //!
 //! The packed kernels (`sparse_matmul_bias_packed`,
 //! `matmul_bt_bias_packed`) stream panels a layer builds once per weight
-//! change, from f32 weights or straight from an f16 / int8 plane; they
-//! are pinned to the scalar twins on the unpacked (dequantized) weights
-//! for one row and batches up to 40, with `±0.0`, subnormal and
+//! change from its effective weights (a planed layer's dequantized f16 /
+//! int8 image); they are pinned to the scalar twins on the unpacked
+//! weights for one row and batches up to 40, with `±0.0`, subnormal and
 //! overflowing weights.
 //!
 //! Run with `AXSNN_NO_SIMD=1` both sides take the scalar path and the
@@ -37,14 +37,13 @@
 
 use axsnn_tensor::batched::{
     lif_fire, lif_fire_scalar, matmul_bt_bias, matmul_bt_bias_packed, matmul_bt_bias_scalar,
-    sparse_conv2d_batch_sorted, sparse_matmul_bias_packed, sparse_matmul_bias_planed_scalar,
-    sparse_matmul_bias_scalar, PackedWeights, SpikeMatrix,
+    sparse_conv2d_batch_sorted, sparse_matmul_bias_packed, sparse_matmul_bias_scalar,
+    PackedWeights, SpikeMatrix,
 };
 use axsnn_tensor::conv::Conv2dSpec;
 use axsnn_tensor::linalg::{
     matvec_t_block_into, matvec_t_block_into_scalar, outer_acc_run, outer_acc_run_scalar,
 };
-use axsnn_tensor::plane::PlaneView;
 use axsnn_tensor::plane::{QuantizedPlane, WeightPlane};
 use axsnn_tensor::sparse::{sparse_conv2d, SpikeVector};
 use axsnn_tensor::{init, Tensor};
@@ -126,14 +125,14 @@ fn packed_gemm(weight: &Tensor, x: &SpikeMatrix, bias: &Tensor) -> Tensor {
     sparse_matmul_bias_packed(&PackedWeights::pack(weight).unwrap(), x, bias).unwrap()
 }
 
-/// [`packed_gemm`] on a planed layer: panels decoded from the plane.
-fn packed_planed_gemm(
-    plane: PlaneView<'_>,
-    shape: (usize, usize),
-    x: &SpikeMatrix,
-    bias: &Tensor,
-) -> Tensor {
-    sparse_matmul_bias_packed(&PackedWeights::pack_plane(plane, shape).unwrap(), x, bias).unwrap()
+/// The effective weights of a layer with `plane` installed over
+/// `weight`: its dequantized image, or `weight` itself for the f32
+/// plane.
+fn plane_image(weight: &Tensor, plane: WeightPlane) -> Tensor {
+    match QuantizedPlane::quantize(weight.as_slice(), plane).unwrap() {
+        Some(quant) => Tensor::from_vec(quant.dequantize(), weight.shape().dims()).unwrap(),
+        None => weight.clone(),
+    }
 }
 
 /// Bit equality, except that two NaNs match whatever their payloads.
@@ -207,11 +206,10 @@ proptest! {
         assert_bits_eq(&fast, &scalar, "matmul");
     }
 
-    /// The spike GEMM over panels decoded from a plane is
-    /// bit-identical to the per-element lane decode for every weight
-    /// plane. The f32 plane quantizes to a no-op, so it is covered
-    /// through panels packed from the f32 weights against the scalar
-    /// twin — all three [`WeightPlane`]s run through one test.
+    /// The spike GEMM a planed layer runs — panels packed from the
+    /// plane's dequantized image — is bit-identical to the scalar twin
+    /// over that image, for every weight plane (the f32 plane's image is
+    /// the weights themselves).
     #[test]
     fn planed_matmul_bit_identity(
         m in rows_strategy(),
@@ -233,32 +231,20 @@ proptest! {
             .map(|b| binary_frame(k, density, salt.wrapping_add(b as u64 * 1493)))
             .collect();
         let x = SpikeMatrix::from_rows(&rows).unwrap();
-        match QuantizedPlane::quantize(weight.as_slice(), plane).unwrap() {
-            Some(quant) => {
-                let fast = packed_planed_gemm(quant.view(), (m, k), &x, &bias);
-                let scalar =
-                    sparse_matmul_bias_planed_scalar(quant.view(), (m, k), &x, &bias)
-                        .unwrap();
-                assert_bits_eq(&fast, &scalar, "planed matmul");
-            }
-            None => {
-                // F32 plane: the planed entry points don't apply; pin
-                // the f32 pair on the same inputs instead.
-                let fast = packed_gemm(&weight, &x, &bias);
-                let scalar = sparse_matmul_bias_scalar(&weight, &x, &bias).unwrap();
-                assert_bits_eq(&fast, &scalar, "f32-plane matmul");
-            }
-        }
+        let image = plane_image(&weight, plane);
+        let fast = packed_gemm(&image, &x, &bias);
+        let scalar = sparse_matmul_bias_scalar(&image, &x, &bias).unwrap();
+        assert_bits_eq(&fast, &scalar, &format!("{plane} matmul"));
     }
 
     /// The packed kernels — the panels a layer builds once per weight
     /// change and streams at every batch size — are bit-identical to the
     /// scalar twins on the unpacked weights: the spike GEMM for one row
     /// and batches up to 40 at every density, the dense GEMM on analog
-    /// rows, over f32 panels and panels decoded from f16 and int8
-    /// planes. Weights and biases mix in `±0.0`, subnormals and powers
-    /// of two wide enough to overflow, and `m` and `k` straddle the
-    /// 8-row panels and 8-column blocks.
+    /// rows, over panels packed from f32 weights and from the f16 and
+    /// int8 images of those weights. Weights and biases mix in `±0.0`,
+    /// subnormals and powers of two wide enough to overflow, and `m` and
+    /// `k` straddle the 8-row panels and 8-column blocks.
     #[test]
     fn packed_matmul_bit_identity(
         m in rows_strategy(),
@@ -278,18 +264,8 @@ proptest! {
         let one = SpikeMatrix::from_rows(&rows[..1]).unwrap();
         let analog =
             Tensor::from_vec(analog_values(batch * k, salt ^ 0x99), &[batch, k]).unwrap();
-        let (packed, image) = match QuantizedPlane::quantize(weight.as_slice(), plane).unwrap() {
-            Some(quant) => {
-                let packed = PackedWeights::pack_plane(quant.view(), (m, k)).unwrap();
-                let lanes =
-                    sparse_matmul_bias_planed_scalar(quant.view(), (m, k), &x, &bias).unwrap();
-                let fast = sparse_matmul_bias_packed(&packed, &x, &bias).unwrap();
-                assert_bits_eq_nan(&fast, &lanes, "packed plane vs lane decode");
-                let image = Tensor::from_vec(quant.dequantize(), &[m, k]).unwrap();
-                (packed, image)
-            }
-            None => (PackedWeights::pack(&weight).unwrap(), weight),
-        };
+        let image = plane_image(&weight, plane);
+        let packed = PackedWeights::pack(&image).unwrap();
         let fast = sparse_matmul_bias_packed(&packed, &x, &bias).unwrap();
         let scalar = sparse_matmul_bias_scalar(&image, &x, &bias).unwrap();
         assert_bits_eq_nan(&fast, &scalar, "packed spike GEMM");
@@ -359,7 +335,7 @@ proptest! {
 /// each gather sums nothing from `+0.0`, so every packed kernel, its
 /// scalar twin and the dense kernel give `+0.0`. Covers the packed
 /// panels, the 4- and 1-row scalar tiles, an empty row alone and beside
-/// a full one, and both reduced-precision planes.
+/// a full one, and the f16 and int8 images of the weights.
 #[test]
 fn negative_row_on_empty_frame_is_positive_zero() {
     let k = 9;
@@ -392,12 +368,9 @@ fn negative_row_on_empty_frame_is_positive_zero() {
             assert_bits_eq(&fast, &dense, "empty-row matmul vs dense");
             is_pos_zero(&fast, empty_at..empty_at + 1, "empty-row matmul");
             for plane in [WeightPlane::F16, WeightPlane::Int8] {
-                let quant = QuantizedPlane::quantize(weight.as_slice(), plane)
-                    .unwrap()
-                    .unwrap();
-                let fast = packed_planed_gemm(quant.view(), (m, k), &x, &bias);
-                let scalar =
-                    sparse_matmul_bias_planed_scalar(quant.view(), (m, k), &x, &bias).unwrap();
+                let image = plane_image(&weight, plane);
+                let fast = packed_gemm(&image, &x, &bias);
+                let scalar = sparse_matmul_bias_scalar(&image, &x, &bias).unwrap();
                 assert_bits_eq(&fast, &scalar, "empty-row planed matmul");
                 is_pos_zero(&fast, empty_at..empty_at + 1, "empty-row planed matmul");
             }
